@@ -828,10 +828,11 @@ let chaos () =
    load.  Two identically seeded runs are bit-identical (the CI smoke
    job diffs them); emits BENCH_serving.json next to the table.        *)
 
-(* One serving leg's artifacts: the report plus every deterministic
-   observability document byte-compared across domain counts. *)
+(* The deterministic artifacts of one span-traced base leg, every one
+   byte-compared across domain counts. *)
 type serving_leg = {
-  lg_report : Alloystack_core.Visor.Server.serve_report;
+  lg_summary : Alloystack_core.Visor.Server.summary;
+  lg_fingerprint : string;
   lg_wall_ms : float;
   lg_breakdown : Alloystack_core.Jsonlite.t;
   lg_trace : string;
@@ -884,59 +885,73 @@ let serving () =
   in
   (* Three tenants: a Rust chain, a Rust fan-out and a Python endpoint
      (the one that gains most from a warm CPython template). *)
-  let chain_wf =
-    Workflow.create_exn ~name:"thumb"
-      ~nodes:[ node ~modules:[ "fdtab" ] "extract"; node "render" ]
-      ~edges:[ ("extract", "render") ]
-  in
-  let chain_bindings =
-    [
-      ("extract", Visor.bind ~image:(image "extract") (produce_kernel "thumb" 6));
-      ("render", Visor.bind ~image:(image "render") (consume_kernel "thumb" 8));
-    ]
-  in
-  let fanout_wf =
-    Workflow.create_exn ~name:"etl"
-      ~nodes:[ node ~instances:8 ~modules:[ "mm" ] "shard" ]
-      ~edges:[]
-  in
-  let fanout_bindings =
-    [ ("shard", Visor.bind ~image:(image "shard") (compute_kernel 12)) ]
-  in
-  let py_wf =
-    Workflow.create_exn ~name:"mlinf"
-      ~nodes:[ node ~language:Workflow.Python "infer" ]
-      ~edges:[]
-  in
-  let py_bindings =
-    [ ("infer", Visor.bind ~image:(image "infer") (compute_kernel 10)) ]
-  in
   let endpoints_spec =
     [
-      ("thumb", chain_wf, chain_bindings);
-      ("etl", fanout_wf, fanout_bindings);
-      ("mlinf", py_wf, py_bindings);
+      ( "thumb",
+        Workflow.create_exn ~name:"thumb"
+          ~nodes:[ node ~modules:[ "fdtab" ] "extract"; node "render" ]
+          ~edges:[ ("extract", "render") ],
+        [
+          ("extract", Visor.bind ~image:(image "extract") (produce_kernel "thumb" 6));
+          ("render", Visor.bind ~image:(image "render") (consume_kernel "thumb" 8));
+        ] );
+      ( "etl",
+        Workflow.create_exn ~name:"etl"
+          ~nodes:[ node ~instances:8 ~modules:[ "mm" ] "shard" ]
+          ~edges:[],
+        [ ("shard", Visor.bind ~image:(image "shard") (compute_kernel 12)) ] );
+      ( "mlinf",
+        Workflow.create_exn ~name:"mlinf"
+          ~nodes:[ node ~language:Workflow.Python "infer" ]
+          ~edges:[],
+        [ ("infer", Visor.bind ~image:(image "infer") (compute_kernel 10)) ] );
     ]
   in
   let seed = 42 in
   let qps = 900.0 in
   let count = if !quick then 150 else 400 in
   let eps = Array.of_list (List.map (fun (e, _, _) -> e) endpoints_spec) in
-  (* Streaming seeded generator (constant memory); draws are identical
-     to the old materialised List.init, so the schedule is unchanged. *)
-  let stream_requests ~qps ~count () =
+  (* Serve a streamed seeded schedule (constant memory), folding each
+     response through [f] as it completes. *)
+  let fold server ~qps ~count ~init ~f =
     let next = Loadgen.request_stream ~seed ~qps ~endpoints:eps ~count () in
-    fun () ->
-      match next () with
-      | None -> None
-      | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival }
+    Visor.Server.serve_fold server
+      (fun () ->
+        match next () with
+        | None -> None
+        | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival })
+      ~init ~f
   in
-  let requests =
-    let next = stream_requests ~qps ~count () in
-    let rec all acc =
-      match next () with None -> List.rev acc | Some r -> all (r :: acc)
-    in
-    all []
+  (* Every response field is virtual time or a deterministic counter:
+     the per-response fingerprint must match across domain counts.  It
+     is folded into a buffer sized for the whole run as responses
+     complete, allocating nothing per response, so the scale leg's
+     allocation figure stays the server's own. *)
+  let rec add_digits buf n =
+    if n >= 10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.chr (48 + (n mod 10)))
+  in
+  let add_int buf n =
+    Buffer.add_char buf ',';
+    add_digits buf n
+  in
+  let add_bool buf b =
+    Buffer.add_char buf ',';
+    Buffer.add_string buf (string_of_bool b)
+  in
+  let fingerprint buf (p : Visor.Server.response) =
+    if Buffer.length buf > 0 then Buffer.add_char buf ';';
+    Buffer.add_string buf p.Visor.Server.r_endpoint;
+    add_int buf (Int64.to_int (Units.to_ns p.Visor.Server.r_arrival));
+    add_int buf (Int64.to_int (Units.to_ns p.Visor.Server.r_finish));
+    add_bool buf p.Visor.Server.r_warm;
+    add_bool buf p.Visor.Server.r_ok;
+    add_int buf p.Visor.Server.r_attempts;
+    add_int buf p.Visor.Server.r_retries;
+    buf
+  in
+  let serve_fingerprinted server ~qps ~count =
+    fold server ~qps ~count ~init:(Buffer.create (56 * count)) ~f:fingerprint
   in
   (* Two burn-rate SLOs on every telemetry-enabled leg: a tight one the
      cold pool plausibly violates and a loose availability objective. *)
@@ -981,26 +996,40 @@ let serving () =
           Jsonlite.List (List.map alert_json (Visor.Server.slo_alerts server)) );
       ]
   in
-  let run_mode ~warm =
-    let server = Visor.Server.create ~warm () in
+  let csv server =
+    match Visor.Server.telemetry server with
+    | Some ts -> Timeseries.to_csv ts
+    | None -> ""
+  in
+  let nd = bench_domains () in
+  (* One leg: a configured server run.  It sets the pool width and
+     batch, resets observability, turns span recording on or off, thins
+     metrics reservoirs 1-in-[sample_every], creates a server over every
+     endpoint, times [run] on it, shuts the server down and restores
+     the globals. *)
+  let leg ?(domains = 1) ?(batch = !batch_flag) ?(spans = false) ?(warm = true)
+      ?(sample_every = 1) ?(sketch = false) run =
+    Par.set_domains domains;
+    Par.set_batch batch;
+    reset_observability ();
+    Span.set_enabled Span.global spans;
+    Metrics.set_raw_sample_every ~seed sample_every;
+    let server =
+      Visor.Server.create ~warm ~sample_every ~sample_seed:seed ~sketch_latency:sketch ()
+    in
     List.iter
       (fun (endpoint, workflow, bindings) ->
         Visor.Server.register server ~endpoint ~workflow ~bindings ())
       endpoints_spec;
-    Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
-    let report = Visor.Server.serve server requests in
-    let csv =
-      match Visor.Server.telemetry server with
-      | Some ts -> Timeseries.to_csv ts
-      | None -> ""
-    in
-    let alerts =
-      String.concat "\n"
-        (List.map Slo.render_alert (Visor.Server.slo_alerts server))
-    in
-    let slo = slo_json server in
+    let t0 = Unix.gettimeofday () in
+    let r = run server in
+    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     Visor.Server.shutdown server;
-    (report, csv, alerts, slo)
+    Span.set_enabled Span.global false;
+    Metrics.set_raw_sample_every 1;
+    Par.set_batch !batch_flag;
+    Par.set_domains 1;
+    (r, wall_ms)
   in
   (* Span-trace both pool modes.  The per-request critical-path
      aggregate and the exported trace / metrics documents are pure
@@ -1028,60 +1057,60 @@ let serving () =
                (Obs.categories @ [ "other" ])) );
       ]
   in
-  let mode_json (r : Visor.Server.serve_report) =
-    Jsonlite.Obj
-      [
-        ("completed", Jsonlite.Int r.Visor.Server.completed);
-        ("failed", Jsonlite.Int r.Visor.Server.failed);
-        ("throughput_rps", Jsonlite.Float r.Visor.Server.throughput_rps);
-        ("mean_us", Jsonlite.Float (Units.to_us r.Visor.Server.mean_latency));
-        ("p50_us", Jsonlite.Float (Units.to_us r.Visor.Server.p50_latency));
-        ("p99_us", Jsonlite.Float (Units.to_us r.Visor.Server.p99_latency));
-        ("max_inflight", Jsonlite.Int r.Visor.Server.max_inflight);
-        ("warm_starts", Jsonlite.Int r.Visor.Server.warm_starts);
-        ("cold_starts", Jsonlite.Int r.Visor.Server.cold_starts);
-        ("admission_hits", Jsonlite.Int r.Visor.Server.adm_hits);
-        ("admission_scans", Jsonlite.Int r.Visor.Server.adm_scans);
-        ("evictions", Jsonlite.Int r.Visor.Server.evictions);
-        ("peak_rss", Jsonlite.Int r.Visor.Server.machine_peak_rss);
-      ]
+  let summary_fields (s : Visor.Server.summary) =
+    [
+      ("completed", Jsonlite.Int s.Visor.Server.sm_completed);
+      ("failed", Jsonlite.Int s.Visor.Server.sm_failed);
+      ("throughput_rps", Jsonlite.Float s.Visor.Server.sm_throughput_rps);
+      ("mean_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_mean_latency));
+      ("p50_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p50_latency));
+      ("p99_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p99_latency));
+      ("max_inflight", Jsonlite.Int s.Visor.Server.sm_max_inflight);
+      ("warm_starts", Jsonlite.Int s.Visor.Server.sm_warm_starts);
+      ("cold_starts", Jsonlite.Int s.Visor.Server.sm_cold_starts);
+    ]
   in
-  (* Every response field is virtual time or a deterministic counter:
-     the per-response fingerprint must match across domain counts. *)
-  let fingerprint (r : Visor.Server.serve_report) =
-    String.concat ";"
-      (List.map
-         (fun (p : Visor.Server.response) ->
-           Printf.sprintf "%s,%Ld,%Ld,%b,%b,%d,%d" p.Visor.Server.r_endpoint
-             (Units.to_ns p.Visor.Server.r_arrival)
-             (Units.to_ns p.Visor.Server.r_finish)
-             p.Visor.Server.r_warm p.Visor.Server.r_ok p.Visor.Server.r_attempts
-             p.Visor.Server.r_retries)
-         r.Visor.Server.responses)
+  let mode_json (s : Visor.Server.summary) =
+    Jsonlite.Obj
+      (summary_fields s
+      @ [
+          ("admission_hits", Jsonlite.Int s.Visor.Server.sm_adm_hits);
+          ("admission_scans", Jsonlite.Int s.Visor.Server.sm_adm_scans);
+          ("evictions", Jsonlite.Int s.Visor.Server.sm_evictions);
+          ("peak_rss", Jsonlite.Int s.Visor.Server.sm_machine_peak_rss);
+        ])
+  in
+  let summary_json (s : Visor.Server.summary) =
+    Jsonlite.Obj
+      (summary_fields s
+      @ [ ("latency_sketched", Jsonlite.Bool s.Visor.Server.sm_latency_sketched) ])
   in
   (* Each pool mode runs on one domain and on the requested pool: wall
      time is allowed to differ, every virtual artifact (responses,
      summary, span breakdown, trace and metrics exports) must be
      byte-identical.  CI re-checks this across separate --domains
      invocations. *)
-  let run_at ~domains ~warm =
-    Par.set_domains domains;
-    reset_observability ();
-    Span.set_enabled Span.global true;
-    let t0 = Unix.gettimeofday () in
-    let r, csv, alerts, slo = run_mode ~warm in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let bd = request_breakdown () in
+  let base_leg ~domains ~warm =
+    let (fp, s, csv, alerts, slo), wall_ms =
+      leg ~domains ~warm ~spans:true (fun server ->
+          Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
+          let buf, s = serve_fingerprinted server ~qps ~count in
+          let alerts =
+            String.concat "\n"
+              (List.map Slo.render_alert (Visor.Server.slo_alerts server))
+          in
+          (Buffer.contents buf, s, csv server, alerts, slo_json server))
+    in
+    let breakdown = request_breakdown () in
     let trace = Obs.trace_json_string () in
     let metrics = Obs.metrics_json_string () in
     let prom = Obs.prometheus_string () in
     let tails = Obs.tails () in
-    Span.set_enabled Span.global false;
-    Par.set_domains 1;
     {
-      lg_report = r;
+      lg_summary = s;
+      lg_fingerprint = fp;
       lg_wall_ms = wall_ms;
-      lg_breakdown = bd;
+      lg_breakdown = breakdown;
       lg_trace = trace;
       lg_metrics = metrics;
       lg_prom = prom;
@@ -1092,16 +1121,10 @@ let serving () =
       lg_tails_render = Obs.render_tails tails;
     }
   in
-  let nd = bench_domains () in
-  let warm1 = run_at ~domains:1 ~warm:true in
-  let cold1 = run_at ~domains:1 ~warm:false in
-  let warm = run_at ~domains:nd ~warm:true in
-  let cold = run_at ~domains:nd ~warm:false in
-  let warm_r1 = warm1.lg_report and cold_r1 = cold1.lg_report in
-  let warm_r = warm.lg_report and cold_r = cold.lg_report in
-  let warm_ms1 = warm1.lg_wall_ms and cold_ms1 = cold1.lg_wall_ms in
-  let warm_ms = warm.lg_wall_ms and cold_ms = cold.lg_wall_ms in
-  let trace_doc = warm.lg_trace and metrics_doc = warm.lg_metrics in
+  let warm1 = base_leg ~domains:1 ~warm:true in
+  let cold1 = base_leg ~domains:1 ~warm:false in
+  let warm = base_leg ~domains:nd ~warm:true in
+  let cold = base_leg ~domains:nd ~warm:false in
   let check label a b =
     if not (String.equal a b) then begin
       Printf.eprintf
@@ -1109,37 +1132,26 @@ let serving () =
       exit 1
     end
   in
-  check "warm responses" (fingerprint warm_r1) (fingerprint warm_r);
-  check "cold responses" (fingerprint cold_r1) (fingerprint cold_r);
-  check "warm summary"
-    (Jsonlite.to_string (mode_json warm_r1))
-    (Jsonlite.to_string (mode_json warm_r));
-  check "cold summary"
-    (Jsonlite.to_string (mode_json cold_r1))
-    (Jsonlite.to_string (mode_json cold_r));
-  check "warm breakdown" (Jsonlite.to_string warm1.lg_breakdown)
-    (Jsonlite.to_string warm.lg_breakdown);
-  check "cold breakdown" (Jsonlite.to_string cold1.lg_breakdown)
-    (Jsonlite.to_string cold.lg_breakdown);
-  check "warm trace export" warm1.lg_trace trace_doc;
-  check "cold trace export" cold1.lg_trace cold.lg_trace;
-  check "warm metrics export" warm1.lg_metrics metrics_doc;
-  check "cold metrics export" cold1.lg_metrics cold.lg_metrics;
-  (* The new observability artifacts obey the same contract: every
-     timeseries window, alert instant, tail verdict and exporter byte
-     is identical whatever the host domain pool width. *)
-  check "warm prometheus export" warm1.lg_prom warm.lg_prom;
-  check "cold prometheus export" cold1.lg_prom cold.lg_prom;
-  check "warm timeseries csv" warm1.lg_csv warm.lg_csv;
-  check "cold timeseries csv" cold1.lg_csv cold.lg_csv;
-  check "warm slo alerts" warm1.lg_alerts warm.lg_alerts;
-  check "cold slo alerts" cold1.lg_alerts cold.lg_alerts;
-  check "warm slo summary" (Jsonlite.to_string warm1.lg_slo)
-    (Jsonlite.to_string warm.lg_slo);
-  check "cold slo summary" (Jsonlite.to_string cold1.lg_slo)
-    (Jsonlite.to_string cold.lg_slo);
-  check "warm tails" warm1.lg_tails_render warm.lg_tails_render;
-  check "cold tails" cold1.lg_tails_render cold.lg_tails_render;
+  List.iter
+    (fun (mode, a, b) ->
+      let check what = check (mode ^ " " ^ what) in
+      check "responses" a.lg_fingerprint b.lg_fingerprint;
+      check "summary"
+        (Jsonlite.to_string (mode_json a.lg_summary))
+        (Jsonlite.to_string (mode_json b.lg_summary));
+      check "breakdown" (Jsonlite.to_string a.lg_breakdown)
+        (Jsonlite.to_string b.lg_breakdown);
+      check "trace export" a.lg_trace b.lg_trace;
+      check "metrics export" a.lg_metrics b.lg_metrics;
+      (* The observability artifacts obey the same contract: every
+         timeseries window, alert instant, tail verdict and exporter
+         byte is identical whatever the host domain pool width. *)
+      check "prometheus export" a.lg_prom b.lg_prom;
+      check "timeseries csv" a.lg_csv b.lg_csv;
+      check "slo alerts" a.lg_alerts b.lg_alerts;
+      check "slo summary" (Jsonlite.to_string a.lg_slo) (Jsonlite.to_string b.lg_slo);
+      check "tails" a.lg_tails_render b.lg_tails_render)
+    [ ("warm", warm1, warm); ("cold", cold1, cold) ];
   let t =
     Table.create
       ~title:
@@ -1149,21 +1161,21 @@ let serving () =
         [ "Pool"; "done"; "req/s"; "p50"; "p99"; "max inflight"; "warm/cold";
           "adm hit/scan" ]
   in
-  let row label (r : Visor.Server.serve_report) =
+  let row label (s : Visor.Server.summary) =
     Table.add_row t
       [
         label;
-        string_of_int r.Visor.Server.completed;
-        Printf.sprintf "%.0f" r.Visor.Server.throughput_rps;
-        pp_t r.Visor.Server.p50_latency;
-        pp_t r.Visor.Server.p99_latency;
-        string_of_int r.Visor.Server.max_inflight;
-        Printf.sprintf "%d/%d" r.Visor.Server.warm_starts r.Visor.Server.cold_starts;
-        Printf.sprintf "%d/%d" r.Visor.Server.adm_hits r.Visor.Server.adm_scans;
+        string_of_int s.Visor.Server.sm_completed;
+        Printf.sprintf "%.0f" s.Visor.Server.sm_throughput_rps;
+        pp_t s.Visor.Server.sm_p50_latency;
+        pp_t s.Visor.Server.sm_p99_latency;
+        string_of_int s.Visor.Server.sm_max_inflight;
+        Printf.sprintf "%d/%d" s.Visor.Server.sm_warm_starts s.Visor.Server.sm_cold_starts;
+        Printf.sprintf "%d/%d" s.Visor.Server.sm_adm_hits s.Visor.Server.sm_adm_scans;
       ]
   in
-  row "warm (template clone)" warm_r;
-  row "cold (no pool)" cold_r;
+  row "warm (template clone)" warm.lg_summary;
+  row "cold (no pool)" cold.lg_summary;
   Table.print t;
   (* Burn-rate alerts and the warm-pool tail attribution, both
      deterministic; the cold run's tail table is in the JSON. *)
@@ -1176,18 +1188,15 @@ let serving () =
   (* Single-request boot comparison: the substitution the warm pool
      makes on the critical path. *)
   let one ~warm ~prewarm =
-    let server = Visor.Server.create ~warm () in
-    Visor.Server.register server ~endpoint:"mlinf" ~workflow:py_wf
-      ~bindings:py_bindings ();
-    if prewarm then ignore (Visor.Server.prewarm server ~endpoint:"mlinf");
-    let r =
-      Visor.Server.serve server
-        [ { Visor.Server.endpoint = "mlinf"; arrival = Units.zero } ]
-    in
-    Visor.Server.shutdown server;
-    match r.Visor.Server.responses with
-    | [ resp ] -> resp.Visor.Server.r_latency
-    | _ -> Units.zero
+    fst
+      (leg ~warm (fun server ->
+           if prewarm then ignore (Visor.Server.prewarm server ~endpoint:"mlinf");
+           match
+             Visor.Server.serve server
+               [ { Visor.Server.endpoint = "mlinf"; arrival = Units.zero } ]
+           with
+           | [ resp ], _ -> resp.Visor.Server.r_latency
+           | _ -> Units.zero))
   in
   let warm_one = one ~warm:true ~prewarm:true in
   let cold_one = one ~warm:false ~prewarm:false in
@@ -1195,6 +1204,8 @@ let serving () =
     "single Python request: cold boot %s vs warm clone %s (%.1fx)\n\n" (pp_t cold_one)
     (pp_t warm_one)
     (Units.to_us cold_one /. Float.max 1e-9 (Units.to_us warm_one));
+  let warm_ms1 = warm1.lg_wall_ms and cold_ms1 = cold1.lg_wall_ms in
+  let warm_ms = warm.lg_wall_ms and cold_ms = cold.lg_wall_ms in
   Printf.printf
     "host parallel: %d domains; cold wall %.0f ms -> %.0f ms (%.2fx), warm %.0f ms -> %.0f ms (%.2fx)\n\n"
     nd cold_ms1 cold_ms
@@ -1206,89 +1217,20 @@ let serving () =
      1-in-k so trace/span state stays O(n/k); metrics raw reservoirs
      are thinned the same way.  Virtual outputs stay deterministic and
      the scale leg is asserted byte-identical across domain counts. *)
-  let register_all server =
-    List.iter
-      (fun (endpoint, workflow, bindings) ->
-        Visor.Server.register server ~endpoint ~workflow ~bindings ())
-      endpoints_spec
-  in
   let sample_every = 64 in
   (* Largest sweep point strictly below the saturation knee — the rate
      the soak leg runs at.  Without --sweep the default matches the
      measured sub-knee point of the full sweep. *)
   let sub_knee_qps = ref 300.0 in
-  let summary_json (s : Visor.Server.summary) =
-    Jsonlite.Obj
-      [
-        ("completed", Jsonlite.Int s.Visor.Server.sm_completed);
-        ("failed", Jsonlite.Int s.Visor.Server.sm_failed);
-        ("throughput_rps", Jsonlite.Float s.Visor.Server.sm_throughput_rps);
-        ("mean_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_mean_latency));
-        ("p50_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p50_latency));
-        ("p99_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p99_latency));
-        ("max_inflight", Jsonlite.Int s.Visor.Server.sm_max_inflight);
-        ("warm_starts", Jsonlite.Int s.Visor.Server.sm_warm_starts);
-        ("cold_starts", Jsonlite.Int s.Visor.Server.sm_cold_starts);
-        ("latency_sketched", Jsonlite.Bool s.Visor.Server.sm_latency_sketched);
-      ]
-  in
-  (* Constant-memory serve: fold each response through [f] as it
-     completes (never materialised), latency percentiles from the
-     server's t-digest.  Probes live words (full major + stat) in
-     flight so the flat-memory claim is checked at peak, not after the
-     GC has cleaned up — live words, not heap size, because the major
-     heap legitimately expands with allocation churn at 10^6. *)
-  let run_fold ~qps ~count ~sample_every ~exact =
-    Par.set_domains nd;
-    reset_observability ();
-    Metrics.set_raw_sample_every ~seed sample_every;
-    let server =
-      Visor.Server.create ~warm:true ~sample_every ~sample_seed:seed
-        ~sketch_latency:true ()
-    in
-    register_all server;
-    let exact_lat = Stats.create () in
-    let seen = ref 0 in
-    let peak_live = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    let (), s =
-      Visor.Server.serve_fold server
-        (stream_requests ~qps ~count ())
-        ~init:()
-        ~f:(fun () (p : Visor.Server.response) ->
-          incr seen;
-          if exact && p.Visor.Server.r_ok then
-            Stats.add_time exact_lat p.Visor.Server.r_latency;
-          if !seen land 16383 = 0 then begin
-            Gc.full_major ();
-            peak_live := Stdlib.max !peak_live (Gc.stat ()).Gc.live_words
-          end)
-    in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    Visor.Server.shutdown server;
-    Metrics.set_raw_sample_every 1;
-    Par.set_domains 1;
-    (s, exact_lat, wall_ms, !peak_live)
-  in
   let sweep_sections =
     if not !sweep_flag then []
     else begin
       let sweep_count = if !quick then 300 else 1500 in
       let points = [ 300.0; 600.0; 900.0; 1200.0; 1500.0; 1800.0 ] in
       let run_point q =
-        reset_observability ();
-        Metrics.set_raw_sample_every ~seed sample_every;
-        let server =
-          Visor.Server.create ~warm:true ~sample_every ~sample_seed:seed ()
-        in
-        register_all server;
-        let r =
-          Visor.Server.serve_stream server
-            (stream_requests ~qps:q ~count:sweep_count ())
-        in
-        Visor.Server.shutdown server;
-        Metrics.set_raw_sample_every 1;
-        r
+        fst
+          (leg ~sample_every (fun server ->
+               snd (fold server ~qps:q ~count:sweep_count ~init:() ~f:(fun () _ -> ()))))
       in
       let results = List.map (fun q -> (q, run_point q)) points in
       (* Saturation knee: the first offered load whose p99 blows past
@@ -1296,14 +1238,14 @@ let serving () =
          never saturates, the knee is the last point. *)
       let base_p99 =
         match results with
-        | (_, r0) :: _ -> Units.to_us r0.Visor.Server.p99_latency
+        | (_, s0) :: _ -> Units.to_us s0.Visor.Server.sm_p99_latency
         | [] -> 0.0
       in
       let knee_qps =
         match
           List.find_opt
-            (fun (_, (r : Visor.Server.serve_report)) ->
-              Units.to_us r.Visor.Server.p99_latency > 2.0 *. base_p99)
+            (fun (_, (s : Visor.Server.summary)) ->
+              Units.to_us s.Visor.Server.sm_p99_latency > 2.0 *. base_p99)
             results
         with
         | Some (q, _) -> q
@@ -1317,8 +1259,8 @@ let serving () =
       (match
          List.rev
            (List.filter
-              (fun (q, r) ->
-                r.Visor.Server.throughput_rps >= 0.95 *. q && q < knee_qps)
+              (fun (q, s) ->
+                s.Visor.Server.sm_throughput_rps >= 0.95 *. q && q < knee_qps)
               results)
        with
       | (q, _) :: _ -> sub_knee_qps := q
@@ -1331,28 +1273,28 @@ let serving () =
           ~columns:[ "qps"; "done"; "req/s"; "p50"; "p99"; "max inflight" ]
       in
       List.iter
-        (fun (q, (r : Visor.Server.serve_report)) ->
+        (fun (q, (s : Visor.Server.summary)) ->
           Table.add_row st
             [
               Printf.sprintf "%.0f" q;
-              string_of_int r.Visor.Server.completed;
-              Printf.sprintf "%.0f" r.Visor.Server.throughput_rps;
-              pp_t r.Visor.Server.p50_latency;
-              pp_t r.Visor.Server.p99_latency;
-              string_of_int r.Visor.Server.max_inflight;
+              string_of_int s.Visor.Server.sm_completed;
+              Printf.sprintf "%.0f" s.Visor.Server.sm_throughput_rps;
+              pp_t s.Visor.Server.sm_p50_latency;
+              pp_t s.Visor.Server.sm_p99_latency;
+              string_of_int s.Visor.Server.sm_max_inflight;
             ])
         results;
       Table.print st;
-      let point_json (q, (r : Visor.Server.serve_report)) =
+      let point_json (q, (s : Visor.Server.summary)) =
         Jsonlite.Obj
           [
             ("qps", Jsonlite.Float q);
-            ("completed", Jsonlite.Int r.Visor.Server.completed);
-            ("failed", Jsonlite.Int r.Visor.Server.failed);
-            ("throughput_rps", Jsonlite.Float r.Visor.Server.throughput_rps);
-            ("p50_us", Jsonlite.Float (Units.to_us r.Visor.Server.p50_latency));
-            ("p99_us", Jsonlite.Float (Units.to_us r.Visor.Server.p99_latency));
-            ("max_inflight", Jsonlite.Int r.Visor.Server.max_inflight);
+            ("completed", Jsonlite.Int s.Visor.Server.sm_completed);
+            ("failed", Jsonlite.Int s.Visor.Server.sm_failed);
+            ("throughput_rps", Jsonlite.Float s.Visor.Server.sm_throughput_rps);
+            ("p50_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p50_latency));
+            ("p99_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p99_latency));
+            ("max_inflight", Jsonlite.Int s.Visor.Server.sm_max_inflight);
           ]
       in
       let sweep_json =
@@ -1374,46 +1316,28 @@ let serving () =
          serving (bounded in-flight, bounded memory), not queue
          collapse — the sweep above covers the saturated regime. *)
       let scale_qps = 300.0 in
-      let run_scale ?(telemetry = false) ?batch ~domains () =
-        Par.set_domains domains;
-        (match batch with Some k -> Par.set_batch k | None -> ());
-        reset_observability ();
-        Metrics.set_raw_sample_every ~seed sample_every;
-        let server =
-          Visor.Server.create ~warm:true ~sample_every ~sample_seed:seed ()
+      let scale_leg ?(telemetry = false) ?batch ~domains () =
+        let ((buf, s), alloc_words), wall_ms =
+          leg ~domains ?batch ~sample_every (fun server ->
+              if telemetry then
+                Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
+              (* [Gc.allocated_bytes] is per-domain: the delta covers
+                 every allocation only when the run stays on one domain,
+                 which is why the gated words-per-request figure comes
+                 from the domains-1 leg. *)
+              let alloc0 = Gc.allocated_bytes () in
+              let r = serve_fingerprinted server ~qps:scale_qps ~count:scale_count in
+              (r, (Gc.allocated_bytes () -. alloc0) /. 8.0))
         in
-        register_all server;
-        if telemetry then
-          Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
-        (* [Gc.allocated_bytes] is per-domain: the delta covers every
-           allocation only when the run stays on one domain, which is
-           why the gated words-per-request figure comes from the
-           domains-1 leg. *)
-        let alloc0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Visor.Server.serve_stream server
-            (stream_requests ~qps:scale_qps ~count:scale_count ())
-        in
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        let alloc_words = (Gc.allocated_bytes () -. alloc0) /. 8.0 in
-        Visor.Server.shutdown server;
-        Metrics.set_raw_sample_every 1;
-        Par.set_domains 1;
-        (match batch with Some _ -> Par.set_batch !batch_flag | None -> ());
-        let live_words = (Gc.stat ()).Gc.live_words in
-        (r, wall_ms, live_words, alloc_words)
+        let md5 = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+        (md5, s, wall_ms, (Gc.stat ()).Gc.live_words, alloc_words)
       in
-      let scale_r1, scale_ms1, scale_live1, scale_alloc1 =
-        run_scale ~domains:1 ()
-      in
-      let scale_rn, scale_msn, scale_liven, _ = run_scale ~domains:nd () in
-      let fp1 = Digest.to_hex (Digest.string (fingerprint scale_r1)) in
-      let fpn = Digest.to_hex (Digest.string (fingerprint scale_rn)) in
+      let fp1, scale_s1, scale_ms1, scale_live1, scale_alloc1 = scale_leg ~domains:1 () in
+      let fpn, scale_sn, scale_msn, scale_liven, _ = scale_leg ~domains:nd () in
       check "scale responses (fingerprint)" fp1 fpn;
       check "scale summary"
-        (Jsonlite.to_string (mode_json scale_r1))
-        (Jsonlite.to_string (mode_json scale_rn));
+        (Jsonlite.to_string (mode_json scale_s1))
+        (Jsonlite.to_string (mode_json scale_sn));
       (* Batched work claiming is a host-only knob: the same leg at
          K = 8 and K = 64 on the full pool must produce the same
          bytes (K = 1 across domain counts is the check above; CI
@@ -1421,8 +1345,7 @@ let serving () =
          across separate invocations). *)
       List.iter
         (fun k ->
-          let rb, _, _, _ = run_scale ~batch:k ~domains:nd () in
-          let fpb = Digest.to_hex (Digest.string (fingerprint rb)) in
+          let fpb, _, _, _, _ = scale_leg ~batch:k ~domains:nd () in
           check
             (Printf.sprintf "scale responses at batch %d (fingerprint)" k)
             fpn fpb)
@@ -1431,8 +1354,7 @@ let serving () =
          responses must not change (telemetry is pure observation) and
          the measured overhead lands in the JSON where perf_gate.py
          watches it. *)
-      let tel_rn, tel_msn, _, _ = run_scale ~telemetry:true ~domains:nd () in
-      let fp_tel = Digest.to_hex (Digest.string (fingerprint tel_rn)) in
+      let fp_tel, _, tel_msn, _, _ = scale_leg ~telemetry:true ~domains:nd () in
       check "scale responses with telemetry (fingerprint)" fpn fp_tel;
       Printf.printf
         "scale telemetry: wall %.0f ms -> %.0f ms with timeseries+SLOs (%.2f us/request vs %.2f)\n"
@@ -1442,24 +1364,50 @@ let serving () =
       Printf.printf
         "scale: %d requests, sample 1/%d: p50 %s p99 %s, %d warm / %d cold; wall %.0f ms (1 domain) -> %.0f ms (%d domains)\n"
         scale_count sample_every
-        (pp_t scale_rn.Visor.Server.p50_latency)
-        (pp_t scale_rn.Visor.Server.p99_latency)
-        scale_rn.Visor.Server.warm_starts scale_rn.Visor.Server.cold_starts
+        (pp_t scale_sn.Visor.Server.sm_p50_latency)
+        (pp_t scale_sn.Visor.Server.sm_p99_latency)
+        scale_sn.Visor.Server.sm_warm_starts scale_sn.Visor.Server.sm_cold_starts
         scale_ms1 scale_msn nd;
+      (* Constant-memory serve: fold each response through [f] as it
+         completes (never materialised), latency percentiles from the
+         server's t-digest.  Probes live words (full major + stat) in
+         flight so the flat-memory claim is checked at peak, not after
+         the GC has cleaned up — live words, not heap size, because the
+         major heap legitimately expands with allocation churn at
+         10^6. *)
+      let fold_leg ~count ~sample_every ~exact =
+        let (exact_lat, peak_live, s), wall_ms =
+          leg ~domains:nd ~sample_every ~sketch:true (fun server ->
+              let exact_lat = Stats.create () in
+              let seen = ref 0 and peak_live = ref 0 in
+              let (), s =
+                fold server ~qps:scale_qps ~count ~init:()
+                  ~f:(fun () (p : Visor.Server.response) ->
+                    incr seen;
+                    if exact && p.Visor.Server.r_ok then
+                      Stats.add_time exact_lat p.Visor.Server.r_latency;
+                    if !seen land 16383 = 0 then begin
+                      Gc.full_major ();
+                      peak_live := Stdlib.max !peak_live (Gc.stat ()).Gc.live_words
+                    end)
+              in
+              (exact_lat, !peak_live, s))
+        in
+        (s, exact_lat, wall_ms, peak_live)
+      in
       (* Sketch accuracy leg: the same 10^5 stream through serve_fold
-         with sketch_latency (no materialised responses, no retained
-         latencies), while the fold accumulates the exact latency
-         population.  Sketch p50/p99 must land within 2% of exact. *)
+         with sketch_latency (no retained latencies), while the fold
+         accumulates the exact latency population.  Sketch p50/p99 must
+         land within 2% of exact. *)
       let fold_s, fold_exact, fold_ms, fold_live =
-        run_fold ~qps:scale_qps ~count:scale_count ~sample_every ~exact:true
+        fold_leg ~count:scale_count ~sample_every ~exact:true
       in
       if
-        fold_s.Visor.Server.sm_completed <> scale_rn.Visor.Server.completed
-        || fold_s.Visor.Server.sm_failed <> scale_rn.Visor.Server.failed
-        || fold_s.Visor.Server.sm_max_inflight
-           <> scale_rn.Visor.Server.max_inflight
+        fold_s.Visor.Server.sm_completed <> scale_sn.Visor.Server.sm_completed
+        || fold_s.Visor.Server.sm_failed <> scale_sn.Visor.Server.sm_failed
+        || fold_s.Visor.Server.sm_max_inflight <> scale_sn.Visor.Server.sm_max_inflight
       then begin
-        Printf.eprintf "serving: serve_fold disagrees with serve_stream\n";
+        Printf.eprintf "serving: the sketched fold disagrees with the scale leg\n";
         exit 1
       end;
       let ns_of t = Int64.to_float (Units.to_ns t) in
@@ -1488,12 +1436,11 @@ let serving () =
         else begin
           Hotspot.reset ();
           Hotspot.set_enabled true;
-          let hp_r, hp_ms, _, _ =
+          let fp_hp, _, hp_ms, _, _ =
             Fun.protect
               ~finally:(fun () -> Hotspot.set_enabled false)
-              (fun () -> run_scale ~domains:nd ())
+              (fun () -> scale_leg ~domains:nd ())
           in
-          let fp_hp = Digest.to_hex (Digest.string (fingerprint hp_r)) in
           check "scale responses under profiling (fingerprint)" fpn fp_hp;
           let entries = Hotspot.snapshot () in
           let by_cost =
@@ -1572,8 +1519,7 @@ let serving () =
       in
       let deep_sample = 256 in
       let deep_s, _, deep_ms, deep_live =
-        run_fold ~qps:scale_qps ~count:deep_count ~sample_every:deep_sample
-          ~exact:false
+        fold_leg ~count:deep_count ~sample_every:deep_sample ~exact:false
       in
       (* O(window + inflight + n/k sampled spans) live words: ~2-4M in
          practice; a materialised response list alone would add ~15
@@ -1601,7 +1547,7 @@ let serving () =
             ( "virtual",
               Jsonlite.Obj
                 [
-                  ("summary", mode_json scale_rn);
+                  ("summary", mode_json scale_sn);
                   ("response_fingerprint_md5", Jsonlite.String fpn);
                   ( "sketch",
                     Jsonlite.Obj
@@ -1675,10 +1621,9 @@ let serving () =
       [ ("sweep", sweep_json); ("scale", scale_json) ]
     end
   in
-  (* --soak: a virtual hour at the sub-knee rate, served through the
-     constant-memory fold path.  Periodic snapshots report completion,
-     in-flight, live heap words and P^2 sketch percentiles; the run
-     fails if live words trend upward after warm-up. *)
+  (* --soak: a virtual hour at the sub-knee rate through the soak
+     runner: periodic snapshot lines and a flat-memory verdict
+     (Baselines.Soak). *)
   let soak_sections =
     if not !soak_flag then []
     else begin
@@ -1688,116 +1633,19 @@ let serving () =
         else if !quick then 120
         else 3600
       in
-      let snap_s = Stdlib.max 1 (virtual_s / 12) in
-      Par.set_domains nd;
-      reset_observability ();
-      Metrics.set_raw_sample_every ~seed sample_every;
-      let server =
-        Visor.Server.create ~warm:true ~sample_every ~sample_seed:seed
-          ~sketch_latency:true ()
+      let (r, soak_slo, soak_csv), wall_ms =
+        leg ~domains:nd ~sample_every ~sketch:true (fun server ->
+            Soak.enable_telemetry server ~seconds:virtual_s ~slos:(slo_specs ());
+            let r = Soak.run server ~seed ~qps:soak_qps ~endpoints:eps ~seconds:virtual_s in
+            (r, slo_json server, csv server))
       in
-      register_all server;
-      (* Coarse windows and a retention that caps well before mid-run
-         (64 windows = the last quarter of the soak) keep the retained
-         per-window digest state a plateaued constant, so the soak's
-         flat-memory assertion still measures the serving path. *)
-      Visor.Server.enable_telemetry server
-        ~window:(Units.sec (Stdlib.max 1 (virtual_s / 256)))
-        ~retention:64 ~slos:(slo_specs ()) ();
-      let printed_alerts = ref 0 in
-      let next =
-        Loadgen.request_stream_until ~seed ~qps:soak_qps ~endpoints:eps
-          ~horizon:(Units.sec virtual_s) ()
-      in
-      (* Arrival instants pulled by the planner, drained as virtual
-         time passes: [arrived - finished] is the exact in-flight count
-         at each snapshot. *)
-      let pulled : Units.time Queue.t = Queue.create () in
-      let stream () =
-        match next () with
-        | None -> None
-        | Some (endpoint, arrival) ->
-            Queue.push arrival pulled;
-            Some { Visor.Server.endpoint; arrival }
-      in
-      let p2_50 = Sketch.P2.create 0.5 in
-      let p2_99 = Sketch.P2.create 0.99 in
-      let finished = ref 0 in
-      let arrived = ref 0 in
-      let next_snap = ref snap_s in
-      let snaps = ref [] in
-      let t0 = Unix.gettimeofday () in
-      let (), soak_s =
-        Visor.Server.serve_fold server stream ~init:()
-          ~f:(fun () (p : Visor.Server.response) ->
-            incr finished;
-            if p.Visor.Server.r_ok then begin
-              let us = Units.to_us p.Visor.Server.r_latency in
-              Sketch.P2.add p2_50 us;
-              Sketch.P2.add p2_99 us
-            end;
-            let now_s = Units.to_sec p.Visor.Server.r_finish in
-            if now_s >= float_of_int !next_snap then begin
-              while
-                (not (Queue.is_empty pulled))
-                && Units.to_sec (Queue.peek pulled) <= now_s
-              do
-                ignore (Queue.pop pulled);
-                incr arrived
-              done;
-              let inflight = !arrived - !finished in
-              Gc.full_major ();
-              let live = (Gc.stat ()).Gc.live_words in
-              let e50 = Sketch.P2.quantile p2_50 in
-              let e99 = Sketch.P2.quantile p2_99 in
-              Printf.printf
-                "soak t=%5ds: completed %8d, inflight %4d, live %9d words, p50 %8.1f us, p99 %9.1f us\n%!"
-                !next_snap !finished inflight live e50 e99;
-              snaps := (!next_snap, !finished, inflight, live, e50, e99) :: !snaps;
-              (* Burn-rate alerts that fired since the last snapshot,
-                 interleaved at their deterministic virtual instants. *)
-              let alerts = Visor.Server.slo_alerts server in
-              List.iteri
-                (fun i a ->
-                  if i >= !printed_alerts then
-                    Printf.printf "  %s\n%!" (Slo.render_alert a))
-                alerts;
-              printed_alerts := List.length alerts;
-              while float_of_int !next_snap <= now_s do
-                next_snap := !next_snap + snap_s
-              done
-            end)
-      in
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      let soak_slo = slo_json server in
-      let soak_csv =
-        match Visor.Server.telemetry server with
-        | Some ts -> Timeseries.to_csv ts
-        | None -> ""
-      in
-      Visor.Server.shutdown server;
-      Metrics.set_raw_sample_every 1;
-      Par.set_domains 1;
-      let snaps = List.rev !snaps in
-      (* Flat-memory assertion: the worst live-words reading of the
-         second half must stay within 25% (plus a fixed 1M-word floor
-         for GC noise on small heaps) of the first snapshot. *)
-      (match snaps with
-      | (_, _, _, live0, _, _) :: _ when List.length snaps >= 2 ->
-          let n = List.length snaps in
-          let second_half = List.filteri (fun i _ -> i >= n / 2) snaps in
-          let worst =
-            List.fold_left
-              (fun acc (_, _, _, live, _, _) -> Stdlib.max acc live)
-              0 second_half
-          in
-          if float_of_int worst > (1.25 *. float_of_int live0) +. 1e6 then begin
-            Printf.eprintf
-              "serving: soak live words grew %d -> %d — memory is not flat\n"
-              live0 worst;
-            exit 1
-          end
-      | _ -> ());
+      let soak_s = r.Soak.summary and snaps = r.Soak.snapshots in
+      (match Soak.memory_verdict snaps with
+      | Some { Soak.flat = false; first; worst } ->
+          Printf.eprintf "serving: soak live words grew %d -> %d — memory is not flat\n"
+            first worst;
+          exit 1
+      | Some _ | None -> ());
       Printf.printf
         "soak: %.0f qps for %ds virtual: %d completed, %d failed, p50 %s p99 %s; wall %.0f ms\n\n"
         soak_qps virtual_s soak_s.Visor.Server.sm_completed
@@ -1805,14 +1653,14 @@ let serving () =
         (pp_t soak_s.Visor.Server.sm_p50_latency)
         (pp_t soak_s.Visor.Server.sm_p99_latency)
         wall_ms;
-      let snap_virtual (t, c, infl, _, e50, e99) =
+      let snap_virtual (sn : Soak.snapshot) =
         Jsonlite.Obj
           [
-            ("t_s", Jsonlite.Int t);
-            ("completed", Jsonlite.Int c);
-            ("inflight", Jsonlite.Int infl);
-            ("p50_us", Jsonlite.Float e50);
-            ("p99_us", Jsonlite.Float e99);
+            ("t_s", Jsonlite.Int sn.Soak.sn_at);
+            ("completed", Jsonlite.Int sn.Soak.sn_completed);
+            ("inflight", Jsonlite.Int sn.Soak.sn_inflight);
+            ("p50_us", Jsonlite.Float (Units.to_us sn.Soak.sn_p50));
+            ("p99_us", Jsonlite.Float (Units.to_us sn.Soak.sn_p99));
           ]
       in
       let soak_json =
@@ -1825,8 +1673,6 @@ let serving () =
               Jsonlite.Obj
                 [
                   ("summary", summary_json soak_s);
-                  ("p2_p50_us", Jsonlite.Float (Sketch.P2.quantile p2_50));
-                  ("p2_p99_us", Jsonlite.Float (Sketch.P2.quantile p2_99));
                   ("snapshots", Jsonlite.List (List.map snap_virtual snaps));
                   ("slo", soak_slo);
                   ( "timeseries_rows",
@@ -1839,9 +1685,7 @@ let serving () =
                   ("wall_ms", Jsonlite.Float wall_ms);
                   ( "snapshot_live_words",
                     Jsonlite.List
-                      (List.map
-                         (fun (_, _, _, live, _, _) -> Jsonlite.Int live)
-                         snaps) );
+                      (List.map (fun sn -> Jsonlite.Int sn.Soak.sn_live_words) snaps) );
                 ] );
           ]
       in
@@ -1859,8 +1703,8 @@ let serving () =
         ( "virtual",
           Jsonlite.Obj
             [
-              ("warm", mode_json warm_r);
-              ("cold", mode_json cold_r);
+              ("warm", mode_json warm.lg_summary);
+              ("cold", mode_json cold.lg_summary);
               ("single_cold_us", Jsonlite.Float (Units.to_us cold_one));
               ("single_warm_us", Jsonlite.Float (Units.to_us warm_one));
               ( "breakdown",
@@ -1909,8 +1753,8 @@ let serving () =
     close_out oc
   in
   write "BENCH_serving.json" (Jsonlite.to_string json);
-  write "BENCH_serving_trace.json" trace_doc;
-  write "BENCH_serving_metrics.json" metrics_doc;
+  write "BENCH_serving_trace.json" warm.lg_trace;
+  write "BENCH_serving_metrics.json" warm.lg_metrics;
   (* Exporter snapshots of the warm leg (deterministic, CI-diffed):
      Prometheus text format and the windowed timeseries as CSV. *)
   write "BENCH_serving_prom.txt" warm.lg_prom;

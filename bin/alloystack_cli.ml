@@ -259,11 +259,6 @@ let check_cmd dot file =
           0
     end
 
-(* Serve a synthetic open-loop request trace against the warm-pool
-   server and print the latency/throughput summary.  With [--soak] the
-   run is time-bounded instead of count-bounded, responses are folded
-   (never materialised), percentiles come from sketches, and the run
-   fails if live heap words trend upward across snapshots. *)
 (* "name:latency_ms:objective", e.g. "interactive:250:0.999". *)
 let parse_slo s =
   match String.split_on_char ':' s with
@@ -276,6 +271,11 @@ let parse_slo s =
       Error
         (Printf.sprintf "bad SLO spec %S (expected name:latency_ms:objective)" s)
 
+(* Serve a synthetic open-loop request trace against the warm-pool
+   server and print the latency/throughput summary.  With [--soak] the
+   run is time-bounded instead of count-bounded ({!Baselines.Soak}):
+   percentiles come from the t-digest, and the run fails if live heap
+   words trend upward across snapshots. *)
 let serve_cmd requests qps seed cold domains batch sample_every soak duration
     trace trace_out metrics_out slo_args csv_out prom_out tails =
   reset_observability ();
@@ -298,82 +298,15 @@ let serve_cmd requests qps seed cold domains batch sample_every soak duration
   in
   let server = make_chain_server ~cold ~sample_every ~seed ~sketch_latency:soak in
   if slos <> [] || csv_out <> None then begin
-    (* Soak runs are open-ended in virtual time: coarsen the windows so
-       the retained per-window digests plateau at 64 windows -- a
-       quarter of the run -- well before the soak's flat-memory
-       assertion starts comparing snapshots.  Bounded -n runs keep the
-       default 1 s windows. *)
-    if soak then
-      Visor.Server.enable_telemetry server
-        ~window:(Sim.Units.sec (Stdlib.max 1 (duration / 256)))
-        ~retention:64 ~slos ()
+    if soak then Baselines.Soak.enable_telemetry server ~seconds:duration ~slos
     else Visor.Server.enable_telemetry server ~slos ()
   end;
   let status = ref 0 in
   if soak then begin
-    (* Time-bounded soak through the constant-memory fold path. *)
-    let snap_s = Stdlib.max 1 (duration / 12) in
-    let next =
-      Baselines.Loadgen.request_stream_until ~seed ~qps ~endpoints:[| "chain" |]
-        ~horizon:(Sim.Units.sec duration) ()
+    let r =
+      Baselines.Soak.run server ~seed ~qps ~endpoints:[| "chain" |] ~seconds:duration
     in
-    let pulled : Sim.Units.time Queue.t = Queue.create () in
-    let stream () =
-      match next () with
-      | None -> None
-      | Some (endpoint, arrival) ->
-          Queue.push arrival pulled;
-          Some { Visor.Server.endpoint; arrival }
-    in
-    let p2_50 = Sim.Sketch.P2.create 0.5 in
-    let p2_99 = Sim.Sketch.P2.create 0.99 in
-    let finished = ref 0 in
-    let arrived = ref 0 in
-    let next_snap = ref snap_s in
-    let lives = ref [] in
-    let printed_alerts = ref 0 in
-    let (), s =
-      Visor.Server.serve_fold server stream ~init:()
-        ~f:(fun () (p : Visor.Server.response) ->
-          incr finished;
-          if p.Visor.Server.r_ok then begin
-            let us = Sim.Units.to_us p.Visor.Server.r_latency in
-            Sim.Sketch.P2.add p2_50 us;
-            Sim.Sketch.P2.add p2_99 us
-          end;
-          let now_s = Sim.Units.to_sec p.Visor.Server.r_finish in
-          if now_s >= float_of_int !next_snap then begin
-            while
-              (not (Queue.is_empty pulled))
-              && Sim.Units.to_sec (Queue.peek pulled) <= now_s
-            do
-              ignore (Queue.pop pulled);
-              incr arrived
-            done;
-            Gc.full_major ();
-            let live = (Gc.stat ()).Gc.live_words in
-            lives := live :: !lives;
-            Format.printf
-              "soak t=%5ds: completed %8d, inflight %4d, live %9d words, p50 %8.1f us, p99 %9.1f us@."
-              !next_snap !finished
-              (!arrived - !finished)
-              live
-              (Sim.Sketch.P2.quantile p2_50)
-              (Sim.Sketch.P2.quantile p2_99);
-            (* SLO alerts fired since the last snapshot, on their own
-               lines right under it. *)
-            let alerts = Visor.Server.slo_alerts server in
-            List.iteri
-              (fun i a ->
-                if i >= !printed_alerts then
-                  Format.printf "  %s@." (Sim.Slo.render_alert a))
-              alerts;
-            printed_alerts := List.length alerts;
-            while float_of_int !next_snap <= now_s do
-              next_snap := !next_snap + snap_s
-            done
-          end)
-    in
+    let s = r.Baselines.Soak.summary in
     Format.printf "soak:         %ds virtual at %.1f qps@." duration qps;
     Format.printf "requests:     %d ok, %d failed@." s.Visor.Server.sm_completed
       s.Visor.Server.sm_failed;
@@ -381,43 +314,37 @@ let serve_cmd requests qps seed cold domains batch sample_every soak duration
     Format.printf "latency:      p50 %a  p99 %a (sketched)@." Sim.Units.pp
       s.Visor.Server.sm_p50_latency Sim.Units.pp s.Visor.Server.sm_p99_latency;
     Format.printf "max inflight: %d@." s.Visor.Server.sm_max_inflight;
-    (match List.rev !lives with
-    | live0 :: _ :: _ as all ->
-        let n = List.length all in
-        let worst =
-          List.fold_left Stdlib.max 0
-            (List.filteri (fun i _ -> i >= n / 2) all)
-        in
-        if float_of_int worst > (1.25 *. float_of_int live0) +. 1e6 then begin
-          Format.eprintf
-            "soak: live words grew %d -> %d — memory is not flat@." live0 worst;
-          status := 1
-        end
-        else Format.printf "memory:       flat (%d -> %d live words)@." live0 worst
-    | _ -> ())
+    match Baselines.Soak.memory_verdict r.Baselines.Soak.snapshots with
+    | Some { flat = false; first; worst } ->
+        Format.eprintf "soak: live words grew %d -> %d — memory is not flat@." first worst;
+        status := 1
+    | Some { first; worst; _ } ->
+        Format.printf "memory:       flat (%d -> %d live words)@." first worst
+    | None -> ()
   end
   else begin
-    (* Streamed seeded arrivals: constant memory in the request count,
-       same draws (one exponential per arrival) as materialising the
-       whole trace. *)
+    (* Streamed seeded arrivals folded as they complete: constant memory
+       in the request count. *)
     let next =
       Baselines.Loadgen.request_stream ~seed ~qps ~endpoints:[| "chain" |]
         ~count:requests ()
     in
-    let r =
-      Visor.Server.serve_stream server (fun () ->
+    let (), s =
+      Visor.Server.serve_fold server
+        (fun () ->
           match next () with
           | None -> None
           | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival })
+        ~init:() ~f:(fun () _ -> ())
     in
     Format.printf "requests:     %d (%d ok, %d failed)@." requests
-      r.Visor.Server.completed r.Visor.Server.failed;
-    Format.printf "throughput:   %.1f req/s@." r.Visor.Server.throughput_rps;
-    Format.printf "latency:      p50 %a  p99 %a@." Sim.Units.pp r.Visor.Server.p50_latency
-      Sim.Units.pp r.Visor.Server.p99_latency;
-    Format.printf "max inflight: %d@." r.Visor.Server.max_inflight;
-    Format.printf "starts:       %d warm / %d cold@." r.Visor.Server.warm_starts
-      r.Visor.Server.cold_starts
+      s.Visor.Server.sm_completed s.Visor.Server.sm_failed;
+    Format.printf "throughput:   %.1f req/s@." s.Visor.Server.sm_throughput_rps;
+    Format.printf "latency:      p50 %a  p99 %a@." Sim.Units.pp s.Visor.Server.sm_p50_latency
+      Sim.Units.pp s.Visor.Server.sm_p99_latency;
+    Format.printf "max inflight: %d@." s.Visor.Server.sm_max_inflight;
+    Format.printf "starts:       %d warm / %d cold@." s.Visor.Server.sm_warm_starts
+      s.Visor.Server.sm_cold_starts
   end;
   (* SLO verdicts: compliance against objective, final burn rates, and
      the full deterministic alert log. *)
@@ -544,10 +471,10 @@ let soak_arg =
   Arg.(value & flag
        & info [ "soak" ]
            ~doc:"Run time-bounded (--duration virtual seconds) instead of \
-                 count-bounded: responses are folded as they complete (never \
-                 materialised), latency percentiles come from P2/t-digest \
-                 sketches, and the run fails if live heap words trend upward \
-                 across snapshots.")
+                 count-bounded: latency percentiles come from a t-digest \
+                 sketch, a snapshot line prints every 1/12th of the run, and \
+                 the run fails if live heap words trend upward across \
+                 snapshots.")
 
 let duration_arg =
   Arg.(value & opt int 3600

@@ -685,29 +685,6 @@ module Server = struct
     r_retries : int;
   }
 
-  type serve_report = {
-    responses : response list;
-    completed : int;
-    failed : int;
-    duration : Units.time;
-    throughput_rps : float;
-    mean_latency : Units.time;
-    p50_latency : Units.time;
-    p99_latency : Units.time;
-    max_inflight : int;
-    warm_starts : int;
-    cold_starts : int;
-    adm_hits : int;
-    adm_scans : int;
-    evictions : int;
-    templates_live : int;
-    machine_peak_rss : int;
-  }
-
-  (* The aggregate half of a serve report: everything [serve_report]
-     carries except the materialised response list.  [serve_fold]
-     returns this alongside the caller's accumulator so a 10^6-request
-     run never has to hold its responses. *)
   type summary = {
     sm_completed : int;
     sm_failed : int;
@@ -1150,7 +1127,7 @@ module Server = struct
 
   (* --- Host-parallel serving --------------------------------------- *)
 
-  (* [serve] runs in three phases:
+  (* [serve_fold] runs in three phases:
 
      Prologue (sequential): requests are walked in arrival-event order.
      Admission verdicts come off the shared cache, warm-or-cold boot
@@ -1244,7 +1221,7 @@ module Server = struct
      observable write goes to a segment shard, WFD ids come from the
      request's reserved namespace, faults and the disk image are
      request-private (unless the server was configured with a shared
-     pre-staged disk, in which case [serve] stays on one domain). *)
+     pre-staged disk, in which case [serve_fold] stays on one domain). *)
   let run_trajectory t ~cfg ~endpoint ~(reg : registration) ~boots ~fault_child
       =
     Hotspot.with_section "serve.trajectory" @@ fun () ->
@@ -1492,7 +1469,7 @@ module Server = struct
           { pl_reg = reg; pl_boots = boots; pl_base = base; pl_fault = fault_child }
     | exception Admission_failed _ -> None
 
-  (* [serve_stream] pulls requests lazily (arrivals must be
+  (* [serve_fold] pulls requests lazily (arrivals must be
      nondecreasing) and pipelines them through the three phases in
      windows, so live memory is O(window + in-flight), never O(total):
 
@@ -1518,11 +1495,9 @@ module Server = struct
      spans and trace events; metrics and counters stay exact for every
      request.  With k = 1 output is bit-identical to always-on.
 
-     [serve_fold] is the primitive: each response is handed to the
-     caller's [f] at its completion instant (completion order — the
-     merged virtual timeline) and never stored.  [serve]/[serve_stream]
-     are thin wrappers that fold into a list, so their output is
-     byte-identical to the historical materialising implementation. *)
+     Each response is handed to the caller's [f] at its completion
+     instant (completion order — the merged virtual timeline) and never
+     stored; [serve] is the fold that collects them. *)
   let serve_fold t ?(window = 2048) next ~init ~f =
     if window < 1 then invalid_arg "Visor.Server.serve_fold: window must be >= 1";
     let max_attempts = max_attempts_of t.scfg in
@@ -1888,47 +1863,22 @@ module Server = struct
         sm_latency_sketched = t.sketch_lat;
       } )
 
-  let report_of_summary responses (s : summary) =
-    {
-      responses;
-      completed = s.sm_completed;
-      failed = s.sm_failed;
-      duration = s.sm_duration;
-      throughput_rps = s.sm_throughput_rps;
-      mean_latency = s.sm_mean_latency;
-      p50_latency = s.sm_p50_latency;
-      p99_latency = s.sm_p99_latency;
-      max_inflight = s.sm_max_inflight;
-      warm_starts = s.sm_warm_starts;
-      cold_starts = s.sm_cold_starts;
-      adm_hits = s.sm_adm_hits;
-      adm_scans = s.sm_adm_scans;
-      evictions = s.sm_evictions;
-      templates_live = s.sm_templates_live;
-      machine_peak_rss = s.sm_machine_peak_rss;
-    }
-
-  (* Materialising wrapper: fold into a (reversed) list.  Responses are
-     accumulated exactly as the historical implementation did, so the
-     report is byte-identical. *)
-  let serve_stream t ?window next =
-    let rev, s = serve_fold t ?window next ~init:[] ~f:(fun acc r -> r :: acc) in
-    report_of_summary (List.rev rev) s
-
   (* List entry point: sort by arrival (stable, so same-instant
-     requests keep list order) and stream.  Identical to the streaming
-     path in every observable way. *)
+     requests keep list order) and collect the responses in completion
+     order. *)
   let serve t requests =
-    let sorted =
-      List.stable_sort (fun a b -> Units.compare a.arrival b.arrival) requests
+    let rem =
+      ref (List.stable_sort (fun a b -> Units.compare a.arrival b.arrival) requests)
     in
-    let rem = ref sorted in
-    serve_stream t (fun () ->
-        match !rem with
-        | [] -> None
-        | r :: tl ->
-            rem := tl;
-            Some r)
+    let next () =
+      match !rem with
+      | [] -> None
+      | r :: tl ->
+          rem := tl;
+          Some r
+    in
+    let rev, s = serve_fold t next ~init:[] ~f:(fun acc r -> r :: acc) in
+    (List.rev rev, s)
 
   let shutdown t =
     Hashtbl.iter

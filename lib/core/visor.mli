@@ -195,37 +195,17 @@ module Server : sig
     r_retries : int;  (** Function restarts across all attempts. *)
   }
 
-  type serve_report = {
-    responses : response list;  (** In completion order. *)
-    completed : int;
-    failed : int;
-    duration : Sim.Units.time;  (** First arrival to last finish. *)
-    throughput_rps : float;
-    mean_latency : Sim.Units.time;
-    p50_latency : Sim.Units.time;
-    p99_latency : Sim.Units.time;
-    max_inflight : int;  (** Peak concurrently-executing workflows. *)
-    warm_starts : int;
-    cold_starts : int;
-    adm_hits : int;
-    adm_scans : int;
-    evictions : int;
-    templates_live : int;
-    machine_peak_rss : int;
-  }
-
-  (** The aggregate half of a {!serve_report}: everything except the
-      materialised response list.  Returned by {!serve_fold}, whose
-      whole point is never to hold the responses. *)
+  (** The aggregates of one serving run, returned next to the responses
+      by {!serve_fold} and {!serve}. *)
   type summary = {
     sm_completed : int;
     sm_failed : int;
-    sm_duration : Sim.Units.time;
+    sm_duration : Sim.Units.time;  (** First arrival to last finish. *)
     sm_throughput_rps : float;
     sm_mean_latency : Sim.Units.time;
     sm_p50_latency : Sim.Units.time;
     sm_p99_latency : Sim.Units.time;
-    sm_max_inflight : int;
+    sm_max_inflight : int;  (** Peak concurrently-executing workflows. *)
     sm_warm_starts : int;
     sm_cold_starts : int;
     sm_adm_hits : int;
@@ -266,12 +246,12 @@ module Server : sig
       [sample_every < 1].
 
       [sketch_latency] (default false) replaces the serve loop's
-      retained latency samples with a deterministic t-digest
-      ({!Sim.Sketch.Tdigest}): report p50/p99 become sketch estimates
-      and latency memory is O(1) in the request count — the setting for
-      10^6-request and soak runs.  The default retains every latency
-      and reports exact percentiles, byte-identical to earlier
-      releases.
+      retained latency samples with {!Sim.Stats.sketched}: summary
+      p50/p99 become t-digest estimates and latency memory is O(1) in
+      the request count — the setting for 10^6-request and soak runs.
+      The digest receives the latency of every ok response, in
+      completion order.  The default retains every latency and reports
+      exact percentiles.
 
       [recycle_cap] (default 64) bounds the per-template pool of
       recycled WFD shells: a clean warm request's WFD is reset to the
@@ -340,29 +320,6 @@ module Server : sig
       disabled or the template exceeds the whole memory cap.  Raises
       [Not_found] for an unknown endpoint. *)
 
-  val serve : t -> request list -> serve_report
-  (** Run an open-loop trace to completion: arrivals fire at their
-      timestamps regardless of completions, stages of distinct in-flight
-      workflows interleave over the shared cores via the event queue.
-      Requests are served in arrival order (the list is stably sorted
-      by arrival first).  A request for an unregistered endpoint raises
-      [Not_found]; an image rejected at admission fails that request
-      (not the server).  Workflow-level retry ([Retry_workflow])
-      re-boots failed requests in fresh WFDs up to the attempt
-      budget. *)
-
-  val serve_stream :
-    t -> ?window:int -> (unit -> request option) -> serve_report
-  (** Streaming variant of {!serve}: requests are pulled lazily from
-      the generator ([None] ends the run) and pipelined through
-      planning, parallel trajectory execution and the merge loop in
-      windows of [window] requests (default 2048), so live host memory
-      is O(window + in-flight) — constant in the total request count
-      {e except} for the materialised response list it returns.
-      Virtual output is bit-identical to {!serve} on the materialised
-      list, for every window size and domain count.  Arrivals must be
-      nondecreasing; otherwise raises [Invalid_argument]. *)
-
   val serve_fold :
     t ->
     ?window:int ->
@@ -370,16 +327,33 @@ module Server : sig
     init:'a ->
     f:('a -> response -> 'a) ->
     'a * summary
-  (** The streaming primitive under {!serve} and {!serve_stream}: each
-      response is handed to [f] at its completion instant (completion
-      order on the merged virtual timeline) and never stored, so live
-      host memory is O(window + in-flight) with {e no} term linear in
-      the request count — combined with [sketch_latency] on {!create},
-      a 10^6-request run is constant-memory.  [f] runs on the merge
-      (main) domain, interleaved with event processing; it must not
-      call back into the server.  The virtual timeline, and hence the
-      response sequence, is bit-identical to {!serve}/{!serve_stream}
-      at every window size and domain count. *)
+  (** Run an open-loop trace to completion.  Requests are pulled lazily
+      from the generator ([None] ends the run); arrivals fire at their
+      timestamps regardless of completions, and stages of distinct
+      in-flight workflows interleave over the shared cores via the
+      event queue.  A request for an unregistered endpoint raises
+      [Not_found]; an image rejected at admission fails that request
+      (not the server).  Workflow-level retry ([Retry_workflow])
+      re-boots failed requests in fresh WFDs up to the attempt budget.
+
+      Requests are pipelined through planning, parallel trajectory
+      execution and the merge loop in windows of [window] requests
+      (default 2048).  Each response is handed to [f] at its completion
+      instant (completion order on the merged virtual timeline) and
+      never stored, so live host memory is O(window + in-flight) with
+      {e no} term linear in the request count — combined with
+      [sketch_latency] on {!create}, a 10^6-request run is
+      constant-memory.  [f] runs on the merge (main) domain,
+      interleaved with event processing; it must not call back into
+      the server.  The virtual timeline, and hence the response
+      sequence, is bit-identical at every window size and domain
+      count.  Arrivals must be nondecreasing; otherwise raises
+      [Invalid_argument]. *)
+
+  val serve : t -> request list -> response list * summary
+  (** {!serve_fold} over the list, stably sorted by arrival first (so
+      same-instant requests keep list order), collecting the responses
+      in completion order. *)
 
   val pool_size : t -> int
   val pool_rss : t -> int

@@ -207,39 +207,21 @@ type snapshot = {
   snap_histograms : histo_snapshot list;
 }
 
-(* Percentile estimate when the raw reservoir has been thinned to
-   nothing but buckets still hold counts: walk the cumulative bucket
-   counts and return the matched bucket's upper bound. *)
-let bucket_percentile (h : histo) p =
-  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int h.h_count)) in
-  let rank = if rank < 1 then 1 else rank in
-  let acc = ref 0 and ans = ref 0.0 and found = ref false in
-  for i = 0 to 63 do
-    if not !found then begin
-      acc := !acc + h.buckets.(i);
-      if !acc >= rank then begin
-        ans := bucket_bound i;
-        found := true
-      end
-    end
-  done;
-  !ans
-
 let snapshot_histogram name (h : histo) =
   match h.h_snap with
   | Some s -> s
   | None ->
   let empty = h.h_count = 0 in
-  let lossless = (not (Stats.is_empty h.samples)) && Stats.count h.samples = h.h_count in
+  (* The reservoir answers while it is lossless.  Once it drops a
+     sample the digest does: every observation made while thinning
+     feeds it. *)
+  let lossless = Stats.count h.samples = h.h_count in
   let pct p =
     if empty then 0.0
-    else if lossless then Stats.percentile h.samples p
     else
       match h.h_sketch with
-      | Some d when Sketch.Tdigest.count d > 0.0 -> Sketch.Tdigest.percentile d p
-      | _ ->
-          if Stats.is_empty h.samples then bucket_percentile h p
-          else Stats.percentile h.samples p
+      | Some d when not lossless -> Sketch.Tdigest.percentile d p
+      | _ -> Stats.percentile h.samples p
   in
   let buckets = ref [] in
   for i = 63 downto 0 do
@@ -305,55 +287,27 @@ let reset_registry (r : registry) =
 
 (* Fold a shard registry into the current one.  Series are visited in
    sorted-name order so the merged sequence depends only on the order
-   of [merge_into] calls, never on host completion order.
-
-   A lossless shard (its reservoir kept every observation — the normal
-   case for per-request shards) is replayed sample by sample, which
-   keeps float accumulation order — and therefore sums and percentile
-   views — bit-identical to observing directly, while the destination
-   applies its own 1-in-k reservoir thinning.  A shard whose reservoir
-   was itself thinned merges by exact aggregates, and its surviving
-   raw samples transfer without a second thinning.  Gauges merge with
-   max (every gauge in the tree is a high-watermark). *)
+   of [merge_into] calls, never on host completion order.  A shard is
+   replayed sample by sample, which keeps float accumulation order —
+   and therefore sums and percentile views — bit-identical to observing
+   directly, while the destination applies its own 1-in-k reservoir
+   thinning.  Shards are created and scrubbed at k = 1, so a shard
+   whose reservoir dropped a sample cannot be replayed and is rejected.
+   Gauges merge with max (every gauge in the tree is a
+   high-watermark). *)
 let merge_into (src : registry) =
   let dst = current () in
   Hashtbl.fold (fun n h acc -> (n, h) :: acc) src.r_histograms []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (n, (h : histo)) ->
-         if h.h_count = 0 && h.h_seen = 0 && Stats.is_empty h.samples then
-           (* Nothing was observed: skip, so a recycled shard carrying
-              cleared cells for series from earlier requests merges
-              byte-identically to a fresh shard. *)
-           ()
-         else
-         let cell = histo_cell dst n in
-         if Stats.count h.samples = h.h_count then
+         if Stats.count h.samples <> h.h_count then
+           invalid_arg "Metrics.merge_into: shard reservoir was thinned";
+         (* A cell with nothing observed is skipped, so a recycled shard
+            carrying cleared cells for series from earlier requests
+            merges byte-identically to a fresh shard. *)
+         if h.h_count > 0 then begin
+           let cell = histo_cell dst n in
            List.iter (fun v -> observe_cell dst cell v) (Stats.to_list h.samples)
-         else begin
-           cell.h_snap <- None;
-           for i = 0 to 63 do
-             cell.buckets.(i) <- cell.buckets.(i) + h.buckets.(i)
-           done;
-           cell.h_count <- cell.h_count + h.h_count;
-           cell.h_sum <- cell.h_sum +. h.h_sum;
-           if h.h_min < cell.h_min then cell.h_min <- h.h_min;
-           if h.h_max > cell.h_max then cell.h_max <- h.h_max;
-           cell.h_seen <- cell.h_seen + h.h_seen;
-           List.iter (fun v -> Stats.add cell.samples v) (Stats.to_list h.samples);
-           (* Carry the shard's full-population digest so destination
-              percentiles still cover every observation. *)
-           match h.h_sketch with
-           | None -> ()
-           | Some src_d ->
-               let dst_d =
-                 match cell.h_sketch with
-                 | Some d -> d
-                 | None ->
-                     let d = Sketch.Tdigest.create () in
-                     cell.h_sketch <- Some d;
-                     d
-               in
-               Sketch.Tdigest.merge_into ~src:src_d ~dst:dst_d
          end);
   Hashtbl.fold (fun n g acc -> (n, !g) :: acc) src.r_gauges []
   |> List.iter (fun (n, v) ->

@@ -51,7 +51,9 @@ val merge_into : registry -> unit
     sorted-name order, so the merged sample sequence depends only on
     the order of [merge_into] calls; gauges merge as high-watermarks.
     The destination's reservoir thinning (see {!set_raw_sample_every})
-    applies to the merged samples. *)
+    applies to the merged samples.  Raises [Invalid_argument] when a
+    shard histogram's reservoir was thinned (it cannot be replayed):
+    shards must observe at the default [k = 1]. *)
 
 val labels : string -> (string * string) list -> string
 (** [labels name kvs] encodes a dimensional series name in the
@@ -108,10 +110,9 @@ type histo_snapshot = {
   hs_min : float;  (** 0 when empty. *)
   hs_max : float;
   hs_p50 : float;
-      (** Percentiles are exact (from the lossless reservoir) when no
-          thinning is active; under thinning they come from the
-          full-population t-digest sketch, falling back to the thinned
-          reservoir or bucket bounds when no sketch exists. *)
+      (** Percentiles are exact, from the reservoir, while it holds
+          every observation; once thinning drops one they come from the
+          full-population t-digest sketch. *)
   hs_p90 : float;
   hs_p99 : float;
   hs_buckets : (int * int) list;

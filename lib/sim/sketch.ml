@@ -1,117 +1,7 @@
-(* Deterministic quantile sketches: P^2 (Jain & Chlamtac 1985) and a
-   merging t-digest (Dunning & Ertl).  Neither draws randomness; both
-   are pure functions of the add-call sequence, so every estimate they
-   produce is bit-identical across hosts and domain counts. *)
-
-module P2 = struct
-  (* Five markers: min, the q/2, q and (1+q)/2 quantile estimates, max.
-     Marker heights [q_], actual positions [n_] (1-based, integral),
-     desired positions [n'] (float), per-observation desired-position
-     increments [dn']. *)
-  type t = {
-    p : float;
-    h : float array; (* marker heights *)
-    pos : int array; (* actual marker positions *)
-    np : float array; (* desired marker positions *)
-    dn : float array; (* desired position increments *)
-    mutable seen : int;
-  }
-
-  let create p =
-    if not (p > 0.0 && p < 1.0) then
-      invalid_arg "Sketch.P2.create: quantile must be in (0,1)";
-    {
-      p;
-      h = Array.make 5 0.0;
-      pos = [| 1; 2; 3; 4; 5 |];
-      np = [| 1.0; 1.0 +. (2.0 *. p); 1.0 +. (4.0 *. p); 3.0 +. (2.0 *. p); 5.0 |];
-      dn = [| 0.0; p /. 2.0; p; (1.0 +. p) /. 2.0; 1.0 |];
-      seen = 0;
-    }
-
-  let count t = t.seen
-
-  let parabolic t i d =
-    let q = t.h and n = t.pos in
-    let fi j = float_of_int n.(j) in
-    q.(i)
-    +. d
-       /. (fi (i + 1) -. fi (i - 1))
-       *. (((fi i -. fi (i - 1) +. d) *. (q.(i + 1) -. q.(i)) /. (fi (i + 1) -. fi i))
-          +. ((fi (i + 1) -. fi i -. d) *. (q.(i) -. q.(i - 1)) /. (fi i -. fi (i - 1))))
-
-  let linear t i d =
-    let q = t.h and n = t.pos in
-    let j = i + int_of_float d in
-    q.(i) +. (d *. (q.(j) -. q.(i)) /. float_of_int (n.(j) - n.(i)))
-
-  let add t x =
-    if t.seen < 5 then begin
-      (* Initialisation: collect the first five observations sorted. *)
-      t.h.(t.seen) <- x;
-      t.seen <- t.seen + 1;
-      if t.seen = 5 then Array.sort Float.compare t.h
-    end
-    else begin
-      t.seen <- t.seen + 1;
-      let k =
-        if x < t.h.(0) then begin
-          t.h.(0) <- x;
-          0
-        end
-        else if x >= t.h.(4) then begin
-          t.h.(4) <- x;
-          3
-        end
-        else begin
-          let k = ref 0 in
-          for i = 0 to 3 do
-            if t.h.(i) <= x && x < t.h.(i + 1) then k := i
-          done;
-          !k
-        end
-      in
-      for i = k + 1 to 4 do
-        t.pos.(i) <- t.pos.(i) + 1
-      done;
-      for i = 0 to 4 do
-        t.np.(i) <- t.np.(i) +. t.dn.(i)
-      done;
-      for i = 1 to 3 do
-        let d = t.np.(i) -. float_of_int t.pos.(i) in
-        if
-          (d >= 1.0 && t.pos.(i + 1) - t.pos.(i) > 1)
-          || (d <= -1.0 && t.pos.(i - 1) - t.pos.(i) < -1)
-        then begin
-          let d = if d >= 0.0 then 1.0 else -1.0 in
-          let hp = parabolic t i d in
-          let h =
-            if t.h.(i - 1) < hp && hp < t.h.(i + 1) then hp else linear t i d
-          in
-          t.h.(i) <- h;
-          t.pos.(i) <- t.pos.(i) + int_of_float d
-        end
-      done
-    end
-
-  let quantile t =
-    if t.seen = 0 then nan
-    else if t.seen >= 5 then t.h.(2)
-    else begin
-      (* Fewer than five observations: answer exactly from the sorted
-         prefix, nearest-rank with linear interpolation. *)
-      let a = Array.sub t.h 0 t.seen in
-      Array.sort Float.compare a;
-      let n = t.seen in
-      if n = 1 then a.(0)
-      else begin
-        let rank = t.p *. float_of_int (n - 1) in
-        let lo = min (n - 2) (int_of_float rank) in
-        let frac = rank -. float_of_int lo in
-        a.(lo) +. (frac *. (a.(lo + 1) -. a.(lo)))
-      end
-    end
-end
+(* A deterministic merging t-digest (Dunning & Ertl).  It draws no
+   randomness and is a pure function of the add-call sequence, so every
+   estimate it produces is bit-identical across hosts and domain
+   counts. *)
 
 module Tdigest = struct
   let buf_cap = 256
@@ -305,6 +195,15 @@ module Tdigest = struct
     done;
     if src.minv < dst.minv then dst.minv <- src.minv;
     if src.maxv > dst.maxv then dst.maxv <- src.maxv
+
+  let copy t =
+    {
+      t with
+      means = Array.copy t.means;
+      weights = Array.copy t.weights;
+      buf_m = Array.copy t.buf_m;
+      buf_w = Array.copy t.buf_w;
+    }
 
   let clear t =
     t.n <- 0;

@@ -1,38 +1,16 @@
-(** Constant-memory quantile sketches.
+(** A constant-memory quantile sketch: the merging t-digest.
 
-    Two estimators with different trade-offs, both fully deterministic
-    (no randomness anywhere — the simulator's bit-identity contract
-    extends to every derived statistic):
+    {!Tdigest} keeps O(compression) centroids, answers any quantile
+    after the fact, and merges losslessly in a deterministic order — the
+    shape used when a thinned reservoir ({!Stats}, {!Metrics}) must
+    still answer p50/p99 at 10^6 samples.
 
-    - {!P2}: the Jain–Chlamtac P² algorithm.  Five markers per tracked
-      quantile, O(1) state, O(1) update.  Cheap enough to keep one per
-      snapshot line in a soak run, but each instance answers a single
-      fixed quantile.
-    - {!Tdigest}: a merging t-digest.  O(compression) centroids, any
-      quantile queried after the fact, and sketches merge losslessly in
-      a deterministic order — the shape used when a thinned reservoir
-      ({!Stats}, {!Metrics}) must still answer p50/p99 at 10^6 samples.
-
-    Determinism: both sketches are pure functions of the sequence of
-    [add] calls.  Feeding the same values in the same order always
-    yields bit-identical estimates, on any host and any domain count. *)
-
-module P2 : sig
-  type t
-  (** Single-quantile P² estimator. *)
-
-  val create : float -> t
-  (** [create q] tracks the [q]-quantile, [0 < q < 1].
-      @raise Invalid_argument outside that range. *)
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-  (** Observations seen so far. *)
-
-  val quantile : t -> float
-  (** Current estimate.  Exact while [count t <= 5]; [nan] when empty. *)
-end
+    Determinism: the sketch is a pure function of the sequence of [add]
+    calls and queries.  Feeding the same values in the same order, and
+    querying at the same points, always yields bit-identical estimates,
+    on any host and any domain count.  A query compresses the pending
+    buffer, so it is part of that sequence; query a {!Tdigest.copy} to
+    leave the original's later estimates untouched. *)
 
 module Tdigest : sig
   type t
@@ -66,6 +44,10 @@ module Tdigest : sig
   val merge_into : src:t -> dst:t -> unit
   (** Fold [src]'s centroids into [dst].  [src] is compressed but
       unchanged.  Deterministic given the call order. *)
+
+  val copy : t -> t
+  (** An independent sketch with the same state: adds and queries on
+      either leave the other unchanged. *)
 
   val clear : t -> unit
 end

@@ -1,13 +1,10 @@
 (* A collection is either exact (every sample retained; percentiles
-   from a cached sorted view — the historical behaviour, byte-identical
-   to before sketches existed) or sketched: aggregates maintained
-   incrementally, percentiles answered by a t-digest, and at most
-   1-in-[retain_every] raw samples kept (possibly none).  Sketched mode
-   is what lets a 10^6-request serve report p50/p99 in O(1) memory. *)
+   from a cached sorted view) or sketched: aggregates maintained
+   incrementally, percentiles answered by a t-digest, no raw samples
+   kept.  Sketched mode is what lets a 10^6-request serve report p50/p99
+   in O(1) memory. *)
 
 type sketched = {
-  retain_every : int; (* 0 = retain no raw samples *)
-  retain_phase : int;
   digest : Sketch.Tdigest.t;
   mutable seen : int;
   mutable s_sum : float;
@@ -32,23 +29,16 @@ type t = {
 let create () =
   { samples = Array.make 16 0.0; len = 0; view = [||]; view_ok = false; mode = Exact }
 
-let sketched ?(retain_every = 0) ?(seed = 0) ?compression () =
-  if retain_every < 0 then invalid_arg "Stats.sketched: retain_every < 0";
-  let retain_phase =
-    if retain_every > 1 then ((seed mod retain_every) + retain_every) mod retain_every
-    else 0
-  in
+let sketched () =
   {
-    samples = Array.make 16 0.0;
+    samples = [||];
     len = 0;
     view = [||];
     view_ok = false;
     mode =
       Sk
         {
-          retain_every;
-          retain_phase;
-          digest = Sketch.Tdigest.create ?compression ();
+          digest = Sketch.Tdigest.create ();
           seen = 0;
           s_sum = 0.0;
           s_min = infinity;
@@ -56,8 +46,6 @@ let sketched ?(retain_every = 0) ?(seed = 0) ?compression () =
           s_sumsq = 0.0;
         };
   }
-
-let is_sketched t = match t.mode with Exact -> false | Sk _ -> true
 
 let push t x =
   if t.len = Array.length t.samples then begin
@@ -78,8 +66,6 @@ let add t x =
       if x > s.s_max then s.s_max <- x;
       s.s_sumsq <- s.s_sumsq +. (x *. x);
       Sketch.Tdigest.add s.digest x;
-      if s.retain_every > 0 && s.seen mod s.retain_every = s.retain_phase then
-        push t x;
       s.seen <- s.seen + 1
 
 let add_time t d = add t (Int64.to_float (Units.to_ns d))
@@ -134,7 +120,10 @@ let percentile t p =
   if is_empty t then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   match t.mode with
-  | Sk s -> Sketch.Tdigest.percentile s.digest p
+  | Sk s ->
+      (* Query a copy: compressing the live buffer here would make later
+         estimates depend on when earlier ones were read. *)
+      Sketch.Tdigest.percentile (Sketch.Tdigest.copy s.digest) p
   | Exact ->
       let view = sorted_view t in
       let rank = p /. 100.0 *. float_of_int (t.len - 1) in

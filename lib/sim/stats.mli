@@ -4,18 +4,15 @@ type t
 
 val create : unit -> t
 (** Exact collection: every sample retained, percentiles from a sorted
-    view — the historical behaviour, byte-identical to older versions. *)
+    view. *)
 
-val sketched : ?retain_every:int -> ?seed:int -> ?compression:float -> unit -> t
+val sketched : unit -> t
 (** Constant-memory collection: aggregates (count/sum/min/max/stddev)
-    are maintained incrementally and {!percentile} answers from a
-    deterministic t-digest ({!Sketch.Tdigest}) instead of retained
-    samples.  [retain_every] keeps 1-in-k raw samples for {!to_list}
-    (default 0 = keep none; the stride phase is [seed mod retain_every],
-    matching the observability samplers).  [compression] is passed to
-    the t-digest. *)
-
-val is_sketched : t -> bool
+    are maintained incrementally, no raw samples are kept, and
+    {!percentile} answers from a deterministic t-digest
+    ({!Sketch.Tdigest}).  Queries read a copy of the digest, so an
+    estimate depends only on the values added so far, never on when
+    earlier estimates were read. *)
 
 val add : t -> float -> unit
 val add_time : t -> Units.time -> unit
@@ -49,8 +46,8 @@ val mean_time : t -> Units.time
 val clear : t -> unit
 
 val to_list : t -> float list
-(** Retained samples in insertion order (all of them for {!create},
-    the 1-in-[retain_every] stride for {!sketched}). *)
+(** Retained samples in insertion order: all of them for {!create},
+    none for {!sketched}. *)
 
 (** Named monotonic event counters.  A handle is just the counter's
     name; the value cell lives in a {e registry} resolved through

@@ -1,7 +1,7 @@
 (* Windowed virtual-time series: fixed-width windows in a ring with
    bounded retention.  Handles are names, like [Metrics] — the cell
-   lives in the timeseries, so shards are whole [t] values merged with
-   [merge_into] at deterministic join points.
+   lives in the timeseries.  Serving records every observation from its
+   sequential merge loop, so no shard ever carries a timeseries.
 
    Every ring slot is addressed [w mod retention]; a slot is live for
    window [w] only while [w] is within the series' own advance range
@@ -199,62 +199,6 @@ let names t =
   let acc = Hashtbl.fold (fun n _ acc -> n :: acc) t.t_scalars [] in
   let acc = Hashtbl.fold (fun n _ acc -> n :: acc) t.t_dists acc in
   List.sort String.compare acc
-
-let merge_into ~src ~dst =
-  if not (Units.equal src.t_width dst.t_width) then
-    invalid_arg "Timeseries.merge_into: window widths differ";
-  (* Align the destination's window range first so an all-empty shard
-     still advances it — merged output covers the same windows a direct
-     observer would have seen. *)
-  if src.t_last > dst.t_last then touch dst src.t_last;
-  let lo = first_window src and hi = src.t_last in
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt src.t_scalars name with
-      | Some s ->
-          let cell = scalar_cell dst s.sc_kind name in
-          for w = lo to hi do
-            if scalar_live src s w then begin
-              let v = s.sc_ring.(w mod src.t_retention) in
-              if v <> 0.0 then
-                if writable dst w then begin
-                  advance_scalar dst cell w;
-                  let slot = w mod dst.t_retention in
-                  match s.sc_kind with
-                  | Counter -> cell.sc_ring.(slot) <- cell.sc_ring.(slot) +. v
-                  | Gauge ->
-                      if v > cell.sc_ring.(slot) then cell.sc_ring.(slot) <- v
-                end
-            end
-          done
-      | None ->
-          let ds = Hashtbl.find src.t_dists name in
-          let dname = dist dst name in
-          for w = lo to hi do
-            if dist_live src ds w then begin
-              let dw = ds.ds_ring.(w mod src.t_retention) in
-              if dw.dw_count > 0 then
-                if writable dst w then begin
-                  let cell = dist_cell dst dname w in
-                  cell.dw_count <- cell.dw_count + dw.dw_count;
-                  cell.dw_sum <- cell.dw_sum +. dw.dw_sum;
-                  match dw.dw_digest with
-                  | None -> ()
-                  | Some sd ->
-                      let dd =
-                        match cell.dw_digest with
-                        | Some d -> d
-                        | None ->
-                            let d = Sketch.Tdigest.create () in
-                            cell.dw_digest <- Some d;
-                            d
-                      in
-                      Sketch.Tdigest.merge_into ~src:sd ~dst:dd
-                end
-            end
-          done)
-    (names src);
-  dst.t_dropped <- dst.t_dropped + src.t_dropped
 
 (* Fixed-point float rendering: six decimals, trailing zeros trimmed
    to one.  Unlike %g this never switches to scientific notation, so

@@ -13,9 +13,7 @@
     observations it receives.  The serving path records observations
     from the sequential virtual-time merge loop, so identical runs —
     whatever the host domain count — produce byte-identical CSV
-    exports.  {!merge_into} folds a shard into a destination in
-    sorted-name order for callers that aggregate per-domain shards
-    themselves (same discipline as [Metrics.merge_into]).
+    exports.
 
     Window arithmetic: window [w] covers virtual instants
     [[w*width, (w+1)*width)], so an observation landing exactly on a
@@ -85,13 +83,6 @@ val dist_percentile : t -> dist -> int -> float -> float
 
 val names : t -> string list
 (** Registered series names (all kinds), sorted. *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Fold [src] into [dst]: counters add, gauges max, dists merge count,
-    sum and digests.  Series are visited in sorted-name order and
-    windows oldest-first, so the result depends only on the order of
-    [merge_into] calls — never on host scheduling.  Raises
-    [Invalid_argument] when widths differ. *)
 
 val to_csv : t -> string
 (** The retained windows as CSV, one row per (series, window) covering

@@ -6,9 +6,14 @@ measurements are machine-dependent) and compares the rest byte for
 byte.  Two identically-seeded bench runs must agree on everything that
 survives the strip; any difference is a determinism bug.
 
-Usage: ci_virtual_diff.py A.json B.json   (exit 0 identical, 1 not)
+Each --drop KEY.PATH also removes that dotted path from both documents,
+for sections one of the runs skipped or shortened.
+
+Usage: ci_virtual_diff.py [--drop KEY.PATH]... A.json B.json
+       (exit 0 identical, 1 not)
 """
 
+import argparse
 import json
 import sys
 
@@ -21,22 +26,36 @@ def strip_host(doc):
     return doc
 
 
+def drop(doc, path):
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(doc, dict):
+        doc.pop(last, None)
+
+
+def load(path, drops):
+    with open(path) as f:
+        doc = strip_host(json.load(f))
+    for d in drops:
+        drop(doc, d)
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
 def main():
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    with open(sys.argv[1]) as f:
-        a = strip_host(json.load(f))
-    with open(sys.argv[2]) as f:
-        b = strip_host(json.load(f))
-    sa = json.dumps(a, sort_keys=True, indent=1)
-    sb = json.dumps(b, sort_keys=True, indent=1)
+    parser = argparse.ArgumentParser(usage=__doc__)
+    parser.add_argument("--drop", action="append", default=[])
+    parser.add_argument("a")
+    parser.add_argument("b")
+    args = parser.parse_args()
+    sa = load(args.a, args.drop)
+    sb = load(args.b, args.drop)
     if sa == sb:
         print("virtual sections identical")
         return 0
     import difflib
     for line in difflib.unified_diff(sa.splitlines(), sb.splitlines(),
-                                     fromfile=sys.argv[1], tofile=sys.argv[2],
+                                     fromfile=args.a, tofile=args.b,
                                      lineterm=""):
         print(line)
     return 1

@@ -30,4 +30,5 @@ let () =
       ("sampling", Test_sampling.suite);
       ("scale", Test_scale.suite);
       ("sketch", Test_sketch.suite);
+      ("soak", Test_soak.suite);
     ]

@@ -1,8 +1,9 @@
 (* Tests for Sim.Par, the host domain pool: virtual-time outputs must
    be bit-identical whatever the domain count, shared caches must stay
-   coherent under concurrent clients, and pool snapshots must round
-   trip.  Domain counts deliberately exceed the machine's cores — the
-   determinism contract is independent of physical parallelism. *)
+   coherent under concurrent clients, and domain-local scheduler
+   scratch pools must stay private.  Domain counts deliberately
+   exceed the machine's cores — the determinism contract is independent
+   of physical parallelism. *)
 
 open Sim
 open Alloystack_core
@@ -34,27 +35,6 @@ let test_run_first_error_wins () =
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg -> Alcotest.(check string) "lowest index" "3" msg)
 
-(* --- Sched pool snapshot / restore -------------------------------- *)
-
-let test_pool_snapshot_roundtrip () =
-  let pool = Hostos.Sched.pool ~cores:2 in
-  let durations = List.map Units.ms [ 4; 7; 2; 9 ] in
-  ignore (Hostos.Sched.schedule_on pool durations);
-  let snap = Hostos.Sched.copy_pool pool in
-  let probe = Hostos.Sched.schedule_on pool (List.map Units.ms [ 5; 5 ]) in
-  Alcotest.(check bool) "probe advanced the horizons" true
-    (Units.( > ) (Hostos.Sched.busy_until pool) (Hostos.Sched.busy_until snap));
-  Hostos.Sched.restore_pool pool snap;
-  Alcotest.(check bool) "restore rolled the horizons back" true
-    (Units.equal (Hostos.Sched.busy_until pool) (Hostos.Sched.busy_until snap));
-  let replay = Hostos.Sched.schedule_on pool (List.map Units.ms [ 5; 5 ]) in
-  Alcotest.(check bool) "replay reproduces the probe placements" true (replay = probe);
-  match
-    Hostos.Sched.restore_pool (Hostos.Sched.pool ~cores:3) snap
-  with
-  | () -> Alcotest.fail "core-count mismatch must be rejected"
-  | exception Invalid_argument _ -> ()
-
 (* --- Batched work claiming ----------------------------------------- *)
 
 let test_run_batched_submission_order () =
@@ -78,24 +58,59 @@ let test_run_batched_first_error_wins () =
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg -> Alcotest.(check string) "lowest index" "3" msg)
 
-(* --- Sched pool copy recycling ------------------------------------- *)
+(* --- Sched scratch pools and in-place reset ------------------------ *)
 
-let test_pool_release_recycles () =
-  (* A released snapshot's arrays are reused by the next same-width
-     copy; the recycled copy must behave exactly like a fresh one. *)
-  let pool = Hostos.Sched.pool ~cores:4 in
-  ignore (Hostos.Sched.schedule_on pool (List.map Units.ms [ 3; 1; 4; 1; 5 ]));
-  let snap = Hostos.Sched.copy_pool pool in
-  Hostos.Sched.release_pool snap;
-  ignore (Hostos.Sched.schedule_on pool (List.map Units.ms [ 9; 2 ]));
-  let snap2 = Hostos.Sched.copy_pool pool in
-  Alcotest.(check bool) "recycled copy captures the current horizons" true
-    (Units.equal (Hostos.Sched.busy_until snap2) (Hostos.Sched.busy_until pool));
-  let probe = Hostos.Sched.schedule_on pool (List.map Units.ms [ 2; 2; 2 ]) in
-  Hostos.Sched.restore_pool pool snap2;
-  let replay = Hostos.Sched.schedule_on pool (List.map Units.ms [ 2; 2; 2 ]) in
-  Alcotest.(check bool) "replay reproduces the probe after restore" true
-    (replay = probe)
+let test_scratch_pools_domain_local () =
+  (* Each task schedules on its domain's scratch arena while other
+     domains do the same; a shared arena would interleave horizons.
+     Every task must see exactly the placements of a fresh pool, and a
+     second [scratch] call hands back the same arena rewound. *)
+  let mine = Hostos.Sched.scratch ~cores:3 in
+  ignore (Hostos.Sched.schedule_on mine (List.map Units.ms [ 5; 5; 5; 5 ]));
+  let theirs =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let p = Hostos.Sched.scratch ~cores:3 in
+           ignore (Hostos.Sched.schedule_on p [ Units.ms 40 ]);
+           p))
+  in
+  Alcotest.(check bool) "another domain gets its own arena" true (mine != theirs);
+  Alcotest.(check bool) "another domain's scratch leaves ours alone" true
+    (Units.equal (Hostos.Sched.busy_until mine) (Units.ms 10));
+  let durations i = List.map Units.ms [ 3 + (i mod 5); 7; 1 + (i mod 3); 4; 6; 2 ] in
+  let task i () =
+    let p = Hostos.Sched.scratch ~cores:3 in
+    let placed = Hostos.Sched.schedule_on p (durations i) in
+    let again = Hostos.Sched.scratch ~cores:3 in
+    (placed, p == again, Hostos.Sched.busy_until again)
+  in
+  let results = with_domains 8 (fun () -> Par.run (Array.init 32 task)) in
+  Array.iteri
+    (fun i (placed, same_arena, busy) ->
+      Alcotest.(check bool) (Printf.sprintf "task %d fresh placements" i) true
+        (placed = Hostos.Sched.schedule ~cores:3 (durations i));
+      Alcotest.(check bool) (Printf.sprintf "task %d arena reused" i) true same_arena;
+      Alcotest.(check bool) (Printf.sprintf "task %d arena rewound" i) true
+        (Units.equal busy Units.zero))
+    results
+
+let test_reset_pool_matches_fresh () =
+  (* After uneven work scrambles the core heap, [reset_pool p t0] must
+     place tasks exactly like a pool created free at [t0], including
+     the lowest-index tie-break among equally free cores. *)
+  let pool = Hostos.Sched.pool ~cores:3 in
+  ignore (Hostos.Sched.schedule_on pool (List.map Units.ms [ 9; 1; 5; 2; 8 ]));
+  let t0 = Units.ms 20 in
+  Hostos.Sched.reset_pool pool t0;
+  Alcotest.(check bool) "busy horizon rewound to t0" true
+    (Units.equal (Hostos.Sched.busy_until pool) t0);
+  let durations = List.map Units.ms [ 4; 4; 4; 2; 6 ] in
+  let dispatch_latency = Units.us 50 in
+  let replay = Hostos.Sched.schedule_on pool ~ready:t0 ~dispatch_latency durations in
+  let fresh = Hostos.Sched.schedule ~cores:3 ~ready:t0 ~dispatch_latency durations in
+  Alcotest.(check bool) "placements match a fresh pool" true (replay = fresh);
+  Alcotest.(check (list int)) "equally free cores taken lowest first" [ 0; 1; 2 ]
+    (List.filteri (fun i _ -> i < 3) (List.map (fun p -> p.Hostos.Sched.core) replay))
 
 (* --- Compile cache under concurrent clients ----------------------- *)
 
@@ -178,22 +193,22 @@ let serve_once ?config ~requests () =
   Visor.Server.shutdown server;
   r
 
-let fingerprint (r : Visor.Server.serve_report) =
-  String.concat ";"
-    (List.map
-       (fun (p : Visor.Server.response) ->
-         Printf.sprintf "%s,%Ld,%Ld,%b,%b,%d,%d" p.Visor.Server.r_endpoint
-           (Units.to_ns p.Visor.Server.r_arrival)
-           (Units.to_ns p.Visor.Server.r_finish)
-           p.Visor.Server.r_warm p.Visor.Server.r_ok p.Visor.Server.r_attempts
-           p.Visor.Server.r_retries)
-       r.Visor.Server.responses)
+(* Every response field is virtual time or a deterministic counter. *)
+let response_line (p : Visor.Server.response) =
+  Printf.sprintf "%s,%Ld,%Ld,%b,%b,%d,%d" p.Visor.Server.r_endpoint
+    (Units.to_ns p.Visor.Server.r_arrival)
+    (Units.to_ns p.Visor.Server.r_finish)
+    p.Visor.Server.r_warm p.Visor.Server.r_ok p.Visor.Server.r_attempts
+    p.Visor.Server.r_retries
 
-let summary (r : Visor.Server.serve_report) =
-  Printf.sprintf "%d/%d w%d c%d h%d s%d e%d rss%d infl%d" r.Visor.Server.completed
-    r.Visor.Server.failed r.Visor.Server.warm_starts r.Visor.Server.cold_starts
-    r.Visor.Server.adm_hits r.Visor.Server.adm_scans r.Visor.Server.evictions
-    r.Visor.Server.machine_peak_rss r.Visor.Server.max_inflight
+let fingerprint ((responses : Visor.Server.response list), _) =
+  String.concat ";" (List.map response_line responses)
+
+let summary (_, (s : Visor.Server.summary)) =
+  Printf.sprintf "%d/%d w%d c%d h%d s%d e%d rss%d infl%d" s.Visor.Server.sm_completed
+    s.Visor.Server.sm_failed s.Visor.Server.sm_warm_starts s.Visor.Server.sm_cold_starts
+    s.Visor.Server.sm_adm_hits s.Visor.Server.sm_adm_scans s.Visor.Server.sm_evictions
+    s.Visor.Server.sm_machine_peak_rss s.Visor.Server.sm_max_inflight
 
 let test_serve_identical_across_domains () =
   (* The full observable surface — responses, counters, span tree,
@@ -393,10 +408,10 @@ let suite =
       test_run_batched_submission_order;
     Alcotest.test_case "Par.run batched re-raises lowest-index error" `Quick
       test_run_batched_first_error_wins;
-    Alcotest.test_case "Sched pool snapshot round-trips" `Quick
-      test_pool_snapshot_roundtrip;
-    Alcotest.test_case "Sched pool copies recycle through release" `Quick
-      test_pool_release_recycles;
+    Alcotest.test_case "Sched scratch pools are domain-local" `Quick
+      test_scratch_pools_domain_local;
+    Alcotest.test_case "Sched reset_pool matches a fresh pool" `Quick
+      test_reset_pool_matches_fresh;
     Alcotest.test_case "compile cache: 1 compile, 15 hits" `Quick
       test_compile_cache_stress;
     Alcotest.test_case "serve identical at 1/2/8 domains" `Quick

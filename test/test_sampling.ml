@@ -68,8 +68,8 @@ let test_sampled_virtuals_exact () =
     (fingerprint r1 ^ summary r1)
     (fingerprint rk ^ summary rk);
   Alcotest.(check int64) "p99 identical"
-    (Units.to_ns r1.Visor.Server.p99_latency)
-    (Units.to_ns rk.Visor.Server.p99_latency)
+    (Units.to_ns (snd r1).Visor.Server.sm_p99_latency)
+    (Units.to_ns (snd rk).Visor.Server.sm_p99_latency)
 
 let test_sampled_span_population () =
   (* The sampled population is an exact deterministic stride over
@@ -161,6 +161,29 @@ let test_metrics_raw_thinning () =
   close "p50" exact.Metrics.hs_p50 thinned.Metrics.hs_p50;
   close "p99" exact.Metrics.hs_p99 thinned.Metrics.hs_p99
 
+let test_merge_rejects_thinned_shard () =
+  (* Shards are replayed sample by sample.  A shard whose reservoir was
+     thinned cannot be, so merging it is an error, not a merge by
+     aggregates. *)
+  let saved = Metrics.current () in
+  let in_registry r f =
+    Metrics.set_current r;
+    Fun.protect ~finally:(fun () -> Metrics.set_current saved) f
+  in
+  let shard = Metrics.create_registry () in
+  in_registry shard (fun () ->
+      Metrics.set_raw_sample_every ~seed:1 4;
+      let h = Metrics.histogram "thinned_shard" in
+      for i = 1 to 100 do
+        Metrics.observe h (float_of_int i)
+      done);
+  in_registry (Metrics.create_registry ()) (fun () ->
+      (match Metrics.merge_into shard with
+      | () -> Alcotest.fail "a thinned shard must be rejected"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "nothing merged" 0
+        (Metrics.histogram_count (Metrics.histogram "thinned_shard")))
+
 let suite =
   [
     Alcotest.test_case "sample_every 1 is byte-identical" `Quick test_k1_identical;
@@ -172,4 +195,6 @@ let suite =
       test_sampling_across_domains;
     Alcotest.test_case "trace ring 1-in-k" `Quick test_trace_ring_sampling;
     Alcotest.test_case "metrics reservoir thinning" `Quick test_metrics_raw_thinning;
+    Alcotest.test_case "merge rejects a thinned shard" `Quick
+      test_merge_rejects_thinned_shard;
   ]

@@ -1,5 +1,5 @@
 (* Tests for windowed virtual-time telemetry: Sim.Timeseries window
-   arithmetic, ring retention and merge; Sim.Slo burn-rate alerting;
+   arithmetic and ring retention; Sim.Slo burn-rate alerting;
    and the serving path's timeseries / SLO / exporter byte-identity
    across host domain counts. *)
 
@@ -93,40 +93,6 @@ let test_gauge_and_dist_semantics () =
   Alcotest.check_raises "scalar vs dist collision"
     (Invalid_argument "Timeseries: lat is already a dist series")
     (fun () -> ignore (Timeseries.counter ts "lat"))
-
-let test_merge_matches_direct () =
-  (* Interleaved observations split across two shards and merged must
-     render exactly like the unsharded series. *)
-  let direct = Timeseries.create () in
-  let a = Timeseries.create () in
-  let b = Timeseries.create () in
-  let feed ts =
-    let c = Timeseries.counter ts "req" in
-    let g = Timeseries.gauge ts "inflight" in
-    let d = Timeseries.dist ts "lat" in
-    (c, g, d)
-  in
-  let dc, dg, dd = feed direct in
-  let ac, ag, ad = feed a in
-  let bc, bg, bd = feed b in
-  for i = 0 to 99 do
-    let at = Units.ms (i * 137) in
-    let v = float_of_int ((i * 31) mod 17) in
-    Timeseries.add direct dc ~at 1.0;
-    Timeseries.add direct dg ~at v;
-    Timeseries.observe direct dd ~at v;
-    let c, g, d = if i mod 2 = 0 then (ac, ag, ad) else (bc, bg, bd) in
-    let shard = if i mod 2 = 0 then a else b in
-    Timeseries.add shard c ~at 1.0;
-    Timeseries.add shard g ~at v;
-    Timeseries.observe shard d ~at v
-  done;
-  let merged = Timeseries.create () in
-  ignore (feed merged);
-  Timeseries.merge_into ~src:a ~dst:merged;
-  Timeseries.merge_into ~src:b ~dst:merged;
-  Alcotest.(check string) "merged csv == direct csv"
-    (Timeseries.to_csv direct) (Timeseries.to_csv merged)
 
 (* --- SLO burn-rate alerts ----------------------------------------- *)
 
@@ -285,7 +251,6 @@ let suite =
       test_ring_wrap_and_retention;
     Alcotest.test_case "gauge and dist semantics" `Quick
       test_gauge_and_dist_semantics;
-    Alcotest.test_case "merge matches direct" `Quick test_merge_matches_direct;
     Alcotest.test_case "slo page and clear instants" `Quick
       test_slo_page_and_clear;
     Alcotest.test_case "slo latency goodness rule" `Quick test_slo_latency_rule;

@@ -558,7 +558,7 @@ let test_recycle_no_leak_under_faults () =
   in
   let r = serve_recycling ~config ~recycle_cap:64 ~requests () in
   Alcotest.(check int) "every request resolved" 40
-    (r.Visor.Server.completed + r.Visor.Server.failed);
+    ((snd r).Visor.Server.sm_completed + (snd r).Visor.Server.sm_failed);
   Alcotest.(check bool) "faults actually fired" true
     (Fault.fired plan ~site:Fault.site_fn_crash > 0);
   Alcotest.(check int) "no shell leak after faulty serve" live0 (Wfd.live_count ())
