@@ -5,7 +5,10 @@
      dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe fig11 fig12     -- a subset
      dune exec bench/main.exe --quick         -- reduced data sizes
-     dune exec bench/main.exe --domains 4     -- host domain pool width *)
+     dune exec bench/main.exe --domains 4     -- host domain pool width
+
+   Every figure is virtual time.  Host cost (us and allocated words per
+   simulated request) is measured by perfbench/, not here. *)
 
 open Sim
 open Baselines
@@ -32,45 +35,20 @@ let soak_flag = ref false
    two minutes in --quick).  CI's smoke leg shortens it. *)
 let soak_seconds_flag = ref 0
 
-(* --hotspots: run one extra profiled scale leg with Sim.Hotspot
-   enabled and emit a host.hotspots section (per-section call count,
-   total ms and us/request) into BENCH_serving.json, so the dominant
-   per-request host cost is a measured fact rather than a guess.
-   Profiling overhead is confined to that leg — the timed legs above it
-   run with the profiler off.  Implies nothing about virtual output:
-   the profiled leg's response fingerprint is asserted identical to the
-   unprofiled one. *)
-let hotspots_flag = ref false
-
 (* --deep-requests N: request count for the fold-only deep leg
    (default 10^6; 50k in --quick).  CI smokes the 10^7 configuration at
    10^5 with the peak-live-words cap still asserted; a full 10^7 run is
    the overnight variant. *)
 let deep_requests_flag = ref 0
 
-(* --domains N: host domain pool width for the parallel serving / exec
-   experiments.  0 = auto (the machine's recommended domain count —
-   never more domains than cores, so a 1-core host runs 1 domain
-   instead of faking a 4-wide pool that can only lose).  Virtual
-   results are bit-identical whatever this is set to — the bench
-   asserts that on every run. *)
+(* --domains N: host domain pool width for the serving experiment.
+   0 = auto (the machine's recommended domain count).  Virtual results
+   are bit-identical whatever this is set to — the bench asserts that
+   on every run. *)
 let domains_flag = ref 0
 
 let bench_domains () =
   if !domains_flag > 0 then !domains_flag else Par.auto_domains ()
-
-(* --batch K: submissions claimed per shared-cursor fetch in Par.run.
-   Purely a host-side scheduling knob — virtual output is asserted
-   byte-identical across batch sizes by the serving scale leg. *)
-let batch_flag = ref 1
-
-(* A parallel leg is degenerate when the pool cannot express real
-   parallelism (single-core host, single-domain pool, or more domains
-   than cores): its speedup numbers are artifacts, so the JSON labels
-   the leg and perf_gate.py reports its fields without gating them. *)
-let degenerate_parallelism ~domains =
-  let cores = Stdlib.max 1 (Domain.recommended_domain_count ()) in
-  cores < 2 || domains < 2 || domains > cores
 
 let scale n = if !quick then Stdlib.max 4096 (n / 16) else n
 
@@ -578,70 +556,6 @@ let fig17 () =
   print_endline "paper: AlloyStack reduces CPU by ~2.4x and memory by ~3.2x\n"
 
 (* ------------------------------------------------------------------ *)
-(* Microbenchmarks (bechamel): primitive costs of the implementation.  *)
-
-let micro () =
-  let open Bechamel in
-  let alloc_free =
-    Test.make ~name:"alloc+free 4KB (first-fit)"
-      (Staged.stage
-         (let a = Mem.Alloc.create ~base:0 ~size:(mib 1) () in
-          fun () ->
-            match Mem.Alloc.alloc a ~size:4096 ~align:4096 with
-            | Some addr -> Mem.Alloc.free a addr
-            | None -> ()))
-  in
-  let scanner =
-    let image =
-      Isa.Image.create ~name:"m" ~toolchain:Isa.Image.Rust_as_std
-        (List.init 200 (fun i ->
-             if i mod 3 = 0 then Isa.Inst.Mov_imm (Int32.of_int i) else Isa.Inst.Add))
-    in
-    Test.make ~name:"blacklist scan (200 instrs)"
-      (Staged.stage (fun () -> ignore (Isa.Scanner.scan image)))
-  in
-  let wasm_interp =
-    let inst = Wasm.Interp.instantiate Wasm.Builder.sum_to_n in
-    Test.make ~name:"wasm interp sum(1000)"
-      (Staged.stage (fun () -> ignore (Wasm.Interp.call inst "sum" [| 1000L |])))
-  in
-  let wasm_aot =
-    let inst = Wasm.Aot.instantiate (Wasm.Aot.compile Wasm.Builder.sum_to_n) in
-    Test.make ~name:"wasm aot sum(1000)"
-      (Staged.stage (fun () -> ignore (Wasm.Aot.call inst "sum" [| 1000L |])))
-  in
-  let fat_io =
-    let fs = Fsim.Fat.format (Fsim.Blockdev.create ~sectors:65536) in
-    let data = Bytes.make 65536 'x' in
-    Test.make ~name:"fat write+read 64KB"
-      (Staged.stage (fun () ->
-           Fsim.Fat.write_file fs "/bench" data;
-           ignore (Fsim.Fat.read_file fs "/bench")))
-  in
-  let tests =
-    Test.make_grouped ~name:"micro" [ alloc_free; scanner; wasm_interp; wasm_aot; fat_io ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create ~title:"Microbenchmarks (host time per op)" ~columns:[ "Benchmark"; "ns/op" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let cell =
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.sprintf "%.1f" est
-        | _ -> "n/a"
-      in
-      rows := (name, cell) :: !rows)
-    results;
-  List.iter (fun (name, cell) -> Table.add_row t [ name; cell ]) (List.sort compare !rows);
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* Extensions beyond the paper's figures: the 9 mechanisms and design
    ablations DESIGN.md calls out.                                      *)
 
@@ -833,7 +747,6 @@ let chaos () =
 type serving_leg = {
   lg_summary : Alloystack_core.Visor.Server.summary;
   lg_fingerprint : string;
-  lg_wall_ms : float;
   lg_breakdown : Alloystack_core.Jsonlite.t;
   lg_trace : string;
   lg_metrics : string;
@@ -925,8 +838,7 @@ let serving () =
   (* Every response field is virtual time or a deterministic counter:
      the per-response fingerprint must match across domain counts.  It
      is folded into a buffer sized for the whole run as responses
-     complete, allocating nothing per response, so the scale leg's
-     allocation figure stays the server's own. *)
+     complete. *)
   let rec add_digits buf n =
     if n >= 10 then add_digits buf (n / 10);
     Buffer.add_char buf (Char.chr (48 + (n mod 10)))
@@ -1005,9 +917,9 @@ let serving () =
   (* One leg: a configured server run.  It sets the pool width and
      batch, resets observability, turns span recording on or off, thins
      metrics reservoirs 1-in-[sample_every], creates a server over every
-     endpoint, times [run] on it, shuts the server down and restores
+     endpoint, calls [run] on it, shuts the server down and restores
      the globals. *)
-  let leg ?(domains = 1) ?(batch = !batch_flag) ?(spans = false) ?(warm = true)
+  let leg ?(domains = 1) ?(batch = 1) ?(spans = false) ?(warm = true)
       ?(sample_every = 1) ?(sketch = false) run =
     Par.set_domains domains;
     Par.set_batch batch;
@@ -1021,15 +933,13 @@ let serving () =
       (fun (endpoint, workflow, bindings) ->
         Visor.Server.register server ~endpoint ~workflow ~bindings ())
       endpoints_spec;
-    let t0 = Unix.gettimeofday () in
     let r = run server in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     Visor.Server.shutdown server;
     Span.set_enabled Span.global false;
     Metrics.set_raw_sample_every 1;
-    Par.set_batch !batch_flag;
+    Par.set_batch 1;
     Par.set_domains 1;
-    (r, wall_ms)
+    r
   in
   (* Span-trace both pool modes.  The per-request critical-path
      aggregate and the exported trace / metrics documents are pure
@@ -1085,13 +995,12 @@ let serving () =
       (summary_fields s
       @ [ ("latency_sketched", Jsonlite.Bool s.Visor.Server.sm_latency_sketched) ])
   in
-  (* Each pool mode runs on one domain and on the requested pool: wall
-     time is allowed to differ, every virtual artifact (responses,
-     summary, span breakdown, trace and metrics exports) must be
-     byte-identical.  CI re-checks this across separate --domains
-     invocations. *)
+  (* Each pool mode runs on one domain and on the requested pool: every
+     virtual artifact (responses, summary, span breakdown, trace and
+     metrics exports) must be byte-identical.  CI re-checks this across
+     separate --domains invocations. *)
   let base_leg ~domains ~warm =
-    let (fp, s, csv, alerts, slo), wall_ms =
+    let fp, s, csv, alerts, slo =
       leg ~domains ~warm ~spans:true (fun server ->
           Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
           let buf, s = serve_fingerprinted server ~qps ~count in
@@ -1109,7 +1018,6 @@ let serving () =
     {
       lg_summary = s;
       lg_fingerprint = fp;
-      lg_wall_ms = wall_ms;
       lg_breakdown = breakdown;
       lg_trace = trace;
       lg_metrics = metrics;
@@ -1188,15 +1096,14 @@ let serving () =
   (* Single-request boot comparison: the substitution the warm pool
      makes on the critical path. *)
   let one ~warm ~prewarm =
-    fst
-      (leg ~warm (fun server ->
-           if prewarm then ignore (Visor.Server.prewarm server ~endpoint:"mlinf");
-           match
-             Visor.Server.serve server
-               [ { Visor.Server.endpoint = "mlinf"; arrival = Units.zero } ]
-           with
-           | [ resp ], _ -> resp.Visor.Server.r_latency
-           | _ -> Units.zero))
+    leg ~warm (fun server ->
+        if prewarm then ignore (Visor.Server.prewarm server ~endpoint:"mlinf");
+        match
+          Visor.Server.serve server
+            [ { Visor.Server.endpoint = "mlinf"; arrival = Units.zero } ]
+        with
+        | [ resp ], _ -> resp.Visor.Server.r_latency
+        | _ -> Units.zero)
   in
   let warm_one = one ~warm:true ~prewarm:true in
   let cold_one = one ~warm:false ~prewarm:false in
@@ -1204,14 +1111,6 @@ let serving () =
     "single Python request: cold boot %s vs warm clone %s (%.1fx)\n\n" (pp_t cold_one)
     (pp_t warm_one)
     (Units.to_us cold_one /. Float.max 1e-9 (Units.to_us warm_one));
-  let warm_ms1 = warm1.lg_wall_ms and cold_ms1 = cold1.lg_wall_ms in
-  let warm_ms = warm.lg_wall_ms and cold_ms = cold.lg_wall_ms in
-  Printf.printf
-    "host parallel: %d domains; cold wall %.0f ms -> %.0f ms (%.2fx), warm %.0f ms -> %.0f ms (%.2fx)\n\n"
-    nd cold_ms1 cold_ms
-    (cold_ms1 /. Float.max 1e-9 cold_ms)
-    warm_ms1 warm_ms
-    (warm_ms1 /. Float.max 1e-9 warm_ms);
   (* --sweep: qps sweep (latency-vs-load curve + saturation knee) and
      the 10^5-request streaming scale leg.  Observability is sampled
      1-in-k so trace/span state stays O(n/k); metrics raw reservoirs
@@ -1228,9 +1127,8 @@ let serving () =
       let sweep_count = if !quick then 300 else 1500 in
       let points = [ 300.0; 600.0; 900.0; 1200.0; 1500.0; 1800.0 ] in
       let run_point q =
-        fst
-          (leg ~sample_every (fun server ->
-               snd (fold server ~qps:q ~count:sweep_count ~init:() ~f:(fun () _ -> ()))))
+        leg ~sample_every (fun server ->
+            snd (fold server ~qps:q ~count:sweep_count ~init:() ~f:(fun () _ -> ())))
       in
       let results = List.map (fun q -> (q, run_point q)) points in
       (* Saturation knee: the first offered load whose p99 blows past
@@ -1317,23 +1215,16 @@ let serving () =
          collapse — the sweep above covers the saturated regime. *)
       let scale_qps = 300.0 in
       let scale_leg ?(telemetry = false) ?batch ~domains () =
-        let ((buf, s), alloc_words), wall_ms =
+        let buf, s =
           leg ~domains ?batch ~sample_every (fun server ->
               if telemetry then
                 Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
-              (* [Gc.allocated_bytes] is per-domain: the delta covers
-                 every allocation only when the run stays on one domain,
-                 which is why the gated words-per-request figure comes
-                 from the domains-1 leg. *)
-              let alloc0 = Gc.allocated_bytes () in
-              let r = serve_fingerprinted server ~qps:scale_qps ~count:scale_count in
-              (r, (Gc.allocated_bytes () -. alloc0) /. 8.0))
+              serve_fingerprinted server ~qps:scale_qps ~count:scale_count)
         in
-        let md5 = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-        (md5, s, wall_ms, (Gc.stat ()).Gc.live_words, alloc_words)
+        (Digest.to_hex (Digest.string (Buffer.contents buf)), s)
       in
-      let fp1, scale_s1, scale_ms1, scale_live1, scale_alloc1 = scale_leg ~domains:1 () in
-      let fpn, scale_sn, scale_msn, scale_liven, _ = scale_leg ~domains:nd () in
+      let fp1, scale_s1 = scale_leg ~domains:1 () in
+      let fpn, scale_sn = scale_leg ~domains:nd () in
       check "scale responses (fingerprint)" fp1 fpn;
       check "scale summary"
         (Jsonlite.to_string (mode_json scale_s1))
@@ -1345,29 +1236,21 @@ let serving () =
          across separate invocations). *)
       List.iter
         (fun k ->
-          let fpb, _, _, _, _ = scale_leg ~batch:k ~domains:nd () in
+          let fpb, _ = scale_leg ~batch:k ~domains:nd () in
           check
             (Printf.sprintf "scale responses at batch %d (fingerprint)" k)
             fpn fpb)
         [ 8; 64 ];
       (* The same leg with per-window telemetry and SLO monitors on:
-         responses must not change (telemetry is pure observation) and
-         the measured overhead lands in the JSON where perf_gate.py
-         watches it. *)
-      let fp_tel, _, tel_msn, _, _ = scale_leg ~telemetry:true ~domains:nd () in
+         responses must not change (telemetry is pure observation). *)
+      let fp_tel, _ = scale_leg ~telemetry:true ~domains:nd () in
       check "scale responses with telemetry (fingerprint)" fpn fp_tel;
       Printf.printf
-        "scale telemetry: wall %.0f ms -> %.0f ms with timeseries+SLOs (%.2f us/request vs %.2f)\n"
-        scale_msn tel_msn
-        (tel_msn *. 1e3 /. float_of_int scale_count)
-        (scale_msn *. 1e3 /. float_of_int scale_count);
-      Printf.printf
-        "scale: %d requests, sample 1/%d: p50 %s p99 %s, %d warm / %d cold; wall %.0f ms (1 domain) -> %.0f ms (%d domains)\n"
+        "scale: %d requests, sample 1/%d: p50 %s p99 %s, %d warm / %d cold\n"
         scale_count sample_every
         (pp_t scale_sn.Visor.Server.sm_p50_latency)
         (pp_t scale_sn.Visor.Server.sm_p99_latency)
-        scale_sn.Visor.Server.sm_warm_starts scale_sn.Visor.Server.sm_cold_starts
-        scale_ms1 scale_msn nd;
+        scale_sn.Visor.Server.sm_warm_starts scale_sn.Visor.Server.sm_cold_starts;
       (* Constant-memory serve: fold each response through [f] as it
          completes (never materialised), latency percentiles from the
          server's t-digest.  Probes live words (full major + stat) in
@@ -1376,7 +1259,7 @@ let serving () =
          major heap legitimately expands with allocation churn at
          10^6. *)
       let fold_leg ~count ~sample_every ~exact =
-        let (exact_lat, peak_live, s), wall_ms =
+        let exact_lat, peak_live, s =
           leg ~domains:nd ~sample_every ~sketch:true (fun server ->
               let exact_lat = Stats.create () in
               let seen = ref 0 and peak_live = ref 0 in
@@ -1393,15 +1276,13 @@ let serving () =
               in
               (exact_lat, !peak_live, s))
         in
-        (s, exact_lat, wall_ms, peak_live)
+        (s, exact_lat, peak_live)
       in
       (* Sketch accuracy leg: the same 10^5 stream through serve_fold
          with sketch_latency (no retained latencies), while the fold
          accumulates the exact latency population.  Sketch p50/p99 must
          land within 2% of exact. *)
-      let fold_s, fold_exact, fold_ms, fold_live =
-        fold_leg ~count:scale_count ~sample_every ~exact:true
-      in
+      let fold_s, fold_exact, _ = fold_leg ~count:scale_count ~sample_every ~exact:true in
       if
         fold_s.Visor.Server.sm_completed <> scale_sn.Visor.Server.sm_completed
         || fold_s.Visor.Server.sm_failed <> scale_sn.Visor.Server.sm_failed
@@ -1427,86 +1308,6 @@ let serving () =
           (100.0 *. err50) (100.0 *. err99);
         exit 1
       end;
-      (* --hotspots: one extra scale leg with the host-time profiler on.
-         Profiling overhead (two clock reads per section) is confined to
-         this leg; the wall-clock fields above come from unprofiled
-         runs.  The profiled leg must still produce the same bytes. *)
-      let hotspot_sections =
-        if not !hotspots_flag then []
-        else begin
-          Hotspot.reset ();
-          Hotspot.set_enabled true;
-          let fp_hp, _, hp_ms, _, _ =
-            Fun.protect
-              ~finally:(fun () -> Hotspot.set_enabled false)
-              (fun () -> scale_leg ~domains:nd ())
-          in
-          check "scale responses under profiling (fingerprint)" fpn fp_hp;
-          let entries = Hotspot.snapshot () in
-          let by_cost =
-            List.sort
-              (fun a b ->
-                compare b.Hotspot.hs_total_ns a.Hotspot.hs_total_ns)
-              entries
-          in
-          let st =
-            Table.create
-              ~title:
-                (Printf.sprintf
-                   "Serving host hotspots: %d requests, %.0f ms profiled wall"
-                   scale_count hp_ms)
-              ~columns:
-                [ "section"; "calls"; "total ms"; "us/request"; "words/request" ]
-          in
-          List.iter
-            (fun (e : Hotspot.entry) ->
-              Table.add_row st
-                [
-                  e.Hotspot.hs_name;
-                  string_of_int e.Hotspot.hs_count;
-                  Printf.sprintf "%.1f" (e.Hotspot.hs_total_ns /. 1e6);
-                  Printf.sprintf "%.2f"
-                    (e.Hotspot.hs_total_ns /. 1e3
-                    /. float_of_int scale_count);
-                  Printf.sprintf "%.0f"
-                    (Hotspot.entry_words e /. float_of_int scale_count);
-                ])
-            by_cost;
-          Table.print st;
-          (* Sections keyed by name (sorted, so the JSON is stable);
-             leaves named so perf_gate.py gates them: total_ms by the
-             _ms suffix, us_per_request and the words fields by
-             name. *)
-          let section_json (e : Hotspot.entry) =
-            let per_req w = w /. float_of_int scale_count in
-            ( e.Hotspot.hs_name,
-              Jsonlite.Obj
-                [
-                  ("count", Jsonlite.Int e.Hotspot.hs_count);
-                  ("total_ms", Jsonlite.Float (e.Hotspot.hs_total_ns /. 1e6));
-                  ( "us_per_request",
-                    Jsonlite.Float
-                      (e.Hotspot.hs_total_ns /. 1e3
-                      /. float_of_int scale_count) );
-                  ( "words_per_request",
-                    Jsonlite.Float (per_req (Hotspot.entry_words e)) );
-                  ( "minor_words_per_request",
-                    Jsonlite.Float (per_req e.Hotspot.hs_minor_words) );
-                  ( "major_words_per_request",
-                    Jsonlite.Float (per_req e.Hotspot.hs_major_words) );
-                ] )
-          in
-          [
-            ( "hotspots",
-              Jsonlite.Obj
-                [
-                  ("requests", Jsonlite.Int scale_count);
-                  ("profiled_wall_ms", Jsonlite.Float hp_ms);
-                  ("sections", Jsonlite.Obj (List.map section_json entries));
-                ] );
-          ]
-        end
-      in
       (* Deep leg: an order of magnitude past the byte-identity leg,
          fold-only — nothing materialised, percentiles from the sketch.
          The peak major-heap sample bounds live memory at
@@ -1518,7 +1319,7 @@ let serving () =
         else 1_000_000
       in
       let deep_sample = 256 in
-      let deep_s, _, deep_ms, deep_live =
+      let deep_s, _, deep_live =
         fold_leg ~count:deep_count ~sample_every:deep_sample ~exact:false
       in
       (* O(window + inflight + n/k sampled spans) live words: ~2-4M in
@@ -1526,11 +1327,11 @@ let serving () =
          words per request (~15M at 10^6) and blow the cap. *)
       let deep_live_cap = 8_000_000 in
       Printf.printf
-        "deep: %d requests via serve_fold, sample 1/%d: p50 %s p99 %s; wall %.0f ms, peak live %d words (cap %d)\n\n"
+        "deep: %d requests via serve_fold, sample 1/%d: p50 %s p99 %s; peak live %d words (cap %d)\n\n"
         deep_count deep_sample
         (pp_t deep_s.Visor.Server.sm_p50_latency)
         (pp_t deep_s.Visor.Server.sm_p99_latency)
-        deep_ms deep_live deep_live_cap;
+        deep_live deep_live_cap;
       if deep_live > deep_live_cap then begin
         Printf.eprintf
           "serving: deep fold peak live %d words exceeds cap %d — response stream is being retained\n"
@@ -1558,47 +1359,6 @@ let serving () =
                         ("exact_p99_us", Jsonlite.Float (ex99 /. 1e3));
                       ] );
                 ] );
-            ( "host",
-              Jsonlite.Obj
-                ([
-                   ("domains", Jsonlite.Int nd);
-                   ( "degenerate",
-                     Jsonlite.Bool (degenerate_parallelism ~domains:nd) );
-                   ("wall_ms_domains1", Jsonlite.Float scale_ms1);
-                   ("wall_ms", Jsonlite.Float scale_msn);
-                   ( "us_per_request_domains1",
-                     Jsonlite.Float
-                       (scale_ms1 *. 1e3 /. float_of_int scale_count) );
-                   ( "us_per_request",
-                     Jsonlite.Float
-                       (scale_msn *. 1e3 /. float_of_int scale_count) );
-                   ("live_words_domains1", Jsonlite.Int scale_live1);
-                   ("live_words", Jsonlite.Int scale_liven);
-                   (* Whole-run GC allocation on the single-domain leg
-                      (the only leg where the per-domain counter sees
-                      everything), per request — the headline the
-                      allocation-lean hot path is gated on. *)
-                   ( "alloc_words_per_request_domains1",
-                     Jsonlite.Float
-                       (scale_alloc1 /. float_of_int scale_count) );
-                   ("fold_wall_ms", Jsonlite.Float fold_ms);
-                   ("fold_peak_live_words", Jsonlite.Int fold_live);
-                   (* Same leg re-run with windowed telemetry and SLO
-                      monitors enabled; gated so the observation path
-                      can't silently get expensive. *)
-                   ( "observability_overhead",
-                     Jsonlite.Obj
-                       [
-                         ("telemetry_wall_ms", Jsonlite.Float tel_msn);
-                         ( "telemetry_us_per_request",
-                           Jsonlite.Float
-                             (tel_msn *. 1e3 /. float_of_int scale_count) );
-                         ( "overhead_ratio",
-                           Jsonlite.Float (tel_msn /. Float.max 1e-9 scale_msn)
-                         );
-                       ] );
-                 ]
-                @ hotspot_sections) );
             ( "deep",
               Jsonlite.Obj
                 [
@@ -1606,15 +1366,7 @@ let serving () =
                   ("qps", Jsonlite.Float scale_qps);
                   ("sample_every", Jsonlite.Int deep_sample);
                   ("virtual", Jsonlite.Obj [ ("summary", summary_json deep_s) ]);
-                  ( "host",
-                    Jsonlite.Obj
-                      [
-                        ("wall_ms", Jsonlite.Float deep_ms);
-                        ( "us_per_request",
-                          Jsonlite.Float
-                            (deep_ms *. 1e3 /. float_of_int deep_count) );
-                        ("peak_live_words", Jsonlite.Int deep_live);
-                      ] );
+                  ("host", Jsonlite.Obj [ ("peak_live_words", Jsonlite.Int deep_live) ]);
                 ] );
           ]
       in
@@ -1633,7 +1385,7 @@ let serving () =
         else if !quick then 120
         else 3600
       in
-      let (r, soak_slo, soak_csv), wall_ms =
+      let r, soak_slo, soak_csv =
         leg ~domains:nd ~sample_every ~sketch:true (fun server ->
             Soak.enable_telemetry server ~seconds:virtual_s ~slos:(slo_specs ());
             let r = Soak.run server ~seed ~qps:soak_qps ~endpoints:eps ~seconds:virtual_s in
@@ -1647,12 +1399,11 @@ let serving () =
           exit 1
       | Some _ | None -> ());
       Printf.printf
-        "soak: %.0f qps for %ds virtual: %d completed, %d failed, p50 %s p99 %s; wall %.0f ms\n\n"
+        "soak: %.0f qps for %ds virtual: %d completed, %d failed, p50 %s p99 %s\n\n"
         soak_qps virtual_s soak_s.Visor.Server.sm_completed
         soak_s.Visor.Server.sm_failed
         (pp_t soak_s.Visor.Server.sm_p50_latency)
-        (pp_t soak_s.Visor.Server.sm_p99_latency)
-        wall_ms;
+        (pp_t soak_s.Visor.Server.sm_p99_latency);
       let snap_virtual (sn : Soak.snapshot) =
         Jsonlite.Obj
           [
@@ -1682,7 +1433,6 @@ let serving () =
             ( "host",
               Jsonlite.Obj
                 [
-                  ("wall_ms", Jsonlite.Float wall_ms);
                   ( "snapshot_live_words",
                     Jsonlite.List
                       (List.map (fun sn -> Jsonlite.Int sn.Soak.sn_live_words) snaps) );
@@ -1694,57 +1444,30 @@ let serving () =
   in
   let json =
     Jsonlite.Obj
-      [
-        ("seed", Jsonlite.Int seed);
-        ("requests", Jsonlite.Int count);
-        ("qps", Jsonlite.Float qps);
-        (* Deterministic: identical for every domain count (asserted
-           above and diffed by CI). *)
-        ( "virtual",
-          Jsonlite.Obj
-            [
-              ("warm", mode_json warm.lg_summary);
-              ("cold", mode_json cold.lg_summary);
-              ("single_cold_us", Jsonlite.Float (Units.to_us cold_one));
-              ("single_warm_us", Jsonlite.Float (Units.to_us warm_one));
-              ( "breakdown",
-                Jsonlite.Obj
-                  [ ("warm", warm.lg_breakdown); ("cold", cold.lg_breakdown) ] );
-              ( "slo",
-                Jsonlite.Obj [ ("warm", warm.lg_slo); ("cold", cold.lg_slo) ] );
-              ( "tails",
-                Jsonlite.Obj
-                  [ ("warm", warm.lg_tails); ("cold", cold.lg_tails) ] );
-            ] );
-        (* Machine dependent: wall-clock of this run. *)
-        ( "host",
-          Jsonlite.Obj
-            [
-              ( "parallel",
-                Jsonlite.Obj
-                  [
-                    ("domains", Jsonlite.Int nd);
-                    ( "host_cores",
-                      Jsonlite.Int (Domain.recommended_domain_count ()) );
-                    ( "degenerate",
-                      Jsonlite.Bool (degenerate_parallelism ~domains:nd) );
-                    ("warm_wall_ms_domains1", Jsonlite.Float warm_ms1);
-                    ("warm_wall_ms", Jsonlite.Float warm_ms);
-                    ("cold_wall_ms_domains1", Jsonlite.Float cold_ms1);
-                    ("cold_wall_ms", Jsonlite.Float cold_ms);
-                    ( "speedup_warm",
-                      Jsonlite.Float (warm_ms1 /. Float.max 1e-9 warm_ms) );
-                    ( "speedup_cold",
-                      Jsonlite.Float (cold_ms1 /. Float.max 1e-9 cold_ms) );
-                  ] );
-            ] );
-      ]
-  in
-  let json =
-    match (json, sweep_sections @ soak_sections) with
-    | _, [] -> json
-    | Jsonlite.Obj fields, extra -> Jsonlite.Obj (fields @ extra)
-    | _ -> json
+      ([
+         ("seed", Jsonlite.Int seed);
+         ("requests", Jsonlite.Int count);
+         ("qps", Jsonlite.Float qps);
+         (* Deterministic: identical for every domain count (asserted
+            above and diffed by CI). *)
+         ( "virtual",
+           Jsonlite.Obj
+             [
+               ("warm", mode_json warm.lg_summary);
+               ("cold", mode_json cold.lg_summary);
+               ("single_cold_us", Jsonlite.Float (Units.to_us cold_one));
+               ("single_warm_us", Jsonlite.Float (Units.to_us warm_one));
+               ( "breakdown",
+                 Jsonlite.Obj
+                   [ ("warm", warm.lg_breakdown); ("cold", cold.lg_breakdown) ] );
+               ( "slo",
+                 Jsonlite.Obj [ ("warm", warm.lg_slo); ("cold", cold.lg_slo) ] );
+               ( "tails",
+                 Jsonlite.Obj
+                   [ ("warm", warm.lg_tails); ("cold", cold.lg_tails) ] );
+             ] );
+       ]
+      @ sweep_sections @ soak_sections)
   in
   let write path contents =
     let oc = open_out path in
@@ -1764,260 +1487,6 @@ let serving () =
     \      BENCH_serving_prom.txt, BENCH_serving_timeseries.csv"
 
 (* ------------------------------------------------------------------ *)
-(* Execution fast paths: the software TLB vs the full page walk, and   *)
-(* the interp / AOT / cached-AOT load paths.  Host-time columns are    *)
-(* real wall time (machine dependent); every field under "virtual" in  *)
-(* BENCH_exec.json is deterministic and diffed by the CI smoke job.    *)
-
-let exec () =
-  let open Alloystack_core in
-  (* --- software TLB vs page walk ---------------------------------- *)
-  (* Small enough that the data span stays L1-resident: the timed loop
-     then measures the translation path, not the cache hierarchy. *)
-  let pages = 8 in
-  let span = pages * Mem.Page.size in
-  let accesses = if !quick then 2_000_000 else 8_000_000 in
-  let base = 0x4000_0000 in
-  let pkru = Mem.Prot.pkru_allow_all in
-  (* Precompute the address sequence so the timed loop measures the
-     access path, not the index arithmetic.  The array is kept small
-     (cache-resident) and replayed in passes: a multi-megabyte address
-     stream would pay a DRAM read per access in both variants and
-     flatten the ratio being measured. *)
-  let stride = 65_536 in
-  let passes = accesses / stride in
-  let accesses = passes * stride in
-  let addrs = Array.init stride (fun i -> base + ((i * 37) land (span - 1))) in
-  let run_mem ~tlb =
-    let sp = Mem.Address_space.create ~tlb () in
-    Mem.Address_space.map sp ~addr:base ~len:span ();
-    (* Touch every page once so demand-zero fills are off the timed
-       loop for both variants. *)
-    for i = 0 to pages - 1 do
-      ignore (Mem.Address_space.load_byte sp ~pkru (base + (i * Mem.Page.size)))
-    done;
-    (* Best of several trials: the min is the least-perturbed sample of
-       a fixed amount of work. *)
-    let best = ref infinity in
-    let checksum = ref 0 in
-    for _ = 1 to 5 do
-      checksum := 0;
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to passes do
-        for i = 0 to stride - 1 do
-          checksum :=
-            !checksum
-            + Char.code
-                (Mem.Address_space.load_byte sp ~pkru (Array.unsafe_get addrs i))
-        done
-      done;
-      best := Float.min !best ((Unix.gettimeofday () -. t0) *. 1000.0)
-    done;
-    (!best, !checksum, sp)
-  in
-  let walk_ms, walk_sum, walk_sp = run_mem ~tlb:false in
-  let tlb_ms, tlb_sum, tlb_sp = run_mem ~tlb:true in
-  assert (walk_sum = tlb_sum);
-  let tlb_speedup = walk_ms /. Float.max 1e-9 tlb_ms in
-  (* --- interp vs AOT execution ------------------------------------ *)
-  let profile = Wasm.Runtime.wasmtime in
-  let n = if !quick then 20_000 else 100_000 in
-  let m = Wasm.Builder.sum_to_n in
-  let t0 = Unix.gettimeofday () in
-  let interp_inst = Wasm.Interp.instantiate m in
-  let interp_result = Wasm.Interp.call interp_inst "sum" [| Int64.of_int n |] in
-  let interp_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  let interp_clock = Clock.create () in
-  Clock.advance interp_clock profile.Wasm.Runtime.startup;
-  Clock.advance interp_clock
-    (Units.scale profile.Wasm.Runtime.interp_per_instr
-       (float_of_int (Wasm.Interp.executed interp_inst)));
-  let t0 = Unix.gettimeofday () in
-  let aot_clock = Clock.create () in
-  let aot_loaded = Wasm.Runtime.load profile ~clock:aot_clock m in
-  let aot_inst =
-    Wasm.Runtime.instantiate aot_loaded ~clock:aot_clock ~system:Wasm.Wasi.null_system
-  in
-  let aot_result =
-    Wasm.Runtime.run aot_loaded ~clock:aot_clock ~instance:aot_inst "sum"
-      [| Int64.of_int n |]
-  in
-  let aot_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  assert (Int64.equal interp_result aot_result);
-  (* --- AOT load: fresh compile vs compile cache ------------------- *)
-  (* A deliberately large module so compilation dominates the load. *)
-  let big =
-    let chunk i =
-      [ Wasm.Builder.const i; Wasm.Builder.const (i + 1); Wasm.Builder.add;
-        Wasm.Instr.Drop ]
-    in
-    let body = List.concat (List.init 2500 chunk) @ [ Wasm.Builder.const 0 ] in
-    Wasm.Wmodule.create ~name:"bigmod" ~exports:[ ("f", 0) ]
-      [ Wasm.Builder.func ~name:"f" body ]
-  in
-  let load_iters = if !quick then 40 else 120 in
-  let run_loads ~cache =
-    let t0 = Unix.gettimeofday () in
-    let vt = ref Units.zero in
-    for _ = 1 to load_iters do
-      let clock = Clock.create () in
-      ignore (Wasm.Runtime.load ?cache profile ~clock big);
-      vt := Clock.now clock
-    done;
-    ((Unix.gettimeofday () -. t0) *. 1000.0, !vt)
-  in
-  let load_ms, load_vt = run_loads ~cache:None in
-  let codec = Wasm.Compile_cache.create () in
-  let cached_ms, cached_vt = run_loads ~cache:(Some codec) in
-  (* The cache must save host time only: per-load virtual time is
-     identical with and without it. *)
-  assert (Units.compare load_vt cached_vt = 0);
-  let load_speedup = load_ms /. Float.max 1e-9 cached_ms in
-  (* --- host-parallel workflow repeats (Visor.run_many) ------------- *)
-  (* Each repeat AOT-compiles the big module inside its own WFD (no
-     shared compile cache), so the host work per repeat is real and the
-     domain pool can spread it.  Reports must be structurally identical
-     whatever the domain count. *)
-  let par_wf =
-    Workflow.create_exn ~name:"aotpar"
-      ~nodes:
-        [
-          {
-            Workflow.node_id = "compile";
-            language = Workflow.Rust;
-            instances = 1;
-            required_modules = [];
-          };
-        ]
-      ~edges:[]
-  in
-  let par_bindings =
-    [
-      ( "compile",
-        Visor.bind (fun ctx ~instance:_ ~total:_ ->
-            ignore (Asstd.load_wasm ctx profile big)) );
-    ]
-  in
-  let par_repeat = if !quick then 16 else 48 in
-  let run_repeats d =
-    Par.set_domains d;
-    let t0 = Unix.gettimeofday () in
-    let reports =
-      Visor.run_many ~workflow:par_wf ~bindings:par_bindings ~repeat:par_repeat ()
-    in
-    Par.set_domains 1;
-    ((Unix.gettimeofday () -. t0) *. 1000.0, reports)
-  in
-  let par1_ms, par_reports1 = run_repeats 1 in
-  let nd = bench_domains () in
-  let parn_ms, par_reports = run_repeats nd in
-  if par_reports1 <> par_reports then begin
-    Printf.eprintf
-      "exec: run_many reports differ between --domains 1 and --domains %d\n" nd;
-    exit 1
-  end;
-  let par_speedup = par1_ms /. Float.max 1e-9 parn_ms in
-  let par_e2e = par_reports.(0).Visor.e2e in
-  let t =
-    Table.create ~title:"Execution fast paths (host time vs virtual time)"
-      ~columns:[ "path"; "host"; "virtual" ]
-  in
-  Table.add_row t
-    [ Printf.sprintf "page walk (%d loads)" accesses;
-      Printf.sprintf "%.1f ms" walk_ms; "-" ];
-  Table.add_row t
-    [ Printf.sprintf "software TLB (%.1fx)" tlb_speedup;
-      Printf.sprintf "%.1f ms" tlb_ms; "-" ];
-  Table.add_row t
-    [ Printf.sprintf "interp sum(%d)" n; Printf.sprintf "%.2f ms" interp_ms;
-      pp_t (Clock.now interp_clock) ];
-  Table.add_row t
-    [ Printf.sprintf "AOT sum(%d)" n; Printf.sprintf "%.2f ms" aot_ms;
-      pp_t (Clock.now aot_clock) ];
-  Table.add_row t
-    [ Printf.sprintf "AOT load x%d" load_iters; Printf.sprintf "%.1f ms" load_ms;
-      pp_t load_vt ];
-  Table.add_row t
-    [ Printf.sprintf "cached AOT load (%.1fx)" load_speedup;
-      Printf.sprintf "%.1f ms" cached_ms; pp_t cached_vt ];
-  Table.add_row t
-    [ Printf.sprintf "run_many x%d, 1 domain" par_repeat;
-      Printf.sprintf "%.1f ms" par1_ms; pp_t par_e2e ];
-  Table.add_row t
-    [ Printf.sprintf "run_many x%d, %d domains (%.1fx)" par_repeat nd par_speedup;
-      Printf.sprintf "%.1f ms" parn_ms; pp_t par_e2e ];
-  Table.print t;
-  Printf.printf "TLB: %d hits / %d misses / %d flushes; walk accesses %d\n"
-    (Mem.Address_space.tlb_hit_count tlb_sp)
-    (Mem.Address_space.tlb_miss_count tlb_sp)
-    (Mem.Address_space.tlb_flush_count tlb_sp)
-    (Mem.Address_space.access_count walk_sp);
-  Printf.printf "compile cache: %d misses, %d hits\n\n"
-    (Wasm.Compile_cache.miss_count codec)
-    (Wasm.Compile_cache.hit_count codec);
-  let json =
-    Jsonlite.Obj
-      [
-        (* Deterministic: function of the workload alone. *)
-        ( "virtual",
-          Jsonlite.Obj
-            [
-              ("tlb_accesses", Jsonlite.Int (Mem.Address_space.access_count tlb_sp));
-              ("tlb_hits", Jsonlite.Int (Mem.Address_space.tlb_hit_count tlb_sp));
-              ("tlb_misses", Jsonlite.Int (Mem.Address_space.tlb_miss_count tlb_sp));
-              ( "tlb_demand_faults",
-                Jsonlite.Int (Mem.Address_space.touched_fault_count tlb_sp) );
-              ("walk_accesses", Jsonlite.Int (Mem.Address_space.access_count walk_sp));
-              ( "walk_demand_faults",
-                Jsonlite.Int (Mem.Address_space.touched_fault_count walk_sp) );
-              ("mem_checksum", Jsonlite.Int tlb_sum);
-              ("sum_result", Jsonlite.Int (Int64.to_int interp_result));
-              ("interp_virtual_us", Jsonlite.Float (Units.to_us (Clock.now interp_clock)));
-              ("aot_virtual_us", Jsonlite.Float (Units.to_us (Clock.now aot_clock)));
-              ("load_virtual_us", Jsonlite.Float (Units.to_us load_vt));
-              ("cached_load_virtual_us", Jsonlite.Float (Units.to_us cached_vt));
-              ("cache_misses", Jsonlite.Int (Wasm.Compile_cache.miss_count codec));
-              ("cache_hits", Jsonlite.Int (Wasm.Compile_cache.hit_count codec));
-              ("run_many_repeat", Jsonlite.Int par_repeat);
-              ("run_many_e2e_us", Jsonlite.Float (Units.to_us par_e2e));
-              ( "run_many_retries",
-                Jsonlite.Int
-                  (Array.fold_left
-                     (fun acc (r : Visor.report) -> acc + r.Visor.retries)
-                     0 par_reports) );
-            ] );
-        (* Machine dependent: wall-clock of this run. *)
-        ( "host",
-          Jsonlite.Obj
-            [
-              ("walk_ms", Jsonlite.Float walk_ms);
-              ("tlb_ms", Jsonlite.Float tlb_ms);
-              ("tlb_speedup", Jsonlite.Float tlb_speedup);
-              ("interp_ms", Jsonlite.Float interp_ms);
-              ("aot_ms", Jsonlite.Float aot_ms);
-              ("load_ms", Jsonlite.Float load_ms);
-              ("cached_load_ms", Jsonlite.Float cached_ms);
-              ("load_speedup", Jsonlite.Float load_speedup);
-              ( "parallel",
-                Jsonlite.Obj
-                  [
-                    ("domains", Jsonlite.Int nd);
-                    ( "degenerate",
-                      Jsonlite.Bool (degenerate_parallelism ~domains:nd) );
-                    ("run_many_wall_ms_domains1", Jsonlite.Float par1_ms);
-                    ("run_many_wall_ms", Jsonlite.Float parn_ms);
-                    ("speedup", Jsonlite.Float par_speedup);
-                  ] );
-            ] );
-      ]
-  in
-  let oc = open_out "BENCH_exec.json" in
-  output_string oc (Jsonlite.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  print_endline "wrote BENCH_exec.json"
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -2033,11 +1502,9 @@ let experiments =
     ("fig15", fig15);
     ("fig16", fig16);
     ("fig17", fig17);
-    ("micro", micro);
     ("ext", ext);
     ("chaos", chaos);
     ("serving", serving);
-    ("exec", exec);
   ]
 
 let () =
@@ -2064,9 +1531,6 @@ let () =
     | [ "--soak-seconds" ] ->
         Printf.eprintf "--soak-seconds expects a positive integer\n";
         exit 2
-    | "--hotspots" :: rest ->
-        hotspots_flag := true;
-        parse acc rest
     | "--deep-requests" :: n :: rest -> (
         match int_of_string_opt n with
         | Some d when d >= 1 ->
@@ -2090,21 +1554,9 @@ let () =
     | [ "--domains" ] ->
         Printf.eprintf "--domains expects a positive integer\n";
         exit 2
-    | "--batch" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k >= 1 ->
-            batch_flag := k;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--batch expects a positive integer, got %S\n" n;
-            exit 2)
-    | [ "--batch" ] ->
-        Printf.eprintf "--batch expects a positive integer\n";
-        exit 2
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
-  Par.set_batch !batch_flag;
   let selected =
     match args with
     | [] | [ "all" ] -> experiments

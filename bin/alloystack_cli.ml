@@ -386,6 +386,25 @@ let serve_cmd requests qps seed cold domains batch sample_every soak duration
   Sim.Par.set_domains 1;
   !status
 
+(* [conv] restricted to the values [ok] accepts: an out-of-range flag is
+   a usage error (exit 124) that names the flag, not an exception raised
+   inside the command. *)
+let restrict conv ~expect ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S: expected %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let int_from n =
+  restrict Arg.int ~expect:(Printf.sprintf "an integer >= %d" n) (fun v -> v >= n)
+
+let positive_float =
+  restrict Arg.float ~expect:"a positive finite number" (fun v ->
+      Float.is_finite v && v > 0.0)
+
 let app_arg =
   Arg.(value & opt string "pipe"
        & info [ "app"; "a" ] ~doc:"Workload: wordcount, sorting, chain, pipe, image, noops.")
@@ -398,10 +417,10 @@ let size_arg =
   Arg.(value & opt string "4M" & info [ "size"; "s" ] ~doc:"Input/payload size (e.g. 64K, 25M).")
 
 let instances_arg =
-  Arg.(value & opt int 3 & info [ "instances"; "i" ] ~doc:"Parallel instances per stage.")
+  Arg.(value & opt (int_from 1) 3 & info [ "instances"; "i" ] ~doc:"Parallel instances per stage.")
 
 let length_arg =
-  Arg.(value & opt int 5 & info [ "length"; "l" ] ~doc:"FunctionChain length.")
+  Arg.(value & opt (int_from 2) 5 & info [ "length"; "l" ] ~doc:"FunctionChain length.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Data-generation seed.")
 
@@ -436,23 +455,23 @@ let dot_arg =
   Arg.(value & flag & info [ "dot" ] ~doc:"Also print the DAG in Graphviz format.")
 
 let requests_arg =
-  Arg.(value & opt int 100 & info [ "requests"; "n" ] ~doc:"Number of requests to serve.")
+  Arg.(value & opt (int_from 1) 100 & info [ "requests"; "n" ] ~doc:"Number of requests to serve.")
 
 let qps_arg =
-  Arg.(value & opt float 500.0 & info [ "qps" ] ~doc:"Mean open-loop arrival rate.")
+  Arg.(value & opt positive_float 500.0 & info [ "qps" ] ~doc:"Mean open-loop arrival rate.")
 
 let cold_arg =
   Arg.(value & flag & info [ "cold" ] ~doc:"Disable the warm template pool.")
 
 let domains_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_from 1) 1
        & info [ "domains" ]
            ~doc:"Host domain pool width for request execution.  Virtual-time \
                  results (latencies, trace, metrics) are bit-identical for \
                  every value; only wall time changes.")
 
 let batch_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_from 1) 1
        & info [ "batch" ]
            ~doc:"Submissions each domain claims per shared-cursor fetch when \
                  executing requests in parallel.  A host-side scheduling \
@@ -460,7 +479,7 @@ let batch_arg =
                  value.")
 
 let sample_every_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_from 1) 1
        & info [ "sample-every" ]
            ~doc:"Sample per-request observability 1-in-K: only every Kth \
                  request carries spans/trace events and metrics raw-sample \
@@ -477,7 +496,7 @@ let soak_arg =
                  snapshots.")
 
 let duration_arg =
-  Arg.(value & opt int 3600
+  Arg.(value & opt (int_from 1) 3600
        & info [ "duration" ] ~docv:"SECS"
            ~doc:"Soak length in virtual seconds (with --soak).")
 
@@ -510,7 +529,8 @@ let tails_arg =
                  verdict table.")
 
 let tail_quantile_arg =
-  Arg.(value & opt float 99.0
+  Arg.(value
+       & opt (restrict float ~expect:"0 < PCT <= 100" (fun q -> q > 0.0 && q <= 100.0)) 99.0
        & info [ "tail-quantile" ] ~docv:"PCT"
            ~doc:"Latency quantile defining the tail for --tails (default 99).")
 

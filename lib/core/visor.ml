@@ -480,19 +480,12 @@ let build_report ectx ~finish ~cold_fallback ~admission =
     retries = !(ectx.eretries);
   }
 
-let run_once ?retries ?admission_cost ~(config : config) ~workflow ~bindings () =
+let run_once ?retries ~(config : config) ~workflow ~bindings () =
   (* Check bindings exist up front. *)
   List.iter
     (fun n -> ignore (lookup_binding bindings n.Workflow.node_id))
     workflow.Workflow.nodes;
-  (* [admission_cost] carries a verdict computed by a sequential
-     prologue ([run_many]); without it every call scans (or consults
-     the shared cache) itself. *)
-  let admission =
-    match admission_cost with
-    | Some a -> a
-    | None -> admit_images ?cache:config.admission bindings
-  in
+  let admission = admit_images ?cache:config.admission bindings in
   let proc_table = Hostos.Process.create_table () in
   let clock = Clock.create () in
   let t0 = Clock.now clock in
@@ -574,9 +567,9 @@ let cold_start_only ?(config = default_config) () =
   report.cold_start
 
 
-let run_with ?admission_cost ~(config : config) ~workflow ~bindings () =
+let run ?(config = default_config) ~workflow ~bindings () =
   match config.retry with
-  | No_retry | Retry_function _ -> run_once ?admission_cost ~config ~workflow ~bindings ()
+  | No_retry | Retry_function _ -> run_once ~config ~workflow ~bindings ()
   | Retry_workflow max_attempts ->
       (* Idempotent functions: a failed run is retried in a brand new
          WFD; inputs are still staged on the (shared) disk image.  The
@@ -587,87 +580,17 @@ let run_with ?admission_cost ~(config : config) ~workflow ~bindings () =
       let carried = ref 0 in
       let max_attempts = Stdlib.max 1 max_attempts in
       let rec attempt n =
-        match run_once ~retries:carried ?admission_cost ~config ~workflow ~bindings () with
+        match run_once ~retries:carried ~config ~workflow ~bindings () with
         | report -> { report with retries = report.retries + (n - 1) }
         | exception (Function_failed _ | Function_hung _) when n < max_attempts ->
             attempt (n + 1)
       in
       attempt 1
 
-let run ?(config = default_config) ~workflow ~bindings () =
-  run_with ~config ~workflow ~bindings ()
-
 let max_attempts_of config =
   match config.retry with
   | Retry_workflow n -> Stdlib.max 1 n
   | No_retry | Retry_function _ -> 1
-
-(* Repeat the workflow [repeat] times across the host domain pool.
-   Virtual time stays bit-identical whatever [Sim.Par.domains] says:
-
-   - admission runs in a sequential prologue, in submission order, so
-     the shared verdict cache sees the same hit/scan sequence as a
-     sequential loop (retried attempts reuse their repeat's verdict);
-   - each repeat gets a WFD id range reserved by submission index, a
-     fault plan split off the parent by index, and a collector shard;
-   - shards are merged (and fault counters absorbed) in submission
-     order after the pool joins.
-
-   A shared pre-staged disk image ([config.vfs]) is host-mutable state,
-   so that configuration runs the repeats on the submitting domain. *)
-let run_many ?(config = default_config) ~workflow ~bindings ~repeat () =
-  if repeat < 0 then invalid_arg "Visor.run_many: repeat must be non-negative";
-  if repeat = 0 then [||]
-  else begin
-    List.iter
-      (fun n -> ignore (lookup_binding bindings n.Workflow.node_id))
-      workflow.Workflow.nodes;
-    let max_attempts = max_attempts_of config in
-    let admission =
-      Array.init repeat (fun _ -> admit_images ?cache:config.admission bindings)
-    in
-    let bases = Array.init repeat (fun _ -> Wfd.reserve_ids max_attempts) in
-    let share_disk = config.vfs <> None in
-    let children =
-      match config.fault with
-      | Some plan when not share_disk ->
-          Array.init repeat (fun i -> Some (Fault.acquire_child plan ~index:i))
-      | Some _ | None -> Array.make repeat None
-    in
-    let cfg = Par.shard_config () in
-    let shards = Array.init repeat (fun _ -> Par.acquire_shard cfg) in
-    let tasks =
-      Array.init repeat (fun i () ->
-          Par.with_shard shards.(i) (fun () ->
-              Wfd.with_id_namespace ~base:bases.(i) (fun () ->
-                  let config =
-                    match children.(i) with
-                    | Some _ as f -> { config with fault = f; admission = None }
-                    | None -> { config with admission = None }
-                  in
-                  run_with ~admission_cost:admission.(i) ~config ~workflow
-                    ~bindings ())))
-    in
-    let reports =
-      if share_disk then Array.map (fun f -> f ()) tasks else Par.run tasks
-    in
-    Array.iter
-      (fun s ->
-        Par.merge_shard s;
-        Par.release_shard s)
-      shards;
-    (match config.fault with
-    | Some plan ->
-        Array.iter
-          (function
-            | Some c ->
-                Fault.absorb plan c;
-                Fault.release_child c
-            | None -> ())
-          children
-    | None -> ());
-    reports
-  end
 
 (* --- Multi-tenant serving layer ----------------------------------- *)
 

@@ -144,27 +144,6 @@ val run :
     every exit path, including failures.  Raises [Invalid_argument] if
     a node has no binding, {!Admission_failed} on a rejected image. *)
 
-val run_many :
-  ?config:config ->
-  workflow:Workflow.t ->
-  bindings:(string * binding) list ->
-  repeat:int ->
-  unit ->
-  report array
-(** Execute the workflow [repeat] times, spreading the runs over the
-    host domain pool ({!Sim.Par.set_domains}).  Reports come back in
-    submission order and every virtual-time output — reports, spans,
-    trace, metrics, counters, fault accounting — is bit-identical
-    whatever the domain count: admission runs in a sequential prologue
-    (one verdict per repeat, reused by that repeat's retry attempts),
-    WFD ids are reserved per submission index, fault plans are split
-    per index ({!Sim.Fault.child}) and collector shards merge in
-    submission order.  A config with a shared pre-staged disk
-    ([config.vfs]) keeps all repeats on the submitting domain, since
-    the image is host-mutable state.  Raises like {!run}; if several
-    repeats fail, the lowest submission index's exception is the one
-    re-raised. *)
-
 val cold_start_only : ?config:config -> unit -> Sim.Units.time
 (** The no-ops cold-start measurement: trigger to first user
     instruction of an empty function. *)

@@ -73,7 +73,16 @@ let validate t =
         end
     end
 
-let create ~name ~nodes ~edges = validate { wf_name = name; nodes; edges }
+(* A module name outside the as-libos registry would otherwise surface
+   only when the first request builds the WFD template. *)
+let create ~name ~nodes ~edges =
+  let unknown n =
+    List.find_opt (fun m -> not (List.mem m Libos.module_names)) n.required_modules
+    |> Option.map (fun m -> (n.node_id, m))
+  in
+  match List.find_map unknown nodes with
+  | Some (id, m) -> Error (Printf.sprintf "node %s requires unknown as-libos module %S" id m)
+  | None -> validate { wf_name = name; nodes; edges }
 
 let create_exn ~name ~nodes ~edges =
   match create ~name ~nodes ~edges with

@@ -18,11 +18,14 @@ type node = {
   required_modules : string list;  (** as-libos modules (Table 1). *)
 }
 
-type t = { wf_name : string; nodes : node list; edges : (string * string) list }
+type t = private { wf_name : string; nodes : node list; edges : (string * string) list }
+(** Built only by {!create}, so every value has passed its checks. *)
 
 val create :
   name:string -> nodes:node list -> edges:(string * string) list -> (t, string) result
-(** Validates: unique ids, edges reference existing nodes, acyclic. *)
+(** Validates: every required module is an as-libos registry name
+    ({!Libos.module_names}), unique ids, edges reference existing
+    nodes, instances >= 1, acyclic. *)
 
 val create_exn :
   name:string -> nodes:node list -> edges:(string * string) list -> t

@@ -194,13 +194,18 @@ let test_workflow_validation () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "cycle must fail");
-  match
-    Workflow.create ~name:"w"
-      ~nodes:[ { (node "a" []) with Workflow.instances = 0 } ]
-      ~edges:[]
-  with
+  (match
+     Workflow.create ~name:"w"
+       ~nodes:[ { (node "a" []) with Workflow.instances = 0 } ]
+       ~edges:[]
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "zero instances must fail"
+  | Ok _ -> Alcotest.fail "zero instances must fail");
+  match Workflow.create ~name:"w" ~nodes:[ node "a" [ "mm"; "nosuch" ] ] ~edges:[] with
+  | Error e ->
+      Alcotest.(check string) "names the module"
+        {|node a requires unknown as-libos module "nosuch"|} e
+  | Ok _ -> Alcotest.fail "unknown as-libos module must fail"
 
 let test_workflow_stages_diamond () =
   let wf =
@@ -245,7 +250,7 @@ let test_workflow_json_roundtrip () =
         [
           { Workflow.node_id = "extract"; language = Workflow.C; instances = 2;
             required_modules = [ "mm"; "fatfs" ] };
-          node "store" [ "net" ];
+          node "store" [ "socket" ];
         ]
       ~edges:[ ("extract", "store") ]
   in
@@ -262,12 +267,20 @@ let test_workflow_json_errors () =
   (match Workflow.of_string "{ not json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad json must fail");
+  (match
+     Workflow.of_string
+       {| { "workflow": "w", "functions": [ { "name": "a", "language": "cobol" } ] } |}
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown language must fail");
   match
     Workflow.of_string
-      {| { "workflow": "w", "functions": [ { "name": "a", "language": "cobol" } ] } |}
+      {| { "workflow": "w", "functions": [ { "name": "a", "modules": ["nosuch"] } ] } |}
   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown language must fail"
+  | Error e ->
+      Alcotest.(check string) "names the module"
+        {|node a requires unknown as-libos module "nosuch"|} e
+  | Ok _ -> Alcotest.fail "unknown as-libos module must fail"
 
 (* Random DAGs: stages must place every node after all its
    predecessors, exactly once. *)

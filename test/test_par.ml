@@ -369,36 +369,6 @@ let test_hotspot_allocation_accounting () =
       -. section_words)
     < 1.0)
 
-(* --- run_many ------------------------------------------------------ *)
-
-let test_run_many_identical () =
-  let wf =
-    Workflow.create_exn ~name:"many"
-      ~nodes:[ node ~instances:3 "f" ]
-      ~edges:[]
-  in
-  let bindings =
-    [
-      ( "f",
-        Visor.bind (fun (ctx : Asstd.ctx) ~instance ~total:_ ->
-            Asstd.compute ctx (Units.ms (2 + instance))) );
-    ]
-  in
-  let run domains =
-    with_domains domains (fun () ->
-        Visor.run_many ~workflow:wf ~bindings ~repeat:12 ())
-  in
-  let live0 = Wfd.live_count () in
-  let seq = run 1 in
-  let par = run 8 in
-  Alcotest.(check int) "all repeats" 12 (Array.length par);
-  Alcotest.(check bool) "reports identical across domain counts" true (seq = par);
-  Array.iter
-    (fun (r : Visor.report) ->
-      Alcotest.(check bool) "repeat replays repeat 0" true (r = seq.(0)))
-    seq;
-  Alcotest.(check int) "no WFD leak" live0 (Wfd.live_count ())
-
 let suite =
   [
     Alcotest.test_case "Par.run keeps submission order" `Quick test_run_submission_order;
@@ -426,6 +396,4 @@ let suite =
       test_hotspot_allocation_accounting;
     Alcotest.test_case "20 seeds, domains > cores" `Slow
       test_seeded_stress_across_domains;
-    Alcotest.test_case "run_many identical across domains" `Quick
-      test_run_many_identical;
   ]
