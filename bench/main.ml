@@ -615,39 +615,6 @@ let ext () =
       ("1 node x 64 cores", [ { Gateway.node_name = "n0"; cores = 64 } ], 12);
     ];
   Table.print t;
-  (* Allocator policy ablation (design choice in DESIGN.md). *)
-  let t =
-    Table.create ~title:"Extension: buffer-heap allocator policy (mixed alloc/free trace)"
-      ~columns:[ "Policy"; "holes after trace"; "largest hole" ]
-  in
-  List.iter
-    (fun (label, policy) ->
-      let a = Mem.Alloc.create ~policy ~base:0 ~size:(mib 8) () in
-      let rng = Rng.create 7 in
-      let live = ref [] in
-      for _ = 1 to 2000 do
-        if Rng.int rng 3 = 0 && !live <> [] then begin
-          match !live with
-          | b :: rest ->
-              Mem.Alloc.free a b;
-              live := rest
-          | [] -> ()
-        end
-        else begin
-          let size = 64 + Rng.int rng 16384 in
-          match Mem.Alloc.alloc a ~size ~align:64 with
-          | Some b -> live := b :: !live
-          | None -> ()
-        end
-      done;
-      Table.add_row t
-        [
-          label;
-          string_of_int (Mem.Alloc.hole_count a);
-          Units.bytes_to_string (Mem.Alloc.largest_hole a);
-        ])
-    [ ("first-fit (paper default)", Mem.Alloc.First_fit); ("best-fit", Mem.Alloc.Best_fit) ];
-  Table.print t;
   (* Trampoline cost sensitivity: how much do MPK switches matter? *)
   let t =
     Table.create ~title:"Extension: syscall-path cost per as-std call"
@@ -914,15 +881,14 @@ let serving () =
     | None -> ""
   in
   let nd = bench_domains () in
-  (* One leg: a configured server run.  It sets the pool width and
-     batch, resets observability, turns span recording on or off, thins
+  (* One leg: a configured server run.  It sets the pool width,
+     resets observability, turns span recording on or off, thins
      metrics reservoirs 1-in-[sample_every], creates a server over every
      endpoint, calls [run] on it, shuts the server down and restores
      the globals. *)
-  let leg ?(domains = 1) ?(batch = 1) ?(spans = false) ?(warm = true)
-      ?(sample_every = 1) ?(sketch = false) run =
+  let leg ?(domains = 1) ?(spans = false) ?(warm = true) ?(sample_every = 1)
+      ?(sketch = false) run =
     Par.set_domains domains;
-    Par.set_batch batch;
     reset_observability ();
     Span.set_enabled Span.global spans;
     Metrics.set_raw_sample_every ~seed sample_every;
@@ -937,7 +903,6 @@ let serving () =
     Visor.Server.shutdown server;
     Span.set_enabled Span.global false;
     Metrics.set_raw_sample_every 1;
-    Par.set_batch 1;
     Par.set_domains 1;
     r
   in
@@ -1214,9 +1179,9 @@ let serving () =
          serving (bounded in-flight, bounded memory), not queue
          collapse — the sweep above covers the saturated regime. *)
       let scale_qps = 300.0 in
-      let scale_leg ?(telemetry = false) ?batch ~domains () =
+      let scale_leg ?(telemetry = false) ~domains () =
         let buf, s =
-          leg ~domains ?batch ~sample_every (fun server ->
+          leg ~domains ~sample_every (fun server ->
               if telemetry then
                 Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
               serve_fingerprinted server ~qps:scale_qps ~count:scale_count)
@@ -1229,18 +1194,6 @@ let serving () =
       check "scale summary"
         (Jsonlite.to_string (mode_json scale_s1))
         (Jsonlite.to_string (mode_json scale_sn));
-      (* Batched work claiming is a host-only knob: the same leg at
-         K = 8 and K = 64 on the full pool must produce the same
-         bytes (K = 1 across domain counts is the check above; CI
-         diffs --domains 1 --batch 1 against --domains 4 --batch 64
-         across separate invocations). *)
-      List.iter
-        (fun k ->
-          let fpb, _ = scale_leg ~batch:k ~domains:nd () in
-          check
-            (Printf.sprintf "scale responses at batch %d (fingerprint)" k)
-            fpn fpb)
-        [ 8; 64 ];
       (* The same leg with per-window telemetry and SLO monitors on:
          responses must not change (telemetry is pure observation). *)
       let fp_tel, _ = scale_leg ~telemetry:true ~domains:nd () in

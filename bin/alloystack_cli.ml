@@ -259,43 +259,20 @@ let check_cmd dot file =
           0
     end
 
-(* "name:latency_ms:objective", e.g. "interactive:250:0.999". *)
-let parse_slo s =
-  match String.split_on_char ':' s with
-  | [ name; lat_ms; objective ] -> (
-      match (float_of_string_opt lat_ms, float_of_string_opt objective) with
-      | Some lat, Some obj when lat > 0.0 ->
-          Ok (Sim.Slo.spec ~objective:obj ~name ~latency:(Sim.Units.ms_f lat) ())
-      | _ -> Error (Printf.sprintf "bad SLO spec %S" s))
-  | _ ->
-      Error
-        (Printf.sprintf "bad SLO spec %S (expected name:latency_ms:objective)" s)
-
 (* Serve a synthetic open-loop request trace against the warm-pool
    server and print the latency/throughput summary.  With [--soak] the
    run is time-bounded instead of count-bounded ({!Baselines.Soak}):
    percentiles come from the t-digest, and the run fails if live heap
    words trend upward across snapshots. *)
-let serve_cmd requests qps seed cold domains batch sample_every soak duration
-    trace trace_out metrics_out slo_args csv_out prom_out tails =
+let serve_cmd requests qps seed cold domains sample_every soak duration trace
+    trace_out metrics_out slos csv_out prom_out tails =
   reset_observability ();
   Sim.Par.set_domains domains;
-  Sim.Par.set_batch batch;
   if trace then Sim.Trace.set_enabled Sim.Trace.global true;
   if trace || trace_out <> None || tails then
     Sim.Span.set_enabled Sim.Span.global true;
   if sample_every > 1 then Sim.Metrics.set_raw_sample_every ~seed sample_every;
   let open Alloystack_core in
-  let slos =
-    List.map
-      (fun s ->
-        match parse_slo s with
-        | Ok spec -> spec
-        | Error e ->
-            prerr_endline e;
-            exit 2)
-      slo_args
-  in
   let server = make_chain_server ~cold ~sample_every ~seed ~sketch_latency:soak in
   if slos <> [] || csv_out <> None then begin
     if soak then Baselines.Soak.enable_telemetry server ~seconds:duration ~slos
@@ -405,6 +382,31 @@ let positive_float =
   restrict Arg.float ~expect:"a positive finite number" (fun v ->
       Float.is_finite v && v > 0.0)
 
+(* "name:latency_ms:objective", e.g. "interactive:250:0.999".  The
+   latency must fit a [Units.time], which counts nanoseconds in a
+   native int. *)
+let slo_spec =
+  let max_ms = Float.of_int max_int /. 1e6 in
+  let parse s =
+    let bad expect = Error (`Msg (Printf.sprintf "%S: expected %s" s expect)) in
+    let num f = Option.value ~default:Float.nan (float_of_string_opt f) in
+    match String.split_on_char ':' s with
+    | [ ""; _; _ ] -> bad "a non-empty NAME"
+    | [ name; lat; obj ] ->
+        let lat = num lat and obj = num obj in
+        if not (lat > 0.0 && lat < max_ms) then
+          bad (Printf.sprintf "0 < LATENCY_MS < %.2g" max_ms)
+        else if not (obj > 0.0 && obj < 1.0) then bad "0 < OBJECTIVE < 1"
+        else Ok (Sim.Slo.spec ~objective:obj ~name ~latency:(Sim.Units.ms_f lat) ())
+    | _ -> bad "NAME:LATENCY_MS:OBJECTIVE"
+  in
+  let print ppf (sp : Sim.Slo.spec) =
+    Format.fprintf ppf "%s:%g:%g" sp.Sim.Slo.slo_name
+      (Sim.Units.to_ms sp.Sim.Slo.slo_latency)
+      sp.Sim.Slo.slo_objective
+  in
+  Arg.conv ~docv:"NAME:LATENCY_MS:OBJECTIVE" (parse, print)
+
 let app_arg =
   Arg.(value & opt string "pipe"
        & info [ "app"; "a" ] ~doc:"Workload: wordcount, sorting, chain, pipe, image, noops.")
@@ -470,14 +472,6 @@ let domains_arg =
                  results (latencies, trace, metrics) are bit-identical for \
                  every value; only wall time changes.")
 
-let batch_arg =
-  Arg.(value & opt (int_from 1) 1
-       & info [ "batch" ]
-           ~doc:"Submissions each domain claims per shared-cursor fetch when \
-                 executing requests in parallel.  A host-side scheduling \
-                 knob only: virtual-time results are bit-identical for every \
-                 value.")
-
 let sample_every_arg =
   Arg.(value & opt (int_from 1) 1
        & info [ "sample-every" ]
@@ -501,7 +495,7 @@ let duration_arg =
            ~doc:"Soak length in virtual seconds (with --soak).")
 
 let slo_arg =
-  Arg.(value & opt_all string []
+  Arg.(value & opt_all slo_spec []
        & info [ "slo" ] ~docv:"NAME:LATENCY_MS:OBJECTIVE"
            ~doc:"Declare an SLO (repeatable): a request is good when it \
                  succeeds within LATENCY_MS, and OBJECTIVE (e.g. 0.999) is \
@@ -556,9 +550,8 @@ let serve_info =
 let serve_term =
   Term.(
     const serve_cmd $ requests_arg $ qps_arg $ seed_arg $ cold_arg $ domains_arg
-    $ batch_arg $ sample_every_arg $ soak_arg $ duration_arg $ trace_arg
-    $ trace_out_arg $ metrics_out_arg $ slo_arg $ csv_out_arg $ prom_out_arg
-    $ tails_arg)
+    $ sample_every_arg $ soak_arg $ duration_arg $ trace_arg $ trace_out_arg
+    $ metrics_out_arg $ slo_arg $ csv_out_arg $ prom_out_arg $ tails_arg)
 
 let main =
   Cmd.group (Cmd.info "alloystack" ~doc:"AlloyStack reproduction CLI")

@@ -21,10 +21,8 @@ let bridge_cost len =
        (Netsim.Link.wire_time Netsim.Link.datacenter len)
        (Netsim.Link.rtt Netsim.Link.datacenter))
 
-let make ?(bridge = bridge_cost) ?label ~nodes () =
-  let name =
-    match label with Some l -> l | None -> Printf.sprintf "AlloyStack-%dnode" nodes
-  in
+let make ~nodes () =
+  let name = Printf.sprintf "AlloyStack-%dnode" nodes in
   let run ?(cores = 64) (app : Fctx.app) =
     let vfs = Fsim.Vfs.fresh_fat () in
     List.iter (fun (path, data) -> vfs.Fsim.Vfs.write_file path data) app.Fctx.inputs;
@@ -58,7 +56,7 @@ let make ?(bridge = bridge_cost) ?label ~nodes () =
                     | Some data ->
                         (* Remote pull from the upstream WFD's node. *)
                         Clock.advance actx.Asstd.thread.Wfd.clock
-                          (bridge (Bytes.length data));
+                          (bridge_cost (Bytes.length data));
                         data
                     | None -> raise Not_found
                   end

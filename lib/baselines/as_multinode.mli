@@ -8,12 +8,10 @@
     The split is the manual, contiguous-stages split the paper
     supports ("developers can manually divide the DAG"). *)
 
-val make : ?bridge:(int -> Sim.Units.time) -> ?label:string -> nodes:int -> unit -> Platform.t
+val make : nodes:int -> unit -> Platform.t
 (** [make ~nodes ()] runs an app's stages in [nodes] contiguous groups,
     one WFD per node.  [nodes = 1] is equivalent to plain AlloyStack.
-    [bridge] is the cost of shipping an [n]-byte payload across a WFD
-    boundary (default {!bridge_cost}); the adaptive selector plugs in a
-    different policy here. *)
+    A payload crossing a WFD boundary costs {!bridge_cost}. *)
 
 val split_stages : 'a list -> parts:int -> 'a list list
 (** Contiguous, balanced split (exposed for tests): concatenation of

@@ -20,38 +20,15 @@ let backoff_delay backoff ~attempt =
     | Exponential { base; factor; limit } ->
         Units.min limit (Units.scale base (factor ** float_of_int (attempt - 2)))
 
-(* Content-hash -> verdict store, sharded by the hash's leading bits.
-   Sharding keeps per-table occupancy (and worst-case probe chains)
-   small when thousands of distinct images pass admission, and gives
-   concurrent tenants distinct tables to touch.  The content hash is
-   hex, so its leading digit gives a uniform 4-bit shard index. *)
-let admission_shard_bits = 4
-
+(* Content-hash -> verdict store. *)
 type admission_cache = {
-  shards : (string, (unit, string) result) Hashtbl.t array;
+  verdicts : (string, (unit, string) result) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_scans : int;
 }
 
 let admission_cache () =
-  {
-    shards = Array.init (1 lsl admission_shard_bits) (fun _ -> Hashtbl.create 16);
-    cache_hits = 0;
-    cache_scans = 0;
-  }
-
-let admission_shard c key =
-  (* [key] is a hex digest; its first digit is uniform over 0..15. *)
-  let d =
-    if String.length key = 0 then 0
-    else
-      match key.[0] with
-      | '0' .. '9' as ch -> Char.code ch - Char.code '0'
-      | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
-      | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
-      | ch -> Char.code ch
-  in
-  c.shards.(d land ((1 lsl admission_shard_bits) - 1))
+  { verdicts = Hashtbl.create 16; cache_hits = 0; cache_scans = 0 }
 
 let admission_hits c = c.cache_hits
 let admission_scans c = c.cache_scans
@@ -149,8 +126,7 @@ let admit_images ?cache bindings =
                   Hotspot.with_section "admission.hash" (fun () ->
                       Isa.Image.content_hash image)
                 in
-                let shard = admission_shard c key in
-                match Hashtbl.find_opt shard key with
+                match Hashtbl.find_opt c.verdicts key with
                 | Some v ->
                     c.cache_hits <- c.cache_hits + 1;
                     Clock.advance clock Cost.admission_cache_hit;
@@ -158,7 +134,7 @@ let admit_images ?cache bindings =
                 | None ->
                     c.cache_scans <- c.cache_scans + 1;
                     let v = scan () in
-                    Hashtbl.replace shard key v;
+                    Hashtbl.replace c.verdicts key v;
                     v
               end
           in
@@ -704,9 +680,6 @@ module Server = struct
            raw latencies are retained — O(1) memory at any request
            count.  false (default): exact retained-sample percentiles,
            byte-identical to every earlier release. *)
-    mutable ep_cache : string list option;
-        (* memoized sorted endpoint list; invalidated by [register] so
-           soak-loop snapshots don't rebuild-and-sort per call *)
     mutable evicted : int;
     mutable warm_hit_count : int;
     mutable cold_boot_count : int;
@@ -751,7 +724,6 @@ module Server = struct
       obs_every = sample_every;
       obs_phase = ((sample_seed mod sample_every) + sample_every) mod sample_every;
       sketch_lat = sketch_latency;
-      ep_cache = None;
       evicted = 0;
       warm_hit_count = 0;
       cold_boot_count = 0;
@@ -814,21 +786,10 @@ module Server = struct
       (fun (n : Workflow.node) -> ignore (lookup_binding bindings n.Workflow.node_id))
       workflow.Workflow.nodes;
     Hashtbl.replace t.table endpoint
-      { reg_workflow = workflow; reg_bindings = bindings };
-    t.ep_cache <- None
+      { reg_workflow = workflow; reg_bindings = bindings }
 
-  (* Sorted endpoint listing, memoized until the next [register]:
-     called once per soak snapshot, so it must not rebuild-and-sort the
-     table every time. *)
   let endpoints t =
-    match t.ep_cache with
-    | Some eps -> eps
-    | None ->
-        let eps =
-          Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
-        in
-        t.ep_cache <- Some eps;
-        eps
+    Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 
   let pool_rss t = t.pool_bytes
 
@@ -1385,7 +1346,7 @@ module Server = struct
         let base = Wfd.reserve_ids max_attempts in
         let fault_child =
           match t.scfg.fault with
-          | Some plan when not share_disk -> Some (Fault.acquire_child plan ~index)
+          | Some plan when not share_disk -> Some (Fault.child plan ~index)
           | Some _ | None -> None
         in
         Some
@@ -1492,9 +1453,7 @@ module Server = struct
           List.iter
             (fun (_, _, _, pl) ->
               match pl with
-              | Some { pl_fault = Some c; _ } ->
-                  Fault.absorb plan c;
-                  Fault.release_child c
+              | Some { pl_fault = Some c; _ } -> Fault.absorb plan c
               | Some { pl_fault = None; _ } | None -> ())
             planned
       | None -> ());

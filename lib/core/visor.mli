@@ -256,9 +256,7 @@ module Server : sig
       without a binding. *)
 
   val endpoints : t -> string list
-  (** Registered endpoints, sorted.  Memoized: the sorted list is
-      rebuilt only after a {!register}, so per-snapshot polling in a
-      soak loop is O(1). *)
+  (** Registered endpoints, sorted. *)
 
   val enable_telemetry :
     t ->

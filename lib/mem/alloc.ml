@@ -1,9 +1,6 @@
-type policy = First_fit | Best_fit
-
 type hole = { addr : int; size : int }
 
 type t = {
-  policy : policy;
   base : int;
   size : int;
   mutable holes : hole list;  (** Address-ordered, non-adjacent. *)
@@ -11,16 +8,9 @@ type t = {
   fault : Sim.Fault.t option;
 }
 
-let create ?(policy = First_fit) ?fault ~base ~size () =
+let create ?fault ~base ~size () =
   if size <= 0 then invalid_arg "Alloc.create: size must be positive";
-  {
-    policy;
-    base;
-    size;
-    holes = [ { addr = base; size } ];
-    live = Hashtbl.create 64;
-    fault;
-  }
+  { base; size; holes = [ { addr = base; size } ]; live = Hashtbl.create 64; fault }
 
 let align_up addr align = (addr + align - 1) land lnot (align - 1)
 
@@ -42,22 +32,10 @@ let alloc t ~size ~align =
     invalid_arg "Alloc.alloc: align must be a positive power of two";
   if injected_failure t then None
   else
-  let candidates =
-    List.filter_map
+  let chosen =
+    List.find_map
       (fun h -> match fit h ~size ~align with Some pad -> Some (h, pad) | None -> None)
       t.holes
-  in
-  let chosen =
-    match t.policy, candidates with
-    | _, [] -> None
-    | First_fit, c :: _ -> Some c
-    | Best_fit, c :: cs ->
-        (* smallest hole that fits *)
-        Some
-          (List.fold_left
-             (fun ((bh : hole), bp) ((h : hole), p) ->
-               if h.size < bh.size then (h, p) else (bh, bp))
-             c cs)
   in
   match chosen with
   | None -> None

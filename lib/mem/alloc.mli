@@ -2,16 +2,14 @@
 
     This is the analogue of the [linked_list_allocator] crate AlloyStack
     uses as its default memory allocator: holes are kept in an
-    address-ordered list, allocation scans for the first (or best) hole
-    large enough, and freed blocks are coalesced with their neighbours.
+    address-ordered list, allocation takes the first hole large enough,
+    and freed blocks are coalesced with their neighbours.
     The allocator manages *addresses*, not storage: callers map pages
     separately. *)
 
-type policy = First_fit | Best_fit
-
 type t
 
-val create : ?policy:policy -> ?fault:Sim.Fault.t -> base:int -> size:int -> unit -> t
+val create : ?fault:Sim.Fault.t -> base:int -> size:int -> unit -> t
 (** Manage the range [base, base+size).  When a fault plan is given,
     every {!alloc} consults the [mem.alloc] injection site first. *)
 

@@ -1,11 +1,5 @@
-(* Time-ordered event queue as a pairing heap.
-
-   The binary-heap predecessor supported only push/pop; serving at
-   10^5-request scale also needs O(log n) cancel and re-key (timer
-   retargeting, speculative events).  A pairing heap gives amortised
-   O(log n) pop/cancel/re-key with O(1) push and — unlike an array
-   heap — stable handles: [add] returns a token that [cancel] and
-   [reschedule] can use without any linear membership scan.
+(* Time-ordered event queue as a pairing heap: O(1) push and amortised
+   O(log n) pop.
 
    Ordering is lexicographic on (at, pri, seq): virtual time first,
    then an explicit priority class (e.g. arrivals before same-instant
@@ -13,19 +7,13 @@
    deterministic and same-key events pop FIFO. *)
 
 type 'a node = {
-  mutable at : Units.time;
-  mutable pri : int;
-  mutable seq : int;
+  at : Units.time;
+  pri : int;
+  seq : int;
   payload : 'a;
   mutable child : 'a node option;  (** Leftmost child. *)
   mutable sibling : 'a node option;  (** Next younger sibling. *)
-  mutable pred : 'a node option;
-      (** Parent if leftmost child, previous sibling otherwise; [None]
-          for the root and for detached nodes. *)
-  mutable queued : bool;
 }
-
-type 'a handle = 'a node
 
 type 'a t = {
   mutable root : 'a node option;
@@ -44,19 +32,15 @@ let before a b =
   else if a.pri <> b.pri then a.pri < b.pri
   else a.seq < b.seq
 
-(* Meld two heap roots (both detached from any pred). *)
+(* Meld two heap roots. *)
 let meld a b =
   if before a b then begin
     b.sibling <- a.child;
-    (match a.child with Some c -> c.pred <- Some b | None -> ());
-    b.pred <- Some a;
     a.child <- Some b;
     a
   end
   else begin
     a.sibling <- b.child;
-    (match b.child with Some c -> c.pred <- Some a | None -> ());
-    a.pred <- Some b;
     b.child <- Some a;
     b
   end
@@ -67,44 +51,21 @@ let rec merge_pairs = function
   | Some n -> (
       let n2 = n.sibling in
       n.sibling <- None;
-      n.pred <- None;
       match n2 with
       | None -> Some n
       | Some m ->
           let rest = m.sibling in
           m.sibling <- None;
-          m.pred <- None;
           let pair = meld n m in
           (match merge_pairs rest with
           | None -> Some pair
           | Some r -> Some (meld pair r)))
 
-let insert_node t n =
-  n.child <- None;
-  n.sibling <- None;
-  n.pred <- None;
-  n.queued <- true;
+let push t ~at ?(pri = 0) payload =
+  let n = { at; pri; seq = t.next_seq; payload; child = None; sibling = None } in
+  t.next_seq <- t.next_seq + 1;
   t.root <- (match t.root with None -> Some n | Some r -> Some (meld n r));
   t.size <- t.size + 1
-
-let add t ~at ?(pri = 0) payload =
-  let n =
-    {
-      at;
-      pri;
-      seq = t.next_seq;
-      payload;
-      child = None;
-      sibling = None;
-      pred = None;
-      queued = false;
-    }
-  in
-  t.next_seq <- t.next_seq + 1;
-  insert_node t n;
-  n
-
-let push t ~at ?pri payload = ignore (add t ~at ?pri payload)
 
 let pop t =
   match t.root with
@@ -112,59 +73,7 @@ let pop t =
   | Some r ->
       t.root <- merge_pairs r.child;
       r.child <- None;
-      r.queued <- false;
       t.size <- t.size - 1;
       Some (r.at, r.payload)
 
 let peek t = match t.root with None -> None | Some r -> Some (r.at, r.payload)
-
-(* Unlink a queued node, then meld the subtree rooted at its children
-   back into the heap. *)
-let detach t n =
-  (match t.root with
-  | Some r when r == n -> t.root <- merge_pairs r.child
-  | _ -> (
-      let p = match n.pred with Some p -> p | None -> assert false in
-      (* n is either p's leftmost child or p's next sibling. *)
-      (match p.child with
-      | Some c when c == n -> p.child <- n.sibling
-      | _ -> p.sibling <- n.sibling);
-      (match n.sibling with Some s -> s.pred <- Some p | None -> ());
-      match merge_pairs n.child with
-      | None -> ()
-      | Some sub -> (
-          match t.root with
-          | None -> t.root <- Some sub
-          | Some r -> t.root <- Some (meld sub r))));
-  n.child <- None;
-  n.sibling <- None;
-  n.pred <- None;
-  n.queued <- false;
-  t.size <- t.size - 1
-
-let cancel t h =
-  if not h.queued then false
-  else begin
-    detach t h;
-    true
-  end
-
-let reschedule t h ~at =
-  if h.queued then detach t h;
-  h.at <- at;
-  h.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  insert_node t h
-
-let queued h = h.queued
-let handle_at h = h.at
-
-let drain t f =
-  let rec go () =
-    match pop t with
-    | None -> ()
-    | Some (at, v) ->
-        f at v;
-        go ()
-  in
-  go ()

@@ -1,16 +1,11 @@
 (** Time-ordered event queue (pairing heap).
 
-    Drives the serving merge loop, the open-loop load generator and any
-    component that needs future-scheduled callbacks.  Insert, pop,
-    cancel and re-key are all O(log n) amortised; there is no linear
-    membership scan anywhere.  Ordering is (time, priority class,
-    insertion order), so ties are broken deterministically and
-    same-key events pop FIFO. *)
+    Drives the serving merge loop and the open-loop load generator.
+    Push is O(1) and pop is O(log n) amortised.  Ordering is (time,
+    priority class, insertion order), so ties are broken
+    deterministically and same-key events pop FIFO. *)
 
 type 'a t
-
-type 'a handle
-(** Stable token for a scheduled event; survives heap restructuring. *)
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
@@ -20,31 +15,7 @@ val push : 'a t -> at:Units.time -> ?pri:int -> 'a -> unit
 (** Schedule a payload at the given instant.  [pri] (default 0) breaks
     same-instant ties before insertion order: lower pops first. *)
 
-val add : 'a t -> at:Units.time -> ?pri:int -> 'a -> 'a handle
-(** Like {!push} but returns a handle for {!cancel}/{!reschedule}. *)
-
 val pop : 'a t -> (Units.time * 'a) option
 (** Remove and return the earliest event. *)
 
 val peek : 'a t -> (Units.time * 'a) option
-
-val cancel : 'a t -> 'a handle -> bool
-(** Remove a scheduled event.  Returns [false] (and does nothing) if
-    the event was already popped, cancelled, or re-keyed away —
-    cancelling is always safe. *)
-
-val reschedule : 'a t -> 'a handle -> at:Units.time -> unit
-(** Re-key an event to a new instant.  The event is treated as freshly
-    inserted for tie-breaking purposes.  If the handle was already
-    popped or cancelled, the event is re-armed. *)
-
-val queued : 'a handle -> bool
-(** Whether the handle is currently scheduled. *)
-
-val handle_at : 'a handle -> Units.time
-(** The instant the handle is (or was last) scheduled at. *)
-
-val drain : 'a t -> (Units.time -> 'a -> unit) -> unit
-(** [drain t f] pops every event in time order and applies [f].  Events
-    pushed by [f] itself are processed too, so [f] must eventually stop
-    scheduling. *)

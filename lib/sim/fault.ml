@@ -16,7 +16,7 @@ type site_state = {
 }
 
 type t = {
-  mutable plan_seed : int;
+  plan_seed : int;
   trace : Trace.t option;
       (** [None] routes fault records to [Trace.current ()] at record
           time, so a plan shared with parallel tasks traces into each
@@ -124,85 +124,20 @@ let derive_child_seed t ~index =
        (Int64.add (Int64.of_int t.plan_seed)
           (Int64.mul Rng.golden_gamma (Int64.of_int (index + 1)))))
 
-(* Make [c]'s rule table mirror [parent]'s with counters zeroed and
-   site streams re-derived from [c]'s (already set) seed.  Cells are
-   mutated in place where they exist — the point of the child pool:
-   re-fitting a recycled child for the same parent plan allocates
-   nothing. *)
-let refit c parent =
-  let stale =
-    Hashtbl.fold
-      (fun site _ acc ->
-        if Hashtbl.mem parent.table site then acc else site :: acc)
-      c.table []
-  in
-  List.iter (Hashtbl.remove c.table) stale;
-  Hashtbl.iter
-    (fun site (st : site_state) ->
-      match Hashtbl.find_opt c.table site with
-      | Some cst ->
-          cst.trigger <- st.trigger;
-          cst.max_fires <- st.max_fires;
-          Rng.reseed cst.rng (site_seed c site);
-          cst.occurrences <- 0;
-          cst.fired <- 0
-      | None ->
-          Hashtbl.replace c.table site
-            {
-              trigger = st.trigger;
-              max_fires = st.max_fires;
-              rng = site_rng c site;
-              occurrences = 0;
-              fired = 0;
-            })
-    parent.table
-
 let child t ~index =
   let c = { plan_seed = derive_child_seed t ~index; trace = None; table = Hashtbl.create 8 } in
-  refit c t;
+  Hashtbl.iter
+    (fun site (st : site_state) ->
+      Hashtbl.replace c.table site
+        {
+          trigger = st.trigger;
+          max_fires = st.max_fires;
+          rng = site_rng c site;
+          occurrences = 0;
+          fired = 0;
+        })
+    t.table;
   c
-
-(* --- Child-plan pool -----------------------------------------------
-
-   Serving derives one child plan per request; the table and per-site
-   cells are identical in shape across requests of the same parent
-   plan, so recycling them removes a Hashtbl + N site records + N RNG
-   cells per request.  [acquire_child] scrubs on acquire ([refit]
-   zeroes counters and reseeds every stream), so a crashed request's
-   counters can never leak into the next request through the pool. *)
-
-let child_pool : t list ref = ref []
-let child_pool_len = ref 0
-let child_pool_mu = Mutex.create ()
-let child_pool_cap = 4096
-
-let acquire_child t ~index =
-  let seed = derive_child_seed t ~index in
-  let pooled =
-    Mutex.protect child_pool_mu (fun () ->
-        match !child_pool with
-        | c :: rest ->
-            child_pool := rest;
-            decr child_pool_len;
-            Some c
-        | [] -> None)
-  in
-  match pooled with
-  | Some c ->
-      c.plan_seed <- seed;
-      refit c t;
-      c
-  | None ->
-      let c = { plan_seed = seed; trace = None; table = Hashtbl.create 8 } in
-      refit c t;
-      c
-
-let release_child c =
-  Mutex.protect child_pool_mu (fun () ->
-      if !child_pool_len < child_pool_cap then begin
-        child_pool := c :: !child_pool;
-        incr child_pool_len
-      end)
 
 (* Fold a finished child's occurrence/fire counts back into the parent
    so plan-level accounting ([fired], [schedule], ...) covers the whole
@@ -217,8 +152,7 @@ let absorb t c =
              st.occurrences <- st.occurrences + cst.occurrences;
              st.fired <- st.fired + cst.fired
          | None ->
-             (* Copy, never alias: [c] may be released to the child
-                pool after this and its cells re-fitted in place. *)
+             (* Copy, never alias: [c] stays usable after this. *)
              Hashtbl.replace t.table site
                {
                  trigger = cst.trigger;

@@ -50,20 +50,6 @@ val child : t -> index:int -> t
     schedule whatever the host interleaving.  Records to
     {!Trace.current}. *)
 
-val acquire_child : t -> index:int -> t
-(** Exactly {!child}, but backed by a process-wide pool of recycled
-    child plans: the rule table and per-site RNG cells of a released
-    plan are re-fitted in place (counters zeroed, streams reseeded
-    from the derived child seed), so the steady-state cost is zero
-    allocation.  Behaviour — every draw, count and record — is
-    indistinguishable from {!child}. *)
-
-val release_child : t -> unit
-(** Return a child plan to the pool once it has been {!absorb}ed (or
-    deliberately discarded).  The pool takes ownership: the caller
-    must not touch the plan afterwards.  Scrubbing happens on the next
-    {!acquire_child}, so a crashed request's counters never leak. *)
-
 val absorb : t -> t -> unit
 (** [absorb parent c] folds a finished child's occurrence and fire
     counts back into [parent] (sites visited in sorted order), so

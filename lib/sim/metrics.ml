@@ -216,12 +216,19 @@ let snapshot_histogram name (h : histo) =
      sample the digest does: every observation made while thinning
      feeds it. *)
   let lossless = Stats.count h.samples = h.h_count in
+  (* Query a copy: a percentile query flushes the digest it reads, and
+     the live one must not depend on when earlier snapshots ran. *)
+  let digest =
+    match h.h_sketch with
+    | Some d when not lossless -> Some (Sketch.Tdigest.copy d)
+    | _ -> None
+  in
   let pct p =
     if empty then 0.0
     else
-      match h.h_sketch with
-      | Some d when not lossless -> Sketch.Tdigest.percentile d p
-      | _ -> Stats.percentile h.samples p
+      match digest with
+      | Some d -> Sketch.Tdigest.percentile d p
+      | None -> Stats.percentile h.samples p
   in
   let buckets = ref [] in
   for i = 63 downto 0 do

@@ -20,15 +20,6 @@ let domain_count = Atomic.make 1
 let set_domains n = Atomic.set domain_count (if n < 1 then 1 else n)
 let domains () = Atomic.get domain_count
 
-(* Submissions claimed per atomic fetch in [run]: batching amortises
-   the shared-cursor contention when tasks are small.  Results stay
-   indexed by submission position, so any batch size produces
-   byte-identical output. *)
-let batch_size = Atomic.make 1
-
-let set_batch k = Atomic.set batch_size (if k < 1 then 1 else k)
-let batch () = Atomic.get batch_size
-
 (* The pool width that matches the machine: the runtime's recommended
    domain count, never less than 1.  Spinning up more domains than
    cores (the old [min 4 ...] default did exactly that on a 1-core
@@ -118,7 +109,6 @@ let scrub_shard sh =
   Span.clear sh.sh_span;
   Span.set_enabled sh.sh_span false;
   Trace.clear sh.sh_trace;
-  Trace.set_sample_every sh.sh_trace 1;
   Trace.set_enabled sh.sh_trace false;
   Metrics.reset_registry sh.sh_metrics;
   Stats.Counter.reset_registry sh.sh_counters
@@ -148,42 +138,28 @@ let release_shard sh =
         incr shard_pool_len
       end)
 
-let shard_pool_size () = Mutex.protect shard_pool_mu (fun () -> !shard_pool_len)
-
 (* --- The pool ------------------------------------------------------ *)
 
 (* Run [tasks] and return their results by submission index.  Work is
-   claimed from a shared atomic cursor, [batch] contiguous submissions
-   per fetch (default: the [set_batch] global); the submitting domain
-   participates, so [domains () = 1] costs no spawn.  Batching only
-   changes which domain runs which task — results and errors stay
-   keyed by submission index, so output is byte-identical at any
-   batch size.  The first failing task *by submission index*
-   re-raises after every domain has joined — completion order never
-   leaks, even through errors. *)
-let run ?batch (tasks : (unit -> 'a) array) : 'a array =
+   claimed one submission per fetch from a shared atomic cursor; the
+   submitting domain participates, so [domains () = 1] costs no spawn.
+   The first failing task *by submission index* re-raises after every
+   domain has joined — completion order never leaks, even through
+   errors. *)
+let run (tasks : (unit -> 'a) array) : 'a array =
   let n = Array.length tasks in
   let d = min (domains ()) n in
-  let k =
-    match batch with
-    | Some k when k >= 1 -> k
-    | Some _ -> 1
-    | None -> Atomic.get batch_size
-  in
   if d <= 1 then Array.map (fun f -> f ()) tasks
   else begin
     let results : 'a option array = Array.make n None in
     let errors : exn option array = Array.make n None in
     let next = Atomic.make 0 in
     let rec worker () =
-      let base = Atomic.fetch_and_add next k in
-      if base < n then begin
-        let stop = Stdlib.min n (base + k) in
-        for i = base to stop - 1 do
-          match tasks.(i) () with
-          | v -> results.(i) <- Some v
-          | exception e -> errors.(i) <- Some e
-        done;
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match tasks.(i) () with
+        | v -> results.(i) <- Some v
+        | exception e -> errors.(i) <- Some e);
         worker ()
       end
     in
@@ -197,5 +173,3 @@ let run ?batch (tasks : (unit -> 'a) array) : 'a array =
     (match !first_error with Some e -> raise e | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map f arr = run (Array.map (fun x () -> f x) arr)

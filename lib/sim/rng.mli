@@ -9,11 +9,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator. *)
 
-val reseed : t -> int -> unit
-(** [reseed t seed] resets [t] in place to the exact state of
-    [create seed] — what lets pooled structures reuse a generator cell
-    instead of allocating a fresh one per request. *)
-
 val copy : t -> t
 (** An independent generator continuing from [t]'s current state. *)
 

@@ -2,9 +2,7 @@ type event = { at : Units.time; category : string; label : string; detail : stri
 
 (* The ring is materialised on first record, so an enabled-but-silent
    trace (e.g. a per-request shard on the serving path) costs a few
-   words, not [capacity] slots.  [every]/[phase] implement seeded
-   1-in-k event sampling: with [every <= 1] the path is bit-identical
-   to an unsampled trace. *)
+   words, not [capacity] slots. *)
 type t = {
   mutable ring : event option array;
   capacity : int;
@@ -12,46 +10,22 @@ type t = {
   mutable stored : int;
   mutable dropped : int;
   mutable on : bool;
-  mutable every : int;  (** Keep 1 event in [every]; 1 = keep all. *)
-  mutable phase : int;
-  mutable seen : int;  (** Events offered while enabled, kept or not. *)
 }
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  {
-    ring = [||];
-    capacity;
-    head = 0;
-    stored = 0;
-    dropped = 0;
-    on = false;
-    every = 1;
-    phase = 0;
-    seen = 0;
-  }
+  { ring = [||]; capacity; head = 0; stored = 0; dropped = 0; on = false }
 
 let enabled t = t.on
 let set_enabled t v = t.on <- v
 
-let set_sample_every t ?(seed = 0) every =
-  if every < 1 then invalid_arg "Trace.set_sample_every: every must be >= 1";
-  t.every <- every;
-  t.phase <- ((seed mod every) + every) mod every
-
-let sample_every t = t.every
-
 let record t ~at ~category ~label detail =
   if t.on then begin
-    let keep = t.every <= 1 || t.seen mod t.every = t.phase in
-    t.seen <- t.seen + 1;
-    if keep then begin
-      if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
-      let cap = t.capacity in
-      if t.stored = cap then t.dropped <- t.dropped + 1 else t.stored <- t.stored + 1;
-      t.ring.(t.head) <- Some { at; category; label; detail };
-      t.head <- (t.head + 1) mod cap
-    end
+    if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
+    let cap = t.capacity in
+    if t.stored = cap then t.dropped <- t.dropped + 1 else t.stored <- t.stored + 1;
+    t.ring.(t.head) <- Some { at; category; label; detail };
+    t.head <- (t.head + 1) mod cap
   end
 
 let recordf t ~at ~category ~label fmt =
@@ -71,7 +45,6 @@ let events t =
 
 let count t = t.stored
 let dropped t = t.dropped
-let seen t = t.seen
 
 let filter t ~category =
   List.filter (fun e -> String.equal e.category category) (events t)
@@ -89,8 +62,7 @@ let clear t =
   end;
   t.head <- 0;
   t.stored <- 0;
-  t.dropped <- 0;
-  t.seen <- 0
+  t.dropped <- 0
 
 let pp_event fmt e =
   Format.fprintf fmt "[%a] %-10s %-20s %s" Units.pp e.at e.category e.label e.detail
@@ -101,9 +73,8 @@ let dump t =
 let global = create ()
 
 (* Graft a shard's events onto [t] with times shifted by [offset].
-   Replaying through [record] keeps ring-buffer drop accounting and
-   destination-side sampling identical to having recorded the events
-   directly. *)
+   Replaying through [record] keeps ring-buffer drop accounting
+   identical to having recorded the events directly. *)
 let import t ~offset shard =
   List.iter
     (fun e ->

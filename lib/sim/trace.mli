@@ -43,17 +43,6 @@ val count : t -> int
 val dropped : t -> int
 (** Events lost to ring overflow. *)
 
-val set_sample_every : t -> ?seed:int -> int -> unit
-(** [set_sample_every t ~seed k] keeps 1 event in [k] (a deterministic
-    1-in-k stride whose phase is [seed mod k]).  [k = 1] (the default)
-    keeps every event and is bit-identical to an unsampled trace.
-    Raises [Invalid_argument] when [k < 1]. *)
-
-val sample_every : t -> int
-
-val seen : t -> int
-(** Events offered while enabled, whether kept by sampling or not. *)
-
 val filter : t -> category:string -> event list
 val clear : t -> unit
 val pp_event : Format.formatter -> event -> unit

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity matrix over the seeded CLI and bench runs.  Each
 # configuration runs under several variants -- a plain re-run, or other
-# host domain counts and batch widths -- and every variant's output is
-# diffed against the first.  Virtual output must not depend on the
+# host domain counts -- and every variant's output is diffed against the
+# first.  Virtual output must not depend on the
 # host, so any difference is a determinism bug.
 #
 # Run from the repository root:  scripts/identity_matrix.sh
@@ -26,17 +26,16 @@ same() {
 for v in a b; do "$bench" chaos | grep -v took > "$out/chaos-$v.txt"; done
 same "bench chaos" "$out"/chaos-{a,b}.txt
 
-# --domains and --batch are host scheduling knobs only.
-"$cli" serve -n 120 --domains 1 --batch 1 > "$out/serve-1.txt"
+# --domains is a host scheduling knob only.
+"$cli" serve -n 120 --domains 1 > "$out/serve-1.txt"
 "$cli" serve -n 120 --domains 4 > "$out/serve-4.txt"
-"$cli" serve -n 120 --domains 4 --batch 64 > "$out/serve-4b64.txt"
-same "serve -n 120" "$out"/serve-{1,4,4b64}.txt
+same "serve -n 120" "$out"/serve-{1,4}.txt
 
 # The streamed 10^5-request leg with 1-in-64 sampled observability.
 scale=(serve -n 100000 --qps 800 --sample-every 64)
-"$cli" "${scale[@]}" --domains 1 --batch 1 > "$out/scale-1.txt"
-"$cli" "${scale[@]}" --domains 4 --batch 64 > "$out/scale-4b64.txt"
-same "serve -n 100000" "$out"/scale-{1,4b64}.txt
+"$cli" "${scale[@]}" --domains 1 > "$out/scale-1.txt"
+"$cli" "${scale[@]}" --domains 4 > "$out/scale-4.txt"
+same "serve -n 100000" "$out"/scale-{1,4}.txt
 
 # A 10^4-virtual-second soak with a burn-rate SLO monitor.  The CLI
 # exits non-zero if live heap words trend upward.  Its summary (minus

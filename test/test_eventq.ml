@@ -1,10 +1,9 @@
 (* Differential test for the pairing-heap event queue: the heap is run
    side by side with a naive sorted-list reference model through
-   thousands of seeded random operations (insert, pop, cancel, re-key)
-   and must agree on every pop — payload, timestamp and tie order.
-   The reference mirrors the heap's tie-break contract exactly:
-   ordering is (time, priority, insertion sequence), and a reschedule
-   counts as a fresh insertion. *)
+   thousands of seeded random inserts and pops and must agree on every
+   pop — payload, timestamp and tie order.  The reference mirrors the
+   heap's tie-break contract exactly: ordering is (time, priority,
+   insertion sequence). *)
 
 open Sim
 
@@ -34,13 +33,6 @@ let model_pop m =
       m.entries <- List.filter (fun e -> e != best) m.entries;
       Some (best.re_at, best.re_id)
 
-let model_mem m id = List.exists (fun e -> e.re_id = id) m.entries
-
-let model_remove m id =
-  let present = model_mem m id in
-  if present then m.entries <- List.filter (fun e -> e.re_id <> id) m.entries;
-  present
-
 (* --- The differential driver --------------------------------------- *)
 
 let check_pop_agrees name q model =
@@ -55,59 +47,25 @@ let check_pop_agrees name q model =
   | None, Some _ -> Alcotest.fail (name ^ ": heap empty, reference has events")
 
 let test_differential () =
-  (* 10^4 mixed operations per seed.  Handles of every insert are kept
-     (popped or not) so cancels and re-keys regularly target stale
-     handles — the edge the [queued] flag guards. *)
+  (* 10^4 mixed inserts and pops per seed. *)
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
       let q : int Eventq.t = Eventq.create () in
       let model = model_create () in
-      (* id -> (handle, priority given at insert; re-keys keep it) *)
-      let handles : (int, int Eventq.handle * int) Hashtbl.t = Hashtbl.create 64 in
       let next_id = ref 0 in
       let random_time () = Units.ns_f (float_of_int (Rng.int rng 1_000_000)) in
-      let random_known () =
-        if !next_id = 0 then None else Some (Rng.int rng !next_id)
-      in
       for op = 1 to 10_000 do
         let name = Printf.sprintf "seed %d op %d" seed op in
-        match Rng.int rng 10 with
-        | 0 | 1 | 2 | 3 | 4 ->
-            (* insert *)
-            let id = !next_id in
-            incr next_id;
-            let at = random_time () and pri = Rng.int rng 3 in
-            Hashtbl.replace handles id (Eventq.add q ~at ~pri id, pri);
-            model_insert model ~at ~pri ~id
-        | 5 | 6 | 7 ->
-            (* pop *)
-            check_pop_agrees name q model
-        | 8 -> (
-            (* cancel — possibly of an already-popped event *)
-            match random_known () with
-            | None -> ()
-            | Some id ->
-                let h, _ = Hashtbl.find handles id in
-                let heap_did = Eventq.cancel q h in
-                let model_did = model_remove model id in
-                Alcotest.(check bool) (name ^ ": cancel effect") model_did heap_did)
-        | _ -> (
-            (* re-key — a popped/cancelled handle is re-armed *)
-            match random_known () with
-            | None -> ()
-            | Some id ->
-                let h, pri = Hashtbl.find handles id in
-                let at = random_time () in
-                Eventq.reschedule q h ~at;
-                ignore (model_remove model id);
-                (* a reschedule keeps the priority but consumes a
-                   fresh insertion sequence *)
-                let e =
-                  { re_at = at; re_pri = pri; re_seq = model.next_seq; re_id = id }
-                in
-                model.next_seq <- model.next_seq + 1;
-                model.entries <- e :: model.entries)
+        if Rng.int rng 8 < 5 then begin
+          (* insert *)
+          let id = !next_id in
+          incr next_id;
+          let at = random_time () and pri = Rng.int rng 3 in
+          Eventq.push q ~at ~pri id;
+          model_insert model ~at ~pri ~id
+        end
+        else check_pop_agrees name q model
       done;
       (* Drain both completely: remaining order must agree too. *)
       let rec drain n =
@@ -120,8 +78,7 @@ let test_differential () =
       Alcotest.(check int) (Printf.sprintf "seed %d: empty" seed) 0 (Eventq.length q))
     [ 1; 7; 42; 1234 ]
 
-(* Re-keys keep priority in the differential test above at 0; this
-   pins the documented contract directly. *)
+(* Same-instant, same-priority events pop in insertion order. *)
 let test_fifo_ties () =
   let q : int Eventq.t = Eventq.create () in
   let at = Units.ms 5 in
@@ -158,60 +115,9 @@ let test_priority_classes () =
   in
   Alcotest.(check (list (pair int int))) "class then FIFO" expect (List.rev !popped)
 
-let test_cancel_of_popped () =
-  let q : string Eventq.t = Eventq.create () in
-  let h = Eventq.add q ~at:(Units.ms 1) "x" in
-  Alcotest.(check bool) "queued before pop" true (Eventq.queued h);
-  Alcotest.(check bool) "pop succeeds" true (Eventq.pop q <> None);
-  Alcotest.(check bool) "not queued after pop" false (Eventq.queued h);
-  Alcotest.(check bool) "cancel of popped is a no-op" false (Eventq.cancel q h);
-  Alcotest.(check bool) "double cancel too" false (Eventq.cancel q h);
-  Alcotest.(check int) "queue untouched" 0 (Eventq.length q);
-  (* Re-arming a popped handle makes it live again. *)
-  Eventq.reschedule q h ~at:(Units.ms 3);
-  Alcotest.(check bool) "re-armed" true (Eventq.queued h);
-  (match Eventq.pop q with
-  | Some (t, v) ->
-      Alcotest.(check string) "re-armed payload" "x" v;
-      Alcotest.(check int64) "re-armed time" (Units.to_ns (Units.ms 3)) (Units.to_ns t)
-  | None -> Alcotest.fail "re-armed event lost");
-  Alcotest.(check bool) "cancel after second pop" false (Eventq.cancel q h)
-
-let test_cancel_interior () =
-  (* Cancelling interior nodes (not the root) exercises the pred-link
-     repair path; remaining pops must still be globally sorted. *)
-  let q : int Eventq.t = Eventq.create () in
-  let hs =
-    Array.init 200 (fun i -> Eventq.add q ~at:(Units.us ((i * 37 mod 199) + 1)) i)
-  in
-  (* cancel every third *)
-  let cancelled = Hashtbl.create 16 in
-  Array.iteri
-    (fun i h ->
-      if i mod 3 = 0 then begin
-        Alcotest.(check bool) "cancel live" true (Eventq.cancel q h);
-        Hashtbl.replace cancelled i ()
-      end)
-    hs;
-  let last = ref Units.zero and n = ref 0 in
-  let rec go () =
-    match Eventq.pop q with
-    | Some (t, v) ->
-        Alcotest.(check bool) "sorted" true (Units.compare !last t <= 0);
-        Alcotest.(check bool) "cancelled never pops" false (Hashtbl.mem cancelled v);
-        last := t;
-        incr n;
-        go ()
-    | None -> ()
-  in
-  go ();
-  Alcotest.(check int) "survivors all popped" (200 - Array.length hs / 3 - 1) !n
-
 let suite =
   [
     Alcotest.test_case "differential vs sorted-list reference" `Quick test_differential;
     Alcotest.test_case "same-deadline FIFO" `Quick test_fifo_ties;
     Alcotest.test_case "priority classes break instant ties" `Quick test_priority_classes;
-    Alcotest.test_case "cancel/re-key of popped handles" `Quick test_cancel_of_popped;
-    Alcotest.test_case "interior cancels keep order" `Quick test_cancel_interior;
   ]

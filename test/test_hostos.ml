@@ -172,47 +172,6 @@ let sched_no_core_overlap_property =
           acc && ok sorted)
         by_core true)
 
-let test_shm_roundtrip () =
-  let clock = Clock.create () in
-  let shm = Shm.create ~size:65536 ~clock in
-  Alcotest.(check int) "size" 65536 (Shm.size shm);
-  let after_setup = Clock.now clock in
-  Alcotest.(check bool) "setup charged" true (Units.( > ) after_setup Units.zero);
-  (* Reading before any write fails (no doorbell). *)
-  (match Shm.read shm ~clock with
-  | _ -> Alcotest.fail "read before write must fail"
-  | exception Failure _ -> ());
-  let payload = Bytes.init 10_000 (fun i -> Char.chr (i mod 256)) in
-  Shm.write shm ~clock payload;
-  let got = Shm.read shm ~clock in
-  Alcotest.(check bytes) "roundtrip" payload got;
-  Alcotest.(check bool) "transfer charged" true
-    (Units.( > ) (Clock.now clock) after_setup)
-
-let test_shm_second_read_no_faults () =
-  let clock = Clock.create () in
-  let shm = Shm.create ~size:(1024 * 1024) ~clock in
-  let payload = Bytes.make (1024 * 1024) 'x' in
-  Shm.write shm ~clock payload;
-  ignore (Shm.read shm ~clock);
-  let t1 = Clock.now clock in
-  Shm.write shm ~clock payload;
-  ignore (Shm.read shm ~clock);
-  let second = Units.sub (Clock.now clock) t1 in
-  Shm.write shm ~clock payload;
-  let t2 = Clock.now clock in
-  ignore (Shm.read shm ~clock);
-  ignore t2;
-  (* Warm mapping: the second full exchange is cheaper than the first
-     (no page faults). *)
-  let clock2 = Clock.create () in
-  let shm2 = Shm.create ~size:(1024 * 1024) ~clock:clock2 in
-  let s0 = Clock.now clock2 in
-  Shm.write shm2 ~clock:clock2 payload;
-  ignore (Shm.read shm2 ~clock:clock2);
-  let first = Units.sub (Clock.now clock2) s0 in
-  Alcotest.(check bool) "warm exchange cheaper" true (Units.( < ) second first)
-
 let test_cgroup_quota () =
   let half = Cgroup.create ~quota:0.5 in
   Alcotest.check check_time "half quota doubles wall time" (Units.ms 20)
@@ -257,8 +216,6 @@ let suite =
     Alcotest.test_case "sched shared pool" `Quick test_sched_pool_shared_across_calls;
     QCheck_alcotest.to_alcotest sched_bounds_property;
     QCheck_alcotest.to_alcotest sched_no_core_overlap_property;
-    Alcotest.test_case "shm roundtrip" `Quick test_shm_roundtrip;
-    Alcotest.test_case "shm warm mapping cheaper" `Quick test_shm_second_read_no_faults;
     Alcotest.test_case "cgroup quota" `Quick test_cgroup_quota;
     Alcotest.test_case "tap allocation" `Quick test_tap_allocation;
   ]

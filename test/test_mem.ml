@@ -417,20 +417,6 @@ let test_alloc_reuse_after_free () =
   let b3 = Option.get (Alloc.alloc a ~size:256 ~align:8) in
   Alcotest.(check int) "front reused" b1 b3
 
-let test_alloc_best_fit () =
-  let a = Alloc.create ~policy:Alloc.Best_fit ~base:0 ~size:4096 () in
-  (* Carve holes of 512 and 128 bytes. *)
-  let b1 = Option.get (Alloc.alloc a ~size:512 ~align:1) in
-  let b2 = Option.get (Alloc.alloc a ~size:64 ~align:1) in
-  let b3 = Option.get (Alloc.alloc a ~size:128 ~align:1) in
-  let _b4 = Option.get (Alloc.alloc a ~size:64 ~align:1) in
-  Alloc.free a b1;
-  Alloc.free a b3;
-  ignore b2;
-  (* A 100-byte request should land in the 128 hole, not the 512 one. *)
-  let b5 = Option.get (Alloc.alloc a ~size:100 ~align:1) in
-  Alcotest.(check int) "best fit picks smallest hole" b3 b5
-
 let test_alloc_reset () =
   let a = Alloc.create ~base:0 ~size:4096 () in
   ignore (Alloc.alloc a ~size:512 ~align:8);
@@ -513,7 +499,6 @@ let suite =
     Alcotest.test_case "alloc exhaustion" `Quick test_alloc_exhaustion;
     Alcotest.test_case "alloc double free" `Quick test_alloc_double_free;
     Alcotest.test_case "alloc reuse after free" `Quick test_alloc_reuse_after_free;
-    Alcotest.test_case "alloc best fit" `Quick test_alloc_best_fit;
     Alcotest.test_case "alloc reset" `Quick test_alloc_reset;
     QCheck_alcotest.to_alcotest alloc_trace_property;
     QCheck_alcotest.to_alcotest full_free_coalesces_property;

@@ -35,28 +35,81 @@ let test_run_first_error_wins () =
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg -> Alcotest.(check string) "lowest index" "3" msg)
 
-(* --- Batched work claiming ----------------------------------------- *)
+(* --- Collector shards ---------------------------------------------- *)
 
-let test_run_batched_submission_order () =
-  (* Results stay keyed by submission index at any batch size,
-     including batches larger than the task count. *)
-  with_domains 8 (fun () ->
-      List.iter
-        (fun k ->
-          let results = Par.run ~batch:k (Array.init 100 (fun i () -> i * 3)) in
-          Alcotest.(check int) "all results" 100 (Array.length results);
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check int) (Printf.sprintf "batch %d slot %d" k i) (i * 3) v)
-            results)
-        [ 1; 2; 8; 64; 1000 ])
+let all_on = { Par.cfg_span_on = true; cfg_trace_on = true }
 
-let test_run_batched_first_error_wins () =
-  with_domains 8 (fun () ->
-      let task i () = if i mod 3 = 0 && i > 0 then failwith (string_of_int i) else i in
-      match Par.run ~batch:8 (Array.init 32 (fun i -> task i)) with
-      | _ -> Alcotest.fail "expected a failure"
-      | exception Failure msg -> Alcotest.(check string) "lowest index" "3" msg)
+let test_with_shard_restores_on_raise () =
+  (* A task that raises inside its shard must leave the submitting
+     domain's collectors installed, or every later write of the run
+     would land in the dead task's shard. *)
+  let span0 = Span.current () and trace0 = Trace.current () in
+  let metrics0 = Metrics.current () and counters0 = Stats.Counter.current () in
+  let sh = Par.acquire_shard all_on in
+  (match
+     Par.with_shard sh (fun () ->
+         Alcotest.(check bool) "shard installed" true
+           (Span.current () == sh.Par.sh_span
+           && Trace.current () == sh.Par.sh_trace
+           && Metrics.current () == sh.Par.sh_metrics
+           && Stats.Counter.current () == sh.Par.sh_counters);
+         failwith "task")
+   with
+  | () -> Alcotest.fail "expected the task to raise"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "span collector restored" true (Span.current () == span0);
+  Alcotest.(check bool) "trace restored" true (Trace.current () == trace0);
+  Alcotest.(check bool) "metrics registry restored" true
+    (Metrics.current () == metrics0);
+  Alcotest.(check bool) "counter registry restored" true
+    (Stats.Counter.current () == counters0);
+  Par.release_shard sh
+
+let test_merge_shard_offset_attach () =
+  (* A shard records on its task's relative timeline; the merge shifts
+     every span and trace event by [offset] and hangs the shard's root
+     spans under [attach], keeping the shard's inner parent links. *)
+  let dst = Par.make_shard all_on in
+  let sh = Par.acquire_shard all_on in
+  Par.with_shard sh (fun () ->
+      let sp = Span.current () in
+      let root =
+        Span.begin_span sp ~parent:Span.none ~at:(Units.us 10) ~category:"function"
+          ~label:"f" ()
+      in
+      let leaf =
+        Span.begin_span sp ~parent:root ~at:(Units.us 20) ~category:"compute"
+          ~label:"c" ()
+      in
+      Span.end_span sp leaf ~at:(Units.us 30);
+      Span.end_span sp root ~at:(Units.us 40);
+      Trace.record (Trace.current ()) ~at:(Units.us 25) ~category:"visor" ~label:"ev"
+        "d");
+  let offset = Units.ms 5 in
+  Par.with_shard dst (fun () ->
+      let req =
+        Span.begin_span (Span.current ()) ~parent:Span.none ~at:(Units.ms 4)
+          ~category:"request" ~label:"r" ()
+      in
+      Par.merge_shard ~attach:req ~offset sh;
+      Par.release_shard sh;
+      let at us = Units.to_ns (Units.add offset (Units.us us)) in
+      let find label =
+        List.find
+          (fun (s : Span.span) -> s.Span.sp_label = label)
+          (Span.spans dst.Par.sh_span)
+      in
+      let f = find "f" and c = find "c" in
+      Alcotest.(check int) "shard root attached" req f.Span.sp_parent;
+      Alcotest.(check int) "inner link kept" f.Span.sp_id c.Span.sp_parent;
+      Alcotest.(check (list int64)) "span times shifted"
+        [ at 10; at 40; at 20; at 30 ]
+        (List.map Units.to_ns
+           [ f.Span.sp_begin; f.Span.sp_end; c.Span.sp_begin; c.Span.sp_end ]);
+      Alcotest.(check (list int64)) "trace event shifted" [ at 25 ]
+        (List.map
+           (fun (e : Trace.event) -> Units.to_ns e.Trace.at)
+           (Trace.events dst.Par.sh_trace)))
 
 (* --- Sched scratch pools and in-place reset ------------------------ *)
 
@@ -277,39 +330,66 @@ let test_seeded_stress_across_domains () =
   done;
   Alcotest.(check int) "no WFD leak" live0 (Wfd.live_count ())
 
-let observe_serve ~requests ~domains ?(batch = 1) ?config () =
+let observe_serve ~requests ~domains ?config () =
   with_domains domains (fun () ->
-      Par.set_batch batch;
-      Fun.protect
-        ~finally:(fun () -> Par.set_batch 1)
-        (fun () ->
-          reset_observability ();
-          Span.set_enabled Span.global true;
-          let r = serve_once ?config ~requests () in
-          let tr = Obs.trace_json_string () in
-          let me = Obs.metrics_json_string () in
-          Span.set_enabled Span.global false;
-          reset_observability ();
-          fingerprint r ^ "|" ^ summary r ^ "||" ^ tr ^ "||" ^ me))
+      reset_observability ();
+      Span.set_enabled Span.global true;
+      let r = serve_once ?config ~requests () in
+      let tr = Obs.trace_json_string () in
+      let me = Obs.metrics_json_string () in
+      Span.set_enabled Span.global false;
+      reset_observability ();
+      fingerprint r ^ "|" ^ summary r ^ "||" ^ tr ^ "||" ^ me)
 
-let test_serve_identical_across_batch () =
-  (* The full observable surface across batch sizes and domain counts:
-     batching is a host scheduling knob, never a virtual one. *)
-  let requests = requests_for ~seed:13 ~count:60 in
-  let base = observe_serve ~requests ~domains:1 ~batch:1 () in
-  List.iter
-    (fun (domains, batch) ->
-      Alcotest.(check string)
-        (Printf.sprintf "batch %d at %d domains" batch domains)
-        base
-        (observe_serve ~requests ~domains ~batch ()))
-    [ (1, 8); (1, 64); (4, 1); (4, 8); (4, 64) ]
+let test_recycled_shard_merges_like_fresh () =
+  (* A shard is used, merged, released and re-acquired; the same writes
+     through it and through a fresh shard must merge to the same bytes.
+     The second round writes other series than the first, so any state
+     the scrub missed shows up in the merged output. *)
+  (* An existing counter: [make] registers its name process-wide. *)
+  let retries = Stats.Counter.make "visor.retries" in
+  let write tag =
+    let sp = Span.current () in
+    let id =
+      Span.begin_span sp ~parent:Span.none ~at:(Units.us 1) ~category:"function"
+        ~label:tag ()
+    in
+    Span.set_attr sp id "tag" tag;
+    Span.end_span sp id ~at:(Units.us 9);
+    Trace.record (Trace.current ()) ~at:(Units.us 3) ~category:"visor" ~label:tag tag;
+    Metrics.observe (Metrics.histogram ("test.par.h." ^ tag)) 42.0;
+    Metrics.set_gauge (Metrics.gauge ("test.par.g." ^ tag)) 7.0;
+    Stats.Counter.add retries (String.length tag)
+  in
+  let merged sh =
+    let dst = Par.make_shard all_on in
+    Par.with_shard dst (fun () ->
+        Par.merge_shard ~offset:(Units.ms 1) sh;
+        String.concat "||"
+          [
+            Obs.trace_json_string ~collector:(Span.current ()) ();
+            Trace.dump (Trace.current ());
+            Obs.metrics_json_string ();
+          ])
+  in
+  let used = Par.acquire_shard all_on in
+  Par.with_shard used (fun () -> write "first");
+  ignore (merged used);
+  Par.release_shard used;
+  let recycled = Par.acquire_shard all_on in
+  Alcotest.(check bool) "the pool hands the shard back" true (recycled == used);
+  let fresh = Par.make_shard all_on in
+  Par.with_shard recycled (fun () -> write "second");
+  Par.with_shard fresh (fun () -> write "second");
+  Alcotest.(check string) "recycled shard merges like a fresh one" (merged fresh)
+    (merged recycled);
+  Par.release_shard recycled
 
 let test_pools_scrubbed_after_chaos () =
   (* Reset-discipline under crashes: a chaos leg (crashing functions,
      failing writes, workflow retries) leaves every per-request pool —
-     collector shards, fault children, process tables, recycled shells
-     — full of crashed-request state.  A clean run after it must be
+     collector shards, process tables, recycled shells — full of
+     crashed-request state.  A clean run after it must be
      byte-identical to the clean run before it, spans and trace and
      metrics exports included: nothing stale may leak out of a pool. *)
   let requests = requests_for ~seed:17 ~count:50 in
@@ -374,10 +454,10 @@ let suite =
     Alcotest.test_case "Par.run keeps submission order" `Quick test_run_submission_order;
     Alcotest.test_case "Par.run re-raises lowest-index error" `Quick
       test_run_first_error_wins;
-    Alcotest.test_case "Par.run batched keeps submission order" `Quick
-      test_run_batched_submission_order;
-    Alcotest.test_case "Par.run batched re-raises lowest-index error" `Quick
-      test_run_batched_first_error_wins;
+    Alcotest.test_case "with_shard restores collectors on raise" `Quick
+      test_with_shard_restores_on_raise;
+    Alcotest.test_case "merge_shard shifts by offset, attaches roots" `Quick
+      test_merge_shard_offset_attach;
     Alcotest.test_case "Sched scratch pools are domain-local" `Quick
       test_scratch_pools_domain_local;
     Alcotest.test_case "Sched reset_pool matches a fresh pool" `Quick
@@ -388,8 +468,8 @@ let suite =
       test_serve_identical_across_domains;
     Alcotest.test_case "chaos identical across domains" `Quick
       test_chaos_identical_across_domains;
-    Alcotest.test_case "serve identical across batch sizes" `Quick
-      test_serve_identical_across_batch;
+    Alcotest.test_case "recycled shard merges like a fresh one" `Quick
+      test_recycled_shard_merges_like_fresh;
     Alcotest.test_case "pools scrubbed after chaos" `Quick
       test_pools_scrubbed_after_chaos;
     Alcotest.test_case "hotspot words match GC accounting" `Quick

@@ -229,30 +229,6 @@ let test_multinode_network_penalty () =
   Alcotest.(check bool) "penalty at least one bridge hop" true
     (Units.( > ) (Units.sub three one) (As_multinode.bridge_cost (4 * 1024 * 1024)))
 
-let test_adaptive_selector () =
-  (* Small payloads ship directly (fixed storage overhead dominates);
-     the selector never costs more than the plain bridge. *)
-  Alcotest.(check bool) "small goes network" true (As_adaptive.pick 4096 = `Network);
-  List.iter
-    (fun len ->
-      let adaptive =
-        match As_adaptive.pick len with
-        | `Network -> As_adaptive.network_cost len
-        | `Storage -> As_adaptive.storage_cost len
-      in
-      Alcotest.(check bool) "never worse than fixed bridge" true
-        (Units.( <= ) adaptive (As_multinode.bridge_cost len)))
-    [ 1024; 65536; 1024 * 1024; 16 * 1024 * 1024 ]
-
-let test_adaptive_multinode_validates () =
-  let app = Workloads.Function_chain.app ~seed:95 ~payload:(512 * 1024) ~length:4 in
-  let m = (As_adaptive.make ~nodes:2).Platform.run app in
-  Platform.check_validated m;
-  (* Adaptive never loses to the fixed-policy split. *)
-  let fixed = ((As_multinode.make ~nodes:2 ()).Platform.run app).Platform.e2e in
-  Alcotest.(check bool) "adaptive <= fixed" true
-    (Units.( <= ) m.Platform.e2e fixed)
-
 let test_bridge_cost_monotonic () =
   Alcotest.(check bool) "grows with size" true
     (Units.( > )
@@ -278,7 +254,5 @@ let suite =
     Alcotest.test_case "multinode chain validates" `Quick test_multinode_chain_validates;
     Alcotest.test_case "multinode wordcount validates" `Quick test_multinode_wordcount_validates;
     Alcotest.test_case "multinode network penalty" `Quick test_multinode_network_penalty;
-    Alcotest.test_case "adaptive selector" `Quick test_adaptive_selector;
-    Alcotest.test_case "adaptive multinode validates" `Quick test_adaptive_multinode_validates;
     Alcotest.test_case "bridge cost monotonic" `Quick test_bridge_cost_monotonic;
   ]

@@ -108,23 +108,6 @@ let test_sampling_across_domains () =
   Alcotest.(check string) "trace export" tr1 tr4;
   Alcotest.(check string) "metrics export" me1 me4
 
-let test_trace_ring_sampling () =
-  let t = Trace.create () in
-  Trace.set_enabled t true;
-  Trace.set_sample_every t ~seed:5 10;
-  for i = 0 to 99 do
-    Trace.record t ~at:(Units.us i) ~category:"c" ~label:"l" (string_of_int i)
-  done;
-  Alcotest.(check int) "kept exactly 1 in 10" 10 (Trace.count t);
-  Alcotest.(check int) "saw all 100" 100 (Trace.seen t);
-  (* Back to k=1: records everything again. *)
-  Trace.clear t;
-  Trace.set_sample_every t 1;
-  for i = 0 to 99 do
-    Trace.record t ~at:(Units.us i) ~category:"c" ~label:"l" (string_of_int i)
-  done;
-  Alcotest.(check int) "k=1 keeps all" 100 (Trace.count t)
-
 let test_metrics_raw_thinning () =
   (* Thinned reservoirs keep aggregates exact and percentiles close:
      stride-sampling a smooth sequence cannot move the median much. *)
@@ -184,6 +167,29 @@ let test_merge_rejects_thinned_shard () =
       Alcotest.(check int) "nothing merged" 0
         (Metrics.histogram_count (Metrics.histogram "thinned_shard")))
 
+let test_percentiles_independent_of_snapshots () =
+  (* A thinned histogram answers percentiles from its t-digest.  Reading
+     a snapshot midway must not change what a later snapshot reports. *)
+  let final ~every_snapshot =
+    let saved = Metrics.current () in
+    Metrics.set_current (Metrics.create_registry ());
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_current saved)
+      (fun () ->
+        Metrics.set_raw_sample_every ~seed:1 4;
+        let h = Metrics.histogram "snap_test" in
+        let rng = Rng.create 5 in
+        for i = 1 to 1_000 do
+          Metrics.observe h (Rng.exponential rng ~mean:90.0);
+          if every_snapshot && i mod 100 = 0 then ignore (Metrics.snapshot ())
+        done;
+        let snap = Metrics.snapshot () in
+        let s = List.hd snap.Metrics.snap_histograms in
+        [ s.Metrics.hs_p50; s.Metrics.hs_p90; s.Metrics.hs_p99 ])
+  in
+  Alcotest.(check (list (float 0.0))) "p50/p90/p99"
+    (final ~every_snapshot:false) (final ~every_snapshot:true)
+
 let suite =
   [
     Alcotest.test_case "sample_every 1 is byte-identical" `Quick test_k1_identical;
@@ -193,8 +199,9 @@ let suite =
       test_sampled_span_population;
     Alcotest.test_case "sampling deterministic across domains" `Quick
       test_sampling_across_domains;
-    Alcotest.test_case "trace ring 1-in-k" `Quick test_trace_ring_sampling;
     Alcotest.test_case "metrics reservoir thinning" `Quick test_metrics_raw_thinning;
     Alcotest.test_case "merge rejects a thinned shard" `Quick
       test_merge_rejects_thinned_shard;
+    Alcotest.test_case "percentiles independent of earlier snapshots" `Quick
+      test_percentiles_independent_of_snapshots;
   ]

@@ -155,15 +155,6 @@ let test_eventq_fifo_ties () =
   let order = List.init 3 (fun _ -> match Eventq.pop q with Some (_, x) -> x | None -> "?") in
   Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] order
 
-let test_eventq_drain_reentrant () =
-  let q = Eventq.create () in
-  Eventq.push q ~at:(Units.us 1) 3;
-  let seen = ref [] in
-  Eventq.drain q (fun at n ->
-      seen := n :: !seen;
-      if n > 1 then Eventq.push q ~at:(Units.add at (Units.us 1)) (n - 1));
-  Alcotest.(check (list int)) "cascade" [ 1; 2; 3 ] !seen
-
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   let xs = List.init 20 (fun _ -> Rng.int a 1000) in
@@ -314,7 +305,6 @@ let suite =
     Alcotest.test_case "stats time helpers" `Quick test_stats_time;
     Alcotest.test_case "eventq ordering" `Quick test_eventq_ordering;
     Alcotest.test_case "eventq FIFO ties" `Quick test_eventq_fifo_ties;
-    Alcotest.test_case "eventq reentrant drain" `Quick test_eventq_drain_reentrant;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng ranges" `Quick test_rng_ranges;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
