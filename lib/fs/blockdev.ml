@@ -33,55 +33,78 @@ let check t sector =
   if sector < 0 || sector >= t.nsectors then
     invalid_arg (Printf.sprintf "Blockdev: sector %d out of range" sector)
 
-let sector_data t sector =
+let check_range t sector count =
+  check t sector;
+  if count > 0 then check t (sector + count - 1)
+
+let check_len fn count len =
+  if len < 0 || len > count * sector_size then
+    invalid_arg (Printf.sprintf "Blockdev.%s: %d bytes over %d sectors" fn len count)
+
+(* The stored copy of [sector], materialised as zeroes on first write. *)
+let stored t sector =
   match Hashtbl.find_opt t.store sector with
   | Some b -> b
-  | None -> Bytes.make sector_size '\000'
+  | None ->
+      let fresh = Bytes.make sector_size '\000' in
+      Hashtbl.replace t.store sector fresh;
+      fresh
 
-let read_sector t sector =
-  check t sector;
-  t.reads <- t.reads + 1;
-  Bytes.copy (sector_data t sector)
+(* The one copy out of the store: [len] bytes from [sector] on into
+   [dst] at [off]; unwritten sectors read as zeroes. *)
+let read_into t ~sector ~count dst off len =
+  check_range t sector count;
+  check_len "read_into" count len;
+  t.reads <- t.reads + count;
+  let i = ref 0 in
+  while !i * sector_size < len do
+    let o = !i * sector_size in
+    let n = Stdlib.min sector_size (len - o) in
+    (match Hashtbl.find_opt t.store (sector + !i) with
+    | Some b -> Bytes.blit b 0 dst (off + o) n
+    | None -> Bytes.fill dst (off + o) n '\000');
+    incr i
+  done
 
-let write_sector t sector b =
-  check t sector;
-  t.writes <- t.writes + 1;
-  let stored =
-    match Hashtbl.find_opt t.store sector with
-    | Some existing -> existing
-    | None ->
-        let fresh = Bytes.make sector_size '\000' in
-        Hashtbl.replace t.store sector fresh;
-        fresh
-  in
-  Bytes.blit b 0 stored 0 (Stdlib.min (Bytes.length b) sector_size)
+(* The one copy into the store: [len] bytes of [src] from [off] into
+   the sectors from [sector] on; a partial last sector keeps its tail. *)
+let blit_in t sector src off len =
+  let i = ref 0 in
+  while !i * sector_size < len do
+    let o = !i * sector_size in
+    Bytes.blit src (off + o) (stored t (sector + !i)) 0 (Stdlib.min sector_size (len - o));
+    incr i
+  done
+
+let write_from t ~sector ~count src off len =
+  check_range t sector count;
+  check_len "write_from" count len;
+  t.writes <- t.writes + count;
+  blit_in t sector src off len;
+  (* Zero the rest of the [count] sectors, as a zero-padded buffer would. *)
+  for i = len / sector_size to count - 1 do
+    let from = Stdlib.max 0 (len - (i * sector_size)) in
+    Bytes.fill (stored t (sector + i)) from (sector_size - from) '\000'
+  done
 
 let read_range t ~sector ~count =
-  check t sector;
-  if count > 0 then check t (sector + count - 1);
-  t.reads <- t.reads + count;
   let out = Bytes.create (count * sector_size) in
-  for i = 0 to count - 1 do
-    Bytes.blit (sector_data t (sector + i)) 0 out (i * sector_size) sector_size
-  done;
+  read_into t ~sector ~count out 0 (Bytes.length out);
   out
+
+let read_sector t sector = read_range t ~sector ~count:1
 
 let write_range t ~sector b =
   let len = Bytes.length b in
   let count = (len + sector_size - 1) / sector_size in
-  check t sector;
-  if count > 0 then check t (sector + count - 1);
+  check_range t sector count;
   t.writes <- t.writes + count;
-  for i = 0 to count - 1 do
-    let off = i * sector_size in
-    let n = Stdlib.min sector_size (len - off) in
-    let chunk = Bytes.make sector_size '\000' in
-    Bytes.blit b off chunk 0 n;
-    (* Preserve the tail of a partially overwritten last sector. *)
-    if n < sector_size then
-      Bytes.blit (sector_data t (sector + i)) n chunk n (sector_size - n);
-    Hashtbl.replace t.store (sector + i) chunk
-  done
+  blit_in t sector b 0 len
+
+let write_sector t sector b =
+  check t sector;
+  t.writes <- t.writes + 1;
+  blit_in t sector b 0 (Stdlib.min (Bytes.length b) sector_size)
 
 let reads t = t.reads
 let writes t = t.writes

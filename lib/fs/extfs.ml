@@ -54,9 +54,7 @@ let write_file t ?clock path data =
   List.iter
     (fun e ->
       let len = Stdlib.min (e.count * Blockdev.sector_size) (Bytes.length data - !off) in
-      let chunk = Bytes.make (e.count * Blockdev.sector_size) '\000' in
-      Bytes.blit data !off chunk 0 len;
-      Blockdev.write_range t.dev ~sector:e.start chunk;
+      Blockdev.write_from t.dev ~sector:e.start ~count:e.count data !off len;
       off := !off + len)
     extents;
   inode.extents <- extents;
@@ -71,15 +69,19 @@ let find t path =
 
 let read_file t ?clock path =
   let inode = find t path in
-  let buf = Buffer.create inode.size in
+  let out = Bytes.create inode.size in
+  let off = ref 0 in
   List.iter
-    (fun e -> Buffer.add_bytes buf (Blockdev.read_range t.dev ~sector:e.start ~count:e.count))
+    (fun e ->
+      let len = Stdlib.min (e.count * Blockdev.sector_size) (inode.size - !off) in
+      Blockdev.read_into t.dev ~sector:e.start ~count:e.count out !off len;
+      off := !off + len)
     inode.extents;
   charge clock
     (Units.add
        (Units.scale per_extent_overhead (float_of_int (List.length inode.extents)))
        (Units.time_for_bytes ~bytes_per_sec:read_bw inode.size));
-  Bytes.sub (Buffer.to_bytes buf) 0 inode.size
+  out
 
 let file_size t path = (find t path).size
 

@@ -102,13 +102,6 @@ let free_chain t first =
 
 let cluster_sector c = c * sectors_per_cluster
 
-let write_cluster t c data off len =
-  let buf = Bytes.make cluster_size '\000' in
-  Bytes.blit data off buf 0 len;
-  Blockdev.write_range t.dev ~sector:(cluster_sector c) buf
-
-let read_cluster t c = Blockdev.read_range t.dev ~sector:(cluster_sector c) ~count:sectors_per_cluster
-
 let create_file t path =
   if Hashtbl.mem t.dir path then
     invalid_arg (Printf.sprintf "Fat.create_file: %s exists" path);
@@ -127,7 +120,8 @@ let store_clusters t dirent data =
     let c = alloc_cluster t in
     if !prev = free_mark then dirent.first <- c else Hashtbl.replace t.fat !prev c;
     let off = i * cluster_size in
-    write_cluster t c data off (Stdlib.min cluster_size (len - off));
+    Blockdev.write_from t.dev ~sector:(cluster_sector c) ~count:sectors_per_cluster data off
+      (Stdlib.min cluster_size (len - off));
     prev := c
   done;
   if nclusters = 0 then dirent.first <- end_of_chain;
@@ -156,6 +150,20 @@ let write_file t ?clock path data =
   store_clusters t d data;
   charge clock (write_cost (Bytes.length data))
 
+(* Walk [d]'s chain, reading each whole cluster but copying only the
+   file's bytes, straight into [dst] from offset 0. *)
+let read_chain t d dst =
+  let off =
+    List.fold_left
+      (fun off c ->
+        let len = Stdlib.max 0 (Stdlib.min cluster_size (d.size - off)) in
+        Blockdev.read_into t.dev ~sector:(cluster_sector c) ~count:sectors_per_cluster dst off
+          len;
+        off + len)
+      0 (chain_of t d.first)
+  in
+  if off <> d.size then failwith "Fat: chain shorter than file"
+
 let append_file t ?clock path data =
   match Hashtbl.find_opt t.dir path with
   | None -> write_file t ?clock path data
@@ -163,24 +171,21 @@ let append_file t ?clock path data =
       (* Rewrite the file: read existing (charged as a read), concat,
          store.  FAT appends into a partially-filled tail cluster would
          need read-modify-write anyway. *)
-      let chain = chain_of t d.first in
-      let old = Buffer.create d.size in
-      List.iter (fun c -> Buffer.add_bytes old (read_cluster t c)) chain;
-      let old_data = Bytes.sub (Buffer.to_bytes old) 0 d.size in
+      let combined = Bytes.create (d.size + Bytes.length data) in
+      read_chain t d combined;
+      Bytes.blit data 0 combined d.size (Bytes.length data);
       charge clock (read_cost d.size);
       free_chain t d.first;
       d.first <- end_of_chain;
-      let combined = Bytes.cat old_data data in
       store_clusters t d combined;
       charge clock (write_cost (Bytes.length data))
 
 let read_file t ?clock path =
   let d = find t path in
-  let chain = chain_of t d.first in
-  let buf = Buffer.create d.size in
-  List.iter (fun c -> Buffer.add_bytes buf (read_cluster t c)) chain;
+  let out = Bytes.create d.size in
+  read_chain t d out;
   charge clock (read_cost d.size);
-  Bytes.sub (Buffer.to_bytes buf) 0 d.size
+  out
 
 let file_size t path = (find t path).size
 

@@ -1,20 +1,33 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte cell: a mutable
+   [int64] field would box a fresh value on every draw.  [mix] and
+   [next_int64] are inlined, so a draw consumed as an int, float, bool
+   or byte allocates nothing. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
+let copy = Bytes.copy
 
-let split t = { state = next_int64 t }
+let[@inline] next_int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix s
+
+let split t = of_state (next_int64 t)
 
 let int t bound =
   assert (bound > 0);

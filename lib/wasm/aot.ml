@@ -8,7 +8,7 @@ type instance = {
   mutable import_fns : host_fn array;
       (** Host bindings pre-resolved at instantiate time. *)
   mutable memory : Bytes.t;
-  globals : int64 array;
+  globals : Bytes.t;  (** One unboxed 8-byte slot per global. *)
   hosts : (string, host_fn) Hashtbl.t;
   mutable executed : int;
   mutable fuel : int;
@@ -21,40 +21,44 @@ type control = Fall | Branch of int | Ret
 
 let trap fmt = Format.kasprintf (fun s -> raise (Trap s)) fmt
 
-(* Growable operand stack: pushes and pops are array stores, no cons
-   cell per value.  [top] is the next free slot. *)
-type vstack = { mutable buf : int64 array; mutable top : int }
+(* Operand stack, locals and globals keep their int64s unboxed in
+   [Bytes], 8 bytes per slot in host byte order: pushing, popping or
+   storing a value never allocates. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-(* A compiled body: given the instance and the frame's locals/stack,
-   run to a control outcome. *)
-type frame = { locals : int64 array; stack : vstack }
+(* A running function: its locals and operand stack, whose [top] is the
+   next free slot. *)
+type frame = { locals : Bytes.t; mutable stack : Bytes.t; mutable top : int }
 
+(* A compiled instruction: run it on the instance and the frame, to a
+   control outcome. *)
 type code = instance -> frame -> control
 
 type compiled = {
   m : Wmodule.t;
-  bodies : (Wmodule.func * code) list;
+  bodies : (Wmodule.func * code array) list;
   instr_count : int;
 }
 
-let pop fr =
-  let st = fr.stack in
-  if st.top = 0 then trap "value stack underflow";
-  st.top <- st.top - 1;
-  Array.unsafe_get st.buf st.top
+let[@inline] pop fr =
+  if fr.top = 0 then trap "value stack underflow";
+  fr.top <- fr.top - 1;
+  get64u fr.stack (8 * fr.top)
 
-let push fr v =
-  let st = fr.stack in
-  let n = Array.length st.buf in
-  if st.top = n then begin
-    let bigger = Array.make (2 * n) 0L in
-    Array.blit st.buf 0 bigger 0 n;
-    st.buf <- bigger
-  end;
-  Array.unsafe_set st.buf st.top v;
-  st.top <- st.top + 1
+let grow fr =
+  let bigger = Bytes.create (2 * Bytes.length fr.stack) in
+  Bytes.blit fr.stack 0 bigger 0 (Bytes.length fr.stack);
+  fr.stack <- bigger
 
-let tick inst =
+let[@inline] push fr v =
+  if 8 * fr.top = Bytes.length fr.stack then grow fr;
+  set64u fr.stack (8 * fr.top) v;
+  fr.top <- fr.top + 1
+
+let[@inline] tick inst =
   inst.executed <- inst.executed + 1;
   inst.fuel <- inst.fuel - 1;
   if inst.fuel < 0 then trap "out of fuel"
@@ -63,48 +67,90 @@ let check_mem inst addr len =
   if addr < 0 || len < 0 || addr + len > Bytes.length inst.memory then
     trap "memory access out of bounds: %d (+%d) of %d" addr len (Bytes.length inst.memory)
 
-let binop_fn op =
+(* Run a compiled sequence from instruction [i] to its first non-[Fall]
+   outcome. *)
+let rec run_seq seq i inst fr =
+  if i = Array.length seq then Fall
+  else
+    match (Array.unsafe_get seq i) inst fr with
+    | Fall -> run_seq seq (i + 1) inst fr
+    | ctl -> ctl
+
+(* Leaving a label: a branch to it falls through, a deeper one becomes
+   the preallocated branch to the next label out. *)
+let[@inline] leave outcomes = function
+  | Fall | Branch 0 -> Fall
+  | Branch n -> outcomes.(n - 1)
+  | Ret -> Ret
+
+let rec loop outcomes body inst fr =
+  match run_seq body 0 inst fr with
+  | Branch 0 -> loop outcomes body inst fr
+  | ctl -> leave outcomes ctl
+
+let[@inline] of_bool v = if v then 1L else 0L
+
+(* The first half of a binary operator: retire it and pop [b]; the
+   closure then pops [a] and pushes the result. *)
+let[@inline] pop_b inst fr =
+  tick inst;
+  pop fr
+
+(* One closure per operator, with the operation inlined into it: a
+   shared closure calling an [int64 -> int64 -> int64] would box both
+   operands and the result. *)
+let compile_binop op : code =
   let open Int64 in
-  let bool v = if v then 1L else 0L in
   match op with
-  | Instr.Add -> add
-  | Instr.Sub -> sub
-  | Instr.Mul -> mul
-  | Instr.Div_s -> fun a b -> if b = 0L then trap "integer divide by zero" else div a b
-  | Instr.Rem_s -> fun a b -> if b = 0L then trap "integer divide by zero" else rem a b
-  | Instr.And -> logand
-  | Instr.Or -> logor
-  | Instr.Xor -> logxor
-  | Instr.Shl -> fun a b -> shift_left a (to_int (logand b 63L))
-  | Instr.Shr_s -> fun a b -> shift_right a (to_int (logand b 63L))
-  | Instr.Eq -> fun a b -> bool (equal a b)
-  | Instr.Ne -> fun a b -> bool (not (equal a b))
-  | Instr.Lt_s -> fun a b -> bool (compare a b < 0)
-  | Instr.Gt_s -> fun a b -> bool (compare a b > 0)
-  | Instr.Le_s -> fun a b -> bool (compare a b <= 0)
-  | Instr.Ge_s -> fun a b -> bool (compare a b >= 0)
+  | Instr.Add -> fun inst fr -> let b = pop_b inst fr in push fr (add (pop fr) b); Fall
+  | Instr.Sub -> fun inst fr -> let b = pop_b inst fr in push fr (sub (pop fr) b); Fall
+  | Instr.Mul -> fun inst fr -> let b = pop_b inst fr in push fr (mul (pop fr) b); Fall
+  | Instr.Div_s ->
+      fun inst fr ->
+        let b = pop_b inst fr in
+        let a = pop fr in
+        if b = 0L then trap "integer divide by zero";
+        push fr (div a b);
+        Fall
+  | Instr.Rem_s ->
+      fun inst fr ->
+        let b = pop_b inst fr in
+        let a = pop fr in
+        if b = 0L then trap "integer divide by zero";
+        push fr (rem a b);
+        Fall
+  | Instr.And -> fun inst fr -> let b = pop_b inst fr in push fr (logand (pop fr) b); Fall
+  | Instr.Or -> fun inst fr -> let b = pop_b inst fr in push fr (logor (pop fr) b); Fall
+  | Instr.Xor -> fun inst fr -> let b = pop_b inst fr in push fr (logxor (pop fr) b); Fall
+  | Instr.Shl ->
+      fun inst fr ->
+        let b = pop_b inst fr in
+        push fr (shift_left (pop fr) (to_int (logand b 63L)));
+        Fall
+  | Instr.Shr_s ->
+      fun inst fr ->
+        let b = pop_b inst fr in
+        push fr (shift_right (pop fr) (to_int (logand b 63L)));
+        Fall
+  | Instr.Eq -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (equal (pop fr) b)); Fall
+  | Instr.Ne ->
+      fun inst fr -> let b = pop_b inst fr in push fr (of_bool (not (equal (pop fr) b))); Fall
+  | Instr.Lt_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr < b)); Fall
+  | Instr.Gt_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr > b)); Fall
+  | Instr.Le_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr <= b)); Fall
+  | Instr.Ge_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr >= b)); Fall
 
 let rec call_slot inst idx args =
   if idx < inst.n_imports then (Array.unsafe_get inst.import_fns idx) inst args
   else inst.funcs.(idx - inst.n_imports) args
 
-(* Compile an instruction sequence into one closure over an array of
-   compiled instructions (no list walk at run time). *)
-and compile_seq m callee_arity seq : code =
-  let compiled = Array.of_list (List.map (compile_instr m callee_arity) seq) in
-  let n = Array.length compiled in
-  fun inst fr ->
-    let rec run i =
-      if i >= n then Fall
-      else begin
-        match (Array.unsafe_get compiled i) inst fr with
-        | Fall -> run (i + 1)
-        | (Branch _ | Ret) as ctl -> ctl
-      end
-    in
-    run 0
+(* Compile an instruction sequence into an array of compiled
+   instructions (no list walk at run time).  [outcomes.(n)] is the one
+   [Branch n] value every branch to depth [n] returns. *)
+and compile_seq callee_arity outcomes seq : code array =
+  Array.of_list (List.map (compile_instr callee_arity outcomes) seq)
 
-and compile_instr m callee_arity instr : code =
+and compile_instr callee_arity outcomes instr : code =
   match instr with
   | Instr.Nop ->
       fun inst _ ->
@@ -119,18 +165,11 @@ and compile_instr m callee_arity instr : code =
         tick inst;
         push fr v;
         Fall
-  | Instr.Binop op ->
-      let f = binop_fn op in
-      fun inst fr ->
-        tick inst;
-        let b = pop fr in
-        let a = pop fr in
-        push fr (f a b);
-        Fall
+  | Instr.Binop op -> compile_binop op
   | Instr.Eqz ->
       fun inst fr ->
         tick inst;
-        push fr (if Int64.equal (pop fr) 0L then 1L else 0L);
+        push fr (of_bool (Int64.equal (pop fr) 0L));
         Fall
   | Instr.Drop ->
       fun inst fr ->
@@ -146,31 +185,35 @@ and compile_instr m callee_arity instr : code =
         push fr (if Int64.equal cond 0L then b else a);
         Fall
   | Instr.Local_get i ->
+      let off = 8 * i in
       fun inst fr ->
         tick inst;
-        push fr fr.locals.(i);
+        push fr (get64 fr.locals off);
         Fall
   | Instr.Local_set i ->
+      let off = 8 * i in
       fun inst fr ->
         tick inst;
-        fr.locals.(i) <- pop fr;
+        set64 fr.locals off (pop fr);
         Fall
   | Instr.Local_tee i ->
+      let off = 8 * i in
       fun inst fr ->
         tick inst;
-        let st = fr.stack in
-        if st.top = 0 then trap "value stack underflow";
-        fr.locals.(i) <- Array.unsafe_get st.buf (st.top - 1);
+        if fr.top = 0 then trap "value stack underflow";
+        set64 fr.locals off (get64u fr.stack (8 * (fr.top - 1)));
         Fall
   | Instr.Global_get i ->
+      let off = 8 * i in
       fun inst fr ->
         tick inst;
-        push fr inst.globals.(i);
+        push fr (get64 inst.globals off);
         Fall
   | Instr.Global_set i ->
+      let off = 8 * i in
       fun inst fr ->
         tick inst;
-        inst.globals.(i) <- pop fr;
+        set64 inst.globals off (pop fr);
         Fall
   | Instr.Load8 off ->
       fun inst fr ->
@@ -221,45 +264,32 @@ and compile_instr m callee_arity instr : code =
         end;
         Fall
   | Instr.Block body ->
-      let compiled = compile_seq m callee_arity body in
-      fun inst fr -> begin
-        tick inst;
-        match compiled inst fr with
-        | Fall | Branch 0 -> Fall
-        | Branch n -> Branch (n - 1)
-        | Ret -> Ret
-      end
-  | Instr.Loop body ->
-      let compiled = compile_seq m callee_arity body in
+      let body = compile_seq callee_arity outcomes body in
       fun inst fr ->
         tick inst;
-        let rec iterate () =
-          match compiled inst fr with
-          | Branch 0 -> iterate ()
-          | Fall -> Fall
-          | Branch n -> Branch (n - 1)
-          | Ret -> Ret
-        in
-        iterate ()
+        leave outcomes (run_seq body 0 inst fr)
+  | Instr.Loop body ->
+      let body = compile_seq callee_arity outcomes body in
+      fun inst fr ->
+        tick inst;
+        loop outcomes body inst fr
   | Instr.If (then_, else_) ->
-      let cthen = compile_seq m callee_arity then_ in
-      let celse = compile_seq m callee_arity else_ in
-      fun inst fr -> begin
+      let cthen = compile_seq callee_arity outcomes then_ in
+      let celse = compile_seq callee_arity outcomes else_ in
+      fun inst fr ->
         tick inst;
         let body = if Int64.equal (pop fr) 0L then celse else cthen in
-        match body inst fr with
-        | Fall | Branch 0 -> Fall
-        | Branch n -> Branch (n - 1)
-        | Ret -> Ret
-      end
+        leave outcomes (run_seq body 0 inst fr)
   | Instr.Br n ->
+      let out = outcomes.(n) in
       fun inst _ ->
         tick inst;
-        Branch n
+        out
   | Instr.Br_if n ->
+      let out = outcomes.(n) in
       fun inst fr ->
         tick inst;
-        if Int64.equal (pop fr) 0L then Fall else Branch n
+        if Int64.equal (pop fr) 0L then Fall else out
   | Instr.Return ->
       fun inst _ ->
         tick inst;
@@ -275,6 +305,17 @@ and compile_instr m callee_arity instr : code =
         push fr (call_slot inst idx args);
         Fall
 
+(* Deepest label nesting in a body; validation keeps every branch depth
+   below it. *)
+let rec label_depth body =
+  List.fold_left
+    (fun d instr ->
+      match instr with
+      | Instr.Block b | Instr.Loop b -> Stdlib.max d (1 + label_depth b)
+      | Instr.If (a, b) -> Stdlib.max d (1 + Stdlib.max (label_depth a) (label_depth b))
+      | _ -> d)
+    0 body
+
 let compile m =
   Validate.validate_exn m;
   let n_imports = List.length m.Wmodule.imports in
@@ -288,9 +329,13 @@ let compile m =
       if slot >= 0 && slot < Array.length funcs then funcs.(slot).Wmodule.params else 0
     end
   in
+  let depth =
+    List.fold_left (fun d (f : Wmodule.func) -> Stdlib.max d (label_depth f.body)) 0 m.Wmodule.funcs
+  in
+  let outcomes = Array.init depth (fun n -> Branch n) in
   let bodies =
     List.map
-      (fun (f : Wmodule.func) -> (f, compile_seq m callee_arity f.Wmodule.body))
+      (fun (f : Wmodule.func) -> (f, compile_seq callee_arity outcomes f.Wmodule.body))
       m.Wmodule.funcs
   in
   { m; bodies; instr_count = Wmodule.code_size m }
@@ -336,6 +381,8 @@ let instantiate ?(hosts = []) c =
     (fun (off, data) -> Bytes.blit_string data 0 memory off (String.length data))
     c.m.Wmodule.data;
   let imports = Array.of_list c.m.Wmodule.imports in
+  let globals = Bytes.create (8 * List.length c.m.Wmodule.globals) in
+  List.iteri (fun i v -> set64 globals (8 * i) v) c.m.Wmodule.globals;
   let inst =
     {
       funcs = [||];
@@ -343,23 +390,24 @@ let instantiate ?(hosts = []) c =
       n_imports = Array.length imports;
       import_fns = Array.map (fun name -> Hashtbl.find table name) imports;
       memory;
-      globals = Array.of_list c.m.Wmodule.globals;
+      globals;
       hosts = table;
       executed = 0;
       fuel = max_int;
       exports = c.m.Wmodule.exports;
     }
   in
-  let make_callable ((f : Wmodule.func), code) args =
+  let make_callable ((f : Wmodule.func), body) args =
     if Array.length args <> f.Wmodule.params then
       trap "%s expects %d args, got %d" f.Wmodule.fname f.Wmodule.params
         (Array.length args);
-    let locals = Array.make (f.Wmodule.params + f.Wmodule.locals) 0L in
-    Array.blit args 0 locals 0 (Array.length args);
-    let fr = { locals; stack = { buf = Array.make 32 0L; top = 0 } } in
-    let _ = code inst fr in
-    let st = fr.stack in
-    if st.top = 0 then 0L else st.buf.(st.top - 1)
+    let locals = Bytes.make (8 * (f.Wmodule.params + f.Wmodule.locals)) '\000' in
+    for i = 0 to Array.length args - 1 do
+      set64 locals (8 * i) args.(i)
+    done;
+    let fr = { locals; stack = Bytes.create (8 * 32); top = 0 } in
+    let _ = run_seq body 0 inst fr in
+    if fr.top = 0 then 0L else get64u fr.stack (8 * (fr.top - 1))
   in
   inst.funcs <- Array.of_list (List.map (fun b -> make_callable b) c.bodies);
   inst

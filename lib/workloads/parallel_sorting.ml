@@ -79,9 +79,7 @@ let split_kernel p (ctx : Fctx.t) =
   ctx.Fctx.phase Fctx.phase_compute (fun () ->
       for i = 0 to n - 1 do
         let v = Datagen.get_record data i in
-        let b = Bytes.create 4 in
-        Bytes.set_int32_le b 0 v;
-        Buffer.add_bytes buckets.(bucket_of v ~buckets:p) b
+        Buffer.add_int32_le buckets.(bucket_of v ~buckets:p) v
       done;
       Fctx.compute_bytes ctx ~ns_per_byte:split_ns_per_byte (Bytes.length data));
   ctx.Fctx.phase Fctx.phase_transfer (fun () ->

@@ -12,11 +12,14 @@ let is_sep c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
 let count_words data =
   let counts = Hashtbl.create 1024 in
   let n = Bytes.length data in
+  (* One lookup per word: a known word bumps its counter in place, a
+     new one is added where [Hashtbl.replace] would have put it. *)
   let flush start stop =
     if stop > start then begin
       let w = Bytes.sub_string data start (stop - start) in
-      Hashtbl.replace counts w
-        (1 + match Hashtbl.find_opt counts w with Some c -> c | None -> 0)
+      match Hashtbl.find counts w with
+      | c -> incr c
+      | exception Not_found -> Hashtbl.add counts w (ref 1)
     end
   in
   let start = ref 0 in
@@ -47,6 +50,8 @@ let decode_counts data =
 let sorted_pairs counts =
   Hashtbl.fold (fun w c acc -> (w, c) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let count_pairs counts = sorted_pairs counts |> List.map (fun (w, c) -> (w, !c))
 
 let merge_into target pairs =
   List.iter
@@ -93,7 +98,7 @@ let map_kernel r (ctx : Fctx.t) =
       Hashtbl.iter
         (fun w c ->
           let p = Hashtbl.hash w mod r in
-          parts.(p) <- (w, c) :: parts.(p))
+          parts.(p) <- (w, !c) :: parts.(p))
         !counts;
       Array.iteri (fun p pairs -> ctx.Fctx.send ~slot:(part_slot i p) (encode_counts pairs)) parts)
 
@@ -124,13 +129,12 @@ let merge_kernel r (ctx : Fctx.t) =
   ctx.Fctx.write_output output_path (encode_counts (sorted_pairs merged));
   ctx.Fctx.println "wordcount done"
 
-let expected_counts ~seed ~size =
-  sorted_pairs (count_words (Datagen.words_text ~seed size))
+let expected_counts ~seed ~size = count_pairs (count_words (Datagen.words_text ~seed size))
 
 let app ~seed ~size ~instances =
   let m = instances and r = instances in
   let input = Datagen.words_text ~seed size in
-  let expected = lazy (sorted_pairs (count_words input)) in
+  let expected = lazy (count_pairs (count_words input)) in
   {
     Fctx.app_name = "WordCount";
     stages =

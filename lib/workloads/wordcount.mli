@@ -18,6 +18,6 @@ val expected_counts : seed:int -> size:int -> (string * int) list
 
 (** {1 Internals exposed for tests} *)
 
-val count_words : bytes -> (string, int) Hashtbl.t
+val count_words : bytes -> (string, int ref) Hashtbl.t
 val encode_counts : (string * int) list -> bytes
 val decode_counts : bytes -> (string * int) list

@@ -122,6 +122,88 @@ let fat_roundtrip_property =
           acc && Bytes.to_string (Fat.read_file fs ("/" ^ name)) = data)
         final true)
 
+(* FAT reads and writes copy straight between the caller's bytes and
+   the device: every size round-trips, and the sector counters and
+   clock charges are those of whole-cluster I/O, 8 sectors a cluster. *)
+let test_fat_single_copy_io () =
+  let dev = Blockdev.create ~sectors:(4 * 1024 * 1024 / Blockdev.sector_size) in
+  let fs = Fat.format dev in
+  let clock = Clock.create () in
+  let data n = Bytes.init n (fun i -> Char.chr (((i * 31) + n) land 255)) in
+  let clusters n = (n + Fat.cluster_size - 1) / Fat.cluster_size in
+  let io label ~reads ~writes f =
+    let r = Blockdev.reads dev and w = Blockdev.writes dev in
+    let v = f () in
+    Alcotest.(check int) (label ^ ": sector reads") reads (Blockdev.reads dev - r);
+    Alcotest.(check int) (label ^ ": sector writes") writes (Blockdev.writes dev - w);
+    v
+  in
+  List.iter
+    (fun n ->
+      let path = Printf.sprintf "/f%d" n in
+      io (Printf.sprintf "write %d" n) ~reads:0 ~writes:(8 * clusters n) (fun () ->
+          Fat.write_file fs ~clock path (data n));
+      let got =
+        io (Printf.sprintf "read %d" n) ~reads:(8 * clusters n) ~writes:0 (fun () ->
+            Fat.read_file fs ~clock path)
+      in
+      Alcotest.(check bytes) (Printf.sprintf "%d bytes back" n) (data n) got)
+    [ 0; 1; 4095; 4096; 4097; (3 * 4096) + 17 ];
+  (* A shorter file over a longer one frees the tail clusters. *)
+  let free = Fat.free_clusters fs in
+  io "overwrite" ~reads:0 ~writes:16 (fun () -> Fat.write_file fs ~clock "/f12305" (data 5000));
+  Alcotest.(check int) "tail clusters freed" (free + 2) (Fat.free_clusters fs);
+  Alcotest.(check bytes) "shorter file back" (data 5000)
+    (io "read shorter" ~reads:16 ~writes:0 (fun () -> Fat.read_file fs ~clock "/f12305"));
+  (* An append reads the old clusters and rewrites the whole file. *)
+  io "append" ~reads:8 ~writes:16 (fun () -> Fat.append_file fs ~clock "/f4095" (data 2));
+  Alcotest.(check bytes) "appended" (Bytes.cat (data 4095) (data 2)) (Fat.read_file fs "/f4095");
+  Alcotest.(check int64) "clock charges" 149_754L (Units.to_ns (Clock.now clock))
+
+(* Extfs reads copy each extent straight into the result: sizes
+   round-trip with one sector read or write per 512 bytes. *)
+let test_extfs_single_copy_io () =
+  let dev = Blockdev.create ~sectors:4096 in
+  let fs = Extfs.format dev in
+  let clock = Clock.create () in
+  let sectors n = (n + Blockdev.sector_size - 1) / Blockdev.sector_size in
+  List.iter
+    (fun n ->
+      let data = Bytes.init n (fun i -> Char.chr ((i * 7) land 255)) in
+      let path = Printf.sprintf "/e%d" n in
+      let w = Blockdev.writes dev in
+      Extfs.write_file fs ~clock path data;
+      Alcotest.(check int) (Printf.sprintf "write %d: sectors" n) (sectors n) (Blockdev.writes dev - w);
+      let r = Blockdev.reads dev in
+      Alcotest.(check bytes) (Printf.sprintf "%d bytes back" n) data (Extfs.read_file fs ~clock path);
+      Alcotest.(check int) (Printf.sprintf "read %d: sectors" n) (sectors n) (Blockdev.reads dev - r))
+    [ 0; 1; 511; 512; 513; 5000 ];
+  Alcotest.(check int64) "clock charges" 32_938L (Units.to_ns (Clock.now clock))
+
+(* [write_from] writes whole sectors, zero-padded past the source;
+   [read_into] counts whole sectors but copies only what is asked. *)
+let test_blockdev_single_copy () =
+  let dev = Blockdev.create ~sectors:16 in
+  Blockdev.write_range dev ~sector:2 (Bytes.make (4 * 512) 'x');
+  let src = Bytes.init 1000 (fun i -> Char.chr (i land 255)) in
+  Blockdev.write_from dev ~sector:2 ~count:3 src 100 700;
+  Alcotest.(check int) "write_from counts 3 sectors" 7 (Blockdev.writes dev);
+  let want = Bytes.make (4 * 512) 'x' in
+  Bytes.fill want 0 (3 * 512) '\000';
+  Bytes.blit src 100 want 0 700;
+  Alcotest.(check bytes) "source, zeroes, untouched 4th sector" want
+    (Blockdev.read_range dev ~sector:2 ~count:4);
+  let dst = Bytes.make 10 '-' in
+  Blockdev.read_into dev ~sector:2 ~count:2 dst 3 5;
+  Alcotest.(check int) "read_into counts 2 sectors" 6 (Blockdev.reads dev);
+  Alcotest.(check string) "5 bytes at offset 3" "---defgh--" (Bytes.to_string dst);
+  (match Blockdev.read_into dev ~sector:2 ~count:1 dst 0 513 with
+  | () -> Alcotest.fail "len over count sectors must raise"
+  | exception Invalid_argument _ -> ());
+  match Blockdev.write_from dev ~sector:15 ~count:2 src 0 10 with
+  | () -> Alcotest.fail "sector range past the device must raise"
+  | exception Invalid_argument _ -> ()
+
 let test_fat_directories () =
   let fs = fresh_fat () in
   Alcotest.(check bool) "root exists" true (Fat.is_dir fs "/");
@@ -246,4 +328,7 @@ let suite =
     Alcotest.test_case "ramfs behaviour" `Quick test_ramfs_behaviour;
     Alcotest.test_case "vfs uniform interface" `Quick test_vfs_uniform;
     Alcotest.test_case "sector free-space tracker" `Quick test_mem_free_tracker;
+    Alcotest.test_case "fat single-copy I/O" `Quick test_fat_single_copy_io;
+    Alcotest.test_case "extfs single-copy I/O" `Quick test_extfs_single_copy_io;
+    Alcotest.test_case "blockdev single-copy primitives" `Quick test_blockdev_single_copy;
   ]

@@ -200,6 +200,35 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* [bytes] is [n] byte draws, and the literals pin the splitmix64
+   streams of [create], [copy] and [split], so a change of state
+   representation that alters any stream fails here. *)
+let test_rng_bytes_and_pinned_streams () =
+  List.iter
+    (fun n ->
+      let a = Rng.create 11 and b = Rng.create 11 in
+      let got = Rng.bytes a n in
+      let want = Bytes.init n (fun _ -> Char.chr (Rng.int b 256)) in
+      Alcotest.(check bytes) (Printf.sprintf "bytes %d = %d draws" n n) want got;
+      Alcotest.(check int64) (Printf.sprintf "same state after %d" n) (Rng.next_int64 b)
+        (Rng.next_int64 a))
+    [ 0; 1; 7; 4097 ];
+  let draws t k = List.init k (fun _ -> Rng.next_int64 t) in
+  let t = Rng.create 42 in
+  Alcotest.(check (list int64)) "create 42"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ]
+    (draws t 3);
+  let c = Rng.copy t in
+  Alcotest.(check (list int64)) "copy" [ 885919558081284366L; -353919125003956057L ] (draws c 2);
+  Alcotest.(check int64) "original after copy" 885919558081284366L (Rng.next_int64 t);
+  let s = Rng.split t in
+  Alcotest.(check (list int64)) "split" [ -6585662623018088301L; 8012294733090524313L ]
+    (draws s 2);
+  Alcotest.(check int64) "parent after split" 4337243929683858115L (Rng.next_int64 t);
+  let u = Rng.create 42 in
+  Alcotest.(check (list int)) "int draws" [ 570; 797; 285; 91; 889 ]
+    (List.init 5 (fun _ -> Rng.int u 1000))
+
 let test_table_render () =
   let t = Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
   Table.add_row t [ "1"; "2" ];
@@ -317,4 +346,5 @@ let suite =
     Alcotest.test_case "trace ring boundaries" `Quick test_trace_ring_boundaries;
     Alcotest.test_case "recordf disabled builds nothing" `Quick
       test_recordf_disabled_builds_nothing;
+    Alcotest.test_case "rng bytes and pinned streams" `Quick test_rng_bytes_and_pinned_streams;
   ]

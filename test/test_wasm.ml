@@ -183,44 +183,123 @@ let test_aot_image_is_clean () =
   | Isa.Scanner.Clean -> ()
   | v -> Alcotest.fail (Format.asprintf "AOT image not clean: %a" Isa.Scanner.pp_verdict v)
 
-(* qcheck: random straight-line arithmetic programs agree between
-   interpreter and AOT. *)
+(* qcheck: random straight-line programs over every binary operator,
+   [Select], locals and globals, some on short fuel, agree between
+   interpreter and AOT: the result or trap, the globals left behind,
+   and the retired-instruction count [Runtime.run] charges as virtual
+   time. *)
 let random_prog_gen =
   QCheck.Gen.(
+    let binops =
+      Instr.
+        [
+          Add; Sub; Mul; Div_s; Rem_s; And; Or; Xor; Shl; Shr_s; Eq; Ne; Lt_s; Gt_s; Le_s; Ge_s;
+        ]
+    in
     let instr =
       oneof
         [
-          map (fun v -> Instr.Const (Int64.of_int v)) (int_range (-100) 100);
+          (* Small constants make ties, zero divisors and shifts past
+             63 common. *)
+          map (fun v -> Instr.Const (Int64.of_int v)) (int_range (-8) 70);
+          map (fun op -> Instr.Binop op) (oneofl binops);
           oneofl
             Instr.
               [
-                Binop Add; Binop Sub; Binop Mul; Binop And; Binop Or; Binop Xor;
-                Binop Lt_s; Binop Gt_s; Eqz;
+                Const 0L; Eqz; Select; Local_get 0; Local_get 1; Local_tee 0; Local_set 1; Drop;
+                Global_get 0; Global_get 1; Global_set 0; Global_set 1;
               ];
-          oneofl Instr.[ Local_get 0; Local_get 1; Local_tee 0; Drop ];
         ]
     in
     list_size (int_range 1 30) instr)
 
 let aot_equivalence_property =
   QCheck.Test.make ~name:"aot: agrees with interpreter on random programs" ~count:300
-    (QCheck.make random_prog_gen)
-    (fun prog ->
-      (* Pad the stack so pops never underflow, and make both locals
-         available. *)
+    (QCheck.make QCheck.Gen.(pair (opt (int_range 20 80)) random_prog_gen))
+    (fun (fuel, prog) ->
+      (* Pad the stack so most programs never underflow, and make both
+         locals and both globals available; "g" reads the globals the
+         program left. *)
       let body = List.init 40 (fun i -> Instr.Const (Int64.of_int i)) @ prog in
-      let m = simple_module [ Builder.func ~name:"f" ~params:2 body ] in
-      let run_interp () =
-        match call_interp m "f" [ 3L; 4L ] with
-        | v -> Ok v
-        | exception Interp.Trap msg -> Error msg
+      let m =
+        Wmodule.create ~name:"t" ~globals:[ 5L; -9L ]
+          ~exports:[ ("f", 0); ("g", 1) ]
+          [
+            Builder.func ~name:"f" ~params:2 body;
+            Builder.func ~name:"g"
+              Instr.[ Global_get 0; Const 31L; Binop Mul; Global_get 1; Binop Xor ];
+          ]
       in
-      let run_aot () =
-        match Aot.call (Aot.instantiate (Aot.compile m)) "f" [| 3L; 4L |] with
-        | v -> Ok v
-        | exception Aot.Trap msg -> Error msg
+      let outcome call trap_msg =
+        match call () with v -> Ok v | exception e -> Error (trap_msg e)
       in
-      run_interp () = run_aot ())
+      let interp =
+        let i = Interp.instantiate m in
+        let msg = function Interp.Trap s -> s | e -> raise e in
+        let f = outcome (fun () -> Interp.call ?fuel i "f" [| 3L; 4L |]) msg in
+        let g = outcome (fun () -> Interp.call i "g" [||]) msg in
+        (f, g, Interp.executed i)
+      in
+      let aot =
+        let a = Aot.instantiate (Aot.compile m) in
+        let msg = function Aot.Trap s -> s | e -> raise e in
+        let f = outcome (fun () -> Aot.call ?fuel a "f" [| 3L; 4L |]) msg in
+        let g = outcome (fun () -> Aot.call a "g" [||]) msg in
+        (f, g, Aot.executed a)
+      in
+      interp = aot)
+
+(* Every binary operator on edge operands (ties, zero divisors, shift
+   counts past 63, the extremes) gives the interpreter's result or
+   trap. *)
+let test_aot_binop_edges () =
+  let ops =
+    Instr.[ Add; Sub; Mul; Div_s; Rem_s; And; Or; Xor; Shl; Shr_s; Eq; Ne; Lt_s; Gt_s; Le_s; Ge_s ]
+  in
+  let m =
+    Wmodule.create ~name:"ops"
+      ~exports:(List.mapi (fun i _ -> (string_of_int i, i)) ops)
+      (List.mapi
+         (fun i op ->
+           Builder.func ~name:(string_of_int i) ~params:2
+             Instr.[ Local_get 0; Local_get 1; Binop op ])
+         ops)
+  in
+  let edges = [ Int64.min_int; -64L; -1L; 0L; 1L; 2L; 63L; 64L; Int64.max_int ] in
+  let interp = Interp.instantiate m and aot = Aot.instantiate (Aot.compile m) in
+  List.iteri
+    (fun i op ->
+      let name = string_of_int i in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let want =
+                match Interp.call interp name [| a; b |] with
+                | v -> Ok v
+                | exception Interp.Trap s -> Error s
+              in
+              let got =
+                match Aot.call aot name [| a; b |] with v -> Ok v | exception Aot.Trap s -> Error s
+              in
+              if want <> got then
+                Alcotest.failf "%a %Ld %Ld: interp and aot differ" Instr.pp_binop op a b)
+            edges)
+        edges)
+    ops;
+  Alcotest.(check int) "retired" (Interp.executed interp) (Aot.executed aot)
+
+(* The AOT engine keeps operands unboxed: a loop of 1.6 M retired
+   instructions allocates only the call's frame. *)
+let test_aot_sum_allocation () =
+  let inst = Aot.instantiate (Aot.compile Builder.sum_to_n) in
+  let args = [| 100_000L |] in
+  let before = Gc.minor_words () in
+  let sum = Aot.call inst "sum" args in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int64) "sum" 5_000_050_000L sum;
+  Alcotest.(check int) "retired" 1_600_012 (Aot.executed inst);
+  if words >= 1000.0 then Alcotest.failf "sum_to_n 1e5 allocated %.0f minor words" words
 
 (* --- WASI --- *)
 
@@ -515,4 +594,7 @@ let suite =
     Alcotest.test_case "runtime profiles" `Quick test_runtime_profiles;
     Alcotest.test_case "runtime charges virtual time" `Quick test_runtime_run_charges_time;
     Alcotest.test_case "instruction counting" `Quick test_instruction_counting;
+    Alcotest.test_case "aot: sum_to_n at n = 1e5 allocates < 1000 minor words" `Quick
+      test_aot_sum_allocation;
+    Alcotest.test_case "aot: every binop agrees on edge operands" `Quick test_aot_binop_edges;
   ]
