@@ -87,31 +87,37 @@ let with_id_namespace ~base f =
   Domain.DLS.set id_ns_key (Some (ref base));
   Fun.protect ~finally:(fun () -> Domain.DLS.set id_ns_key old) f
 
-let create ?(features = default_features) ?vfs ?fault ~proc_table ~clock ~workflow_name () =
-  let id = fresh_id () in
-  Atomic.incr live;
-  let aspace = Address_space.create () in
-  (* System partition: visor and libos code, both on the system key.
-     The libos heap region is *address space* for AsBuffers; its pages
-     are mapped per allocation. *)
+(* Boot the system partition into [aspace] and start its process:
+   visor and libos code on the system key, trampoline pages
+   user-executable on the default key (they run in user context before
+   raising rights).  The libos heap region is *address space* for
+   AsBuffers; its pages are mapped per allocation.  The mapped
+   partition is resident from the start, so the new process is charged
+   for it.  [create], [clone_template] and [acquire] all boot here, so a
+   recycled shell's virtual effects equal a fresh clone's by
+   construction; each caller charges its own clock costs. *)
+let boot_system aspace ~proc_table ~clock ~name =
   Address_space.map aspace ~addr:Layout.visor_code.Layout.base
     ~len:Layout.visor_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
   Address_space.map aspace ~addr:Layout.libos_code.Layout.base
     ~len:Layout.libos_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
-  (* Trampoline pages: user-executable (they run in user context before
-     raising rights). *)
   Address_space.map aspace ~addr:Layout.trampoline.Layout.base
     ~len:Layout.trampoline.Layout.size ~perm:Page.rx ~pkey:Prot.default_key ();
+  let pid = Hostos.Process.spawn_process proc_table ~at:(Clock.now clock) ~name () in
+  Hostos.Process.charge_rss proc_table pid
+    (Layout.visor_code.Layout.size + Layout.libos_code.Layout.size
+    + Layout.trampoline.Layout.size);
+  pid
+
+let create ?(features = default_features) ?vfs ?fault ~proc_table ~clock ~workflow_name () =
+  let id = fresh_id () in
+  Atomic.incr live;
+  let aspace = Address_space.create () in
+  let pid = boot_system aspace ~proc_table ~clock ~name:workflow_name in
   let vfs = match vfs with Some v -> v | None -> Fsim.Vfs.fresh_fat () in
   (* Under a fault plan the WFD's disk and buffer heap both become
      injection points; a plan-free WFD pays nothing. *)
   let vfs = match fault with Some plan -> Fsim.Vfs.with_faults plan vfs | None -> vfs in
-  let pid = Hostos.Process.spawn_process proc_table ~at:(Clock.now clock) ~name:workflow_name () in
-  (* The mapped system partition (visor + libos code, trampolines) is
-     resident from the start. *)
-  Hostos.Process.charge_rss proc_table pid
-    (Layout.visor_code.Layout.size + Layout.libos_code.Layout.size
-    + Layout.trampoline.Layout.size);
   Clock.advance clock Cost.wfd_create;
   Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc);
   Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_mprotect);
@@ -206,19 +212,7 @@ let clone_template ?vfs ?fault template ~proc_table ~clock =
   let id = fresh_id () in
   Atomic.incr live;
   let aspace = Address_space.create () in
-  Address_space.map aspace ~addr:Layout.visor_code.Layout.base
-    ~len:Layout.visor_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
-  Address_space.map aspace ~addr:Layout.libos_code.Layout.base
-    ~len:Layout.libos_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
-  Address_space.map aspace ~addr:Layout.trampoline.Layout.base
-    ~len:Layout.trampoline.Layout.size ~perm:Page.rx ~pkey:Prot.default_key ();
-  let pid =
-    Hostos.Process.spawn_process proc_table ~at:(Clock.now clock)
-      ~name:template.workflow_name ()
-  in
-  Hostos.Process.charge_rss proc_table pid
-    (Layout.visor_code.Layout.size + Layout.libos_code.Layout.size
-    + Layout.trampoline.Layout.size);
+  let pid = boot_system aspace ~proc_table ~clock ~name:template.workflow_name in
   Clock.advance clock Cost.wfd_clone;
   Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc);
   {
@@ -303,10 +297,11 @@ let recycle ~template t =
 
 (* Bind a recycled shell to its next request.  Mirrors
    {!clone_template}'s virtual effects exactly — same id draw, same
-   base mappings (and thus the same TLB-flush counter traffic), same
-   RSS charge, same [Cost.wfd_clone] + pkey-alloc clock charges — so a
-   request served by a recycled WFD is indistinguishable, in every
-   virtual observable, from one served by a fresh clone.  The shell
+   [boot_system] (base mappings, hence the same TLB-flush counter
+   traffic, process spawn and RSS charge), same [Cost.wfd_clone] +
+   pkey-alloc clock charges — so a request served by a recycled WFD is
+   indistinguishable, in every virtual observable, from one served by
+   a fresh clone.  The shell
    keeps the template's fault plan (its buffer heap was armed with it
    at clone time); requests carrying a per-request plan must clone
    fresh instead. *)
@@ -319,19 +314,7 @@ let acquire ?vfs ~template t ~proc_table ~clock =
      exactly what the matching clone would have been given. *)
   let vfs = match vfs with Some v -> v | None -> t.vfs in
   t.id <- fresh_id ();
-  Address_space.map t.aspace ~addr:Layout.visor_code.Layout.base
-    ~len:Layout.visor_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
-  Address_space.map t.aspace ~addr:Layout.libos_code.Layout.base
-    ~len:Layout.libos_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
-  Address_space.map t.aspace ~addr:Layout.trampoline.Layout.base
-    ~len:Layout.trampoline.Layout.size ~perm:Page.rx ~pkey:Prot.default_key ();
-  let pid =
-    Hostos.Process.spawn_process proc_table ~at:(Clock.now clock)
-      ~name:template.workflow_name ()
-  in
-  Hostos.Process.charge_rss proc_table pid
-    (Layout.visor_code.Layout.size + Layout.libos_code.Layout.size
-    + Layout.trampoline.Layout.size);
+  let pid = boot_system t.aspace ~proc_table ~clock ~name:template.workflow_name in
   Clock.advance clock Cost.wfd_clone;
   Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc);
   t.vfs <- vfs;

@@ -1,8 +1,10 @@
-(* Histogram / gauge registry.  Handles are names; the backing cells
-   live in a registry resolved through domain-local storage, so
-   [Par.with_shard] can route a parallel task's observations into a
-   private shard (no locks on the hot path) and [merge_into] folds
-   them back at a deterministic join point.
+(* Histogram registry plus process-wide gauges.  Histogram handles are
+   names; the backing cells live in a registry resolved through
+   domain-local storage, so [Par.with_shard] can route a parallel
+   task's observations into a private shard (no locks on the hot path)
+   and [merge_into] folds them back at a deterministic join point.
+   A gauge is a high-watermark, whose value cannot depend on the order
+   of its updates, so it is one process-wide cell that no shard holds.
 
    Aggregates (bucket counts, count, sum, min, max) are always exact.
    The raw-sample reservoir feeding percentile queries can be thinned
@@ -29,11 +31,10 @@ type histo_snapshot = {
 type histo = {
   buckets : int array;  (* 64 log2 buckets; index via [bucket_index] *)
   samples : Stats.t;  (* raw reservoir for percentiles; may be thinned *)
-  mutable h_count : int;
+  mutable h_count : int;  (* also the reservoir offers, kept or not *)
   mutable h_sum : float;
   mutable h_min : float;  (* infinity when empty *)
   mutable h_max : float;  (* neg_infinity when empty *)
-  mutable h_seen : int;  (* reservoir offers, kept or not *)
   mutable h_sketch : Sketch.Tdigest.t option;
       (* full-population digest, allocated on the first thinned
          observation; [None] at k = 1 so the default path never touches
@@ -46,21 +47,14 @@ type histo = {
 
 type registry = {
   r_histograms : (string, histo) Hashtbl.t;
-  r_gauges : (string, float ref) Hashtbl.t;
   mutable r_every : int;  (* keep 1 raw sample in r_every *)
   mutable r_phase : int;
 }
 
 type histogram = string
-type gauge = string
+type gauge = float Atomic.t
 
-let create_registry () =
-  {
-    r_histograms = Hashtbl.create 16;
-    r_gauges = Hashtbl.create 16;
-    r_every = 1;
-    r_phase = 0;
-  }
+let create_registry () = { r_histograms = Hashtbl.create 16; r_every = 1; r_phase = 0 }
 
 let default = create_registry ()
 
@@ -75,8 +69,6 @@ let set_raw_sample_every ?(seed = 0) every =
   r.r_every <- every;
   r.r_phase <- ((seed mod every) + every) mod every
 
-let raw_sample_every () = (current ()).r_every
-
 let histo_cell r name =
   match Hashtbl.find_opt r.r_histograms name with
   | Some h -> h
@@ -89,7 +81,6 @@ let histo_cell r name =
           h_sum = 0.0;
           h_min = infinity;
           h_max = neg_infinity;
-          h_seen = 0;
           h_sketch = None;
           h_snap = None;
         }
@@ -97,18 +88,10 @@ let histo_cell r name =
       Hashtbl.replace r.r_histograms name h;
       h
 
-let gauge_cell r name =
-  match Hashtbl.find_opt r.r_gauges name with
-  | Some g -> g
-  | None ->
-      let g = ref 0.0 in
-      Hashtbl.replace r.r_gauges name g;
-      g
-
 (* Prometheus-style dimensional names: [labels "x" ["ep","a"]] is
    [x{ep="a"}].  Keys are sorted so one label set always encodes to
    one name, making labelled series as deterministic as plain ones —
-   a handle is still just a name, so the encoding works for
+   every instrument is keyed by name, so the encoding works for
    histograms, gauges, [Stats.Counter]s and [Timeseries] series
    alike.  Exporters split at the first '{' to recover the base. *)
 let labels name kvs =
@@ -143,15 +126,17 @@ let histogram name =
   ignore (histo_cell (current ()) name);
   name
 
-(* Bucket on the integer part so the boundary behaviour is exact:
-   bucket 0 <-> v < 1, bucket i <-> 2^(i-1) <= v < 2^i.  Int64 bit
-   length is deterministic where float log2 near powers of two is not. *)
+(* Bucket 0 <-> v < 1, bucket i <-> 2^(i-1) <= v < 2^i, clamped at 63.
+   For v >= 1 the bit length of floor v is the IEEE exponent minus the
+   bias, plus one: exact at powers of two where float log2 is not, and
+   read straight off the bits, so no int64 is boxed on the way (nan and
+   infinity carry the maximal exponent and land in 63). *)
 let bucket_index v =
-  let v = if v < 0.0 then 0.0 else v in
-  let n = Int64.of_float v in
-  let rec bits acc n = if n = 0L then acc else bits (acc + 1) (Int64.shift_right_logical n 1) in
-  let i = bits 0 n in
-  if i > 63 then 63 else i
+  if v < 1.0 then 0
+  else
+    let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) in
+    let i = (e land 0x7ff) - 1022 in
+    if i > 63 then 63 else i
 
 let bucket_bound i = 2.0 ** float_of_int i
 
@@ -161,13 +146,12 @@ let observe_cell r (cell : histo) v =
   cell.h_snap <- None;
   let i = bucket_index v in
   cell.buckets.(i) <- cell.buckets.(i) + 1;
+  if r.r_every <= 1 || cell.h_count mod r.r_every = r.r_phase then
+    Stats.add cell.samples v;
   cell.h_count <- cell.h_count + 1;
   cell.h_sum <- cell.h_sum +. v;
   if v < cell.h_min then cell.h_min <- v;
   if v > cell.h_max then cell.h_max <- v;
-  let keep = r.r_every <= 1 || cell.h_seen mod r.r_every = r.r_phase in
-  cell.h_seen <- cell.h_seen + 1;
-  if keep then Stats.add cell.samples v;
   if r.r_every > 1 then begin
     let d =
       match cell.h_sketch with
@@ -187,19 +171,26 @@ let observe h v =
 let observe_time h d = observe h (Int64.to_float (Units.to_ns d))
 
 let histogram_count h = (histo_cell (current ()) h).h_count
-let histogram_sum h = (histo_cell (current ()) h).h_sum
+
+let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
+let gauges_mu = Mutex.create ()
 
 let gauge name =
-  ignore (gauge_cell (current ()) name);
-  name
+  Mutex.protect gauges_mu (fun () ->
+      match Hashtbl.find_opt gauges name with
+      | Some g -> g
+      | None ->
+          let g = Atomic.make 0.0 in
+          Hashtbl.replace gauges name g;
+          g)
 
-let set_gauge g v = gauge_cell (current ()) g := v
+(* Compare-and-set against the boxed value just read, so a raise from
+   one domain is never lost to a concurrent raise from another. *)
+let rec max_gauge g v =
+  let cur = Atomic.get g in
+  if v > cur && not (Atomic.compare_and_set g cur v) then max_gauge g v
 
-let max_gauge g v =
-  let cell = gauge_cell (current ()) g in
-  if v > !cell then cell := v
-
-let gauge_value g = !(gauge_cell (current ()) g)
+let gauge_value = Atomic.get
 
 type snapshot = {
   snap_counters : (string * int) list;
@@ -253,7 +244,8 @@ let snapshot_histogram name (h : histo) =
 let snapshot () =
   let r = current () in
   let gs =
-    Hashtbl.fold (fun n g acc -> (n, !g) :: acc) r.r_gauges []
+    Mutex.protect gauges_mu (fun () ->
+        Hashtbl.fold (fun n g acc -> (n, Atomic.get g) :: acc) gauges [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let hs =
@@ -269,54 +261,44 @@ let clear_cell (h : histo) =
   h.h_sum <- 0.0;
   h.h_min <- infinity;
   h.h_max <- neg_infinity;
-  h.h_seen <- 0;
   (match h.h_sketch with Some d -> Sketch.Tdigest.clear d | None -> ());
   h.h_snap <- None
 
 let reset () =
   let r = current () in
   Hashtbl.iter (fun _ h -> clear_cell h) r.r_histograms;
-  Hashtbl.iter (fun _ g -> g := 0.0) r.r_gauges;
+  Mutex.protect gauges_mu (fun () ->
+      Hashtbl.iter (fun _ g -> Atomic.set g 0.0) gauges);
   Stats.reset_counters ()
 
 (* Scrub a registry in place for reuse as a fresh shard: histogram
    cells are cleared but *kept* (their bucket arrays, reservoirs and
    digests are the expensive part of a shard — reusing them is the
-   point), gauge cells are dropped (they are single refs; keeping them
-   would make a recycled shard merge gauge names a fresh shard never
-   observed).  Sampling state returns to the [create_registry]
-   default. *)
+   point).  Sampling state returns to the [create_registry] default. *)
 let reset_registry (r : registry) =
   Hashtbl.iter (fun _ h -> clear_cell h) r.r_histograms;
-  Hashtbl.reset r.r_gauges;
   r.r_every <- 1;
   r.r_phase <- 0
 
-(* Fold a shard registry into the current one.  Series are visited in
-   sorted-name order so the merged sequence depends only on the order
-   of [merge_into] calls, never on host completion order.  A shard is
+(* Fold a shard registry into the current one.  Each series merges
+   into its own destination cell, so the series may be visited in any
+   order: a cell's contents depend only on its own sample sequence,
+   which is fixed by the order of [merge_into] calls.  A shard is
    replayed sample by sample, which keeps float accumulation order —
    and therefore sums and percentile views — bit-identical to observing
    directly, while the destination applies its own 1-in-k reservoir
-   thinning.  Shards are created and scrubbed at k = 1, so a shard
-   whose reservoir dropped a sample cannot be replayed and is rejected.
-   Gauges merge with max (every gauge in the tree is a
-   high-watermark). *)
+   thinning.  A thinning shard could drop samples it would then fail to
+   replay, so it is rejected before anything merges.  A cell with
+   nothing observed is skipped, so a recycled shard carrying cleared
+   cells for series from earlier requests merges byte-identically to a
+   fresh shard. *)
 let merge_into (src : registry) =
+  if src.r_every > 1 then invalid_arg "Metrics.merge_into: shard reservoir is thinned";
   let dst = current () in
-  Hashtbl.fold (fun n h acc -> (n, h) :: acc) src.r_histograms []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (n, (h : histo)) ->
-         if Stats.count h.samples <> h.h_count then
-           invalid_arg "Metrics.merge_into: shard reservoir was thinned";
-         (* A cell with nothing observed is skipped, so a recycled shard
-            carrying cleared cells for series from earlier requests
-            merges byte-identically to a fresh shard. *)
-         if h.h_count > 0 then begin
-           let cell = histo_cell dst n in
-           List.iter (fun v -> observe_cell dst cell v) (Stats.to_list h.samples)
-         end);
-  Hashtbl.fold (fun n g acc -> (n, !g) :: acc) src.r_gauges []
-  |> List.iter (fun (n, v) ->
-         let cell = gauge_cell dst n in
-         if v > !cell then cell := v)
+  Hashtbl.iter
+    (fun n (h : histo) ->
+      if h.h_count > 0 then begin
+        let cell = histo_cell dst n in
+        Stats.iter (fun v -> observe_cell dst cell v) h.samples
+      end)
+    src.r_histograms

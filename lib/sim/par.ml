@@ -4,9 +4,12 @@
 
    - Tasks are submitted as an array; results come back indexed by
      submission position, never by completion order.
-   - A task must route every collector write (spans, trace events,
-     metrics, counters) through a [shard] installed with [with_shard].
-     Shards are domain-local swaps, so the hot path takes no locks.
+   - A task must route every order-sensitive collector write (spans,
+     trace events, histogram observations) through a [shard] installed
+     with [with_shard].  Shards are domain-local swaps, so the hot path
+     takes no locks.  Counters and gauges are sums and high-watermarks,
+     which no order can change: they are process-wide cells that any
+     domain updates in place, inside a shard or not.
    - Shards are merged with [merge_shard] at points chosen by the
      (sequential, virtual-time) merge loop — keyed by submission
      index, so the merged timeline is bit-identical whether the tasks
@@ -29,12 +32,7 @@ let auto_domains () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
 (* --- Per-task collector shards ------------------------------------- *)
 
-type shard = {
-  sh_span : Span.t;
-  sh_trace : Trace.t;
-  sh_metrics : Metrics.registry;
-  sh_counters : Stats.Counter.registry;
-}
+type shard = { sh_span : Span.t; sh_trace : Trace.t; sh_metrics : Metrics.registry }
 
 type shard_config = { cfg_span_on : bool; cfg_trace_on : bool }
 
@@ -51,28 +49,20 @@ let make_shard cfg =
   Span.set_enabled sp cfg.cfg_span_on;
   let tr = Trace.create () in
   Trace.set_enabled tr cfg.cfg_trace_on;
-  {
-    sh_span = sp;
-    sh_trace = tr;
-    sh_metrics = Metrics.create_registry ();
-    sh_counters = Stats.Counter.create_registry ();
-  }
+  { sh_span = sp; sh_trace = tr; sh_metrics = Metrics.create_registry () }
 
 let with_shard shard f =
   let old_span = Span.current () in
   let old_trace = Trace.current () in
   let old_metrics = Metrics.current () in
-  let old_counters = Stats.Counter.current () in
   Span.set_current shard.sh_span;
   Trace.set_current shard.sh_trace;
   Metrics.set_current shard.sh_metrics;
-  Stats.Counter.set_current shard.sh_counters;
   Fun.protect
     ~finally:(fun () ->
       Span.set_current old_span;
       Trace.set_current old_trace;
-      Metrics.set_current old_metrics;
-      Stats.Counter.set_current old_counters)
+      Metrics.set_current old_metrics)
     f
 
 (* Fold a shard into the *current* collectors, shifting the shard's
@@ -81,14 +71,13 @@ let with_shard shard f =
 let merge_shard ?(attach = Span.none) ?(offset = Units.zero) shard =
   Span.import (Span.current ()) ~offset ~attach shard.sh_span;
   Trace.import (Trace.current ()) ~offset shard.sh_trace;
-  Metrics.merge_into shard.sh_metrics;
-  Stats.merge_counters shard.sh_counters
+  Metrics.merge_into shard.sh_metrics
 
 (* --- Shard pool ----------------------------------------------------
 
-   A shard is ~4 collector structures whose backing stores (span
-   array, trace ring, histogram cells, counter cells) dwarf the data a
-   single request ever puts in them.  Serving allocates 2-3 shards per
+   A shard is 3 collector structures whose backing stores (span
+   array, trace ring, histogram cells) dwarf the data a single request
+   ever puts in them.  Serving allocates 2-3 shards per
    request; recycling them is the same reset-discipline the WFD shell
    pool uses: scrub every observable on release, so an acquired shard
    is indistinguishable from a fresh one ([merge_shard] of a scrubbed
@@ -110,8 +99,7 @@ let scrub_shard sh =
   Span.set_enabled sh.sh_span false;
   Trace.clear sh.sh_trace;
   Trace.set_enabled sh.sh_trace false;
-  Metrics.reset_registry sh.sh_metrics;
-  Stats.Counter.reset_registry sh.sh_counters
+  Metrics.reset_registry sh.sh_metrics
 
 let acquire_shard cfg =
   let pooled =

@@ -155,78 +155,47 @@ let clear t =
       s.s_sumsq <- 0.0;
       Sketch.Tdigest.clear s.digest
 
-let to_list t = Array.to_list (Array.sub t.samples 0 t.len)
+let iter f t =
+  for i = 0 to t.len - 1 do
+    f t.samples.(i)
+  done
 
 (* --- Named monotonic counters ------------------------------------- *)
 
-(* A counter handle is just its name; the value cell lives in a
-   registry resolved through domain-local storage at every bump.  That
-   indirection is what lets [Par.with_shard] route a parallel task's
-   counts into a private shard with no locks on the hot path, then
-   fold them back into the main registry in submission order. *)
+(* A counter is a sum, so its value cannot depend on the order of its
+   bumps: one process-wide atomic cell per name serves every domain,
+   shard or not, with no merge.  The name table is only touched by
+   [make] and the readers below, never on a bump. *)
 module Counter = struct
-  type t = string
+  type t = int Atomic.t
 
-  type registry = (string, int ref) Hashtbl.t
+  let table : (string, t) Hashtbl.t = Hashtbl.create 32
+  let table_mu = Mutex.create ()
 
-  let create_registry () : registry = Hashtbl.create 32
-
-  let default : registry = create_registry ()
-
-  let current_key = Domain.DLS.new_key create_registry
-  let () = Domain.DLS.set current_key default
-  let current () = Domain.DLS.get current_key
-  let set_current r = Domain.DLS.set current_key r
-
-  let cell (r : registry) name =
-    match Hashtbl.find_opt r name with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.replace r name c;
-        c
-
-  (* Pre-register in [default] so never-bumped counters still show up
-     (as zeros) in exports.  All [make] calls are module-init, i.e. on
-     the main domain. *)
   let make name =
-    ignore (cell default name);
-    name
+    Mutex.protect table_mu (fun () ->
+        match Hashtbl.find_opt table name with
+        | Some c -> c
+        | None ->
+            let c = Atomic.make 0 in
+            Hashtbl.replace table name c;
+            c)
 
-  let incr c = Stdlib.incr (cell (current ()) c)
-
-  let add c n =
-    let cl = cell (current ()) c in
-    cl := !cl + n
-
-  let value c = !(cell (current ()) c)
-  let name c = c
-  let reset c = cell (current ()) c := 0
-
-  (* Cells are kept (recycled shards reuse them); [merge_counters]
-     skips zero counts, so a scrubbed registry merges identically to a
-     fresh one. *)
-  let reset_registry (r : registry) = Hashtbl.iter (fun _ c -> c := 0) r
+  let incr = Atomic.incr
+  let add c n = ignore (Atomic.fetch_and_add c n)
 end
 
 let counter_value name =
-  match Hashtbl.find_opt (Counter.current ()) name with
-  | Some c -> !c
-  | None -> 0
+  Mutex.protect Counter.table_mu (fun () ->
+      match Hashtbl.find_opt Counter.table name with
+      | Some c -> Atomic.get c
+      | None -> 0)
 
 let counters () =
-  Hashtbl.fold (fun n c acc -> (n, !c) :: acc) (Counter.current ()) []
+  Mutex.protect Counter.table_mu (fun () ->
+      Hashtbl.fold (fun n c acc -> (n, Atomic.get c) :: acc) Counter.table [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset_counters () = Hashtbl.iter (fun _ c -> c := 0) (Counter.current ())
-
-(* Fold a shard registry into the current one.  Sums are
-   order-insensitive, so this is safe at any deterministic join. *)
-let merge_counters (src : Counter.registry) =
-  let dst = Counter.current () in
-  Hashtbl.fold (fun n c acc -> (n, !c) :: acc) src []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (n, v) ->
-         if v <> 0 then
-           let cl = Counter.cell dst n in
-           cl := !cl + v)
+let reset_counters () =
+  Mutex.protect Counter.table_mu (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) Counter.table)

@@ -31,7 +31,7 @@ val percentile : t -> float -> float
     on an empty collection.  Exact collections interpolate linearly
     between closest ranks over a cached sorted view that is invalidated
     by {!add} and {!clear}, so a batch of percentile queries sorts once
-    and insertion order (as seen by {!to_list}) is never disturbed.
+    and insertion order (as seen by {!iter}) is never disturbed.
     Sketched collections answer from the t-digest — deterministic, but
     an estimate. *)
 
@@ -45,57 +45,34 @@ val percentile_time : t -> float -> Units.time
 val mean_time : t -> Units.time
 val clear : t -> unit
 
-val to_list : t -> float list
-(** Retained samples in insertion order: all of them for {!create},
-    none for {!sketched}. *)
+val iter : (float -> unit) -> t -> unit
+(** [iter f t] applies [f] to the retained samples in insertion order:
+    all of them for {!create}, none for {!sketched}.  Builds no list or
+    copy. *)
 
-(** Named monotonic event counters.  A handle is just the counter's
-    name; the value cell lives in a {e registry} resolved through
-    domain-local storage on every bump.  On the main domain that is the
-    default process registry, so behaviour is unchanged for sequential
-    code; [Par.with_shard] swaps in a per-task registry so parallel
-    tasks count without locks, then {!merge_counters} folds the shard
-    back at a deterministic join.  [reset_counters] zeroes every
-    counter in the current registry (tests and repeated bench runs). *)
+(** Named monotonic event counters.  A counter is a sum, so its value
+    cannot depend on the order of its bumps: {!make} returns one
+    process-wide atomic cell per name, and {!incr}/{!add} update it in
+    place from any domain, inside a [Par] shard or not.  Shards carry
+    no counters and nothing merges them. *)
 module Counter : sig
   type t
 
-  type registry
-
-  val create_registry : unit -> registry
-
-  val current : unit -> registry
-  (** Domain-local current registry (the process default on the main
-      domain unless {!set_current} swapped it). *)
-
-  val set_current : registry -> unit
-
   val make : string -> t
-  (** Returns the counter handle for [name] and pre-registers it (at
-      zero) in the default registry so never-bumped counters still
-      export.  Call at module init, on the main domain. *)
+  (** The cell for [name], registered at zero on first use so
+      never-bumped counters still export.  Repeated calls with one name
+      share one cell. *)
 
   val incr : t -> unit
   val add : t -> int -> unit
-  val value : t -> int
-  val name : t -> string
-  val reset : t -> unit
-
-  val reset_registry : registry -> unit
-  (** Zero every counter cell in [registry] in place (cells are kept,
-      so a recycled shard reuses them; {!merge_counters} skips zero
-      counts, so merging a scrubbed registry is byte-identical to
-      merging a fresh one). *)
 end
 
 val counter_value : string -> int
 (** Current value of the named counter; 0 if never registered. *)
 
 val counters : unit -> (string * int) list
-(** All counters registered in the current registry, sorted by name. *)
+(** Every registered counter, sorted by name. *)
 
 val reset_counters : unit -> unit
-
-val merge_counters : Counter.registry -> unit
-(** Add every count in the given shard registry into the current one
-    (names visited in sorted order; sums are order-insensitive). *)
+(** Zeroes every counter (tests and repeated bench runs); the names
+    stay registered. *)

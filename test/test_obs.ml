@@ -104,6 +104,40 @@ let test_histogram_buckets () =
   Alcotest.(check int) "4 -> bucket 3" 3 (Metrics.bucket_index 4.0);
   Alcotest.(check int) "1023 -> bucket 10" 10 (Metrics.bucket_index 1023.0);
   Alcotest.(check int) "1024 -> bucket 11" 11 (Metrics.bucket_index 1024.0);
+  (* Edges: subnormals and -inf stay in 0; the integer bit length holds
+     past 2^53, where floats stop being dense; 2^62 and up, +inf and
+     nan all clamp to 63. *)
+  List.iter
+    (fun (label, v, want) ->
+      Alcotest.(check int) label want (Metrics.bucket_index v))
+    [
+      ("-1 -> bucket 0", -1.0, 0);
+      ("0.5 -> bucket 0", 0.5, 0);
+      ("min subnormal -> bucket 0", 4.9e-324, 0);
+      ("-inf -> bucket 0", Float.neg_infinity, 0);
+      ("1.5 -> bucket 1", 1.5, 1);
+      ("2^52 -> bucket 53", Float.pow 2.0 52.0, 53);
+      ("2^53 -> bucket 54", Float.pow 2.0 53.0, 54);
+      ("2^62 - 1024 -> bucket 62", Float.pow 2.0 62.0 -. 1024.0, 62);
+      ("2^62 -> bucket 63", Float.pow 2.0 62.0, 63);
+      ("2^63 -> bucket 63", Float.pow 2.0 63.0, 63);
+      ("1e300 -> bucket 63", 1e300, 63);
+      ("+inf -> bucket 63", Float.infinity, 63);
+      ("nan -> bucket 63", Float.nan, 63);
+    ];
+  (* Every observation and every merge replay buckets its value, so the
+     index must not allocate: the boxed argument (2 words) is all a call
+     may cost. *)
+  let calls = 100_000 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    acc := !acc + Metrics.bucket_index (float_of_int i *. 1e6)
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call > 4.0 then
+    Alcotest.failf "bucket_index allocates %.1f minor words per call (bound 4)" per_call;
+  Alcotest.(check bool) "nanosecond values bucketed" true (!acc > 0);
   Alcotest.(check (float 0.0)) "bound 0" 1.0 (Metrics.bucket_bound 0);
   Alcotest.(check (float 0.0)) "bound 10" 1024.0 (Metrics.bucket_bound 10)
 

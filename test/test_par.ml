@@ -44,15 +44,14 @@ let test_with_shard_restores_on_raise () =
      domain's collectors installed, or every later write of the run
      would land in the dead task's shard. *)
   let span0 = Span.current () and trace0 = Trace.current () in
-  let metrics0 = Metrics.current () and counters0 = Stats.Counter.current () in
+  let metrics0 = Metrics.current () in
   let sh = Par.acquire_shard all_on in
   (match
      Par.with_shard sh (fun () ->
          Alcotest.(check bool) "shard installed" true
            (Span.current () == sh.Par.sh_span
            && Trace.current () == sh.Par.sh_trace
-           && Metrics.current () == sh.Par.sh_metrics
-           && Stats.Counter.current () == sh.Par.sh_counters);
+           && Metrics.current () == sh.Par.sh_metrics);
          failwith "task")
    with
   | () -> Alcotest.fail "expected the task to raise"
@@ -61,8 +60,6 @@ let test_with_shard_restores_on_raise () =
   Alcotest.(check bool) "trace restored" true (Trace.current () == trace0);
   Alcotest.(check bool) "metrics registry restored" true
     (Metrics.current () == metrics0);
-  Alcotest.(check bool) "counter registry restored" true
-    (Stats.Counter.current () == counters0);
   Par.release_shard sh
 
 let test_merge_shard_offset_attach () =
@@ -346,8 +343,6 @@ let test_recycled_shard_merges_like_fresh () =
      through it and through a fresh shard must merge to the same bytes.
      The second round writes other series than the first, so any state
      the scrub missed shows up in the merged output. *)
-  (* An existing counter: [make] registers its name process-wide. *)
-  let retries = Stats.Counter.make "visor.retries" in
   let write tag =
     let sp = Span.current () in
     let id =
@@ -358,8 +353,7 @@ let test_recycled_shard_merges_like_fresh () =
     Span.end_span sp id ~at:(Units.us 9);
     Trace.record (Trace.current ()) ~at:(Units.us 3) ~category:"visor" ~label:tag tag;
     Metrics.observe (Metrics.histogram ("test.par.h." ^ tag)) 42.0;
-    Metrics.set_gauge (Metrics.gauge ("test.par.g." ^ tag)) 7.0;
-    Stats.Counter.add retries (String.length tag)
+    Metrics.max_gauge (Metrics.gauge ("test.par.g." ^ tag)) 7.0
   in
   let merged sh =
     let dst = Par.make_shard all_on in
@@ -449,6 +443,156 @@ let test_hotspot_allocation_accounting () =
       -. section_words)
     < 1.0)
 
+(* --- The merge rule -------------------------------------------------
+
+   A shard holds only order-sensitive instruments: spans, trace events
+   and histograms.  Observing a stream through shards merged in order
+   must export the same bytes as observing every series' sequence
+   directly, however the stream is cut, at k = 1 and on the digest path
+   (k = 64).  Counters and gauges are process-wide cells instead, so
+   bumps from any domain, inside a shard or not, end at the exact sum
+   and the exact maximum. *)
+
+let all_off = { Par.cfg_span_on = false; cfg_trace_on = false }
+
+let merge_series =
+  Array.init 8 (fun i ->
+      if i mod 2 = 0 then Printf.sprintf "test.par.merge.s%d" i
+      else
+        Metrics.labels "test.par.merge" [ ("endpoint", string_of_int i); ("q", "a\"b") ])
+
+let observe_all obs =
+  List.iter (fun (i, v) -> Metrics.observe (Metrics.histogram merge_series.(i)) v) obs
+
+(* A case is a list of shards, each a list of (series, value)
+   observations and whether the shard comes back from the pool after
+   an earlier use.  Some shards are empty; values repeat. *)
+let merge_case_gen =
+  let open QCheck.Gen in
+  let* series = int_range 1 8 in
+  let value =
+    frequency
+      [
+        (3, map float_of_int (int_range 0 1_000_000_000_000));
+        (2, float_range 0.0 1e12);
+        (1, oneofl [ 0.0; 1.0; 1023.0; 1024.0; 1e12 ]);
+      ]
+  in
+  let observations =
+    list_size
+      (frequency [ (1, return 0); (4, int_range 1 120) ])
+      (pair (int_bound (series - 1)) value)
+  in
+  list_size (int_range 1 6) (pair observations bool)
+
+let print_merge_case shards =
+  String.concat " | "
+    (List.map
+       (fun (obs, recycled) ->
+         Printf.sprintf "%s%s" (if recycled then "recycled " else "")
+           (String.concat ","
+              (List.map (fun (i, v) -> Printf.sprintf "%d:%.17g" i v) obs)))
+       shards)
+
+let export_in_fresh_registry ~every f =
+  let saved = Metrics.current () in
+  Metrics.set_current (Metrics.create_registry ());
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_current saved)
+    (fun () ->
+      if every > 1 then Metrics.set_raw_sample_every ~seed:7 every;
+      f ();
+      Obs.metrics_json_string ())
+
+let merged_export ~every shards =
+  let shards =
+    Array.of_list
+      (List.map
+         (fun (obs, recycled) ->
+           if recycled then begin
+             (* Leave cleared cells behind in the pooled shard: a stale
+                series and the case's own. *)
+             let used = Par.acquire_shard all_off in
+             Par.with_shard used (fun () ->
+                 Metrics.observe (Metrics.histogram "test.par.merge.stale") 5.0;
+                 observe_all obs);
+             Par.release_shard used
+           end;
+           (Par.acquire_shard all_off, obs))
+         shards)
+  in
+  let fill (sh, obs) () = Par.with_shard sh (fun () -> observe_all obs) in
+  ignore (with_domains 2 (fun () -> Par.run (Array.map fill shards)));
+  export_in_fresh_registry ~every (fun () ->
+      Array.iter
+        (fun (sh, _) ->
+          Par.merge_shard sh;
+          Par.release_shard sh)
+        shards)
+
+let merge_rule_property =
+  QCheck.Test.make ~name:"merge rule: sharded histograms == direct" ~count:100
+    (QCheck.make ~print:print_merge_case merge_case_gen)
+    (fun shards ->
+      List.for_all
+        (fun every ->
+          let direct =
+            export_in_fresh_registry ~every (fun () ->
+                List.iter (fun (obs, _) -> observe_all obs) shards)
+          in
+          String.equal direct (merged_export ~every shards))
+        [ 1; 64 ])
+
+let test_counters_gauges_exact () =
+  let never = "test.par.cells.never" in
+  ignore (Stats.Counter.make never);
+  let value i j = float_of_int (((i * 7919) + (j * 104_729)) mod 100_003) in
+  let want_max = ref 0.0 in
+  for i = 0 to 63 do
+    for j = 0 to 99 do
+      want_max := Float.max !want_max (value i j)
+    done
+  done;
+  List.iter
+    (fun (domains, in_shard) ->
+      let tag =
+        Printf.sprintf "%d domains, %s" domains
+          (if in_shard then "in a shard" else "no shard")
+      in
+      let name = Printf.sprintf "test.par.cells.count.%d.%b" domains in_shard in
+      let c = Stats.Counter.make name in
+      let g = Metrics.gauge (Printf.sprintf "test.par.cells.max.%d.%b" domains in_shard) in
+      let bump i () =
+        for j = 0 to 99 do
+          Stats.Counter.incr c;
+          Metrics.max_gauge g (value i j)
+        done
+      in
+      let task i () =
+        if in_shard then begin
+          let sh = Par.acquire_shard all_off in
+          Par.with_shard sh (bump i);
+          Some sh
+        end
+        else begin
+          bump i ();
+          None
+        end
+      in
+      let before = Stats.counter_value name in
+      let shards = with_domains domains (fun () -> Par.run (Array.init 64 task)) in
+      Array.iter
+        (Option.iter (fun sh ->
+             Par.merge_shard sh;
+             Par.release_shard sh))
+        shards;
+      Alcotest.(check int) (tag ^ ": exact sum") 6400 (Stats.counter_value name - before);
+      Alcotest.(check (float 0.0))
+        (tag ^ ": exact maximum") !want_max (Metrics.gauge_value g))
+    [ (1, false); (1, true); (4, false); (4, true) ];
+  Alcotest.(check (option int)) "a never-bumped counter exports 0" (Some 0)
+    (List.assoc_opt never (Metrics.snapshot ()).Metrics.snap_counters)
+
 let suite =
   [
     Alcotest.test_case "Par.run keeps submission order" `Quick test_run_submission_order;
@@ -476,4 +620,7 @@ let suite =
       test_hotspot_allocation_accounting;
     Alcotest.test_case "20 seeds, domains > cores" `Slow
       test_seeded_stress_across_domains;
+    QCheck_alcotest.to_alcotest merge_rule_property;
+    Alcotest.test_case "counters and gauges exact from any domain" `Quick
+      test_counters_gauges_exact;
   ]
