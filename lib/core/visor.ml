@@ -610,11 +610,12 @@ module Server = struct
 
   (* A warm template: a WFD whose entry table, preloaded modules and
      booted runtime state were paid for once, off the request path.
-     Requests CoW-clone it instead of cold-booting.  Templates thread
-     an intrusive doubly-linked recency list (head = most recent), so
-     touch and LRU eviction are O(1) with no membership scan. *)
+     Requests bind from its pool instead of cold-booting.  Templates
+     thread an intrusive doubly-linked recency list (head = most
+     recent), so touch and LRU eviction are O(1) with no membership
+     scan. *)
   type template = {
-    tpl_wfd : Wfd.t;
+    tpl_pool : Wfd.pool;
     tpl_engine : bool;
     tpl_python : bool;
     tpl_build : Units.time;
@@ -623,18 +624,6 @@ module Server = struct
     mutable tpl_prev : template option;  (* towards most recent *)
     mutable tpl_next : template option;  (* towards least recent *)
     mutable tpl_linked : bool;
-    mutable tpl_free : Wfd.t list;
-        (* Recycled WFD shells ready for [Wfd.acquire] — pushed by
-           worker domains under the server's recycle mutex, popped by
-           the sequential prologue.  Availability therefore depends
-           only on the merged virtual timeline (how many requests of
-           this template completed cleanly in earlier windows), never
-           on host scheduling. *)
-    mutable tpl_free_n : int;
-    mutable tpl_doomed : bool;
-        (* Set at eviction (always in a sequential phase): trajectories
-           still running against this template destroy their WFDs
-           instead of pooling them. *)
   }
 
   (* Windowed telemetry, opt-in via [enable_telemetry].  Every series
@@ -684,24 +673,16 @@ module Server = struct
     mutable warm_hit_count : int;
     mutable cold_boot_count : int;
     mutable machine_peak : int;
-    mutable doomed : Wfd.t list;
-        (* Templates evicted while a planned request may still hold a
-           reference to them: the WFD is destroyed only once no
-           trajectory can clone it (end of a serve window / [shutdown]). *)
-    recycle_cap : int;
-        (* Max pooled shells per template; 0 disables recycling (every
-           request clones fresh and destroys, the historical path). *)
-    recycle_mu : Mutex.t;
-        (* Guards every [tpl_free] push/pop: workers release shells
-           concurrently during a window's parallel phase. *)
+    mutable doomed : Wfd.pool list;
+        (* Retired pools of evicted templates a planned request may
+           still bind from: drained only once no trajectory can (end of
+           a serve window / [shutdown]). *)
     mutable tel : telemetry option;
   }
 
   let create ?(config = default_config) ?(pool_mem_cap = 512 * 1024 * 1024)
       ?(warm = true) ?(sample_every = 1) ?(sample_seed = 0)
-      ?(sketch_latency = false) ?(recycle_cap = 64) () =
-    if recycle_cap < 0 then
-      invalid_arg "Visor.Server.create: negative recycle cap";
+      ?(sketch_latency = false) () =
     if pool_mem_cap < 0 then invalid_arg "Visor.Server.create: negative pool cap";
     if sample_every < 1 then
       invalid_arg "Visor.Server.create: sample_every must be >= 1";
@@ -729,8 +710,6 @@ module Server = struct
       cold_boot_count = 0;
       machine_peak = 0;
       doomed = [];
-      recycle_cap;
-      recycle_mu = Mutex.create ();
       tel = None;
     }
 
@@ -843,16 +822,13 @@ module Server = struct
     match t.lru_tail with
     | None -> ()
     | Some tpl ->
-        (* Deferred destroy: a request planned against this template in
-           the serve prologue may clone it from a worker domain later;
-           the WFD dies at the next quiescent point instead.  Pooled
-           shells go the same way, and [tpl_doomed] stops in-flight
-           trajectories from pooling any more. *)
+        (* Deferred drain: a request planned against this template in
+           the serve prologue may bind from it on a worker domain
+           later, so the pool is only retired (no more shells pooled)
+           and drained at the next quiescent point. *)
         lru_unlink t tpl;
-        tpl.tpl_doomed <- true;
-        t.doomed <- List.rev_append tpl.tpl_free (tpl.tpl_wfd :: t.doomed);
-        tpl.tpl_free <- [];
-        tpl.tpl_free_n <- 0;
+        Wfd.retire tpl.tpl_pool;
+        t.doomed <- tpl.tpl_pool :: t.doomed;
         Hashtbl.remove t.templates tpl.tpl_ep;
         t.pool_bytes <- t.pool_bytes - tpl.tpl_rss;
         t.evicted <- t.evicted + 1;
@@ -860,7 +836,7 @@ module Server = struct
           "template %s evicted (LRU)" tpl.tpl_ep
 
   let flush_doomed t =
-    List.iter Wfd.destroy t.doomed;
+    List.iter Wfd.drain t.doomed;
     t.doomed <- []
 
   (* Build the warm template for an endpoint: full WFD boot, entry
@@ -906,7 +882,7 @@ module Server = struct
     Trace.recordf (Trace.current ()) ~at:(Clock.now clock) ~category:"server"
       ~label:"template-built" "wfd%d for %s" wfd.Wfd.id endpoint;
     {
-      tpl_wfd = wfd;
+      tpl_pool = Wfd.pool wfd;
       tpl_engine = needs_engine;
       tpl_python = needs_python;
       tpl_build = Clock.now clock;
@@ -915,9 +891,6 @@ module Server = struct
       tpl_prev = None;
       tpl_next = None;
       tpl_linked = false;
-      tpl_free = [];
-      tpl_free_n = 0;
-      tpl_doomed = false;
     }
 
   (* Install a template under the memory cap, evicting least-recently
@@ -926,7 +899,7 @@ module Server = struct
   let install_template t endpoint tpl =
     let rss = tpl.tpl_rss in
     if rss > t.pool_cap then begin
-      Wfd.destroy tpl.tpl_wfd;
+      Wfd.drain tpl.tpl_pool;
       None
     end
     else begin
@@ -938,57 +911,6 @@ module Server = struct
       touch t tpl;
       note_rss t;
       Some tpl
-    end
-
-  (* --- WFD shell pool (recycling) ---------------------------------- *)
-
-  (* Pop a recycled shell for a request booting against [tpl].  Called
-     from worker domains: which requests get shells is host-scheduling
-     dependent, which is fine because [Wfd.acquire] replays exactly the
-     virtual effects of a fresh clone — shell vs clone is virtually
-     indistinguishable, so only host cost depends on the pop order. *)
-  let pop_shell t tpl =
-    if t.recycle_cap = 0 then None
-    else
-      Mutex.protect t.recycle_mu (fun () ->
-          match tpl.tpl_free with
-          | [] -> None
-          | s :: rest ->
-              tpl.tpl_free <- rest;
-              tpl.tpl_free_n <- tpl.tpl_free_n - 1;
-              Some s)
-
-  (* Return a finished clone of [tpl] to its shell pool — called from
-     worker domains at the end of a clean warm attempt.  The host-only
-     reset happens here, off the sequential merge path; over the cap or
-     after eviction the shell is destroyed like the historical path.
-
-     Returns whether the shell was {e offered} to the pool.  That bool
-     depends only on plan-level state set in sequential phases
-     (recycle cap, doom flags), never on the pool's momentary
-     occupancy — which makes it the deterministic recycle signal the
-     telemetry layer records.  Whether an offered shell actually stays
-     pooled additionally depends on the cap check under the mutex,
-     i.e. on concurrent push order, so that outcome is host-only. *)
-  let release_shell t tpl wfd =
-    if t.recycle_cap = 0 || tpl.tpl_doomed || tpl.tpl_wfd.Wfd.destroyed then begin
-      Wfd.destroy wfd;
-      false
-    end
-    else begin
-      Wfd.recycle ~template:tpl.tpl_wfd wfd;
-      let pooled =
-        Mutex.protect t.recycle_mu (fun () ->
-            tpl.tpl_free_n < t.recycle_cap
-            && not tpl.tpl_doomed
-            && begin
-                 tpl.tpl_free <- wfd :: tpl.tpl_free;
-                 tpl.tpl_free_n <- tpl.tpl_free_n + 1;
-                 true
-               end)
-      in
-      if not pooled then Wfd.destroy wfd;
-      true
     end
 
   let find_registration t endpoint =
@@ -1063,9 +985,9 @@ module Server = struct
     tj_attempts : attempt_traj list;  (* executed attempts, in order *)
     tj_retries : int;  (* function restarts across all attempts *)
     tj_released : bool;
-        (* the final attempt offered its shell back to the recycle
-           pool — the deterministic per-request recycle signal (see
-           [release_shell]) *)
+        (* the final attempt's WFD went back to its template's pool —
+           the deterministic per-request recycle signal (see
+           [Wfd.release]) *)
   }
 
   type plan = {
@@ -1141,48 +1063,13 @@ module Server = struct
             let wfd, rt, warm =
               match boots.(a - 1) with
               | Warm tpl ->
-                  (* A recycled shell serves attempt 1 of fault-free
-                     requests; [Wfd.acquire] replays exactly the
-                     virtual effects of a fresh clone, so the pop can
-                     be opportunistic (host-order) here on the worker
-                     domain: shells recirculate within a window and the
-                     pool stays O(domains) instead of O(window).
-                     Fault-carrying requests clone fresh, matching
-                     [acquire]'s fault-plan contract. *)
-                  let shell =
-                    if a = 1 && fault_child = None then pop_shell t tpl
-                    else None
-                  in
-                  let vfs =
-                    match scfg.vfs with
-                    | Some _ -> None (* shared pre-staged disk: inherit *)
-                    | None -> (
-                        (* The template's image is host-shared mutable
-                           state; every clone gets a private disk wired
-                           to its own fault plan.  A shell that kept
-                           its recycled private image (re-formatted,
-                           bit-identical to fresh) reuses it. *)
-                        match shell with
-                        | Some s when s.Wfd.vfs != tpl.tpl_wfd.Wfd.vfs ->
-                            None
-                        | _ ->
-                            let disk =
-                              Hotspot.with_section "vfs.fresh" (fun () ->
-                                  Fsim.Vfs.fresh_fat ())
-                            in
-                            Some
-                              (match fault_child with
-                              | Some plan -> Fsim.Vfs.with_faults plan disk
-                              | None -> disk))
-                  in
+                  (* Every warm attempt binds through the template's
+                     pool; a fault-free one may take a shell another
+                     domain released, which changes no virtual
+                     observable. *)
                   let wfd =
-                    match shell with
-                    | Some s ->
-                        Wfd.acquire ?vfs ~template:tpl.tpl_wfd s ~proc_table
-                          ~clock
-                    | None ->
-                        Wfd.clone_template ?vfs ?fault:fault_child tpl.tpl_wfd
-                          ~proc_table ~clock
+                    Wfd.bind ?fault:fault_child tpl.tpl_pool
+                      ~scratch_disk:(Option.is_none scfg.vfs) ~proc_table ~clock
                   in
                   wfd.Wfd.span <- boot_span;
                   Libos.attach_warm wfd ~clock;
@@ -1290,17 +1177,17 @@ module Server = struct
             Wfd.destroy wfd;
             raise e
       in
-      (* A clean warm finish returns its WFD to the template's shell
-         pool (host-only reset on this worker domain); failures, cold
-         boots and per-request fault plans tear down as before. *)
+      (* A clean warm finish returns its WFD to the template's pool
+         (host-only reset on this worker domain); failures and cold
+         boots tear down. *)
       (match boot_tpl with
-      | Some tpl when at.at_failed = None && fault_child = None ->
-          released := release_shell t tpl wfd
+      | Some tpl when at.at_failed = None ->
+          released := Wfd.release tpl.tpl_pool wfd
       | Some _ | None -> Wfd.destroy wfd);
       (* The attempt record never references the process table (RSS is
-         sampled into the segments), and a recycled shell's table field
-         was re-pointed at the template's by [Wfd.recycle] — so the
-         per-attempt table recirculates on this worker domain. *)
+         sampled into the segments), and a pooled shell holds no
+         process entry — so the per-attempt table recirculates on this
+         worker domain. *)
       Hostos.Process.release_table proc_table;
       if at.at_failed <> None && a < max_a then attempts_from (a + 1) (at :: acc)
       else List.rev (at :: acc)
@@ -1763,14 +1650,7 @@ module Server = struct
     (List.rev rev, s)
 
   let shutdown t =
-    Hashtbl.iter
-      (fun _ tpl ->
-        List.iter Wfd.destroy tpl.tpl_free;
-        tpl.tpl_free <- [];
-        tpl.tpl_free_n <- 0;
-        tpl.tpl_doomed <- true;
-        Wfd.destroy tpl.tpl_wfd)
-      t.templates;
+    Hashtbl.iter (fun _ tpl -> Wfd.drain tpl.tpl_pool) t.templates;
     Hashtbl.reset t.templates;
     t.lru_head <- None;
     t.lru_tail <- None;

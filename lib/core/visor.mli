@@ -207,7 +207,6 @@ module Server : sig
     ?sample_every:int ->
     ?sample_seed:int ->
     ?sketch_latency:bool ->
-    ?recycle_cap:int ->
     unit ->
     t
   (** A server over [config.cores] shared cores.  [pool_mem_cap]
@@ -232,18 +231,14 @@ module Server : sig
       completion order.  The default retains every latency and reports
       exact percentiles.
 
-      [recycle_cap] (default 64) bounds the per-template pool of
-      recycled WFD shells: a clean warm request's WFD is reset to the
-      template image and reused by a later request ({!Wfd.recycle} /
-      {!Wfd.acquire}) instead of being torn down and re-cloned.
-      Recycling is host-only — every virtual observable is
-      bit-identical to clone-then-destroy, at any domain count —
-      [recycle_cap:0] disables it (the historical path).  Shells
-      recirculate within a scheduling window (a trajectory's release
-      feeds the next trajectory on any domain), so the pool's
-      steady-state population is O(domains), far below the default
-      cap; the cap only bounds transients.  Raises [Invalid_argument]
-      when negative. *)
+      Each template keeps a {!Wfd.pool}: a clean warm request's WFD is
+      reset to the template image and reused by a later request
+      instead of being torn down and re-cloned.  Pooling is
+      host-only: every virtual observable is bit-identical to
+      clone-then-destroy, at any domain count.  A request with its own
+      fault plan always binds a new WFD and destroys it.  Shells
+      recirculate within a scheduling window, so a pool holds at most
+      one shell per domain. *)
 
   val register :
     t ->
@@ -276,10 +271,9 @@ module Server : sig
       Every observation is recorded from the sequential merge loop on
       the merged virtual timeline, so timeseries exports, SLO alert
       instants and burn rates are byte-identical across host domain
-      counts.  The recycle-release series counts shells {e offered}
-      back to the pool (a plan-deterministic event); whether an offer
-      stays pooled depends on host push order and is deliberately not
-      a telemetry signal. *)
+      counts.  The recycle-release series counts WFDs returned to
+      their template's pool ({!Wfd.release}), a plan-deterministic
+      event. *)
 
   val telemetry : t -> Sim.Timeseries.t option
   (** The live timeseries once {!enable_telemetry} was called. *)

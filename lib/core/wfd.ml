@@ -12,9 +12,9 @@ type thread = {
   user_pkru : Prot.pkru;
 }
 
-(* [id], [vfs], [fault], [pid] and [proc_table] are mutable only so a
-   recycled WFD can be re-bound to its next request by {!acquire};
-   nothing else writes them after construction. *)
+(* [id], [vfs], [pid] and [proc_table] are mutable only so a pooled
+   shell can be re-bound to its next request by {!bind}; nothing else
+   writes them after construction. *)
 type t = {
   mutable id : int;
   workflow_name : string;
@@ -25,7 +25,7 @@ type t = {
   entry_table : (string, string) Hashtbl.t;
   ext : Ext.t;
   mutable vfs : Fsim.Vfs.t;
-  mutable fault : Fault.t option;
+  fault : Fault.t option;
   mutable tap : Hostos.Tap.device option;
   stdout : Buffer.t;
   mutable pid : Hostos.Process.pid;
@@ -55,6 +55,9 @@ let system_pkru = Prot.pkru_allow_all
 
 let user_pkru_for t slot =
   Prot.pkru_deny_all_except [ function_key t slot; buffer_key; Prot.default_key ]
+
+(* The [pid] of a WFD with no process entry: a pooled shell. *)
+let no_pid = 0
 
 let next_id = Atomic.make 0
 
@@ -93,9 +96,8 @@ let with_id_namespace ~base f =
    raising rights).  The libos heap region is *address space* for
    AsBuffers; its pages are mapped per allocation.  The mapped
    partition is resident from the start, so the new process is charged
-   for it.  [create], [clone_template] and [acquire] all boot here, so a
-   recycled shell's virtual effects equal a fresh clone's by
-   construction; each caller charges its own clock costs. *)
+   for it.  [create] and [bind] both boot here; each charges its own
+   clock costs. *)
 let boot_system aspace ~proc_table ~clock ~name =
   Address_space.map aspace ~addr:Layout.visor_code.Layout.base
     ~len:Layout.visor_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
@@ -193,74 +195,40 @@ let respawn_function_thread t ~slot ~clock =
   map_slot t slot;
   clone_into_slot t slot ~clock
 
-(* CoW-clone a warm template into a fresh WFD: the system partition,
-   loaded module namespaces and entry table come along with the clone
-   (shared read-only pages); mutable per-request state (buffer heap,
-   module state, stdout, function slots) starts fresh.  The clone gets
-   its own process-table entry charged the same resident base as a
-   created WFD, and pays Cost.wfd_clone instead of wfd_create +
-   entry_table_init. *)
-let clone_template ?vfs ?fault template ~proc_table ~clock =
-  Hotspot.with_section "wfd.clone" @@ fun () ->
-  if template.destroyed then invalid_arg "Wfd.clone_template: template destroyed";
-  (* [vfs] / [fault] override the template's shared disk image and plan
-     for this clone.  Parallel serving uses this: the template's vfs is
-     host-shared mutable state, so each request clones onto a private
-     image wrapped with its own fault plan. *)
-  let vfs = match vfs with Some v -> v | None -> template.vfs in
-  let fault = match fault with Some _ as f -> f | None -> template.fault in
-  let id = fresh_id () in
-  Atomic.incr live;
-  let aspace = Address_space.create () in
-  let pid = boot_system aspace ~proc_table ~clock ~name:template.workflow_name in
-  Clock.advance clock Cost.wfd_clone;
-  Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc);
-  {
-    id;
-    workflow_name = template.workflow_name;
-    features = template.features;
-    aspace;
-    buffer_alloc =
-      Alloc.create ?fault ~base:Layout.libos_heap.Layout.base
-        ~size:Layout.libos_heap.Layout.size ();
-    loaded_modules = Hashtbl.copy template.loaded_modules;
-    entry_table = Hashtbl.copy template.entry_table;
-    ext = Ext.create ();
-    vfs;
-    fault;
-    tap = None;
-    stdout = Buffer.create 256;
-    pid;
-    proc_table;
-    next_fn_slot = 0;
-    destroyed = false;
-    entry_misses = 0;
-    entry_hits = 0;
-    trampoline_crossings = 0;
-    span = Span.none;
-  }
-
 let destroy t =
   if not t.destroyed then
     Hotspot.with_section "wfd.destroy" @@ fun () ->
     t.destroyed <- true;
     live_decr ();
     (match t.tap with Some _ -> t.tap <- None | None -> ());
-    Hostos.Process.exit_process t.proc_table t.pid
+    if t.pid <> no_pid then Hostos.Process.exit_process t.proc_table t.pid
 
-(* Reset a finished clone back to its template image, so {!acquire} can
-   re-bind it to a later request without re-allocating the address
-   space, page table, TLB arena, hash tables or buffers.  Pure host
-   work: no clock is charged and no global counter is touched (exactly
-   like {!destroy} followed by a fresh clone's [Address_space.create]).
-   The shell stays [live] while pooled; only {!destroy} retires it. *)
+(* A template pool: the warm template WFD plus the finished request
+   WFDs ("shells") reset to its image.  Workers bind and release from
+   any domain, so the free list sits behind [mu]; [retired] is set in
+   sequential phases only. *)
+type pool = {
+  template : t;
+  mu : Mutex.t;
+  mutable free : t list;
+  mutable retired : bool;
+}
+
+let pool template = { template; mu = Mutex.create (); free = []; retired = false }
+
+(* Reset a finished shell back to the template image without
+   re-allocating its address space, page table, TLB arena, tables or
+   buffers.  Pure host work: no clock is charged and no global counter
+   is touched.  The shell leaves its request's process table, so a
+   pooled shell holds no process entry; it stays [live] (it still owns
+   its arenas) until {!drain} destroys it. *)
 let recycle ~template t =
   Hotspot.with_section "wfd.recycle" @@ fun () ->
-  if t.destroyed then invalid_arg "Wfd.recycle: WFD destroyed";
-  if template.destroyed then invalid_arg "Wfd.recycle: template destroyed";
+  Hostos.Process.exit_process t.proc_table t.pid;
+  t.pid <- no_pid;
   Address_space.recycle t.aspace;
   Alloc.reset t.buffer_alloc;
-  (* The clone's tables start as exact copies of the template's and
+  (* The shell's tables start as exact copies of the template's and
      only ever grow (module loads add entries, never remove), so equal
      sizes mean equal contents — the warm steady state, where the
      re-copy is skipped entirely. *)
@@ -274,53 +242,119 @@ let recycle ~template t =
     Hashtbl.iter (Hashtbl.replace t.entry_table) template.entry_table
   end;
   Ext.clear t.ext;
-  (* A private per-request scratch disk is re-formatted in place and
-     kept for the shell's next request (a recycled image is
-     bit-identical in behaviour to the fresh one the next clone would
-     have formatted); anything else — the template's shared image, or
-     a backend without in-place reset — is dropped back to the
-     template's so the pooled shell doesn't pin it. *)
+  (* A private scratch disk is re-formatted in place and kept for the
+     shell's next bind (a recycled image behaves bit-identically to a
+     fresh one); anything else drops back to the template's image so
+     the pooled shell doesn't pin it. *)
   if not (t.vfs != template.vfs && Fsim.Vfs.recycle t.vfs) then
     t.vfs <- template.vfs;
-  t.fault <- template.fault;
   t.tap <- None;
   (* [Buffer.reset], not [clear]: a pooled shell must not retain a
      request's grown stdout storage. *)
   Buffer.reset t.stdout;
-  t.proc_table <- template.proc_table;
-  t.pid <- template.pid;
   t.next_fn_slot <- 0;
   t.entry_misses <- 0;
   t.entry_hits <- 0;
   t.trampoline_crossings <- 0;
   t.span <- Span.none
 
-(* Bind a recycled shell to its next request.  Mirrors
-   {!clone_template}'s virtual effects exactly — same id draw, same
-   [boot_system] (base mappings, hence the same TLB-flush counter
-   traffic, process spawn and RSS charge), same [Cost.wfd_clone] +
-   pkey-alloc clock charges — so a request served by a recycled WFD is
-   indistinguishable, in every virtual observable, from one served by
-   a fresh clone.  The shell
-   keeps the template's fault plan (its buffer heap was armed with it
-   at clone time); requests carrying a per-request plan must clone
-   fresh instead. *)
-let acquire ?vfs ~template t ~proc_table ~clock =
-  Hotspot.with_section "wfd.acquire" @@ fun () ->
-  if t.destroyed then invalid_arg "Wfd.acquire: WFD destroyed";
-  if template.destroyed then invalid_arg "Wfd.acquire: template destroyed";
-  (* [None] keeps the shell's current image: its recycled private
-     scratch disk when {!recycle} kept one, the template's otherwise —
-     exactly what the matching clone would have been given. *)
-  let vfs = match vfs with Some v -> v | None -> t.vfs in
+(* A new shell of [template]: the system partition, loaded module
+   namespaces and entry table come along (CoW-shared read-only pages);
+   the buffer heap, module state, stdout and function slots start
+   fresh.  Host work only — {!bind} boots it and sets its id, pid,
+   process table and disk. *)
+let new_shell ?fault template =
+  Atomic.incr live;
+  let fault = match fault with Some _ -> fault | None -> template.fault in
+  {
+    id = 0;
+    workflow_name = template.workflow_name;
+    features = template.features;
+    aspace = Address_space.create ();
+    buffer_alloc =
+      Alloc.create ?fault ~base:Layout.libos_heap.Layout.base
+        ~size:Layout.libos_heap.Layout.size ();
+    loaded_modules = Hashtbl.copy template.loaded_modules;
+    entry_table = Hashtbl.copy template.entry_table;
+    ext = Ext.create ();
+    vfs = template.vfs;
+    fault;
+    tap = None;
+    stdout = Buffer.create 256;
+    pid = no_pid;
+    proc_table = template.proc_table;
+    next_fn_slot = 0;
+    destroyed = false;
+    entry_misses = 0;
+    entry_hits = 0;
+    trampoline_crossings = 0;
+    span = Span.none;
+  }
+
+let bind ?fault p ~scratch_disk ~proc_table ~clock =
+  let tpl = p.template in
+  if tpl.destroyed then invalid_arg "Wfd.bind: template destroyed";
+  (* A request with its own plan needs a shell whose buffer heap was
+     armed with that plan, so it never takes a pooled one. *)
+  let shell =
+    match fault with
+    | Some _ -> None
+    | None ->
+        Mutex.protect p.mu (fun () ->
+            match p.free with
+            | [] -> None
+            | s :: rest ->
+                p.free <- rest;
+                Some s)
+  in
+  let vfs =
+    if not scratch_disk then tpl.vfs
+    else
+      match shell with
+      | Some s when s.vfs != tpl.vfs -> s.vfs
+      | Some _ | None -> (
+          let disk =
+            Hotspot.with_section "vfs.fresh" (fun () -> Fsim.Vfs.fresh_fat ())
+          in
+          match fault with Some plan -> Fsim.Vfs.with_faults plan disk | None -> disk)
+  in
+  let section = match shell with Some _ -> "wfd.acquire" | None -> "wfd.clone" in
+  Hotspot.with_section section @@ fun () ->
+  let t = match shell with Some s -> s | None -> new_shell ?fault tpl in
+  (* The clone's virtual effects, charged the same way for either
+     shell: one id draw, [boot_system]'s mappings, process spawn and
+     RSS, and [Cost.wfd_clone] + pkey-alloc instead of the full create
+     + entry-table path. *)
   t.id <- fresh_id ();
-  let pid = boot_system t.aspace ~proc_table ~clock ~name:template.workflow_name in
+  t.pid <- boot_system t.aspace ~proc_table ~clock ~name:tpl.workflow_name;
+  t.proc_table <- proc_table;
+  t.vfs <- vfs;
   Clock.advance clock Cost.wfd_clone;
   Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc);
-  t.vfs <- vfs;
-  t.pid <- pid;
-  t.proc_table <- proc_table;
   t
+
+(* A shell bound with the request's own plan carries a fresh [Some]
+   and cannot be pooled; every other shell shares the template's
+   [fault] value. *)
+let release p t =
+  if t.destroyed then invalid_arg "Wfd.release: WFD destroyed";
+  if p.retired || t.fault != p.template.fault then begin
+    destroy t;
+    false
+  end
+  else begin
+    recycle ~template:p.template t;
+    Mutex.protect p.mu (fun () -> p.free <- t :: p.free);
+    true
+  end
+
+let retire p = p.retired <- true
+
+let drain p =
+  retire p;
+  List.iter destroy p.free;
+  p.free <- [];
+  destroy p.template
 
 let mapped_bytes t = Address_space.mapped_bytes t.aspace
 

@@ -24,7 +24,7 @@ type thread = {
 }
 
 type t = {
-  mutable id : int;  (** Mutable only for {!acquire} re-binding. *)
+  mutable id : int;  (** Mutable only for {!bind} re-binding a pooled shell. *)
   workflow_name : string;
   features : features;
   aspace : Mem.Address_space.t;
@@ -33,8 +33,7 @@ type t = {
   entry_table : (string, string) Hashtbl.t;  (** entry name -> module. *)
   ext : Ext.t;  (** Per-module state (fd tables, slot maps, ...). *)
   mutable vfs : Fsim.Vfs.t;  (** The WFD's virtual disk image. *)
-  mutable fault : Sim.Fault.t option;
-      (** Fault plan consulted by substrate layers. *)
+  fault : Sim.Fault.t option;  (** Fault plan consulted by substrate layers. *)
   mutable tap : Hostos.Tap.device option;
   stdout : Buffer.t;  (** Host console output of this WFD. *)
   mutable pid : Hostos.Process.pid;
@@ -100,67 +99,73 @@ val respawn_function_thread : t -> slot:int -> clock:Sim.Clock.t -> thread
     slot.  Intermediate-data buffers live in the libos heap and are
     untouched. *)
 
-val clone_template :
-  ?vfs:Fsim.Vfs.t ->
-  ?fault:Sim.Fault.t ->
-  t ->
-  proc_table:Hostos.Process.t ->
-  clock:Sim.Clock.t ->
-  t
-(** CoW-clone a warm template WFD for one request (the warm-pool fast
-    path): the loaded-module set and entry table are inherited, the
-    buffer heap / module state / stdout / function slots start fresh,
-    and the clone is charged {!Cost.wfd_clone} instead of the full
-    create + entry-table path.  By default the clone shares the
-    template's disk image and fault plan; [vfs] / [fault] substitute a
-    per-request image and plan — required when clones execute on
-    different domains, since the shared vfs is host-mutable state.
-    The clone lives in [proc_table] under its own pid.  Raises
-    [Invalid_argument] if the template was destroyed. *)
-
 val destroy : t -> unit
 (** Unmap everything and reclaim resources.  Idempotent. *)
 
-(** {1 Recycling}
+(** {1 Template pools}
 
-    The steady-state warm path used to clone-then-destroy a WFD per
-    request; at 10⁵–10⁷ requests the allocation and teardown dominate
-    host cost.  Instead, a finished clone can be {!recycle}d back to
-    its template image (host-only reset, no virtual effects) and later
-    {!acquire}d for a new request.  [acquire] re-plays exactly the
-    virtual effects of {!clone_template} — same id draw from the
-    request's reserved namespace, same base mappings and counter
-    traffic, same RSS and clock charges — so every virtual observable
-    is bit-identical whether a request got a recycled shell or a fresh
-    clone. *)
+    A serving layer keeps one warm template WFD per endpoint and boots
+    each request's WFD from it.  Cloning a new WFD per request and
+    destroying it afterwards dominates host cost at 10⁵–10⁷ requests,
+    so a pool also keeps finished request WFDs ("shells") reset to the
+    template image.  {!bind} is the one warm boot: it takes a pooled
+    shell or builds a new one, then charges the clone's virtual
+    effects once — one id draw, the system partition's mappings,
+    process spawn and RSS, {!Cost.wfd_clone} and a pkey-alloc.  Every
+    virtual observable is therefore the same whichever shell a request
+    got, and pooling is a host-only optimisation.
 
-val recycle : template:t -> t -> unit
-(** Reset a finished, still-live clone of [template] back to the
-    template image: address space emptied in place (page table and TLB
-    arena reused), buffer heap reset, module/entry tables re-copied,
-    per-module state and stdout cleared, process-table references
-    released.  A private per-request scratch disk that supports
-    {!Fsim.Vfs.recycle} is re-formatted in place and kept for the next
-    {!acquire}; otherwise the vfs reference drops back to the
-    template's.  Charges no clock and touches no global counter.  The
-    shell remains [live] (it still owns its arenas) until {!destroy}.
-    Raises [Invalid_argument] if either WFD was destroyed. *)
+    A shell is held by one bound request at a time and a new one is
+    built only when the pool is empty, so a pool never holds more
+    shells than the most requests that were bound at once. *)
 
-val acquire :
-  ?vfs:Fsim.Vfs.t ->
-  template:t ->
-  t ->
+type pool
+
+val pool : t -> pool
+(** An empty pool over a booted, warm template. *)
+
+val bind :
+  ?fault:Sim.Fault.t ->
+  pool ->
+  scratch_disk:bool ->
   proc_table:Hostos.Process.t ->
   clock:Sim.Clock.t ->
   t
-(** Bind a {!recycle}d shell to a new request, mirroring
-    {!clone_template}'s virtual effects exactly (see above).  [vfs]
-    defaults to the shell's current image — the recycled private
-    scratch disk when {!recycle} kept one, the template's otherwise.
-    The shell keeps the template's fault plan — requests that carry a
-    per-request plan must use {!clone_template} instead, because the
-    shell's buffer heap was armed with the template's plan at clone
-    time.  Returns the shell for convenience. *)
+(** Boot a WFD for one request from the pool's template.  The WFD
+    inherits the template's loaded modules and entry table; its buffer
+    heap, module state, stdout and function slots start empty, and it
+    lives in [proc_table] under its own pid.
+
+    Without [fault] the WFD is a pooled shell when one is free, else a
+    new one, and it shares the template's fault plan.  With [fault]
+    it is always a new shell armed with that plan, and {!release}
+    destroys it instead of pooling it.
+
+    [scratch_disk:true] gives the WFD a private disk: a reused shell's
+    re-formatted image when it kept one, else a fresh FAT image
+    wrapped with [fault].  Parallel serving needs this, because the
+    template's image is host-shared mutable state.
+    [scratch_disk:false] inherits the template's image (a shared
+    pre-staged disk).  Raises [Invalid_argument] if the pool was
+    drained. *)
+
+val release : pool -> t -> bool
+(** Return a cleanly finished WFD bound from the pool.  It is reset
+    to the template image (host-only: no clock, no global counter; it
+    leaves its process table and holds no process entry while pooled)
+    and pooled, and [release] returns [true].  A WFD bound with its own
+    fault plan, or released into a retired pool, is destroyed instead
+    and [release] returns [false].  The result depends only on the
+    bind and {!retire}, never on the pool's occupancy.  A WFD that
+    failed mid-request should be {!destroy}ed, not released. *)
+
+val retire : pool -> unit
+(** Stop pooling: later releases destroy.  Binds still work until
+    {!drain}.  Call it while no bind or release runs. *)
+
+val drain : pool -> unit
+(** Retire the pool and destroy its shells and its template.  Call it
+    once no bound WFD of the pool is still running. *)
 
 val live_count : unit -> int
 (** Number of created-but-not-destroyed WFDs across the whole process —

@@ -23,9 +23,11 @@ type t = private { wf_name : string; nodes : node list; edges : (string * string
 
 val create :
   name:string -> nodes:node list -> edges:(string * string) list -> (t, string) result
-(** Validates: every required module is an as-libos registry name
-    ({!Libos.module_names}), unique ids, edges reference existing
-    nodes, instances >= 1, acyclic. *)
+(** Validates: at least one node, every required module is an
+    as-libos registry name ({!Libos.module_names}), unique ids, edges
+    reference existing nodes, instances >= 1, acyclic, and the total
+    instance count fits a WFD's {!Mem.Layout.function_slot_count}
+    function slots. *)
 
 val create_exn :
   name:string -> nodes:node list -> edges:(string * string) list -> t

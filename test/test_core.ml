@@ -207,6 +207,24 @@ let test_workflow_validation () =
         {|node a requires unknown as-libos module "nosuch"|} e
   | Ok _ -> Alcotest.fail "unknown as-libos module must fail"
 
+let test_workflow_fits_a_wfd () =
+  (* Each instance holds a function slot for the WFD's lifetime. *)
+  let sized id instances = { (node id []) with Workflow.instances } in
+  let create nodes edges = Workflow.create ~name:"w" ~nodes ~edges in
+  (match create [ sized "a" 64 ] [] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("64 instances fit: " ^ e));
+  let too_many = "workflow has 65 function instances but a WFD has 64 function slots" in
+  (match create [ sized "a" 65 ] [] with
+  | Error e -> Alcotest.(check string) "65 in one stage" too_many e
+  | Ok _ -> Alcotest.fail "65 instances must fail");
+  (match create [ sized "a" 40; sized "b" 25 ] [ ("a", "b") ] with
+  | Error e -> Alcotest.(check string) "40 + 25 over two stages" too_many e
+  | Ok _ -> Alcotest.fail "65 instances over two stages must fail");
+  match create [] [] with
+  | Error e -> Alcotest.(check string) "empty" "workflow has no functions" e
+  | Ok _ -> Alcotest.fail "a workflow without functions must fail"
+
 let test_workflow_stages_diamond () =
   let wf =
     Workflow.create_exn ~name:"diamond"
@@ -401,6 +419,7 @@ let suite =
     Alcotest.test_case "fndata record_get" `Quick test_fndata_record_get;
     QCheck_alcotest.to_alcotest fndata_roundtrip_property;
     Alcotest.test_case "workflow validation" `Quick test_workflow_validation;
+    Alcotest.test_case "workflow fits a WFD" `Quick test_workflow_fits_a_wfd;
     Alcotest.test_case "workflow diamond stages" `Quick test_workflow_stages_diamond;
     Alcotest.test_case "workflow uneven depth" `Quick test_workflow_stages_uneven_depth;
     Alcotest.test_case "workflow chain builder" `Quick test_workflow_chain_builder;

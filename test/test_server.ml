@@ -112,6 +112,22 @@ let test_lru_eviction_under_cap () =
   (* Serving endpoint a again boots cold (its template was evicted). *)
   let _, s = Visor.Server.serve server [ req ~endpoint:"a" 0 ] in
   Alcotest.(check int) "evicted endpoint boots cold" 1 s.Visor.Server.sm_cold_starts;
+  (* A warm request planned against a, then b's cold boot evicting a
+     in the same window: a's pool is retired, so the warm request's
+     WFD is destroyed rather than pooled and counts no recycle. *)
+  Visor.Server.enable_telemetry server ();
+  let live0 = Wfd.live_count () in
+  let evicted0 = Visor.Server.evictions server in
+  let _, s = Visor.Server.serve server [ req ~endpoint:"a" 0; req ~endpoint:"b" 0 ] in
+  Alcotest.(check int) "a served warm" 1 s.Visor.Server.sm_warm_starts;
+  Alcotest.(check int) "b evicted a" (evicted0 + 1) (Visor.Server.evictions server);
+  let recycled =
+    match Visor.Server.telemetry server with
+    | Some ts -> Timeseries.value ts (Timeseries.counter ts "serve.recycle_releases") 0
+    | None -> Alcotest.fail "telemetry enabled"
+  in
+  Alcotest.(check (float 0.0)) "no recycle into a retired pool" 0.0 recycled;
+  Alcotest.(check int) "only b's template replaces a's" live0 (Wfd.live_count ());
   Visor.Server.shutdown server
 
 let test_admission_cache_across_requests () =

@@ -495,76 +495,175 @@ let test_mmap_file_backend () =
   | Error Errno.Einval -> ()
   | Ok _ | Error _ -> Alcotest.fail "unmapped region must be EINVAL"
 
-(* --- Shell recycling (Wfd.recycle / Wfd.acquire) --- *)
+(* --- Template pools (Wfd.bind / Wfd.release) --- *)
 
-(* Recycling is a host-only optimisation: every virtual observable must
-   be bit-identical to the historical clone-then-destroy path, at any
-   domain count, and no shell may outlive its server. *)
+(* A template with modules preloaded, in its own process table. *)
+let pooled_template () =
+  let proc_table = Hostos.Process.create_table () in
+  let clock = Clock.create () in
+  let tpl = Wfd.create ~proc_table ~clock ~workflow_name:"tpl" () in
+  List.iter (Libos.load_module tpl ~clock) [ "mm"; "stdio" ];
+  (tpl, proc_table)
 
-let serve_recycling ?config ~recycle_cap ~requests () =
-  let server = Visor.Server.create ?config ~recycle_cap () in
+let sorted_bindings h = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
+let test_reused_shell_binds_like_new () =
+  (* Pooling is host-only: a shell dirtied by one request, released
+     and bound again must be indistinguishable from a new one. *)
+  let live0 = Wfd.live_count () in
+  let tpl, tpl_table = pooled_template () in
+  let tpl_rss = Hostos.Process.rss tpl_table tpl.Wfd.pid in
+  let p = Wfd.pool tpl in
+  let bind_fresh_request p =
+    let proc_table = Hostos.Process.create_table () in
+    let clock = Clock.create () in
+    let w =
+      Wfd.with_id_namespace ~base:100 (fun () ->
+          Wfd.bind p ~scratch_disk:true ~proc_table ~clock)
+    in
+    (w, proc_table, Clock.now clock)
+  in
+  let dirty, _, _ = bind_fresh_request p in
+  let clock = Clock.create () in
+  let th = Wfd.spawn_function_thread dirty ~clock in
+  let heap0 = (Layout.function_heap 0).Layout.base in
+  Address_space.store_byte dirty.Wfd.aspace ~pkru:th.Wfd.pkru heap0 'x';
+  Libos.load_module dirty ~clock "fatfs";
+  ignore (Libos_stdio.host_stdout dirty ~clock (Bytes.of_string "hello"));
+  dirty.Wfd.vfs.Fsim.Vfs.write_file "/scratch" (Bytes.make 4096 's');
+  Alcotest.(check bool) "clean release pools" true (Wfd.release p dirty);
+  Alcotest.(check int) "pooled shell holds no process entry" 0 dirty.Wfd.pid;
+  let reused, reused_table, reused_boot = bind_fresh_request p in
+  Alcotest.(check bool) "bind reuses the released shell" true (reused == dirty);
+  let fresh, fresh_table, fresh_boot = bind_fresh_request (Wfd.pool tpl) in
+  Alcotest.(check bool) "an empty pool builds a new shell" false (fresh == dirty);
+  Alcotest.(check int) "mapped bytes" (Wfd.mapped_bytes fresh) (Wfd.mapped_bytes reused);
+  Alcotest.(check (list (pair string unit))) "loaded modules"
+    (sorted_bindings fresh.Wfd.loaded_modules)
+    (sorted_bindings reused.Wfd.loaded_modules);
+  Alcotest.(check (list (pair string string))) "entry table"
+    (sorted_bindings fresh.Wfd.entry_table)
+    (sorted_bindings reused.Wfd.entry_table);
+  Alcotest.(check int) "next function slot" fresh.Wfd.next_fn_slot reused.Wfd.next_fn_slot;
+  Alcotest.(check string) "stdout empty" "" (Libos_stdio.output reused);
+  Alcotest.(check (list string)) "disk listing"
+    (fresh.Wfd.vfs.Fsim.Vfs.list_files ())
+    (reused.Wfd.vfs.Fsim.Vfs.list_files ());
+  Alcotest.check check_time "clock advance" fresh_boot reused_boot;
+  Alcotest.(check int) "id from the namespace" fresh.Wfd.id reused.Wfd.id;
+  Alcotest.(check int) "rss charged in the request's table"
+    (Hostos.Process.rss fresh_table fresh.Wfd.pid)
+    (Hostos.Process.rss reused_table reused.Wfd.pid);
+  (* Pages a pooled shell recycled read as zero in its next request. *)
+  let th = Wfd.spawn_function_thread reused ~clock:(Clock.create ()) in
+  Alcotest.(check char) "slot 0 heap reads zero" '\000'
+    (Address_space.load_byte reused.Wfd.aspace ~pkru:th.Wfd.pkru heap0);
+  (* A request with its own plan gets a new shell armed with it, and
+     that shell is destroyed, never pooled. *)
+  ignore (Wfd.release p reused);
+  let plan = Fault.create ~seed:1 () in
+  let own =
+    Wfd.bind ~fault:plan p ~scratch_disk:true
+      ~proc_table:(Hostos.Process.create_table ()) ~clock:(Clock.create ())
+  in
+  Alcotest.(check bool) "own plan skips the pool" false (own == reused);
+  Alcotest.(check bool) "armed with the request's plan" true
+    (match own.Wfd.fault with Some f -> f == plan | None -> false);
+  Alcotest.(check bool) "own-plan release destroys" false (Wfd.release p own);
+  Alcotest.(check bool) "own-plan shell destroyed" true own.Wfd.destroyed;
+  (* Many cycles, then a release into a retired pool: the template
+     keeps its own process entry throughout. *)
+  for _ = 1 to 20 do
+    let next, _, _ = bind_fresh_request p in
+    Alcotest.(check bool) "cycle reuses the shell" true (next == reused);
+    ignore (Wfd.release p next)
+  done;
+  let last, _, _ = bind_fresh_request p in
+  Wfd.retire p;
+  Alcotest.(check bool) "retired pool destroys" false (Wfd.release p last);
+  Alcotest.(check bool) "released shell destroyed" true last.Wfd.destroyed;
+  Alcotest.(check int) "template keeps its process" 1
+    (Hostos.Process.live_processes tpl_table);
+  Alcotest.(check int) "template rss still answers" tpl_rss
+    (Hostos.Process.rss tpl_table tpl.Wfd.pid);
+  Wfd.destroy fresh;
+  Wfd.drain p;
+  Alcotest.(check int) "drain leaves no WFD" live0 (Wfd.live_count ())
+
+(* Serve a stream and report the WFDs left live before [shutdown]
+   (templates plus pooled shells), relative to the baseline. *)
+let serve_pooled ?config ?(spec = Test_par.endpoints_spec) ~requests () =
+  let live0 = Wfd.live_count () in
+  let server = Visor.Server.create ?config () in
   List.iter
     (fun (endpoint, workflow, bindings) ->
       Visor.Server.register server ~endpoint ~workflow ~bindings ())
-    Test_par.endpoints_spec;
+    spec;
   let r = Visor.Server.serve server requests in
+  let held = Wfd.live_count () - live0 in
   Visor.Server.shutdown server;
-  r
+  Alcotest.(check int) "shutdown returns to baseline" live0 (Wfd.live_count ());
+  (r, held)
 
 let test_recycle_vs_fresh_differential () =
-  (* Same stream served with the pool enabled (cap 64) and disabled
-     (cap 0): responses, counters, trace and metrics exports must
-     match byte for byte, across several arrival seeds. *)
-  let observe ~recycle_cap ~requests =
+  (* Reference: a server whose plan arms no site.  Every request then
+     carries its own silent plan, binds a new WFD and destroys it —
+     the clone-then-destroy path.  Responses, counters, trace and
+     metrics exports must match the pooled server byte for byte. *)
+  let observe ?config ~requests () =
     Trace.clear Trace.global;
     Span.clear Span.global;
     Metrics.reset ();
     Span.set_enabled Span.global true;
-    let r = serve_recycling ~recycle_cap ~requests () in
+    let r, held = serve_pooled ?config ~requests () in
     let tr = Obs.trace_json_string () in
     let me = Obs.metrics_json_string () in
     Span.set_enabled Span.global false;
     Trace.clear Trace.global;
     Span.clear Span.global;
     Metrics.reset ();
-    (Test_par.fingerprint r ^ "|" ^ Test_par.summary r, tr, me)
+    (Test_par.fingerprint r ^ "|" ^ Test_par.summary r, tr, me, held)
   in
+  let silent = { Visor.default_config with Visor.fault = Some (Fault.create ~seed:1 ()) } in
   List.iter
-    (fun seed ->
-      let requests = Test_par.requests_for ~seed ~count:40 in
-      let fresh_fp, fresh_tr, fresh_me = observe ~recycle_cap:0 ~requests in
-      let rec_fp, rec_tr, rec_me = observe ~recycle_cap:64 ~requests in
-      Alcotest.(check string)
-        (Printf.sprintf "responses identical (seed %d)" seed)
-        fresh_fp rec_fp;
-      Alcotest.(check string)
-        (Printf.sprintf "trace identical (seed %d)" seed)
-        fresh_tr rec_tr;
-      Alcotest.(check string)
-        (Printf.sprintf "metrics identical (seed %d)" seed)
-        fresh_me rec_me)
-    [ 3; 13; 23 ]
+    (fun domains ->
+      Test_par.with_domains domains (fun () ->
+          List.iter
+            (fun seed ->
+              let requests = Test_par.requests_for ~seed ~count:40 in
+              let fresh_fp, fresh_tr, fresh_me, fresh_held =
+                observe ~config:silent ~requests ()
+              in
+              let rec_fp, rec_tr, rec_me, rec_held = observe ~requests () in
+              let tag what = Printf.sprintf "%s (seed %d, %d domains)" what seed domains in
+              Alcotest.(check int) (tag "reference pools nothing") 3 fresh_held;
+              Alcotest.(check bool)
+                (tag (Printf.sprintf "plain server pools shells (%d live)" rec_held))
+                true (rec_held > 3);
+              Alcotest.(check string) (tag "responses identical") fresh_fp rec_fp;
+              Alcotest.(check string) (tag "trace identical") fresh_tr rec_tr;
+              Alcotest.(check string) (tag "metrics identical") fresh_me rec_me)
+            [ 3; 13; 23 ]))
+    [ 1; 4 ]
 
 let test_recycle_no_leak_under_faults () =
   (* Crashing requests must not strand shells: a WFD that died
      mid-request is destroyed, not pooled, and shutdown drains the
      pool, so the live count returns to its pre-serve baseline. *)
-  let live0 = Wfd.live_count () in
   let requests = Test_par.requests_for ~seed:17 ~count:40 in
   let plan = Fault.create ~seed:9 () in
   Fault.inject plan ~site:Fault.site_fn_crash (Fault.Every 5);
   let config =
     { Visor.default_config with Visor.fault = Some plan; retry = Visor.Retry_workflow 2 }
   in
-  let r = serve_recycling ~config ~recycle_cap:64 ~requests () in
+  let (_, s), _ = serve_pooled ~config ~requests () in
   Alcotest.(check int) "every request resolved" 40
-    ((snd r).Visor.Server.sm_completed + (snd r).Visor.Server.sm_failed);
+    (s.Visor.Server.sm_completed + s.Visor.Server.sm_failed);
   Alcotest.(check bool) "faults actually fired" true
-    (Fault.fired plan ~site:Fault.site_fn_crash > 0);
-  Alcotest.(check int) "no shell leak after faulty serve" live0 (Wfd.live_count ())
+    (Fault.fired plan ~site:Fault.site_fn_crash > 0)
 
 let test_recycle_identical_across_domains () =
-  (* Recycled shells reuse reserved WFD ids, so the id stream — and
+  (* Pooled shells reuse reserved WFD ids, so the id stream — and
      with it every response and trace byte — must not depend on which
      domain popped which shell. *)
   let requests = Test_par.requests_for ~seed:29 ~count:50 in
@@ -572,18 +671,56 @@ let test_recycle_identical_across_domains () =
     Test_par.with_domains domains (fun () ->
         Trace.clear Trace.global;
         Metrics.reset ();
-        let r = serve_recycling ~recycle_cap:64 ~requests () in
+        let r, _ = serve_pooled ~requests () in
         let tr = Obs.trace_json_string () in
         Trace.clear Trace.global;
         Metrics.reset ();
         (Test_par.fingerprint r ^ "|" ^ Test_par.summary r, tr))
   in
-  let live0 = Wfd.live_count () in
   let seq_fp, seq_tr = observe 1 in
   let par_fp, par_tr = observe 4 in
   Alcotest.(check string) "responses identical at 1 vs 4 domains" seq_fp par_fp;
-  Alcotest.(check string) "trace identical at 1 vs 4 domains" seq_tr par_tr;
-  Alcotest.(check int) "no shell leak across domain counts" live0 (Wfd.live_count ())
+  Alcotest.(check string) "trace identical at 1 vs 4 domains" seq_tr par_tr
+
+let test_pool_bound () =
+  (* A shell is held by one running attempt at a time and a new one is
+     built only when the pool is empty, so one template never pools
+     more shells than there are domains — with or without retries of
+     requests that carry no fault plan. *)
+  let flaky (ctx : Asstd.ctx) ~instance:_ ~total:_ =
+    Asstd.compute ctx (Units.ms 2);
+    (* Ids are drawn per attempt from the request's reserved range, a
+       stride of 1 or 3 apart: one attempt in five fails. *)
+    if ctx.Asstd.wfd.Wfd.id mod 5 = 0 then failwith "flaky attempt"
+  in
+  let wf = Workflow.create_exn ~name:"flaky" ~nodes:[ Test_par.node "f" ] ~edges:[] in
+  let spec = [ ("flaky", wf, [ ("f", Visor.bind flaky) ]) ] in
+  let requests =
+    List.map
+      (fun (r : Visor.Server.request) -> { r with Visor.Server.endpoint = "flaky" })
+      (Test_par.requests_for ~seed:41 ~count:300)
+  in
+  List.iter
+    (fun (domains, retry) ->
+      Test_par.with_domains domains (fun () ->
+          let config = { Visor.default_config with Visor.retry } in
+          let (responses, _), held = serve_pooled ~config ~spec ~requests () in
+          let tag what = Printf.sprintf "%s (%d domains)" what domains in
+          Alcotest.(check bool) (tag "some attempts failed") true
+            (List.exists
+               (fun (r : Visor.Server.response) ->
+                 (not r.Visor.Server.r_ok) || r.Visor.Server.r_attempts > 1)
+               responses);
+          Alcotest.(check bool)
+            (tag (Printf.sprintf "1 template + <= %d shells, got %d" domains held))
+            true
+            (held >= 1 && held <= 1 + Par.domains ())))
+    [
+      (1, Visor.No_retry);
+      (4, Visor.No_retry);
+      (1, Visor.Retry_workflow 3);
+      (4, Visor.Retry_workflow 3);
+    ]
 
 let suite =
   [
@@ -620,10 +757,13 @@ let suite =
     Alcotest.test_case "http server between WFDs" `Quick test_http_server_between_wfds;
     Alcotest.test_case "Fig.5 http client over fd" `Quick test_fig5_http_client_over_fd;
     Alcotest.test_case "mmap file backend" `Quick test_mmap_file_backend;
+    Alcotest.test_case "reused shell binds like a new one" `Quick
+      test_reused_shell_binds_like_new;
     Alcotest.test_case "recycle vs fresh differential" `Quick
       test_recycle_vs_fresh_differential;
     Alcotest.test_case "recycle no leak under faults" `Quick
       test_recycle_no_leak_under_faults;
     Alcotest.test_case "recycle identical across domains" `Quick
       test_recycle_identical_across_domains;
+    Alcotest.test_case "pool holds at most one shell per domain" `Quick test_pool_bound;
   ]
