@@ -15,12 +15,3 @@ val c : Platform.t  (** "Faasm-C" *)
 val python : Platform.t  (** "Faasm-Py" *)
 
 val faaslet_start : Sim.Units.time
-val state_sync : Sim.Units.time
-(** Fixed global-state synchronisation per transfer. *)
-
-val control_plane : Sim.Units.time
-(** Scheduler dispatch per chained invocation. *)
-
-val transfer_cost : int -> Sim.Units.time
-(** One-directional cost of moving [n] bytes through the local state
-    tier (page faults + traversal). *)

@@ -145,10 +145,6 @@ let refer =
 let refer_kata =
   make { label = "Faastlane-refer-kata"; kata = true; warm = false; always_refer = true; always_ipc = false; ramfs = false }
 
-let refer_kata_ramfs =
-  make
-    { label = "Faastlane-refer-kata-ramfs"; kata = true; warm = false; always_refer = true; always_ipc = false; ramfs = true }
-
 let ipc =
   make
     { label = "Faastlane-IPC"; kata = false; warm = false; always_refer = false; always_ipc = true; ramfs = false }

@@ -13,7 +13,8 @@
     - [refer]: reference passing everywhere ("Faastlane-refer");
     - [refer_kata]: reference passing inside a Kata MicroVM
       ("Faastlane-refer-kata");
-    - [refer_kata_ramfs]: the Fig. 16 configuration (in-guest ramfs). *)
+    - [refer_kata_warm_ramfs]: the Fig. 16 configuration (in-guest
+      ramfs, boot excluded). *)
 
 val default_ : Platform.t
 
@@ -22,7 +23,6 @@ val ipc : Platform.t
 
 val refer : Platform.t
 val refer_kata : Platform.t
-val refer_kata_ramfs : Platform.t
 
 (** Kata with the boot excluded (steady-state, Fig. 16) but the
     virtualisation CPU tax and memory overheads kept. *)
@@ -30,12 +30,3 @@ val refer_kata_warm_ramfs : Platform.t
 
 val thread_start : Sim.Units.time
 (** Per-thread startup (the "Faastlane-T" bar of Fig. 10). *)
-
-val process_start : Sim.Units.time
-(** Per-workflow main-process startup. *)
-
-val refer_bw : float
-(** Cross-core reference-passing bandwidth (bytes/s).  Lower than
-    AlloyStack's same-core traversal because Faastlane binds memory
-    permissions to thread IDs, so upstream and downstream functions
-    land on different cores (§8.3). *)

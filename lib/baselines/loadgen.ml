@@ -42,7 +42,6 @@ let next_arrival a =
   a.arr_count <- a.arr_count + 1;
   Units.ns_f (a.arr_now *. 1e9)
 
-let arrivals_rng a = a.arr_rng
 let arrivals_count a = a.arr_count
 
 let request_stream ?seed ~qps ~endpoints ~count () =

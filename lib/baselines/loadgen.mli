@@ -49,11 +49,6 @@ val next_arrival : arrivals -> Sim.Units.time
     Arrivals are strictly increasing (up to float granularity,
     nondecreasing). *)
 
-val arrivals_rng : arrivals -> Sim.Rng.t
-(** The process's RNG, exposed so callers can interleave further draws
-    (e.g. an endpoint pick per request) in the exact order the
-    materialised generators used. *)
-
 val arrivals_count : arrivals -> int
 (** Arrivals generated so far. *)
 

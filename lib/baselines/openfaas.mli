@@ -15,6 +15,3 @@ val openfaas_gvisor : Platform.t
 (** Containers already running: only the gateway/provider/watchdog
     invocation path is paid per function call (steady-state). *)
 val openfaas_warm : Platform.t
-
-val gateway_overhead : Sim.Units.time
-(** Gateway + faas-netes dispatch before any container starts. *)

@@ -8,8 +8,3 @@ type entry = { label : string; cold_start : Sim.Units.time }
 val figure10 : unit -> entry list
 (** Runs the AlloyStack cold starts for real (through {!Visor}) and
     reads the boot models for the comparison systems. *)
-
-val wasmer_process : Sim.Units.time
-val wasmer_thread : Sim.Units.time
-val alloystack_cold : unit -> Sim.Units.time
-val alloystack_load_all : unit -> Sim.Units.time

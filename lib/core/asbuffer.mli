@@ -46,5 +46,3 @@ val consume_slot_raw : Asstd.ctx -> slot:string -> int
 
 val free : Asstd.ctx -> handle -> unit
 (** Return the buffer to the heap (receiver side, after consumption). *)
-
-val raw_fingerprint : int64

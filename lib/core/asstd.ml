@@ -130,9 +130,6 @@ let tcp_connect_fd ctx ~ip ~port =
   sys ctx "open" (fun ~clock ->
       Libos_fdtab.register_socket ctx.wfd ~clock ~conn ~at_client:true)
 
-let tcp_bind ctx ~port =
-  sys ctx "smol_bind" (fun ~clock -> lift (Libos_socket.smol_bind ctx.wfd ~clock ~port))
-
 let compute ctx native =
   let clock = ctx.thread.Wfd.clock in
   if Span.enabled (Span.current ()) then begin

@@ -62,13 +62,10 @@ val now_ns : ctx -> int64
 
 (** {1 Network} *)
 
-val tcp_connect : ctx -> ip:string -> port:int -> Netsim.Tcp.t
-val tcp_bind : ctx -> port:int -> Libos_socket.listener
-
 val tcp_connect_fd : ctx -> ip:string -> port:int -> int
-(** Like {!tcp_connect} but installs the connection in the WFD's fd
-    table, so it is usable through plain {!read_fd}/{!write_fd} (the
-    Fig. 5 HTTP-client style). *)
+(** Connect over the WFD's socket module and install the connection
+    in its fd table, so it is usable through plain {!read_fd}/{!write_fd}
+    (the Fig. 5 HTTP-client style). *)
 
 (** {1 Compute accounting} *)
 

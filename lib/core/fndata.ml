@@ -130,8 +130,6 @@ let decode data =
   if c.off <> Bytes.length data then bad "Fndata.decode: trailing bytes";
   v
 
-let encoded_size v = Bytes.length (encode v)
-
 let rec equal a b =
   match (a, b) with
   | Unit, Unit -> true

@@ -28,7 +28,6 @@ val encode : t -> bytes
 val decode : bytes -> t
 (** Raises [Invalid_argument] on malformed input. *)
 
-val encoded_size : t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

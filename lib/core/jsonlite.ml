@@ -251,10 +251,6 @@ let get_int = function
   | Int i -> i
   | v -> invalid_arg (Printf.sprintf "Jsonlite.get_int: %s" (to_string v))
 
-let get_bool = function
-  | Bool b -> b
-  | v -> invalid_arg (Printf.sprintf "Jsonlite.get_bool: %s" (to_string v))
-
 let get_list = function
   | List l -> l
   | v -> invalid_arg (Printf.sprintf "Jsonlite.get_list: %s" (to_string v))
@@ -274,12 +270,6 @@ let member_int ?default key obj =
   | Null, Some d -> d
   | Null, None -> invalid_arg (Printf.sprintf "Jsonlite: missing field %S" key)
   | v, _ -> get_int v
-
-let member_bool ?default key obj =
-  match (member key obj, default) with
-  | Null, Some d -> d
-  | Null, None -> invalid_arg (Printf.sprintf "Jsonlite: missing field %S" key)
-  | v, _ -> get_bool v
 
 let member_list key obj =
   match member key obj with Null -> [] | v -> get_list v

@@ -29,12 +29,10 @@ val member : string -> t -> t
 
 val get_string : t -> string
 val get_int : t -> int
-val get_bool : t -> bool
 val get_list : t -> t list
 val get_obj : t -> (string * t) list
 
 val member_string : ?default:string -> string -> t -> string
 val member_int : ?default:int -> string -> t -> int
-val member_bool : ?default:bool -> string -> t -> bool
 val member_list : string -> t -> t list
 (** Empty list when absent. *)

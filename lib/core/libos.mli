@@ -20,9 +20,6 @@ val registry : mod_def list
 (** All seven modules of Table 2: mm, fdtab, fatfs, socket, stdio,
     time, mmap_file_backend. *)
 
-val find_module : string -> mod_def
-(** Raises [Invalid_argument] for an unknown module. *)
-
 val module_names : string list
 
 val providing : string -> mod_def

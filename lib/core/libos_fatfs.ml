@@ -18,15 +18,8 @@ let fatfs_write (wfd : Wfd.t) ~clock path data =
 
 let fatfs_exists (wfd : Wfd.t) path = wfd.Wfd.vfs.Fsim.Vfs.exists path
 
-let fatfs_size (wfd : Wfd.t) path =
-  match wfd.Wfd.vfs.Fsim.Vfs.file_size path with
-  | n -> Ok n
-  | exception Not_found -> Error Errno.Enoent
-
 let fatfs_delete (wfd : Wfd.t) ~clock path =
   Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Close);
   match wfd.Wfd.vfs.Fsim.Vfs.delete path with
   | () -> Ok ()
   | exception Not_found -> Error Errno.Enoent
-
-let fatfs_list (wfd : Wfd.t) = wfd.Wfd.vfs.Fsim.Vfs.list_files ()

@@ -10,6 +10,4 @@ val init : Wfd.t -> clock:Sim.Clock.t -> unit
 val fatfs_read : Wfd.t -> clock:Sim.Clock.t -> string -> (bytes, Errno.t) result
 val fatfs_write : Wfd.t -> clock:Sim.Clock.t -> string -> bytes -> (int, Errno.t) result
 val fatfs_exists : Wfd.t -> string -> bool
-val fatfs_size : Wfd.t -> string -> (int, Errno.t) result
 val fatfs_delete : Wfd.t -> clock:Sim.Clock.t -> string -> (unit, Errno.t) result
-val fatfs_list : Wfd.t -> string list

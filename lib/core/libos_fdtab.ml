@@ -106,5 +106,3 @@ let close (wfd : Wfd.t) ~clock ~fd =
   else Error Errno.Ebadf
 
 let lookup wfd fd = Hashtbl.find_opt (state wfd).fds fd
-
-let open_count wfd = Hashtbl.length (state wfd).fds

@@ -29,8 +29,7 @@ val write : Wfd.t -> clock:Sim.Clock.t -> fd:int -> bytes -> (int, Errno.t) resu
 val register_socket :
   Wfd.t -> clock:Sim.Clock.t -> conn:Netsim.Tcp.t -> at_client:bool -> int
 (** Install a connected TCP endpoint in the table and return its fd
-    (what as-std's [tcp_connect] hands back to user code). *)
+    (what as-std's [tcp_connect_fd] hands back to user code). *)
 
 val close : Wfd.t -> clock:Sim.Clock.t -> fd:int -> (unit, Errno.t) result
 val lookup : Wfd.t -> int -> descriptor option
-val open_count : Wfd.t -> int

@@ -91,19 +91,3 @@ let mmap (wfd : Wfd.t) ~clock ~thread ~len =
     Hashtbl.replace st.mmap_cursor slot (cursor + rounded);
     Ok cursor
   end
-
-let mmap_file (wfd : Wfd.t) ~clock ~thread ~fd ~len =
-  match Libos_fdtab.lookup wfd fd with
-  | Some (Libos_fdtab.File { path; _ }) -> begin
-      match mmap wfd ~clock ~thread ~len with
-      | Error _ as e -> e
-      | Ok addr -> begin
-          match
-            Libos_mmap_backend.register_file_backend wfd ~clock ~region_addr:addr
-              ~region_len:len ~path
-          with
-          | Ok () -> Ok addr
-          | Error _ as e -> e
-        end
-    end
-  | Some (Libos_fdtab.Stdout | Libos_fdtab.Socket _) | None -> Error Errno.Ebadf

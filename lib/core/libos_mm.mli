@@ -42,15 +42,3 @@ val live_buffer_bytes : Wfd.t -> int
 val mmap :
   Wfd.t -> clock:Sim.Clock.t -> thread:Wfd.thread -> len:int -> (int, Errno.t) result
 (** Anonymous mapping in the calling function's heap region. *)
-
-val mmap_file :
-  Wfd.t ->
-  clock:Sim.Clock.t ->
-  thread:Wfd.thread ->
-  fd:int ->
-  len:int ->
-  (int, Errno.t) result
-(** Table 2's [mmap(length, prot, fd)]: map a fdtab file into the
-    caller's heap region, demand-paged through the
-    [mmap_file_backend] module (which must be loaded).  [Ebadf] for a
-    non-file descriptor. *)

@@ -8,10 +8,6 @@
 
 val init : Wfd.t -> clock:Sim.Clock.t -> unit
 
-val tap_registry : Hostos.Tap.t
-(** Host-wide TAP registry (one per simulated host).  Tests may inspect
-    it; {!reset_host} clears it. *)
-
 val reset_host : unit -> unit
 
 val wfd_ip : Wfd.t -> string option

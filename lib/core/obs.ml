@@ -248,16 +248,6 @@ let render_breakdown bd =
   Printf.bprintf buf "  %-10s %12s  100.0%%\n" "total" (Units.to_string bd.bd_total);
   Buffer.contents buf
 
-let breakdown_json bd =
-  Jsonlite.Obj
-    [
-      ("label", Jsonlite.String bd.bd_label);
-      ("total_ns", Jsonlite.Int (ns_int bd.bd_total));
-      ( "buckets",
-        Jsonlite.Obj
-          (List.map (fun (c, d) -> (c, Jsonlite.Int (ns_int d))) bd.bd_buckets) );
-    ]
-
 (* --- Tail attribution ---------------------------------------------- *)
 
 type tail_entry = {

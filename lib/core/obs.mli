@@ -16,23 +16,12 @@
 
 (** {1 Exporters} *)
 
-val trace_json : ?collector:Sim.Span.t -> unit -> Jsonlite.t
-(** Chrome [trace_event] document for every completed span.  [ts] and
-    [dur] are integral microseconds (the format's native granularity);
-    the exact nanosecond interval rides along in [args.ts_ns] /
-    [args.dur_ns].  Each span's [tid] is its root ancestor's id, so
-    every workflow / request renders as its own track. *)
-
 val trace_json_string : ?collector:Sim.Span.t -> unit -> string
 
 val spans_jsonl : ?collector:Sim.Span.t -> unit -> string
 (** One JSON object per line per span, in id order:
     [{"id":..,"parent":..,"category":..,"label":..,"begin_ns":..,
     "end_ns":..,"attrs":{..}}].  Empty string when no spans. *)
-
-val metrics_json : unit -> Jsonlite.t
-(** Snapshot of {!Sim.Metrics} (counters, gauges, histograms with
-    non-empty log2 buckets), all name-sorted. *)
 
 val metrics_json_string : unit -> string
 
@@ -69,10 +58,6 @@ val find_root :
 val render_breakdown : breakdown -> string
 (** Human-readable table: one line per non-zero bucket with duration
     and percentage, then the total. *)
-
-val breakdown_json : breakdown -> Jsonlite.t
-(** [{"label":..,"total_ns":..,"buckets":{"boot":ns,..}}] with every
-    bucket (including zeros) in report order. *)
 
 (** {1 Tail attribution}
 

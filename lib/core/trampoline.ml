@@ -27,6 +27,3 @@ let enter_system (wfd : Wfd.t) (thread : Wfd.thread) f =
   | exception e ->
       restore ();
       raise e
-
-let user_access_check (wfd : Wfd.t) (thread : Wfd.thread) addr =
-  ignore (Address_space.load_byte wfd.Wfd.aspace ~pkru:thread.Wfd.pkru addr)

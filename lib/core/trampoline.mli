@@ -20,7 +20,3 @@ val enter_system : Wfd.t -> Wfd.thread -> (unit -> 'a) -> 'a
     rights. *)
 
 val in_system : Wfd.thread -> bool
-
-val user_access_check : Wfd.t -> Wfd.thread -> int -> unit
-(** Probe helper for tests: perform a 1-byte read at an address with
-    the thread's *current* rights. *)

@@ -813,8 +813,6 @@ module Server = struct
   let pool_size t = Hashtbl.length t.templates
 
   let evictions t = t.evicted
-  let warm_hits t = t.warm_hit_count
-  let cold_boots t = t.cold_boot_count
   let admission t = t.adm
   let code_cache t = t.codec
 

@@ -329,8 +329,6 @@ module Server : sig
   val pool_size : t -> int
   val pool_rss : t -> int
   val evictions : t -> int
-  val warm_hits : t -> int
-  val cold_boots : t -> int
   val admission : t -> admission_cache
 
   val code_cache : t -> Wasm.Compile_cache.t

@@ -3,7 +3,7 @@
     resources (§3.1).
 
     The address space is split by MPK into a system partition (as-visor
-    and as-libos, key {!system_key}) and a user partition (function
+    and as-libos, key 1) and a user partition (function
     slots and trampoline pages).  Functions of the same tenant share
     one user key by default; enabling inter-function isolation (IFI)
     gives every function slot its own key (§3.3). *)
@@ -53,7 +53,6 @@ type t = {
 
 (** {1 Keys} *)
 
-val system_key : Mem.Prot.key
 val shared_user_key : Mem.Prot.key
 val buffer_key : Mem.Prot.key
 
@@ -63,10 +62,6 @@ val function_key : t -> int -> Mem.Prot.key
 
 val system_pkru : Mem.Prot.pkru
 (** Rights while executing as-visor / as-libos code: everything. *)
-
-val user_pkru_for : t -> int -> Mem.Prot.pkru
-(** Rights for user code in a given slot: its own key, the buffer key
-    and the trampoline pages — nothing else. *)
 
 (** {1 Lifecycle} *)
 

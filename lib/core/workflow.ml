@@ -76,26 +76,30 @@ let validate t =
 (* What a WFD cannot run would otherwise surface only mid-run: an
    unknown module when the first request builds the WFD template, and
    more instances than function slots (each instance holds one for
-   the WFD's lifetime) when a spawn runs out of them. *)
+   the WFD's lifetime) when a spawn runs out of them.  A node over the
+   slot count is rejected before the sum, which it could overflow. *)
 let create ~name ~nodes ~edges =
   let unknown n =
     List.find_opt (fun m -> not (List.mem m Libos.module_names)) n.required_modules
     |> Option.map (fun m -> (n.node_id, m))
   in
   let slots = Mem.Layout.function_slot_count in
+  let too_many instances =
+    Error
+      (Printf.sprintf "workflow has %d function instances but a WFD has %d function slots"
+         instances slots)
+  in
   match List.find_map unknown nodes with
   | Some (id, m) -> Error (Printf.sprintf "node %s requires unknown as-libos module %S" id m)
   | None when nodes = [] -> Error "workflow has no functions"
   | None -> (
       match validate { wf_name = name; nodes; edges } with
-      | Ok _ as ok ->
-          let instances = List.fold_left (fun acc n -> acc + n.instances) 0 nodes in
-          if instances <= slots then ok
-          else
-            Error
-              (Printf.sprintf
-                 "workflow has %d function instances but a WFD has %d function slots"
-                 instances slots)
+      | Ok _ as ok -> (
+          match List.find_opt (fun n -> n.instances > slots) nodes with
+          | Some n -> too_many n.instances
+          | None ->
+              let instances = List.fold_left (fun acc n -> acc + n.instances) 0 nodes in
+              if instances <= slots then ok else too_many instances)
       | Error _ as e -> e)
 
 let create_exn ~name ~nodes ~edges =

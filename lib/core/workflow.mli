@@ -9,7 +9,6 @@
 type language = Rust | C | Python
 
 val pp_language : Format.formatter -> language -> unit
-val language_of_string : string -> (language, string) result
 
 type node = {
   node_id : string;
@@ -53,6 +52,5 @@ val to_dot : t -> string
 (** Graphviz rendering of the DAG (nodes labelled with language and
     instance count) for documentation and debugging. *)
 
-val of_json : Jsonlite.t -> (t, string) result
 val to_json : t -> Jsonlite.t
 val of_string : string -> (t, string) result

@@ -67,44 +67,22 @@ let read_into t ~sector ~count dst off len =
   done
 
 (* The one copy into the store: [len] bytes of [src] from [off] into
-   the sectors from [sector] on; a partial last sector keeps its tail. *)
-let blit_in t sector src off len =
+   the sectors from [sector] on. *)
+let write_from t ~sector ~count src off len =
+  check_range t sector count;
+  check_len "write_from" count len;
+  t.writes <- t.writes + count;
   let i = ref 0 in
   while !i * sector_size < len do
     let o = !i * sector_size in
     Bytes.blit src (off + o) (stored t (sector + !i)) 0 (Stdlib.min sector_size (len - o));
     incr i
-  done
-
-let write_from t ~sector ~count src off len =
-  check_range t sector count;
-  check_len "write_from" count len;
-  t.writes <- t.writes + count;
-  blit_in t sector src off len;
+  done;
   (* Zero the rest of the [count] sectors, as a zero-padded buffer would. *)
   for i = len / sector_size to count - 1 do
     let from = Stdlib.max 0 (len - (i * sector_size)) in
     Bytes.fill (stored t (sector + i)) from (sector_size - from) '\000'
   done
-
-let read_range t ~sector ~count =
-  let out = Bytes.create (count * sector_size) in
-  read_into t ~sector ~count out 0 (Bytes.length out);
-  out
-
-let read_sector t sector = read_range t ~sector ~count:1
-
-let write_range t ~sector b =
-  let len = Bytes.length b in
-  let count = (len + sector_size - 1) / sector_size in
-  check_range t sector count;
-  t.writes <- t.writes + count;
-  blit_in t sector b 0 len
-
-let write_sector t sector b =
-  check t sector;
-  t.writes <- t.writes + 1;
-  blit_in t sector b 0 (Stdlib.min (Bytes.length b) sector_size)
 
 let reads t = t.reads
 let writes t = t.writes

@@ -16,12 +16,6 @@ val reset : t -> unit
     geometry (sector counters included), reusing the sparse store's
     arena.  Indistinguishable from a new device. *)
 
-val read_sector : t -> int -> bytes
-(** Fresh copy of one sector.  Raises [Invalid_argument] out of range. *)
-
-val write_sector : t -> int -> bytes -> unit
-(** [bytes] may be shorter than a sector; the rest is untouched. *)
-
 val read_into : t -> sector:int -> count:int -> bytes -> int -> int -> unit
 (** [read_into t ~sector ~count dst off len] reads [count] sectors from
     [sector] on and copies their first [len] bytes straight into [dst]
@@ -36,13 +30,6 @@ val write_from : t -> sector:int -> count:int -> bytes -> int -> int -> unit
     zeroes, as writing a zero-padded buffer would, but with no such
     buffer.  Counts [count] sector writes.  Raises [Invalid_argument]
     like {!read_into}. *)
-
-val read_range : t -> sector:int -> count:int -> bytes
-(** Fresh copy of [count] sectors: {!read_into} on a new buffer. *)
-
-val write_range : t -> sector:int -> bytes -> unit
-(** Writes the sectors [bytes] covers; a partial last sector keeps the
-    rest of its old contents. *)
 
 val reads : t -> int
 val writes : t -> int

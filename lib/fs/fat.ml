@@ -22,7 +22,6 @@ type t = {
   nclusters : int;
   mutable used : int;  (** Number of allocated clusters. *)
   dir : (string, dirent) Hashtbl.t;
-  dirs : (string, unit) Hashtbl.t;  (** Created directories, normalised. *)
   mutable next_free_hint : int;
 }
 
@@ -41,15 +40,12 @@ let charge clock cost = match clock with Some c -> Clock.advance c cost | None -
 
 let format dev =
   let clusters = Blockdev.size_bytes dev / cluster_size in
-  let dirs = Hashtbl.create 8 in
-  Hashtbl.replace dirs "/" ();
   {
     dev;
     fat = Hashtbl.create 64;
     nclusters = clusters;
     used = 0;
     dir = Hashtbl.create 64;
-    dirs;
     next_free_hint = 0;
   }
 
@@ -62,8 +58,6 @@ let reset t =
   Hashtbl.reset t.fat;
   t.used <- 0;
   Hashtbl.reset t.dir;
-  Hashtbl.reset t.dirs;
-  Hashtbl.replace t.dirs "/" ();
   t.next_free_hint <- 0
 
 let free_clusters t = t.nclusters - t.used
@@ -164,22 +158,6 @@ let read_chain t d dst =
   in
   if off <> d.size then failwith "Fat: chain shorter than file"
 
-let append_file t ?clock path data =
-  match Hashtbl.find_opt t.dir path with
-  | None -> write_file t ?clock path data
-  | Some d ->
-      (* Rewrite the file: read existing (charged as a read), concat,
-         store.  FAT appends into a partially-filled tail cluster would
-         need read-modify-write anyway. *)
-      let combined = Bytes.create (d.size + Bytes.length data) in
-      read_chain t d combined;
-      Bytes.blit data 0 combined d.size (Bytes.length data);
-      charge clock (read_cost d.size);
-      free_chain t d.first;
-      d.first <- end_of_chain;
-      store_clusters t d combined;
-      charge clock (write_cost (Bytes.length data))
-
 let read_file t ?clock path =
   let d = find t path in
   let out = Bytes.create d.size in
@@ -199,59 +177,3 @@ let delete t path =
 let list_files t = Hashtbl.fold (fun k _ acc -> k :: acc) t.dir [] |> List.sort compare
 
 let chain_length t path = List.length (chain_of t (find t path).first)
-
-
-(* --- directories --- *)
-
-let normalise path =
-  if path = "" || path = "/" then "/"
-  else if path.[String.length path - 1] = '/' then
-    String.sub path 0 (String.length path - 1)
-  else path
-
-let parent path =
-  match String.rindex_opt (normalise path) '/' with
-  | None | Some 0 -> "/"
-  | Some i -> String.sub path 0 i
-
-let is_dir t path = Hashtbl.mem t.dirs (normalise path)
-
-let mkdir t path =
-  let path = normalise path in
-  if Hashtbl.mem t.dirs path || Hashtbl.mem t.dir path then
-    invalid_arg (Printf.sprintf "Fat.mkdir: %s exists" path);
-  if not (Hashtbl.mem t.dirs (parent path)) then raise Not_found;
-  Hashtbl.replace t.dirs path ()
-
-let direct_child dir path =
-  (* Is [path] a direct child of [dir]?  Returns the child name. *)
-  let prefix = if dir = "/" then "/" else dir ^ "/" in
-  let n = String.length prefix in
-  if String.length path > n && String.sub path 0 n = prefix then begin
-    let rest = String.sub path n (String.length path - n) in
-    if String.contains rest '/' then None else Some rest
-  end
-  else None
-
-let list_dir t path =
-  let path = normalise path in
-  if not (Hashtbl.mem t.dirs path) then raise Not_found;
-  let files =
-    Hashtbl.fold
-      (fun p _ acc -> match direct_child path p with Some c -> c :: acc | None -> acc)
-      t.dir []
-  in
-  let subdirs =
-    Hashtbl.fold
-      (fun p () acc -> match direct_child path p with Some c -> c :: acc | None -> acc)
-      t.dirs []
-  in
-  List.sort compare (files @ subdirs)
-
-let rmdir t path =
-  let path = normalise path in
-  if path = "/" then invalid_arg "Fat.rmdir: cannot remove the root";
-  if not (Hashtbl.mem t.dirs path) then raise Not_found;
-  if list_dir t path <> [] then
-    invalid_arg (Printf.sprintf "Fat.rmdir: %s is not empty" path);
-  Hashtbl.remove t.dirs path

@@ -24,8 +24,6 @@ val write_file : t -> ?clock:Sim.Clock.t -> string -> bytes -> unit
 (** Create-or-truncate write.  Charges the calibrated write cost to the
     clock when given. *)
 
-val append_file : t -> ?clock:Sim.Clock.t -> string -> bytes -> unit
-
 val read_file : t -> ?clock:Sim.Clock.t -> string -> bytes
 (** Whole-file read; walks the cluster chain.  Raises [Not_found]. *)
 
@@ -37,28 +35,6 @@ val delete : t -> string -> unit
 (** Frees the cluster chain.  Raises [Not_found]. *)
 
 val list_files : t -> string list
-
-(** {1 Directories}
-
-    Hierarchical paths are supported once directories are created:
-    [mkdir] requires the parent to exist; file creation under an
-    uncreated directory fails with [Not_found].  Files written to the
-    root need no setup (the benchmarks' [/input/...] style paths are
-    grandfathered as root-level names for compatibility — a path is
-    only treated as hierarchical below a directory created with
-    {!mkdir}). *)
-
-val mkdir : t -> string -> unit
-(** Raises [Invalid_argument] if it exists, [Not_found] if the parent
-    does not. *)
-
-val is_dir : t -> string -> bool
-val list_dir : t -> string -> string list
-(** Direct children (files and subdirectories).  Raises [Not_found]. *)
-
-val rmdir : t -> string -> unit
-(** Raises [Invalid_argument] when non-empty, [Not_found] when
-    missing. *)
 
 val free_clusters : t -> int
 val cluster_size : int

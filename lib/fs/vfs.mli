@@ -27,10 +27,6 @@ val with_faults : Sim.Fault.t -> t -> t
     fault raises {!Io_error} instead of touching the backing store
     (the operation is transient — retrying consults the plan again). *)
 
-val of_fat : Fat.t -> t
-val of_extfs : Extfs.t -> t
-val of_ramfs : Ramfs.t -> t
-
 val fresh_fat : ?mib:int -> unit -> t
 (** Format a new FAT fs on a fresh device of the given size
     (default 2048 MiB, enough for the 300 MB WordCount inputs plus
@@ -42,8 +38,8 @@ val fresh_ramfs : unit -> t
 val recycle : t -> bool
 (** Re-format a per-request scratch image in place, reusing its arenas:
     after [recycle t = true] the image is bit-identical in behaviour to
-    a matching [fresh_*] one (contents, directories, device geometry
-    and op counters all as new).  Returns [false] — image untouched —
+    a matching [fresh_*] one (contents, device geometry and op
+    counters all as new).  Returns [false] — image untouched —
     when the backend doesn't support it (extfs, ramfs, fault-wrapped
     views).  The serving path recycles WFD scratch disks this way
     instead of formatting ~one device per request. *)

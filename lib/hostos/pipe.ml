@@ -19,8 +19,6 @@ let read t n =
   Buffer.add_string t.buf rest;
   out
 
-let buffered t = Buffer.length t.buf
-
 let is_empty t = Buffer.length t.buf = 0
 
 let transfer_chunks len = if len <= 0 then 0 else (len + capacity - 1) / capacity

@@ -21,7 +21,6 @@ val read : t -> int -> bytes
 (** Remove up to [n] buffered bytes (may be shorter, empty when the pipe
     is drained). *)
 
-val buffered : t -> int
 val is_empty : t -> bool
 
 val transfer_chunks : int -> int

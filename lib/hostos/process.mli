@@ -13,14 +13,10 @@ type t
 
 val create_table : unit -> t
 
-val reset_table : t -> unit
-(** Rewind the table in place to the [create_table] state: no
-    processes, pid/tid counters back at 1. *)
-
 val acquire_table : unit -> t
 (** A table from the calling domain's freelist of released tables, or
     a fresh one — observationally identical to {!create_table} (tables
-    are scrubbed with {!reset_table} on release). *)
+    are scrubbed back to the [create_table] state on release). *)
 
 val release_table : t -> unit
 (** Scrub the table and return it to the calling domain's freelist.

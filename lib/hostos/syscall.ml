@@ -69,32 +69,3 @@ let cost ?(via = Direct) name =
         base + 2_500
   in
   Units.ns ns
-
-let pp_name fmt n =
-  let s =
-    match n with
-    | Open -> "open"
-    | Close -> "close"
-    | Read -> "read"
-    | Write -> "write"
-    | Mmap -> "mmap"
-    | Munmap -> "munmap"
-    | Mprotect -> "mprotect"
-    | Pkey_mprotect -> "pkey_mprotect"
-    | Pkey_alloc -> "pkey_alloc"
-    | Clone -> "clone"
-    | Futex -> "futex"
-    | Pipe2 -> "pipe2"
-    | Socket -> "socket"
-    | Bind -> "bind"
-    | Listen -> "listen"
-    | Connect -> "connect"
-    | Accept -> "accept"
-    | Sendto -> "sendto"
-    | Recvfrom -> "recvfrom"
-    | Epoll_wait -> "epoll_wait"
-    | Gettimeofday -> "gettimeofday"
-    | Dlmopen -> "dlmopen"
-    | Userfaultfd -> "userfaultfd"
-  in
-  Format.pp_print_string fmt s

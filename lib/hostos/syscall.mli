@@ -39,5 +39,3 @@ type interception =
 
 val cost : ?via:interception -> name -> Sim.Units.time
 (** Per-call latency; [via] defaults to [Direct]. *)
-
-val pp_name : Format.formatter -> name -> unit

@@ -39,9 +39,3 @@ let content_hash t =
       let h = Digest.to_hex (Digest.string (toolchain_tag t.toolchain ^ "\x00" ^ code t)) in
       t.hash <- Some h;
       h
-
-let pp_toolchain fmt = function
-  | Rust_as_std -> Format.pp_print_string fmt "rust+as-std"
-  | Rust_plain_std -> Format.pp_print_string fmt "rust+std"
-  | Wasm_aot -> Format.pp_print_string fmt "wasm-aot"
-  | Native_c -> Format.pp_print_string fmt "native-c"

@@ -30,5 +30,3 @@ val content_hash : t -> string
     admission-cache key.  Two images with identical code and toolchain
     hash identically regardless of their names.  Memoized: repeated
     calls on the same image are O(1) after the first. *)
-
-val pp_toolchain : Format.formatter -> toolchain -> unit

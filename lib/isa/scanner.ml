@@ -1,11 +1,5 @@
 type opcode = Op_wrpkru | Op_syscall | Op_sysenter | Op_int
 
-let pp_opcode fmt = function
-  | Op_wrpkru -> Format.pp_print_string fmt "wrpkru"
-  | Op_syscall -> Format.pp_print_string fmt "syscall"
-  | Op_sysenter -> Format.pp_print_string fmt "sysenter"
-  | Op_int -> Format.pp_print_string fmt "int"
-
 type occurrence = { opcode : opcode; offset : int; aligned : bool }
 
 (* Forbidden opcode patterns; [int] matches any cd xx pair. *)

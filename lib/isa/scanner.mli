@@ -11,8 +11,6 @@
 
 type opcode = Op_wrpkru | Op_syscall | Op_sysenter | Op_int
 
-val pp_opcode : Format.formatter -> opcode -> unit
-
 type occurrence = {
   opcode : opcode;
   offset : int;  (** Byte offset in the image code. *)
@@ -21,9 +19,6 @@ type occurrence = {
 
 val scan : Image.t -> occurrence list
 (** All occurrences, offset-ordered. *)
-
-val scan_code : string -> boundaries:int list -> occurrence list
-(** Scan raw code bytes given instruction-start offsets. *)
 
 type verdict =
   | Clean

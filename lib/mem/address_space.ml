@@ -5,12 +5,6 @@ type fault_kind =
 
 exception Fault of { addr : int; kind : fault_kind }
 
-let pp_fault_kind fmt = function
-  | Unmapped -> Format.pp_print_string fmt "unmapped"
-  | Perm_denied a -> Format.fprintf fmt "permission denied (%a)" Prot.pp_access a
-  | Pkey_denied (a, k) ->
-      Format.fprintf fmt "pkey %d denied (%a)" (Prot.key_to_int k) Prot.pp_access a
-
 (* Mapped ranges are tracked as regions; Page.t records materialise
    lazily on first touch.  [r_perm]/[r_pkey] are the creation defaults
    for pages in the region that have not materialised yet — once a page

@@ -13,8 +13,6 @@ type fault_kind =
 
 exception Fault of { addr : int; kind : fault_kind }
 
-val pp_fault_kind : Format.formatter -> fault_kind -> unit
-
 type t
 
 val create : ?tlb:bool -> unit -> t

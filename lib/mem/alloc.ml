@@ -86,15 +86,11 @@ let allocated_bytes t = Hashtbl.fold (fun _ size acc -> acc + size) t.live 0
 
 let free_bytes t = List.fold_left (fun acc (h : hole) -> acc + h.size) 0 t.holes
 
-let largest_hole t = List.fold_left (fun acc (h : hole) -> Stdlib.max acc h.size) 0 t.holes
-
 let hole_count t = List.length t.holes
 
 let live_blocks t =
   Hashtbl.fold (fun addr size acc -> (addr, size) :: acc) t.live []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let block_size t addr = Hashtbl.find_opt t.live addr
 
 let reset t =
   Hashtbl.reset t.live;

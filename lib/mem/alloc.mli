@@ -25,13 +25,9 @@ val free : t -> int -> unit
 
 val allocated_bytes : t -> int
 val free_bytes : t -> int
-val largest_hole : t -> int
 val hole_count : t -> int
 val live_blocks : t -> (int * int) list
 (** [(addr, size)] of live allocations, address-ordered. *)
-
-val block_size : t -> int -> int option
-(** Size of the live block at exactly this address. *)
 
 val reset : t -> unit
 (** Drop every allocation — the "easy recovery by heap units if

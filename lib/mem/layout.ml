@@ -3,9 +3,6 @@ type region = { base : int; size : int }
 let contains r addr = addr >= r.base && addr < r.base + r.size
 let region_end r = r.base + r.size
 
-let pp_region fmt r =
-  Format.fprintf fmt "[0x%x, 0x%x)" r.base (region_end r)
-
 let mib n = n * 1024 * 1024
 
 (* System partition: low addresses. *)

@@ -12,8 +12,6 @@ val contains : region -> int -> bool
 val region_end : region -> int
 (** One past the last byte. *)
 
-val pp_region : Format.formatter -> region -> unit
-
 (** {1 System partition} *)
 
 val visor_code : region

@@ -6,13 +6,6 @@ type perm = { read : bool; write : bool; exec : bool }
 let rw = { read = true; write = true; exec = false }
 let ro = { read = true; write = false; exec = false }
 let rx = { read = true; write = false; exec = true }
-let rwx = { read = true; write = true; exec = true }
-
-let pp_perm fmt p =
-  Format.fprintf fmt "%c%c%c"
-    (if p.read then 'r' else '-')
-    (if p.write then 'w' else '-')
-    (if p.exec then 'x' else '-')
 
 (* Backing storage is demand-zero: a freshly mapped page costs nothing
    until first touched, like anonymous mmap on a host kernel.  This

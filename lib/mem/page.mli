@@ -11,8 +11,6 @@ type perm = { read : bool; write : bool; exec : bool }
 val rw : perm
 val ro : perm
 val rx : perm
-val rwx : perm
-val pp_perm : Format.formatter -> perm -> unit
 
 type t = {
   mutable store : Bytes.t option;

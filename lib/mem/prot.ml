@@ -36,19 +36,11 @@ let can_write p k =
   Int32.logand p (Int32.logor (ad_bit k) (wd_bit k)) = 0l
 
 let to_int32 p = p
-let of_int32 p = p
 let[@inline] bits p = Int32.to_int p
 
 let equal_pkru = Int32.equal
 
-let pp_pkru fmt p = Format.fprintf fmt "PKRU:0x%08lx" p
-
 type access = Read | Write | Execute
-
-let pp_access fmt = function
-  | Read -> Format.pp_print_string fmt "read"
-  | Write -> Format.pp_print_string fmt "write"
-  | Execute -> Format.pp_print_string fmt "execute"
 
 let access_allowed p k = function
   | Read -> can_read p k

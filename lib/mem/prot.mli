@@ -44,18 +44,14 @@ val can_read : pkru -> key -> bool
 val can_write : pkru -> key -> bool
 
 val to_int32 : pkru -> int32
-val of_int32 : int32 -> pkru
 
 val bits : pkru -> int
 (** The rights word as an immediate (unboxed) integer — lets hot paths
     compare PKRUs without a boxed [int32] equality. *)
 
 val equal_pkru : pkru -> pkru -> bool
-val pp_pkru : Format.formatter -> pkru -> unit
 
 type access = Read | Write | Execute
-
-val pp_access : Format.formatter -> access -> unit
 
 val access_allowed : pkru -> key -> access -> bool
 (** MPK does not police instruction fetches: [Execute] is always allowed

@@ -83,5 +83,3 @@ let exists client key =
   Hashtbl.mem client.server.store key
 
 let stored_keys t = Hashtbl.length t.store
-
-let bytes_stored t = Hashtbl.fold (fun _ v acc -> acc + Bytes.length v) t.store 0

@@ -28,7 +28,6 @@ val del : client -> string -> bool
 val exists : client -> string -> bool
 
 val stored_keys : t -> int
-val bytes_stored : t -> int
 
 val serialization_cost : int -> Sim.Units.time
 (** CPU cost of serialising/deserialising a payload of [n] bytes

@@ -54,20 +54,6 @@ type state =
   | Close_wait
   | Time_wait
 
-let pp_state fmt s =
-  let name =
-    match s with
-    | Closed -> "CLOSED"
-    | Listen -> "LISTEN"
-    | Syn_sent -> "SYN_SENT"
-    | Syn_received -> "SYN_RECEIVED"
-    | Established -> "ESTABLISHED"
-    | Fin_wait -> "FIN_WAIT"
-    | Close_wait -> "CLOSE_WAIT"
-    | Time_wait -> "TIME_WAIT"
-  in
-  Format.pp_print_string fmt name
-
 type t = {
   link : Link.t;
   client_profile : profile;

@@ -39,8 +39,6 @@ type state =
   | Close_wait
   | Time_wait
 
-val pp_state : Format.formatter -> state -> unit
-
 type t
 (** One direction-agnostic connection between two simulated threads. *)
 

@@ -103,9 +103,6 @@ let fired t ~site =
 
 let total_fired t = Hashtbl.fold (fun _ st acc -> acc + st.fired) t.table 0
 
-let sites t =
-  Hashtbl.fold (fun site _ acc -> site :: acc) t.table [] |> List.sort compare
-
 let schedule t =
   Hashtbl.fold (fun site st acc -> (site, st.fired) :: acc) t.table []
   |> List.sort compare

@@ -77,9 +77,6 @@ val fired : t -> site:string -> int
 
 val total_fired : t -> int
 
-val sites : t -> string list
-(** Injected sites, sorted. *)
-
 val schedule : t -> (string * int) list
 (** [(site, fired)] for every injected site, sorted — the digest two
     same-seed runs must agree on. *)

@@ -38,8 +38,6 @@ module Tdigest = struct
     }
 
   let count t = t.total +. t.buf_total
-  let min_value t = t.minv
-  let max_value t = t.maxv
 
   (* Merge the sorted centroid prefix with the (sorted-on-demand)
      buffer, then compress: scan in ascending-mean order, greedily
@@ -128,10 +126,6 @@ module Tdigest = struct
     t.buf_len <- t.buf_len + 1;
     t.buf_total <- t.buf_total +. weight;
     if t.buf_len = buf_cap then flush t
-
-  let centroid_count t =
-    flush t;
-    t.n
 
   let quantile t q =
     flush t;

@@ -28,18 +28,12 @@ module Tdigest : sig
   val count : t -> float
   (** Total recorded weight. *)
 
-  val centroid_count : t -> int
-  (** Current number of centroids (after compressing the buffer). *)
-
   val quantile : t -> float -> float
   (** [quantile t q] for [q] in [0,1]; [nan] when empty.  Clamped to
       the observed min/max. *)
 
   val percentile : t -> float -> float
   (** [percentile t p] = [quantile t (p /. 100.)]. *)
-
-  val min_value : t -> float
-  val max_value : t -> float
 
   val merge_into : src:t -> dst:t -> unit
   (** Fold [src]'s centroids into [dst].  [src] is compressed but

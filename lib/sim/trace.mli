@@ -45,7 +45,6 @@ val dropped : t -> int
 
 val filter : t -> category:string -> event list
 val clear : t -> unit
-val pp_event : Format.formatter -> event -> unit
 val dump : t -> string
 
 val global : t

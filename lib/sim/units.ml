@@ -55,7 +55,6 @@ let to_string t = Format.asprintf "%a" pp t
 
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 
 let pp_bytes fmt n =
   let f = float_of_int n in

@@ -54,7 +54,6 @@ val to_string : time -> string
 
 val kib : int -> int
 val mib : int -> int
-val gib : int -> int
 
 val pp_bytes : Format.formatter -> int -> unit
 (** Adaptive rendering of a byte count (B, KB, MB, GB). *)

@@ -27,10 +27,3 @@ let boot p clock =
       p.stages
   in
   { profile_name = p.name; stage_times; total_time = total p }
-
-let pp_report fmt r =
-  Format.fprintf fmt "@[<v2>%s boot: %a@," r.profile_name Units.pp r.total_time;
-  List.iter
-    (fun (label, t) -> Format.fprintf fmt "%-24s %a@," label Units.pp t)
-    r.stage_times;
-  Format.fprintf fmt "@]"

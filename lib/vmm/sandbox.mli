@@ -32,5 +32,3 @@ type boot_report = {
 
 val boot : profile -> Sim.Clock.t -> boot_report
 (** Advance the clock through every stage. *)
-
-val pp_report : Format.formatter -> boot_report -> unit

@@ -5,6 +5,3 @@
     and image load, not the unikernel itself. *)
 
 val profile : Sandbox.profile
-
-val bare_boot : Sim.Units.time
-(** Just the unikernel's own initialisation, excluding the VMM. *)

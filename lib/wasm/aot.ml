@@ -37,11 +37,7 @@ type frame = { locals : Bytes.t; mutable stack : Bytes.t; mutable top : int }
    control outcome. *)
 type code = instance -> frame -> control
 
-type compiled = {
-  m : Wmodule.t;
-  bodies : (Wmodule.func * code array) list;
-  instr_count : int;
-}
+type compiled = { m : Wmodule.t; bodies : (Wmodule.func * code array) list }
 
 let[@inline] pop fr =
   if fr.top = 0 then trap "value stack underflow";
@@ -323,7 +319,7 @@ let compile m =
      never chase the module's function list again. *)
   let funcs = Array.of_list m.Wmodule.funcs in
   let callee_arity idx =
-    if idx < n_imports then 3 (* host-call convention, see Interp *)
+    if idx < n_imports then 3 (* host-call convention, see Wasi *)
     else begin
       let slot = idx - n_imports in
       if slot >= 0 && slot < Array.length funcs then funcs.(slot).Wmodule.params else 0
@@ -338,9 +334,7 @@ let compile m =
       (fun (f : Wmodule.func) -> (f, compile_seq callee_arity outcomes f.Wmodule.body))
       m.Wmodule.funcs
   in
-  { m; bodies; instr_count = Wmodule.code_size m }
-
-let compiled_instr_count c = c.instr_count
+  { m; bodies }
 
 let to_image c =
   (* AOT lowering never emits blacklisted opcodes: every instruction

@@ -3,9 +3,10 @@
     This is the Wasmtime-AOT analogue of the paper (§6, §7.2): the
     module is translated once into host-native code (here, a closure
     tree with no instruction dispatch), and calling an export runs the
-    compiled form.  Results agree exactly with {!Interp} — a qcheck
-    property in the test suite enforces it — while the per-instruction
-    execution cost the runtime layer charges is the native one.
+    compiled form.  Results agree exactly with the reference
+    interpreter in the test suite's oracle library — a qcheck property
+    enforces it — while the per-instruction execution cost the runtime
+    layer charges is the native one.
 
     Compilation yields an {e image} whose instruction stream can be fed
     to the {!Isa} blacklist scanner, preserving AlloyStack's
@@ -19,10 +20,8 @@ val compile : Wmodule.t -> compiled
 (** Validates and compiles; raises [Invalid_argument] on validation
     failure. *)
 
-val compiled_instr_count : compiled -> int
-
 val to_image : compiled -> Isa.Image.t
-(** The ELF-like image of the compiled module for instruction
+(** The binary image of the compiled module for instruction
     scanning.  AOT output never contains blacklisted opcodes: OS access
     is compiled to calls into the embedder. *)
 

@@ -1,5 +1,4 @@
 let const n = Instr.Const (Int64.of_int n)
-let const64 v = Instr.Const v
 let add = Instr.Binop Instr.Add
 let sub = Instr.Binop Instr.Sub
 let mul = Instr.Binop Instr.Mul
@@ -8,7 +7,6 @@ let rem = Instr.Binop Instr.Rem_s
 let lt = Instr.Binop Instr.Lt_s
 let gt = Instr.Binop Instr.Gt_s
 let le = Instr.Binop Instr.Le_s
-let ge = Instr.Binop Instr.Ge_s
 let eq = Instr.Binop Instr.Eq
 let ne = Instr.Binop Instr.Ne
 let local i = Instr.Local_get i

@@ -2,28 +2,16 @@
     kernels, tests, examples) without spelling out the AST. *)
 
 val const : int -> Instr.t
-val const64 : int64 -> Instr.t
 val add : Instr.t
 val sub : Instr.t
 val mul : Instr.t
 val div : Instr.t
 val rem : Instr.t
-val lt : Instr.t
-val gt : Instr.t
 val le : Instr.t
-val ge : Instr.t
 val eq : Instr.t
 val ne : Instr.t
 val local : int -> Instr.t
-val set_local : int -> Instr.t
 val tee : int -> Instr.t
-
-val while_loop : cond:Instr.t list -> body:Instr.t list -> Instr.t
-(** Structured while: [block (loop (cond; eqz; br_if 1; body; br 0))].
-    Inside [body], [br 1] continues, [br 2] breaks. *)
-
-val for_range : local:int -> from:Instr.t list -> until:Instr.t list -> body:Instr.t list -> Instr.t list
-(** Counted loop over [local] in [from, until). *)
 
 val func :
   name:string -> ?params:int -> ?locals:int -> Instr.t list -> Wmodule.func

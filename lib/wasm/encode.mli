@@ -10,8 +10,6 @@
 val magic : string
 (** "\000asm". *)
 
-val version : int
-
 val encode : Wmodule.t -> bytes
 
 exception Malformed of { offset : int; message : string }
@@ -23,5 +21,4 @@ val decode_result : bytes -> (Wmodule.t, string) result
 
 (** {1 LEB128 helpers (exposed for tests)} *)
 
-val uleb_encode : Buffer.t -> int -> unit
 val sleb_encode : Buffer.t -> int64 -> unit

@@ -83,6 +83,3 @@ let image_of loaded = Aot.to_image loaded.compiled
 
 let slowdown_vs_native p =
   Int64.to_float (Units.to_ns p.exec_per_kinstr) /. (native_per_instr_ns *. 1000.0)
-
-let charge_synthetic p ~clock ~native_work =
-  Clock.advance clock (Units.scale native_work (slowdown_vs_native p))

@@ -65,11 +65,4 @@ val run :
 val image_of : loaded -> Isa.Image.t
 (** For blacklist scanning before admission. *)
 
-val charge_synthetic :
-  profile -> clock:Sim.Clock.t -> native_work:Sim.Units.time -> unit
-(** Charge the cost of computation measured in *native* time when run
-    under this runtime (scales by exec_per_instr relative to native).
-    Used for the large benchmark workloads whose kernels are modelled
-    rather than executed instruction-by-instruction — see DESIGN.md. *)
-
 val slowdown_vs_native : profile -> float

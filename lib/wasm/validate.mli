@@ -9,8 +9,6 @@
 
 type error = { func : string option; message : string }
 
-val pp_error : Format.formatter -> error -> unit
-
 val validate : Wmodule.t -> (unit, error list) result
 
 val validate_exn : Wmodule.t -> unit

@@ -34,30 +34,7 @@ let null_system =
     sys_access_buffer = (fun _ -> None);
   }
 
-let import_names =
-  [
-    "fd_write";
-    "fd_read";
-    "path_open";
-    "fd_close";
-    "clock_time_get";
-    "random_get";
-    "args_sizes_get";
-    "proc_exit";
-    "buffer_register";
-    "access_buffer";
-  ]
-
-let index_of name =
-  let rec go i = function
-    | [] -> raise Not_found
-    | n :: _ when String.equal n name -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 import_names
-
-(* Build the import list generically over memory accessors, then
-   specialise for interpreter and AOT instances. *)
+(* Build the import list over an instance's memory accessors. *)
 let make_imports (type inst) ~(read : inst -> int -> int -> bytes)
     ~(write : inst -> int -> bytes -> unit) (sys : system) :
     (string * (inst -> int64 array -> int64)) list =
@@ -110,8 +87,5 @@ let make_imports (type inst) ~(read : inst -> int -> int -> bytes)
             write m (int args.(2)) data;
             i64 (Bytes.length data) );
   ]
-
-let interp_imports sys =
-  make_imports ~read:Interp.read_memory ~write:Interp.write_memory sys
 
 let aot_imports sys = make_imports ~read:Aot.read_memory ~write:Aot.write_memory sys

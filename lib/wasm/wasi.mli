@@ -13,8 +13,6 @@
 
 type errno = Success | Badf | Inval | Noent | Fault
 
-val errno_code : errno -> int64
-
 type system = {
   sys_write : fd:int -> bytes -> int;
       (** Write to an open descriptor; returns bytes written. *)
@@ -34,18 +32,5 @@ type system = {
 val null_system : system
 (** Everything fails/no-ops; useful for pure-compute modules. *)
 
-val interp_imports : system -> (string * Interp.host_fn) list
-(** Imports for the interpreter. *)
-
 val aot_imports : system -> (string * Aot.host_fn) list
-(** The same interface bound for AOT instances. *)
-
-val import_names : string list
-(** Names a WASI module may import, in index order:
-    [fd_write; fd_read; path_open; fd_close; clock_time_get;
-    random_get; args_sizes_get; proc_exit; buffer_register;
-    access_buffer; ...]. *)
-
-val index_of : string -> int
-(** Index of a WASI import name in {!import_names}; raises
-    [Not_found]. *)
+(** The interface bound for AOT instances. *)

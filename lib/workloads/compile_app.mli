@@ -13,5 +13,3 @@
 val app : ?n:int -> seed:int -> unit -> Fctx.app
 (** [n] is the argument to the compiled function (default 50_000);
     [validate] checks the executed result equals n*(n+1)/2. *)
-
-val result_path : string

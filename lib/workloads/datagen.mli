@@ -18,5 +18,3 @@ val int32_records : seed:int -> count:int -> bytes
 val record_count : bytes -> int
 val get_record : bytes -> int -> int32
 val set_record : bytes -> int -> int32 -> unit
-
-val vocabulary_size : int

@@ -17,7 +17,3 @@ val image_pipeline : seed:int -> Fctx.app
 (** The image-processing workflow the paper's examples sketch:
     extract-image-metadata -> transform-metadata -> handler ->
     thumbnail -> store-image-metadata. *)
-
-val image_input_path : string
-val thumbnail_output_path : string
-val metadata_output_path : string

@@ -35,20 +35,3 @@ let noops =
     validate = (fun ~read_output:_ -> Ok ());
     modules = [];
   }
-
-let fixed_response = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"
-
-let http_server =
-  let kernel (ctx : Fctx.t) =
-    (* The workload-level view: produce the canned response.  Socket
-       binding is platform-specific and exercised in the AlloyStack
-       integration tests via as-std directly. *)
-    ctx.Fctx.println fixed_response
-  in
-  {
-    Fctx.app_name = "http-server";
-    stages = [ ("serve", 1, kernel) ];
-    inputs = [];
-    validate = (fun ~read_output:_ -> Ok ());
-    modules = [ "mm"; "stdio"; "socket"; "time" ];
-  }

@@ -8,8 +8,3 @@ val app : seed:int -> size:int -> Fctx.app
 (** no-ops: an empty function that returns immediately (cold-start
     benchmark, Fig. 10). *)
 val noops : Fctx.app
-
-(** http-server: binds a port and returns a fixed response. *)
-val http_server : Fctx.app
-
-val fixed_response : string

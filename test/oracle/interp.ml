@@ -1,3 +1,5 @@
+open Wasm
+
 exception Trap of string
 
 type t = {
@@ -9,7 +11,6 @@ type t = {
   mutable memory : Bytes.t;
   globals : int64 array;
   mutable executed : int;
-  mutable host_calls : int;
   mutable fuel : int;
 }
 
@@ -51,7 +52,7 @@ let instantiate ?(hosts = []) m =
   List.iter
     (fun name ->
       if not (Hashtbl.mem table name) then
-        invalid_arg (Printf.sprintf "Wasm.Interp: missing host import %s" name))
+        invalid_arg (Printf.sprintf "Oracle.Interp: missing host import %s" name))
     m.Wmodule.imports;
   let memory = Bytes.make (m.Wmodule.memory_pages * Wmodule.page_size) '\000' in
   List.iter
@@ -67,7 +68,6 @@ let instantiate ?(hosts = []) m =
     memory;
     globals = Array.of_list m.Wmodule.globals;
     executed = 0;
-    host_calls = 0;
     fuel = max_int;
   }
 
@@ -104,10 +104,7 @@ let local_func t idx =
   if slot >= 0 && slot < Array.length t.funcs then Some t.funcs.(slot) else None
 
 let rec call_function t idx args =
-  if idx >= 0 && idx < t.n_imports then begin
-    t.host_calls <- t.host_calls + 1;
-    (Array.unsafe_get t.import_fns idx) t args
-  end
+  if idx >= 0 && idx < t.n_imports then (Array.unsafe_get t.import_fns idx) t args
   else begin
     match local_func t idx with
     | None -> trap "call to undefined function %d" idx
@@ -263,27 +260,9 @@ and exec_body t locals stack body =
 
 let call ?(fuel = 200_000_000) t name args =
   match Wmodule.lookup_export t.m name with
-  | None -> invalid_arg (Printf.sprintf "Wasm.Interp: no export %s" name)
+  | None -> invalid_arg (Printf.sprintf "Oracle.Interp: no export %s" name)
   | Some idx ->
       t.fuel <- fuel;
       call_function t idx args
 
-let call_index ?(fuel = 200_000_000) t idx args =
-  t.fuel <- fuel;
-  call_function t idx args
-
-let memory_size t = Bytes.length t.memory
-
-let read_memory t addr len =
-  check_mem t addr len;
-  Bytes.sub t.memory addr len
-
-let write_memory t addr data =
-  check_mem t addr (Bytes.length data);
-  Bytes.blit data 0 t.memory addr (Bytes.length data)
-
-let read_global t i = t.globals.(i)
-
 let executed t = t.executed
-let host_calls t = t.host_calls
-let module_of t = t.m

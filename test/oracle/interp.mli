@@ -1,8 +1,8 @@
-(** Direct interpreter for the stack machine.
+(** Direct interpreter for the stack machine: the reference the test
+    suite checks {!Wasm.Aot} against.
 
     Executes a validated module against host imports, counting every
-    retired instruction (the count drives execution-time charging in the
-    runtime layer).  Traps follow WebAssembly: out-of-bounds memory
+    retired instruction.  Traps follow WebAssembly: out-of-bounds memory
     access, division by zero, [unreachable], stack underflow and fuel
     exhaustion all raise {!Trap}. *)
 
@@ -14,7 +14,7 @@ type t
 type host_fn = t -> int64 array -> int64
 (** Host imports receive the instance (so they can touch its memory). *)
 
-val instantiate : ?hosts:(string * host_fn) list -> Wmodule.t -> t
+val instantiate : ?hosts:(string * host_fn) list -> Wasm.Wmodule.t -> t
 (** Validates, allocates memory/globals, runs data initialisers.
     Raises [Invalid_argument] on validation failure or missing
     imports. *)
@@ -24,18 +24,5 @@ val call : ?fuel:int -> t -> string -> int64 array -> int64
     (default 200 million).  The result is the value on top of the stack
     when the function returns (0 for an empty stack). *)
 
-val call_index : ?fuel:int -> t -> int -> int64 array -> int64
-
-(** {1 Instance state} *)
-
-val memory_size : t -> int
-(** Bytes. *)
-
-val read_memory : t -> int -> int -> bytes
-val write_memory : t -> int -> bytes -> unit
-val read_global : t -> int -> int64
 val executed : t -> int
 (** Instructions retired since instantiation. *)
-
-val host_calls : t -> int
-val module_of : t -> Wmodule.t

@@ -221,6 +221,14 @@ let test_workflow_fits_a_wfd () =
   (match create [ sized "a" 40; sized "b" 25 ] [ ("a", "b") ] with
   | Error e -> Alcotest.(check string) "40 + 25 over two stages" too_many e
   | Ok _ -> Alcotest.fail "65 instances over two stages must fail");
+  (* Two max_int nodes would sum to -2; each is rejected on its own. *)
+  (match create [ sized "a" max_int; sized "b" max_int ] [] with
+  | Error e ->
+      Alcotest.(check string) "max_int twice"
+        (Printf.sprintf "workflow has %d function instances but a WFD has 64 function slots"
+           max_int)
+        e
+  | Ok _ -> Alcotest.fail "an instance count past the slots must fail before summing");
   match create [] [] with
   | Error e -> Alcotest.(check string) "empty" "workflow has no functions" e
   | Ok _ -> Alcotest.fail "a workflow without functions must fail"

@@ -135,81 +135,6 @@ let test_rewrite_embedded_each () =
       | Error e -> Alcotest.fail e)
     embedded_patterns
 
-(* --- ELF-like container --- *)
-
-let test_elf_roundtrip () =
-  let img = image [ Inst.Mov_imm 7l; Inst.Call "open"; Inst.Ret ] in
-  let elf = Elf.of_image ~entry:"main" img in
-  let loaded = Elf.load (Elf.store elf) in
-  Alcotest.(check string) "entry" "main" loaded.Elf.entry;
-  Alcotest.(check string) "text preserved" (Image.code img) loaded.Elf.text;
-  Alcotest.(check int) "symbols per instruction" 3 (List.length loaded.Elf.symbols);
-  Alcotest.(check bool) "toolchain" true (loaded.Elf.toolchain = Image.Rust_as_std)
-
-let test_elf_scan_agrees_with_image () =
-  let imgs =
-    [
-      image clean_insts;
-      image [ sneaky_imm; Inst.Ret ];
-      image [ Inst.Mov_reg; Inst.Syscall ];
-    ]
-  in
-  List.iter
-    (fun img ->
-      let elf = Elf.load (Elf.store (Elf.of_image img)) in
-      let direct = Scanner.scan img in
-      let via_elf = Elf.scan_bytes elf in
-      Alcotest.(check int) "same occurrence count" (List.length direct)
-        (List.length via_elf);
-      List.iter2
-        (fun (a : Scanner.occurrence) (b : Scanner.occurrence) ->
-          Alcotest.(check int) "same offsets" a.Scanner.offset b.Scanner.offset;
-          Alcotest.(check bool) "same alignment" a.Scanner.aligned b.Scanner.aligned)
-        direct via_elf)
-    imgs
-
-let test_elf_text_decodes_back () =
-  let img = image [ Inst.Mov_imm 42l; Inst.Load; Inst.Store; Inst.Jmp 4; Inst.Ret ] in
-  let elf = Elf.of_image img in
-  match Elf.text_image ~name:"back" elf with
-  | None -> Alcotest.fail "text must decode"
-  | Some back ->
-      Alcotest.(check string) "byte-for-byte equal" (Image.code img) (Image.code back)
-
-let test_elf_rejects_malformed () =
-  List.iter
-    (fun b ->
-      match Elf.load b with
-      | _ -> Alcotest.fail "malformed must raise"
-      | exception Elf.Malformed _ -> ())
-    [
-      Bytes.of_string "";
-      Bytes.of_string "ELF!";
-      Bytes.sub (Elf.store (Elf.of_image (image clean_insts))) 0 10;
-      Bytes.cat (Elf.store (Elf.of_image (image clean_insts))) (Bytes.of_string "x");
-    ]
-
-let test_elf_foreign_text () =
-  (* Arbitrary bytes that do not decode: text_image is None but
-     byte-level scanning still works. *)
-  let elf =
-    { Elf.toolchain = Image.Native_c; entry = "m"; symbols = [ { Elf.sym_name = "m"; offset = 0 } ];
-      text = "ÿþ" }
-  in
-  Alcotest.(check bool) "undecodable" true (Elf.text_image ~name:"f" elf = None);
-  Alcotest.(check bool) "scanner still sees the syscall bytes" true
-    (List.exists (fun (o : Scanner.occurrence) -> o.Scanner.opcode = Scanner.Op_syscall)
-       (Elf.scan_bytes elf))
-
-let elf_roundtrip_property =
-  QCheck.Test.make ~name:"elf: store/load roundtrip preserves scanning" ~count:150
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 30) benign_inst_gen))
-    (fun insts ->
-      let img = image insts in
-      let elf = Elf.load (Elf.store (Elf.of_image img)) in
-      elf.Elf.text = Image.code img
-      && List.length (Elf.scan_bytes elf) = List.length (Scanner.scan img))
-
 let suite =
   [
     Alcotest.test_case "opcode encodings" `Quick test_encodings;
@@ -223,10 +148,4 @@ let suite =
     Alcotest.test_case "admission pipeline" `Quick test_admit_pipeline;
     Alcotest.test_case "rewrite embedded patterns" `Quick test_rewrite_embedded_each;
     QCheck_alcotest.to_alcotest admit_property;
-    Alcotest.test_case "elf roundtrip" `Quick test_elf_roundtrip;
-    Alcotest.test_case "elf scan agrees" `Quick test_elf_scan_agrees_with_image;
-    Alcotest.test_case "elf text decodes back" `Quick test_elf_text_decodes_back;
-    Alcotest.test_case "elf rejects malformed" `Quick test_elf_rejects_malformed;
-    Alcotest.test_case "elf foreign text" `Quick test_elf_foreign_text;
-    QCheck_alcotest.to_alcotest elf_roundtrip_property;
   ]

@@ -6,33 +6,6 @@ open Sim
 open Baselines
 open Workloads
 
-let test_aot_image_ships_as_elf () =
-  (* The AOT image survives the on-disk container and still scans
-     clean — admission-from-disk, as a registry would do it. *)
-  let compiled = Wasm.Aot.compile Wasm.Builder.bubble_sort in
-  let image = Wasm.Aot.to_image compiled in
-  let stored = Isa.Elf.store (Isa.Elf.of_image image) in
-  let loaded = Isa.Elf.load stored in
-  Alcotest.(check bool) "wasm-aot toolchain" true
-    (loaded.Isa.Elf.toolchain = Isa.Image.Wasm_aot);
-  Alcotest.(check int) "no blacklisted bytes" 0
-    (List.length
-       (List.filter
-          (fun (o : Isa.Scanner.occurrence) -> o.Isa.Scanner.aligned)
-          (Isa.Elf.scan_bytes loaded)))
-
-let test_forbidden_image_detected_after_elf_roundtrip () =
-  let evil =
-    Isa.Image.create ~name:"evil" ~toolchain:Isa.Image.Native_c
-      [ Isa.Inst.Mov_reg; Isa.Inst.Wrpkru; Isa.Inst.Ret ]
-  in
-  let loaded = Isa.Elf.load (Isa.Elf.store (Isa.Elf.of_image evil)) in
-  Alcotest.(check bool) "wrpkru found in container bytes" true
-    (List.exists
-       (fun (o : Isa.Scanner.occurrence) ->
-         o.Isa.Scanner.opcode = Isa.Scanner.Op_wrpkru && o.Isa.Scanner.aligned)
-       (Isa.Elf.scan_bytes loaded))
-
 let test_runtime_override_wavm_faster () =
   (* The same C workload computes ~30% faster under a WAVM profile than
      under Wasmtime (the §8.5 gap is a runtime property, not a platform
@@ -98,9 +71,6 @@ let test_python_reuse_vs_reinit () =
 
 let suite =
   [
-    Alcotest.test_case "aot image ships as elf" `Quick test_aot_image_ships_as_elf;
-    Alcotest.test_case "forbidden image detected after elf" `Quick
-      test_forbidden_image_detected_after_elf_roundtrip;
     Alcotest.test_case "wavm override faster" `Quick test_runtime_override_wavm_faster;
     Alcotest.test_case "language ordering on pipe" `Quick test_language_ordering_on_pipe;
     Alcotest.test_case "compile app across nodes" `Quick test_compile_app_across_nodes;

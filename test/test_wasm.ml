@@ -1,32 +1,34 @@
-(* Tests for the WASM-style VM: validator, interpreter semantics, AOT
-   equivalence, WASI layer, runtime profiles. *)
+(* Tests for the WASM-style VM: validator, semantics of the AOT engine
+   workloads run, its equivalence with the reference interpreter, WASI
+   layer, runtime profiles. *)
 
 open Wasm
+module Interp = Oracle.Interp
 
 let simple_module ?(exports = [ ("f", 0) ]) ?(memory_pages = 1) funcs =
   Wmodule.create ~memory_pages ~exports ~name:"t" funcs
 
-let call_interp ?hosts m name args =
-  Interp.call (Interp.instantiate ?hosts m) name (Array.of_list args)
+let instantiate ?hosts m = Aot.instantiate ?hosts (Aot.compile m)
+let run ?hosts m name args = Aot.call (instantiate ?hosts m) name (Array.of_list args)
 
 let test_arith () =
   let open Instr in
   let body = [ Const 7L; Const 5L; Binop Sub; Const 3L; Binop Mul ] in
   let m = simple_module [ Builder.func ~name:"f" body ] in
-  Alcotest.(check int64) "(7-5)*3" 6L (call_interp m "f" [])
+  Alcotest.(check int64) "(7-5)*3" 6L (run m "f" [])
 
 let test_division_semantics () =
   let open Instr in
   let m = simple_module [ Builder.func ~name:"f" ~params:2 [ Local_get 0; Local_get 1; Binop Div_s ] ] in
-  Alcotest.(check int64) "div" (-3L) (call_interp m "f" [ -7L; 2L ]);
-  match call_interp m "f" [ 1L; 0L ] with
+  Alcotest.(check int64) "div" (-3L) (run m "f" [ -7L; 2L ]);
+  match run m "f" [ 1L; 0L ] with
   | _ -> Alcotest.fail "division by zero must trap"
-  | exception Interp.Trap _ -> ()
+  | exception Aot.Trap _ -> ()
 
 let test_locals_and_globals () =
   let open Instr in
   let m =
-    Wmodule.create ~name:"t" ~globals:[ 10L ] ~exports:[ ("f", 0) ]
+    Wmodule.create ~name:"t" ~globals:[ 10L ] ~exports:[ ("f", 0); ("g", 1) ]
       [
         Builder.func ~name:"f" ~params:1 ~locals:1
           [
@@ -37,27 +39,28 @@ let test_locals_and_globals () =
             Global_set 0;
             Local_get 1;
           ];
+        Builder.func ~name:"g" [ Global_get 0 ];
       ]
   in
-  let inst = Interp.instantiate m in
-  Alcotest.(check int64) "first call" 15L (Interp.call inst "f" [| 5L |]);
-  Alcotest.(check int64) "global persisted" 15L (Interp.read_global inst 0);
-  Alcotest.(check int64) "second call accumulates" 20L (Interp.call inst "f" [| 5L |])
+  let inst = instantiate m in
+  Alcotest.(check int64) "first call" 15L (Aot.call inst "f" [| 5L |]);
+  Alcotest.(check int64) "global persisted" 15L (Aot.call inst "g" [||]);
+  Alcotest.(check int64) "second call accumulates" 20L (Aot.call inst "f" [| 5L |])
 
 let test_control_flow_loop () =
-  Alcotest.(check int64) "sum 1..10" 55L (call_interp Builder.sum_to_n "sum" [ 10L ]);
-  Alcotest.(check int64) "sum 0" 0L (call_interp Builder.sum_to_n "sum" [ 0L ])
+  Alcotest.(check int64) "sum 1..10" 55L (run Builder.sum_to_n "sum" [ 10L ]);
+  Alcotest.(check int64) "sum 0" 0L (run Builder.sum_to_n "sum" [ 0L ])
 
 let test_recursion () =
-  Alcotest.(check int64) "fib 10" 55L (call_interp Builder.fib "fib" [ 10L ]);
-  Alcotest.(check int64) "fib 1" 1L (call_interp Builder.fib "fib" [ 1L ])
+  Alcotest.(check int64) "fib 10" 55L (run Builder.fib "fib" [ 10L ]);
+  Alcotest.(check int64) "fib 1" 1L (run Builder.fib "fib" [ 1L ])
 
 let test_branching_depths () =
   let open Instr in
   (* block (block (br 1)); leaves both blocks. *)
   let body = [ Const 1L; Block [ Block [ Br 1 ]; Const 99L; Drop ] ] in
   let m = simple_module [ Builder.func ~name:"f" body ] in
-  Alcotest.(check int64) "br skips inner rest" 1L (call_interp m "f" [])
+  Alcotest.(check int64) "br skips inner rest" 1L (run m "f" [])
 
 let test_select_eqz () =
   let open Instr in
@@ -65,47 +68,51 @@ let test_select_eqz () =
     simple_module
       [ Builder.func ~name:"f" ~params:1 [ Const 10L; Const 20L; Local_get 0; Select ] ]
   in
-  Alcotest.(check int64) "select true" 10L (call_interp m "f" [ 1L ]);
-  Alcotest.(check int64) "select false" 20L (call_interp m "f" [ 0L ])
+  Alcotest.(check int64) "select true" 10L (run m "f" [ 1L ]);
+  Alcotest.(check int64) "select false" 20L (run m "f" [ 0L ])
 
 let test_memory_ops () =
   let m = Builder.memory_fill in
-  let inst = Interp.instantiate m in
-  ignore (Interp.call inst "fill" [| 100L; 7L |]);
-  Alcotest.(check int64) "checksum" 700L (Interp.call inst "checksum" [| 100L |]);
-  let mem = Interp.read_memory inst 0 100 in
+  let inst = instantiate m in
+  ignore (Aot.call inst "fill" [| 100L; 7L |]);
+  Alcotest.(check int64) "checksum" 700L (Aot.call inst "checksum" [| 100L |]);
+  let mem = Aot.read_memory inst 0 100 in
   Alcotest.(check char) "memory written" '\007' (Bytes.get mem 99)
 
 let test_memory_bounds_trap () =
   let open Instr in
   let m = simple_module [ Builder.func ~name:"f" [ Const 70_000L; Load8 0 ] ] in
-  match call_interp m "f" [] with
+  match run m "f" [] with
   | _ -> Alcotest.fail "oob load must trap"
-  | exception Interp.Trap _ -> ()
+  | exception Aot.Trap _ -> ()
 
 let test_memory_grow () =
   let open Instr in
   let m =
     simple_module
-      [ Builder.func ~name:"f" [ Memory_size; Drop; Const 2L; Memory_grow ] ]
+      ~exports:[ ("f", 0); ("size", 1) ]
+      [
+        Builder.func ~name:"f" [ Memory_size; Drop; Const 2L; Memory_grow ];
+        Builder.func ~name:"size" [ Memory_size ];
+      ]
   in
-  let inst = Interp.instantiate m in
-  Alcotest.(check int64) "grow returns old pages" 1L (Interp.call inst "f" [||]);
-  Alcotest.(check int) "memory grew" (3 * Wmodule.page_size) (Interp.memory_size inst)
+  let inst = instantiate m in
+  Alcotest.(check int64) "grow returns old pages" 1L (Aot.call inst "f" [||]);
+  Alcotest.(check int64) "memory grew" 3L (Aot.call inst "size" [||])
 
 let test_fuel_exhaustion () =
   let open Instr in
   let m = simple_module [ Builder.func ~name:"f" [ Loop [ Br 0 ] ] ] in
-  match Interp.call ~fuel:10_000 (Interp.instantiate m) "f" [||] with
+  match Aot.call ~fuel:10_000 (instantiate m) "f" [||] with
   | _ -> Alcotest.fail "infinite loop must exhaust fuel"
-  | exception Interp.Trap msg ->
+  | exception Aot.Trap msg ->
       Alcotest.(check string) "fuel message" "out of fuel" msg
 
 let test_unreachable () =
   let m = simple_module [ Builder.func ~name:"f" [ Instr.Unreachable ] ] in
-  match call_interp m "f" [] with
+  match run m "f" [] with
   | _ -> Alcotest.fail "unreachable must trap"
-  | exception Interp.Trap _ -> ()
+  | exception Aot.Trap _ -> ()
 
 let test_validate_errors () =
   let open Instr in
@@ -137,8 +144,8 @@ let test_host_imports () =
       [ Builder.func ~name:"f" [ Const 1L; Const 2L; Const 3L; Call 0 ] ]
   in
   let hosts = [ ("add3", fun _ args -> Int64.add args.(0) (Int64.add args.(1) args.(2))) ] in
-  Alcotest.(check int64) "host call" 6L (call_interp ~hosts m "f" []);
-  match Interp.instantiate m with
+  Alcotest.(check int64) "host call" 6L (run ~hosts m "f" []);
+  match instantiate m with
   | _ -> Alcotest.fail "missing import must fail instantiation"
   | exception Invalid_argument _ -> ()
 
@@ -148,16 +155,15 @@ let test_data_initialisers () =
     Wmodule.create ~name:"t" ~memory_pages:1 ~data:[ (10, "abc") ] ~exports:[ ("f", 0) ]
       [ Builder.func ~name:"f" [ Const 12L; Load8 0 ] ]
   in
-  Alcotest.(check int64) "data loaded" (Int64.of_int (Char.code 'c')) (call_interp m "f" [])
+  Alcotest.(check int64) "data loaded" (Int64.of_int (Char.code 'c')) (run m "f" [])
 
 (* --- AOT --- *)
 
 let test_aot_matches_interp_kernels () =
   List.iter
     (fun (m, export, args, label) ->
-      let i = call_interp m export args in
-      let a = Aot.call (Aot.instantiate (Aot.compile m)) export (Array.of_list args) in
-      Alcotest.(check int64) label i a)
+      let i = Interp.call (Interp.instantiate m) export (Array.of_list args) in
+      Alcotest.(check int64) label i (run m export args))
     [
       (Builder.sum_to_n, "sum", [ 100L ], "sum");
       (Builder.fib, "fib", [ 12L ], "fib");
@@ -328,8 +334,8 @@ let test_wasi_fd_write () =
       [ Builder.func ~name:"main" [ Const 1L; Const 0L; Const 7L; Call 0 ] ]
   in
   let sys, written = make_recorder () in
-  let inst = Interp.instantiate ~hosts:(Wasi.interp_imports sys) m in
-  Alcotest.(check int64) "bytes written" 7L (Interp.call inst "main" [||]);
+  let inst = instantiate ~hosts:(Wasi.aot_imports sys) m in
+  Alcotest.(check int64) "bytes written" 7L (Aot.call inst "main" [||]);
   Alcotest.(check string) "content" "hi wasi" (Buffer.contents written)
 
 let test_wasi_clock () =
@@ -339,8 +345,8 @@ let test_wasi_clock () =
       [ Builder.func ~name:"main" [ Const 0L; Const 0L; Const 0L; Call 0 ] ]
   in
   let sys, _ = make_recorder () in
-  let inst = Interp.instantiate ~hosts:(Wasi.interp_imports sys) m in
-  Alcotest.(check int64) "clock" 123L (Interp.call inst "main" [||])
+  let inst = instantiate ~hosts:(Wasi.aot_imports sys) m in
+  Alcotest.(check int64) "clock" 123L (Aot.call inst "main" [||])
 
 let test_wasi_buffer_interfaces () =
   let open Instr in
@@ -369,11 +375,11 @@ let test_wasi_buffer_interfaces () =
       Wasi.sys_access_buffer = (fun slot -> Hashtbl.find_opt store slot);
     }
   in
-  let inst = Interp.instantiate ~hosts:(Wasi.interp_imports sys) m in
-  Alcotest.(check int64) "register ok" 0L (Interp.call inst "reg" [||]);
-  Alcotest.(check int64) "access returns length" 4L (Interp.call inst "acc" [||]);
+  let inst = instantiate ~hosts:(Wasi.aot_imports sys) m in
+  Alcotest.(check int64) "register ok" 0L (Aot.call inst "reg" [||]);
+  Alcotest.(check int64) "access returns length" 4L (Aot.call inst "acc" [||]);
   Alcotest.(check bytes) "data landed" (Bytes.of_string "DATA")
-    (Interp.read_memory inst 32 4)
+    (Aot.read_memory inst 32 4)
 
 (* --- binary module encoding --- *)
 
@@ -397,7 +403,7 @@ let test_encode_roundtrip_kernels () =
 let test_encode_decoded_still_runs () =
   let m = Encode.decode (Encode.encode Builder.sum_to_n) in
   Alcotest.(check int64) "decoded module executes" 5050L
-    (Interp.call (Interp.instantiate m) "sum" [| 100L |])
+    (run m "sum" [ 100L ])
 
 let test_encode_rejects_garbage () =
   List.iter
@@ -483,7 +489,7 @@ let test_wat_hand_written () =
   let m = Wat.parse src in
   Alcotest.(check string) "name" "demo" m.Wmodule.name;
   Alcotest.(check int64) "runs" 142L
-    (Interp.call (Interp.instantiate m) "main" [| 21L |]);
+    (run m "main" [ 21L ]);
   Alcotest.(check bool) "data decoded with escape" true
     (m.Wmodule.data = [ (0, "hi
 ") ])
@@ -550,11 +556,11 @@ let test_runtime_run_charges_time () =
     (Sim.Units.( > ) (Sim.Clock.now clock) after_load)
 
 let test_instruction_counting () =
-  let inst = Interp.instantiate Builder.sum_to_n in
-  ignore (Interp.call inst "sum" [| 10L |]);
-  let ten = Interp.executed inst in
-  ignore (Interp.call inst "sum" [| 20L |]);
-  let twenty = Interp.executed inst - ten in
+  let inst = instantiate Builder.sum_to_n in
+  ignore (Aot.call inst "sum" [| 10L |]);
+  let ten = Aot.executed inst in
+  ignore (Aot.call inst "sum" [| 20L |]);
+  let twenty = Aot.executed inst - ten in
   Alcotest.(check bool) "count scales with work" true (twenty > ten)
 
 let suite =
