@@ -58,7 +58,7 @@ let validated (m : Platform.metrics) =
   Platform.check_validated m;
   m
 
-let run_platform (p : Platform.t) ?cores app = validated (p.Platform.run ?cores app)
+let run_platform (p : Platform.t) app = validated (p.Platform.run app)
 
 (* The observability collectors are process-global: start every
    experiment from a clean slate so exported spans and metric
@@ -570,7 +570,11 @@ let ext () =
   let base = ref Units.zero in
   List.iter
     (fun nodes ->
-      let m = run_platform (As_multinode.make ~nodes ()) app in
+      let m =
+        run_platform
+          (As_platform.make ~options:{ As_platform.default_options with nodes } ())
+          app
+      in
       if nodes = 1 then base := m.Platform.e2e;
       Table.add_row t
         [

@@ -29,7 +29,7 @@ let make ~label ~language =
     | Alloystack_core.Workflow.C -> Wasm.Runtime.slowdown_vs_native runtime
     | Alloystack_core.Workflow.Python -> 22.0 *. Wasm.Runtime.slowdown_vs_native runtime
   in
-  let run ?(cores = 64) (app : Fctx.app) =
+  let run (app : Fctx.app) =
     let vfs = Fsim.Vfs.fresh_extfs () in
     List.iter (fun (path, data) -> vfs.Fsim.Vfs.write_file path data) app.Fctx.inputs;
     let store : (string, bytes) Hashtbl.t = Hashtbl.create 32 in
@@ -85,7 +85,7 @@ let make ~label ~language =
     let instance_rss _ = 6 * 1024 * 1024 in
     let hooks = { Runner.boot; make_fctx; instance_rss; cpu_tax = 0.0 } in
     let result =
-      Runner.run ~cores ~trigger_overhead:(Units.us 400) hooks app.Fctx.stages
+      Runner.run ~trigger_overhead:(Units.us 400) hooks app.Fctx.stages
     in
     let read_output path =
       match vfs.Fsim.Vfs.read_file path with

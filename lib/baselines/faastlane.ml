@@ -47,7 +47,7 @@ let refer_cost len =
   Units.add refer_fixed (Units.time_for_bytes ~bytes_per_sec:refer_bw len)
 
 let make variant =
-  let run ?(cores = 64) (app : Fctx.app) =
+  let run (app : Fctx.app) =
     let vfs = if variant.ramfs then Fsim.Vfs.fresh_ramfs () else Fsim.Vfs.fresh_extfs () in
     List.iter (fun (path, data) -> vfs.Fsim.Vfs.write_file path data) app.Fctx.inputs;
     (* Per-hop transfer mode: IPC when either endpoint stage is
@@ -118,7 +118,7 @@ let make variant =
     let base_rss =
       if variant.kata then Vmm.Container.kata_firecracker.Vmm.Sandbox.mem_overhead else 0
     in
-    let result = Runner.run ~cores hooks app.Fctx.stages in
+    let result = Runner.run hooks app.Fctx.stages in
     let read_output path =
       match vfs.Fsim.Vfs.read_file path with
       | data -> Some data

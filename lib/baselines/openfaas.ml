@@ -11,7 +11,7 @@ let watchdog_hop = Units.us 800
 let per_invocation_path = Units.ms 9
 
 let make ~label ~sandbox ~io_factor ?(warm = false) () =
-  let run ?(cores = 64) (app : Fctx.app) =
+  let run (app : Fctx.app) =
     (* Input/output files live on a host volume (ext4). *)
     let vfs = Fsim.Vfs.fresh_extfs () in
     List.iter (fun (path, data) -> vfs.Fsim.Vfs.write_file path data) app.Fctx.inputs;
@@ -74,7 +74,7 @@ let make ~label ~sandbox ~io_factor ?(warm = false) () =
       }
     in
     let result =
-      Runner.run ~cores ~trigger_overhead:gateway_overhead hooks app.Fctx.stages
+      Runner.run ~trigger_overhead:gateway_overhead hooks app.Fctx.stages
     in
     let read_output path =
       match vfs.Fsim.Vfs.read_file path with

@@ -14,7 +14,7 @@ let phase_total m name =
   | Some t -> t
   | None -> Sim.Units.zero
 
-type t = { name : string; run : ?cores:int -> Fctx.app -> metrics }
+type t = { name : string; run : Fctx.app -> metrics }
 
 let speedup m ~over =
   let a = Int64.to_float (Sim.Units.to_ns m.e2e) in

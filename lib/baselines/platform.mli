@@ -18,7 +18,7 @@ type metrics = {
 
 val phase_total : metrics -> string -> Sim.Units.time
 
-type t = { name : string; run : ?cores:int -> Fctx.app -> metrics }
+type t = { name : string; run : Fctx.app -> metrics }
 
 val speedup : metrics -> over:metrics -> float
 (** [speedup m ~over] = over.e2e / m.e2e — how much faster [m] is. *)

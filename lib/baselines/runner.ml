@@ -24,8 +24,12 @@ type result = {
   peak_rss : int;
 }
 
-let run ?(cores = 64) ?(dispatch_latency = Units.us 15) ?(trigger_overhead = Units.zero)
-    hooks stages =
+(* Every platform runs on the paper's 64-core testbed, the width the
+   AlloyStack visor defaults to, and dispatches at its rate. *)
+let cores = Alloystack_core.Visor.default_config.Alloystack_core.Visor.cores
+let dispatch_latency = Alloystack_core.Cost.dispatch_latency
+
+let run ?(trigger_overhead = Units.zero) hooks stages =
   let t0 = Units.zero in
   let stage_ready = ref trigger_overhead in
   let cold_start = ref None in

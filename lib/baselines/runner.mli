@@ -39,11 +39,12 @@ type result = {
 }
 
 val run :
-  ?cores:int ->
-  ?dispatch_latency:Sim.Units.time ->
   ?trigger_overhead:Sim.Units.time ->
   hooks ->
   (string * int * Fctx.kernel) list ->
   result
-(** Execute the app's stages.  [trigger_overhead] models the platform's
-    gateway/controller work before the first sandbox starts. *)
+(** Execute the app's stages on the 64-core host of
+    {!Alloystack_core.Visor.default_config}, dispatching instances
+    {!Alloystack_core.Cost.dispatch_latency} apart.  [trigger_overhead]
+    models the platform's gateway/controller work before the first
+    sandbox starts. *)

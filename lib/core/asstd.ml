@@ -7,10 +7,9 @@ type ctx = {
   buffer_bw : float;
   compute_factor : float;
   phases : (string, Units.time) Hashtbl.t;
-  code_cache : Wasm.Compile_cache.t option;
 }
 
-let make_ctx ?code_cache wfd thread language =
+let make_ctx wfd thread language =
   let buffer_bw =
     match language with
     | Workflow.Rust -> Cost.buffer_copy_bw_rust
@@ -24,12 +23,11 @@ let make_ctx ?code_cache wfd thread language =
     buffer_bw;
     compute_factor = 1.0;
     phases = Hashtbl.create 4;
-    code_cache;
   }
 
 let load_wasm ctx profile m =
-  Wasm.Runtime.load ?cache:ctx.code_cache ?fault:ctx.wfd.Wfd.fault profile
-    ~clock:ctx.thread.Wfd.clock m
+  Wasm.Runtime.load ~cache:(Wasm.Compile_cache.global ()) ?fault:ctx.wfd.Wfd.fault
+    profile ~clock:ctx.thread.Wfd.clock m
 
 (* CPython interpretation costs ~22x native on this class of workloads;
    compiled C through WASM costs the runtime's slowdown alone. *)

@@ -14,19 +14,18 @@ type ctx = {
   buffer_bw : float;  (** Buffer copy bandwidth of this language path. *)
   compute_factor : float;  (** Slowdown vs native Rust for pure compute. *)
   phases : (string, Sim.Units.time) Hashtbl.t;  (** Fig. 15 accounting. *)
-  code_cache : Wasm.Compile_cache.t option;
-      (** Shared compile cache for modules this function loads; host
-          time only, virtual charges unchanged. *)
 }
 
-val make_ctx : ?code_cache:Wasm.Compile_cache.t -> Wfd.t -> Wfd.thread -> Workflow.language -> ctx
+val make_ctx : Wfd.t -> Wfd.thread -> Workflow.language -> ctx
 (** Context for a Rust-native function (factor 1.0); WASM-hosted
     languages get their factors from the platform layer via
     {!with_runtime}. *)
 
 val load_wasm : ctx -> Wasm.Runtime.profile -> Wasm.Wmodule.t -> Wasm.Runtime.loaded
 (** {!Wasm.Runtime.load} on the calling thread's clock, through the
-    context's shared compile cache and the WFD's fault plan. *)
+    process-wide {!Wasm.Compile_cache.global} and the WFD's fault plan.
+    The cache saves host compiles only: the virtual compile cost is
+    charged on every load. *)
 
 val with_runtime : ctx -> Wasm.Runtime.profile -> ctx
 (** Adjust bandwidth/compute factors for a WASM-hosted language. *)

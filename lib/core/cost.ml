@@ -25,6 +25,10 @@ let wfd_create = Units.us (380 + 300 + 100 + 92)
 (* Stack mapping, TLS, entry-table wiring after clone(). *)
 let function_thread_start = Units.us 122
 
+(* The orchestrator hands one function thread to the scheduler every
+   15us; the baseline platforms' controllers dispatch at the same rate. *)
+let dispatch_latency = Units.us 15
+
 let entry_table_init = Units.us 200
 
 let image_scan_per_kb = Units.us 3

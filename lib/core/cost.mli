@@ -34,6 +34,11 @@ val function_thread_start : Sim.Units.time
 (** Per-function-thread setup beyond the clone syscall: stack mapping,
     TLS, entry-table wiring. *)
 
+val dispatch_latency : Sim.Units.time
+(** Orchestrator dispatch per function thread: a stage's threads start
+    one dispatch apart, the first one dispatch after the stage is
+    ready.  The baseline platforms' stage runner uses the same rate. *)
+
 val entry_table_init : Sim.Units.time
 
 val image_scan_per_kb : Sim.Units.time

@@ -5,7 +5,6 @@ type node = { node_name : string; cores : int }
 type registration = {
   workflow : Workflow.t;
   bindings : (string * Visor.binding) list;
-  config : Visor.config option;
 }
 
 type t = {
@@ -14,9 +13,6 @@ type t = {
   admission : Visor.admission_cache;
       (* Shared across endpoints: re-registered or re-invoked images
          skip the blacklist scan (verdicts are pure over content). *)
-  code_cache : Wasm.Compile_cache.t;
-      (* Likewise shared: repeated invocations of the same endpoint
-         host-compile each WASM module once (virtual time unchanged). *)
   mutable rr : int;
   mutable invocations : int;
   mutable last_node : string option;
@@ -28,16 +24,15 @@ let create ?(nodes = [ { node_name = "node0"; cores = 64 } ]) () =
     nodes = Array.of_list nodes;
     table = Hashtbl.create 8;
     admission = Visor.admission_cache ();
-    code_cache = Wasm.Compile_cache.create ();
     rr = 0;
     invocations = 0;
     last_node = None;
   }
 
-let register t ~endpoint ~workflow ~bindings ?config () =
+let register t ~endpoint ~workflow ~bindings () =
   if Hashtbl.mem t.table endpoint then
     invalid_arg (Printf.sprintf "Gateway.register: endpoint %s already bound" endpoint);
-  Hashtbl.replace t.table endpoint { workflow; bindings; config }
+  Hashtbl.replace t.table endpoint { workflow; bindings }
 
 let register_json t ~endpoint ~config_json ~bindings () =
   match Workflow.of_string config_json with
@@ -48,17 +43,10 @@ let register_json t ~endpoint ~config_json ~bindings () =
 
 let endpoints t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 
-(* Node-local visor config: the node's core count, and the gateway's
-   shared admission cache unless the registration pinned its own. *)
-let node_config t reg ~cores =
-  let base = match reg.config with Some c -> c | None -> Visor.default_config in
-  let admission =
-    match base.Visor.admission with Some _ as a -> a | None -> Some t.admission
-  in
-  let code_cache =
-    match base.Visor.code_cache with Some _ as c -> c | None -> Some t.code_cache
-  in
-  { base with Visor.cores; Visor.admission; Visor.code_cache }
+(* Node-local visor config: the node's core count and the gateway's
+   shared admission cache. *)
+let node_config t ~cores =
+  { Visor.default_config with Visor.cores; admission = Some t.admission }
 
 let invoke t ~endpoint =
   match Hashtbl.find_opt t.table endpoint with
@@ -68,7 +56,7 @@ let invoke t ~endpoint =
       t.rr <- t.rr + 1;
       t.invocations <- t.invocations + 1;
       t.last_node <- Some node.node_name;
-      let config = node_config t reg ~cores:node.cores in
+      let config = node_config t ~cores:node.cores in
       Visor.run ~config ~workflow:reg.workflow ~bindings:reg.bindings ()
 
 let response_body (report : Visor.report) =
@@ -158,7 +146,7 @@ let invoke_burst t ~endpoint ~count =
             let scale_cost =
               if per_node.(node) > 1 then Cost.dlmopen_namespace else Units.zero
             in
-            let config = node_config t reg ~cores:t.nodes.(node).cores in
+            let config = node_config t ~cores:t.nodes.(node).cores in
             let report = Visor.run ~config ~workflow:reg.workflow ~bindings:reg.bindings () in
             t.invocations <- t.invocations + 1;
             let busy = !(inflight.(node)) in
@@ -188,4 +176,3 @@ let invoke_burst t ~endpoint ~count =
 let invocations t = t.invocations
 let last_node t = t.last_node
 let admission t = t.admission
-let code_cache t = t.code_cache

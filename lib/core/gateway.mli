@@ -15,11 +15,12 @@ val register :
   endpoint:string ->
   workflow:Workflow.t ->
   bindings:(string * Visor.binding) list ->
-  ?config:Visor.config ->
   unit ->
   unit
-(** Bind a workflow to [/wf/<endpoint>].  Raises [Invalid_argument] on
-    a duplicate endpoint. *)
+(** Bind a workflow to [/wf/<endpoint>].  It runs with
+    {!Visor.default_config} on the chosen node's cores, through the
+    gateway's shared admission cache.  Raises [Invalid_argument] on a
+    duplicate endpoint. *)
 
 val register_json :
   t ->
@@ -69,7 +70,3 @@ val last_node : t -> string option
 
 val admission : t -> Visor.admission_cache
 (** The gateway's shared admission cache (hit/scan counters). *)
-
-val code_cache : t -> Wasm.Compile_cache.t
-(** The gateway's shared WASM compile cache, injected into every
-    node-local visor config unless the registration pinned its own. *)

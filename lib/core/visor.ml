@@ -38,14 +38,12 @@ type config = {
   features : Wfd.features;
   vfs : Fsim.Vfs.t option;
   wasm_runtime : Wasm.Runtime.profile option;
-  dispatch_latency : Units.time;
   retry : retry_policy;
   cpu_quota : float option;
   fault : Fault.t option;
   timeout : Units.time option;
   backoff : backoff;
   admission : admission_cache option;
-  code_cache : Wasm.Compile_cache.t option;
 }
 
 let default_config =
@@ -54,14 +52,12 @@ let default_config =
     features = Wfd.default_features;
     vfs = None;
     wasm_runtime = None;
-    dispatch_latency = Units.us 15;
     retry = No_retry;
     cpu_quota = None;
     fault = None;
     timeout = None;
     backoff = No_backoff;
     admission = None;
-    code_cache = None;
   }
 
 type stage_report = {
@@ -150,7 +146,7 @@ let lookup_binding bindings id =
   | None -> invalid_arg (Printf.sprintf "Visor.run: no binding for function %s" id)
 
 let make_fn_ctx config wfd thread language =
-  let ctx = Asstd.make_ctx ?code_cache:config.code_cache wfd thread language in
+  let ctx = Asstd.make_ctx wfd thread language in
   match language with
   | Workflow.Rust -> ctx
   | Workflow.C | Workflow.Python ->
@@ -232,21 +228,19 @@ type exec_ctx = {
   ephase_totals : (string, Units.time) Hashtbl.t;
   epeak_rss : int ref;
   estage_reports : stage_report list ref;
-  et0 : Units.time;
 }
 
-let make_exec_ctx ~config ~bindings ~wfd ~rt ~retries ~t0 =
+let make_exec_ctx ~config ~bindings ~wfd ~rt ~retries ~cold_start_mark =
   {
     ecfg = config;
     ebindings = bindings;
     ewfd = wfd;
     rt;
     eretries = retries;
-    cold_start_mark = ref None;
+    cold_start_mark;
     ephase_totals = Hashtbl.create 8;
     epeak_rss = ref 0;
     estage_reports = ref [];
-    et0 = t0;
   }
 
 (* Run every instance of every node of one stage: spawn the function
@@ -267,7 +261,7 @@ let exec_stage ectx ~ready nodes =
   let dispatch = ref ready in
   List.map
     (fun ((node : Workflow.node), b, i) ->
-      dispatch := Units.add !dispatch config.dispatch_latency;
+      dispatch := Units.add !dispatch Cost.dispatch_latency;
       let start = !dispatch in
       let spawn_clock = Clock.create ~at:start () in
       (match config.cpu_quota with
@@ -428,20 +422,19 @@ let record_stage ectx ~stage_index ~ready ~durations ~placements =
     "wfd%d stage %d (%d instances)" ectx.ewfd.Wfd.id stage_index (List.length durations);
   makespan
 
+(* The execution was triggered at virtual instant zero, so [finish] is
+   its e2e. *)
 let build_report ectx ~finish ~cold_fallback ~admission =
   let wfd = ectx.ewfd in
-  Metrics.observe_time e2e_histo (Units.sub finish ectx.et0);
+  Metrics.observe_time e2e_histo finish;
   let stdout = Libos_stdio.output wfd in
   let loaded_modules =
     Hashtbl.fold (fun k () acc -> k :: acc) wfd.Wfd.loaded_modules []
     |> List.sort compare
   in
   {
-    e2e = Units.sub finish ectx.et0;
-    cold_start =
-      (match !(ectx.cold_start_mark) with
-      | Some m -> Units.sub m ectx.et0
-      | None -> Units.sub cold_fallback ectx.et0);
+    e2e = finish;
+    cold_start = Option.value !(ectx.cold_start_mark) ~default:cold_fallback;
     admission;
     stage_reports = List.rev !(ectx.estage_reports);
     phase_totals =
@@ -456,14 +449,21 @@ let build_report ectx ~finish ~cold_fallback ~admission =
     retries = !(ectx.eretries);
   }
 
-let run_once ?retries ~(config : config) ~workflow ~bindings () =
+(* One attempt in a fresh WFD.  [Retry_workflow] threads three things
+   through its attempts: the function-restart count, the first
+   attempt's cold-start mark, and [from] — the attempt starts at [!from]
+   and moves it to each stage's start, so a failed attempt leaves there
+   the instant it failed.  [e2e] and [cold_start] count from the first
+   trigger, at zero. *)
+let run_once ?(retries = ref 0) ?(cold_start_mark = ref None) ?(from = ref Units.zero)
+    ~(config : config) ~workflow ~bindings () =
   (* Check bindings exist up front. *)
   List.iter
     (fun n -> ignore (lookup_binding bindings n.Workflow.node_id))
     workflow.Workflow.nodes;
   let admission = admit_images ?cache:config.admission bindings in
   let proc_table = Hostos.Process.create_table () in
-  let clock = Clock.create () in
+  let clock = Clock.create ~at:!from () in
   let t0 = Clock.now clock in
   let wf_span =
     Span.begin_span (Span.current ()) ~parent:Span.none ~at:t0 ~category:"workflow"
@@ -496,11 +496,13 @@ let run_once ?retries ~(config : config) ~workflow ~bindings () =
       Span.end_span (Span.current ()) boot_span ~at:(Clock.now clock);
       wfd.Wfd.span <- wf_span;
       let rt = { engine_started = false; python_booted = false } in
-      let retries = match retries with Some r -> r | None -> ref 0 in
-      let ectx = make_exec_ctx ~config ~bindings ~wfd ~rt ~retries ~t0 in
+      let ectx =
+        make_exec_ctx ~config ~bindings ~wfd ~rt ~retries ~cold_start_mark
+      in
       let ready = ref (Clock.now clock) in
       List.iteri
         (fun stage_index nodes ->
+          from := !ready;
           let stage_span =
             Span.begin_span (Span.current ()) ~parent:wf_span ~at:!ready ~category:"stage"
               ~label:(Printf.sprintf "stage %d" stage_index)
@@ -510,7 +512,7 @@ let run_once ?retries ~(config : config) ~workflow ~bindings () =
           let durations = exec_stage ectx ~ready:!ready nodes in
           let placements =
             Hostos.Sched.schedule ~cores:config.cores ~ready:!ready
-              ~dispatch_latency:config.dispatch_latency durations
+              ~dispatch_latency:Cost.dispatch_latency durations
           in
           ready := record_stage ectx ~stage_index ~ready:!ready ~durations ~placements;
           wfd.Wfd.span <- wf_span;
@@ -548,15 +550,18 @@ let run ?(config = default_config) ~workflow ~bindings () =
   | No_retry | Retry_function _ -> run_once ~config ~workflow ~bindings ()
   | Retry_workflow max_attempts ->
       (* Idempotent functions: a failed run is retried in a brand new
-         WFD; inputs are still staged on the (shared) disk image.  The
+         WFD; inputs are still staged on the (shared) disk image.  Each
+         attempt starts at the instant its predecessor failed, the
+         failing stage's start (as in [Server]), so [e2e] includes the
+         failed attempts; [cold_start] stays the first attempt's.  The
          function-level restart counter is carried across attempts so
          restarts performed inside failed attempts are not dropped, and
          a hung workflow (detected by the visor's liveness watchdog) is
          retried like any other failed attempt. *)
-      let carried = ref 0 in
+      let retries = ref 0 and cold_start_mark = ref None and from = ref Units.zero in
       let max_attempts = Stdlib.max 1 max_attempts in
       let rec attempt n =
-        match run_once ~retries:carried ~config ~workflow ~bindings () with
+        match run_once ~retries ~cold_start_mark ~from ~config ~workflow ~bindings () with
         | report -> { report with retries = report.retries + (n - 1) }
         | exception (Function_failed _ | Function_hung _) when n < max_attempts ->
             attempt (n + 1)
@@ -653,10 +658,6 @@ module Server = struct
     table : (string, registration) Hashtbl.t;
     templates : (string, template) Hashtbl.t;
     adm : admission_cache;
-    codec : Wasm.Compile_cache.t;
-        (* Shared across all requests and warm clones: identical
-           modules compile once on the host, like the admission cache
-           shares scan verdicts.  Virtual time is unaffected. *)
     proc_table : Hostos.Process.t;
     cpu : Hostos.Sched.pool;
     mutable lru_head : template option;  (* most recently used *)
@@ -686,17 +687,15 @@ module Server = struct
     if pool_mem_cap < 0 then invalid_arg "Visor.Server.create: negative pool cap";
     if sample_every < 1 then
       invalid_arg "Visor.Server.create: sample_every must be >= 1";
-    let codec =
-      match config.code_cache with Some c -> c | None -> Wasm.Compile_cache.create ()
-    in
+    if Option.is_some config.vfs then
+      invalid_arg "Visor.Server.create: config.vfs is for Visor.run only";
     {
-      scfg = { config with code_cache = Some codec };
+      scfg = config;
       pool_cap = pool_mem_cap;
       warm_enabled = warm;
       table = Hashtbl.create 8;
       templates = Hashtbl.create 8;
       adm = (match config.admission with Some c -> c | None -> admission_cache ());
-      codec;
       proc_table = Hostos.Process.create_table ();
       cpu = Hostos.Sched.pool ~cores:config.cores;
       lru_head = None;
@@ -814,7 +813,6 @@ module Server = struct
 
   let evictions t = t.evicted
   let admission t = t.adm
-  let code_cache t = t.codec
 
   let evict_lru t =
     match t.lru_tail with
@@ -849,7 +847,7 @@ module Server = struct
         ~category:"template" ~label:("template " ^ endpoint) ()
     in
     let wfd =
-      Wfd.create ~features:t.scfg.features ?vfs:t.scfg.vfs ?fault:t.scfg.fault
+      Wfd.create ~features:t.scfg.features ?fault:t.scfg.fault
         ~proc_table:t.proc_table ~clock
         ~workflow_name:(endpoint ^ ":template") ()
     in
@@ -1023,9 +1021,8 @@ module Server = struct
 
   (* Compute one request's trajectory.  Runs on any domain: every
      observable write goes to a segment shard, WFD ids come from the
-     request's reserved namespace, faults and the disk image are
-     request-private (unless the server was configured with a shared
-     pre-staged disk, in which case [serve_fold] stays on one domain). *)
+     request's reserved namespace, and faults and the disk image are
+     request-private. *)
   let run_trajectory t ~cfg ~endpoint ~(reg : registration) ~boots ~fault_child
       =
     Hotspot.with_section "serve.trajectory" @@ fun () ->
@@ -1065,10 +1062,7 @@ module Server = struct
                      pool; a fault-free one may take a shell another
                      domain released, which changes no virtual
                      observable. *)
-                  let wfd =
-                    Wfd.bind ?fault:fault_child tpl.tpl_pool
-                      ~scratch_disk:(Option.is_none scfg.vfs) ~proc_table ~clock
-                  in
+                  let wfd = Wfd.bind ?fault:fault_child tpl.tpl_pool ~proc_table ~clock in
                   wfd.Wfd.span <- boot_span;
                   Libos.attach_warm wfd ~clock;
                   if tpl.tpl_engine || tpl.tpl_python then
@@ -1078,8 +1072,8 @@ module Server = struct
                     true )
               | Cold ->
                   let wfd =
-                    Wfd.create ~features:scfg.features ?vfs:scfg.vfs
-                      ?fault:scfg.fault ~proc_table ~clock
+                    Wfd.create ~features:scfg.features ?fault:scfg.fault ~proc_table
+                      ~clock
                       ~workflow_name:(endpoint ^ ":" ^ reg.reg_workflow.Workflow.wf_name)
                       ()
                   in
@@ -1107,7 +1101,7 @@ module Server = struct
       let body () =
             let ectx =
               make_exec_ctx ~config:scfg ~bindings:reg.reg_bindings ~wfd ~rt
-                ~retries ~t0:Units.zero
+                ~retries ~cold_start_mark:(ref None)
             in
             (* Stage ready times on the private timeline come from a
                private pool of the same width as the shared one: gaps
@@ -1131,7 +1125,7 @@ module Server = struct
                    | durations ->
                        let placements =
                          Hostos.Sched.schedule_on priv ~ready:!rel_ready
-                           ~dispatch_latency:scfg.dispatch_latency durations
+                           ~dispatch_latency:Cost.dispatch_latency durations
                        in
                        done_stages :=
                          {
@@ -1223,16 +1217,14 @@ module Server = struct
      boot seeds the template here, off every request's critical path),
      WFD id range reserved and the fault plan split by global arrival
      index. *)
-  let plan_request t ~share_disk ~max_attempts ~index (r : request) =
+  let plan_request t ~max_attempts ~index (r : request) =
     let reg = find_registration t r.endpoint in
     match admit_images ~cache:t.adm reg.reg_bindings with
     | (_ : Units.time) ->
         let boots = plan_boots t r.endpoint reg ~max_attempts in
         let base = Wfd.reserve_ids max_attempts in
         let fault_child =
-          match t.scfg.fault with
-          | Some plan when not share_disk -> Some (Fault.child plan ~index)
-          | Some _ | None -> None
+          match t.scfg.fault with Some plan -> Some (Fault.child plan ~index) | None -> None
         in
         Some
           { pl_reg = reg; pl_boots = boots; pl_base = base; pl_fault = fault_child }
@@ -1270,7 +1262,6 @@ module Server = struct
   let serve_fold t ?(window = 2048) next ~init ~f =
     if window < 1 then invalid_arg "Visor.Server.serve_fold: window must be >= 1";
     let max_attempts = max_attempts_of t.scfg in
-    let share_disk = t.scfg.vfs <> None in
     let base_cfg = Par.shard_config () in
     let q : ev Eventq.t = Eventq.create () in
     let pending = ref (next ()) in
@@ -1303,7 +1294,7 @@ module Server = struct
             let sampled =
               t.obs_every <= 1 || i mod t.obs_every = t.obs_phase
             in
-            (i, r, sampled, plan_request t ~share_disk ~max_attempts ~index:i r))
+            (i, r, sampled, plan_request t ~max_attempts ~index:i r))
           batch
       in
       (* Trajectories: host-parallel, shard-isolated.  An unsampled
@@ -1330,9 +1321,7 @@ module Server = struct
                               ~fault_child:p.pl_fault)))
              planned)
       in
-      let trajs =
-        if share_disk then Array.map (fun f -> f ()) tasks else Par.run tasks
-      in
+      let trajs = Par.run tasks in
       (match t.scfg.fault with
       | Some plan ->
           List.iter
@@ -1489,7 +1478,7 @@ module Server = struct
           Par.release_shard sg.sg_shard;
           let placements =
             Hostos.Sched.schedule_on t.cpu ~ready:now
-              ~dispatch_latency:t.scfg.dispatch_latency sg.sg_durations
+              ~dispatch_latency:Cost.dispatch_latency sg.sg_durations
           in
           let makespan = Hostos.Sched.makespan placements in
           Metrics.observe_time stage_histo (Units.sub makespan now);

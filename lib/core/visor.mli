@@ -63,10 +63,12 @@ val admission_scans : admission_cache -> int
 type config = {
   cores : int;  (** Host CPUs available to this WFD. *)
   features : Wfd.features;
-  vfs : Fsim.Vfs.t option;  (** Pre-staged disk image (inputs). *)
+  vfs : Fsim.Vfs.t option;
+      (** Pre-staged disk image (inputs) for {!run}; [None] gives the
+          WFD a fresh FAT image.  {!Server.create} rejects [Some _]:
+          every served request gets its own scratch disk. *)
   wasm_runtime : Wasm.Runtime.profile option;
       (** Runtime for C/Python functions; default Wasmtime. *)
-  dispatch_latency : Sim.Units.time;  (** Orchestrator per-thread dispatch. *)
   retry : retry_policy;
   cpu_quota : float option;
       (** §9 resource allocation: cgroup CPU bandwidth per function
@@ -81,11 +83,6 @@ type config = {
   backoff : backoff;  (** Wait between retry attempts. *)
   admission : admission_cache option;
       (** Shared verdict cache; [None] scans every image every run. *)
-  code_cache : Wasm.Compile_cache.t option;
-      (** Shared content-hash compile cache for WASM modules loaded by
-          function code ({!Asstd.load_wasm}).  Saves host-side
-          recompiles only — virtual compile time is charged on every
-          load, so results are bit-identical with or without it. *)
 }
 
 val default_config : config
@@ -142,7 +139,14 @@ val run :
   report
 (** Execute the workflow once in a fresh WFD.  The WFD is destroyed on
     every exit path, including failures.  Raises [Invalid_argument] if
-    a node has no binding, {!Admission_failed} on a rejected image. *)
+    a node has no binding, {!Admission_failed} on a rejected image.
+
+    Under [Retry_workflow] each attempt starts at the instant the one
+    before it failed, which is the failing stage's start, so [e2e]
+    runs from the first trigger and includes the failed attempts, and
+    [cold_start] is the first attempt's.  This is the rule
+    {!Server.serve_fold} follows, so a request served alone on a cold
+    server reports the same latency. *)
 
 val cold_start_only : ?config:config -> unit -> Sim.Units.time
 (** The no-ops cold-start measurement: trigger to first user
@@ -214,6 +218,9 @@ module Server : sig
       [warm:false] disables the pool entirely (every request boots
       cold — the baseline the bench compares against).  The server
       uses [config.admission] when provided, else its own cache.
+      Raises [Invalid_argument] when [config.vfs] is set: each request
+      runs on its own scratch disk, so there is no shared image to
+      pre-stage.
 
       [sample_every] (default 1) samples per-request observability:
       only every k-th request — by arrival index, starting at phase
@@ -330,11 +337,6 @@ module Server : sig
   val pool_rss : t -> int
   val evictions : t -> int
   val admission : t -> admission_cache
-
-  val code_cache : t -> Wasm.Compile_cache.t
-  (** The server's shared compile cache (the one injected into every
-      request's config): warm clones of a template recompile nothing —
-      its miss count stays at the number of distinct modules. *)
 
   val shutdown : t -> unit
   (** Destroy all pooled templates (drops their WFDs from the live

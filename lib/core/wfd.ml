@@ -291,7 +291,7 @@ let new_shell ?fault template =
     span = Span.none;
   }
 
-let bind ?fault p ~scratch_disk ~proc_table ~clock =
+let bind ?fault p ~proc_table ~clock =
   let tpl = p.template in
   if tpl.destroyed then invalid_arg "Wfd.bind: template destroyed";
   (* A request with its own plan needs a shell whose buffer heap was
@@ -307,16 +307,15 @@ let bind ?fault p ~scratch_disk ~proc_table ~clock =
                 p.free <- rest;
                 Some s)
   in
+  (* Every request gets a private disk, because the template's image is
+     host-shared mutable state: a reused shell's re-formatted image when
+     it kept one, else a fresh FAT image wrapped with [fault]. *)
   let vfs =
-    if not scratch_disk then tpl.vfs
-    else
-      match shell with
-      | Some s when s.vfs != tpl.vfs -> s.vfs
-      | Some _ | None -> (
-          let disk =
-            Hotspot.with_section "vfs.fresh" (fun () -> Fsim.Vfs.fresh_fat ())
-          in
-          match fault with Some plan -> Fsim.Vfs.with_faults plan disk | None -> disk)
+    match shell with
+    | Some s when s.vfs != tpl.vfs -> s.vfs
+    | Some _ | None -> (
+        let disk = Hotspot.with_section "vfs.fresh" (fun () -> Fsim.Vfs.fresh_fat ()) in
+        match fault with Some plan -> Fsim.Vfs.with_faults plan disk | None -> disk)
   in
   let section = match shell with Some _ -> "wfd.acquire" | None -> "wfd.clone" in
   Hotspot.with_section section @@ fun () ->

@@ -122,7 +122,6 @@ val pool : t -> pool
 val bind :
   ?fault:Sim.Fault.t ->
   pool ->
-  scratch_disk:bool ->
   proc_table:Hostos.Process.t ->
   clock:Sim.Clock.t ->
   t
@@ -136,13 +135,11 @@ val bind :
     it is always a new shell armed with that plan, and {!release}
     destroys it instead of pooling it.
 
-    [scratch_disk:true] gives the WFD a private disk: a reused shell's
-    re-formatted image when it kept one, else a fresh FAT image
-    wrapped with [fault].  Parallel serving needs this, because the
-    template's image is host-shared mutable state.
-    [scratch_disk:false] inherits the template's image (a shared
-    pre-staged disk).  Raises [Invalid_argument] if the pool was
-    drained. *)
+    The WFD always gets a private disk: a reused shell's re-formatted
+    image when it kept one, else a fresh FAT image wrapped with
+    [fault].  Parallel serving needs this, because the template's
+    image is host-shared mutable state.  Raises [Invalid_argument] if
+    the pool was drained. *)
 
 val release : pool -> t -> bool
 (** Return a cleanly finished WFD bound from the pool.  It is reset

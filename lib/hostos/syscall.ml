@@ -54,18 +54,4 @@ let direct_ns = function
   | Dlmopen -> 380_000
   | Userfaultfd -> 2_200
 
-let cost ?(via = Direct) name =
-  let base = direct_ns name in
-  let ns =
-    match via with
-    | Direct -> base
-    | Ptrace ->
-        (* Two ptrace stops (entry/exit), sentry handling, then the real
-           syscall: roughly an order of magnitude on small calls. *)
-        (base * 3) + 9_000
-    | Vmexit ->
-        (* VM exit + VMM emulation + re-entry on top of the guest's own
-           kernel work. *)
-        base + 2_500
-  in
-  Units.ns ns
+let cost name = Units.ns (direct_ns name)

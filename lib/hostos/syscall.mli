@@ -3,8 +3,9 @@
     Baseline per-call overheads for a modern Xeon under Linux ~6.5.
     Values are entry/exit plus typical in-kernel work for a small
     request; bulk data movement is charged separately by the caller at
-    the relevant bandwidth.  gVisor's ptrace platform intercepts and
-    forwards every syscall, which multiplies the cost — the paper
+    the relevant bandwidth.  Sandbox interception (gVisor's ptrace
+    platform, a MicroVM's VM exits) is not charged here: the baseline
+    platforms model it as CPU tax and I/O slowdown — the paper
     measures ~50% of gVisor runtime CPU in kernel mode (§8.2). *)
 
 type name =
@@ -32,10 +33,12 @@ type name =
   | Dlmopen  (** Not a syscall, but the loader path is charged here. *)
   | Userfaultfd
 
+(** How a sandbox's syscalls reach the host kernel: a label on each
+    sandbox profile. *)
 type interception =
   | Direct  (** Normal host syscall. *)
   | Ptrace  (** gVisor ptrace platform: stop + forward + resume. *)
   | Vmexit  (** Inside a MicroVM: guest exit + VMM handling. *)
 
-val cost : ?via:interception -> name -> Sim.Units.time
-(** Per-call latency; [via] defaults to [Direct]. *)
+val cost : name -> Sim.Units.time
+(** Per-call latency of a direct host syscall. *)

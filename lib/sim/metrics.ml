@@ -39,10 +39,6 @@ type histo = {
       (* full-population digest, allocated on the first thinned
          observation; [None] at k = 1 so the default path never touches
          it *)
-  mutable h_snap : histo_snapshot option;
-      (* memoized snapshot, invalidated by any mutation — repeated
-         exporter reads (a Prometheus scrape per soak snapshot line)
-         cost one hashtable walk, not a percentile query per cell *)
 }
 
 type registry = {
@@ -82,7 +78,6 @@ let histo_cell r name =
           h_min = infinity;
           h_max = neg_infinity;
           h_sketch = None;
-          h_snap = None;
         }
       in
       Hashtbl.replace r.r_histograms name h;
@@ -143,7 +138,6 @@ let bucket_bound i = 2.0 ** float_of_int i
 (* One observation: exact aggregates unconditionally, reservoir offer
    through the registry's 1-in-k sampler. *)
 let observe_cell r (cell : histo) v =
-  cell.h_snap <- None;
   let i = bucket_index v in
   cell.buckets.(i) <- cell.buckets.(i) + 1;
   if r.r_every <= 1 || cell.h_count mod r.r_every = r.r_phase then
@@ -199,9 +193,6 @@ type snapshot = {
 }
 
 let snapshot_histogram name (h : histo) =
-  match h.h_snap with
-  | Some s -> s
-  | None ->
   let empty = h.h_count = 0 in
   (* The reservoir answers while it is lossless.  Once it drops a
      sample the digest does: every observation made while thinning
@@ -225,21 +216,17 @@ let snapshot_histogram name (h : histo) =
   for i = 63 downto 0 do
     if h.buckets.(i) > 0 then buckets := (i, h.buckets.(i)) :: !buckets
   done;
-  let s =
-    {
-      hs_name = name;
-      hs_count = h.h_count;
-      hs_sum = h.h_sum;
-      hs_min = (if empty then 0.0 else h.h_min);
-      hs_max = (if empty then 0.0 else h.h_max);
-      hs_p50 = pct 50.0;
-      hs_p90 = pct 90.0;
-      hs_p99 = pct 99.0;
-      hs_buckets = !buckets;
-    }
-  in
-  h.h_snap <- Some s;
-  s
+  {
+    hs_name = name;
+    hs_count = h.h_count;
+    hs_sum = h.h_sum;
+    hs_min = (if empty then 0.0 else h.h_min);
+    hs_max = (if empty then 0.0 else h.h_max);
+    hs_p50 = pct 50.0;
+    hs_p90 = pct 90.0;
+    hs_p99 = pct 99.0;
+    hs_buckets = !buckets;
+  }
 
 let snapshot () =
   let r = current () in
@@ -261,8 +248,7 @@ let clear_cell (h : histo) =
   h.h_sum <- 0.0;
   h.h_min <- infinity;
   h.h_max <- neg_infinity;
-  (match h.h_sketch with Some d -> Sketch.Tdigest.clear d | None -> ());
-  h.h_snap <- None
+  match h.h_sketch with Some d -> Sketch.Tdigest.clear d | None -> ()
 
 let reset () =
   let r = current () in

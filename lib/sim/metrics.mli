@@ -132,10 +132,8 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 (** Snapshot of every {!Stats.Counter}, every gauge and the current
-    registry's histograms.
-    Per-histogram snapshots are memoized until the next observation,
-    merge or reset touches the cell, so repeated exporter calls over a
-    quiet registry are O(series) — no percentile recomputation. *)
+    registry's histograms.  Each call recomputes every histogram's
+    percentiles. *)
 
 val reset : unit -> unit
 (** Zeroes every gauge, every {!Stats.Counter} and the current

@@ -134,5 +134,8 @@ let hit_count t = t.hits
 let miss_count t = t.misses
 let eviction_count t = t.evictions
 
-let global_cache = lazy (create ~capacity:128 ())
-let global () = Lazy.force global_cache
+(* Built at module initialisation, not on first use: forcing one [lazy]
+   from two domains at once raises [CamlinternalLazy.Undefined], and a
+   server trajectory on a worker domain can be the cache's first user. *)
+let global_cache = create ~capacity:128 ()
+let global () = global_cache

@@ -19,7 +19,8 @@ val create : ?capacity:int -> unit -> t
     on a non-positive capacity. *)
 
 val global : unit -> t
-(** Process-wide shared cache (capacity 128), lazily created. *)
+(** Process-wide shared cache (capacity 128), built when the module
+    initialises, so any domain may call this first. *)
 
 val hash_module : Wmodule.t -> string
 (** Hex digest of the module's canonical encoding. *)

@@ -111,7 +111,16 @@ let test_loader_fault_no_poison () =
     (Clock.now clean_clock) (Clock.now clock2)
 
 (* End-to-end virtual-time invariance: the same workflow reports the
-   same e2e time with no cache, a cold cache and a warm cache. *)
+   same e2e time with no cache, a cold cache and a warm cache.  Function
+   code loads through the process-wide cache ([Asstd.load_wasm]), so
+   each test compiles a module of its own that no other test or
+   workload compiles: its first load is the one miss, whatever ran
+   before. *)
+let probe_module salt =
+  Wasm.Wmodule.create ~name:"cache-probe"
+    ~exports:[ ("probe", 0) ]
+    [ Wasm.Builder.(func ~name:"probe" ~params:1 [ local 0; const salt; add ]) ]
+
 let wasm_wf =
   Workflow.create_exn ~name:"wasm-load"
     ~nodes:
@@ -125,56 +134,71 @@ let wasm_wf =
       ]
     ~edges:[]
 
-let wasm_bindings =
+(* A one-function workflow whose kernel loads [m] with [load] and runs
+   its export. *)
+let wasm_bindings ~load m salt =
   [
     ( "f",
       Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
-          let loaded = Asstd.load_wasm ctx Wasm.Runtime.wasmtime Wasm.Builder.sum_to_n in
+          let loaded = load ctx m in
           let clock = ctx.Asstd.thread.Wfd.clock in
           let inst =
             Wasm.Runtime.instantiate loaded ~clock ~system:Wasm.Wasi.null_system
           in
-          let r = Wasm.Runtime.run loaded ~clock ~instance:inst "sum" [| 100L |] in
-          assert (r = 5050L)) );
+          let r = Wasm.Runtime.run loaded ~clock ~instance:inst "probe" [| 100L |] in
+          assert (r = Int64.of_int (100 + salt))) );
   ]
 
-let run_once config =
-  let r = Visor.run ~config ~workflow:wasm_wf ~bindings:wasm_bindings () in
-  r.Visor.e2e
+let cached ctx m = Asstd.load_wasm ctx Wasm.Runtime.wasmtime m
+
+(* What [Asstd.load_wasm] charges, with no cache in the way. *)
+let uncached (ctx : Asstd.ctx) m =
+  Wasm.Runtime.load ?fault:ctx.Asstd.wfd.Wfd.fault Wasm.Runtime.wasmtime
+    ~clock:ctx.Asstd.thread.Wfd.clock m
 
 let test_virtual_time_invariance () =
-  let base = Visor.default_config in
-  let uncached = run_once base in
-  let cache = Wasm.Compile_cache.create () in
-  let cold = run_once { base with Visor.code_cache = Some cache } in
-  let warm = run_once { base with Visor.code_cache = Some cache } in
-  Alcotest.(check int) "cache exercised: one miss" 1
+  let salt = 9_001 in
+  let m = probe_module salt in
+  let run load =
+    (Visor.run ~workflow:wasm_wf ~bindings:(wasm_bindings ~load m salt) ()).Visor.e2e
+  in
+  let cache = Wasm.Compile_cache.global () in
+  let misses = Wasm.Compile_cache.miss_count cache in
+  let hits = Wasm.Compile_cache.hit_count cache in
+  let uncached = run uncached in
+  let cold = run cached in
+  let warm = run cached in
+  Alcotest.(check int) "cache exercised: one miss" (misses + 1)
     (Wasm.Compile_cache.miss_count cache);
-  Alcotest.(check int) "cache exercised: one hit" 1
+  Alcotest.(check int) "cache exercised: one hit" (hits + 1)
     (Wasm.Compile_cache.hit_count cache);
   Alcotest.check check_time "cold run identical to uncached" uncached cold;
   Alcotest.check check_time "warm run identical to uncached" uncached warm
 
 (* Acceptance: warm clones of a server template recompile nothing —
-   the shared cache's miss count stays at the number of distinct
+   the shared cache's miss count grows by the number of distinct
    modules no matter how many requests are served. *)
 let test_warm_clone_zero_recompiles () =
+  let salt = 9_002 in
   let server = Visor.Server.create () in
   Visor.Server.register server ~endpoint:"e" ~workflow:wasm_wf
-    ~bindings:wasm_bindings ();
+    ~bindings:(wasm_bindings ~load:cached (probe_module salt) salt)
+    ();
   let n = 5 in
   let requests =
     List.init n (fun i ->
         { Visor.Server.endpoint = "e"; arrival = Units.ms (i * 50) })
   in
+  let cache = Wasm.Compile_cache.global () in
+  let misses = Wasm.Compile_cache.miss_count cache in
+  let hits = Wasm.Compile_cache.hit_count cache in
   let _, s = Visor.Server.serve server requests in
-  let cache = Visor.Server.code_cache server in
   Alcotest.(check int) "all served" n s.Visor.Server.sm_completed;
   Alcotest.(check bool) "warm clones happened" true
     (s.Visor.Server.sm_warm_starts > 0);
-  Alcotest.(check int) "one compile for the whole run" 1
+  Alcotest.(check int) "one compile for the whole run" (misses + 1)
     (Wasm.Compile_cache.miss_count cache);
-  Alcotest.(check int) "every other load hit" (n - 1)
+  Alcotest.(check int) "every other load hit" (hits + n - 1)
     (Wasm.Compile_cache.hit_count cache);
   Visor.Server.shutdown server
 

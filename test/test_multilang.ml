@@ -53,7 +53,8 @@ let test_compile_app_across_nodes () =
   (* The encoded WASM module itself crosses a WFD boundary in the
      multi-node deployment and still compiles and runs. *)
   let app = Compile_app.app ~n:750 ~seed:5 () in
-  let m = (As_multinode.make ~nodes:2 ()).Platform.run app in
+  let two_nodes = As_platform.make ~options:{ As_platform.default_options with nodes = 2 } () in
+  let m = two_nodes.Platform.run app in
   Platform.check_validated m
 
 let test_python_reuse_vs_reinit () =

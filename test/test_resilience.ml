@@ -178,14 +178,16 @@ let test_retry_costs_time () =
 
 (* --- multi-node split --- *)
 
+let multinode nodes = As_platform.make ~options:{ As_platform.default_options with nodes } ()
+
 let test_split_stages_shape () =
   let l = [ 1; 2; 3; 4; 5 ] in
-  let parts = As_multinode.split_stages l ~parts:2 in
+  let parts = As_platform.split_stages l ~parts:2 in
   Alcotest.(check (list (list int))) "balanced split" [ [ 1; 2 ]; [ 3; 4; 5 ] ] parts;
   Alcotest.(check (list (list int))) "more parts than stages"
     [ [ 1 ]; [ 2 ] ]
-    (As_multinode.split_stages [ 1; 2 ] ~parts:5);
-  match As_multinode.split_stages l ~parts:0 with
+    (As_platform.split_stages [ 1; 2 ] ~parts:5);
+  match As_platform.split_stages l ~parts:0 with
   | _ -> Alcotest.fail "parts 0 invalid"
   | exception Invalid_argument _ -> ()
 
@@ -193,7 +195,7 @@ let split_concat_property =
   QCheck.Test.make ~name:"split_stages: concat preserves order" ~count:200
     QCheck.(pair (list small_int) (int_range 1 8))
     (fun (l, parts) ->
-      let split = As_multinode.split_stages l ~parts in
+      let split = As_platform.split_stages l ~parts in
       List.concat split = l
       && (l = [] || List.length split = Stdlib.min parts (List.length l))
       && List.for_all (fun g -> g <> []) split)
@@ -202,7 +204,7 @@ let test_multinode_pipe_validates () =
   let app = Workloads.Pipe_app.app ~seed:91 ~size:(256 * 1024) in
   List.iter
     (fun nodes ->
-      let m = (As_multinode.make ~nodes ()).Platform.run app in
+      let m = (multinode nodes).Platform.run app in
       Platform.check_validated m)
     [ 1; 2 ]
 
@@ -210,30 +212,30 @@ let test_multinode_chain_validates () =
   let app = Workloads.Function_chain.app ~seed:92 ~payload:(128 * 1024) ~length:6 in
   List.iter
     (fun nodes ->
-      let m = (As_multinode.make ~nodes ()).Platform.run app in
+      let m = (multinode nodes).Platform.run app in
       Platform.check_validated m)
     [ 1; 2; 3 ]
 
 let test_multinode_wordcount_validates () =
   let app = Workloads.Wordcount.app ~seed:93 ~size:(128 * 1024) ~instances:2 in
-  let m = (As_multinode.make ~nodes:2 ()).Platform.run app in
+  let m = (multinode 2).Platform.run app in
   Platform.check_validated m
 
 let test_multinode_network_penalty () =
   (* Crossing WFDs costs network time: more nodes, slower chain. *)
   let app = Workloads.Function_chain.app ~seed:94 ~payload:(4 * 1024 * 1024) ~length:6 in
-  let e2e nodes = ((As_multinode.make ~nodes ()).Platform.run app).Platform.e2e in
+  let e2e nodes = ((multinode nodes).Platform.run app).Platform.e2e in
   let one = e2e 1 and three = e2e 3 in
   Alcotest.(check bool) "3 nodes slower than 1" true (Units.( > ) three one);
   (* The penalty is at least the bridge cost of the boundary payloads. *)
   Alcotest.(check bool) "penalty at least one bridge hop" true
-    (Units.( > ) (Units.sub three one) (As_multinode.bridge_cost (4 * 1024 * 1024)))
+    (Units.( > ) (Units.sub three one) (As_platform.bridge_cost (4 * 1024 * 1024)))
 
 let test_bridge_cost_monotonic () =
   Alcotest.(check bool) "grows with size" true
     (Units.( > )
-       (As_multinode.bridge_cost (1024 * 1024))
-       (As_multinode.bridge_cost 1024))
+       (As_platform.bridge_cost (1024 * 1024))
+       (As_platform.bridge_cost 1024))
 
 let suite =
   [

@@ -256,6 +256,184 @@ let test_serve_summary_percentiles () =
           Units.zero responses)
        Units.zero)
 
+let test_create_rejects_shared_disk () =
+  (* Every served request runs on its own scratch disk, so a pre-staged
+     image in the config could only be ignored: it is refused. *)
+  let config = { Visor.default_config with Visor.vfs = Some (Fsim.Vfs.fresh_fat ()) } in
+  match Visor.Server.create ~config () with
+  | _ -> Alcotest.fail "config.vfs must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* --- Visor.run as the one-request reference ------------------------ *)
+
+(* A generated workflow: stages of nodes, each node a language, an
+   instance count, a compute time per call, and the calls (numbered
+   from 1 per node, across every attempt) that fail after computing.
+   Failures come from a counter rather than a [Sim.Fault] plan, because
+   the server splits a plan per request. *)
+type ref_node = {
+  rn_lang : Workflow.language;
+  rn_instances : int;
+  rn_ms : int;
+  rn_fails : int list;
+}
+
+type ref_case = {
+  rc_stages : ref_node list list;
+  rc_cores : int;
+  rc_retry : Visor.retry_policy;
+}
+
+let ref_case_gen =
+  let open QCheck.Gen in
+  let node =
+    let* rn_lang = oneofl [ Workflow.Rust; Workflow.C; Workflow.Python ] in
+    let* rn_instances = int_range 1 4 in
+    let* rn_ms = int_range 1 20 in
+    let* rn_fails = list_size (int_range 0 2) (int_range 1 6) in
+    return { rn_lang; rn_instances; rn_ms; rn_fails }
+  in
+  let* rc_stages = list_size (int_range 1 4) (list_size (int_range 1 3) node) in
+  let* rc_cores = oneofl [ 1; 2; 3; 64 ] in
+  let* rc_retry =
+    oneof
+      [
+        return Visor.No_retry;
+        map (fun n -> Visor.Retry_function n) (int_range 1 3);
+        map (fun n -> Visor.Retry_workflow n) (int_range 1 3);
+      ]
+  in
+  return { rc_stages; rc_cores; rc_retry }
+
+let print_ref_case c =
+  let lang = function Workflow.Rust -> "rs" | Workflow.C -> "c" | Workflow.Python -> "py" in
+  Printf.sprintf "cores %d, %s: %s" c.rc_cores
+    (match c.rc_retry with
+    | Visor.No_retry -> "no retry"
+    | Visor.Retry_function n -> Printf.sprintf "function x%d" n
+    | Visor.Retry_workflow n -> Printf.sprintf "workflow x%d" n)
+    (String.concat " -> "
+       (List.map
+          (fun stage ->
+            String.concat " + "
+              (List.map
+                 (fun n ->
+                   Printf.sprintf "%s %dx%dms fails[%s]" (lang n.rn_lang) n.rn_instances
+                     n.rn_ms
+                     (String.concat "," (List.map string_of_int n.rn_fails)))
+                 stage))
+          c.rc_stages))
+
+let ref_workflow c =
+  let id k i = Printf.sprintf "s%dn%d" k i in
+  let nodes =
+    List.concat
+      (List.mapi
+         (fun k stage ->
+           List.mapi
+             (fun i n -> node ~instances:n.rn_instances ~language:n.rn_lang (id k i))
+             stage)
+         c.rc_stages)
+  in
+  let ids k = List.mapi (fun i _ -> id k i) (List.nth c.rc_stages k) in
+  let edges =
+    List.concat
+      (List.init
+         (List.length c.rc_stages - 1)
+         (fun k ->
+           List.concat_map (fun a -> List.map (fun b -> (a, b)) (ids (k + 1))) (ids k)))
+  in
+  Workflow.create_exn ~name:"ref" ~nodes ~edges
+
+(* Fresh call counters on every call, so the reference run and the
+   served run fail at the same calls. *)
+let ref_bindings c =
+  List.concat
+    (List.mapi
+       (fun k stage ->
+         List.mapi
+           (fun i n ->
+             let calls = ref 0 in
+             ( Printf.sprintf "s%dn%d" k i,
+               Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
+                   incr calls;
+                   Asstd.compute ctx (Units.ms n.rn_ms);
+                   if List.mem !calls n.rn_fails then failwith "injected") ))
+           stage)
+       c.rc_stages)
+
+let serve_alone ~config ~workflow ~bindings =
+  let server = Visor.Server.create ~config ~warm:false () in
+  Visor.Server.register server ~endpoint:"ref" ~workflow ~bindings ();
+  let responses, _ =
+    Visor.Server.serve server [ { Visor.Server.endpoint = "ref"; arrival = Units.zero } ]
+  in
+  Visor.Server.shutdown server;
+  match responses with [ r ] -> r | _ -> Alcotest.fail "one response expected"
+
+let run_is_reference_property =
+  QCheck.Test.make ~name:"run is the one-request reference for serve" ~count:300
+    (QCheck.make ~print:print_ref_case ref_case_gen)
+    (fun c ->
+      let config =
+        { Visor.default_config with Visor.cores = c.rc_cores; retry = c.rc_retry }
+      in
+      let workflow = ref_workflow c in
+      let reference =
+        match Visor.run ~config ~workflow ~bindings:(ref_bindings c) () with
+        | report -> Some report
+        | exception (Visor.Function_failed _ | Visor.Function_hung _) -> None
+      in
+      let r = serve_alone ~config ~workflow ~bindings:(ref_bindings c) in
+      match reference with
+      | None -> not r.Visor.Server.r_ok
+      | Some report ->
+          r.Visor.Server.r_ok
+          && Units.equal r.Visor.Server.r_latency report.Visor.e2e
+          && r.Visor.Server.r_retries + r.Visor.Server.r_attempts - 1
+             = report.Visor.retries)
+
+let test_workflow_retry_counts_failed_time () =
+  (* Two stages of 2 x 7 ms then 2 x 5 ms; the second stage's first call
+     fails.  A workflow retry starts where the failed attempt stopped,
+     so e2e covers the failed attempt's boot and first stage as well;
+     the other policies agree with serving too. *)
+  let wf =
+    Workflow.create_exn ~name:"retry-e2e"
+      ~nodes:[ node ~instances:2 "a"; node ~instances:2 "b" ]
+      ~edges:[ ("a", "b") ]
+  in
+  let bindings () =
+    let calls = ref 0 in
+    [
+      ("a", Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
+           Asstd.compute ctx (Units.ms 7)));
+      ("b", Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
+           incr calls;
+           Asstd.compute ctx (Units.ms 5);
+           if !calls = 1 then failwith "first call fails"));
+    ]
+  in
+  let clean =
+    (Visor.run ~config:{ Visor.default_config with Visor.retry = Visor.Retry_function 2 }
+       ~workflow:wf ~bindings:(bindings ()) ())
+      .Visor.e2e
+  in
+  List.iter
+    (fun (retry, label) ->
+      let config = { Visor.default_config with Visor.retry } in
+      let report = Visor.run ~config ~workflow:wf ~bindings:(bindings ()) () in
+      let served = serve_alone ~config ~workflow:wf ~bindings:(bindings ()) in
+      Alcotest.check check_time (label ^ ": run == served alone")
+        served.Visor.Server.r_latency report.Visor.e2e;
+      if retry = Visor.Retry_workflow 2 then begin
+        Alcotest.(check string) "workflow retry e2e" "21.88ms"
+          (Units.to_string report.Visor.e2e);
+        Alcotest.(check bool) "includes the failed attempt" true
+          (Units.( > ) report.Visor.e2e clean)
+      end)
+    [ (Visor.Retry_function 2, "function retry"); (Visor.Retry_workflow 2, "workflow retry") ]
+
 let suite =
   [
     Alcotest.test_case "warm start beats cold" `Quick test_warm_start_beats_cold;
@@ -272,4 +450,9 @@ let suite =
     Alcotest.test_case "warm python resumes runtime" `Quick
       test_warm_python_resumes_runtime;
     Alcotest.test_case "serve report percentiles" `Quick test_serve_summary_percentiles;
+    Alcotest.test_case "create rejects a shared disk" `Quick
+      test_create_rejects_shared_disk;
+    Alcotest.test_case "workflow retry counts failed time" `Quick
+      test_workflow_retry_counts_failed_time;
+    QCheck_alcotest.to_alcotest run_is_reference_property;
   ]

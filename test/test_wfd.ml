@@ -519,7 +519,7 @@ let test_reused_shell_binds_like_new () =
     let clock = Clock.create () in
     let w =
       Wfd.with_id_namespace ~base:100 (fun () ->
-          Wfd.bind p ~scratch_disk:true ~proc_table ~clock)
+          Wfd.bind p ~proc_table ~clock)
     in
     (w, proc_table, Clock.now clock)
   in
@@ -563,7 +563,7 @@ let test_reused_shell_binds_like_new () =
   ignore (Wfd.release p reused);
   let plan = Fault.create ~seed:1 () in
   let own =
-    Wfd.bind ~fault:plan p ~scratch_disk:true
+    Wfd.bind ~fault:plan p
       ~proc_table:(Hostos.Process.create_table ()) ~clock:(Clock.create ())
   in
   Alcotest.(check bool) "own plan skips the pool" false (own == reused);
