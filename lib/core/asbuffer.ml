@@ -81,7 +81,9 @@ let transfer_histo = Metrics.histogram "asbuffer.transfer_bytes"
    splits reference passing (transfer-dominated) from the file fallback
    (io-dominated) for free. *)
 let transfer_span ctx ~label ~slot f =
-  Asstd.with_span ctx ~category:"transfer" ~label:(label ^ " " ^ slot) f
+  if Span.enabled (Span.current ()) then
+    Asstd.with_span ctx ~category:"transfer" ~label:(label ^ " " ^ slot) f
+  else f ()
 
 let with_slot ctx ~slot value =
   transfer_span ctx ~label:"put" ~slot (fun () ->
@@ -107,17 +109,27 @@ let from_slot ctx ~slot ~expect =
       end
       else Fndata.decode (file_from_slot ctx ~slot))
 
+(* A raw transfer: its transfer span inside the named host section
+   ("asbuffer.put"/"asbuffer.get"), which closes on every exit. *)
+let raw_transfer ctx ~section ~label ~slot f =
+  let hs = Hotspot.enter section in
+  match transfer_span ctx ~label ~slot f with
+  | v ->
+      Hotspot.leave hs;
+      v
+  | exception e ->
+      Hotspot.leave hs;
+      raise e
+
 let with_slot_raw ctx ~slot data =
-  Hotspot.with_section "asbuffer.put" (fun () ->
-  transfer_span ctx ~label:"put" ~slot (fun () ->
+  raw_transfer ctx ~section:"asbuffer.put" ~label:"put" ~slot (fun () ->
       Metrics.observe transfer_histo (float_of_int (Bytes.length data));
       if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then
         store_encoded ctx ~slot data raw_fingerprint
-      else file_with_slot ctx ~slot data))
+      else file_with_slot ctx ~slot data)
 
 let from_slot_raw ctx ~slot =
-  Hotspot.with_section "asbuffer.get" (fun () ->
-  transfer_span ctx ~label:"get" ~slot (fun () ->
+  raw_transfer ctx ~section:"asbuffer.get" ~label:"get" ~slot (fun () ->
       if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then begin
         let handle, data = load_handle ctx ~slot ~fingerprint:raw_fingerprint in
         (* Free immediately: ownership transferred to the receiver, which
@@ -127,7 +139,7 @@ let from_slot_raw ctx ~slot =
         | None -> ());
         data
       end
-      else file_from_slot ctx ~slot))
+      else file_from_slot ctx ~slot)
 
 (* Consume a raw slot without materialising the payload: the virtual
    path is byte-for-byte the one [from_slot_raw] takes — same buffer
@@ -136,8 +148,7 @@ let from_slot_raw ctx ~slot =
    is never built.  For consumers that model work on the payload
    rather than computing on its contents. *)
 let consume_slot_raw ctx ~slot =
-  Hotspot.with_section "asbuffer.get" (fun () ->
-  transfer_span ctx ~label:"get" ~slot (fun () ->
+  raw_transfer ctx ~section:"asbuffer.get" ~label:"get" ~slot (fun () ->
       if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then begin
         let wfd = ctx.Asstd.wfd in
         let thread = ctx.Asstd.thread in
@@ -154,7 +165,7 @@ let consume_slot_raw ctx ~slot =
         Libos_mm.free_buffer wfd buffer;
         buffer.Libos_mm.size
       end
-      else Bytes.length (file_from_slot ctx ~slot)))
+      else Bytes.length (file_from_slot ctx ~slot))
 
 let free ctx handle =
   match handle.buffer with

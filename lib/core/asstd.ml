@@ -6,7 +6,7 @@ type ctx = {
   language : Workflow.language;
   buffer_bw : float;
   compute_factor : float;
-  phases : (string, Units.time) Hashtbl.t;
+  mutable phases : (string, Units.time) Hashtbl.t option;
 }
 
 let make_ctx wfd thread language =
@@ -22,7 +22,7 @@ let make_ctx wfd thread language =
     language;
     buffer_bw;
     compute_factor = 1.0;
-    phases = Hashtbl.create 4;
+    phases = None;
   }
 
 let load_wasm ctx profile m =
@@ -75,15 +75,29 @@ let entry_category entry =
   if String.length entry >= 5 && String.equal (String.sub entry 0 5) "smol_" then "network"
   else "io"
 
-let sys ctx entry f =
+(* Entry miss -> the on-demand loading interface of as-visor (§4);
+   this happens before the trampoline since the check lives in the
+   user-linked as-std stub, but the load itself runs in the system
+   partition.  Model both on the calling thread's clock. *)
+let sys_call ctx entry f =
   let clock = ctx.thread.Wfd.clock in
-  with_span ctx ~category:(entry_category entry) ~label:entry (fun () ->
-      (* Entry miss -> the on-demand loading interface of as-visor (§4);
-         this happens before the trampoline since the check lives in the
-         user-linked as-std stub, but the load itself runs in the system
-         partition.  Model both on the calling thread's clock. *)
-      (match Libos.ensure_entry ctx.wfd ~clock entry with `Fast | `Slow -> ());
-      Trampoline.enter_system ctx.wfd ctx.thread (fun () -> f ~clock))
+  (match Libos.ensure_entry ctx.wfd ~clock entry with `Fast | `Slow -> ());
+  Trampoline.enter ctx.wfd ctx.thread;
+  match f ~clock with
+  | result ->
+      Trampoline.leave ctx.thread;
+      result
+  | exception e ->
+      Trampoline.leave ctx.thread;
+      raise e
+
+(* The span (and its category) only when spans are on: the untraced
+   call allocates nothing of its own. *)
+let sys ctx entry f =
+  if Span.enabled (Span.current ()) then
+    with_span ctx ~category:(entry_category entry) ~label:entry (fun () ->
+        sys_call ctx entry f)
+  else sys_call ctx entry f
 
 let lift = function Ok v -> v | Error e -> raise (Errno.Error (e, ""))
 
@@ -143,14 +157,25 @@ let compute ctx native =
 let compute_bytes ctx ~per_byte_ns n =
   compute ctx (Units.ns_f (per_byte_ns *. float_of_int n))
 
+(* Most kernels never name a phase, so the table is created by the
+   first [in_phase]. *)
+let phase_table ctx =
+  match ctx.phases with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 4 in
+      ctx.phases <- Some tbl;
+      tbl
+
 let in_phase ctx name f =
   let start = Clock.now ctx.thread.Wfd.clock in
   let finish () =
     let spent = Clock.elapsed_since ctx.thread.Wfd.clock start in
+    let phases = phase_table ctx in
     let prev =
-      match Hashtbl.find_opt ctx.phases name with Some t -> t | None -> Units.zero
+      match Hashtbl.find_opt phases name with Some t -> t | None -> Units.zero
     in
-    Hashtbl.replace ctx.phases name (Units.add prev spent)
+    Hashtbl.replace phases name (Units.add prev spent)
   in
   match f () with
   | result ->
@@ -161,4 +186,7 @@ let in_phase ctx name f =
       raise e
 
 let phase_time ctx name =
-  match Hashtbl.find_opt ctx.phases name with Some t -> t | None -> Units.zero
+  match ctx.phases with
+  | Some phases -> (
+      match Hashtbl.find_opt phases name with Some t -> t | None -> Units.zero)
+  | None -> Units.zero

@@ -13,7 +13,10 @@ type ctx = {
   language : Workflow.language;
   buffer_bw : float;  (** Buffer copy bandwidth of this language path. *)
   compute_factor : float;  (** Slowdown vs native Rust for pure compute. *)
-  phases : (string, Sim.Units.time) Hashtbl.t;  (** Fig. 15 accounting. *)
+  mutable phases : (string, Sim.Units.time) Hashtbl.t option;
+      (** Fig. 15 accounting: virtual time per phase name.  [None]
+          until the first {!in_phase}, so a kernel that names no phase
+          costs no table. *)
 }
 
 val make_ctx : Wfd.t -> Wfd.thread -> Workflow.language -> ctx

@@ -3,11 +3,13 @@
 
 type binding = ..
 
+(* [project] raises [Not_found] on another key's binding, so a lookup
+   allocates no option on the way. *)
 type 'a key = {
   uid : int;
   name : string;
   inject : 'a -> binding;
-  project : binding -> 'a option;
+  project : binding -> 'a;
 }
 
 type t = (int, binding) Hashtbl.t
@@ -25,20 +27,20 @@ let new_key (type a) name : a key =
     uid = !next_uid;
     name;
     inject = (fun v -> M.B v);
-    project = (function M.B v -> Some v | _ -> None);
+    project = (function M.B v -> v | _ -> raise Not_found);
   }
 
 let set t key v = Hashtbl.replace t key.uid (key.inject v)
 
-let get t key =
-  match Hashtbl.find_opt t key.uid with
-  | None -> None
-  | Some b -> key.project b
+let find t key = key.project (Hashtbl.find t key.uid)
+
+let get t key = match find t key with v -> Some v | exception Not_found -> None
 
 let get_exn t key =
-  match get t key with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Ext.get_exn: no binding for %s" key.name)
+  match find t key with
+  | v -> v
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Ext.get_exn: no binding for %s" key.name)
 
 let mem t key = Hashtbl.mem t key.uid
 

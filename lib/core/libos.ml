@@ -74,10 +74,14 @@ let rec load_module (wfd : Wfd.t) ~clock name =
     let t0 = Clock.now clock in
     (* The slow path of the on-demand loading interface: this span
        covers the transitive dependency loads too, so entry-miss time
-       attributes to load-slow whichever module actually pulled it in. *)
+       attributes to load-slow whichever module actually pulled it in.
+       Its label is built only when spans are on. *)
+    let g = Span.current () in
     let sp =
-      Span.begin_span (Span.current ()) ~parent:wfd.Wfd.span ~at:t0 ~category:"load-slow"
-        ~label:("load " ^ name) ()
+      if Span.enabled g then
+        Span.begin_span g ~parent:wfd.Wfd.span ~at:t0 ~category:"load-slow"
+          ~label:("load " ^ name) ()
+      else Span.none
     in
     let saved = wfd.Wfd.span in
     if sp <> Span.none then wfd.Wfd.span <- sp;
@@ -110,8 +114,10 @@ let rec load_module (wfd : Wfd.t) ~clock name =
         m.init wfd ~clock;
         Hashtbl.replace wfd.Wfd.loaded_modules name ();
         List.iter (fun e -> Hashtbl.replace wfd.Wfd.entry_table e name) m.entries;
-        Trace.recordf (Trace.current ()) ~at:(Clock.now clock) ~category:"loader"
-          ~label:"module-loaded" "wfd%d %s" wfd.Wfd.id name)
+        let tr = Trace.current () in
+        if Trace.enabled tr then
+          Trace.recordf tr ~at:(Clock.now clock) ~category:"loader" ~label:"module-loaded"
+            "wfd%d %s" wfd.Wfd.id name)
   end
 
 let ensure_entry (wfd : Wfd.t) ~clock entry =
@@ -124,8 +130,10 @@ let ensure_entry (wfd : Wfd.t) ~clock entry =
   end
   else begin
     wfd.Wfd.entry_misses <- wfd.Wfd.entry_misses + 1;
-    Trace.recordf (Trace.current ()) ~at:(Clock.now clock) ~category:"loader"
-      ~label:"entry-miss" "wfd%d %s" wfd.Wfd.id entry;
+    let tr = Trace.current () in
+    if Trace.enabled tr then
+      Trace.recordf tr ~at:(Clock.now clock) ~category:"loader" ~label:"entry-miss"
+        "wfd%d %s" wfd.Wfd.id entry;
     let m = providing entry in
     load_module wfd ~clock m.mod_name;
     `Slow
@@ -136,10 +144,14 @@ let attach_warm (wfd : Wfd.t) ~clock =
      table; only the per-WFD module state (fd tables, slot maps, mount
      cursors) must be rebuilt.  The modules' full init cost was paid
      once on the template — the clone charges the small CoW-attach cost
-     per module and runs init against a scratch clock. *)
+     per module and runs init against a scratch clock.  The span and
+     the trace lines are built only when their collectors are on. *)
+  let g = Span.current () in
   let sp =
-    Span.begin_span (Span.current ()) ~parent:wfd.Wfd.span ~at:(Clock.now clock)
-      ~category:"load-fast" ~label:"attach-warm" ()
+    if Span.enabled g then
+      Span.begin_span g ~parent:wfd.Wfd.span ~at:(Clock.now clock) ~category:"load-fast"
+        ~label:"attach-warm" ()
+    else Span.none
   in
   let scratch = Clock.create ~at:(Clock.now clock) () in
   List.iter
@@ -147,8 +159,10 @@ let attach_warm (wfd : Wfd.t) ~clock =
       if Wfd.is_loaded wfd m.mod_name then begin
         Clock.advance clock Cost.warm_module_attach;
         m.init wfd ~clock:scratch;
-        Trace.recordf (Trace.current ()) ~at:(Clock.now clock) ~category:"loader"
-          ~label:"module-attached" "wfd%d %s (warm)" wfd.Wfd.id m.mod_name
+        let tr = Trace.current () in
+        if Trace.enabled tr then
+          Trace.recordf tr ~at:(Clock.now clock) ~category:"loader" ~label:"module-attached"
+            "wfd%d %s (warm)" wfd.Wfd.id m.mod_name
       end)
     registry;
   Span.end_span (Span.current ()) sp ~at:(Clock.now clock)

@@ -31,7 +31,7 @@ let alloc_buffer (wfd : Wfd.t) ~clock ~slot ~size ~fingerprint =
     | None -> Error Errno.Enomem
     | Some addr ->
         Address_space.map wfd.Wfd.aspace ~addr ~len:rounded ~perm:Page.rw
-          ~pkey:Wfd.buffer_key ();
+          ~pkey:Wfd.buffer_key;
         Hostos.Process.charge_rss wfd.Wfd.proc_table wfd.Wfd.pid rounded;
         Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Mmap);
         let buffer = { addr; size; fingerprint } in
@@ -85,7 +85,7 @@ let mmap (wfd : Wfd.t) ~clock ~thread ~len =
   if cursor + rounded > Layout.region_end heap then Error Errno.Enomem
   else begin
     Address_space.map wfd.Wfd.aspace ~addr:cursor ~len:rounded ~perm:Page.rw
-      ~pkey:(Wfd.function_key wfd slot) ();
+      ~pkey:(Wfd.function_key wfd slot);
     Hostos.Process.charge_rss wfd.Wfd.proc_table wfd.Wfd.pid rounded;
     Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Mmap);
     Hashtbl.replace st.mmap_cursor slot (cursor + rounded);

@@ -6,7 +6,7 @@ exception Not_in_user_context
 let in_system (thread : Wfd.thread) =
   Prot.equal_pkru thread.Wfd.pkru Wfd.system_pkru
 
-let enter_system (wfd : Wfd.t) (thread : Wfd.thread) f =
+let enter (wfd : Wfd.t) (thread : Wfd.thread) =
   if in_system thread then raise Not_in_user_context;
   (* The trampoline code runs in user context: fetching it must be
      permitted by the user rights (the pages are in the user
@@ -15,15 +15,18 @@ let enter_system (wfd : Wfd.t) (thread : Wfd.thread) f =
     Layout.trampoline.Layout.base;
   Clock.advance thread.Wfd.clock Cost.trampoline_switch;
   wfd.Wfd.trampoline_crossings <- wfd.Wfd.trampoline_crossings + 1;
-  thread.Wfd.pkru <- Wfd.system_pkru;
-  let restore () =
-    thread.Wfd.pkru <- thread.Wfd.user_pkru;
-    Clock.advance thread.Wfd.clock Cost.trampoline_switch
-  in
+  thread.Wfd.pkru <- Wfd.system_pkru
+
+let leave (thread : Wfd.thread) =
+  thread.Wfd.pkru <- thread.Wfd.user_pkru;
+  Clock.advance thread.Wfd.clock Cost.trampoline_switch
+
+let enter_system wfd thread f =
+  enter wfd thread;
   match f () with
   | result ->
-      restore ();
+      leave thread;
       result
   | exception e ->
-      restore ();
+      leave thread;
       raise e

@@ -19,4 +19,15 @@ val enter_system : Wfd.t -> Wfd.thread -> (unit -> 'a) -> 'a
     to the thread's clock.  Exceptions from [f] still restore user
     rights. *)
 
+val enter : Wfd.t -> Wfd.thread -> unit
+(** The first half of {!enter_system}: fetch the trampoline under the
+    user rights, charge one switch and raise the thread's rights to the
+    system word.  Raises {!Not_in_user_context} if they are raised
+    already.  Allocates nothing; pair it with {!leave} on every exit,
+    exceptions included. *)
+
+val leave : Wfd.thread -> unit
+(** The second half: restore the thread's user rights and charge the
+    switch back. *)
+
 val in_system : Wfd.thread -> bool

@@ -100,44 +100,45 @@ let function_restart_cost = Units.us 260
    is reported separately from the critical path.  With a cache, an
    image whose content hash was already scanned skips the re-scan and
    replays the recorded verdict. *)
+let scan_image clock image =
+  let kb = (Isa.Image.code_size image + 1023) / 1024 in
+  Clock.advance clock (Units.scale Cost.image_scan_per_kb (float_of_int kb));
+  match Isa.Rewriter.admit image with Ok _ -> Ok () | Error reason -> Error reason
+
+let admit_image ?cache clock image =
+  let verdict =
+    match cache with
+    | None -> scan_image clock image
+    | Some c -> (
+        let key =
+          let hs = Hotspot.enter "admission.hash" in
+          let key = Isa.Image.content_hash image in
+          Hotspot.leave hs;
+          key
+        in
+        match Hashtbl.find c.verdicts key with
+        | v ->
+            c.cache_hits <- c.cache_hits + 1;
+            Clock.advance clock Cost.admission_cache_hit;
+            v
+        | exception Not_found ->
+            c.cache_scans <- c.cache_scans + 1;
+            let v = scan_image clock image in
+            Hashtbl.replace c.verdicts key v;
+            v)
+  in
+  match verdict with Ok () -> () | Error reason -> raise (Admission_failed reason)
+
+let rec admit_all ?cache clock = function
+  | [] -> ()
+  | (_, { image = None; _ }) :: rest -> admit_all ?cache clock rest
+  | (_, { image = Some image; _ }) :: rest ->
+      admit_image ?cache clock image;
+      admit_all ?cache clock rest
+
 let admit_images ?cache bindings =
   let clock = Clock.create () in
-  List.iter
-    (fun (_, b) ->
-      match b.image with
-      | None -> ()
-      | Some image ->
-          let scan () =
-            let kb = (Isa.Image.code_size image + 1023) / 1024 in
-            Clock.advance clock (Units.scale Cost.image_scan_per_kb (float_of_int kb));
-            match Isa.Rewriter.admit image with
-            | Ok _ -> Ok ()
-            | Error reason -> Error reason
-          in
-          let verdict =
-            match cache with
-            | None -> scan ()
-            | Some c -> begin
-                let key =
-                  Hotspot.with_section "admission.hash" (fun () ->
-                      Isa.Image.content_hash image)
-                in
-                match Hashtbl.find_opt c.verdicts key with
-                | Some v ->
-                    c.cache_hits <- c.cache_hits + 1;
-                    Clock.advance clock Cost.admission_cache_hit;
-                    v
-                | None ->
-                    c.cache_scans <- c.cache_scans + 1;
-                    let v = scan () in
-                    Hashtbl.replace c.verdicts key v;
-                    v
-              end
-          in
-          match verdict with
-          | Ok () -> ()
-          | Error reason -> raise (Admission_failed reason))
-    bindings;
+  admit_all ?cache clock bindings;
   Clock.now clock
 
 let lookup_binding bindings id =
@@ -225,9 +226,10 @@ type exec_ctx = {
   rt : runtime_state;
   eretries : int ref;
   cold_start_mark : Units.time option ref;
-  ephase_totals : (string, Units.time) Hashtbl.t;
-  epeak_rss : int ref;
-  estage_reports : stage_report list ref;
+  mutable ephase_totals : (string, Units.time) Hashtbl.t option;
+      (* created by the first kernel that names a phase *)
+  mutable epeak_rss : int;
+  mutable estage_reports : stage_report list;
 }
 
 let make_exec_ctx ~config ~bindings ~wfd ~rt ~retries ~cold_start_mark =
@@ -238,186 +240,209 @@ let make_exec_ctx ~config ~bindings ~wfd ~rt ~retries ~cold_start_mark =
     rt;
     eretries = retries;
     cold_start_mark;
-    ephase_totals = Hashtbl.create 8;
-    epeak_rss = ref 0;
-    estage_reports = ref [];
+    ephase_totals = None;
+    epeak_rss = 0;
+    estage_reports = [];
   }
 
-(* Run every instance of every node of one stage: spawn the function
-   threads, execute the kernels (with per-function retry/timeout under
-   the configured policy) and return each task's on-CPU duration.  The
-   caller places the durations on cores — a private core set for
-   [run_once], the machine-shared pool for [Server]. *)
-let exec_stage ectx ~ready nodes =
+(* Log a function restart: into the fault plan when one is armed,
+   else as a plain trace event. *)
+let record_recovery config ~at detail =
+  match config.fault with
+  | Some plan -> Fault.record_recovery plan ~at ~site:"visor.retry" detail
+  | None ->
+      Trace.recordf (Trace.current ()) ~at ~category:"fault" ~label:"visor.retry"
+        "recovered: %s" detail
+
+(* One attempt of one function instance on [ctx]'s thread: the fault
+   plan's crash and hang checks, then the kernel, then the watchdog's
+   timeout check. *)
+let execute config (node : Workflow.node) b i (ctx : Asstd.ctx) ~attempt_start =
+  let thread = ctx.Asstd.thread in
+  let fn = node.Workflow.node_id in
+  (match config.fault with
+  | Some plan ->
+      if Fault.check ~at:attempt_start plan ~site:Fault.site_fn_crash then
+        raise (Fault.Injected { site = Fault.site_fn_crash });
+      if Fault.check ~at:attempt_start plan ~site:Fault.site_fn_hang then begin
+        match config.timeout with
+        | None ->
+            (* No watchdog timeout configured: a wedged function thread
+               is undetectable. *)
+            raise (Function_hung { fn })
+        | Some limit ->
+            (* The thread wedges; the watchdog kills it when the
+               per-function timeout expires. *)
+            Clock.advance thread.Wfd.clock limit;
+            raise (Timed_out { fn; after = limit })
+      end
+  | None -> ());
+  let hs = Hotspot.enter "stage.kernel" in
+  (match b.kernel ctx ~instance:i ~total:node.Workflow.instances with
+  | () -> Hotspot.leave hs
+  | exception e ->
+      Hotspot.leave hs;
+      raise e);
+  match config.timeout with
+  | Some limit when Units.( > ) (Clock.elapsed_since thread.Wfd.clock attempt_start) limit
+    ->
+      (* The kernel ran past its budget: the watchdog killed it at the
+         deadline, the visor observes the kill at the next scheduling
+         tick. *)
+      raise (Timed_out { fn; after = limit })
+  | _ -> ()
+
+(* Run one function instance on [thread] until it succeeds, returning
+   the context of the attempt that did.  A crash is contained by MPK
+   fault isolation, so under Retry_function the orchestrator recovers
+   the function's heap and restarts just this function (3.1). *)
+let rec attempt ectx (node : Workflow.node) b i thread n =
   let config = ectx.ecfg in
   let wfd = ectx.ewfd in
-  let tasks =
-    List.concat_map
-      (fun node ->
-        let b = lookup_binding ectx.ebindings node.Workflow.node_id in
-        List.init node.Workflow.instances (fun i -> (node, b, i)))
-      nodes
-  in
-  let dispatch = ref ready in
-  List.map
-    (fun ((node : Workflow.node), b, i) ->
-      dispatch := Units.add !dispatch Cost.dispatch_latency;
-      let start = !dispatch in
-      let spawn_clock = Clock.create ~at:start () in
-      (match config.cpu_quota with
-      | Some _ -> Clock.advance spawn_clock Hostos.Cgroup.setup_cost
-      | None -> ());
-      let thread =
-        Hotspot.with_section "stage.spawn" (fun () ->
-            Wfd.spawn_function_thread wfd ~clock:spawn_clock)
-      in
-      Clock.sync thread.Wfd.clock spawn_clock;
-      Clock.advance thread.Wfd.clock
-        (runtime_init_cost config ectx.rt node.Workflow.language ~instance:i);
-      (match !(ectx.cold_start_mark) with
-      | None -> ectx.cold_start_mark := Some (Clock.now thread.Wfd.clock)
-      | Some _ -> ());
-      (* Run the kernel; a crash is contained by MPK fault isolation,
-         so under Retry_function the orchestrator recovers the
-         function's heap and restarts just this function (3.1). *)
+  let ctx = make_fn_ctx config wfd thread node.Workflow.language in
+  match execute config node b i ctx ~attempt_start:(Clock.now thread.Wfd.clock) with
+  | () -> ctx
+  | exception (Function_hung _ as e) -> raise e
+  | exception error ->
+      let fn = node.Workflow.node_id in
       let max_attempts =
         match config.retry with
         | Retry_function n -> Stdlib.max 1 n
         | No_retry | Retry_workflow _ -> 1
       in
-      let fn = node.Workflow.node_id in
-      (* The label sprintf only when the span collector is on: with
-         1-in-k request sampling, most requests run with spans off and
-         the eager label was pure allocation. *)
-      let fn_span =
-        let sp = Span.current () in
-        if Span.enabled sp then
-          Span.begin_span sp ~parent:wfd.Wfd.span ~at:start ~category:"function"
-            ~label:(Printf.sprintf "%s#%d" fn i)
-            ()
-        else Span.none
-      in
-      let saved_span = wfd.Wfd.span in
-      if fn_span <> Span.none then wfd.Wfd.span <- fn_span;
-      let record_recovery ~at detail =
-        match config.fault with
-        | Some plan -> Fault.record_recovery plan ~at ~site:"visor.retry" detail
-        | None ->
-            Trace.recordf (Trace.current ()) ~at ~category:"fault" ~label:"visor.retry"
-              "recovered: %s" detail
-      in
-      let rec attempt thread n =
-        let ctx = make_fn_ctx config wfd thread node.Workflow.language in
-        let attempt_start = Clock.now thread.Wfd.clock in
-        let execute () =
-          (match config.fault with
-          | Some plan ->
-              if Fault.check ~at:attempt_start plan ~site:Fault.site_fn_crash then
-                raise (Fault.Injected { site = Fault.site_fn_crash });
-              if Fault.check ~at:attempt_start plan ~site:Fault.site_fn_hang then begin
-                match config.timeout with
-                | None ->
-                    (* No watchdog timeout configured: a wedged
-                       function thread is undetectable. *)
-                    raise (Function_hung { fn })
-                | Some limit ->
-                    (* The thread wedges; the watchdog kills it when
-                       the per-function timeout expires. *)
-                    Clock.advance thread.Wfd.clock limit;
-                    raise (Timed_out { fn; after = limit })
-              end
-          | None -> ());
-          Hotspot.with_section "stage.kernel" (fun () ->
-              b.kernel ctx ~instance:i ~total:node.Workflow.instances);
-          match config.timeout with
-          | Some limit
-            when Units.( > ) (Clock.elapsed_since thread.Wfd.clock attempt_start) limit
-            ->
-              (* The kernel ran past its budget: the watchdog killed
-                 it at the deadline, the visor observes the kill at
-                 the next scheduling tick. *)
-              raise (Timed_out { fn; after = limit })
-          | _ -> ()
+      if n >= max_attempts then raise (Function_failed { fn; attempts = n; error })
+      else begin
+        incr ectx.eretries;
+        Stats.Counter.incr retry_counter;
+        (* Recover the crashed function's heap unit and restart it in
+           the same slot.  The recovery (respawn + restart cost +
+           backoff wait) is a "retry" span under the function. *)
+        let rsp =
+          let sp = Span.current () in
+          if Span.enabled sp then
+            Span.begin_span sp ~parent:wfd.Wfd.span ~at:(Clock.now thread.Wfd.clock)
+              ~category:"retry"
+              ~label:(Printf.sprintf "restart %s" fn)
+              ()
+          else Span.none
         in
-        match execute () with
-        | () -> (thread, ctx)
-        | exception (Function_hung _ as e) -> raise e
-        | exception error ->
-            if n >= max_attempts then
-              raise (Function_failed { fn; attempts = n; error })
-            else begin
-              incr ectx.eretries;
-              Stats.Counter.incr retry_counter;
-              (* Recover the crashed function's heap unit and
-                 restart it in the same slot.  The recovery (respawn +
-                 restart cost + backoff wait) is a "retry" span under
-                 the function. *)
-              let rsp =
-                let sp = Span.current () in
-                if Span.enabled sp then
-                  Span.begin_span sp ~parent:wfd.Wfd.span
-                    ~at:(Clock.now thread.Wfd.clock) ~category:"retry"
-                    ~label:(Printf.sprintf "restart %s" fn)
-                    ()
-                else Span.none
-              in
-              let fresh =
-                Wfd.respawn_function_thread wfd ~slot:thread.Wfd.fn_slot
-                  ~clock:thread.Wfd.clock
-              in
-              Clock.advance fresh.Wfd.clock function_restart_cost;
-              let wait = backoff_delay config.backoff ~attempt:(n + 1) in
-              Clock.advance fresh.Wfd.clock wait;
-              Span.end_span (Span.current ()) rsp ~at:(Clock.now fresh.Wfd.clock);
-              record_recovery ~at:(Clock.now fresh.Wfd.clock)
-                (Printf.sprintf "restart %s attempt %d (backoff %s)" fn (n + 1)
-                   (Units.to_string wait));
-              attempt fresh (n + 1)
-            end
+        let fresh =
+          Wfd.respawn_function_thread wfd ~slot:thread.Wfd.fn_slot ~clock:thread.Wfd.clock
+        in
+        Clock.advance fresh.Wfd.clock function_restart_cost;
+        let wait = backoff_delay config.backoff ~attempt:(n + 1) in
+        Clock.advance fresh.Wfd.clock wait;
+        Span.end_span (Span.current ()) rsp ~at:(Clock.now fresh.Wfd.clock);
+        record_recovery config ~at:(Clock.now fresh.Wfd.clock)
+          (Printf.sprintf "restart %s attempt %d (backoff %s)" fn (n + 1)
+             (Units.to_string wait));
+        attempt ectx node b i fresh (n + 1)
+      end
+
+let add_phase totals name t =
+  let prev = match Hashtbl.find_opt totals name with Some v -> v | None -> Units.zero in
+  Hashtbl.replace totals name (Units.add prev t)
+
+(* Spawn instance [i] of [node] at [start], run it to completion and
+   return its on-CPU duration. *)
+let exec_instance ectx (node : Workflow.node) b i ~start =
+  let config = ectx.ecfg in
+  let wfd = ectx.ewfd in
+  let spawn_clock = Clock.create ~at:start () in
+  (match config.cpu_quota with
+  | Some _ -> Clock.advance spawn_clock Hostos.Cgroup.setup_cost
+  | None -> ());
+  let hs = Hotspot.enter "stage.spawn" in
+  let thread = Wfd.spawn_function_thread wfd ~clock:spawn_clock in
+  Hotspot.leave hs;
+  Clock.sync thread.Wfd.clock spawn_clock;
+  Clock.advance thread.Wfd.clock
+    (runtime_init_cost config ectx.rt node.Workflow.language ~instance:i);
+  (match !(ectx.cold_start_mark) with
+  | None -> ectx.cold_start_mark := Some (Clock.now thread.Wfd.clock)
+  | Some _ -> ());
+  (* The label sprintf only when the span collector is on: with 1-in-k
+     request sampling, most requests run with spans off and the eager
+     label was pure allocation. *)
+  let fn_span =
+    let sp = Span.current () in
+    if Span.enabled sp then
+      Span.begin_span sp ~parent:wfd.Wfd.span ~at:start ~category:"function"
+        ~label:(Printf.sprintf "%s#%d" node.Workflow.node_id i)
+        ()
+    else Span.none
+  in
+  let saved_span = wfd.Wfd.span in
+  if fn_span <> Span.none then wfd.Wfd.span <- fn_span;
+  let ctx =
+    match attempt ectx node b i thread 1 with
+    | ctx -> ctx
+    | exception e ->
+        (* A terminal failure escapes to the workflow-retry layer; the
+           function span stays zero-length and the lost attempt
+           surfaces as unattributed ("other") time of the stage. *)
+        wfd.Wfd.span <- saved_span;
+        raise e
+  in
+  (match ctx.Asstd.phases with
+  | Some phases ->
+      let totals =
+        match ectx.ephase_totals with
+        | Some totals -> totals
+        | None ->
+            let totals = Hashtbl.create 8 in
+            ectx.ephase_totals <- Some totals;
+            totals
       in
-      let final_thread, ctx =
-        match attempt thread 1 with
-        | result -> result
-        | exception e ->
-            (* A terminal failure escapes to the workflow-retry layer;
-               the function span stays zero-length and the lost attempt
-               surfaces as unattributed ("other") time of the stage. *)
-            wfd.Wfd.span <- saved_span;
-            raise e
-      in
-      Hashtbl.iter
-        (fun name t ->
-          let prev =
-            match Hashtbl.find_opt ectx.ephase_totals name with
-            | Some v -> v
-            | None -> Units.zero
-          in
-          Hashtbl.replace ectx.ephase_totals name (Units.add prev t))
-        ctx.Asstd.phases;
-      wfd.Wfd.span <- saved_span;
-      Span.end_span (Span.current ()) fn_span ~at:(Clock.now final_thread.Wfd.clock);
-      let on_cpu = Clock.elapsed_since final_thread.Wfd.clock start in
-      Metrics.observe_time fn_histo on_cpu;
-      match config.cpu_quota with
-      | Some q -> Hostos.Cgroup.stretch (Hostos.Cgroup.create ~quota:q) on_cpu
-      | None -> on_cpu)
-    tasks
+      Hashtbl.iter (add_phase totals) phases
+  | None -> ());
+  wfd.Wfd.span <- saved_span;
+  let final_clock = ctx.Asstd.thread.Wfd.clock in
+  Span.end_span (Span.current ()) fn_span ~at:(Clock.now final_clock);
+  let on_cpu = Clock.elapsed_since final_clock start in
+  Metrics.observe_time fn_histo on_cpu;
+  match config.cpu_quota with
+  | Some q -> Hostos.Cgroup.stretch (Hostos.Cgroup.create ~quota:q) on_cpu
+  | None -> on_cpu
+
+(* Run every instance of every node of one stage, in node order and
+   instance order, each dispatched [Cost.dispatch_latency] after the
+   previous one: spawn the function threads, execute the kernels (with
+   per-function retry/timeout under the configured policy) and return
+   each task's on-CPU duration.  The caller places the durations on
+   cores — a private core set for [run_once], the machine-shared pool
+   for [Server]. *)
+let rec exec_nodes ectx ~dispatch = function
+  | [] -> []
+  | (node : Workflow.node) :: rest ->
+      exec_instances ectx (lookup_binding ectx.ebindings node.Workflow.node_id) node rest
+        ~dispatch 0
+
+and exec_instances ectx b (node : Workflow.node) rest ~dispatch i =
+  if i >= node.Workflow.instances then exec_nodes ectx ~dispatch rest
+  else begin
+    let dispatch = Units.add dispatch Cost.dispatch_latency in
+    let d = exec_instance ectx node b i ~start:dispatch in
+    d :: exec_instances ectx b node rest ~dispatch (i + 1)
+  end
+
+let exec_stage ectx ~ready nodes = exec_nodes ectx ~dispatch:ready nodes
 
 (* Record a scheduled stage's report and return its makespan — the next
    stage's ready time. *)
 let record_stage ectx ~stage_index ~ready ~durations ~placements =
   let makespan = Hostos.Sched.makespan placements in
   Metrics.observe_time stage_histo (Units.sub makespan ready);
-  ectx.epeak_rss :=
-    Stdlib.max !(ectx.epeak_rss) (Hostos.Process.total_rss ectx.ewfd.Wfd.proc_table);
-  ectx.estage_reports :=
+  ectx.epeak_rss <-
+    Stdlib.max ectx.epeak_rss (Hostos.Process.total_rss ectx.ewfd.Wfd.proc_table);
+  ectx.estage_reports <-
     {
       stage_index;
       instance_durations = durations;
       stage_makespan = Units.sub makespan ready;
       fan_in_waits = Hostos.Sched.fan_in_wait placements;
     }
-    :: !(ectx.estage_reports);
+    :: ectx.estage_reports;
   Trace.recordf (Trace.current ()) ~at:makespan ~category:"visor" ~label:"stage-done"
     "wfd%d stage %d (%d instances)" ectx.ewfd.Wfd.id stage_index (List.length durations);
   makespan
@@ -436,14 +461,16 @@ let build_report ectx ~finish ~cold_fallback ~admission =
     e2e = finish;
     cold_start = Option.value !(ectx.cold_start_mark) ~default:cold_fallback;
     admission;
-    stage_reports = List.rev !(ectx.estage_reports);
+    stage_reports = List.rev ectx.estage_reports;
     phase_totals =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) ectx.ephase_totals []
+      (match ectx.ephase_totals with
+      | Some totals -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []
+      | None -> [])
       |> List.sort compare;
     entry_misses = wfd.Wfd.entry_misses;
     entry_hits = wfd.Wfd.entry_hits;
     trampoline_crossings = wfd.Wfd.trampoline_crossings;
-    peak_rss = !(ectx.epeak_rss);
+    peak_rss = ectx.epeak_rss;
     stdout;
     loaded_modules;
     retries = !(ectx.eretries);
@@ -1019,173 +1046,197 @@ module Server = struct
         | `Cold_seeded tpl -> if k = 0 then Cold else Warm tpl
         | `Cold -> Cold)
 
+  (* Boot the WFD of one attempt under the attempt's boot shard:
+     bind a shell from the template's pool (warm) or create one
+     (cold), on the attempt's private clock. *)
+  let boot_wfd ~(scfg : config) ~endpoint ~(reg : registration) ~fault_child ~proc_table
+      ~clock ~first plan =
+    let warm = match plan with Warm _ -> true | Cold -> false in
+    let boot_span =
+      let sp = Span.current () in
+      if Span.enabled sp then
+        let category = if first then "boot" else "retry" in
+        Span.begin_span sp ~parent:Span.none ~at:Units.zero ~category
+          ~label:(category ^ "-boot " ^ endpoint)
+          ()
+      else Span.none
+    in
+    Clock.advance clock Cost.visor_dispatch;
+    let wfd =
+      match plan with
+      | Warm tpl ->
+          (* Every warm attempt binds through the template's pool; a
+             fault-free one may take a shell another domain released,
+             which changes no virtual observable. *)
+          let wfd = Wfd.bind ?fault:fault_child tpl.tpl_pool ~proc_table ~clock in
+          wfd.Wfd.span <- boot_span;
+          Libos.attach_warm wfd ~clock;
+          if tpl.tpl_engine || tpl.tpl_python then
+            Clock.advance clock Cost.warm_runtime_resume;
+          wfd
+      | Cold ->
+          let wfd =
+            Wfd.create ~features:scfg.features ?fault:scfg.fault ~proc_table ~clock
+              ~workflow_name:(endpoint ^ ":" ^ reg.reg_workflow.Workflow.wf_name)
+              ()
+          in
+          wfd.Wfd.span <- boot_span;
+          Clock.advance clock Cost.entry_table_init;
+          if not scfg.features.Wfd.on_demand then Libos.load_all wfd ~clock;
+          wfd
+    in
+    Span.end_span (Span.current ()) boot_span ~at:(Clock.now clock);
+    Span.set_attr (Span.current ()) boot_span "warm" (string_of_bool warm);
+    (* Function spans become shard roots; the merge re-parents them
+       under the real stage spans. *)
+    wfd.Wfd.span <- Span.none;
+    wfd
+
+  let segment sh ~base ~durations ~proc_table =
+    {
+      sg_shard = sh;
+      sg_base = base;
+      sg_durations = durations;
+      sg_rss = Hostos.Process.total_rss proc_table;
+    }
+
+  (* Execute the attempt's stages in order on its private timeline,
+     each under its own shard, until they are done or one raises a
+     function failure; then build the attempt's record.  Stage ready
+     times on the private timeline come from [priv], a private pool of
+     the same width as the shared one: gaps here are never larger than
+     the contended gaps the merge produces, so the WFD's internal
+     clocks stay behind every real stage start. *)
+  let rec run_stages ectx ~cfg ~priv ~proc_table ~warm ~boot_seg ~boot_elapsed ~ready
+      done_rev = function
+    | [] ->
+        {
+          at_warm = warm;
+          at_wfd_id = ectx.ewfd.Wfd.id;
+          at_boot = boot_seg;
+          at_boot_elapsed = boot_elapsed;
+          at_stages = List.rev done_rev;
+          at_failed = None;
+          at_fail_seg = None;
+        }
+    | nodes :: rest -> (
+        let sh = Par.acquire_shard cfg in
+        let hs = Hotspot.enter "stage.exec" in
+        Par.enter_shard sh;
+        match exec_stage ectx ~ready nodes with
+        | durations ->
+            Par.leave_shard sh;
+            Hotspot.leave hs;
+            let seg = segment sh ~base:ready ~durations ~proc_table in
+            let finish =
+              Hostos.Sched.makespan_on priv ~ready ~dispatch_latency:Cost.dispatch_latency
+                durations
+            in
+            run_stages ectx ~cfg ~priv ~proc_table ~warm ~boot_seg ~boot_elapsed
+              ~ready:finish (seg :: done_rev) rest
+        | exception ((Function_failed _ | Function_hung _) as e) ->
+            Par.leave_shard sh;
+            Hotspot.leave hs;
+            {
+              at_warm = warm;
+              at_wfd_id = ectx.ewfd.Wfd.id;
+              at_boot = boot_seg;
+              at_boot_elapsed = boot_elapsed;
+              at_stages = List.rev done_rev;
+              at_failed = Some (match e with Function_hung _ -> `Hang | _ -> `Failure);
+              at_fail_seg = Some (segment sh ~base:ready ~durations:[] ~proc_table);
+            }
+        | exception e ->
+            Par.leave_shard sh;
+            Hotspot.leave hs;
+            raise e)
+
+  (* Attempt [a] of a request and the attempts after it while they
+     fail, oldest first.  Each attempt runs in a fresh WFD on its own
+     process table, clock and private timeline. *)
+  let rec run_attempts ~cfg ~scfg ~endpoint ~reg ~boots ~fault_child ~retries ~released a =
+    let proc_table = Hostos.Process.acquire_table () in
+    let clock = Clock.create () in
+    let boot_sh = Par.acquire_shard cfg in
+    let plan = boots.(a - 1) in
+    let hs = Hotspot.enter "boot" in
+    Par.enter_shard boot_sh;
+    let wfd =
+      match
+        boot_wfd ~scfg ~endpoint ~reg ~fault_child ~proc_table ~clock ~first:(a = 1) plan
+      with
+      | wfd ->
+          Par.leave_shard boot_sh;
+          Hotspot.leave hs;
+          wfd
+      | exception e ->
+          Par.leave_shard boot_sh;
+          Hotspot.leave hs;
+          raise e
+    in
+    let boot_seg = segment boot_sh ~base:Units.zero ~durations:[] ~proc_table in
+    let boot_elapsed = Clock.now clock in
+    let rt =
+      match plan with
+      | Warm tpl -> { engine_started = tpl.tpl_engine; python_booted = tpl.tpl_python }
+      | Cold -> { engine_started = false; python_booted = false }
+    in
+    let ectx =
+      make_exec_ctx ~config:scfg ~bindings:reg.reg_bindings ~wfd ~rt ~retries
+        ~cold_start_mark:(ref None)
+    in
+    let at =
+      (* The private pool is a domain-local scratch arena reset per
+         attempt, never allocated per attempt. *)
+      match
+        run_stages ectx ~cfg
+          ~priv:(Hostos.Sched.scratch ~cores:scfg.cores)
+          ~proc_table
+          ~warm:(match plan with Warm _ -> true | Cold -> false)
+          ~boot_seg ~boot_elapsed ~ready:boot_elapsed [] (Workflow.stages reg.reg_workflow)
+      with
+      | at -> at
+      | exception e ->
+          Wfd.destroy wfd;
+          raise e
+    in
+    (* A clean warm finish returns its WFD to the template's pool
+       (host-only reset on this worker domain); failures and cold boots
+       tear down. *)
+    (match plan with
+    | Warm tpl when at.at_failed = None -> released := Wfd.release tpl.tpl_pool wfd
+    | Warm _ | Cold -> Wfd.destroy wfd);
+    (* The attempt record never references the process table (RSS is
+       sampled into the segments), and a pooled shell holds no process
+       entry — so the per-attempt table recirculates on this worker
+       domain. *)
+    Hostos.Process.release_table proc_table;
+    if at.at_failed <> None && a < Array.length boots then
+      at
+      :: run_attempts ~cfg ~scfg ~endpoint ~reg ~boots ~fault_child ~retries ~released
+           (a + 1)
+    else [ at ]
+
   (* Compute one request's trajectory.  Runs on any domain: every
      observable write goes to a segment shard, WFD ids come from the
      request's reserved namespace, and faults and the disk image are
      request-private. *)
-  let run_trajectory t ~cfg ~endpoint ~(reg : registration) ~boots ~fault_child
-      =
-    Hotspot.with_section "serve.trajectory" @@ fun () ->
+  let run_trajectory t ~cfg ~endpoint ~(reg : registration) ~boots ~fault_child =
+    let hs = Hotspot.enter "serve.trajectory" in
     let scfg =
       match fault_child with
       | Some _ as f -> { t.scfg with fault = f }
       | None -> t.scfg
     in
-    let stages = Workflow.stages reg.reg_workflow in
     let retries = ref 0 in
     let released = ref false in
-    let max_a = Array.length boots in
-    let rec attempts_from a acc =
-      let proc_table = Hostos.Process.acquire_table () in
-      let clock = Clock.create () in
-      let boot_sh = Par.acquire_shard cfg in
-      let boot_tpl =
-        match boots.(a - 1) with Warm tpl -> Some tpl | Cold -> None
-      in
-      let wfd, rt, warm =
-        Hotspot.with_section "boot" @@ fun () ->
-        Par.with_shard boot_sh (fun () ->
-            let category = if a = 1 then "boot" else "retry" in
-            let boot_span =
-              let sp = Span.current () in
-              if Span.enabled sp then
-                Span.begin_span sp ~parent:Span.none ~at:Units.zero ~category
-                  ~label:(category ^ "-boot " ^ endpoint)
-                  ()
-              else Span.none
-            in
-            Clock.advance clock Cost.visor_dispatch;
-            let wfd, rt, warm =
-              match boots.(a - 1) with
-              | Warm tpl ->
-                  (* Every warm attempt binds through the template's
-                     pool; a fault-free one may take a shell another
-                     domain released, which changes no virtual
-                     observable. *)
-                  let wfd = Wfd.bind ?fault:fault_child tpl.tpl_pool ~proc_table ~clock in
-                  wfd.Wfd.span <- boot_span;
-                  Libos.attach_warm wfd ~clock;
-                  if tpl.tpl_engine || tpl.tpl_python then
-                    Clock.advance clock Cost.warm_runtime_resume;
-                  ( wfd,
-                    { engine_started = tpl.tpl_engine; python_booted = tpl.tpl_python },
-                    true )
-              | Cold ->
-                  let wfd =
-                    Wfd.create ~features:scfg.features ?fault:scfg.fault ~proc_table
-                      ~clock
-                      ~workflow_name:(endpoint ^ ":" ^ reg.reg_workflow.Workflow.wf_name)
-                      ()
-                  in
-                  wfd.Wfd.span <- boot_span;
-                  Clock.advance clock Cost.entry_table_init;
-                  if not scfg.features.Wfd.on_demand then Libos.load_all wfd ~clock;
-                  (wfd, { engine_started = false; python_booted = false }, false)
-            in
-            Span.end_span (Span.current ()) boot_span ~at:(Clock.now clock);
-            Span.set_attr (Span.current ()) boot_span "warm" (string_of_bool warm);
-            (* Function spans become shard roots; the merge re-parents
-               them under the real stage spans. *)
-            wfd.Wfd.span <- Span.none;
-            (wfd, rt, warm))
-      in
-      let boot_seg =
-        {
-          sg_shard = boot_sh;
-          sg_base = Units.zero;
-          sg_durations = [];
-          sg_rss = Hostos.Process.total_rss proc_table;
-        }
-      in
-      let boot_elapsed = Clock.now clock in
-      let body () =
-            let ectx =
-              make_exec_ctx ~config:scfg ~bindings:reg.reg_bindings ~wfd ~rt
-                ~retries ~cold_start_mark:(ref None)
-            in
-            (* Stage ready times on the private timeline come from a
-               private pool of the same width as the shared one: gaps
-               here are never larger than the contended gaps the merge
-               produces, so the WFD's internal clocks stay behind every
-               real stage start.  The pool is a domain-local scratch
-               arena reset per attempt, never allocated per attempt. *)
-            let priv = Hostos.Sched.scratch ~cores:scfg.cores in
-            let rel_ready = ref boot_elapsed in
-            let done_stages = ref [] in
-            let failure = ref None in
-            (try
-               List.iter
-                 (fun nodes ->
-                   let sh = Par.acquire_shard cfg in
-                   match
-                     Hotspot.with_section "stage.exec" (fun () ->
-                         Par.with_shard sh (fun () ->
-                             exec_stage ectx ~ready:!rel_ready nodes))
-                   with
-                   | durations ->
-                       let placements =
-                         Hostos.Sched.schedule_on priv ~ready:!rel_ready
-                           ~dispatch_latency:Cost.dispatch_latency durations
-                       in
-                       done_stages :=
-                         {
-                           sg_shard = sh;
-                           sg_base = !rel_ready;
-                           sg_durations = durations;
-                           sg_rss = Hostos.Process.total_rss proc_table;
-                         }
-                         :: !done_stages;
-                       rel_ready := Hostos.Sched.makespan placements
-                   | exception ((Function_failed _ | Function_hung _) as e) ->
-                       let kind =
-                         match e with Function_hung _ -> `Hang | _ -> `Failure
-                       in
-                       failure :=
-                         Some
-                           ( kind,
-                             {
-                               sg_shard = sh;
-                               sg_base = !rel_ready;
-                               sg_durations = [];
-                               sg_rss = Hostos.Process.total_rss proc_table;
-                             } );
-                       raise Exit)
-                 stages
-             with Exit -> ());
-            {
-              at_warm = warm;
-              at_wfd_id = wfd.Wfd.id;
-              at_boot = boot_seg;
-              at_boot_elapsed = boot_elapsed;
-              at_stages = List.rev !done_stages;
-              at_failed = Option.map fst !failure;
-              at_fail_seg = Option.map snd !failure;
-            }
-      in
-      let at =
-        match body () with
-        | at -> at
-        | exception e ->
-            Wfd.destroy wfd;
-            raise e
-      in
-      (* A clean warm finish returns its WFD to the template's pool
-         (host-only reset on this worker domain); failures and cold
-         boots tear down. *)
-      (match boot_tpl with
-      | Some tpl when at.at_failed = None ->
-          released := Wfd.release tpl.tpl_pool wfd
-      | Some _ | None -> Wfd.destroy wfd);
-      (* The attempt record never references the process table (RSS is
-         sampled into the segments), and a pooled shell holds no
-         process entry — so the per-attempt table recirculates on this
-         worker domain. *)
-      Hostos.Process.release_table proc_table;
-      if at.at_failed <> None && a < max_a then attempts_from (a + 1) (at :: acc)
-      else List.rev (at :: acc)
-    in
-    let attempts = attempts_from 1 [] in
-    { tj_attempts = attempts; tj_retries = !retries; tj_released = !released }
+    match run_attempts ~cfg ~scfg ~endpoint ~reg ~boots ~fault_child ~retries ~released 1 with
+    | attempts ->
+        Hotspot.leave hs;
+        { tj_attempts = attempts; tj_retries = !retries; tj_released = !released }
+    | exception e ->
+        Hotspot.leave hs;
+        raise e
 
   (* Merge-phase state of one request. *)
   type mstate = {
@@ -1288,14 +1339,16 @@ module Server = struct
       let batch = List.rev !batch in
       (* Prologue, in arrival order. *)
       let planned =
-        Hotspot.with_section "serve.prologue" @@ fun () ->
-        List.map
-          (fun (i, r) ->
-            let sampled =
-              t.obs_every <= 1 || i mod t.obs_every = t.obs_phase
-            in
-            (i, r, sampled, plan_request t ~max_attempts ~index:i r))
-          batch
+        let hs = Hotspot.enter "serve.prologue" in
+        let planned =
+          List.map
+            (fun (i, r) ->
+              let sampled = t.obs_every <= 1 || i mod t.obs_every = t.obs_phase in
+              (i, r, sampled, plan_request t ~max_attempts ~index:i r))
+            batch
+        in
+        Hotspot.leave hs;
+        planned
       in
       (* Trajectories: host-parallel, shard-isolated.  An unsampled
          request's shards are created with spans and trace off, so it
@@ -1476,11 +1529,10 @@ module Server = struct
           Par.merge_shard ~attach:stage_span ~offset:(Units.sub now sg.sg_base)
             sg.sg_shard;
           Par.release_shard sg.sg_shard;
-          let placements =
-            Hostos.Sched.schedule_on t.cpu ~ready:now
-              ~dispatch_latency:Cost.dispatch_latency sg.sg_durations
+          let makespan =
+            Hostos.Sched.makespan_on t.cpu ~ready:now ~dispatch_latency:Cost.dispatch_latency
+              sg.sg_durations
           in
-          let makespan = Hostos.Sched.makespan placements in
           Metrics.observe_time stage_histo (Units.sub makespan now);
           if ms.ms_sampled then
             Trace.recordf (Trace.current ()) ~at:makespan ~category:"visor"
@@ -1581,7 +1633,9 @@ module Server = struct
       match Eventq.pop q with
       | None -> ()
       | Some (now, ev) ->
-          Hotspot.with_section "serve.merge" (fun () -> handle_event now ev);
+          let hs = Hotspot.enter "serve.merge" in
+          handle_event now ev;
+          Hotspot.leave hs;
           pump ();
           drive ()
     in

@@ -12,9 +12,9 @@ type thread = {
   user_pkru : Prot.pkru;
 }
 
-(* [id], [vfs], [pid] and [proc_table] are mutable only so a pooled
-   shell can be re-bound to its next request by {!bind}; nothing else
-   writes them after construction. *)
+(* [id], [pid] and [proc_table] are mutable only so a pooled shell can
+   be re-bound to its next request by {!bind}; nothing else writes
+   them after construction. *)
 type t = {
   mutable id : int;
   workflow_name : string;
@@ -24,7 +24,7 @@ type t = {
   loaded_modules : (string, unit) Hashtbl.t;
   entry_table : (string, string) Hashtbl.t;
   ext : Ext.t;
-  mutable vfs : Fsim.Vfs.t;
+  vfs : Fsim.Vfs.t;
   fault : Fault.t option;
   mutable tap : Hostos.Tap.device option;
   stdout : Buffer.t;
@@ -53,8 +53,13 @@ let function_key t slot =
 
 let system_pkru = Prot.pkru_allow_all
 
-let user_pkru_for t slot =
-  Prot.pkru_deny_all_except [ function_key t slot; buffer_key; Prot.default_key ]
+(* The user-context rights of each function key, built once: a spawn
+   reads its slot's word instead of folding a key list. *)
+let user_pkru_of_key =
+  Array.init 16 (fun k ->
+      Prot.pkru_deny_all_except [ Prot.key_of_int k; buffer_key; Prot.default_key ])
+
+let user_pkru_for t slot = user_pkru_of_key.(Prot.key_to_int (function_key t slot))
 
 (* The [pid] of a WFD with no process entry: a pooled shell. *)
 let no_pid = 0
@@ -73,22 +78,37 @@ let rec live_decr () =
    draw them from the shared counter in completion order.  A task runs
    under [with_id_namespace ~base] over a range pre-reserved with
    [reserve_ids]; ids then depend only on the task's submission index,
-   never on host interleaving. *)
-let id_ns_key : int ref option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   never on host interleaving.  The namespace is one mutable cell per
+   domain, saved and restored around the task, so entering it
+   allocates nothing. *)
+type id_namespace = { mutable ns_on : bool; mutable ns_last : int }
+
+let id_ns_key = Domain.DLS.new_key (fun () -> { ns_on = false; ns_last = 0 })
 
 let fresh_id () =
-  match Domain.DLS.get id_ns_key with
-  | Some r ->
-      incr r;
-      !r
-  | None -> Atomic.fetch_and_add next_id 1 + 1
+  let ns = Domain.DLS.get id_ns_key in
+  if ns.ns_on then begin
+    ns.ns_last <- ns.ns_last + 1;
+    ns.ns_last
+  end
+  else Atomic.fetch_and_add next_id 1 + 1
 
 let reserve_ids n = Atomic.fetch_and_add next_id n
 
 let with_id_namespace ~base f =
-  let old = Domain.DLS.get id_ns_key in
-  Domain.DLS.set id_ns_key (Some (ref base));
-  Fun.protect ~finally:(fun () -> Domain.DLS.set id_ns_key old) f
+  let ns = Domain.DLS.get id_ns_key in
+  let on = ns.ns_on and last = ns.ns_last in
+  ns.ns_on <- true;
+  ns.ns_last <- base;
+  match f () with
+  | v ->
+      ns.ns_on <- on;
+      ns.ns_last <- last;
+      v
+  | exception e ->
+      ns.ns_on <- on;
+      ns.ns_last <- last;
+      raise e
 
 (* Boot the system partition into [aspace] and start its process:
    visor and libos code on the system key, trampoline pages
@@ -100,11 +120,11 @@ let with_id_namespace ~base f =
    clock costs. *)
 let boot_system aspace ~proc_table ~clock ~name =
   Address_space.map aspace ~addr:Layout.visor_code.Layout.base
-    ~len:Layout.visor_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
+    ~len:Layout.visor_code.Layout.size ~perm:Page.rx ~pkey:system_key;
   Address_space.map aspace ~addr:Layout.libos_code.Layout.base
-    ~len:Layout.libos_code.Layout.size ~perm:Page.rx ~pkey:system_key ();
+    ~len:Layout.libos_code.Layout.size ~perm:Page.rx ~pkey:system_key;
   Address_space.map aspace ~addr:Layout.trampoline.Layout.base
-    ~len:Layout.trampoline.Layout.size ~perm:Page.rx ~pkey:Prot.default_key ();
+    ~len:Layout.trampoline.Layout.size ~perm:Page.rx ~pkey:Prot.default_key;
   let pid = Hostos.Process.spawn_process proc_table ~at:(Clock.now clock) ~name () in
   Hostos.Process.charge_rss proc_table pid
     (Layout.visor_code.Layout.size + Layout.libos_code.Layout.size
@@ -159,11 +179,11 @@ let map_slot t slot =
   let heap = Layout.function_heap slot in
   let stack = Layout.function_stack slot in
   Address_space.map t.aspace ~addr:code.Layout.base ~len:(kib 256) ~perm:Page.rx
-    ~pkey:key ();
+    ~pkey:key;
   Address_space.map t.aspace ~addr:heap.Layout.base ~len:(mib 1) ~perm:Page.rw
-    ~pkey:key ();
+    ~pkey:key;
   Address_space.map t.aspace ~addr:stack.Layout.base ~len:(kib 512) ~perm:Page.rw
-    ~pkey:key ();
+    ~pkey:key;
   Hostos.Process.charge_rss t.proc_table t.pid (kib 256 + mib 1 + kib 512)
 
 let clone_into_slot t slot ~clock =
@@ -196,12 +216,18 @@ let respawn_function_thread t ~slot ~clock =
   clone_into_slot t slot ~clock
 
 let destroy t =
-  if not t.destroyed then
-    Hotspot.with_section "wfd.destroy" @@ fun () ->
+  if not t.destroyed then begin
+    let hs = Hotspot.enter "wfd.destroy" in
     t.destroyed <- true;
     live_decr ();
-    (match t.tap with Some _ -> t.tap <- None | None -> ());
-    if t.pid <> no_pid then Hostos.Process.exit_process t.proc_table t.pid
+    t.tap <- None;
+    if t.pid <> no_pid then Hostos.Process.exit_process t.proc_table t.pid;
+    (* Unmap everything: the pages go back to this domain's page pool
+       for the next WFD instead of floating until the major GC finds
+       them. *)
+    Address_space.recycle t.aspace;
+    Hotspot.leave hs
+  end
 
 (* A template pool: the warm template WFD plus the finished request
    WFDs ("shells") reset to its image.  Workers bind and release from
@@ -216,38 +242,41 @@ type pool = {
 
 let pool template = { template; mu = Mutex.create (); free = []; retired = false }
 
+(* A shell's module and entry tables start as copies of the
+   template's and only ever grow: a module load adds its name and
+   entries and never rebinds a key.  So equal sizes mean equal contents
+   (the warm steady state, where nothing is done), and otherwise
+   removing the keys the template lacks restores the copy. *)
+let drop_added ~template tbl =
+  if Hashtbl.length tbl <> Hashtbl.length template then
+    List.iter (Hashtbl.remove tbl)
+      (Hashtbl.fold (fun k _ acc -> if Hashtbl.mem template k then acc else k :: acc) tbl [])
+
 (* Reset a finished shell back to the template image without
-   re-allocating its address space, page table, TLB arena, tables or
-   buffers.  Pure host work: no clock is charged and no global counter
-   is touched.  The shell leaves its request's process table, so a
-   pooled shell holds no process entry; it stays [live] (it still owns
-   its arenas) until {!drain} destroys it. *)
+   re-allocating its address space, page table, TLB arena, tables,
+   buffers or disk.  Pure host work: no clock is charged and no global
+   counter is touched.  The shell leaves its request's process table,
+   so a pooled shell holds no process entry; it stays [live] (it still
+   owns its arenas) until {!drain} destroys it. *)
 let recycle ~template t =
-  Hotspot.with_section "wfd.recycle" @@ fun () ->
+  let hs = Hotspot.enter "wfd.recycle" in
+  (* The shell keeps its private disk, re-formatted in place (a
+     recycled image behaves bit-identically to a fresh one).  Only a
+     shell that shares the template's fault plan is pooled, and its
+     disk is an unwrapped FAT image, so a disk that will not re-format
+     is a broken invariant, never a case to paper over with the
+     template's shared image; the shell is left as it was. *)
+  if not (Fsim.Vfs.recycle t.vfs) then begin
+    Hotspot.leave hs;
+    invalid_arg "Wfd.release: the shell's disk cannot be re-formatted"
+  end;
   Hostos.Process.exit_process t.proc_table t.pid;
   t.pid <- no_pid;
   Address_space.recycle t.aspace;
   Alloc.reset t.buffer_alloc;
-  (* The shell's tables start as exact copies of the template's and
-     only ever grow (module loads add entries, never remove), so equal
-     sizes mean equal contents — the warm steady state, where the
-     re-copy is skipped entirely. *)
-  if Hashtbl.length t.loaded_modules <> Hashtbl.length template.loaded_modules
-  then begin
-    Hashtbl.reset t.loaded_modules;
-    Hashtbl.iter (Hashtbl.replace t.loaded_modules) template.loaded_modules
-  end;
-  if Hashtbl.length t.entry_table <> Hashtbl.length template.entry_table then begin
-    Hashtbl.reset t.entry_table;
-    Hashtbl.iter (Hashtbl.replace t.entry_table) template.entry_table
-  end;
+  drop_added ~template:template.loaded_modules t.loaded_modules;
+  drop_added ~template:template.entry_table t.entry_table;
   Ext.clear t.ext;
-  (* A private scratch disk is re-formatted in place and kept for the
-     shell's next bind (a recycled image behaves bit-identically to a
-     fresh one); anything else drops back to the template's image so
-     the pooled shell doesn't pin it. *)
-  if not (t.vfs != template.vfs && Fsim.Vfs.recycle t.vfs) then
-    t.vfs <- template.vfs;
   t.tap <- None;
   (* [Buffer.reset], not [clear]: a pooled shell must not retain a
      request's grown stdout storage. *)
@@ -256,14 +285,15 @@ let recycle ~template t =
   t.entry_misses <- 0;
   t.entry_hits <- 0;
   t.trampoline_crossings <- 0;
-  t.span <- Span.none
+  t.span <- Span.none;
+  Hotspot.leave hs
 
 (* A new shell of [template]: the system partition, loaded module
    namespaces and entry table come along (CoW-shared read-only pages);
    the buffer heap, module state, stdout and function slots start
-   fresh.  Host work only — {!bind} boots it and sets its id, pid,
-   process table and disk. *)
-let new_shell ?fault template =
+   fresh, and [vfs] is its private disk.  Host work only — {!bind}
+   boots it and sets its id, pid and process table. *)
+let new_shell ?fault ~vfs template =
   Atomic.incr live;
   let fault = match fault with Some _ -> fault | None -> template.fault in
   {
@@ -277,7 +307,7 @@ let new_shell ?fault template =
     loaded_modules = Hashtbl.copy template.loaded_modules;
     entry_table = Hashtbl.copy template.entry_table;
     ext = Ext.create ();
-    vfs = template.vfs;
+    vfs;
     fault;
     tap = None;
     stdout = Buffer.create 256;
@@ -291,45 +321,63 @@ let new_shell ?fault template =
     span = Span.none;
   }
 
+(* The clone's virtual effects, charged the same way for either shell:
+   one id draw, [boot_system]'s mappings, process spawn and RSS, and
+   [Cost.wfd_clone] + pkey-alloc instead of the full create +
+   entry-table path. *)
+let boot_shell t tpl ~proc_table ~clock =
+  t.id <- fresh_id ();
+  t.pid <- boot_system t.aspace ~proc_table ~clock ~name:tpl.workflow_name;
+  t.proc_table <- proc_table;
+  Clock.advance clock Cost.wfd_clone;
+  Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc)
+
+(* Pop a pooled shell, or return [None] when the pool is empty. *)
+let take_shell p =
+  Mutex.lock p.mu;
+  let shell =
+    match p.free with
+    | [] -> None
+    | s :: rest ->
+        p.free <- rest;
+        Some s
+  in
+  Mutex.unlock p.mu;
+  shell
+
 let bind ?fault p ~proc_table ~clock =
   let tpl = p.template in
   if tpl.destroyed then invalid_arg "Wfd.bind: template destroyed";
   (* A request with its own plan needs a shell whose buffer heap was
-     armed with that plan, so it never takes a pooled one. *)
-  let shell =
-    match fault with
-    | Some _ -> None
+     armed with that plan, so it never takes a pooled one.  Every
+     request gets a private disk, because the template's image is
+     host-shared mutable state: a pooled shell's re-formatted image,
+     or a new shell's fresh one. *)
+  let t =
+    match if Option.is_some fault then None else take_shell p with
+    | Some s ->
+        let hs = Hotspot.enter "wfd.acquire" in
+        boot_shell s tpl ~proc_table ~clock;
+        Hotspot.leave hs;
+        s
     | None ->
-        Mutex.protect p.mu (fun () ->
-            match p.free with
-            | [] -> None
-            | s :: rest ->
-                p.free <- rest;
-                Some s)
+        (* A new shell's disk is a fresh FAT image, wrapped with
+           [fault] when the request brings its own plan. *)
+        let disk =
+          let hs = Hotspot.enter "vfs.fresh" in
+          let d = Fsim.Vfs.fresh_fat () in
+          Hotspot.leave hs;
+          d
+        in
+        let vfs =
+          match fault with Some plan -> Fsim.Vfs.with_faults plan disk | None -> disk
+        in
+        let hs = Hotspot.enter "wfd.clone" in
+        let s = new_shell ?fault ~vfs tpl in
+        boot_shell s tpl ~proc_table ~clock;
+        Hotspot.leave hs;
+        s
   in
-  (* Every request gets a private disk, because the template's image is
-     host-shared mutable state: a reused shell's re-formatted image when
-     it kept one, else a fresh FAT image wrapped with [fault]. *)
-  let vfs =
-    match shell with
-    | Some s when s.vfs != tpl.vfs -> s.vfs
-    | Some _ | None -> (
-        let disk = Hotspot.with_section "vfs.fresh" (fun () -> Fsim.Vfs.fresh_fat ()) in
-        match fault with Some plan -> Fsim.Vfs.with_faults plan disk | None -> disk)
-  in
-  let section = match shell with Some _ -> "wfd.acquire" | None -> "wfd.clone" in
-  Hotspot.with_section section @@ fun () ->
-  let t = match shell with Some s -> s | None -> new_shell ?fault tpl in
-  (* The clone's virtual effects, charged the same way for either
-     shell: one id draw, [boot_system]'s mappings, process spawn and
-     RSS, and [Cost.wfd_clone] + pkey-alloc instead of the full create
-     + entry-table path. *)
-  t.id <- fresh_id ();
-  t.pid <- boot_system t.aspace ~proc_table ~clock ~name:tpl.workflow_name;
-  t.proc_table <- proc_table;
-  t.vfs <- vfs;
-  Clock.advance clock Cost.wfd_clone;
-  Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Pkey_alloc);
   t
 
 (* A shell bound with the request's own plan carries a fresh [Some]
@@ -343,7 +391,9 @@ let release p t =
   end
   else begin
     recycle ~template:p.template t;
-    Mutex.protect p.mu (fun () -> p.free <- t :: p.free);
+    Mutex.lock p.mu;
+    p.free <- t :: p.free;
+    Mutex.unlock p.mu;
     true
   end
 

@@ -32,7 +32,7 @@ type t = {
   loaded_modules : (string, unit) Hashtbl.t;
   entry_table : (string, string) Hashtbl.t;  (** entry name -> module. *)
   ext : Ext.t;  (** Per-module state (fd tables, slot maps, ...). *)
-  mutable vfs : Fsim.Vfs.t;  (** The WFD's virtual disk image. *)
+  vfs : Fsim.Vfs.t;  (** The WFD's virtual disk image. *)
   fault : Sim.Fault.t option;  (** Fault plan consulted by substrate layers. *)
   mutable tap : Hostos.Tap.device option;
   stdout : Buffer.t;  (** Host console output of this WFD. *)
@@ -95,7 +95,8 @@ val respawn_function_thread : t -> slot:int -> clock:Sim.Clock.t -> thread
     untouched. *)
 
 val destroy : t -> unit
-(** Unmap everything and reclaim resources.  Idempotent. *)
+(** Unmap everything and reclaim resources: the address space's pages
+    go back to the calling domain's page pool.  Idempotent. *)
 
 (** {1 Template pools}
 
@@ -135,11 +136,11 @@ val bind :
     it is always a new shell armed with that plan, and {!release}
     destroys it instead of pooling it.
 
-    The WFD always gets a private disk: a reused shell's re-formatted
-    image when it kept one, else a fresh FAT image wrapped with
-    [fault].  Parallel serving needs this, because the template's
-    image is host-shared mutable state.  Raises [Invalid_argument] if
-    the pool was drained. *)
+    The WFD always gets a private disk: a reused shell keeps its own,
+    re-formatted by {!release}, and a new shell gets a fresh FAT image
+    wrapped with [fault].  Parallel serving needs this, because the
+    template's image is host-shared mutable state.  Raises
+    [Invalid_argument] if the pool was drained. *)
 
 val release : pool -> t -> bool
 (** Return a cleanly finished WFD bound from the pool.  It is reset
@@ -149,7 +150,11 @@ val release : pool -> t -> bool
     fault plan, or released into a retired pool, is destroyed instead
     and [release] returns [false].  The result depends only on the
     bind and {!retire}, never on the pool's occupancy.  A WFD that
-    failed mid-request should be {!destroy}ed, not released. *)
+    failed mid-request should be {!destroy}ed, not released.  A pooled
+    shell keeps its disk, re-formatted in place; a disk that cannot be
+    re-formatted (a fault-wrapped one, bound with the template's own
+    plan) raises [Invalid_argument] rather than fall back to the
+    template's shared image. *)
 
 val retire : pool -> unit
 (** Stop pooling: later releases destroy.  Binds still work until

@@ -17,7 +17,37 @@ type node = {
   required_modules : string list;
 }
 
-type t = { wf_name : string; nodes : node list; edges : (string * string) list }
+type t = {
+  wf_name : string;
+  nodes : node list;
+  edges : (string * string) list;
+  wf_stages : node list list;
+}
+
+let predecessors_in edges id =
+  List.filter_map (fun (a, b) -> if String.equal b id then Some a else None) edges
+
+(* Longest-path layering: a node's layer is 1 + max of predecessors.
+   Runs once, in [create]; the DAG must already be acyclic. *)
+let layer_nodes nodes edges =
+  let layer = Hashtbl.create 16 in
+  let rec layer_of id =
+    match Hashtbl.find_opt layer id with
+    | Some l -> l
+    | None ->
+        let preds = predecessors_in edges id in
+        let l =
+          match preds with
+          | [] -> 0
+          | _ -> 1 + List.fold_left (fun acc p -> Stdlib.max acc (layer_of p)) 0 preds
+        in
+        Hashtbl.replace layer id l;
+        l
+  in
+  List.iter (fun n -> ignore (layer_of n.node_id)) nodes;
+  let max_layer = Hashtbl.fold (fun _ l acc -> Stdlib.max acc l) layer 0 in
+  List.init (max_layer + 1) (fun i ->
+      List.filter (fun n -> Hashtbl.find layer n.node_id = i) nodes)
 
 let validate t =
   let ids = List.map (fun n -> n.node_id) t.nodes in
@@ -93,13 +123,14 @@ let create ~name ~nodes ~edges =
   | Some (id, m) -> Error (Printf.sprintf "node %s requires unknown as-libos module %S" id m)
   | None when nodes = [] -> Error "workflow has no functions"
   | None -> (
-      match validate { wf_name = name; nodes; edges } with
-      | Ok _ as ok -> (
+      match validate { wf_name = name; nodes; edges; wf_stages = [] } with
+      | Ok t -> (
           match List.find_opt (fun n -> n.instances > slots) nodes with
           | Some n -> too_many n.instances
           | None ->
               let instances = List.fold_left (fun acc n -> acc + n.instances) 0 nodes in
-              if instances <= slots then ok else too_many instances)
+              if instances <= slots then Ok { t with wf_stages = layer_nodes nodes edges }
+              else too_many instances)
       | Error _ as e -> e)
 
 let create_exn ~name ~nodes ~edges =
@@ -112,32 +143,12 @@ let node t id =
   | Some n -> n
   | None -> raise Not_found
 
-let predecessors t id =
-  List.filter_map (fun (a, b) -> if String.equal b id then Some a else None) t.edges
+let predecessors t id = predecessors_in t.edges id
 
 let successors t id =
   List.filter_map (fun (a, b) -> if String.equal a id then Some b else None) t.edges
 
-let stages t =
-  (* Longest-path layering: a node's layer is 1 + max of predecessors. *)
-  let layer = Hashtbl.create 16 in
-  let rec layer_of id =
-    match Hashtbl.find_opt layer id with
-    | Some l -> l
-    | None ->
-        let preds = predecessors t id in
-        let l =
-          match preds with
-          | [] -> 0
-          | _ -> 1 + List.fold_left (fun acc p -> Stdlib.max acc (layer_of p)) 0 preds
-        in
-        Hashtbl.replace layer id l;
-        l
-  in
-  List.iter (fun n -> ignore (layer_of n.node_id)) t.nodes;
-  let max_layer = Hashtbl.fold (fun _ l acc -> Stdlib.max acc l) layer 0 in
-  List.init (max_layer + 1) (fun i ->
-      List.filter (fun n -> Hashtbl.find layer n.node_id = i) t.nodes)
+let stages t = t.wf_stages
 
 let required_modules t =
   List.fold_left

@@ -17,7 +17,12 @@ type node = {
   required_modules : string list;  (** as-libos modules (Table 1). *)
 }
 
-type t = private { wf_name : string; nodes : node list; edges : (string * string) list }
+type t = private {
+  wf_name : string;
+  nodes : node list;
+  edges : (string * string) list;
+  wf_stages : node list list;  (** {!stages}, computed once by {!create}. *)
+}
 (** Built only by {!create}, so every value has passed its checks. *)
 
 val create :
@@ -36,7 +41,10 @@ val node : t -> string -> node
 
 val stages : t -> node list list
 (** Topological layers: every node appears exactly once, and each
-    node's predecessors all live in earlier layers. *)
+    node's predecessors all live in earlier layers.  A node's layer is
+    its longest path from a source.  {!create} computes the layers
+    once, so this is a field read: a server serving the workflow per
+    request allocates nothing here. *)
 
 val predecessors : t -> string -> string list
 val successors : t -> string -> string list

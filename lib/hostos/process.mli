@@ -32,7 +32,7 @@ val spawn_process : t -> ?at:Sim.Units.time -> name:string -> unit -> pid
 val clone_thread : t -> pid -> thread
 (** Create a thread in the process, charged one [clone] syscall on the
     main thread's clock; the new thread starts at the instant the clone
-    returns. *)
+    returns.  O(1): {!threads} lists threads in creation order. *)
 
 val main_thread : t -> pid -> thread
 val threads : t -> pid -> thread list
@@ -43,7 +43,10 @@ val charge_rss : t -> pid -> int -> unit
 
 val release_rss : t -> pid -> int -> unit
 val rss : t -> pid -> int
+
 val total_rss : t -> int
+(** Resident bytes of every live process in the table, kept as a
+    running sum, so reading it is O(1). *)
 
 val exit_process : t -> pid -> unit
 val live_processes : t -> int

@@ -72,16 +72,28 @@ let scratch_key : (int, pool) Hashtbl.t Domain.DLS.key =
 
 let scratch ~cores =
   let tbl = Domain.DLS.get scratch_key in
-  match Hashtbl.find_opt tbl cores with
-  | Some p ->
+  match Hashtbl.find tbl cores with
+  | p ->
       reset_pool p Units.zero;
       p
-  | None ->
+  | exception Not_found ->
       let p = pool_at ~cores Units.zero in
       Hashtbl.add tbl cores p;
       p
 
 let busy_until pool = pool.busy
+
+(* Put one task dispatched at [dispatch] on the earliest-free core
+   ([heap.(0)], lowest index among ties), never before [ready]; returns
+   its start. *)
+let claim pool ~ready ~dispatch d =
+  let core = pool.heap.(0) in
+  let start = Units.max (Units.max pool.free_at.(core) dispatch) ready in
+  let finish = Units.add start d in
+  pool.free_at.(core) <- finish;
+  pool.busy <- Units.max pool.busy finish;
+  sift_down pool 0;
+  start
 
 let schedule_on pool ?(ready = Units.zero) ?(dispatch_latency = Units.zero) durations =
   let dispatch_clock = ref ready in
@@ -89,15 +101,20 @@ let schedule_on pool ?(ready = Units.zero) ?(dispatch_latency = Units.zero) dura
     (* The orchestrator dispatches tasks one after another. *)
     dispatch_clock := Units.add !dispatch_clock dispatch_latency;
     let core = pool.heap.(0) in
-    let start = Units.max pool.free_at.(core) !dispatch_clock in
-    let start = Units.max start ready in
-    let finish = Units.add start d in
-    pool.free_at.(core) <- finish;
-    pool.busy <- Units.max pool.busy finish;
-    sift_down pool 0;
-    { core; start; finish }
+    let start = claim pool ~ready ~dispatch:!dispatch_clock d in
+    { core; start; finish = Units.add start d }
   in
   List.map place durations
+
+let makespan_on pool ~ready ~dispatch_latency durations =
+  let rec go dispatch acc = function
+    | [] -> acc
+    | d :: rest ->
+        let dispatch = Units.add dispatch dispatch_latency in
+        let start = claim pool ~ready ~dispatch d in
+        go dispatch (Units.max acc (Units.add start d)) rest
+  in
+  go ready Units.zero durations
 
 let schedule ~cores ?(ready = Units.zero) ?(dispatch_latency = Units.zero) durations =
   if cores <= 0 then invalid_arg "Sched.schedule: cores must be positive";

@@ -48,6 +48,16 @@ val schedule_on :
     and no earlier than their core frees up from previously scheduled
     work (possibly belonging to another workflow). *)
 
+val makespan_on :
+  pool ->
+  ready:Sim.Units.time ->
+  dispatch_latency:Sim.Units.time ->
+  Sim.Units.time list ->
+  Sim.Units.time
+(** [makespan (schedule_on pool ~ready ~dispatch_latency durations)],
+    placing the tasks the same way but building no placement list —
+    for callers that need only the stage's finish. *)
+
 val schedule :
   cores:int ->
   ?ready:Sim.Units.time ->

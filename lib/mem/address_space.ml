@@ -80,36 +80,75 @@ let c_tlb_flush = Sim.Stats.Counter.make "mem.tlb.flush"
    Per-domain (DLS, no locks) because page churn is per-request work
    that stays on the worker domain that runs the request. *)
 
-type page_pool = { mutable pp_items : Page.t list; mutable pp_len : int }
+(* A stand-in page no lookup ever returns as a mapping: the page of
+   [never_hit] and of scrubbed TLB entries, the filler of free pool
+   slots, and [page_of_vpn]'s answer for an unmapped vpn. *)
+let blank_page = Page.create ()
+let blank_data = Bytes.create 0
+
+(* A LIFO stack in a growable array, so parking a page allocates
+   nothing once the array has grown. *)
+type page_pool = { mutable pp_items : Page.t array; mutable pp_len : int }
 
 let page_pool_cap = 4096
-let page_pool_key = Domain.DLS.new_key (fun () -> { pp_items = []; pp_len = 0 })
+let page_pool_key = Domain.DLS.new_key (fun () -> { pp_items = [||]; pp_len = 0 })
 
 let acquire_page ~perm ~pkey =
   let pool = Domain.DLS.get page_pool_key in
-  match pool.pp_items with
-  | p :: rest ->
-      pool.pp_items <- rest;
-      pool.pp_len <- pool.pp_len - 1;
-      p.Page.perm <- perm;
-      p.Page.pkey <- pkey;
-      p.Page.populated <- false;
-      (match p.Page.store with
-      | Some b -> Bytes.fill b 0 Page.size '\000'
-      | None -> ());
-      p
-  | [] -> Page.create ~perm ~pkey ()
+  let n = pool.pp_len - 1 in
+  if n < 0 then Page.create ~perm ~pkey ()
+  else begin
+    let p = pool.pp_items.(n) in
+    pool.pp_items.(n) <- blank_page;
+    pool.pp_len <- n;
+    p.Page.perm <- perm;
+    p.Page.pkey <- pkey;
+    p.Page.populated <- false;
+    (match p.Page.store with
+    | Some b -> Bytes.fill b 0 Page.size '\000'
+    | None -> ());
+    p
+  end
 
 let release_page p =
   let pool = Domain.DLS.get page_pool_key in
-  if pool.pp_len < page_pool_cap then begin
-    pool.pp_items <- p :: pool.pp_items;
-    pool.pp_len <- pool.pp_len + 1
+  let n = pool.pp_len in
+  if n < page_pool_cap then begin
+    if n = Array.length pool.pp_items then begin
+      let grown = Array.make (Stdlib.min page_pool_cap (Stdlib.max 64 (2 * n))) blank_page in
+      Array.blit pool.pp_items 0 grown 0 n;
+      pool.pp_items <- grown
+    end;
+    pool.pp_items.(n) <- p;
+    pool.pp_len <- n + 1
   end
 
+(* Every TLB slot starts out holding [never_hit], one entry shared by
+   every address space on every domain: [e_vpn = -1] matches no
+   lookup, so it can never hit and its page is never accessed.  A
+   slot gets its own record on its first miss ([tlb_miss]), so
+   creating a space allocates the slot array only, and a space that
+   touches a handful of pages allocates a handful of entries.  Nothing
+   writes [never_hit]: [tlb_miss] replaces it before filling, and
+   [recycle] scrubs only filled entries. *)
+let never_hit =
+  {
+    e_vpn = -1;
+    e_gen = -1;
+    e_pkru = 0;
+    e_page = blank_page;
+    e_data = blank_data;
+    e_read = false;
+    e_write = false;
+    e_exec = false;
+  }
+
+let tlb_never_hit_intact () =
+  never_hit.e_vpn = -1 && never_hit.e_gen = -1 && never_hit.e_pkru = 0
+  && never_hit.e_page == blank_page && never_hit.e_data == blank_data
+  && (not never_hit.e_read) && (not never_hit.e_write) && not never_hit.e_exec
+
 let create ?(tlb = true) () =
-  let dummy_page = Page.create () in
-  let dummy_data = Bytes.create 0 in
   {
     pages = Hashtbl.create 64;
     regions = [];
@@ -118,18 +157,7 @@ let create ?(tlb = true) () =
     demand_faults = 0;
     accesses = 0;
     tlb_enabled = tlb;
-    tlb =
-      Array.init tlb_size (fun _ ->
-          {
-            e_vpn = -1;
-            e_gen = -1;
-            e_pkru = 0;
-            e_page = dummy_page;
-            e_data = dummy_data;
-            e_read = false;
-            e_write = false;
-            e_exec = false;
-          });
+    tlb = Array.make tlb_size never_hit;
     generation = 0;
     tlb_misses = 0;
     tlb_flushes = 0;
@@ -141,16 +169,10 @@ let fault addr kind = raise (Fault { addr; kind })
 (* Rewind to the freshly-created empty state, reusing the page table
    and TLB arena.  Deliberately counter-silent: destroying a space and
    creating a new one touches no global counter either, and recycled
-   WFDs must be indistinguishable from destroy + create.  TLB entries
-   are scrubbed (not just generation-invalidated) so a pooled space
-   does not pin the dead request's pages. *)
-(* Shared scrub targets for recycled TLB entries: a scrubbed entry can
-   never hit ([e_vpn = -1] matches no lookup, [e_gen = -1] matches no
-   bumped generation), so the page is never accessed — one immutable
-   placeholder serves every address space on every domain. *)
-let scrub_page = Page.create ()
-let scrub_data = Bytes.create 0
-
+   WFDs must be indistinguishable from destroy + create.  Filled TLB
+   entries are kept (a recycled space refills them without allocating)
+   but scrubbed to the never-hit state, not just generation-invalidated,
+   so a pooled space does not pin the dead request's pages. *)
 let recycle t =
   Hashtbl.iter (fun _ p -> release_page p) t.pages;
   Hashtbl.reset t.pages;
@@ -163,17 +185,17 @@ let recycle t =
   t.tlb_misses <- 0;
   t.tlb_flushes <- 0;
   t.tlb_hits_pushed <- 0;
-  (* Drop heap references so a pooled shell pins no dead pages.  Only
-     entries that ever held a real translation ([e_vpn >= 0]) need
-     scrubbing; permission bits are left stale because they are only
+  (* Only entries that ever held a real translation ([e_vpn >= 0])
+     need scrubbing, which also skips every slot still holding
+     [never_hit]; permission bits are left stale because they are only
      consulted after a vpn+generation match, which can't happen. *)
   Array.iter
     (fun e ->
       if e.e_vpn >= 0 then begin
         e.e_vpn <- -1;
         e.e_gen <- -1;
-        e.e_page <- scrub_page;
-        e.e_data <- scrub_data
+        e.e_page <- blank_page;
+        e.e_data <- blank_data
       end)
     t.tlb
 
@@ -193,56 +215,76 @@ let flush_tlb t =
   t.tlb_flushes <- t.tlb_flushes + 1;
   Sim.Stats.Counter.incr c_tlb_flush
 
-let find_region t vpn =
-  let rec go = function
-    | [] -> None
-    | r :: rest -> if vpn >= r.r_first && vpn <= r.r_last then Some r else go rest
-  in
-  go t.regions
+(* The region holding a vpn, or [no_region] (which holds none). *)
+let no_region = { r_first = 1; r_last = 0; r_perm = Page.rw; r_pkey = Prot.default_key }
+
+let rec region_of vpn = function
+  | [] -> no_region
+  | r :: rest -> if vpn >= r.r_first && vpn <= r.r_last then r else region_of vpn rest
 
 (* First mapped vpn in [first, last], in ascending order, considering
-   every region — used to reproduce map's historical conflict report. *)
-let first_mapped_vpn_in t ~first ~last =
-  List.fold_left
-    (fun acc r ->
-      if r.r_last < first || r.r_first > last then acc
+   every region — used to reproduce map's historical conflict report.
+   -1 when the range is free. *)
+let rec first_mapped_vpn_in ~first ~last best = function
+  | [] -> best
+  | r :: rest ->
+      if r.r_last < first || r.r_first > last then first_mapped_vpn_in ~first ~last best rest
       else
         let v = Stdlib.max r.r_first first in
-        match acc with Some best when best <= v -> acc | _ -> Some v)
-    None t.regions
+        first_mapped_vpn_in ~first ~last (if best >= 0 && best <= v then best else v) rest
 
-let map t ~addr ~len ?(perm = Page.rw) ?(pkey = Prot.default_key) () =
+let map t ~addr ~len ~perm ~pkey =
   if addr land (Page.size - 1) <> 0 then
     invalid_arg "Address_space.map: addr not page aligned";
   if len <= 0 then invalid_arg "Address_space.map: len must be positive";
   let first = Page.vpn_of_addr addr in
   let count = Page.count_for len in
   let last = first + count - 1 in
-  (match first_mapped_vpn_in t ~first ~last with
-  | Some vpn ->
-      invalid_arg
-        (Printf.sprintf "Address_space.map: page 0x%x already mapped"
-           (Page.addr_of_vpn vpn))
-  | None -> ());
+  let vpn = first_mapped_vpn_in ~first ~last (-1) t.regions in
+  if vpn >= 0 then
+    invalid_arg
+      (Printf.sprintf "Address_space.map: page 0x%x already mapped" (Page.addr_of_vpn vpn));
   t.regions <- { r_first = first; r_last = last; r_perm = perm; r_pkey = pkey } :: t.regions;
   t.total_pages <- t.total_pages + count;
   flush_tlb t
+
+(* Drop [first, last] from the region list, splitting regions it
+   covers part of.  The list is rebuilt only up to the last region the
+   range touches; the untouched tail is shared, so unmapping the most
+   recent mapping allocates nothing. *)
+let rec cut_regions t ~first ~last = function
+  | [] -> []
+  | r :: rest as regions ->
+      let rest' = cut_regions t ~first ~last rest in
+      if r.r_last < first || r.r_first > last then
+        if rest' == rest then regions else r :: rest'
+      else begin
+        let inter_first = Stdlib.max r.r_first first in
+        let inter_last = Stdlib.min r.r_last last in
+        t.total_pages <- t.total_pages - (inter_last - inter_first + 1);
+        let rest' =
+          if r.r_last > inter_last then { r with r_first = inter_last + 1 } :: rest' else rest'
+        in
+        if r.r_first < inter_first then { r with r_last = inter_first - 1 } :: rest'
+        else rest'
+      end
 
 let unmap t ~addr ~len =
   let first = Page.vpn_of_addr addr in
   let count = Page.count_for len in
   if count > 0 then begin
     let last = first + count - 1 in
-    (* Drop materialised pages in range.  For ranges much larger than
-       the materialised set (slot teardown: hundreds of thousands of
-       vpns, a handful of touched pages) scan the table instead. *)
-    if count <= 2 * Hashtbl.length t.pages then
+    (* Drop materialised pages in range, probing vpn by vpn.  For
+       ranges much larger than the materialised set (slot teardown:
+       hundreds of thousands of vpns, a handful of touched pages) scan
+       the table instead. *)
+    if count <= Stdlib.max 64 (2 * Hashtbl.length t.pages) then
       for vpn = first to last do
-        match Hashtbl.find_opt t.pages vpn with
-        | Some p ->
+        match Hashtbl.find t.pages vpn with
+        | p ->
             Hashtbl.remove t.pages vpn;
             release_page p
-        | None -> ()
+        | exception Not_found -> ()
       done
     else begin
       let doomed =
@@ -256,55 +298,40 @@ let unmap t ~addr ~len =
           release_page p)
         doomed
     end;
-    (* Shrink / split region coverage. *)
-    let keep = ref [] in
-    List.iter
-      (fun r ->
-        if r.r_last < first || r.r_first > last then keep := r :: !keep
-        else begin
-          let inter_first = Stdlib.max r.r_first first in
-          let inter_last = Stdlib.min r.r_last last in
-          t.total_pages <- t.total_pages - (inter_last - inter_first + 1);
-          if r.r_first < inter_first then
-            keep := { r with r_last = inter_first - 1 } :: !keep;
-          if r.r_last > inter_last then
-            keep := { r with r_first = inter_last + 1 } :: !keep
-        end)
-      t.regions;
-    t.regions <- !keep;
+    t.regions <- cut_regions t ~first ~last t.regions;
     flush_tlb t
   end
 
-let is_mapped t addr = find_region t (Page.vpn_of_addr addr) <> None
+let is_mapped t addr = region_of (Page.vpn_of_addr addr) t.regions != no_region
 
 let page_count t = t.total_pages
 let mapped_bytes t = t.total_pages * Page.size
 
-(* Materialise (or fetch) the page backing a vpn. *)
-let lookup_vpn t vpn =
-  match Hashtbl.find_opt t.pages vpn with
-  | Some _ as found -> found
-  | None -> (
-      match find_region t vpn with
-      | None -> None
-      | Some r ->
-          let p = acquire_page ~perm:r.r_perm ~pkey:r.r_pkey in
-          Hashtbl.replace t.pages vpn p;
-          Some p)
+(* The page backing a vpn, materialised on first touch, or
+   [blank_page] when the vpn is unmapped. *)
+let page_of_vpn t vpn =
+  match Hashtbl.find t.pages vpn with
+  | p -> p
+  | exception Not_found ->
+      let r = region_of vpn t.regions in
+      if r == no_region then blank_page
+      else begin
+        let p = acquire_page ~perm:r.r_perm ~pkey:r.r_pkey in
+        Hashtbl.replace t.pages vpn p;
+        p
+      end
 
 let get_page t addr =
-  match lookup_vpn t (Page.vpn_of_addr addr) with
-  | Some p -> p
-  | None -> fault addr Unmapped
+  let p = page_of_vpn t (Page.vpn_of_addr addr) in
+  if p == blank_page then fault addr Unmapped else p
 
 let iter_range t ~addr ~len f =
   if len > 0 then begin
     let first = Page.vpn_of_addr addr in
     let last = Page.vpn_of_addr (addr + len - 1) in
     for vpn = first to last do
-      match lookup_vpn t vpn with
-      | Some p -> f vpn p
-      | None -> fault (Page.addr_of_vpn vpn) Unmapped
+      let p = page_of_vpn t vpn in
+      if p == blank_page then fault (Page.addr_of_vpn vpn) Unmapped else f vpn p
     done
   end
 
@@ -347,15 +374,28 @@ let slow_checked_page t ~pkru addr access =
   serve_demand_fault t addr page;
   page
 
-(* TLB miss: walk, then refill the direct-mapped slot.  The page is
+(* TLB miss: walk, then refill the direct-mapped slot, giving the slot
+   its own entry if it still holds the shared [never_hit].  The page is
    populated by the time it enters the TLB (the walk served any demand
-   fault), so hits can never skip a pending demand-zero fill. *)
-let tlb_miss t e ~pkru addr access =
+   fault), so hits can never skip a pending demand-zero fill.  The walk
+   runs first, so a faulting access leaves the slot as it was. *)
+let tlb_miss t ~pkru addr access =
   t.tlb_misses <- t.tlb_misses + 1;
   Sim.Stats.Counter.incr c_tlb_miss;
   let page = slow_checked_page t ~pkru addr access in
   t.accesses <- t.accesses + 1;
-  e.e_vpn <- Page.vpn_of_addr addr;
+  let vpn = addr lsr Page.shift in
+  let slot = vpn land tlb_mask in
+  let e =
+    let e = Array.unsafe_get t.tlb slot in
+    if e != never_hit then e
+    else begin
+      let e = { never_hit with e_vpn = -1 } in
+      Array.unsafe_set t.tlb slot e;
+      e
+    end
+  in
+  e.e_vpn <- vpn;
   e.e_gen <- t.generation;
   e.e_pkru <- Prot.bits pkru;
   e.e_page <- page;
@@ -383,7 +423,7 @@ let checked_page t ~pkru addr access =
       tlb_hit t;
       e.e_page
     end
-    else tlb_miss t e ~pkru addr access
+    else tlb_miss t ~pkru addr access
   end
   else begin
     let page = slow_checked_page t ~pkru addr access in
@@ -394,11 +434,7 @@ let checked_page t ~pkru addr access =
 (* Byte access slow paths, kept out of line so the [@inline] fast
    paths below stay small enough to inline into callers. *)
 let load_byte_slow t ~pkru addr off =
-  if t.tlb_enabled then begin
-    let vpn = addr lsr Page.shift in
-    let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-    Bytes.get (Page.data (tlb_miss t e ~pkru addr Prot.Read)) off
-  end
+  if t.tlb_enabled then Bytes.get (Page.data (tlb_miss t ~pkru addr Prot.Read)) off
   else begin
     let page = slow_checked_page t ~pkru addr Prot.Read in
     t.accesses <- t.accesses + 1;
@@ -407,9 +443,7 @@ let load_byte_slow t ~pkru addr off =
 
 let store_byte_slow t ~pkru addr off c =
   if t.tlb_enabled then begin
-    let vpn = addr lsr Page.shift in
-    let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-    let page = tlb_miss t e ~pkru addr Prot.Write in
+    let page = tlb_miss t ~pkru addr Prot.Write in
     page.Page.populated <- true;
     Bytes.set (Page.data page) off c
   end
@@ -520,12 +554,11 @@ let check_exec t ~pkru addr = ignore (checked_page t ~pkru addr Prot.Execute)
 let set_fault_handler t h = t.fault_handler <- h
 
 let populate_page t ~vpn data =
-  match lookup_vpn t vpn with
-  | None -> fault (Page.addr_of_vpn vpn) Unmapped
-  | Some page ->
-      let n = Stdlib.min (Bytes.length data) Page.size in
-      Bytes.blit data 0 (Page.data page) 0 n;
-      page.Page.populated <- true
+  let page = page_of_vpn t vpn in
+  if page == blank_page then fault (Page.addr_of_vpn vpn) Unmapped;
+  let n = Stdlib.min (Bytes.length data) Page.size in
+  Bytes.blit data 0 (Page.data page) 0 n;
+  page.Page.populated <- true
 
 let touched_fault_count t = t.demand_faults
 

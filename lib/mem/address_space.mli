@@ -24,24 +24,30 @@ val create : ?tlb:bool -> unit -> t
     {!map}/{!unmap}/{!mprotect}/{!pkey_mprotect}) that lets repeated
     accesses skip the page walk and permission/PKRU re-check.  The TLB
     is a host-time optimisation only: fault behaviour, access counts
-    and demand-paging semantics are identical with it off. *)
+    and demand-paging semantics are identical with it off.
+
+    Creating a space allocates its 256-slot TLB array and nothing per
+    slot: every slot starts on one never-hit entry shared by all
+    spaces, which nothing ever writes, and a slot gets its own entry on
+    its first miss. *)
 
 val recycle : t -> unit
 (** Rewind to the freshly-created empty state in place, reusing the
     page-table and TLB storage: all mappings, materialised pages, the
     fault handler and every per-space counter are dropped, and every
-    TLB entry is scrubbed.  Counter-silent — global [mem.tlb.*]
-    counters behave exactly as if the space had been destroyed and a
-    new one created — so WFD recycling stays indistinguishable from
-    clone-then-destroy. *)
+    filled TLB entry is scrubbed so it can never hit (it is kept, so
+    the recycled space refills it without allocating).  Counter-silent
+    — global [mem.tlb.*] counters behave exactly as if the space had
+    been destroyed and a new one created — so WFD recycling stays
+    indistinguishable from clone-then-destroy. *)
 
 (** {1 Mapping} *)
 
-val map :
-  t -> addr:int -> len:int -> ?perm:Page.perm -> ?pkey:Prot.key -> unit -> unit
-(** Map zeroed pages over [addr, addr+len) (page aligned; [addr] must be
-    page aligned).  Raises [Invalid_argument] if any page in the range is
-    already mapped. *)
+val map : t -> addr:int -> len:int -> perm:Page.perm -> pkey:Prot.key -> unit
+(** Map zeroed pages with permissions [perm] and key [pkey] over
+    [addr, addr+len) (page aligned; [addr] must be page aligned).
+    Raises [Invalid_argument] if any page in the range is already
+    mapped.  Allocates one region record, and nothing per page. *)
 
 val unmap : t -> addr:int -> len:int -> unit
 (** Unmap every mapped page in the range; unmapped holes are ignored. *)
@@ -131,3 +137,8 @@ val tlb_miss_count : t -> int
 
 val tlb_flush_count : t -> int
 (** Number of generation bumps (whole-TLB invalidations). *)
+
+val tlb_never_hit_intact : unit -> bool
+(** The shared never-hit entry still holds its initial contents — the
+    invariant every TLB slot's first lookup relies on (checked by the
+    tests after arbitrary access streams). *)

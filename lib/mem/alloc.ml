@@ -14,17 +14,30 @@ let create ?fault ~base ~size () =
 
 let align_up addr align = (addr + align - 1) land lnot (align - 1)
 
-(* In-hole placement: returns (padding, usable) if the hole can serve an
-   aligned block of [size]. *)
-let fit hole ~size ~align =
-  let aligned = align_up hole.addr align in
-  let padding = aligned - hole.addr in
-  if padding + size <= hole.size then Some padding else None
-
 let injected_failure t =
   match t.fault with
   | Some plan -> Sim.Fault.check plan ~site:Sim.Fault.site_mem_alloc
   | None -> false
+
+(* The first hole that can serve an aligned block of [size], or [None]
+   when none can. *)
+let rec first_fit ~size ~align = function
+  | [] -> None
+  | h :: rest ->
+      if align_up h.addr align - h.addr + size <= h.size then Some h
+      else first_fit ~size ~align rest
+
+(* [holes] with [hole] replaced by the non-empty ones of its remainders
+   [before] and [after] (a record only for a non-empty remainder). *)
+let rec replace_hole (hole : hole) ~padding ~size = function
+  | [] -> []
+  | (h : hole) :: rest when h.addr = hole.addr ->
+      let tail = hole.size - padding - size in
+      let rest =
+        if tail > 0 then { addr = hole.addr + padding + size; size = tail } :: rest else rest
+      in
+      if padding > 0 then { addr = hole.addr; size = padding } :: rest else rest
+  | h :: rest -> h :: replace_hole hole ~padding ~size rest
 
 let alloc t ~size ~align =
   if size <= 0 then invalid_arg "Alloc.alloc: size must be positive";
@@ -32,31 +45,14 @@ let alloc t ~size ~align =
     invalid_arg "Alloc.alloc: align must be a positive power of two";
   if injected_failure t then None
   else
-  let chosen =
-    List.find_map
-      (fun h -> match fit h ~size ~align with Some pad -> Some (h, pad) | None -> None)
-      t.holes
-  in
-  match chosen with
-  | None -> None
-  | Some (hole, padding) ->
-      let addr = hole.addr + padding in
-      (* Replace the hole with up to two remainders: the padding before
-         the block and the tail after it. *)
-      let before = { addr = hole.addr; size = padding } in
-      let after =
-        { addr = addr + size; size = hole.size - padding - size }
-      in
-      let keep (h : hole) = h.size > 0 in
-      let rec replace = function
-        | [] -> []
-        | h :: rest when h.addr = hole.addr ->
-            List.filter keep [ before; after ] @ rest
-        | h :: rest -> h :: replace rest
-      in
-      t.holes <- replace t.holes;
-      Hashtbl.replace t.live addr size;
-      Some addr
+    match first_fit ~size ~align t.holes with
+    | None -> None
+    | Some hole ->
+        let padding = align_up hole.addr align - hole.addr in
+        let addr = hole.addr + padding in
+        t.holes <- replace_hole hole ~padding ~size t.holes;
+        Hashtbl.replace t.live addr size;
+        Some addr
 
 let insert_coalesced holes hole =
   (* Keep address order; merge with adjacent holes. *)
@@ -76,9 +72,10 @@ let insert_coalesced holes hole =
   go holes
 
 let free t addr =
-  match Hashtbl.find_opt t.live addr with
-  | None -> invalid_arg (Printf.sprintf "Alloc.free: 0x%x is not a live block" addr)
-  | Some size ->
+  match Hashtbl.find t.live addr with
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Alloc.free: 0x%x is not a live block" addr)
+  | size ->
       Hashtbl.remove t.live addr;
       t.holes <- insert_coalesced t.holes { addr; size }
 

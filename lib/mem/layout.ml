@@ -17,22 +17,24 @@ let slot_base = 0x9000_0000
 let slot_size = mib 768
 let function_slot_count = 64
 
-let function_slot i =
+(* Every slot's regions, built once: a spawn maps them per function
+   instance, and a lookup must not allocate a record each time. *)
+let slots =
+  Array.init function_slot_count (fun i -> { base = slot_base + (i * slot_size); size = slot_size })
+
+let codes = Array.map (fun s -> { base = s.base; size = mib 8 }) slots
+let heaps = Array.map (fun s -> { base = s.base + mib 8; size = mib 752 }) slots
+let stacks = Array.map (fun s -> { base = s.base + mib 760; size = mib 8 }) slots
+
+let slot_region table i =
   if i < 0 || i >= function_slot_count then
     invalid_arg "Layout.function_slot: slot index out of range";
-  { base = slot_base + (i * slot_size); size = slot_size }
+  Array.unsafe_get table i
 
-let function_code i =
-  let s = function_slot i in
-  { base = s.base; size = mib 8 }
-
-let function_heap i =
-  let s = function_slot i in
-  { base = s.base + mib 8; size = mib 752 }
-
-let function_stack i =
-  let s = function_slot i in
-  { base = s.base + mib 760; size = mib 8 }
+let function_slot i = slot_region slots i
+let function_code i = slot_region codes i
+let function_heap i = slot_region heaps i
+let function_stack i = slot_region stacks i
 
 let slot_of_addr addr =
   if addr < slot_base then None

@@ -9,36 +9,30 @@ let key_of_int i =
 let key_to_int k = k
 
 (* PKRU layout: bits (2k) = AD (access disable), (2k+1) = WD (write
-   disable) for key k, matching the Intel SDM. *)
-type pkru = int32
+   disable) for key k, matching the Intel SDM.  The 32-bit word lives
+   in the low bits of an immediate [int], so building and testing a
+   rights word never boxes. *)
+type pkru = int
 
-let pkru_allow_all = 0l
+let pkru_allow_all = 0
+let pkru_deny_all = 0xFFFF_FFFF
 
-let ad_bit k = Int32.shift_left 1l (2 * k)
-let wd_bit k = Int32.shift_left 1l ((2 * k) + 1)
+let[@inline] ad_bit k = 1 lsl (2 * k)
+let[@inline] wd_bit k = 1 lsl ((2 * k) + 1)
 
-let deny p k = Int32.logor p (Int32.logor (ad_bit k) (wd_bit k))
+let deny p k = p lor ad_bit k lor wd_bit k
+let allow p k = p land lnot (ad_bit k lor wd_bit k)
+let deny_write p k = allow p k lor wd_bit k
 
-let allow p k =
-  Int32.logand p (Int32.lognot (Int32.logor (ad_bit k) (wd_bit k)))
+let pkru_deny_all_except keys = List.fold_left allow pkru_deny_all keys
 
-let deny_write p k = Int32.logor (allow p k) (wd_bit k)
+let can_read p k = p land ad_bit k = 0
+let can_write p k = p land (ad_bit k lor wd_bit k) = 0
 
-let pkru_deny_all_except keys =
-  let all_denied =
-    List.fold_left (fun p k -> deny p k) pkru_allow_all (List.init 16 Fun.id)
-  in
-  List.fold_left allow all_denied keys
+let to_int32 p = Int32.of_int p
+let[@inline] bits p = p
 
-let can_read p k = Int32.logand p (ad_bit k) = 0l
-
-let can_write p k =
-  Int32.logand p (Int32.logor (ad_bit k) (wd_bit k)) = 0l
-
-let to_int32 p = p
-let[@inline] bits p = Int32.to_int p
-
-let equal_pkru = Int32.equal
+let equal_pkru = Int.equal
 
 type access = Read | Write | Execute
 

@@ -21,7 +21,9 @@ val key_of_int : int -> key
 val key_to_int : key -> int
 
 type pkru
-(** Value of the PKRU register: a 32-bit rights word. *)
+(** Value of the PKRU register: a 32-bit rights word, held unboxed in
+    an immediate [int] (bits 0..31), so building, copying and
+    comparing rights words allocates nothing. *)
 
 val pkru_allow_all : pkru
 (** All keys readable and writable (PKRU = 0). *)
@@ -44,10 +46,11 @@ val can_read : pkru -> key -> bool
 val can_write : pkru -> key -> bool
 
 val to_int32 : pkru -> int32
+(** The register value: deny-all is [-1l]. *)
 
 val bits : pkru -> int
-(** The rights word as an immediate (unboxed) integer — lets hot paths
-    compare PKRUs without a boxed [int32] equality. *)
+(** The rights word as an immediate integer in [0, 2{^32}): hot paths
+    compare and store it without boxing. *)
 
 val equal_pkru : pkru -> pkru -> bool
 

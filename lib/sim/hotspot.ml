@@ -3,9 +3,9 @@
    Sections are *host* accumulators: they measure where the simulator
    itself spends real time (WFD cloning, scheduler pool churn,
    admission hashing, ...) and real allocation, never virtual time.
-   Profiling is off by default; a disabled [with_section] is one atomic
-   load and a branch, so instrumentation can stay in hot paths
-   permanently.
+   Profiling is off by default; a disabled [enter]/[leave] pair is one
+   atomic load, a branch and a physical comparison, and allocates
+   nothing, so instrumentation can stay in hot paths permanently.
 
    When enabled, each section additionally records the GC's
    allocated-words deltas across the section body (one [Gc.counters]
@@ -25,8 +25,10 @@
    instrumented workload is quiescent (e.g. after a bench run), since
    worker domains write their tables without locks. *)
 
+(* All fields are floats (the count too, exact to 2^53), so the record
+   is stored flat and updating it boxes nothing. *)
 type cell = {
-  mutable c_count : int;
+  mutable c_count : float;
   mutable c_ns : float;
   mutable c_minor : float;
   mutable c_major : float;
@@ -62,30 +64,64 @@ let cell_of tbl name =
   match Hashtbl.find_opt tbl name with
   | Some c -> c
   | None ->
-      let c = { c_count = 0; c_ns = 0.0; c_minor = 0.0; c_major = 0.0 } in
+      let c = { c_count = 0.0; c_ns = 0.0; c_minor = 0.0; c_major = 0.0 } in
       Hashtbl.add tbl name c;
       c
+
+(* An open section: the cell it charges and the host clock and GC
+   counters at entry.  [off] stands for every section opened while
+   profiling is disabled, so [enter] allocates nothing then and
+   [leave] is one physical comparison. *)
+type section = {
+  s_cell : cell;
+  s_t0 : float;
+  s_min0 : float;
+  s_pro0 : float;
+  s_maj0 : float;
+}
+
+let off =
+  {
+    s_cell = { c_count = 0.0; c_ns = 0.0; c_minor = 0.0; c_major = 0.0 };
+    s_t0 = 0.0;
+    s_min0 = 0.0;
+    s_pro0 = 0.0;
+    s_maj0 = 0.0;
+  }
+
+let enter name =
+  if not (Atomic.get enabled_flag) then off
+  else begin
+    let cell = cell_of (Domain.DLS.get local) name in
+    let min0, pro0, maj0 = Gc.counters () in
+    { s_cell = cell; s_t0 = now_ns (); s_min0 = min0; s_pro0 = pro0; s_maj0 = maj0 }
+  end
 
 (* Sections nest: a parent's total includes its children (inclusive
    timing and inclusive allocation), so sibling sections partition
    their parent but the sum over *all* sections can exceed the
    end-to-end wall time or allocation. *)
-let with_section name f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let cell = cell_of (Domain.DLS.get local) name in
-    let min0, pro0, maj0 = Gc.counters () in
-    let t0 = now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = now_ns () in
-        let min1, pro1, maj1 = Gc.counters () in
-        cell.c_count <- cell.c_count + 1;
-        cell.c_ns <- cell.c_ns +. (t1 -. t0);
-        cell.c_minor <- cell.c_minor +. (min1 -. min0);
-        cell.c_major <- cell.c_major +. (maj1 -. pro1 -. (maj0 -. pro0)))
-      f
+let leave s =
+  if s != off then begin
+    let t1 = now_ns () in
+    let min1, pro1, maj1 = Gc.counters () in
+    let cell = s.s_cell in
+    cell.c_count <- cell.c_count +. 1.0;
+    cell.c_ns <- cell.c_ns +. (t1 -. s.s_t0);
+    cell.c_minor <- cell.c_minor +. (min1 -. s.s_min0);
+    cell.c_major <- cell.c_major +. (maj1 -. pro1 -. (s.s_maj0 -. s.s_pro0))
   end
+
+let with_section name f =
+  let s = enter name in
+  match f () with
+  | v ->
+      leave s;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave s;
+      Printexc.raise_with_backtrace e bt
 
 let snapshot () =
   let merged : (string, cell) Hashtbl.t = Hashtbl.create 32 in
@@ -95,7 +131,7 @@ let snapshot () =
           Hashtbl.iter
             (fun name (c : cell) ->
               let m = cell_of merged name in
-              m.c_count <- m.c_count + c.c_count;
+              m.c_count <- m.c_count +. c.c_count;
               m.c_ns <- m.c_ns +. c.c_ns;
               m.c_minor <- m.c_minor +. c.c_minor;
               m.c_major <- m.c_major +. c.c_major)
@@ -105,7 +141,7 @@ let snapshot () =
     (fun name (c : cell) acc ->
       {
         hs_name = name;
-        hs_count = c.c_count;
+        hs_count = int_of_float c.c_count;
         hs_total_ns = c.c_ns;
         hs_minor_words = c.c_minor;
         hs_major_words = c.c_major;

@@ -3,9 +3,12 @@
 
     This measures where the *simulator* spends host time and host
     allocation — it never touches virtual clocks, so enabling it cannot
-    change any simulated result.  Disabled (the default),
-    {!with_section} costs one atomic load and a branch, so call sites
-    stay in hot paths permanently. *)
+    change any simulated result.  Disabled (the default), an
+    {!enter}/{!leave} pair costs one atomic load, a branch and a
+    physical comparison and allocates nothing, so call sites stay in
+    hot paths permanently.  The program's own call sites use that
+    pair; {!with_section} is the same section around a thunk, whose
+    closure the caller allocates whether profiling is on or not. *)
 
 type entry = {
   hs_name : string;
@@ -29,6 +32,23 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Turn profiling on or off globally (all domains). *)
+
+type section
+(** An open section. *)
+
+val enter : string -> section
+(** Open a section named [name] on the calling domain.  When profiling
+    is disabled this returns a shared placeholder and allocates
+    nothing; when enabled it reads the host clock and the GC counters
+    (the counters' result tuple and the section record are charged to
+    the enclosing section). *)
+
+val leave : section -> unit
+(** Close a section opened by {!enter}, charging its host duration and
+    allocated words to its name.  A no-op for a section opened while
+    profiling was disabled.  Every [enter] should be matched by one
+    [leave] on the same domain, exception paths included, or the
+    section is never charged. *)
 
 val with_section : string -> (unit -> 'a) -> 'a
 (** [with_section name f] runs [f], charging its host duration and

@@ -32,9 +32,10 @@ type histo = {
   buckets : int array;  (* 64 log2 buckets; index via [bucket_index] *)
   samples : Stats.t;  (* raw reservoir for percentiles; may be thinned *)
   mutable h_count : int;  (* also the reservoir offers, kept or not *)
-  mutable h_sum : float;
-  mutable h_min : float;  (* infinity when empty *)
-  mutable h_max : float;  (* neg_infinity when empty *)
+  h_agg : float array;
+      (* [| sum; min; max |] (min infinity and max neg_infinity when
+         empty), in a flat float array so an observation boxes
+         nothing *)
   mutable h_sketch : Sketch.Tdigest.t option;
       (* full-population digest, allocated on the first thinned
          observation; [None] at k = 1 so the default path never touches
@@ -66,17 +67,15 @@ let set_raw_sample_every ?(seed = 0) every =
   r.r_phase <- ((seed mod every) + every) mod every
 
 let histo_cell r name =
-  match Hashtbl.find_opt r.r_histograms name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find r.r_histograms name with
+  | h -> h
+  | exception Not_found ->
       let h =
         {
           buckets = Array.make 64 0;
           samples = Stats.create ();
           h_count = 0;
-          h_sum = 0.0;
-          h_min = infinity;
-          h_max = neg_infinity;
+          h_agg = [| 0.0; infinity; neg_infinity |];
           h_sketch = None;
         }
       in
@@ -143,9 +142,10 @@ let observe_cell r (cell : histo) v =
   if r.r_every <= 1 || cell.h_count mod r.r_every = r.r_phase then
     Stats.add cell.samples v;
   cell.h_count <- cell.h_count + 1;
-  cell.h_sum <- cell.h_sum +. v;
-  if v < cell.h_min then cell.h_min <- v;
-  if v > cell.h_max then cell.h_max <- v;
+  let agg = cell.h_agg in
+  agg.(0) <- agg.(0) +. v;
+  if v < agg.(1) then agg.(1) <- v;
+  if v > agg.(2) then agg.(2) <- v;
   if r.r_every > 1 then begin
     let d =
       match cell.h_sketch with
@@ -219,9 +219,9 @@ let snapshot_histogram name (h : histo) =
   {
     hs_name = name;
     hs_count = h.h_count;
-    hs_sum = h.h_sum;
-    hs_min = (if empty then 0.0 else h.h_min);
-    hs_max = (if empty then 0.0 else h.h_max);
+    hs_sum = h.h_agg.(0);
+    hs_min = (if empty then 0.0 else h.h_agg.(1));
+    hs_max = (if empty then 0.0 else h.h_agg.(2));
     hs_p50 = pct 50.0;
     hs_p90 = pct 90.0;
     hs_p99 = pct 99.0;
@@ -245,9 +245,9 @@ let clear_cell (h : histo) =
   Array.fill h.buckets 0 64 0;
   Stats.clear h.samples;
   h.h_count <- 0;
-  h.h_sum <- 0.0;
-  h.h_min <- infinity;
-  h.h_max <- neg_infinity;
+  h.h_agg.(0) <- 0.0;
+  h.h_agg.(1) <- infinity;
+  h.h_agg.(2) <- neg_infinity;
   match h.h_sketch with Some d -> Sketch.Tdigest.clear d | None -> ()
 
 let reset () =

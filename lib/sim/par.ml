@@ -32,7 +32,17 @@ let auto_domains () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
 (* --- Per-task collector shards ------------------------------------- *)
 
-type shard = { sh_span : Span.t; sh_trace : Trace.t; sh_metrics : Metrics.registry }
+(* [sh_saved_*] hold the collectors a shard displaced while it is
+   installed ([enter_shard] to [leave_shard]), so installing one
+   allocates nothing.  A shard is installed at most once at a time. *)
+type shard = {
+  sh_span : Span.t;
+  sh_trace : Trace.t;
+  sh_metrics : Metrics.registry;
+  mutable sh_saved_span : Span.t;
+  mutable sh_saved_trace : Trace.t;
+  mutable sh_saved_metrics : Metrics.registry;
+}
 
 type shard_config = { cfg_span_on : bool; cfg_trace_on : bool }
 
@@ -49,21 +59,42 @@ let make_shard cfg =
   Span.set_enabled sp cfg.cfg_span_on;
   let tr = Trace.create () in
   Trace.set_enabled tr cfg.cfg_trace_on;
-  { sh_span = sp; sh_trace = tr; sh_metrics = Metrics.create_registry () }
+  let reg = Metrics.create_registry () in
+  {
+    sh_span = sp;
+    sh_trace = tr;
+    sh_metrics = reg;
+    sh_saved_span = sp;
+    sh_saved_trace = tr;
+    sh_saved_metrics = reg;
+  }
 
-let with_shard shard f =
-  let old_span = Span.current () in
-  let old_trace = Trace.current () in
-  let old_metrics = Metrics.current () in
+let enter_shard shard =
+  shard.sh_saved_span <- Span.current ();
+  shard.sh_saved_trace <- Trace.current ();
+  shard.sh_saved_metrics <- Metrics.current ();
   Span.set_current shard.sh_span;
   Trace.set_current shard.sh_trace;
-  Metrics.set_current shard.sh_metrics;
-  Fun.protect
-    ~finally:(fun () ->
-      Span.set_current old_span;
-      Trace.set_current old_trace;
-      Metrics.set_current old_metrics)
-    f
+  Metrics.set_current shard.sh_metrics
+
+let leave_shard shard =
+  Span.set_current shard.sh_saved_span;
+  Trace.set_current shard.sh_saved_trace;
+  Metrics.set_current shard.sh_saved_metrics;
+  (* Drop the references, so a pooled shard pins no collector. *)
+  shard.sh_saved_span <- shard.sh_span;
+  shard.sh_saved_trace <- shard.sh_trace;
+  shard.sh_saved_metrics <- shard.sh_metrics
+
+let with_shard shard f =
+  enter_shard shard;
+  match f () with
+  | v ->
+      leave_shard shard;
+      v
+  | exception e ->
+      leave_shard shard;
+      raise e
 
 (* Fold a shard into the *current* collectors, shifting the shard's
    relative virtual times by [offset] and attaching its root spans
@@ -102,29 +133,27 @@ let scrub_shard sh =
   Metrics.reset_registry sh.sh_metrics
 
 let acquire_shard cfg =
-  let pooled =
-    Mutex.protect shard_pool_mu (fun () ->
-        match !shard_pool with
-        | sh :: rest ->
-            shard_pool := rest;
-            decr shard_pool_len;
-            Some sh
-        | [] -> None)
-  in
-  match pooled with
-  | Some sh ->
+  Mutex.lock shard_pool_mu;
+  match !shard_pool with
+  | sh :: rest ->
+      shard_pool := rest;
+      decr shard_pool_len;
+      Mutex.unlock shard_pool_mu;
       Span.set_enabled sh.sh_span cfg.cfg_span_on;
       Trace.set_enabled sh.sh_trace cfg.cfg_trace_on;
       sh
-  | None -> make_shard cfg
+  | [] ->
+      Mutex.unlock shard_pool_mu;
+      make_shard cfg
 
 let release_shard sh =
   scrub_shard sh;
-  Mutex.protect shard_pool_mu (fun () ->
-      if !shard_pool_len < shard_pool_cap then begin
-        shard_pool := sh :: !shard_pool;
-        incr shard_pool_len
-      end)
+  Mutex.lock shard_pool_mu;
+  if !shard_pool_len < shard_pool_cap then begin
+    shard_pool := sh :: !shard_pool;
+    incr shard_pool_len
+  end;
+  Mutex.unlock shard_pool_mu
 
 (* --- The pool ------------------------------------------------------ *)
 

@@ -52,7 +52,9 @@ let all = Prot.pkru_allow_all
 
 let fresh_mapped ?(len = 4096 * 4) ?perm ?pkey () =
   let aspace = Address_space.create () in
-  Address_space.map aspace ~addr:base ~len ?perm ?pkey ();
+  Address_space.map aspace ~addr:base ~len
+    ~perm:(Option.value perm ~default:Page.rw)
+    ~pkey:(Option.value pkey ~default:Prot.default_key);
   aspace
 
 let test_aspace_roundtrip () =
@@ -126,15 +128,15 @@ let test_aspace_pkey_mprotect () =
 
 let test_aspace_map_conflicts () =
   let aspace = fresh_mapped () in
-  (match Address_space.map aspace ~addr:base ~len:4096 () with
+  (match Address_space.map aspace ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key with
   | () -> Alcotest.fail "double map must fail"
   | exception Invalid_argument _ -> ());
-  (match Address_space.map aspace ~addr:(base + 1) ~len:4096 () with
+  (match Address_space.map aspace ~addr:(base + 1) ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key with
   | () -> Alcotest.fail "unaligned map must fail"
   | exception Invalid_argument _ -> ());
   Address_space.unmap aspace ~addr:base ~len:4096;
   (* Now the first page can be mapped again. *)
-  Address_space.map aspace ~addr:base ~len:4096 ();
+  Address_space.map aspace ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
   Alcotest.(check int) "page count stable" 4 (Address_space.page_count aspace)
 
 let test_aspace_blit_fill () =
@@ -168,7 +170,7 @@ let test_demand_paging () =
 let test_tlb_mprotect_revoke () =
   let run tlb =
     let a = Address_space.create ~tlb () in
-    Address_space.map a ~addr:base ~len:4096 ();
+    Address_space.map a ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
     Address_space.store_byte a ~pkru:all base 'a';
     ignore (Address_space.load_byte a ~pkru:all base);
     Address_space.mprotect a ~addr:base ~len:4096 Page.ro;
@@ -232,7 +234,7 @@ let test_tlb_unmap_revoke () =
 let test_tlb_demand_zero_once () =
   let run tlb =
     let a = Address_space.create ~tlb () in
-    Address_space.map a ~addr:base ~len:(4096 * 2) ();
+    Address_space.map a ~addr:base ~len:(4096 * 2) ~perm:Page.rw ~pkey:Prot.default_key;
     let served = ref 0 in
     Address_space.set_fault_handler a
       (Some
@@ -258,7 +260,7 @@ let test_tlb_demand_zero_once () =
 (* Exact hit/miss/flush accounting for a scripted access sequence. *)
 let test_tlb_counters () =
   let a = Address_space.create () in
-  Address_space.map a ~addr:base ~len:(4096 * 2) ();
+  Address_space.map a ~addr:base ~len:(4096 * 2) ~perm:Page.rw ~pkey:Prot.default_key;
   let f0 = Address_space.tlb_flush_count a in
   ignore (Address_space.load_byte a ~pkru:all base);
   (* miss *)
@@ -287,7 +289,7 @@ let test_tlb_counters () =
 let test_tlb_disabled_equivalence () =
   let run tlb =
     let a = Address_space.create ~tlb () in
-    Address_space.map a ~addr:base ~len:(4096 * 4) ();
+    Address_space.map a ~addr:base ~len:(4096 * 4) ~perm:Page.rw ~pkey:Prot.default_key;
     let data = Bytes.init 6000 (fun i -> Char.chr (i mod 256)) in
     Address_space.store_bytes a ~pkru:all base data;
     let got = Address_space.load_bytes a ~pkru:all base 6000 in
@@ -296,7 +298,7 @@ let test_tlb_disabled_equivalence () =
   in
   Alcotest.(check int) "access counts identical" (run false) (run true);
   let a = Address_space.create ~tlb:false () in
-  Address_space.map a ~addr:base ~len:4096 ();
+  Address_space.map a ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
   ignore (Address_space.load_byte a ~pkru:all base);
   ignore (Address_space.load_byte a ~pkru:all base);
   Alcotest.(check int) "no hits when disabled" 0 (Address_space.tlb_hit_count a);
@@ -466,11 +468,213 @@ let full_free_coalesces_property =
       List.iter (Alloc.free a) blocks;
       Alloc.hole_count a = 1 && Alloc.free_bytes a = 0x10000)
 
+(* --- PKRU against a 32-bit reference model --- *)
+
+(* The register as the SDM defines it, on [int32]: AD = bit 2k, WD =
+   bit 2k+1. *)
+module Pkru_ref = struct
+  let ad key = Int32.shift_left 1l (2 * key)
+  let wd key = Int32.shift_left 1l ((2 * key) + 1)
+  let deny_all = -1l
+  let allow p key = Int32.logand p (Int32.lognot (Int32.logor (ad key) (wd key)))
+  let deny p key = Int32.logor p (Int32.logor (ad key) (wd key))
+  let deny_write p key = Int32.logor (allow p key) (wd key)
+  let can_read p key = Int32.logand p (ad key) = 0l
+  let can_write p key = Int32.logand p (Int32.logor (ad key) (wd key)) = 0l
+end
+
+let test_pkru_deny_all_word () =
+  Alcotest.(check int32) "deny-all is -1l" (-1l)
+    (Prot.to_int32 (Prot.pkru_deny_all_except []));
+  Alcotest.(check int32) "allow-all is 0l" 0l (Prot.to_int32 Prot.pkru_allow_all)
+
+let pkru_model_property =
+  QCheck.Test.make ~name:"pkru: rights word agrees with a 32-bit reference" ~count:500
+    QCheck.(
+      triple bool
+        (list_of_size Gen.(int_range 0 16) (int_bound 15))
+        (list_of_size Gen.(int_range 0 24) (pair (int_bound 2) (int_bound 15))))
+    (fun (from_allow_all, keys, ops) ->
+      let p0, r0 =
+        if from_allow_all then (Prot.pkru_allow_all, 0l)
+        else
+          ( Prot.pkru_deny_all_except (List.map k keys),
+            List.fold_left Pkru_ref.allow Pkru_ref.deny_all keys )
+      in
+      let step (p, r) (op, key) =
+        match op with
+        | 0 -> (Prot.allow p (k key), Pkru_ref.allow r key)
+        | 1 -> (Prot.deny p (k key), Pkru_ref.deny r key)
+        | _ -> (Prot.deny_write p (k key), Pkru_ref.deny_write r key)
+      in
+      let agree (p, r) =
+        Int32.equal (Prot.to_int32 p) r
+        && List.for_all
+             (fun key ->
+               Prot.can_read p (k key) = Pkru_ref.can_read r key
+               && Prot.can_write p (k key) = Pkru_ref.can_write r key)
+             (List.init 16 Fun.id)
+      in
+      let rec go pr = function
+        | [] -> agree pr
+        | op :: rest -> agree pr && go (step pr op) rest
+      in
+      go (p0, r0) ops)
+
+(* --- Lazy TLB: fresh, recycled and TLB-disabled spaces agree --- *)
+
+type tlb_op =
+  | Map of int * int * int * int  (* first page, pages, perm index, key *)
+  | Unmap of int * int
+  | Mprotect of int * int * int
+  | Pkey of int * int * int
+  | Load of int * int  (* byte offset in the window, pkru index *)
+  | Store of int * int * char
+  | Load_range of int * int * int  (* offset, length, pkru index *)
+
+let window_pages = 12
+let perms = [| Page.rw; Page.ro; Page.rx; { Page.read = false; write = false; exec = false } |]
+
+(* Rights words a thread could hold: everything, the system key only,
+   and one or two user keys with and without write rights. *)
+let pkrus =
+  [|
+    Prot.pkru_allow_all;
+    Prot.pkru_deny_all_except [ k 0 ];
+    Prot.pkru_deny_all_except [ k 1; k 2 ];
+    Prot.deny_write (Prot.pkru_deny_all_except [ k 1; k 2 ]) (k 1);
+    Prot.pkru_deny_all_except [ k 3 ];
+  |]
+
+let tlb_op_gen =
+  let open QCheck.Gen in
+  let page = int_bound (window_pages - 1) in
+  let pages = int_range 1 4 in
+  let off = int_bound ((window_pages * 4096) - 1) in
+  frequency
+    [
+      (3, map (fun (((a, b), c), d) -> Map (a, b, c, d))
+            (pair (pair (pair page pages) (int_bound 3)) (int_bound 3)));
+      (1, map2 (fun a b -> Unmap (a, b)) page pages);
+      (1, map3 (fun a b c -> Mprotect (a, b, c)) page pages (int_bound 3));
+      (1, map3 (fun a b c -> Pkey (a, b, c)) page pages (int_bound 3));
+      (6, map2 (fun a b -> Load (a, b)) off (int_bound 4));
+      (4, map3 (fun a b c -> Store (a, b, c)) off (int_bound 4) printable);
+      (2, map3 (fun a b c -> Load_range (a, b, c)) off (int_range 1 9000) (int_bound 4));
+    ]
+
+let show_tlb_op = function
+  | Map (a, b, c, d) -> Printf.sprintf "map %d+%d perm%d key%d" a b c d
+  | Unmap (a, b) -> Printf.sprintf "unmap %d+%d" a b
+  | Mprotect (a, b, c) -> Printf.sprintf "mprotect %d+%d perm%d" a b c
+  | Pkey (a, b, c) -> Printf.sprintf "pkey %d+%d key%d" a b c
+  | Load (a, b) -> Printf.sprintf "load %d pkru%d" a b
+  | Store (a, b, c) -> Printf.sprintf "store %d pkru%d %C" a b c
+  | Load_range (a, b, c) -> Printf.sprintf "load %d+%d pkru%d" a b c
+
+let tlb_stream =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_tlb_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 60) tlb_op_gen)
+
+(* Run a stream, returning what each operation answered. *)
+let run_tlb_stream a ops =
+  let page i = base + (i * 4096) in
+  let outcome f =
+    match f () with
+    | s -> s
+    | exception Address_space.Fault { addr; kind } ->
+        Printf.sprintf "fault@%x:%s" addr
+          (match kind with
+          | Address_space.Unmapped -> "unmapped"
+          | Address_space.Perm_denied _ -> "perm"
+          | Address_space.Pkey_denied (_, key) -> Printf.sprintf "pkey%d" (Prot.key_to_int key))
+    | exception Invalid_argument _ -> "invalid"
+  in
+  List.map
+    (fun op ->
+      outcome (fun () ->
+          match op with
+          | Map (p, n, perm, key) ->
+              Address_space.map a ~addr:(page p) ~len:(n * 4096) ~perm:perms.(perm)
+                ~pkey:(k key);
+              "mapped"
+          | Unmap (p, n) ->
+              Address_space.unmap a ~addr:(page p) ~len:(n * 4096);
+              "unmapped"
+          | Mprotect (p, n, perm) ->
+              Address_space.mprotect a ~addr:(page p) ~len:(n * 4096) perms.(perm);
+              "protected"
+          | Pkey (p, n, key) ->
+              Address_space.pkey_mprotect a ~addr:(page p) ~len:(n * 4096) (k key);
+              "keyed"
+          | Load (off, pk) -> String.make 1 (Address_space.load_byte a ~pkru:pkrus.(pk) (base + off))
+          | Store (off, pk, c) ->
+              Address_space.store_byte a ~pkru:pkrus.(pk) (base + off) c;
+              "stored"
+          | Load_range (off, len, pk) ->
+              Digest.to_hex
+                (Digest.bytes (Address_space.load_bytes a ~pkru:pkrus.(pk) (base + off) len))))
+    ops
+
+let tlb_counters () =
+  List.map Sim.Stats.counter_value [ "mem.tlb.miss"; "mem.tlb.flush"; "mem.tlb.hit" ]
+
+(* Outcomes, access count, per-space TLB counts and the global
+   [mem.tlb.*] deltas of one stream on [a]. *)
+let observe_tlb_stream a ops =
+  let before = tlb_counters () in
+  let outcomes = run_tlb_stream a ops in
+  let local =
+    ( Address_space.access_count a,
+      Address_space.tlb_hit_count a,
+      Address_space.tlb_miss_count a,
+      Address_space.tlb_flush_count a )
+  in
+  let deltas = List.map2 ( - ) (tlb_counters ()) before in
+  (outcomes, local, deltas)
+
+let lazy_tlb_differential =
+  QCheck.Test.make ~name:"tlb: fresh, recycled and untranslated spaces agree" ~count:300
+    (QCheck.pair tlb_stream tlb_stream)
+    (fun (ops, earlier) ->
+      let fresh_out, (fresh_acc, _, _, _ as fresh_local), fresh_deltas =
+        observe_tlb_stream (Address_space.create ()) ops
+      in
+      (* A recycled space first runs an unrelated stream, so its slots
+         hold filled (then scrubbed) entries. *)
+      let recycled = Address_space.create () in
+      ignore (run_tlb_stream recycled earlier);
+      Address_space.recycle recycled;
+      let rec_out, rec_local, rec_deltas = observe_tlb_stream recycled ops in
+      let off_out, (off_acc, _, _, _), _ =
+        observe_tlb_stream (Address_space.create ~tlb:false ()) ops
+      in
+      fresh_out = rec_out && fresh_out = off_out && fresh_acc = off_acc
+      && fresh_local = rec_local && fresh_deltas = rec_deltas
+      && Address_space.tlb_never_hit_intact ())
+
+(* Creating a space allocates its slot array and page table, not 256
+   TLB entries. *)
+let test_aspace_create_allocation () =
+  ignore (Address_space.create ());
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Address_space.create ()))
+  done;
+  let per_create = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_create >= 600.0 then
+    Alcotest.failf "Address_space.create allocates %.0f minor words (bound 600)" per_create
+
 let suite =
   [
     Alcotest.test_case "protection keys" `Quick test_prot_keys;
     Alcotest.test_case "pkru rights" `Quick test_pkru_rights;
     Alcotest.test_case "pkru deny-all-except" `Quick test_pkru_deny_all_except;
+    Alcotest.test_case "pkru deny-all word" `Quick test_pkru_deny_all_word;
+    QCheck_alcotest.to_alcotest pkru_model_property;
     Alcotest.test_case "page geometry" `Quick test_page_geometry;
     Alcotest.test_case "aspace roundtrip" `Quick test_aspace_roundtrip;
     Alcotest.test_case "aspace cross-page" `Quick test_aspace_cross_page;
@@ -491,6 +695,9 @@ let suite =
     Alcotest.test_case "tlb disabled equivalence" `Quick
       test_tlb_disabled_equivalence;
     Alcotest.test_case "tlb stats counters" `Quick test_tlb_stats_counters;
+    QCheck_alcotest.to_alcotest lazy_tlb_differential;
+    Alcotest.test_case "aspace create allocates < 600 minor words" `Quick
+      test_aspace_create_allocation;
     Alcotest.test_case "layout disjoint regions" `Quick test_layout_disjoint_regions;
     Alcotest.test_case "layout partitions" `Quick test_layout_partitions;
     Alcotest.test_case "layout slot_of_addr" `Quick test_layout_slot_of_addr;

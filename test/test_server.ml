@@ -434,6 +434,72 @@ let test_workflow_retry_counts_failed_time () =
       end)
     [ (Visor.Retry_function 2, "function retry"); (Visor.Retry_workflow 2, "workflow retry") ]
 
+(* --- What a warm request allocates --- *)
+
+(* Three tenants shaped like the serving benchmark's: a two-stage chain
+   handing 32 KiB over through AsBuffer, an 8-way fan-out and a Python
+   function. *)
+let handoff = Bytes.make (32 * 1024) 'd'
+
+let compute_kernel ms (ctx : Asstd.ctx) ~instance:_ ~total:_ = Asstd.compute ctx (Units.ms ms)
+
+let three_tenants =
+  [
+    ( "thumb",
+      Workflow.create_exn ~name:"thumb"
+        ~nodes:[ node ~modules:[ "fdtab" ] "extract"; node "render" ]
+        ~edges:[ ("extract", "render") ],
+      [
+        ( "extract",
+          Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
+              Asstd.compute ctx (Units.ms 6);
+              ignore (Asbuffer.with_slot_raw ctx ~slot:"thumb" handoff)) );
+        ( "render",
+          Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
+              ignore (Asbuffer.consume_slot_raw ctx ~slot:"thumb");
+              Asstd.compute ctx (Units.ms 8)) );
+      ] );
+    ( "etl",
+      Workflow.create_exn ~name:"etl"
+        ~nodes:[ node ~instances:8 ~modules:[ "mm" ] "shard" ]
+        ~edges:[],
+      [ ("shard", Visor.bind (compute_kernel 12)) ] );
+    ( "mlinf",
+      Workflow.create_exn ~name:"mlinf" ~nodes:[ node ~language:Workflow.Python "infer" ] ~edges:[],
+      [ ("infer", Visor.bind (compute_kernel 10)) ] );
+  ]
+
+(* Minor words per request of a warm server: the pool, the shells and
+   every template are built during a warm-up, so what is measured is
+   what each served request allocates and drops. *)
+let test_warm_request_allocation () =
+  let server = Visor.Server.create ~sample_every:64 ~sketch_latency:true () in
+  List.iter
+    (fun (endpoint, workflow, bindings) ->
+      Visor.Server.register server ~endpoint ~workflow ~bindings ())
+    three_tenants;
+  let endpoint i = match i mod 3 with 0 -> "thumb" | 1 -> "etl" | _ -> "mlinf" in
+  let requests ~from n =
+    List.init n (fun i -> { Visor.Server.endpoint = endpoint i; arrival = Units.ms (from + (4 * i)) })
+  in
+  ignore (Visor.Server.serve server (requests ~from:0 300));
+  let n = 3000 in
+  let pending = ref (requests ~from:10_000 n) in
+  let next () =
+    match !pending with
+    | [] -> None
+    | r :: rest ->
+        pending := rest;
+        Some r
+  in
+  let w0 = Gc.minor_words () in
+  let (), summary = Visor.Server.serve_fold server next ~init:() ~f:(fun () _ -> ()) in
+  let per_request = (Gc.minor_words () -. w0) /. float_of_int n in
+  Visor.Server.shutdown server;
+  Alcotest.(check int) "every request completes" n summary.Visor.Server.sm_completed;
+  if per_request >= 1500.0 then
+    Alcotest.failf "a warm request allocates %.0f minor words (bound 1500)" per_request
+
 let suite =
   [
     Alcotest.test_case "warm start beats cold" `Quick test_warm_start_beats_cold;
@@ -455,4 +521,6 @@ let suite =
     Alcotest.test_case "workflow retry counts failed time" `Quick
       test_workflow_retry_counts_failed_time;
     QCheck_alcotest.to_alcotest run_is_reference_property;
+    Alcotest.test_case "warm request allocates < 1500 minor words" `Quick
+      test_warm_request_allocation;
   ]

@@ -590,6 +590,32 @@ let test_reused_shell_binds_like_new () =
   Wfd.drain p;
   Alcotest.(check int) "drain leaves no WFD" live0 (Wfd.live_count ())
 
+(* A pooled shell keeps its own re-formatted disk.  A shell bound with
+   the template's own plan shares the template's [fault], so release
+   pools it, but its disk is fault-wrapped and cannot re-format: that
+   fails loudly rather than hand the shell the template's image. *)
+let test_release_keeps_or_fails_on_disk () =
+  let tpl, _ = pooled_template () in
+  let p = Wfd.pool tpl in
+  let bind ?fault () =
+    Wfd.bind ?fault p ~proc_table:(Hostos.Process.create_table ()) ~clock:(Clock.create ())
+  in
+  let w = bind () in
+  let disk = w.Wfd.vfs in
+  Alcotest.(check bool) "private disk" false (disk == tpl.Wfd.vfs);
+  Alcotest.(check bool) "pooled" true (Wfd.release p w);
+  Alcotest.(check bool) "keeps its disk" true ((bind ()).Wfd.vfs == disk);
+  let proc_table = Hostos.Process.create_table () in
+  let clock = Clock.create () in
+  let armed =
+    Wfd.create ~fault:(Fault.create ~seed:3 ()) ~proc_table ~clock ~workflow_name:"armed" ()
+  in
+  let p = Wfd.pool armed in
+  let shell = Wfd.bind ?fault:armed.Wfd.fault p ~proc_table ~clock in
+  match Wfd.release p shell with
+  | _ -> Alcotest.fail "a disk that cannot re-format must not be pooled silently"
+  | exception Invalid_argument _ -> ()
+
 (* Serve a stream and report the WFDs left live before [shutdown]
    (templates plus pooled shells), relative to the baseline. *)
 let serve_pooled ?config ?(spec = Test_par.endpoints_spec) ~requests () =
@@ -722,6 +748,63 @@ let test_pool_bound () =
       (4, Visor.Retry_workflow 3);
     ]
 
+(* --- The user PKRU of every function slot --- *)
+
+(* A WFD with every function slot spawned, once without and once with
+   IFI. *)
+let all_slots ifi =
+  let features = { Wfd.default_features with Wfd.ifi } in
+  let wfd, _ = fresh_wfd ~features () in
+  (wfd, Array.init Layout.function_slot_count (fun _ -> spawn wfd))
+
+let slot_wfds = lazy (all_slots false, all_slots true)
+
+let user_pkru_property =
+  QCheck.Test.make
+    ~name:"user PKRU grants exactly the slot key, the buffer key and key 0" ~count:100
+    QCheck.(pair bool (int_bound (Layout.function_slot_count - 1)))
+    (fun (ifi, other) ->
+      let wfd, threads =
+        let off, on = Lazy.force slot_wfds in
+        if ifi then on else off
+      in
+      let other_key = Wfd.function_key wfd other in
+      let other_heap = (Layout.function_heap other).Layout.base in
+      (* Without IFI every slot runs on the shared user key; with it,
+         slots rotate through keys 4..15, so slots 12 apart share one. *)
+      let expected_key slot =
+        if ifi then Prot.key_of_int (4 + (slot mod 12)) else Wfd.shared_user_key
+      in
+      Array.for_all
+        (fun (th : Wfd.thread) ->
+          let own = Wfd.function_key wfd th.Wfd.fn_slot in
+          let granted key = key = own || key = Wfd.buffer_key || key = Prot.default_key in
+          let rights_exact =
+            List.for_all
+              (fun i ->
+                let key = Prot.key_of_int i in
+                Prot.can_read th.Wfd.user_pkru key = granted key
+                && Prot.can_write th.Wfd.user_pkru key = granted key)
+              (List.init 16 Fun.id)
+          in
+          (* A load from another slot's heap faults exactly when that
+             slot's key is not this slot's. *)
+          let load_agrees =
+            match
+              Address_space.load_byte wfd.Wfd.aspace ~pkru:th.Wfd.user_pkru other_heap
+            with
+            | _ -> other_key = own
+            | exception Address_space.Fault { kind = Address_space.Pkey_denied (_, key); _ }
+              ->
+                key = other_key && other_key <> own
+          in
+          own = expected_key th.Wfd.fn_slot
+          && Prot.equal_pkru th.Wfd.pkru th.Wfd.user_pkru
+          && rights_exact && load_agrees)
+        threads
+      && Array.length threads = 64
+      && Array.for_all Fun.id (Array.mapi (fun i (th : Wfd.thread) -> th.Wfd.fn_slot = i) threads))
+
 let suite =
   [
     Alcotest.test_case "wfd create maps system" `Quick test_wfd_create_maps_system;
@@ -730,6 +813,7 @@ let suite =
     Alcotest.test_case "user can touch own heap" `Quick test_wfd_user_can_touch_own_heap;
     Alcotest.test_case "shared mode cross-function" `Quick test_wfd_shared_mode_cross_function_access;
     Alcotest.test_case "IFI blocks cross-function" `Quick test_wfd_ifi_blocks_cross_function;
+    QCheck_alcotest.to_alcotest user_pkru_property;
     Alcotest.test_case "wfd destroy" `Quick test_wfd_destroy;
     Alcotest.test_case "trampoline switches rights" `Quick test_trampoline_switches_rights;
     Alcotest.test_case "trampoline not reentrant" `Quick test_trampoline_not_reentrant;
@@ -766,4 +850,6 @@ let suite =
     Alcotest.test_case "recycle identical across domains" `Quick
       test_recycle_identical_across_domains;
     Alcotest.test_case "pool holds at most one shell per domain" `Quick test_pool_bound;
+    Alcotest.test_case "release keeps the disk or fails" `Quick
+      test_release_keeps_or_fails_on_disk;
   ]
