@@ -102,11 +102,11 @@ let run ?(seed = 17) spec ~qps ~requests =
     Array.sort Units.compare free;
     let start = Units.max arrival free.(spec.width - 1) in
     let rec expire () =
-      match Eventq.peek finishes with
-      | Some (f, ()) when not (Units.( > ) f start) ->
-          ignore (Eventq.pop finishes);
-          expire ()
-      | _ -> ()
+      if (not (Eventq.is_empty finishes)) && not (Units.( > ) (Eventq.next_at finishes) start)
+      then begin
+        Eventq.pop finishes;
+        expire ()
+      end
     in
     expire ();
     let inflight = Eventq.length finishes in

@@ -251,8 +251,9 @@ let record_recovery config ~at detail =
   match config.fault with
   | Some plan -> Fault.record_recovery plan ~at ~site:"visor.retry" detail
   | None ->
-      Trace.recordf (Trace.current ()) ~at ~category:"fault" ~label:"visor.retry"
-        "recovered: %s" detail
+      let tr = Trace.current () in
+      if Trace.enabled tr then
+        Trace.recordf tr ~at ~category:"fault" ~label:"visor.retry" "recovered: %s" detail
 
 (* One attempt of one function instance on [ctx]'s thread: the fault
    plan's crash and hang checks, then the kernel, then the watchdog's
@@ -443,8 +444,10 @@ let record_stage ectx ~stage_index ~ready ~durations ~placements =
       fan_in_waits = Hostos.Sched.fan_in_wait placements;
     }
     :: ectx.estage_reports;
-  Trace.recordf (Trace.current ()) ~at:makespan ~category:"visor" ~label:"stage-done"
-    "wfd%d stage %d (%d instances)" ectx.ewfd.Wfd.id stage_index (List.length durations);
+  let tr = Trace.current () in
+  if Trace.enabled tr then
+    Trace.recordf tr ~at:makespan ~category:"visor" ~label:"stage-done"
+      "wfd%d stage %d (%d instances)" ectx.ewfd.Wfd.id stage_index (List.length durations);
   makespan
 
 (* The execution was triggered at virtual instant zero, so [finish] is
@@ -517,8 +520,10 @@ let run_once ?(retries = ref 0) ?(cold_start_mark = ref None) ?(from = ref Units
       in
       wfd.Wfd.span <- boot_span;
       Clock.advance clock Cost.entry_table_init;
-      Trace.recordf (Trace.current ()) ~at:(Clock.now clock) ~category:"visor"
-        ~label:"wfd-created" "wfd%d for %s" wfd.Wfd.id workflow.Workflow.wf_name;
+      let tr = Trace.current () in
+      if Trace.enabled tr then
+        Trace.recordf tr ~at:(Clock.now clock) ~category:"visor" ~label:"wfd-created"
+          "wfd%d for %s" wfd.Wfd.id workflow.Workflow.wf_name;
       if not config.features.Wfd.on_demand then Libos.load_all wfd ~clock;
       Span.end_span (Span.current ()) boot_span ~at:(Clock.now clock);
       wfd.Wfd.span <- wf_span;
@@ -549,8 +554,10 @@ let run_once ?(retries = ref 0) ?(cold_start_mark = ref None) ?(from = ref Units
          WFD and reclaims the resources. *)
       let finish = !ready in
       Span.end_span (Span.current ()) wf_span ~at:finish;
-      Trace.recordf (Trace.current ()) ~at:finish ~category:"visor" ~label:"wfd-destroyed"
-        "wfd%d" wfd.Wfd.id;
+      let tr = Trace.current () in
+      if Trace.enabled tr then
+        Trace.recordf tr ~at:finish ~category:"visor" ~label:"wfd-destroyed" "wfd%d"
+          wfd.Wfd.id;
       build_report ectx ~finish ~cold_fallback:(Clock.now clock) ~admission)
 
 let cold_start_only ?(config = default_config) () =
@@ -855,8 +862,10 @@ module Server = struct
         Hashtbl.remove t.templates tpl.tpl_ep;
         t.pool_bytes <- t.pool_bytes - tpl.tpl_rss;
         t.evicted <- t.evicted + 1;
-        Trace.recordf (Trace.current ()) ~at:Units.zero ~category:"server" ~label:"pool-evict"
-          "template %s evicted (LRU)" tpl.tpl_ep
+        let tr = Trace.current () in
+        if Trace.enabled tr then
+          Trace.recordf tr ~at:Units.zero ~category:"server" ~label:"pool-evict"
+            "template %s evicted (LRU)" tpl.tpl_ep
 
   let flush_doomed t =
     List.iter Wfd.drain t.doomed;
@@ -902,8 +911,10 @@ module Server = struct
     if needs_python then Clock.advance clock Wasm.Runtime.cpython_init;
     wfd.Wfd.span <- Span.none;
     Span.end_span (Span.current ()) tpl_span ~at:(Clock.now clock);
-    Trace.recordf (Trace.current ()) ~at:(Clock.now clock) ~category:"server"
-      ~label:"template-built" "wfd%d for %s" wfd.Wfd.id endpoint;
+    let tr = Trace.current () in
+    if Trace.enabled tr then
+      Trace.recordf tr ~at:(Clock.now clock) ~category:"server" ~label:"template-built"
+        "wfd%d for %s" wfd.Wfd.id endpoint;
     {
       tpl_pool = Wfd.pool wfd;
       tpl_engine = needs_engine;
@@ -1414,12 +1425,11 @@ module Server = struct
     let rec pump () =
       match !pending with
       | None -> ()
-      | Some (r : request) -> (
-          match Eventq.peek q with
-          | Some (at, _) when Units.( < ) at r.arrival -> ()
-          | _ ->
-              plan_window ();
-              pump ())
+      | Some (r : request) ->
+          if Eventq.is_empty q || not (Units.( < ) (Eventq.next_at q) r.arrival) then begin
+            plan_window ();
+            pump ()
+          end
     in
     let acc = ref init in
     let lat = if t.sketch_lat then Stats.sketched () else Stats.create () in
@@ -1534,10 +1544,10 @@ module Server = struct
               sg.sg_durations
           in
           Metrics.observe_time stage_histo (Units.sub makespan now);
-          if ms.ms_sampled then
-            Trace.recordf (Trace.current ()) ~at:makespan ~category:"visor"
-              ~label:"stage-done" "wfd%d stage %d (%d instances)" a.at_wfd_id
-              stage_index
+          let tr = Trace.current () in
+          if ms.ms_sampled && Trace.enabled tr then
+            Trace.recordf tr ~at:makespan ~category:"visor" ~label:"stage-done"
+              "wfd%d stage %d (%d instances)" a.at_wfd_id stage_index
               (List.length sg.sg_durations);
           Span.end_span (Span.current ()) stage_span ~at:makespan;
           ms.ms_stages_left <- rest;
@@ -1569,10 +1579,10 @@ module Server = struct
               | None -> ());
               Span.end_span (Span.current ()) stage_span ~at:now;
               if ms.ms_attempts_left <> [] then begin
-                if ms.ms_sampled then
-                  Trace.recordf (Trace.current ()) ~at:now ~category:"server"
-                    ~label:"workflow-retry" "%s attempt %d (%s)" ms.ms_req.endpoint
-                    (ms.ms_attempt_no + 1)
+                let tr = Trace.current () in
+                if ms.ms_sampled && Trace.enabled tr then
+                  Trace.recordf tr ~at:now ~category:"server" ~label:"workflow-retry"
+                    "%s attempt %d (%s)" ms.ms_req.endpoint (ms.ms_attempt_no + 1)
                     (match kind with `Hang -> "hang" | `Failure -> "failure");
                 start_attempt ms ~now
               end
@@ -1630,14 +1640,15 @@ module Server = struct
     in
     pump ();
     let rec drive () =
-      match Eventq.pop q with
-      | None -> ()
-      | Some (now, ev) ->
-          let hs = Hotspot.enter "serve.merge" in
-          handle_event now ev;
-          Hotspot.leave hs;
-          pump ();
-          drive ()
+      if not (Eventq.is_empty q) then begin
+        let now = Eventq.next_at q in
+        let ev = Eventq.pop q in
+        let hs = Hotspot.enter "serve.merge" in
+        handle_event now ev;
+        Hotspot.leave hs;
+        pump ();
+        drive ()
+      end
     in
     drive ();
     flush_doomed t;

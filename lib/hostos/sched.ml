@@ -56,11 +56,15 @@ let pool ~cores = pool_at ~cores Units.zero
 let pool_cores pool = Array.length pool.free_at
 
 (* Rewind a pool to the all-cores-free state at [t0] in place: the
-   identity permutation is a valid heap when every key is (t0, c). *)
+   identity permutation is a valid heap when every key is (t0, c).  It
+   runs once per serving attempt, so it is a plain loop, no closure. *)
 let reset_pool pool t0 =
-  Array.fill pool.free_at 0 (Array.length pool.free_at) t0;
-  Array.iteri (fun i _ -> pool.heap.(i) <- i) pool.heap;
-  Array.iteri (fun i _ -> pool.pos.(i) <- i) pool.pos;
+  let n = Array.length pool.free_at in
+  Array.fill pool.free_at 0 n t0;
+  for i = 0 to n - 1 do
+    pool.heap.(i) <- i;
+    pool.pos.(i) <- i
+  done;
   pool.busy <- Units.max Units.zero t0
 
 (* Domain-local scratch pools, one per core count: per-attempt private

@@ -188,16 +188,18 @@ let recycle t =
   (* Only entries that ever held a real translation ([e_vpn >= 0])
      need scrubbing, which also skips every slot still holding
      [never_hit]; permission bits are left stale because they are only
-     consulted after a vpn+generation match, which can't happen. *)
-  Array.iter
-    (fun e ->
-      if e.e_vpn >= 0 then begin
-        e.e_vpn <- -1;
-        e.e_gen <- -1;
-        e.e_page <- blank_page;
-        e.e_data <- blank_data
-      end)
-    t.tlb
+     consulted after a vpn+generation match, which can't happen.  A
+     plain loop: this runs on every WFD release. *)
+  let tlb = t.tlb in
+  for i = 0 to Array.length tlb - 1 do
+    let e = tlb.(i) in
+    if e.e_vpn >= 0 then begin
+      e.e_vpn <- -1;
+      e.e_gen <- -1;
+      e.e_page <- blank_page;
+      e.e_data <- blank_data
+    end
+  done
 
 let hits t = if t.tlb_enabled then t.accesses - t.tlb_misses else 0
 

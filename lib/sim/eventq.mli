@@ -1,9 +1,10 @@
-(** Time-ordered event queue (pairing heap).
+(** Time-ordered event queue (binary heap over flat arrays).
 
     Drives the serving merge loop and the open-loop load generator.
-    Push is O(1) and pop is O(log n) amortised.  Ordering is (time,
-    priority class, insertion order), so ties are broken
-    deterministically and same-key events pop FIFO. *)
+    Push and pop are O(log n) and allocate nothing once the queue has
+    grown to its high-water mark.  Ordering is (time, priority class,
+    insertion order), so ties are broken deterministically and
+    same-key events pop FIFO. *)
 
 type 'a t
 
@@ -15,7 +16,11 @@ val push : 'a t -> at:Units.time -> ?pri:int -> 'a -> unit
 (** Schedule a payload at the given instant.  [pri] (default 0) breaks
     same-instant ties before insertion order: lower pops first. *)
 
-val pop : 'a t -> (Units.time * 'a) option
-(** Remove and return the earliest event. *)
+val next_at : 'a t -> Units.time
+(** The instant of the earliest event.  Raises [Invalid_argument] when
+    the queue is empty. *)
 
-val peek : 'a t -> (Units.time * 'a) option
+val pop : 'a t -> 'a
+(** Remove the earliest event and return its payload; its instant is
+    what {!next_at} answered just before.  Raises [Invalid_argument]
+    when the queue is empty. *)

@@ -88,8 +88,10 @@ let check ?(at = Units.zero) t ~site =
       let fires = scheduled && not capped in
       if fires then begin
         st.fired <- st.fired + 1;
-        Trace.recordf (trace_of t) ~at ~category:"fault" ~label:site
-          "injected #%d (occurrence %d)" st.fired st.occurrences
+        let tr = trace_of t in
+        if Trace.enabled tr then
+          Trace.recordf tr ~at ~category:"fault" ~label:site "injected #%d (occurrence %d)"
+            st.fired st.occurrences
       end;
       fires
 
@@ -108,7 +110,9 @@ let schedule t =
   |> List.sort compare
 
 let record_recovery t ~at ~site detail =
-  Trace.recordf (trace_of t) ~at ~category:"fault" ~label:site "recovered: %s" detail
+  let tr = trace_of t in
+  if Trace.enabled tr then
+    Trace.recordf tr ~at ~category:"fault" ~label:site "recovered: %s" detail
 
 (* Split a per-task plan off [t].  The child's seed is derived from
    (plan seed, task index) alone — never from host scheduling — so the

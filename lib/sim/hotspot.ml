@@ -8,14 +8,17 @@
    nothing, so instrumentation can stay in hot paths permanently.
 
    When enabled, each section additionally records the GC's
-   allocated-words deltas across the section body (one [Gc.counters]
-   read per boundary): minor-heap words and words allocated directly
-   in the major heap (major minus promoted, so minor + major equals
-   total allocation — the same quantity [Gc.allocated_bytes] reports
-   in bytes).  The [Gc.counters] call itself allocates a small tuple
-   (~10 words), which the enclosing section self-charges; per-section
-   words are therefore exact to within tens of words, not exact to the
-   word.
+   allocated-words deltas across the section body: minor-heap words,
+   read with [Gc.minor_words] (exact to the word, and allocation-free),
+   and words allocated directly in the major heap (major minus
+   promoted, from [Gc.counters]), so minor + major is the section's
+   total allocation.  ([Gc.allocated_bytes] reads minor words from
+   [Gc.counters], which on OCaml 5.1 leaves out what the current minor
+   heap holds.)  [enter] reads the minor count after its own last
+   allocation (the [Gc.counters] tuple, the clock reading, the section
+   record) and [leave] before its first, so a section's minor words are
+   exactly its body's; a parent section also pays for its children's
+   boundaries.
 
    Accumulators are per-domain (a Domain.DLS table registered into a
    global list), so parallel trajectory workers never contend on a
@@ -68,33 +71,29 @@ let cell_of tbl name =
       Hashtbl.add tbl name c;
       c
 
-(* An open section: the cell it charges and the host clock and GC
-   counters at entry.  [off] stands for every section opened while
-   profiling is disabled, so [enter] allocates nothing then and
-   [leave] is one physical comparison. *)
-type section = {
-  s_cell : cell;
-  s_t0 : float;
-  s_min0 : float;
-  s_pro0 : float;
-  s_maj0 : float;
-}
+(* An open section: the cell it charges, and the host clock and GC
+   counters at entry in a flat float array ([| ns; minor; promoted;
+   major |]), which [enter] fills in place so that its minor reading
+   comes after every allocation it makes.  [off] stands for every
+   section opened while profiling is disabled, so [enter] allocates
+   nothing then and [leave] is one physical comparison. *)
+type section = { s_cell : cell; s_start : float array }
 
 let off =
   {
     s_cell = { c_count = 0.0; c_ns = 0.0; c_minor = 0.0; c_major = 0.0 };
-    s_t0 = 0.0;
-    s_min0 = 0.0;
-    s_pro0 = 0.0;
-    s_maj0 = 0.0;
+    s_start = [| 0.0; 0.0; 0.0; 0.0 |];
   }
 
 let enter name =
   if not (Atomic.get enabled_flag) then off
   else begin
     let cell = cell_of (Domain.DLS.get local) name in
-    let min0, pro0, maj0 = Gc.counters () in
-    { s_cell = cell; s_t0 = now_ns (); s_min0 = min0; s_pro0 = pro0; s_maj0 = maj0 }
+    let _, pro0, maj0 = Gc.counters () in
+    let start = [| now_ns (); 0.0; pro0; maj0 |] in
+    let s = { s_cell = cell; s_start = start } in
+    start.(1) <- Gc.minor_words ();
+    s
   end
 
 (* Sections nest: a parent's total includes its children (inclusive
@@ -103,13 +102,14 @@ let enter name =
    end-to-end wall time or allocation. *)
 let leave s =
   if s != off then begin
+    let min1 = Gc.minor_words () in
     let t1 = now_ns () in
-    let min1, pro1, maj1 = Gc.counters () in
-    let cell = s.s_cell in
+    let _, pro1, maj1 = Gc.counters () in
+    let cell = s.s_cell and start = s.s_start in
     cell.c_count <- cell.c_count +. 1.0;
-    cell.c_ns <- cell.c_ns +. (t1 -. s.s_t0);
-    cell.c_minor <- cell.c_minor +. (min1 -. s.s_min0);
-    cell.c_major <- cell.c_major +. (maj1 -. pro1 -. (s.s_maj0 -. s.s_pro0))
+    cell.c_ns <- cell.c_ns +. (t1 -. start.(0));
+    cell.c_minor <- cell.c_minor +. (min1 -. start.(1));
+    cell.c_major <- cell.c_major +. (maj1 -. pro1 -. (start.(3) -. start.(2)))
   end
 
 let with_section name f =

@@ -17,12 +17,13 @@ type entry = {
                             nested sections. *)
   hs_minor_words : float;
       (** GC minor-heap words allocated inside the section, inclusive
-          of nested sections. *)
+          of nested sections, read with {!Gc.minor_words}: exact to the
+          word, the profiler's own boundary allocation excluded. *)
   hs_major_words : float;
       (** Words allocated directly in the major heap (major minus
           promoted: promotion is not new allocation), inclusive of
           nested sections.  [hs_minor_words + hs_major_words] is the
-          section's share of what {!Gc.allocated_bytes} counts. *)
+          section's share of the words the program allocated. *)
 }
 
 val entry_words : entry -> float
@@ -40,8 +41,8 @@ val enter : string -> section
 (** Open a section named [name] on the calling domain.  When profiling
     is disabled this returns a shared placeholder and allocates
     nothing; when enabled it reads the host clock and the GC counters
-    (the counters' result tuple and the section record are charged to
-    the enclosing section). *)
+    (the [Gc.counters] tuple, the clock reading and the section record
+    are charged to the enclosing section, not to this one). *)
 
 val leave : section -> unit
 (** Close a section opened by {!enter}, charging its host duration and
@@ -52,8 +53,8 @@ val leave : section -> unit
 
 val with_section : string -> (unit -> 'a) -> 'a
 (** [with_section name f] runs [f], charging its host duration and
-    allocated-words deltas (one [Gc.counters] read per boundary) to
-    [name] on the calling domain's accumulator when profiling is
+    allocated-words deltas to [name] on the calling domain's
+    accumulator when profiling is
     enabled.  Sections nest; a parent's total includes its children.
     Exceptions propagate and still charge the section. *)
 

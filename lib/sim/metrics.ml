@@ -1,8 +1,11 @@
-(* Histogram registry plus process-wide gauges.  Histogram handles are
-   names; the backing cells live in a registry resolved through
-   domain-local storage, so [Par.with_shard] can route a parallel
-   task's observations into a private shard (no locks on the hot path)
-   and [merge_into] folds them back at a deterministic join point.
+(* Histogram registry plus process-wide gauges.  A histogram handle is
+   a dense id: [histogram] interns the name once, in a mutex-guarded
+   table any domain may call, and every observation indexes the current
+   registry's cell array by id, hashing no string.  The current sink is
+   domain-local: the process default registry on the main domain, or a
+   [Par] shard's log while one is installed, so a parallel task's
+   observations go to a private (id, value) log with no locks, and
+   [replay] feeds them back, in order, at a deterministic join point.
    A gauge is a high-watermark, whose value cannot depend on the order
    of its updates, so it is one process-wide cell that no shard holds.
 
@@ -42,45 +45,106 @@ type histo = {
          it *)
 }
 
+(* Cells by histogram id: [absent] marks an id this registry has not
+   registered. *)
 type registry = {
-  r_histograms : (string, histo) Hashtbl.t;
+  mutable r_cells : histo array;
   mutable r_every : int;  (* keep 1 raw sample in r_every *)
   mutable r_phase : int;
 }
 
-type histogram = string
+(* A shard's observations in order: parallel (id, value) arrays whose
+   first [l_len] entries are live. *)
+type log = { mutable l_ids : int array; mutable l_vals : float array; mutable l_len : int }
+
+type sink = Registry of registry | Log of log
+
+type histogram = int
 type gauge = float Atomic.t
 
-let create_registry () = { r_histograms = Hashtbl.create 16; r_every = 1; r_phase = 0 }
+(* --- Interned names ------------------------------------------------ *)
 
-let default = create_registry ()
+let intern_mu = Mutex.create ()
+let ids : (string, int) Hashtbl.t = Hashtbl.create 64
+let names = ref (Array.make 64 "")  (* by id; read under [intern_mu] *)
 
-let current_key = Domain.DLS.new_key create_registry
+let intern name =
+  Mutex.protect intern_mu (fun () ->
+      match Hashtbl.find ids name with
+      | id -> id
+      | exception Not_found ->
+          let id = Hashtbl.length ids in
+          if id = Array.length !names then begin
+            let grown = Array.make (2 * id) "" in
+            Array.blit !names 0 grown 0 id;
+            names := grown
+          end;
+          !names.(id) <- name;
+          Hashtbl.replace ids name id;
+          id)
+
+let name_of id = Mutex.protect intern_mu (fun () -> !names.(id))
+
+(* --- Registries, logs and the current sink ------------------------- *)
+
+let new_cell () =
+  {
+    buckets = Array.make 64 0;
+    samples = Stats.create ();
+    h_count = 0;
+    h_agg = [| 0.0; infinity; neg_infinity |];
+    h_sketch = None;
+  }
+
+let absent = new_cell ()
+
+let create_registry () = { r_cells = [||]; r_every = 1; r_phase = 0 }
+let create_log () = { l_ids = [||]; l_vals = [||]; l_len = 0 }
+let clear_log l = l.l_len <- 0
+
+let default = Registry (create_registry ())
+
+let current_key = Domain.DLS.new_key (fun () -> Registry (create_registry ()))
 let () = Domain.DLS.set current_key default
 let current () = Domain.DLS.get current_key
-let set_current r = Domain.DLS.set current_key r
+let set_current s = Domain.DLS.set current_key s
 
 let set_raw_sample_every ?(seed = 0) every =
   if every < 1 then invalid_arg "Metrics.set_raw_sample_every: every must be >= 1";
-  let r = current () in
-  r.r_every <- every;
-  r.r_phase <- ((seed mod every) + every) mod every
+  match current () with
+  | Registry r ->
+      r.r_every <- every;
+      r.r_phase <- ((seed mod every) + every) mod every
+  | Log _ -> invalid_arg "Metrics.set_raw_sample_every: a shard log cannot be thinned"
 
-let histo_cell r name =
-  match Hashtbl.find r.r_histograms name with
-  | h -> h
-  | exception Not_found ->
-      let h =
-        {
-          buckets = Array.make 64 0;
-          samples = Stats.create ();
-          h_count = 0;
-          h_agg = [| 0.0; infinity; neg_infinity |];
-          h_sketch = None;
-        }
-      in
-      Hashtbl.replace r.r_histograms name h;
-      h
+(* The cell for [id] in [r], registered on first use. *)
+let cell r id =
+  let cells = r.r_cells in
+  if id < Array.length cells && cells.(id) != absent then cells.(id)
+  else begin
+    if id >= Array.length cells then begin
+      let grown = Array.make (Stdlib.max (id + 1) (2 * Array.length cells)) absent in
+      Array.blit cells 0 grown 0 (Array.length cells);
+      r.r_cells <- grown
+    end;
+    let h = new_cell () in
+    r.r_cells.(id) <- h;
+    h
+  end
+
+let log_append l id v =
+  let n = l.l_len in
+  if n = Array.length l.l_ids then begin
+    let cap = Stdlib.max 16 (2 * n) in
+    let ids' = Array.make cap 0 and vals' = Array.make cap 0.0 in
+    Array.blit l.l_ids 0 ids' 0 n;
+    Array.blit l.l_vals 0 vals' 0 n;
+    l.l_ids <- ids';
+    l.l_vals <- vals'
+  end;
+  l.l_ids.(n) <- id;
+  l.l_vals.(n) <- v;
+  l.l_len <- n + 1
 
 (* Prometheus-style dimensional names: [labels "x" ["ep","a"]] is
    [x{ep="a"}].  Keys are sorted so one label set always encodes to
@@ -115,10 +179,12 @@ let base_name name =
   | None -> name
 
 (* Registration persists across [reset] so never-observed series still
-   export (with zero counts). *)
+   export (with zero counts).  Under a log the name is only interned:
+   a replay registers what the log observed, as a merge always did. *)
 let histogram name =
-  ignore (histo_cell (current ()) name);
-  name
+  let id = intern name in
+  (match current () with Registry r -> ignore (cell r id) | Log _ -> ());
+  id
 
 (* Bucket 0 <-> v < 1, bucket i <-> 2^(i-1) <= v < 2^i, clamped at 63.
    For v >= 1 the bit length of floor v is the IEEE exponent minus the
@@ -159,12 +225,44 @@ let observe_cell r (cell : histo) v =
   end
 
 let observe h v =
-  let r = current () in
-  observe_cell r (histo_cell r h) v
+  match current () with
+  | Registry r -> observe_cell r (cell r h) v
+  | Log l -> log_append l h v
 
 let observe_time h d = observe h (Int64.to_float (Units.to_ns d))
 
-let histogram_count h = (histo_cell (current ()) h).h_count
+let replay_into r l =
+  for i = 0 to l.l_len - 1 do
+    let id = l.l_ids.(i) in
+    observe_cell r (cell r id) l.l_vals.(i)
+  done
+
+(* Feed a shard's log into the current sink in observation order, so
+   every series sees its samples in the order the shard saw them: sums,
+   reservoirs (the destination applies its own 1-in-k thinning) and
+   digests come out bit-identical to observing directly.  Into a log,
+   the entries are appended. *)
+let replay l =
+  match current () with
+  | Registry r -> replay_into r l
+  | Log dst ->
+      for i = 0 to l.l_len - 1 do
+        log_append dst l.l_ids.(i) l.l_vals.(i)
+      done
+
+(* What the current sink holds as a registry: itself, or a log
+   replayed into a fresh one. *)
+let current_registry () =
+  match current () with
+  | Registry r -> r
+  | Log l ->
+      let r = create_registry () in
+      replay_into r l;
+      r
+
+let histogram_count h =
+  let r = current_registry () in
+  if h < Array.length r.r_cells then r.r_cells.(h).h_count else 0
 
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let gauges_mu = Mutex.create ()
@@ -229,16 +327,17 @@ let snapshot_histogram name (h : histo) =
   }
 
 let snapshot () =
-  let r = current () in
+  let r = current_registry () in
   let gs =
     Mutex.protect gauges_mu (fun () ->
         Hashtbl.fold (fun n g acc -> (n, Atomic.get g) :: acc) gauges [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let hs =
-    Hashtbl.fold (fun n h acc -> snapshot_histogram n h :: acc) r.r_histograms []
-    |> List.sort (fun a b -> String.compare a.hs_name b.hs_name)
-  in
+  let hs = ref [] in
+  Array.iteri
+    (fun id h -> if h != absent then hs := snapshot_histogram (name_of id) h :: !hs)
+    r.r_cells;
+  let hs = List.sort (fun a b -> String.compare a.hs_name b.hs_name) !hs in
   { snap_counters = Stats.counters (); snap_gauges = gs; snap_histograms = hs }
 
 let clear_cell (h : histo) =
@@ -251,40 +350,9 @@ let clear_cell (h : histo) =
   match h.h_sketch with Some d -> Sketch.Tdigest.clear d | None -> ()
 
 let reset () =
-  let r = current () in
-  Hashtbl.iter (fun _ h -> clear_cell h) r.r_histograms;
+  (match current () with
+  | Registry r -> Array.iter (fun h -> if h != absent then clear_cell h) r.r_cells
+  | Log l -> clear_log l);
   Mutex.protect gauges_mu (fun () ->
       Hashtbl.iter (fun _ g -> Atomic.set g 0.0) gauges);
   Stats.reset_counters ()
-
-(* Scrub a registry in place for reuse as a fresh shard: histogram
-   cells are cleared but *kept* (their bucket arrays, reservoirs and
-   digests are the expensive part of a shard — reusing them is the
-   point).  Sampling state returns to the [create_registry] default. *)
-let reset_registry (r : registry) =
-  Hashtbl.iter (fun _ h -> clear_cell h) r.r_histograms;
-  r.r_every <- 1;
-  r.r_phase <- 0
-
-(* Fold a shard registry into the current one.  Each series merges
-   into its own destination cell, so the series may be visited in any
-   order: a cell's contents depend only on its own sample sequence,
-   which is fixed by the order of [merge_into] calls.  A shard is
-   replayed sample by sample, which keeps float accumulation order —
-   and therefore sums and percentile views — bit-identical to observing
-   directly, while the destination applies its own 1-in-k reservoir
-   thinning.  A thinning shard could drop samples it would then fail to
-   replay, so it is rejected before anything merges.  A cell with
-   nothing observed is skipped, so a recycled shard carrying cleared
-   cells for series from earlier requests merges byte-identically to a
-   fresh shard. *)
-let merge_into (src : registry) =
-  if src.r_every > 1 then invalid_arg "Metrics.merge_into: shard reservoir is thinned";
-  let dst = current () in
-  Hashtbl.iter
-    (fun n (h : histo) ->
-      if h.h_count > 0 then begin
-        let cell = histo_cell dst n in
-        Stats.iter (fun v -> observe_cell dst cell v) h.samples
-      end)
-    src.r_histograms

@@ -8,31 +8,48 @@
     - {e histograms} — value distributions with deterministic
       log2-bucketed bins plus exact percentiles from the retained
       samples (powered by {!Stats}, so repeated percentile queries cost
-      one sort per batch of adds).  Its sums and thinned percentiles
-      depend on the order of its samples, so histograms live in a
-      {!registry}, which a [Par] shard swaps in — the only metrics a
+      one sort per batch of adds).  Their sums and thinned percentiles
+      depend on the order of their samples, so histograms live in a
+      {!registry}, and a [Par] shard records its observations in a
+      {!log} that {!replay} feeds back in order — the only metrics a
       shard holds;
     - {e gauges} — high-watermarks, one process-wide cell each.
 
-    Everything is keyed by name and deterministic: two identically
-    seeded runs produce identical snapshots, which is what lets CI diff
-    exported metrics byte-for-byte.  JSON rendering lives in the core
+    Every instrument is named, and everything is deterministic: two
+    identically seeded runs produce identical snapshots, which is what
+    lets CI diff exported metrics byte-for-byte.  JSON rendering lives in the core
     library ([Obs]) — this module only exposes the plain snapshot. *)
 
 type histogram
+(** A histogram handle: the dense id its name was interned under. *)
+
 type gauge
 
 type registry
-(** One set of histogram cells plus its reservoir thinning setting.
-    Histogram handles are names, resolved in the {e current} registry
-    (domain-local; the process default on the main domain) at every
-    observation — that indirection lets [Par.with_shard] route a
-    parallel task's observations into a private shard with no locks,
-    and {!merge_into} fold them back at a deterministic join. *)
+(** One set of histogram cells, an array indexed by histogram id, plus
+    its reservoir thinning setting.  Each registry registers its own
+    series: {!snapshot} lists the ones registered in it. *)
+
+type log
+(** A [Par] shard's histogram observations, in order, as (id, value)
+    pairs.  It holds no cells and cannot be thinned. *)
+
+type sink = Registry of registry | Log of log
+(** Where the current domain's observations go.  It is domain-local:
+    the process default registry on the main domain, a private one on
+    a worker domain, a shard's log while [Par.enter_shard] has it
+    installed — which routes a parallel task's observations into the
+    shard with no locks, for {!replay} to feed back at a deterministic
+    join. *)
 
 val create_registry : unit -> registry
-val current : unit -> registry
-val set_current : registry -> unit
+val create_log : unit -> log
+
+val clear_log : log -> unit
+(** Empty [log] in place, keeping its arrays for reuse. *)
+
+val current : unit -> sink
+val set_current : sink -> unit
 
 val set_raw_sample_every : ?seed:int -> int -> unit
 (** [set_raw_sample_every ~seed k] thins the {e raw-sample reservoir}
@@ -44,18 +61,15 @@ val set_raw_sample_every : ?seed:int -> int -> unit
     that full-population sketch rather than the thinned reservoir.
     [k = 1] (the default) retains every sample, allocates no sketch,
     and is bit-identical to the unsampled registry.  Raises
-    [Invalid_argument] when [k < 1]. *)
+    [Invalid_argument] when [k < 1], or when the current sink is a
+    log. *)
 
-val merge_into : registry -> unit
-(** Fold a shard registry into the current one.  Each non-empty shard
-    histogram re-observes its samples, in the shard's insertion order,
-    into the destination cell of the same name, so every merged series
-    depends only on the order of [merge_into] calls.  The destination's
-    reservoir thinning (see {!set_raw_sample_every}) applies to the
-    merged samples.  Raises [Invalid_argument], before merging
-    anything, when the shard thins its reservoir (its dropped samples
-    could not be replayed): shards must observe at the default
-    [k = 1]. *)
+val replay : log -> unit
+(** Feed a shard's log into the current sink, in observation order:
+    into a registry, each entry is observed in the cell of its id (so
+    every merged series depends only on the order of [replay] calls,
+    and the registry's reservoir thinning applies); into a log, the
+    entries are appended.  The log is unchanged. *)
 
 val labels : string -> (string * string) list -> string
 (** [labels name kvs] encodes a dimensional series name in the
@@ -71,8 +85,11 @@ val base_name : string -> string
     group dimensional series under. *)
 
 val histogram : string -> histogram
-(** Registered histogram for [name], created empty on first use.
-    Repeated calls with the same name share one instrument. *)
+(** The histogram named [name]: its interned id, registered (empty) in
+    the current registry on first use.  Repeated calls with the same
+    name, from any domain, return the same id.  Call it once per
+    series, not per observation: interning takes a lock and hashes the
+    name. *)
 
 val observe : histogram -> float -> unit
 (** Negative values are clamped to 0 for bucketing (the exact sample
@@ -82,7 +99,7 @@ val observe_time : histogram -> Units.time -> unit
 (** Records the duration in nanoseconds. *)
 
 val histogram_count : histogram -> int
-(** Exact observation count (never thinned). *)
+(** Exact observation count in the current sink (never thinned). *)
 
 val bucket_index : float -> int
 (** Bucket for a value: 0 holds values < 1 (negatives included);
@@ -132,17 +149,11 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 (** Snapshot of every {!Stats.Counter}, every gauge and the current
-    registry's histograms.  Each call recomputes every histogram's
-    percentiles. *)
+    registry's histograms, or, under a log, the histograms the log
+    replays to.  Each call recomputes every histogram's percentiles. *)
 
 val reset : unit -> unit
 (** Zeroes every gauge, every {!Stats.Counter} and the current
-    registry's histograms (the instruments stay registered).  Call at
-    run boundaries so exported snapshots are per-run. *)
-
-val reset_registry : registry -> unit
-(** Scrub [registry] in place for reuse as a fresh per-task shard:
-    histogram cells are cleared but kept (their bucket arrays and
-    reservoirs are reused) and the sampling configuration returns to
-    the {!create_registry} default.  Merging a scrubbed registry is
-    byte-identical to merging a fresh one. *)
+    registry's histograms (the instruments stay registered), or empties
+    the current log.  Call at run boundaries so exported snapshots are
+    per-run. *)

@@ -7,9 +7,12 @@
    - A task must route every order-sensitive collector write (spans,
      trace events, histogram observations) through a [shard] installed
      with [with_shard].  Shards are domain-local swaps, so the hot path
-     takes no locks.  Counters and gauges are sums and high-watermarks,
-     which no order can change: they are process-wide cells that any
-     domain updates in place, inside a shard or not.
+     takes no locks.  A shard holds no histogram cells: it logs each
+     observation as a (histogram id, value) pair, and its span store
+     and trace ring exist only once something is recorded in them.
+     Counters and gauges are sums and high-watermarks, which no order
+     can change: they are process-wide cells that any domain updates
+     in place, inside a shard or not.
    - Shards are merged with [merge_shard] at points chosen by the
      (sequential, virtual-time) merge loop — keyed by submission
      index, so the merged timeline is bit-identical whether the tasks
@@ -34,14 +37,16 @@ let auto_domains () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
 (* [sh_saved_*] hold the collectors a shard displaced while it is
    installed ([enter_shard] to [leave_shard]), so installing one
-   allocates nothing.  A shard is installed at most once at a time. *)
+   allocates nothing.  A shard is installed at most once at a time.
+   [sh_metrics] is [Metrics.Log sh_log], built once. *)
 type shard = {
   sh_span : Span.t;
   sh_trace : Trace.t;
-  sh_metrics : Metrics.registry;
+  sh_log : Metrics.log;
+  sh_metrics : Metrics.sink;
   mutable sh_saved_span : Span.t;
   mutable sh_saved_trace : Trace.t;
-  mutable sh_saved_metrics : Metrics.registry;
+  mutable sh_saved_metrics : Metrics.sink;
 }
 
 type shard_config = { cfg_span_on : bool; cfg_trace_on : bool }
@@ -59,14 +64,16 @@ let make_shard cfg =
   Span.set_enabled sp cfg.cfg_span_on;
   let tr = Trace.create () in
   Trace.set_enabled tr cfg.cfg_trace_on;
-  let reg = Metrics.create_registry () in
+  let log = Metrics.create_log () in
+  let sink = Metrics.Log log in
   {
     sh_span = sp;
     sh_trace = tr;
-    sh_metrics = reg;
+    sh_log = log;
+    sh_metrics = sink;
     sh_saved_span = sp;
     sh_saved_trace = tr;
-    sh_saved_metrics = reg;
+    sh_saved_metrics = sink;
   }
 
 let enter_shard shard =
@@ -102,25 +109,25 @@ let with_shard shard f =
 let merge_shard ?(attach = Span.none) ?(offset = Units.zero) shard =
   Span.import (Span.current ()) ~offset ~attach shard.sh_span;
   Trace.import (Trace.current ()) ~offset shard.sh_trace;
-  Metrics.merge_into shard.sh_metrics
+  Metrics.replay shard.sh_log
 
 (* --- Shard pool ----------------------------------------------------
 
-   A shard is 3 collector structures whose backing stores (span
-   array, trace ring, histogram cells) dwarf the data a single request
-   ever puts in them.  Serving allocates 2-3 shards per
-   request; recycling them is the same reset-discipline the WFD shell
-   pool uses: scrub every observable on release, so an acquired shard
-   is indistinguishable from a fresh one ([merge_shard] of a scrubbed
-   shard is byte-identical to merging a fresh shard — merges copy or
-   replay contents and skip empty cells).
+   Serving uses 2-3 shards per request; recycling them is the same
+   reset-discipline the WFD shell pool uses: scrub every observable on
+   release, so an acquired shard is indistinguishable from a fresh one
+   ([merge_shard] of a scrubbed shard is byte-identical to merging a
+   fresh shard — merges copy or replay contents, and a scrub empties
+   the log and clears only the span and trace slots that were used).
 
    Release is only legal after the shard has been merged (or when its
    contents are deliberately discarded, e.g. a crashed attempt being
    replayed): the pool takes ownership.  Exception paths may simply
-   drop shards — the pool is an optimisation, not a ledger. *)
+   drop shards — the pool is an optimisation, not a ledger.  The pool
+   is an array stack, so parking a shard allocates nothing once the
+   array has grown. *)
 
-let shard_pool : shard list ref = ref []
+let shard_pool : shard array ref = ref [||]
 let shard_pool_len = ref 0
 let shard_pool_mu = Mutex.create ()
 let shard_pool_cap = 4096
@@ -130,28 +137,38 @@ let scrub_shard sh =
   Span.set_enabled sh.sh_span false;
   Trace.clear sh.sh_trace;
   Trace.set_enabled sh.sh_trace false;
-  Metrics.reset_registry sh.sh_metrics
+  Metrics.clear_log sh.sh_log
 
 let acquire_shard cfg =
   Mutex.lock shard_pool_mu;
-  match !shard_pool with
-  | sh :: rest ->
-      shard_pool := rest;
-      decr shard_pool_len;
-      Mutex.unlock shard_pool_mu;
-      Span.set_enabled sh.sh_span cfg.cfg_span_on;
-      Trace.set_enabled sh.sh_trace cfg.cfg_trace_on;
-      sh
-  | [] ->
-      Mutex.unlock shard_pool_mu;
-      make_shard cfg
+  let n = !shard_pool_len - 1 in
+  if n < 0 then begin
+    Mutex.unlock shard_pool_mu;
+    make_shard cfg
+  end
+  else begin
+    let sh = !shard_pool.(n) in
+    (* The vacated slot still points at [sh] until a release
+       overwrites it; it is never read before then. *)
+    shard_pool_len := n;
+    Mutex.unlock shard_pool_mu;
+    Span.set_enabled sh.sh_span cfg.cfg_span_on;
+    Trace.set_enabled sh.sh_trace cfg.cfg_trace_on;
+    sh
+  end
 
 let release_shard sh =
   scrub_shard sh;
   Mutex.lock shard_pool_mu;
-  if !shard_pool_len < shard_pool_cap then begin
-    shard_pool := sh :: !shard_pool;
-    incr shard_pool_len
+  let n = !shard_pool_len in
+  if n < shard_pool_cap then begin
+    if n = Array.length !shard_pool then begin
+      let grown = Array.make (Stdlib.min shard_pool_cap (Stdlib.max 64 (2 * n))) sh in
+      Array.blit !shard_pool 0 grown 0 n;
+      shard_pool := grown
+    end;
+    !shard_pool.(n) <- sh;
+    shard_pool_len := n + 1
   end;
   Mutex.unlock shard_pool_mu
 

@@ -18,6 +18,11 @@ module Tdigest = struct
     mutable buf_total : float;
     mutable minv : float;
     mutable maxv : float;
+    mutable scr_m : float array;
+        (* flush scratch, at least [n + buf_len] long once a flush
+           starts: the buffer sort's spill space, then the merged
+           centroids, which it swaps with [means]/[weights] *)
+    mutable scr_w : float array;
   }
 
   let create ?(compression = 100.0) () =
@@ -35,35 +40,87 @@ module Tdigest = struct
       buf_total = 0.0;
       minv = infinity;
       maxv = neg_infinity;
+      scr_m = [||];
+      scr_w = [||];
     }
 
   let count t = t.total +. t.buf_total
 
-  (* Merge the sorted centroid prefix with the (sorted-on-demand)
-     buffer, then compress: scan in ascending-mean order, greedily
-     fusing neighbours while the fused weight stays under the k1-style
-     bound 4 * total * q * (1-q) / compression at the fused midpoint.
-     Every step is order-determined float arithmetic — no randomness,
-     no hashing. *)
+  (* Stable in-place sort of the buffer's (mean, weight) pairs by mean:
+     insertion sort on short runs, merging runs through the scratch
+     arrays above that.  Only a strictly smaller mean moves ahead, so
+     equal means keep insertion order, and -0.0 and 0.0 count as equal
+     (as under [Float.compare]). *)
+  let insertion_sort (m : float array) (w : float array) lo hi =
+    for i = lo + 1 to hi - 1 do
+      let x = m.(i) and xw = w.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && m.(!j) > x do
+        m.(!j + 1) <- m.(!j);
+        w.(!j + 1) <- w.(!j);
+        decr j
+      done;
+      m.(!j + 1) <- x;
+      w.(!j + 1) <- xw
+    done
+
+  (* Merge the sorted runs [lo, mid) and [mid, hi): the left run is
+     spilled to scratch and merged back, taking the right run's head
+     only when it is strictly smaller. *)
+  let merge_runs t lo mid hi =
+    let m = t.buf_m and w = t.buf_w and sm = t.scr_m and sw = t.scr_w in
+    let nl = mid - lo in
+    Array.blit m lo sm 0 nl;
+    Array.blit w lo sw 0 nl;
+    let i = ref 0 and j = ref mid and k = ref lo in
+    while !i < nl && !j < hi do
+      if m.(!j) < sm.(!i) then begin
+        m.(!k) <- m.(!j);
+        w.(!k) <- w.(!j);
+        incr j
+      end
+      else begin
+        m.(!k) <- sm.(!i);
+        w.(!k) <- sw.(!i);
+        incr i
+      end;
+      incr k
+    done;
+    (* A right-run remainder is already in place. *)
+    Array.blit sm !i m !k (nl - !i);
+    Array.blit sw !i w !k (nl - !i)
+
+  let rec sort_buf t lo hi =
+    if hi - lo <= 16 then insertion_sort t.buf_m t.buf_w lo hi
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort_buf t lo mid;
+      sort_buf t mid hi;
+      if t.buf_m.(mid - 1) > t.buf_m.(mid) then merge_runs t lo mid hi
+    end
+
+  (* Merge the sorted centroid prefix with the sorted buffer, then
+     compress: scan in ascending-mean order, greedily fusing neighbours
+     while the fused weight stays under the k1-style bound
+     4 * total * q * (1-q) / compression at the fused midpoint.  Every
+     step is order-determined float arithmetic — no randomness, no
+     hashing — and all of it runs in arrays the digest keeps, so a
+     flush allocates only when the centroid count outgrows them. *)
   let flush t =
     if t.buf_len > 0 then begin
-      (* Sort buffer points by mean.  Indirect sort keeps (mean,
-         weight) pairs together; ties resolve by original insertion
-         index, which is itself deterministic. *)
-      let idx = Array.init t.buf_len (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          let c = Float.compare t.buf_m.(a) t.buf_m.(b) in
-          if c <> 0 then c else compare a b)
-        idx;
       let m = t.n + t.buf_len in
-      let tm = Array.make m 0.0 and tw = Array.make m 0.0 in
-      (* Two-way merge of sorted centroids and sorted buffer. *)
+      if Array.length t.scr_m < m then begin
+        t.scr_m <- Array.make (2 * m) 0.0;
+        t.scr_w <- Array.make (2 * m) 0.0
+      end;
+      sort_buf t 0 t.buf_len;
+      let tm = t.scr_m and tw = t.scr_w in
+      (* Two-way merge of sorted centroids and sorted buffer; a
+         centroid goes first on equal means. *)
       let i = ref 0 and j = ref 0 and k = ref 0 in
       while !i < t.n || !j < t.buf_len do
         let take_centroid =
-          !j >= t.buf_len
-          || (!i < t.n && t.means.(!i) <= t.buf_m.(idx.(!j)))
+          !j >= t.buf_len || (!i < t.n && t.means.(!i) <= t.buf_m.(!j))
         in
         if take_centroid then begin
           tm.(!k) <- t.means.(!i);
@@ -71,8 +128,8 @@ module Tdigest = struct
           incr i
         end
         else begin
-          tm.(!k) <- t.buf_m.(idx.(!j));
-          tw.(!k) <- t.buf_w.(idx.(!j));
+          tm.(!k) <- t.buf_m.(!j);
+          tw.(!k) <- t.buf_w.(!j);
           incr j
         end;
         incr k
@@ -103,14 +160,13 @@ module Tdigest = struct
       tm.(!out) <- !cur_m;
       tw.(!out) <- !cur_w;
       incr out;
-      let n = !out in
-      if Array.length t.means < n then begin
-        t.means <- Array.make (2 * n) 0.0;
-        t.weights <- Array.make (2 * n) 0.0
-      end;
-      Array.blit tm 0 t.means 0 n;
-      Array.blit tw 0 t.weights 0 n;
-      t.n <- n;
+      (* The merged centroids become the digest's; the old arrays are
+         the next flush's scratch. *)
+      t.scr_m <- t.means;
+      t.scr_w <- t.weights;
+      t.means <- tm;
+      t.weights <- tw;
+      t.n <- !out;
       t.total <- total;
       t.buf_len <- 0;
       t.buf_total <- 0.0
@@ -197,6 +253,8 @@ module Tdigest = struct
       weights = Array.copy t.weights;
       buf_m = Array.copy t.buf_m;
       buf_w = Array.copy t.buf_w;
+      scr_m = [||];
+      scr_w = [||];
     }
 
   let clear t =

@@ -30,7 +30,10 @@ let dummy =
     sp_attrs = [];
   }
 
-let create () = { store = Array.make 64 dummy; len = 0; on = false; amb = none }
+(* The store is allocated on the first span, so a collector that
+   records nothing (a [Par] shard with spans off, or on an unsampled
+   request) costs a few words. *)
+let create () = { store = [||]; len = 0; on = false; amb = none }
 
 let global = create ()
 
@@ -54,7 +57,7 @@ let clear t =
 
 let push t sp =
   if t.len = Array.length t.store then begin
-    let bigger = Array.make (2 * t.len) dummy in
+    let bigger = Array.make (Stdlib.max 64 (2 * t.len)) dummy in
     Array.blit t.store 0 bigger 0 t.len;
     t.store <- bigger
   end;

@@ -74,13 +74,15 @@ let global = create ()
 
 (* Graft a shard's events onto [t] with times shifted by [offset].
    Replaying through [record] keeps ring-buffer drop accounting
-   identical to having recorded the events directly. *)
+   identical to having recorded the events directly.  An empty shard —
+   every unsampled request's — costs a comparison, not a closure. *)
 let import t ~offset shard =
-  List.iter
-    (fun e ->
-      record t ~at:(Units.add e.at offset) ~category:e.category ~label:e.label
-        e.detail)
-    (events shard)
+  if shard.stored > 0 then
+    List.iter
+      (fun e ->
+        record t ~at:(Units.add e.at offset) ~category:e.category ~label:e.label
+          e.detail)
+      (events shard)
 
 (* Domain-local "current" buffer: main domain -> [global], workers
    default to a private instance until [Par.with_shard] installs a

@@ -31,8 +31,10 @@ val recordf :
   ('a, Format.formatter, unit, unit) format4 ->
   'a
 (** Formatted detail.  When tracing is disabled no detail string is
-    built and custom [%a] printers are never invoked; only the argument
-    expressions themselves are evaluated at the call site. *)
+    built and custom [%a] printers are never invoked; the argument
+    expressions are still evaluated at the call site, and consuming
+    them still allocates (about 10 words for two arguments), so a call
+    site on a per-request path checks {!enabled} first. *)
 
 val events : t -> event list
 (** Oldest first. *)

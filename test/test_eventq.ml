@@ -1,4 +1,4 @@
-(* Differential test for the pairing-heap event queue: the heap is run
+(* Differential test for the binary-heap event queue: the heap is run
    side by side with a naive sorted-list reference model through
    thousands of seeded random inserts and pops and must agree on every
    pop — payload, timestamp and tie order.  The reference mirrors the
@@ -35,8 +35,15 @@ let model_pop m =
 
 (* --- The differential driver --------------------------------------- *)
 
+(* The queue's earliest event as the reference reports it. *)
+let pop_opt q =
+  if Eventq.is_empty q then None
+  else
+    let at = Eventq.next_at q in
+    Some (at, Eventq.pop q)
+
 let check_pop_agrees name q model =
-  let got = Eventq.pop q in
+  let got = pop_opt q in
   let want = model_pop model in
   match (got, want) with
   | None, None -> ()
@@ -86,7 +93,7 @@ let test_fifo_ties () =
     Eventq.push q ~at i
   done;
   for i = 0 to 99 do
-    match Eventq.pop q with
+    match pop_opt q with
     | Some (t, v) ->
         Alcotest.(check int) (Printf.sprintf "tie %d pops FIFO" i) i v;
         Alcotest.(check int64) "tie timestamp" (Units.to_ns at) (Units.to_ns t)
@@ -103,11 +110,10 @@ let test_priority_classes () =
   done;
   let popped = ref [] in
   let rec go () =
-    match Eventq.pop q with
-    | Some (_, pv) ->
-        popped := pv :: !popped;
-        go ()
-    | None -> ()
+    if not (Eventq.is_empty q) then begin
+      popped := Eventq.pop q :: !popped;
+      go ()
+    end
   in
   go ();
   let expect =
@@ -115,9 +121,47 @@ let test_priority_classes () =
   in
   Alcotest.(check (list (pair int int))) "class then FIFO" expect (List.rev !popped)
 
+(* An empty queue has no earliest event. *)
+let test_empty_queue_raises () =
+  let q : int Eventq.t = Eventq.create () in
+  Alcotest.check_raises "next_at" (Invalid_argument "Eventq.next_at: empty queue") (fun () ->
+      ignore (Eventq.next_at q));
+  Eventq.push q ~at:(Units.ms 1) 1;
+  Alcotest.(check int) "the one event" 1 (Eventq.pop q);
+  Alcotest.check_raises "pop" (Invalid_argument "Eventq.pop: empty queue") (fun () ->
+      ignore (Eventq.pop q))
+
+(* With 2 048 events queued — a serving window of arrivals — a push
+   plus a pop allocates nothing once the arrays have grown; the pairing
+   heap it replaced built a node, an option per meld and a result
+   tuple, about 65 words a pair on this loop. *)
+let test_push_pop_allocation () =
+  let q : int Eventq.t = Eventq.create () in
+  let rng = Rng.create 11 in
+  let at () = Units.ns (Rng.int rng 1_000_000) in
+  for i = 1 to 2048 do
+    Eventq.push q ~at:(at ()) i
+  done;
+  let cycle n =
+    for i = 1 to n do
+      let t = Eventq.next_at q in
+      ignore (Sys.opaque_identity (Eventq.pop q));
+      Eventq.push q ~at:(Units.add t (at ())) i
+    done
+  in
+  cycle 10_000;
+  let w0 = Gc.minor_words () in
+  cycle 10_000;
+  let per_pair = (Gc.minor_words () -. w0) /. 10_000.0 in
+  Alcotest.(check int) "queue size held" 2048 (Eventq.length q);
+  if per_pair >= 1.0 then
+    Alcotest.failf "a push+pop pair allocates %.2f minor words (bound 1)" per_pair
+
 let suite =
   [
     Alcotest.test_case "differential vs sorted-list reference" `Quick test_differential;
     Alcotest.test_case "same-deadline FIFO" `Quick test_fifo_ties;
     Alcotest.test_case "priority classes break instant ties" `Quick test_priority_classes;
+    Alcotest.test_case "empty queue raises" `Quick test_empty_queue_raises;
+    Alcotest.test_case "push+pop allocates < 1 minor word" `Quick test_push_pop_allocation;
   ]

@@ -51,7 +51,10 @@ let test_with_shard_restores_on_raise () =
          Alcotest.(check bool) "shard installed" true
            (Span.current () == sh.Par.sh_span
            && Trace.current () == sh.Par.sh_trace
-           && Metrics.current () == sh.Par.sh_metrics);
+           &&
+           match Metrics.current () with
+           | Metrics.Log l -> l == sh.Par.sh_log
+           | Metrics.Registry _ -> false);
          failwith "task")
    with
   | () -> Alcotest.fail "expected the task to raise"
@@ -415,13 +418,21 @@ let test_hotspot_allocation_accounting () =
   let baseline = fingerprint (serve_once ~requests ()) in
   Hotspot.reset ();
   Hotspot.set_enabled true;
-  let a0 = Gc.allocated_bytes () in
+  (* The GC's count read the way the profiler reads it: minor words
+     from [Gc.minor_words], since [Gc.allocated_bytes] takes them from
+     [Gc.counters], which on OCaml 5.1 leaves out what the current
+     minor heap holds (up to its whole size). *)
+  let allocated_words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let a0 = allocated_words () in
   let r =
     Fun.protect
       ~finally:(fun () -> Hotspot.set_enabled false)
       (fun () -> Hotspot.with_section "test.total" (fun () -> serve_once ~requests ()))
   in
-  let gc_words = (Gc.allocated_bytes () -. a0) /. 8.0 in
+  let gc_words = allocated_words () -. a0 in
   Alcotest.(check string) "profiling leaves responses untouched" baseline
     (fingerprint r);
   let entry =
@@ -442,6 +453,40 @@ let test_hotspot_allocation_accounting () =
        (entry.Hotspot.hs_minor_words +. entry.Hotspot.hs_major_words
       -. section_words)
     < 1.0)
+
+let test_hotspot_minor_words_exact () =
+  (* A section's minor words are its body's, to within a word, however
+     small the body: the profiler's own allocation at each boundary
+     stays outside the section.  The body's reading goes to a float
+     array, so storing it boxes nothing. *)
+  let body = [| 0.0 |] in
+  let run n =
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (Array.make 3 i))
+    done;
+    body.(0) <- Gc.minor_words () -. w0
+  in
+  Hotspot.reset ();
+  Hotspot.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Hotspot.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun n ->
+          let name = Printf.sprintf "test.hotspot.words.%d" n in
+          let s = Hotspot.enter name in
+          run n;
+          Hotspot.leave s;
+          let e =
+            List.find
+              (fun (e : Hotspot.entry) -> String.equal e.Hotspot.hs_name name)
+              (Hotspot.snapshot ())
+          in
+          if Float.abs (e.Hotspot.hs_minor_words -. body.(0)) > 1.0 then
+            Alcotest.failf "%s: section read %.1f minor words, its body allocated %.1f" name
+              e.Hotspot.hs_minor_words body.(0))
+        [ 0; 1; 3; 10; 100; 10_000 ])
 
 (* --- The merge rule -------------------------------------------------
 
@@ -494,12 +539,13 @@ let print_merge_case shards =
               (List.map (fun (i, v) -> Printf.sprintf "%d:%.17g" i v) obs)))
        shards)
 
-let export_in_fresh_registry ~every f =
+let in_fresh_registry f =
   let saved = Metrics.current () in
-  Metrics.set_current (Metrics.create_registry ());
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_current saved)
-    (fun () ->
+  Metrics.set_current (Metrics.Registry (Metrics.create_registry ()));
+  Fun.protect ~finally:(fun () -> Metrics.set_current saved) f
+
+let export_in_fresh_registry ~every f =
+  in_fresh_registry (fun () ->
       if every > 1 then Metrics.set_raw_sample_every ~seed:7 every;
       f ();
       Obs.metrics_json_string ())
@@ -542,6 +588,116 @@ let merge_rule_property =
           in
           String.equal direct (merged_export ~every shards))
         [ 1; 64 ])
+
+(* --- Histogram ids and shard logs ------------------------------------ *)
+
+(* At k = 64 every observation also feeds the t-digest.  Amortised over
+   10^5 calls an observation allocates about 4 words, the boxed floats
+   of the calls into [observe] and the digest (the reservoir keeps 1 in
+   64, the digest flushes in place); the closure-sorted flush made it
+   about 9. *)
+let test_observe_allocation () =
+  let values = Array.init 100_000 (fun i -> float_of_int ((i * 7919) mod 100_003)) in
+  in_fresh_registry (fun () ->
+      Metrics.set_raw_sample_every ~seed:1 64;
+      let h = Metrics.histogram "test.par.alloc.observe" in
+      Array.iter (Metrics.observe h) values;
+      let w0 = Gc.minor_words () in
+      for i = 0 to Array.length values - 1 do
+        Metrics.observe h values.(i)
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int (Array.length values) in
+      if per_call >= 6.0 then
+        Alcotest.failf "Metrics.observe at k = 64 allocates %.2f minor words a call (bound 6)"
+          per_call)
+
+(* A shard's whole life on the serving path: acquire, 10 observations,
+   merge into the registry, scrub back into the pool.  After warm-up it
+   allocates only the replayed values' boxes for the reservoir's add,
+   20 words; a shard that carried a registry took about 46. *)
+let test_shard_cycle_allocation () =
+  in_fresh_registry (fun () ->
+      let h = Metrics.histogram "test.par.alloc.shard" in
+      (* Values boxed once, up front: passing one to [observe] boxes
+         nothing, so the count is the shard's own. *)
+      let values = List.init 10 (fun i -> float_of_int (i * 1000)) in
+      let rec feed = function
+        | [] -> ()
+        | v :: rest ->
+            Metrics.observe h v;
+            feed rest
+      in
+      let cycle () =
+        let sh = Par.acquire_shard all_off in
+        Par.enter_shard sh;
+        feed values;
+        Par.leave_shard sh;
+        Par.merge_shard sh;
+        Par.release_shard sh
+      in
+      (* 2 000 warm-up cycles grow the reservoir to 32 768 slots, which
+         the 1 000 measured ones do not outgrow. *)
+      for _ = 1 to 2000 do
+        cycle ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        cycle ()
+      done;
+      let per_cycle = (Gc.minor_words () -. w0) /. 1000.0 in
+      Alcotest.(check int) "every observation merged" 30_000 (Metrics.histogram_count h);
+      if per_cycle >= 35.0 then
+        Alcotest.failf "a 10-observation shard cycle allocates %.1f minor words (bound 35)"
+          per_cycle)
+
+(* Names interned from 4 domains at once get one id each, whatever the
+   order each domain meets them in; observations logged under those
+   ids from every domain merge into one series per name. *)
+let test_interning_across_domains () =
+  let names = Array.init 64 (fun i -> Printf.sprintf "test.par.intern.%d" i) in
+  let task d () =
+    let sh = Par.acquire_shard all_off in
+    let ids =
+      Par.with_shard sh (fun () ->
+          Array.init 64 (fun k ->
+              let i = ((k * 5) + (d * 17)) mod 64 in
+              let h = Metrics.histogram names.(i) in
+              for v = 1 to d + 1 do
+                Metrics.observe h (float_of_int v)
+              done;
+              (i, h)))
+    in
+    Array.sort compare ids;
+    (sh, Array.map snd ids)
+  in
+  let results = with_domains 4 (fun () -> Par.run (Array.init 4 task)) in
+  let ids0 = snd results.(0) in
+  Array.iteri
+    (fun d (_, ids) ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d sees the same ids" d) true (ids = ids0))
+    results;
+  Alcotest.(check int) "one id per name" 64
+    (List.length (List.sort_uniq compare (Array.to_list ids0)));
+  in_fresh_registry (fun () ->
+      Array.iter
+        (fun (sh, _) ->
+          Par.merge_shard sh;
+          Par.release_shard sh)
+        results;
+      let mine =
+        List.filter
+          (fun (h : Metrics.histo_snapshot) ->
+            String.starts_with ~prefix:"test.par.intern." h.Metrics.hs_name)
+          (Metrics.snapshot ()).Metrics.snap_histograms
+      in
+      Alcotest.(check (list string)) "each series once, sorted by name"
+        (List.sort String.compare (Array.to_list names))
+        (List.map (fun (h : Metrics.histo_snapshot) -> h.Metrics.hs_name) mine);
+      (* Domain d observed each name d + 1 times: 1 + 2 + 3 + 4. *)
+      List.iter
+        (fun (h : Metrics.histo_snapshot) ->
+          Alcotest.(check int) (h.Metrics.hs_name ^ " count") 10 h.Metrics.hs_count)
+        mine)
 
 let test_counters_gauges_exact () =
   let never = "test.par.cells.never" in
@@ -623,4 +779,10 @@ let suite =
     QCheck_alcotest.to_alcotest merge_rule_property;
     Alcotest.test_case "counters and gauges exact from any domain" `Quick
       test_counters_gauges_exact;
+    Alcotest.test_case "observe at k = 64 allocates < 6 words" `Quick test_observe_allocation;
+    Alcotest.test_case "shard cycle allocates < 35 words" `Quick test_shard_cycle_allocation;
+    Alcotest.test_case "names interned once across domains" `Quick
+      test_interning_across_domains;
+    Alcotest.test_case "hotspot minor words are exact" `Quick
+      test_hotspot_minor_words_exact;
   ]

@@ -113,7 +113,7 @@ let test_metrics_raw_thinning () =
      stride-sampling a smooth sequence cannot move the median much. *)
   let in_registry f =
     let saved = Metrics.current () in
-    Metrics.set_current (Metrics.create_registry ());
+    Metrics.set_current (Metrics.Registry (Metrics.create_registry ()));
     Fun.protect ~finally:(fun () -> Metrics.set_current saved) f
   in
   let feed () =
@@ -144,35 +144,35 @@ let test_metrics_raw_thinning () =
   close "p50" exact.Metrics.hs_p50 thinned.Metrics.hs_p50;
   close "p99" exact.Metrics.hs_p99 thinned.Metrics.hs_p99
 
-let test_merge_rejects_thinned_shard () =
-  (* Shards are replayed sample by sample.  A shard whose reservoir was
-     thinned cannot be, so merging it is an error, not a merge by
-     aggregates. *)
-  let saved = Metrics.current () in
-  let in_registry r f =
-    Metrics.set_current r;
-    Fun.protect ~finally:(fun () -> Metrics.set_current saved) f
-  in
-  let shard = Metrics.create_registry () in
-  in_registry shard (fun () ->
-      Metrics.set_raw_sample_every ~seed:1 4;
+let test_shard_log_cannot_be_thinned () =
+  (* A shard logs every observation for replay, so it has no reservoir
+     to thin: asking for thinning while its log is installed is an
+     error, and the replay stays exact. *)
+  let sh = Par.acquire_shard { Par.cfg_span_on = false; cfg_trace_on = false } in
+  Par.with_shard sh (fun () ->
+      (match Metrics.set_raw_sample_every ~seed:1 4 with
+      | () -> Alcotest.fail "a shard log must refuse thinning"
+      | exception Invalid_argument _ -> ());
       let h = Metrics.histogram "thinned_shard" in
       for i = 1 to 100 do
         Metrics.observe h (float_of_int i)
       done);
-  in_registry (Metrics.create_registry ()) (fun () ->
-      (match Metrics.merge_into shard with
-      | () -> Alcotest.fail "a thinned shard must be rejected"
-      | exception Invalid_argument _ -> ());
-      Alcotest.(check int) "nothing merged" 0
-        (Metrics.histogram_count (Metrics.histogram "thinned_shard")))
+  let saved = Metrics.current () in
+  Metrics.set_current (Metrics.Registry (Metrics.create_registry ()));
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_current saved)
+    (fun () ->
+      Par.merge_shard sh;
+      Alcotest.(check int) "every observation replayed" 100
+        (Metrics.histogram_count (Metrics.histogram "thinned_shard")));
+  Par.release_shard sh
 
 let test_percentiles_independent_of_snapshots () =
   (* A thinned histogram answers percentiles from its t-digest.  Reading
      a snapshot midway must not change what a later snapshot reports. *)
   let final ~every_snapshot =
     let saved = Metrics.current () in
-    Metrics.set_current (Metrics.create_registry ());
+    Metrics.set_current (Metrics.Registry (Metrics.create_registry ()));
     Fun.protect
       ~finally:(fun () -> Metrics.set_current saved)
       (fun () ->
@@ -200,8 +200,8 @@ let suite =
     Alcotest.test_case "sampling deterministic across domains" `Quick
       test_sampling_across_domains;
     Alcotest.test_case "metrics reservoir thinning" `Quick test_metrics_raw_thinning;
-    Alcotest.test_case "merge rejects a thinned shard" `Quick
-      test_merge_rejects_thinned_shard;
+    Alcotest.test_case "a shard log cannot be thinned" `Quick
+      test_shard_log_cannot_be_thinned;
     Alcotest.test_case "percentiles independent of earlier snapshots" `Quick
       test_percentiles_independent_of_snapshots;
   ]

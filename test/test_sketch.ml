@@ -203,6 +203,110 @@ let test_fold_live_words_flat () =
         (last - first < 512_000)
   | _ -> Alcotest.fail "expected at least two live-word probes"
 
+(* --- The flush against the closure-sorted reference ------------------
+
+   Two digests of each implementation receive the same call sequence:
+   single adds with weights, repeated values and both zeros; bursts that
+   leave 255, 256 or 257 points buffered; merges either way; and
+   percentile queries, which flush.  Every query, count and the
+   observed min/max (percentiles 0 and 100) must agree bit for bit, so
+   the in-place stable sort must order equal means exactly as the
+   reference's index tie-break does. *)
+
+type td_op =
+  | Add of int * float * float  (* digest, value, weight *)
+  | Burst of int * int * int  (* digest, points, seed of their values *)
+  | Merge of int  (* source digest; the other is the destination *)
+  | Query of int * float  (* digest, percentile *)
+
+let td_value =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map float_of_int (int_range 0 6));
+      (2, oneofl [ 0.0; -0.0; 1.5; -2.25; 1e9 ]);
+      (2, float_range (-1e3) 1e3);
+    ]
+
+let td_weight =
+  QCheck.Gen.(frequency [ (4, return 1.0); (1, oneofl [ 0.5; 2.0; 3.0 ]); (1, float_range 0.01 10.0) ])
+
+let td_op_gen =
+  let open QCheck.Gen in
+  let digest = int_bound 1 in
+  frequency
+    [
+      (8, map3 (fun d v w -> Add (d, v, w)) digest td_value td_weight);
+      (2, map3 (fun d n s -> Burst (d, n, s)) digest (oneofl [ 1; 255; 256; 257; 511; 513 ]) nat);
+      (1, map (fun d -> Merge d) digest);
+      (2, map2 (fun d p -> Query (d, p)) digest (oneofl [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]));
+    ]
+
+let print_td_op = function
+  | Add (d, v, w) -> Printf.sprintf "add%d %h w%h" d v w
+  | Burst (d, n, s) -> Printf.sprintf "burst%d %d s%d" d n s
+  | Merge d -> Printf.sprintf "merge %d->%d" d (1 - d)
+  | Query (d, p) -> Printf.sprintf "p%g@%d" p d
+
+(* A burst's values: small integers (many ties), both zeros, and a
+   weight other than 1 now and then. *)
+let burst_points n seed =
+  let rng = Rng.create seed in
+  List.init n (fun _ ->
+      let v =
+        match Rng.int rng 10 with
+        | 0 -> -0.0
+        | 1 -> 0.0
+        | 2 -> Rng.float rng 100.0
+        | _ -> float_of_int (Rng.int rng 12)
+      in
+      (v, if Rng.int rng 8 = 0 then 2.0 else 1.0))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let flush_matches_reference =
+  QCheck.Test.make ~name:"t-digest flush == closure-sorted reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_td_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) td_op_gen))
+    (fun ops ->
+      let mine = [| Sketch.Tdigest.create (); Sketch.Tdigest.create () |] in
+      let refs = [| Oracle.Tdigest_ref.create (); Oracle.Tdigest_ref.create () |] in
+      let agree d =
+        same_bits (Sketch.Tdigest.count mine.(d)) (Oracle.Tdigest_ref.count refs.(d))
+        && List.for_all
+             (fun p ->
+               (* Query copies, so the check adds no flush of its own. *)
+               same_bits
+                 (Sketch.Tdigest.percentile (Sketch.Tdigest.copy mine.(d)) p)
+                 (Oracle.Tdigest_ref.percentile (Oracle.Tdigest_ref.copy refs.(d)) p))
+             [ 0.0; 100.0 ]
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Add (d, v, w) ->
+              Sketch.Tdigest.add ~weight:w mine.(d) v;
+              Oracle.Tdigest_ref.add ~weight:w refs.(d) v;
+              true
+          | Burst (d, n, s) ->
+              List.iter
+                (fun (v, w) ->
+                  Sketch.Tdigest.add ~weight:w mine.(d) v;
+                  Oracle.Tdigest_ref.add ~weight:w refs.(d) v)
+                (burst_points n s);
+              agree d
+          | Merge d ->
+              Sketch.Tdigest.merge_into ~src:mine.(d) ~dst:mine.(1 - d);
+              Oracle.Tdigest_ref.merge_into ~src:refs.(d) ~dst:refs.(1 - d);
+              agree 0 && agree 1
+          | Query (d, p) ->
+              same_bits (Sketch.Tdigest.percentile mine.(d) p)
+                (Oracle.Tdigest_ref.percentile refs.(d) p)
+              && agree d)
+        ops
+      && agree 0 && agree 1)
+
 let suite =
   [
     Alcotest.test_case "t-digest vs exact percentiles" `Quick
@@ -213,4 +317,5 @@ let suite =
       test_sketch_small_and_merge;
     Alcotest.test_case "serve_fold == serve" `Quick test_serve_fold_matches_serve;
     Alcotest.test_case "100k fold: live words O(1)" `Slow test_fold_live_words_flat;
+    QCheck_alcotest.to_alcotest flush_matches_reference;
   ]

@@ -380,6 +380,34 @@ let test_run_emits_trace () =
           if not (List.mem wanted labels) then Alcotest.fail ("missing event " ^ wanted))
         [ "wfd-created"; "entry-miss"; "module-loaded"; "stage-done"; "wfd-destroyed" ])
 
+(* Minor words of one tracing-off [Visor.run] of an 8-function chain,
+   after warm-up.  Every trace call site on the run path checks
+   [Trace.enabled] first: a disabled [Trace.recordf] still allocates
+   for its arguments, and the run passes 10 of them (wfd-created, one
+   stage-done per stage, wfd-destroyed) — about 3 860 words with the
+   checks, about 4 230 without. *)
+let test_untraced_run_allocation () =
+  let wf = Workflow.chain ~name:"alloc" 8 in
+  let bindings =
+    List.map
+      (fun (n : Workflow.node) ->
+        (n.Workflow.node_id, Visor.bind (fun ctx ~instance:_ ~total:_ -> Asstd.compute ctx (Units.ms 1))))
+      wf.Workflow.nodes
+  in
+  Alcotest.(check bool) "tracing is off" false (Trace.enabled (Trace.current ()));
+  let run () = ignore (Sys.opaque_identity (Visor.run ~workflow:wf ~bindings ())) in
+  for _ = 1 to 5 do
+    run ()
+  done;
+  let n = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    run ()
+  done;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_run >= 4000.0 then
+    Alcotest.failf "an untraced 8-function run allocates %.0f minor words (bound 4000)" per_run
+
 let suite =
   [
     Alcotest.test_case "run emits trace" `Quick test_run_emits_trace;
@@ -409,4 +437,5 @@ let suite =
     Alcotest.test_case "burst within capacity" `Quick test_burst_within_capacity;
     Alcotest.test_case "burst queues past capacity" `Quick test_burst_queues_past_capacity;
     Alcotest.test_case "burst spreads across nodes" `Quick test_burst_spreads_across_nodes;
+    Alcotest.test_case "untraced run allocates < 4000 words" `Quick test_untraced_run_allocation;
   ]
