@@ -112,28 +112,14 @@ let invoke_burst t ~endpoint ~count =
   | Some reg ->
       let width = workflow_width reg.workflow in
       let n_nodes = Array.length t.nodes in
-      (* Concurrent capacity per node: how many workflow instances its
-         cores can host at the workflow's widest stage. *)
-      let capacity =
-        Array.map (fun node -> Stdlib.max 1 (node.cores / Stdlib.max 1 width)) t.nodes
-      in
-      (* Finish times of in-flight invocations per node, maintained as
-         sorted arrays: indexing the (n - capacity)-th finish is O(1)
-         and each insert is one binary search + shift, instead of
-         re-sorting a list per request. *)
-      let inflight = Array.init n_nodes (fun _ -> ref [||]) in
-      let insert_sorted cell v =
-        let a = !cell in
-        let n = Array.length a in
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if Units.compare a.(mid) v <= 0 then lo := mid + 1 else hi := mid
-        done;
-        let b = Array.make (n + 1) v in
-        Array.blit a 0 b 0 !lo;
-        Array.blit a !lo b (!lo + 1) (n - !lo);
-        cell := b
+      (* A node hosts as many concurrent workflow instances as its cores
+         allow at the workflow's widest stage: that many slots, onto
+         which its invocations are list-scheduled in arrival order. *)
+      let slots =
+        Array.map
+          (fun node ->
+            Hostos.Sched.pool ~cores:(Stdlib.max 1 (node.cores / Stdlib.max 1 width)))
+          t.nodes
       in
       let per_node = Array.make n_nodes 0 in
       let queued = ref 0 in
@@ -149,19 +135,12 @@ let invoke_burst t ~endpoint ~count =
             let config = node_config t ~cores:t.nodes.(node).cores in
             let report = Visor.run ~config ~workflow:reg.workflow ~bindings:reg.bindings () in
             t.invocations <- t.invocations + 1;
-            let busy = !(inflight.(node)) in
-            let n_busy = Array.length busy in
-            let start =
-              if n_busy < capacity.(node) then Units.zero
-              else begin
-                incr queued;
-                (* Wait for the (n - capacity)-th finish. *)
-                busy.(n_busy - capacity.(node))
-              end
-            in
-            let finish = Units.add start (Units.add scale_cost report.Visor.e2e) in
-            insert_sorted inflight.(node) finish;
-            finish)
+            (* Past its node's capacity, an invocation waits for the
+               earliest free slot. *)
+            if per_node.(node) > Hostos.Sched.pool_cores slots.(node) then incr queued;
+            Hostos.Sched.makespan_on slots.(node) ~ready:Units.zero
+              ~dispatch_latency:Units.zero
+              [ Units.add scale_cost report.Visor.e2e ])
       in
       let stats = Sim.Stats.create () in
       List.iter (Sim.Stats.add_time stats) latencies;

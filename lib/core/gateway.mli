@@ -60,10 +60,13 @@ type burst_report = {
 }
 
 val invoke_burst : t -> endpoint:string -> count:int -> burst_report
-(** Fire [count] simultaneous invocations of the endpoint.  Each runs
-    for real; placement packs nodes up to [cores / workflow width]
-    concurrent instances, then queues.  Scaling an already-warm node
-    charges the dlmopen cost of the new function mappings. *)
+(** Fire [count] simultaneous invocations of the endpoint,
+    round-robin over the nodes.  Each runs for real; a node has
+    [cores / workflow width] slots (a {!Hostos.Sched.pool}) and
+    list-schedules its invocations onto them, so an invocation past
+    that capacity queues for the earliest free slot.  Scaling an
+    already-warm node charges the dlmopen cost of the new function
+    mappings. *)
 
 val invocations : t -> int
 val last_node : t -> string option

@@ -992,31 +992,26 @@ module Server = struct
 
   type boot_plan = Warm of template | Cold
 
-  (* One boot or stage of a trajectory: its collector shard, the
-     private-timeline instant its frame starts at, the task durations
-     to place on the shared pool, and the request's resident set once
-     the segment is done. *)
-  type segment = {
-    sg_shard : Par.shard;
-    sg_base : Units.time;
-    sg_durations : Units.time list;
-    sg_rss : int;
-  }
-
-  type attempt_traj = {
-    at_warm : bool;
-    at_wfd_id : int;
-    at_boot : segment;
-    at_boot_elapsed : Units.time;
-    at_stages : segment list;
-    at_failed : [ `Hang | `Failure ] option;
-        (* The stage after [at_stages] raised; its partial work is in
-           [at_fail_seg]. *)
-    at_fail_seg : segment option;
-  }
+  (* One step of a served request, in execution order.  Each carries
+     the collector shard it recorded into and, for a stage, the
+     private-timeline instant its frame starts at ([base]); [rss] is the
+     request's resident set once the step is done. *)
+  type segment =
+    | Boot of { warm : bool; wfd_id : int; elapsed : Units.time; shard : Par.shard; rss : int }
+        (* begins an attempt; its first stage is ready [elapsed] later *)
+    | Stage of {
+        index : int;
+        durations : Units.time list;  (* to place on the shared pool *)
+        shard : Par.shard;
+        base : Units.time;
+        rss : int;
+      }
+    | Failed of { index : int; hang : bool; shard : Par.shard; base : Units.time }
+        (* the stage that raised, with its partial work; ends a failed
+           attempt *)
 
   type traj = {
-    tj_attempts : attempt_traj list;  (* executed attempts, in order *)
+    tj_segments : segment array;  (* every attempt's, in order *)
     tj_retries : int;  (* function restarts across all attempts *)
     tj_released : bool;
         (* the final attempt's WFD went back to its template's pool —
@@ -1024,38 +1019,36 @@ module Server = struct
            [Wfd.release]) *)
   }
 
+  (* The trajectory of every request rejected at admission. *)
+  let rejected = { tj_segments = [||]; tj_retries = 0; tj_released = false }
+
   type plan = {
     pl_reg : registration;
-    pl_boots : boot_plan array;  (* one per potential attempt *)
+    pl_first : boot_plan;  (* the first attempt's boot *)
+    pl_retry : boot_plan;  (* the boot of every retry *)
     pl_base : int;  (* reserved WFD id range *)
     pl_fault : Fault.t option;  (* per-request fault plan split *)
   }
 
-  (* Fix the boot type of every potential attempt of one request from
-     the pool state at prologue time.  Attempt 1 follows the pool: a
-     pooled template means warm, otherwise cold (seeding the template
-     for later requests, like the background prewarm a first cold start
-     kicks off).  Retry attempts reboot after their predecessor fails,
-     by which point the endpoint's template exists unless seeding
-     failed — so they are warm whenever attempt 1 was warm or seeded. *)
-  let plan_boots t endpoint reg ~max_attempts =
-    let first =
-      match if t.warm_enabled then Hashtbl.find_opt t.templates endpoint else None with
-      | Some tpl ->
-          touch t tpl;
-          `Warm tpl
-      | None ->
-          if t.warm_enabled then
-            match install_template t endpoint (build_template t endpoint reg) with
-            | Some tpl -> `Cold_seeded tpl
-            | None -> `Cold
-          else `Cold
-    in
-    Array.init max_attempts (fun k ->
-        match first with
-        | `Warm tpl -> Warm tpl
-        | `Cold_seeded tpl -> if k = 0 then Cold else Warm tpl
-        | `Cold -> Cold)
+  (* Fix the boot type of a request's attempts from the pool state at
+     prologue time.  Attempt 1 follows the pool: a pooled template
+     means warm, otherwise cold (seeding the template for later
+     requests, like the background prewarm a first cold start kicks
+     off).  Retry attempts reboot after their predecessor fails, by
+     which point the endpoint's template exists unless seeding failed —
+     so they are warm whenever attempt 1 was warm or seeded. *)
+  let plan_boots t endpoint reg =
+    match if t.warm_enabled then Hashtbl.find_opt t.templates endpoint else None with
+    | Some tpl ->
+        touch t tpl;
+        let warm = Warm tpl in
+        (warm, warm)
+    | None -> (
+        if not t.warm_enabled then (Cold, Cold)
+        else
+          match install_template t endpoint (build_template t endpoint reg) with
+          | Some tpl -> (Cold, Warm tpl)
+          | None -> (Cold, Cold))
 
   (* Boot the WFD of one attempt under the attempt's boot shard:
      bind a shell from the template's pool (warm) or create one
@@ -1103,33 +1096,16 @@ module Server = struct
     wfd.Wfd.span <- Span.none;
     wfd
 
-  let segment sh ~base ~durations ~proc_table =
-    {
-      sg_shard = sh;
-      sg_base = base;
-      sg_durations = durations;
-      sg_rss = Hostos.Process.total_rss proc_table;
-    }
-
   (* Execute the attempt's stages in order on its private timeline,
-     each under its own shard, until they are done or one raises a
-     function failure; then build the attempt's record.  Stage ready
-     times on the private timeline come from [priv], a private pool of
-     the same width as the shared one: gaps here are never larger than
-     the contended gaps the merge produces, so the WFD's internal
-     clocks stay behind every real stage start. *)
-  let rec run_stages ectx ~cfg ~priv ~proc_table ~warm ~boot_seg ~boot_elapsed ~ready
-      done_rev = function
-    | [] ->
-        {
-          at_warm = warm;
-          at_wfd_id = ectx.ewfd.Wfd.id;
-          at_boot = boot_seg;
-          at_boot_elapsed = boot_elapsed;
-          at_stages = List.rev done_rev;
-          at_failed = None;
-          at_fail_seg = None;
-        }
+     each under its own shard, consing a [Stage] segment onto [acc] for
+     each until they are done or one raises a function failure, which
+     conses a [Failed] segment instead.  Stage ready times on the
+     private timeline come from [priv], a private pool of the same width
+     as the shared one: gaps here are never larger than the contended
+     gaps the merge produces, so the WFD's internal clocks stay behind
+     every real stage start. *)
+  let rec run_stages ectx ~cfg ~priv ~proc_table ~ready ~index acc = function
+    | [] -> acc
     | nodes :: rest -> (
         let sh = Par.acquire_shard cfg in
         let hs = Hotspot.enter "stage.exec" in
@@ -1138,43 +1114,46 @@ module Server = struct
         | durations ->
             Par.leave_shard sh;
             Hotspot.leave hs;
-            let seg = segment sh ~base:ready ~durations ~proc_table in
+            let seg =
+              Stage
+                {
+                  index;
+                  durations;
+                  shard = sh;
+                  base = ready;
+                  rss = Hostos.Process.total_rss proc_table;
+                }
+            in
             let finish =
               Hostos.Sched.makespan_on priv ~ready ~dispatch_latency:Cost.dispatch_latency
                 durations
             in
-            run_stages ectx ~cfg ~priv ~proc_table ~warm ~boot_seg ~boot_elapsed
-              ~ready:finish (seg :: done_rev) rest
+            run_stages ectx ~cfg ~priv ~proc_table ~ready:finish ~index:(index + 1)
+              (seg :: acc) rest
         | exception ((Function_failed _ | Function_hung _) as e) ->
             Par.leave_shard sh;
             Hotspot.leave hs;
-            {
-              at_warm = warm;
-              at_wfd_id = ectx.ewfd.Wfd.id;
-              at_boot = boot_seg;
-              at_boot_elapsed = boot_elapsed;
-              at_stages = List.rev done_rev;
-              at_failed = Some (match e with Function_hung _ -> `Hang | _ -> `Failure);
-              at_fail_seg = Some (segment sh ~base:ready ~durations:[] ~proc_table);
-            }
+            let hang = match e with Function_hung _ -> true | _ -> false in
+            Failed { index; hang; shard = sh; base = ready } :: acc
         | exception e ->
             Par.leave_shard sh;
             Hotspot.leave hs;
             raise e)
 
   (* Attempt [a] of a request and the attempts after it while they
-     fail, oldest first.  Each attempt runs in a fresh WFD on its own
-     process table, clock and private timeline. *)
-  let rec run_attempts ~cfg ~scfg ~endpoint ~reg ~boots ~fault_child ~retries ~released a =
+     fail, consing their segments onto [acc].  Each attempt runs in a
+     fresh WFD on its own process table, clock and private timeline. *)
+  let rec run_attempts ~cfg ~scfg ~endpoint ~(p : plan) ~retries ~released a acc =
     let proc_table = Hostos.Process.acquire_table () in
     let clock = Clock.create () in
     let boot_sh = Par.acquire_shard cfg in
-    let plan = boots.(a - 1) in
+    let plan = if a = 1 then p.pl_first else p.pl_retry in
     let hs = Hotspot.enter "boot" in
     Par.enter_shard boot_sh;
     let wfd =
       match
-        boot_wfd ~scfg ~endpoint ~reg ~fault_child ~proc_table ~clock ~first:(a = 1) plan
+        boot_wfd ~scfg ~endpoint ~reg:p.pl_reg ~fault_child:p.pl_fault ~proc_table ~clock
+          ~first:(a = 1) plan
       with
       | wfd ->
           Par.leave_shard boot_sh;
@@ -1185,88 +1164,104 @@ module Server = struct
           Hotspot.leave hs;
           raise e
     in
-    let boot_seg = segment boot_sh ~base:Units.zero ~durations:[] ~proc_table in
-    let boot_elapsed = Clock.now clock in
+    let elapsed = Clock.now clock in
+    let boot =
+      Boot
+        {
+          warm = (match plan with Warm _ -> true | Cold -> false);
+          wfd_id = wfd.Wfd.id;
+          elapsed;
+          shard = boot_sh;
+          rss = Hostos.Process.total_rss proc_table;
+        }
+    in
     let rt =
       match plan with
       | Warm tpl -> { engine_started = tpl.tpl_engine; python_booted = tpl.tpl_python }
       | Cold -> { engine_started = false; python_booted = false }
     in
     let ectx =
-      make_exec_ctx ~config:scfg ~bindings:reg.reg_bindings ~wfd ~rt ~retries
+      make_exec_ctx ~config:scfg ~bindings:p.pl_reg.reg_bindings ~wfd ~rt ~retries
         ~cold_start_mark:(ref None)
     in
-    let at =
+    let acc =
       (* The private pool is a domain-local scratch arena reset per
          attempt, never allocated per attempt. *)
       match
         run_stages ectx ~cfg
           ~priv:(Hostos.Sched.scratch ~cores:scfg.cores)
-          ~proc_table
-          ~warm:(match plan with Warm _ -> true | Cold -> false)
-          ~boot_seg ~boot_elapsed ~ready:boot_elapsed [] (Workflow.stages reg.reg_workflow)
+          ~proc_table ~ready:elapsed ~index:0 (boot :: acc)
+          (Workflow.stages p.pl_reg.reg_workflow)
       with
-      | at -> at
+      | acc -> acc
       | exception e ->
           Wfd.destroy wfd;
           raise e
     in
+    let failed = match acc with Failed _ :: _ -> true | _ -> false in
     (* A clean warm finish returns its WFD to the template's pool
        (host-only reset on this worker domain); failures and cold boots
        tear down. *)
     (match plan with
-    | Warm tpl when at.at_failed = None -> released := Wfd.release tpl.tpl_pool wfd
+    | Warm tpl when not failed -> released := Wfd.release tpl.tpl_pool wfd
     | Warm _ | Cold -> Wfd.destroy wfd);
-    (* The attempt record never references the process table (RSS is
-       sampled into the segments), and a pooled shell holds no process
-       entry — so the per-attempt table recirculates on this worker
-       domain. *)
+    (* The segments never reference the process table (RSS is sampled
+       into them), and a pooled shell holds no process entry — so the
+       per-attempt table recirculates on this worker domain. *)
     Hostos.Process.release_table proc_table;
-    if at.at_failed <> None && a < Array.length boots then
-      at
-      :: run_attempts ~cfg ~scfg ~endpoint ~reg ~boots ~fault_child ~retries ~released
-           (a + 1)
-    else [ at ]
+    if failed && a < max_attempts_of scfg then
+      run_attempts ~cfg ~scfg ~endpoint ~p ~retries ~released (a + 1) acc
+    else acc
+
+  (* Store a newest-first segment list into [arr] from index [i] down,
+     so that [arr] runs in execution order. *)
+  let rec fill_segments arr i = function
+    | [] -> ()
+    | sg :: rest ->
+        arr.(i) <- sg;
+        fill_segments arr (i - 1) rest
 
   (* Compute one request's trajectory.  Runs on any domain: every
      observable write goes to a segment shard, WFD ids come from the
      request's reserved namespace, and faults and the disk image are
      request-private. *)
-  let run_trajectory t ~cfg ~endpoint ~(reg : registration) ~boots ~fault_child =
+  let run_trajectory t ~cfg ~endpoint (p : plan) =
     let hs = Hotspot.enter "serve.trajectory" in
     let scfg =
-      match fault_child with
+      match p.pl_fault with
       | Some _ as f -> { t.scfg with fault = f }
       | None -> t.scfg
     in
     let retries = ref 0 in
     let released = ref false in
-    match run_attempts ~cfg ~scfg ~endpoint ~reg ~boots ~fault_child ~retries ~released 1 with
-    | attempts ->
+    match run_attempts ~cfg ~scfg ~endpoint ~p ~retries ~released 1 [] with
+    | [] -> assert false (* every attempt conses its [Boot] *)
+    | last :: _ as acc ->
+        let n = List.length acc in
+        let segments = Array.make n last in
+        fill_segments segments (n - 1) acc;
         Hotspot.leave hs;
-        { tj_attempts = attempts; tj_retries = !retries; tj_released = !released }
+        { tj_segments = segments; tj_retries = !retries; tj_released = !released }
     | exception e ->
         Hotspot.leave hs;
         raise e
 
-  (* Merge-phase state of one request. *)
+  (* Merge-phase state of one request; the event queue holds it for
+     its arrival and each step after. *)
   type mstate = {
     ms_req : request;
-    ms_index : int;  (* global arrival-order index *)
     ms_sampled : bool;  (* spans/trace kept for this request *)
-    ms_traj : traj option;  (* [None]: rejected at admission *)
+    ms_traj : traj;
+    mutable ms_next : int;  (* next segment; -1 until the request arrives *)
     mutable ms_span : Span.id;
-    mutable ms_attempts_left : attempt_traj list;
-    mutable ms_attempt : attempt_traj option;  (* currently executing *)
-    mutable ms_attempt_no : int;
-    mutable ms_stages_left : segment list;
+    mutable ms_attempt_no : int;  (* attempts begun; 0 until the first boot *)
+    mutable ms_warm : bool;
+    mutable ms_wfd_id : int;
     mutable ms_rss : int;
     mutable ms_attempt_began : Units.time;
         (* start instant of the executing attempt, for the
            per-execution [visor.e2e_ns] observation *)
   }
-
-  type ev = Arrival of mstate | Advance of mstate
 
   (* Event priority classes: every arrival at instant T precedes every
      stage completion at T, exactly as when all arrivals were enqueued
@@ -1283,13 +1278,19 @@ module Server = struct
     let reg = find_registration t r.endpoint in
     match admit_images ~cache:t.adm reg.reg_bindings with
     | (_ : Units.time) ->
-        let boots = plan_boots t r.endpoint reg ~max_attempts in
+        let first, retry = plan_boots t r.endpoint reg in
         let base = Wfd.reserve_ids max_attempts in
         let fault_child =
           match t.scfg.fault with Some plan -> Some (Fault.child plan ~index) | None -> None
         in
         Some
-          { pl_reg = reg; pl_boots = boots; pl_base = base; pl_fault = fault_child }
+          {
+            pl_reg = reg;
+            pl_first = first;
+            pl_retry = retry;
+            pl_base = base;
+            pl_fault = fault_child;
+          }
     | exception Admission_failed _ -> None
 
   (* [serve_fold] pulls requests lazily (arrivals must be
@@ -1325,7 +1326,7 @@ module Server = struct
     if window < 1 then invalid_arg "Visor.Server.serve_fold: window must be >= 1";
     let max_attempts = max_attempts_of t.scfg in
     let base_cfg = Par.shard_config () in
-    let q : ev Eventq.t = Eventq.create () in
+    let q : mstate Eventq.t = Eventq.create () in
     let pending = ref (next ()) in
     let next_index = ref 0 in
     let last_arrival = ref Units.zero in
@@ -1369,7 +1370,7 @@ module Server = struct
           (List.map
              (fun (_, (r : request), sampled, plan) ->
                match plan with
-               | None -> fun () -> None
+               | None -> fun () -> rejected
                | Some p ->
                    let cfg =
                      {
@@ -1379,10 +1380,7 @@ module Server = struct
                    in
                    fun () ->
                      Wfd.with_id_namespace ~base:p.pl_base (fun () ->
-                         Some
-                           (run_trajectory t ~cfg ~endpoint:r.endpoint
-                              ~reg:p.pl_reg ~boots:p.pl_boots
-                              ~fault_child:p.pl_fault)))
+                         run_trajectory t ~cfg ~endpoint:r.endpoint p))
              planned)
       in
       let trajs = Par.run tasks in
@@ -1396,23 +1394,22 @@ module Server = struct
             planned
       | None -> ());
       List.iteri
-        (fun k (i, r, sampled, _) ->
+        (fun k (_, r, sampled, _) ->
           let ms =
             {
               ms_req = r;
-              ms_index = i;
               ms_sampled = sampled;
               ms_traj = trajs.(k);
+              ms_next = -1;
               ms_span = Span.none;
-              ms_attempts_left = [];
-              ms_attempt = None;
               ms_attempt_no = 0;
-              ms_stages_left = [];
+              ms_warm = false;
+              ms_wfd_id = 0;
               ms_rss = 0;
               ms_attempt_began = Units.zero;
             }
           in
-          Eventq.push q ~at:r.arrival ~pri:pri_arrival (Arrival ms))
+          Eventq.push q ~at:r.arrival ~pri:pri_arrival ms)
         planned;
       (* Every planned trajectory has executed, so templates evicted
          while planning this window can die now — keeping the doomed
@@ -1467,20 +1464,23 @@ module Server = struct
             (fun m -> Slo.observe_request m ~at:now ~ok ~latency)
             tel.tel_slos
     in
-    let finish_request ms ~now ~ok =
+    (* The one answer: [ms] ends at [now].  A request rejected at
+       admission began no attempt, so it samples no request latency and
+       holds no resident set. *)
+    let finish ms ~now ~ok =
       decr inflight_now;
+      let executed = ms.ms_attempt_no > 0 in
       let latency = Units.sub now ms.ms_req.arrival in
       Span.set_attr (Span.current ()) ms.ms_span "ok" (string_of_bool ok);
       Span.end_span (Span.current ()) ms.ms_span ~at:now;
-      Metrics.observe_time req_histo latency;
+      if executed then Metrics.observe_time req_histo latency;
       if ok then begin
         incr completed;
         Stats.add_time lat latency
       end
       else incr failed;
       tel_finish ~now ~endpoint:ms.ms_req.endpoint ~latency ~ok
-        ~released:
-          (ok && match ms.ms_traj with Some tj -> tj.tj_released | None -> false);
+        ~released:(ok && ms.ms_traj.tj_released);
       last_finish := Units.max !last_finish now;
       acc :=
         f !acc
@@ -1489,162 +1489,122 @@ module Server = struct
             r_arrival = ms.ms_req.arrival;
             r_finish = now;
             r_latency = latency;
-            r_warm = (match ms.ms_attempt with Some a -> a.at_warm | None -> false);
+            r_warm = ms.ms_warm;
             r_ok = ok;
             r_attempts = ms.ms_attempt_no;
-            r_retries =
-              (match ms.ms_traj with Some tj -> tj.tj_retries | None -> 0);
+            r_retries = ms.ms_traj.tj_retries;
           };
-      set_rss ms 0
+      if executed then set_rss ms 0
     in
-    (* Begin the next attempt at [now]: counters, the boot segment's
-       shard (its "boot"/"retry" span attaches under the request), and
-       the first stage scheduled at boot completion. *)
-    let start_attempt ms ~now =
-      match ms.ms_attempts_left with
-      | [] -> assert false
-      | a :: rest ->
-          ms.ms_attempt <- Some a;
-          ms.ms_attempts_left <- rest;
-          ms.ms_attempt_no <- ms.ms_attempt_no + 1;
-          ms.ms_stages_left <- a.at_stages;
-          ms.ms_attempt_began <- now;
-          if a.at_warm then t.warm_hit_count <- t.warm_hit_count + 1
-          else t.cold_boot_count <- t.cold_boot_count + 1;
-          (match t.tel with
-          | None -> ()
-          | Some tel ->
-              Timeseries.add tel.tel_ts
-                (if a.at_warm then tel.tel_warm else tel.tel_cold)
-                ~at:now 1.0);
-          Par.merge_shard ~attach:ms.ms_span ~offset:now a.at_boot.sg_shard;
-          Par.release_shard a.at_boot.sg_shard;
-          set_rss ms a.at_boot.sg_rss;
-          Eventq.push q ~at:(Units.add now a.at_boot_elapsed) ~pri:pri_advance
-            (Advance ms)
+    let stage_span ms ~now index =
+      if ms.ms_sampled then
+        Span.begin_span (Span.current ()) ~parent:ms.ms_span ~at:now ~category:"stage"
+          ~label:(Printf.sprintf "stage %d" index)
+          ()
+      else Span.none
     in
-    let step ms ~now =
-      let a = match ms.ms_attempt with Some a -> a | None -> assert false in
-      match ms.ms_stages_left with
-      | sg :: rest ->
-          let stage_index = List.length a.at_stages - List.length ms.ms_stages_left in
-          let stage_span =
-            if ms.ms_sampled then
-              Span.begin_span (Span.current ()) ~parent:ms.ms_span ~at:now
-                ~category:"stage"
-                ~label:(Printf.sprintf "stage %d" stage_index)
-                ()
-            else Span.none
-          in
-          Par.merge_shard ~attach:stage_span ~offset:(Units.sub now sg.sg_base)
-            sg.sg_shard;
-          Par.release_shard sg.sg_shard;
-          let makespan =
-            Hostos.Sched.makespan_on t.cpu ~ready:now ~dispatch_latency:Cost.dispatch_latency
-              sg.sg_durations
-          in
-          Metrics.observe_time stage_histo (Units.sub makespan now);
-          let tr = Trace.current () in
-          if ms.ms_sampled && Trace.enabled tr then
-            Trace.recordf tr ~at:makespan ~category:"visor" ~label:"stage-done"
-              "wfd%d stage %d (%d instances)" a.at_wfd_id stage_index
-              (List.length sg.sg_durations);
-          Span.end_span (Span.current ()) stage_span ~at:makespan;
-          ms.ms_stages_left <- rest;
-          set_rss ms sg.sg_rss;
-          Eventq.push q ~at:makespan ~pri:pri_advance (Advance ms)
-      | [] -> (
-          (* One workflow execution (attempt) ended: boot through last
-             stage — the serving-side analogue of the run path's
-             end-to-end observation. *)
-          Metrics.observe_time e2e_histo (Units.sub now ms.ms_attempt_began);
-          match a.at_failed with
-          | None -> finish_request ms ~now ~ok:true
-          | Some kind ->
-              (* The failed attempt's stage span stays zero-length; its
-                 partial function spans still attach under it. *)
-              let stage_span =
-                if ms.ms_sampled then
-                  Span.begin_span (Span.current ()) ~parent:ms.ms_span ~at:now
-                    ~category:"stage"
-                    ~label:(Printf.sprintf "stage %d" (List.length a.at_stages))
-                    ()
-                else Span.none
-              in
-              (match a.at_fail_seg with
-              | Some sg ->
-                  Par.merge_shard ~attach:stage_span
-                    ~offset:(Units.sub now sg.sg_base) sg.sg_shard;
-                  Par.release_shard sg.sg_shard
-              | None -> ());
-              Span.end_span (Span.current ()) stage_span ~at:now;
-              if ms.ms_attempts_left <> [] then begin
-                let tr = Trace.current () in
-                if ms.ms_sampled && Trace.enabled tr then
-                  Trace.recordf tr ~at:now ~category:"server" ~label:"workflow-retry"
-                    "%s attempt %d (%s)" ms.ms_req.endpoint (ms.ms_attempt_no + 1)
-                    (match kind with `Hang -> "hang" | `Failure -> "failure");
-                start_attempt ms ~now
-              end
-              else finish_request ms ~now ~ok:false)
-    in
-    let handle_event now ev =
-        match ev with
-        | Arrival ms -> (
-            (match !first_arrival with
-            | None -> first_arrival := Some now
-            | Some _ -> ());
-            incr inflight_now;
-            max_inflight := Stdlib.max !max_inflight !inflight_now;
-            Metrics.max_gauge inflight_gauge (float_of_int !inflight_now);
+    (* Replay the request's next segment at [now]. *)
+    let rec step ms ~now =
+      let segments = ms.ms_traj.tj_segments in
+      let i = ms.ms_next in
+      if i >= Array.length segments then begin
+        (* One workflow execution (attempt) ended: boot through last
+           stage — the serving-side analogue of the run path's
+           end-to-end observation. *)
+        Metrics.observe_time e2e_histo (Units.sub now ms.ms_attempt_began);
+        finish ms ~now ~ok:true
+      end
+      else begin
+        ms.ms_next <- i + 1;
+        match segments.(i) with
+        | Boot { warm; wfd_id; elapsed; shard; rss } ->
+            (* The attempt's "boot"/"retry" span attaches under the
+               request; its first stage is ready at boot completion. *)
+            ms.ms_attempt_no <- ms.ms_attempt_no + 1;
+            ms.ms_warm <- warm;
+            ms.ms_wfd_id <- wfd_id;
+            ms.ms_attempt_began <- now;
+            if warm then t.warm_hit_count <- t.warm_hit_count + 1
+            else t.cold_boot_count <- t.cold_boot_count + 1;
             (match t.tel with
             | None -> ()
             | Some tel ->
-                Timeseries.add tel.tel_ts tel.tel_requests ~at:now 1.0;
-                Timeseries.add tel.tel_ts tel.tel_inflight ~at:now
-                  (float_of_int !inflight_now);
-                let ep_req, _, _ = ep_series tel ms.ms_req.endpoint in
-                Timeseries.add tel.tel_ts ep_req ~at:now 1.0);
-            ms.ms_span <-
-              (if ms.ms_sampled then
-                 Span.begin_span (Span.current ()) ~parent:Span.none ~at:now
-                   ~category:"request" ~label:ms.ms_req.endpoint ()
-               else Span.none);
-            match ms.ms_traj with
-            | Some tj ->
-                ms.ms_attempts_left <- tj.tj_attempts;
-                start_attempt ms ~now
-            | None ->
-                (* Rejected at admission: fails immediately, off the
-                   execution path. *)
-                Span.set_attr (Span.current ()) ms.ms_span "ok" "false";
-                Span.end_span (Span.current ()) ms.ms_span ~at:now;
-                decr inflight_now;
-                incr failed;
-                tel_finish ~now ~endpoint:ms.ms_req.endpoint ~latency:Units.zero
-                  ~ok:false ~released:false;
-                last_finish := Units.max !last_finish now;
-                acc :=
-                  f !acc
-                    {
-                      r_endpoint = ms.ms_req.endpoint;
-                      r_arrival = ms.ms_req.arrival;
-                      r_finish = now;
-                      r_latency = Units.zero;
-                      r_warm = false;
-                      r_ok = false;
-                      r_attempts = 0;
-                      r_retries = 0;
-                    })
-        | Advance ms -> step ms ~now
+                Timeseries.add tel.tel_ts
+                  (if warm then tel.tel_warm else tel.tel_cold)
+                  ~at:now 1.0);
+            Par.merge_shard ~attach:ms.ms_span ~offset:now shard;
+            Par.release_shard shard;
+            set_rss ms rss;
+            Eventq.push q ~at:(Units.add now elapsed) ~pri:pri_advance ms
+        | Stage { index; durations; shard; base; rss } ->
+            let span = stage_span ms ~now index in
+            Par.merge_shard ~attach:span ~offset:(Units.sub now base) shard;
+            Par.release_shard shard;
+            let makespan =
+              Hostos.Sched.makespan_on t.cpu ~ready:now
+                ~dispatch_latency:Cost.dispatch_latency durations
+            in
+            Metrics.observe_time stage_histo (Units.sub makespan now);
+            let tr = Trace.current () in
+            if ms.ms_sampled && Trace.enabled tr then
+              Trace.recordf tr ~at:makespan ~category:"visor" ~label:"stage-done"
+                "wfd%d stage %d (%d instances)" ms.ms_wfd_id index
+                (List.length durations);
+            Span.end_span (Span.current ()) span ~at:makespan;
+            set_rss ms rss;
+            Eventq.push q ~at:makespan ~pri:pri_advance ms
+        | Failed { index; hang; shard; base } ->
+            Metrics.observe_time e2e_histo (Units.sub now ms.ms_attempt_began);
+            (* The failed stage's span stays zero-length; its partial
+               function spans still attach under it. *)
+            let span = stage_span ms ~now index in
+            Par.merge_shard ~attach:span ~offset:(Units.sub now base) shard;
+            Par.release_shard shard;
+            Span.end_span (Span.current ()) span ~at:now;
+            if i + 1 < Array.length segments then begin
+              (* The next segment boots the retry, at this instant. *)
+              let tr = Trace.current () in
+              if ms.ms_sampled && Trace.enabled tr then
+                Trace.recordf tr ~at:now ~category:"server" ~label:"workflow-retry"
+                  "%s attempt %d (%s)" ms.ms_req.endpoint (ms.ms_attempt_no + 1)
+                  (if hang then "hang" else "failure");
+              step ms ~now
+            end
+            else finish ms ~now ~ok:false
+      end
+    in
+    let arrive ms ~now =
+      (match !first_arrival with
+      | None -> first_arrival := Some now
+      | Some _ -> ());
+      incr inflight_now;
+      max_inflight := Stdlib.max !max_inflight !inflight_now;
+      Metrics.max_gauge inflight_gauge (float_of_int !inflight_now);
+      (match t.tel with
+      | None -> ()
+      | Some tel ->
+          Timeseries.add tel.tel_ts tel.tel_requests ~at:now 1.0;
+          Timeseries.add tel.tel_ts tel.tel_inflight ~at:now
+            (float_of_int !inflight_now);
+          let ep_req, _, _ = ep_series tel ms.ms_req.endpoint in
+          Timeseries.add tel.tel_ts ep_req ~at:now 1.0);
+      ms.ms_span <-
+        (if ms.ms_sampled then
+           Span.begin_span (Span.current ()) ~parent:Span.none ~at:now
+             ~category:"request" ~label:ms.ms_req.endpoint ()
+         else Span.none);
+      ms.ms_next <- 0;
+      (* Rejected at admission: fails immediately, off the execution
+         path. *)
+      if ms.ms_traj == rejected then finish ms ~now ~ok:false else step ms ~now
     in
     pump ();
     let rec drive () =
       if not (Eventq.is_empty q) then begin
         let now = Eventq.next_at q in
-        let ev = Eventq.pop q in
+        let ms = Eventq.pop q in
         let hs = Hotspot.enter "serve.merge" in
-        handle_event now ev;
+        if ms.ms_next < 0 then arrive ms ~now else step ms ~now;
         Hotspot.leave hs;
         pump ();
         drive ()

@@ -131,34 +131,3 @@ let makespan placements =
 let fan_in_wait placements =
   let m = makespan placements in
   List.map (fun p -> Units.sub m p.finish) placements
-
-let same_core_pairs placements =
-  (* Pair tasks that run back to back on the same core, in that core's
-     execution order — which need not be list order once tasks skip
-     over busy cores. *)
-  let arr = Array.of_list placements in
-  let by_core = Hashtbl.create 8 in
-  Array.iteri
-    (fun i p ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_core p.core) in
-      Hashtbl.replace by_core p.core (i :: prev))
-    arr;
-  let pairs = ref [] in
-  Hashtbl.iter
-    (fun _core idxs ->
-      let ordered =
-        List.sort
-          (fun a b ->
-            let c = Units.compare arr.(a).start arr.(b).start in
-            if c <> 0 then c else Stdlib.compare a b)
-          (List.rev idxs)
-      in
-      let rec consecutive = function
-        | a :: (b :: _ as rest) ->
-            pairs := (a, b) :: !pairs;
-            consecutive rest
-        | [ _ ] | [] -> ()
-      in
-      consecutive ordered)
-    by_core;
-  List.sort compare !pairs

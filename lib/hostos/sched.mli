@@ -16,7 +16,9 @@ type placement = {
 type pool
 (** A persistent set of cores whose per-core busy horizon survives
     across {!schedule_on} calls — the shared machine that a serving
-    visor multiplexes independent in-flight workflows onto. *)
+    visor multiplexes independent in-flight workflows onto, or a
+    gateway node's workflow slots, each hosting one invocation at a
+    time. *)
 
 val pool : cores:int -> pool
 
@@ -76,9 +78,3 @@ val makespan : placement list -> Sim.Units.time
 val fan_in_wait : placement list -> Sim.Units.time list
 (** For each task, how long it waits at the stage barrier for the
     slowest sibling: [makespan - finish_i]. *)
-
-val same_core_pairs : placement list -> (int * int) list
-(** Index pairs of tasks that run back to back on the same core, in
-    each core's execution order (sorted by start time, not list
-    position) — used by the locality model for reference-passing
-    transfers.  Pairs are returned sorted. *)

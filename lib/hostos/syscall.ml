@@ -25,8 +25,6 @@ type name =
   | Dlmopen
   | Userfaultfd
 
-type interception = Direct | Ptrace | Vmexit
-
 (* Direct-path costs (ns).  Small syscalls on a ~2GHz Xeon are in the
    0.3-1.5us range; mmap/clone are heavier; dlmopen dominates because it
    opens, maps and relocates an ELF namespace. *)

@@ -33,12 +33,5 @@ type name =
   | Dlmopen  (** Not a syscall, but the loader path is charged here. *)
   | Userfaultfd
 
-(** How a sandbox's syscalls reach the host kernel: a label on each
-    sandbox profile. *)
-type interception =
-  | Direct  (** Normal host syscall. *)
-  | Ptrace  (** gVisor ptrace platform: stop + forward + resume. *)
-  | Vmexit  (** Inside a MicroVM: guest exit + VMM handling. *)
-
 val cost : name -> Sim.Units.time
 (** Per-call latency of a direct host syscall. *)

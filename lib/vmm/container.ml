@@ -14,7 +14,6 @@ let runc =
       ];
     mem_overhead = mib 24;
     cpu_tax = 0.0;
-    syscall_via = Hostos.Syscall.Direct;
   }
 
 let kata_firecracker =
@@ -30,5 +29,4 @@ let kata_firecracker =
       ];
     mem_overhead = mib 142;
     cpu_tax = 0.05;
-    syscall_via = Hostos.Syscall.Vmexit;
   }

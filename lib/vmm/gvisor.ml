@@ -13,5 +13,4 @@ let profile =
       ];
     mem_overhead = 64 * 1024 * 1024;
     cpu_tax = 0.09;
-    syscall_via = Hostos.Syscall.Ptrace;
   }

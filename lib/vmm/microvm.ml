@@ -16,7 +16,6 @@ let qemu_full =
       ];
     mem_overhead = mib 512;
     cpu_tax = 0.06;
-    syscall_via = Hostos.Syscall.Vmexit;
   }
 
 let trimmed =
@@ -32,7 +31,6 @@ let trimmed =
       ];
     mem_overhead = mib 168;
     cpu_tax = 0.05;
-    syscall_via = Hostos.Syscall.Vmexit;
   }
 
 let firecracker_serverless =
@@ -47,5 +45,4 @@ let firecracker_serverless =
       ];
     mem_overhead = mib 96;
     cpu_tax = 0.05;
-    syscall_via = Hostos.Syscall.Vmexit;
   }

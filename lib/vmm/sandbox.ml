@@ -7,7 +7,6 @@ type profile = {
   stages : stage list;
   mem_overhead : int;
   cpu_tax : float;
-  syscall_via : Hostos.Syscall.interception;
 }
 
 let total p = List.fold_left (fun acc s -> Units.add acc s.cost) Units.zero p.stages

@@ -18,8 +18,6 @@ type profile = {
   cpu_tax : float;
       (** Fractional slowdown imposed on guest computation (e.g. nested
           paging overhead in a MicroVM, §8.6). *)
-  syscall_via : Hostos.Syscall.interception;
-      (** How workload syscalls reach the host kernel. *)
 }
 
 val total : profile -> Sim.Units.time

@@ -14,5 +14,4 @@ let profile =
       ];
     mem_overhead = 8 * 1024 * 1024;
     cpu_tax = 0.02;
-    syscall_via = Hostos.Syscall.Vmexit;
   }

@@ -11,5 +11,4 @@ let profile =
       ];
     mem_overhead = 4 * 1024 * 1024;
     cpu_tax = 0.03;
-    syscall_via = Hostos.Syscall.Vmexit;
   }

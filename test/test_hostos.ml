@@ -90,6 +90,9 @@ let test_sched_lpt_queueing () =
   in
   Alcotest.check check_time "queued start" (Units.ms 10)
     (List.nth placements 2).Sched.start;
+  (* Both cores free at 10 ms: the lower index takes the queued task. *)
+  Alcotest.(check (list int)) "cores alternate" [ 0; 1; 0 ]
+    (List.map (fun p -> p.Sched.core) placements);
   Alcotest.check check_time "makespan" (Units.ms 15) (Sched.makespan placements)
 
 let test_sched_ready_and_dispatch () =
@@ -109,19 +112,6 @@ let test_sched_fan_in_wait () =
       Alcotest.check check_time "slowest waits zero" Units.zero w0;
       Alcotest.check check_time "fast one waits" (Units.ms 6) w1
   | _ -> Alcotest.fail "expected two waits"
-
-let test_sched_same_core_pairs_divergence () =
-  (* Two long tasks then two short ones on 2 cores: cores alternate
-     0,1,0,1, so the tasks that actually run back to back on a core are
-     (0,2) and (1,3) — NOT consecutive list entries. *)
-  let placements =
-    Sched.schedule ~cores:2 [ Units.ms 10; Units.ms 10; Units.ms 1; Units.ms 1 ]
-  in
-  Alcotest.(check (list int)) "cores alternate" [ 0; 1; 0; 1 ]
-    (List.map (fun p -> p.Sched.core) placements);
-  Alcotest.(check (list (pair int int))) "pairs follow core order"
-    [ (0, 2); (1, 3) ]
-    (Sched.same_core_pairs placements)
 
 let test_sched_pool_shared_across_calls () =
   (* A persistent pool carries busy cores between schedule_on calls:
@@ -207,8 +197,6 @@ let suite =
     Alcotest.test_case "sched queueing" `Quick test_sched_lpt_queueing;
     Alcotest.test_case "sched ready/dispatch" `Quick test_sched_ready_and_dispatch;
     Alcotest.test_case "sched fan-in wait" `Quick test_sched_fan_in_wait;
-    Alcotest.test_case "sched same-core pairs divergence" `Quick
-      test_sched_same_core_pairs_divergence;
     Alcotest.test_case "sched shared pool" `Quick test_sched_pool_shared_across_calls;
     QCheck_alcotest.to_alcotest sched_bounds_property;
     QCheck_alcotest.to_alcotest sched_no_core_overlap_property;

@@ -3,6 +3,7 @@
    a byte-identical response stream whatever the host domain count —
    the contract the 10^5-request bench leg relies on. *)
 
+open Sim
 open Alloystack_core
 
 let count = 50_000
@@ -109,10 +110,151 @@ let test_fold_matches_serve () =
         true (summary = snd want))
     [ 1; 17; 300; 4096 ]
 
+(* --- The failure path at every window and domain count -------------- *)
+
+(* A three-stage workflow (one Rust function, three Rust instances, one
+   Python function) next to an endpoint whose image makes a raw syscall
+   and so fails admission. *)
+let chaos_endpoints =
+  let node ?(instances = 1) ?(language = Workflow.Rust) id =
+    { Workflow.node_id = id; language; instances; required_modules = [] }
+  in
+  let compute ms =
+    Visor.bind (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ -> Asstd.compute ctx (Units.ms ms))
+  in
+  let evil =
+    Isa.Image.create ~name:"evil" ~toolchain:Isa.Image.Rust_plain_std
+      [ Isa.Inst.Mov_reg; Isa.Inst.Syscall; Isa.Inst.Ret ]
+  in
+  [
+    ( "flow",
+      Workflow.create_exn ~name:"flow"
+        ~nodes:[ node "a"; node ~instances:3 "b"; node ~language:Workflow.Python "c" ]
+        ~edges:[ ("a", "b"); ("b", "c") ],
+      [ ("a", compute 2); ("b", compute 5); ("c", compute 3) ] );
+    ( "evil",
+      Workflow.create_exn ~name:"evil" ~nodes:[ node "f" ] ~edges:[],
+      [ ("f", Visor.bind ~image:evil (fun _ ~instance:_ ~total:_ -> ())) ] );
+  ]
+
+(* WFD ids come from a process-wide counter, so each run's "wfd<N>"
+   labels are rewritten relative to the first id it could take. *)
+let relabel_wfds ~base s =
+  let b = Buffer.create (String.length s) in
+  let n = String.length s in
+  let rec go i =
+    if i < n then
+      if i + 3 <= n && String.sub s i 3 = "wfd" then begin
+        let j = ref (i + 3) in
+        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
+        Buffer.add_string b "wfd";
+        if !j > i + 3 then
+          Buffer.add_string b
+            (string_of_int (int_of_string (String.sub s (i + 3) (!j - i - 3)) - base));
+        go !j
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* 160 requests on 4 cores under a seeded crash-and-hang plan with
+   workflow retries, spans, trace and telemetry on; returns the
+   responses, the summary and every export.  The cores fall behind at
+   150 qps, so about a hundred requests are in flight at once. *)
+let serve_chaos ~window =
+  Test_par.reset_observability ();
+  let base = Wfd.reserve_ids 0 in
+  Span.set_enabled Span.global true;
+  Trace.set_enabled Trace.global true;
+  let plan = Fault.create ~seed:41 () in
+  Fault.inject plan ~site:Fault.site_fn_crash (Fault.Probability 0.05);
+  Fault.inject plan ~site:Fault.site_fn_hang (Fault.Probability 0.03);
+  let config =
+    {
+      Visor.default_config with
+      Visor.cores = 4;
+      fault = Some plan;
+      retry = Visor.Retry_workflow 3;
+    }
+  in
+  let server = Visor.Server.create ~config () in
+  List.iter
+    (fun (endpoint, workflow, bindings) ->
+      Visor.Server.register server ~endpoint ~workflow ~bindings ())
+    chaos_endpoints;
+  Visor.Server.enable_telemetry server
+    ~slos:[ Slo.spec ~name:"flow40" ~latency:(Units.ms 40) ~objective:0.99 () ]
+    ();
+  let next =
+    Baselines.Loadgen.request_stream ~seed:13 ~qps:150.0
+      ~endpoints:[| "flow"; "flow"; "flow"; "evil" |] ~count:160 ()
+  in
+  let rev, summary =
+    Visor.Server.serve_fold server ~window
+      (fun () ->
+        match next () with
+        | None -> None
+        | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival })
+      ~init:[] ~f:(fun acc r -> r :: acc)
+  in
+  let exports =
+    [
+      ("trace json", relabel_wfds ~base (Obs.trace_json_string ()));
+      ("trace dump", relabel_wfds ~base (Trace.dump Trace.global));
+      ("metrics json", Obs.metrics_json_string ());
+      ("prometheus", Obs.prometheus_string ());
+      ( "telemetry csv",
+        match Visor.Server.telemetry server with
+        | Some ts -> Timeseries.to_csv ts
+        | None -> "" );
+    ]
+  in
+  let dropped = Trace.dropped Trace.global in
+  Span.set_enabled Span.global false;
+  Trace.set_enabled Trace.global false;
+  Visor.Server.shutdown server;
+  Test_par.reset_observability ();
+  (List.rev rev, summary, exports, dropped)
+
+let test_failure_path_every_window () =
+  let live0 = Wfd.live_count () in
+  let want, want_s, want_exports, dropped =
+    Test_par.with_domains 1 (fun () -> serve_chaos ~window:2048)
+  in
+  Alcotest.(check int) "trace ring kept every event" 0 dropped;
+  (* The counts the workload produced when this test was written: a
+     change that moves every window and domain count the same way
+     fails here. *)
+  Alcotest.(check int) "completed" 124 want_s.Visor.Server.sm_completed;
+  Alcotest.(check int) "failed" 36 want_s.Visor.Server.sm_failed;
+  Alcotest.(check int) "warm starts" 188 want_s.Visor.Server.sm_warm_starts;
+  Alcotest.(check int) "cold starts" 1 want_s.Visor.Server.sm_cold_starts;
+  List.iter
+    (fun (domains, window) ->
+      let got, got_s, got_exports, _ =
+        Test_par.with_domains domains (fun () -> serve_chaos ~window)
+      in
+      let at = Printf.sprintf "window %d, %d domains" window domains in
+      Alcotest.(check string) (at ^ ": responses")
+        (Test_par.fingerprint (want, want_s))
+        (Test_par.fingerprint (got, got_s));
+      Alcotest.(check bool) (at ^ ": summary") true (got_s = want_s);
+      List.iter2
+        (fun (name, w) (_, g) -> Alcotest.(check string) (at ^ ": " ^ name) w g)
+        want_exports got_exports)
+    [ (1, 1); (1, 17); (2, 1); (2, 17); (2, 2048) ];
+  Alcotest.(check int) "no WFD leak" live0 (Wfd.live_count ())
+
 let suite =
   [
     Alcotest.test_case "50k warm serve: complete, bounded, identical across domains"
       `Slow test_scale_50k;
     Alcotest.test_case "serve_fold == serve at every window" `Quick
       test_fold_matches_serve;
+    Alcotest.test_case "failure path and exports identical at every window and domain count"
+      `Quick test_failure_path_every_window;
   ]

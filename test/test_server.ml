@@ -147,6 +147,56 @@ let test_admission_cache_across_requests () =
   Alcotest.(check int) "image scanned once" 1 s.Visor.Server.sm_adm_scans;
   Alcotest.(check int) "five cache hits" 5 s.Visor.Server.sm_adm_hits
 
+let test_admission_rejection_served () =
+  (* A request whose image fails admission is answered at its arrival
+     instant without starting an attempt; the requests around it run as
+     usual, and the rejection is cached like an acceptance. *)
+  Metrics.reset ();
+  let live0 = Wfd.live_count () in
+  let evil =
+    Isa.Image.create ~name:"evil" ~toolchain:Isa.Image.Rust_plain_std
+      [ Isa.Inst.Mov_reg; Isa.Inst.Syscall; Isa.Inst.Ret ]
+  in
+  let server = Visor.Server.create () in
+  Visor.Server.register server ~endpoint:"good" ~workflow:(compute_wf 5)
+    ~bindings:(compute_bindings 5) ();
+  Visor.Server.register server ~endpoint:"evil" ~workflow:(compute_wf 5)
+    ~bindings:[ ("f", Visor.bind ~image:evil (fun _ ~instance:_ ~total:_ -> ())) ]
+    ();
+  let responses, s =
+    Visor.Server.serve server
+      [ req ~endpoint:"good" 0; req ~endpoint:"evil" 1; req ~endpoint:"good" 2;
+        req ~endpoint:"evil" 3 ]
+  in
+  let by ep =
+    List.filter (fun (r : Visor.Server.response) -> r.Visor.Server.r_endpoint = ep) responses
+  in
+  List.iter
+    (fun (r : Visor.Server.response) ->
+      Alcotest.(check bool) "rejected request fails" false r.Visor.Server.r_ok;
+      Alcotest.check check_time "zero latency" Units.zero r.Visor.Server.r_latency;
+      Alcotest.check check_time "answered at arrival" r.Visor.Server.r_arrival
+        r.Visor.Server.r_finish;
+      Alcotest.(check int) "no attempt" 0 r.Visor.Server.r_attempts;
+      Alcotest.(check int) "no retry" 0 r.Visor.Server.r_retries;
+      Alcotest.(check bool) "not warm" false r.Visor.Server.r_warm)
+    (by "evil");
+  Alcotest.(check int) "two rejections" 2 (List.length (by "evil"));
+  List.iter
+    (fun (r : Visor.Server.response) ->
+      Alcotest.(check bool) "good request completes" true r.Visor.Server.r_ok)
+    (by "good");
+  Alcotest.(check int) "two good responses" 2 (List.length (by "good"));
+  Alcotest.(check int) "completed" 2 s.Visor.Server.sm_completed;
+  Alcotest.(check int) "failed" 2 s.Visor.Server.sm_failed;
+  Alcotest.(check int) "image scanned once" 1 s.Visor.Server.sm_adm_scans;
+  Alcotest.(check int) "rejection cached" 1 s.Visor.Server.sm_adm_hits;
+  Alcotest.(check int) "only executed requests sample latency" 2
+    (Metrics.histogram_count (Metrics.histogram "server.request_latency_ns"));
+  Visor.Server.shutdown server;
+  Metrics.reset ();
+  Alcotest.(check int) "all WFDs reclaimed" live0 (Wfd.live_count ())
+
 let test_no_wfd_leak_across_serve () =
   (* Mixed success/failure traffic, then shutdown: every WFD (requests,
      retries and templates) must be reclaimed. *)
@@ -523,4 +573,6 @@ let suite =
     QCheck_alcotest.to_alcotest run_is_reference_property;
     Alcotest.test_case "warm request allocates < 1500 minor words" `Quick
       test_warm_request_allocation;
+    Alcotest.test_case "admission rejection on a server" `Quick
+      test_admission_rejection_served;
   ]

@@ -52,14 +52,6 @@ let test_kata_heavier_than_runc () =
   Alcotest.(check bool) "kata has guest-kernel memory overhead" true
     (Container.kata_firecracker.Sandbox.mem_overhead > Container.runc.Sandbox.mem_overhead)
 
-let test_syscall_paths () =
-  Alcotest.(check bool) "gvisor intercepts via ptrace" true
-    (Gvisor.profile.Sandbox.syscall_via = Hostos.Syscall.Ptrace);
-  Alcotest.(check bool) "runc is direct" true
-    (Container.runc.Sandbox.syscall_via = Hostos.Syscall.Direct);
-  Alcotest.(check bool) "microvm exits" true
-    (Microvm.trimmed.Sandbox.syscall_via = Hostos.Syscall.Vmexit)
-
 let suite =
   [
     Alcotest.test_case "Fig.2 calibration" `Quick test_fig2_calibration;
@@ -68,5 +60,4 @@ let suite =
     Alcotest.test_case "boots compose" `Quick test_boot_sequential_composition;
     Alcotest.test_case "serverless firecracker ~200ms" `Quick test_serverless_firecracker;
     Alcotest.test_case "kata vs runc" `Quick test_kata_heavier_than_runc;
-    Alcotest.test_case "syscall interception paths" `Quick test_syscall_paths;
   ]
