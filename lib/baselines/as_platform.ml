@@ -99,7 +99,10 @@ let make ?(options = default_options) () =
     in
     (* Payloads that may cross a WFD boundary, by slot: the producing
        group and a copy of the bytes.  Only a multi-node split keeps
-       them; within one WFD a payload moves by reference. *)
+       them; within one WFD a payload moves by reference.  Reading a
+       slot, locally or by a remote pull, drops its copy: AsBuffer
+       frees a slot when it is read, so a split reads a payload at most
+       once, as one WFD does. *)
     let stash : (string, int * bytes) Hashtbl.t = Hashtbl.create 8 in
     let multi = List.length groups > 1 in
     let config =
@@ -129,11 +132,14 @@ let make ?(options = default_options) () =
                 recv =
                   (fun ~slot ->
                     match Asbuffer.from_slot_raw actx ~slot with
-                    | data -> data
+                    | data ->
+                        if Hashtbl.length stash > 0 then Hashtbl.remove stash slot;
+                        data
                     | exception Errno.Error (Errno.Enoent, _) -> (
                         match Hashtbl.find_opt stash slot with
                         | Some (producer, data) when producer < group ->
                             (* Remote pull from the upstream WFD's node. *)
+                            Hashtbl.remove stash slot;
                             Clock.advance actx.Asstd.thread.Wfd.clock
                               (bridge_cost (Bytes.length data));
                             data

@@ -642,27 +642,22 @@ module Server = struct
     sm_latency_sketched : bool;
   }
 
-  type registration = {
-    reg_workflow : Workflow.t;
-    reg_bindings : (string * binding) list;
-  }
-
   (* A warm template: a WFD whose entry table, preloaded modules and
      booted runtime state were paid for once, off the request path.
-     Requests bind from its pool instead of cold-booting.  Templates
-     thread an intrusive doubly-linked recency list (head = most
-     recent), so touch and LRU eviction are O(1) with no membership
-     scan. *)
+     Requests bind from its pool instead of cold-booting.  It lives
+     from its endpoint's first request (or [prewarm]) until
+     [shutdown]. *)
   type template = {
     tpl_pool : Wfd.pool;
     tpl_engine : bool;
     tpl_python : bool;
     tpl_build : Units.time;
-    tpl_ep : string;
-    tpl_rss : int;  (* resident size at install; templates are frozen *)
-    mutable tpl_prev : template option;  (* towards most recent *)
-    mutable tpl_next : template option;  (* towards least recent *)
-    mutable tpl_linked : bool;
+  }
+
+  type registration = {
+    reg_workflow : Workflow.t;
+    reg_bindings : (string * binding) list;
+    mutable reg_template : template option;
   }
 
   (* Windowed telemetry, opt-in via [enable_telemetry].  Every series
@@ -687,16 +682,12 @@ module Server = struct
 
   type t = {
     scfg : config;
-    pool_cap : int;
     warm_enabled : bool;
     table : (string, registration) Hashtbl.t;
-    templates : (string, template) Hashtbl.t;
     adm : admission_cache;
     proc_table : Hostos.Process.t;
     cpu : Hostos.Sched.pool;
-    mutable lru_head : template option;  (* most recently used *)
-    mutable lru_tail : template option;  (* least recently used *)
-    mutable pool_bytes : int;  (* cached sum of pooled template rss *)
+    mutable pool_bytes : int;  (* sum of the templates' rss *)
     obs_every : int;  (* span/trace sampling: keep 1 request in k *)
     obs_phase : int;
     sketch_lat : bool;
@@ -704,45 +695,28 @@ module Server = struct
            raw latencies are retained — O(1) memory at any request
            count.  false (default): exact retained-sample percentiles,
            byte-identical to every earlier release. *)
-    mutable evicted : int;
-    mutable warm_hit_count : int;
-    mutable cold_boot_count : int;
     mutable machine_peak : int;
-    mutable doomed : Wfd.pool list;
-        (* Retired pools of evicted templates a planned request may
-           still bind from: drained only once no trajectory can (end of
-           a serve window / [shutdown]). *)
     mutable tel : telemetry option;
   }
 
-  let create ?(config = default_config) ?(pool_mem_cap = 512 * 1024 * 1024)
-      ?(warm = true) ?(sample_every = 1) ?(sample_seed = 0)
-      ?(sketch_latency = false) () =
-    if pool_mem_cap < 0 then invalid_arg "Visor.Server.create: negative pool cap";
+  let create ?(config = default_config) ?(warm = true) ?(sample_every = 1)
+      ?(sample_seed = 0) ?(sketch_latency = false) () =
     if sample_every < 1 then
       invalid_arg "Visor.Server.create: sample_every must be >= 1";
     if Option.is_some config.vfs then
       invalid_arg "Visor.Server.create: config.vfs is for Visor.run only";
     {
       scfg = config;
-      pool_cap = pool_mem_cap;
       warm_enabled = warm;
       table = Hashtbl.create 8;
-      templates = Hashtbl.create 8;
       adm = (match config.admission with Some c -> c | None -> admission_cache ());
       proc_table = Hostos.Process.create_table ();
       cpu = Hostos.Sched.pool ~cores:config.cores;
-      lru_head = None;
-      lru_tail = None;
       pool_bytes = 0;
       obs_every = sample_every;
       obs_phase = ((sample_seed mod sample_every) + sample_every) mod sample_every;
       sketch_lat = sketch_latency;
-      evicted = 0;
-      warm_hit_count = 0;
-      cold_boot_count = 0;
       machine_peak = 0;
-      doomed = [];
       tel = None;
     }
 
@@ -798,84 +772,23 @@ module Server = struct
       (fun (n : Workflow.node) -> ignore (lookup_binding bindings n.Workflow.node_id))
       workflow.Workflow.nodes;
     Hashtbl.replace t.table endpoint
-      { reg_workflow = workflow; reg_bindings = bindings }
+      { reg_workflow = workflow; reg_bindings = bindings; reg_template = None }
 
   let endpoints t =
     Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 
-  let pool_rss t = t.pool_bytes
-
-  (* Machine resident memory is the live template pool plus whatever
-     the in-flight requests hold.  Requests live in private process
-     tables (one per trajectory), so the caller passes their sum;
-     [t.proc_table] is not consulted directly — it still carries
-     deferred-destroy templates. *)
+  (* Machine resident memory is the templates plus whatever the
+     in-flight requests hold.  Requests live in private process tables
+     (one per trajectory), so the caller passes their sum. *)
   let note_rss ?(live = 0) t =
     t.machine_peak <- Stdlib.max t.machine_peak (t.pool_bytes + live)
-
-  (* --- O(1) recency list over pooled templates --------------------- *)
-
-  let lru_unlink t tpl =
-    if tpl.tpl_linked then begin
-      (match tpl.tpl_prev with
-      | Some p -> p.tpl_next <- tpl.tpl_next
-      | None -> t.lru_head <- tpl.tpl_next);
-      (match tpl.tpl_next with
-      | Some n -> n.tpl_prev <- tpl.tpl_prev
-      | None -> t.lru_tail <- tpl.tpl_prev);
-      tpl.tpl_prev <- None;
-      tpl.tpl_next <- None;
-      tpl.tpl_linked <- false
-    end
-
-  let lru_push_front t tpl =
-    tpl.tpl_prev <- None;
-    tpl.tpl_next <- t.lru_head;
-    (match t.lru_head with Some h -> h.tpl_prev <- Some tpl | None -> ());
-    t.lru_head <- Some tpl;
-    (match t.lru_tail with None -> t.lru_tail <- Some tpl | Some _ -> ());
-    tpl.tpl_linked <- true
-
-  let touch t tpl =
-    match t.lru_head with
-    | Some h when h == tpl -> ()
-    | _ ->
-        lru_unlink t tpl;
-        lru_push_front t tpl
-
-  let pool_size t = Hashtbl.length t.templates
-
-  let evictions t = t.evicted
-  let admission t = t.adm
-
-  let evict_lru t =
-    match t.lru_tail with
-    | None -> ()
-    | Some tpl ->
-        (* Deferred drain: a request planned against this template in
-           the serve prologue may bind from it on a worker domain
-           later, so the pool is only retired (no more shells pooled)
-           and drained at the next quiescent point. *)
-        lru_unlink t tpl;
-        Wfd.retire tpl.tpl_pool;
-        t.doomed <- tpl.tpl_pool :: t.doomed;
-        Hashtbl.remove t.templates tpl.tpl_ep;
-        t.pool_bytes <- t.pool_bytes - tpl.tpl_rss;
-        t.evicted <- t.evicted + 1;
-        let tr = Trace.current () in
-        if Trace.enabled tr then
-          Trace.recordf tr ~at:Units.zero ~category:"server" ~label:"pool-evict"
-            "template %s evicted (LRU)" tpl.tpl_ep
-
-  let flush_doomed t =
-    List.iter Wfd.drain t.doomed;
-    t.doomed <- []
 
   (* Build the warm template for an endpoint: full WFD boot, entry
      table, the workflow's declared modules preloaded, and the WASM
      engine / CPython booted for the languages the workflow uses.  All
      of it charged to the template's own clock — off any request's
-     critical path. *)
+     critical path.  The registration keeps it until [shutdown], and
+     its resident set counts towards the machine's. *)
   let build_template t endpoint reg =
     let clock = Clock.create () in
     let tpl_span =
@@ -915,37 +828,18 @@ module Server = struct
     if Trace.enabled tr then
       Trace.recordf tr ~at:(Clock.now clock) ~category:"server" ~label:"template-built"
         "wfd%d for %s" wfd.Wfd.id endpoint;
-    {
-      tpl_pool = Wfd.pool wfd;
-      tpl_engine = needs_engine;
-      tpl_python = needs_python;
-      tpl_build = Clock.now clock;
-      tpl_ep = endpoint;
-      tpl_rss = Hostos.Process.rss t.proc_table wfd.Wfd.pid;
-      tpl_prev = None;
-      tpl_next = None;
-      tpl_linked = false;
-    }
-
-  (* Install a template under the memory cap, evicting least-recently
-     used templates until it fits.  A template bigger than the whole
-     cap is not kept. *)
-  let install_template t endpoint tpl =
-    let rss = tpl.tpl_rss in
-    if rss > t.pool_cap then begin
-      Wfd.drain tpl.tpl_pool;
-      None
-    end
-    else begin
-      while t.pool_bytes + rss > t.pool_cap && Hashtbl.length t.templates > 0 do
-        evict_lru t
-      done;
-      Hashtbl.replace t.templates endpoint tpl;
-      t.pool_bytes <- t.pool_bytes + rss;
-      touch t tpl;
-      note_rss t;
-      Some tpl
-    end
+    let tpl =
+      {
+        tpl_pool = Wfd.pool wfd;
+        tpl_engine = needs_engine;
+        tpl_python = needs_python;
+        tpl_build = Clock.now clock;
+      }
+    in
+    reg.reg_template <- Some tpl;
+    t.pool_bytes <- t.pool_bytes + Hostos.Process.rss t.proc_table wfd.Wfd.pid;
+    note_rss t;
+    tpl
 
   let find_registration t endpoint =
     match Hashtbl.find_opt t.table endpoint with
@@ -956,14 +850,9 @@ module Server = struct
     let reg = find_registration t endpoint in
     if not t.warm_enabled then None
     else
-      match Hashtbl.find_opt t.templates endpoint with
-      | Some tpl ->
-          touch t tpl;
-          Some tpl.tpl_build
-      | None -> (
-          match install_template t endpoint (build_template t endpoint reg) with
-          | Some tpl -> Some tpl.tpl_build
-          | None -> None)
+      match reg.reg_template with
+      | Some tpl -> Some tpl.tpl_build
+      | None -> Some (build_template t endpoint reg).tpl_build
 
   (* --- Host-parallel serving --------------------------------------- *)
 
@@ -1031,24 +920,19 @@ module Server = struct
   }
 
   (* Fix the boot type of a request's attempts from the pool state at
-     prologue time.  Attempt 1 follows the pool: a pooled template
-     means warm, otherwise cold (seeding the template for later
-     requests, like the background prewarm a first cold start kicks
-     off).  Retry attempts reboot after their predecessor fails, by
-     which point the endpoint's template exists unless seeding failed —
-     so they are warm whenever attempt 1 was warm or seeded. *)
+     prologue time.  With the pool off every attempt boots cold.  A
+     built template means warm.  Otherwise attempt 1 boots cold and
+     builds the template now, like the background prewarm a first cold
+     start kicks off, so every retry, which reboots after its
+     predecessor fails, binds from it. *)
   let plan_boots t endpoint reg =
-    match if t.warm_enabled then Hashtbl.find_opt t.templates endpoint else None with
-    | Some tpl ->
-        touch t tpl;
-        let warm = Warm tpl in
-        (warm, warm)
-    | None -> (
-        if not t.warm_enabled then (Cold, Cold)
-        else
-          match install_template t endpoint (build_template t endpoint reg) with
-          | Some tpl -> (Cold, Warm tpl)
-          | None -> (Cold, Cold))
+    if not t.warm_enabled then (Cold, Cold)
+    else
+      match reg.reg_template with
+      | Some tpl ->
+          let warm = Warm tpl in
+          (warm, warm)
+      | None -> (Cold, Warm (build_template t endpoint reg))
 
   (* Boot the WFD of one attempt under the attempt's boot shard:
      bind a shell from the template's pool (warm) or create one
@@ -1325,6 +1209,11 @@ module Server = struct
   let serve_fold t ?(window = 2048) next ~init ~f =
     if window < 1 then invalid_arg "Visor.Server.serve_fold: window must be >= 1";
     let max_attempts = max_attempts_of t.scfg in
+    (* The summary counts this serve only: admission against the
+       cache's counts now (the cache may be shared), and the machine
+       peak from the templates already built. *)
+    let adm_hits0 = t.adm.cache_hits and adm_scans0 = t.adm.cache_scans in
+    t.machine_peak <- t.pool_bytes;
     let base_cfg = Par.shard_config () in
     let q : mstate Eventq.t = Eventq.create () in
     let pending = ref (next ()) in
@@ -1410,11 +1299,7 @@ module Server = struct
             }
           in
           Eventq.push q ~at:r.arrival ~pri:pri_arrival ms)
-        planned;
-      (* Every planned trajectory has executed, so templates evicted
-         while planning this window can die now — keeping the doomed
-         list from growing with the run. *)
-      flush_doomed t
+        planned
     in
     (* Plan while the earliest unplanned arrival is due no later than
        the next queued event (arrivals beat same-instant completions,
@@ -1434,6 +1319,8 @@ module Server = struct
     let max_inflight = ref 0 in
     let completed = ref 0 in
     let failed = ref 0 in
+    let warm_starts = ref 0 in
+    let cold_starts = ref 0 in
     let first_arrival = ref None in
     let last_finish = ref Units.zero in
     let live_rss = ref 0 in
@@ -1524,8 +1411,7 @@ module Server = struct
             ms.ms_warm <- warm;
             ms.ms_wfd_id <- wfd_id;
             ms.ms_attempt_began <- now;
-            if warm then t.warm_hit_count <- t.warm_hit_count + 1
-            else t.cold_boot_count <- t.cold_boot_count + 1;
+            if warm then incr warm_starts else incr cold_starts;
             (match t.tel with
             | None -> ()
             | Some tel ->
@@ -1611,7 +1497,6 @@ module Server = struct
       end
     in
     drive ();
-    flush_doomed t;
     (* Close out the final partial SLO buckets so alerts pending at
        end-of-run fire at a deterministic instant. *)
     (match t.tel with
@@ -1634,12 +1519,15 @@ module Server = struct
         sm_p99_latency =
           (if Stats.is_empty lat then Units.zero else Stats.percentile_time lat 99.0);
         sm_max_inflight = !max_inflight;
-        sm_warm_starts = t.warm_hit_count;
-        sm_cold_starts = t.cold_boot_count;
-        sm_adm_hits = t.adm.cache_hits;
-        sm_adm_scans = t.adm.cache_scans;
-        sm_evictions = t.evicted;
-        sm_templates_live = pool_size t;
+        sm_warm_starts = !warm_starts;
+        sm_cold_starts = !cold_starts;
+        sm_adm_hits = t.adm.cache_hits - adm_hits0;
+        sm_adm_scans = t.adm.cache_scans - adm_scans0;
+        sm_evictions = 0;
+        sm_templates_live =
+          Hashtbl.fold
+            (fun _ reg n -> if Option.is_some reg.reg_template then n + 1 else n)
+            t.table 0;
         sm_machine_peak_rss = t.machine_peak;
         sm_latency_sketched = t.sketch_lat;
       } )
@@ -1662,10 +1550,10 @@ module Server = struct
     (List.rev rev, s)
 
   let shutdown t =
-    Hashtbl.iter (fun _ tpl -> Wfd.drain tpl.tpl_pool) t.templates;
-    Hashtbl.reset t.templates;
-    t.lru_head <- None;
-    t.lru_tail <- None;
-    t.pool_bytes <- 0;
-    flush_doomed t
+    Hashtbl.iter
+      (fun _ reg ->
+        Option.iter (fun tpl -> Wfd.drain tpl.tpl_pool) reg.reg_template;
+        reg.reg_template <- None)
+      t.table;
+    t.pool_bytes <- 0
 end

@@ -161,8 +161,8 @@ val cold_start_only : ?config:config -> unit -> Sim.Units.time
     declared modules preloaded, WASM engine / CPython booted);
     subsequent requests CoW-clone the template — the Fig. 10 cold-boot
     path replaced by {!Cost.wfd_clone} + per-module attach + runtime
-    resume.  Templates are LRU-evicted under a pool memory cap measured
-    from proc-table RSS. *)
+    resume.  An endpoint keeps its one template until {!Server.shutdown};
+    the templates' proc-table RSS counts towards the machine's. *)
 
 module Server : sig
   type request = { endpoint : string; arrival : Sim.Units.time }
@@ -179,7 +179,8 @@ module Server : sig
   }
 
   (** The aggregates of one serving run, returned next to the responses
-      by {!serve_fold} and {!serve}. *)
+      by {!serve_fold} and {!serve}.  Every count is of that serve
+      only, whatever the server served before. *)
   type summary = {
     sm_completed : int;
     sm_failed : int;
@@ -189,13 +190,20 @@ module Server : sig
     sm_p50_latency : Sim.Units.time;
     sm_p99_latency : Sim.Units.time;
     sm_max_inflight : int;  (** Peak concurrently-executing workflows. *)
-    sm_warm_starts : int;
+    sm_warm_starts : int;  (** Attempts that bound from a template. *)
     sm_cold_starts : int;
     sm_adm_hits : int;
+        (** Admission-cache hits during the serve, also when the cache
+            is shared through [config.admission]. *)
     sm_adm_scans : int;
     sm_evictions : int;
-    sm_templates_live : int;
+        (** Always 0: a template is never evicted.  The field stays
+            because the serving bench's JSON and perfbench's response
+            fingerprint read it. *)
+    sm_templates_live : int;  (** Endpoints with a template at the end. *)
     sm_machine_peak_rss : int;
+        (** Peak of the templates' RSS plus the in-flight requests'
+            during the serve. *)
     sm_latency_sketched : bool;
         (** Latency percentiles above came from a t-digest (see
             [sketch_latency] on {!create}) rather than retained
@@ -206,21 +214,20 @@ module Server : sig
 
   val create :
     ?config:config ->
-    ?pool_mem_cap:int ->
     ?warm:bool ->
     ?sample_every:int ->
     ?sample_seed:int ->
     ?sketch_latency:bool ->
     unit ->
     t
-  (** A server over [config.cores] shared cores.  [pool_mem_cap]
-      (default 512 MiB) bounds the template pool's resident memory;
-      [warm:false] disables the pool entirely (every request boots
-      cold — the baseline the bench compares against).  The server
-      uses [config.admission] when provided, else its own cache.
-      Raises [Invalid_argument] when [config.vfs] is set: each request
-      runs on its own scratch disk, so there is no shared image to
-      pre-stage.
+  (** A server over [config.cores] shared cores.  Each endpoint's
+      template lives from its first request (or {!prewarm}) until
+      {!shutdown}; [warm:false] disables the pool entirely (every
+      request boots cold — the baseline the bench compares against).
+      The server uses [config.admission] when provided, else its own
+      cache.  Raises [Invalid_argument] when [config.vfs] is set: each
+      request runs on its own scratch disk, so there is no shared image
+      to pre-stage.
 
       [sample_every] (default 1) samples per-request observability:
       only every k-th request — by arrival index, starting at phase
@@ -293,10 +300,9 @@ module Server : sig
       instant (ties by SLO name). *)
 
   val prewarm : t -> endpoint:string -> Sim.Units.time option
-  (** Build (or touch) the endpoint's template off the request path.
-      Returns the template build time, or [None] if the pool is
-      disabled or the template exceeds the whole memory cap.  Raises
-      [Not_found] for an unknown endpoint. *)
+  (** Build the endpoint's template off the request path, unless it
+      exists.  Returns the template build time, or [None] if the pool
+      is disabled.  Raises [Not_found] for an unknown endpoint. *)
 
   val serve_fold :
     t ->
@@ -333,12 +339,8 @@ module Server : sig
       same-instant requests keep list order), collecting the responses
       in completion order. *)
 
-  val pool_size : t -> int
-  val pool_rss : t -> int
-  val evictions : t -> int
-  val admission : t -> admission_cache
-
   val shutdown : t -> unit
-  (** Destroy all pooled templates (drops their WFDs from the live
-      count). *)
+  (** Destroy every endpoint's template and pooled shells (drops their
+      WFDs from the live count).  A later request builds its template
+      anew. *)
 end

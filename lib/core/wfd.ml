@@ -231,16 +231,10 @@ let destroy t =
 
 (* A template pool: the warm template WFD plus the finished request
    WFDs ("shells") reset to its image.  Workers bind and release from
-   any domain, so the free list sits behind [mu]; [retired] is set in
-   sequential phases only. *)
-type pool = {
-  template : t;
-  mu : Mutex.t;
-  mutable free : t list;
-  mutable retired : bool;
-}
+   any domain, so the free list sits behind [mu]. *)
+type pool = { template : t; mu : Mutex.t; mutable free : t list }
 
-let pool template = { template; mu = Mutex.create (); free = []; retired = false }
+let pool template = { template; mu = Mutex.create (); free = [] }
 
 (* A shell's module and entry tables start as copies of the
    template's and only ever grow: a module load adds its name and
@@ -382,10 +376,11 @@ let bind ?fault p ~proc_table ~clock =
 
 (* A shell bound with the request's own plan carries a fresh [Some]
    and cannot be pooled; every other shell shares the template's
-   [fault] value. *)
+   [fault] value.  Once {!drain} destroyed the template, nothing is
+   pooled, so a late release cannot leak a shell. *)
 let release p t =
   if t.destroyed then invalid_arg "Wfd.release: WFD destroyed";
-  if p.retired || t.fault != p.template.fault then begin
+  if p.template.destroyed || t.fault != p.template.fault then begin
     destroy t;
     false
   end
@@ -397,10 +392,7 @@ let release p t =
     true
   end
 
-let retire p = p.retired <- true
-
 let drain p =
-  retire p;
   List.iter destroy p.free;
   p.free <- [];
   destroy p.template

@@ -113,7 +113,8 @@ val destroy : t -> unit
 
     A shell is held by one bound request at a time and a new one is
     built only when the pool is empty, so a pool never holds more
-    shells than the most requests that were bound at once. *)
+    shells than the most requests that were bound at once.  A pool
+    lives until {!drain}. *)
 
 type pool
 
@@ -147,22 +148,19 @@ val release : pool -> t -> bool
     to the template image (host-only: no clock, no global counter; it
     leaves its process table and holds no process entry while pooled)
     and pooled, and [release] returns [true].  A WFD bound with its own
-    fault plan, or released into a retired pool, is destroyed instead
-    and [release] returns [false].  The result depends only on the
-    bind and {!retire}, never on the pool's occupancy.  A WFD that
+    fault plan, or released after {!drain}, is destroyed instead and
+    [release] returns [false].  Before {!drain} the result depends
+    only on the bind, never on the pool's occupancy.  A WFD that
     failed mid-request should be {!destroy}ed, not released.  A pooled
     shell keeps its disk, re-formatted in place; a disk that cannot be
     re-formatted (a fault-wrapped one, bound with the template's own
     plan) raises [Invalid_argument] rather than fall back to the
     template's shared image. *)
 
-val retire : pool -> unit
-(** Stop pooling: later releases destroy.  Binds still work until
-    {!drain}.  Call it while no bind or release runs. *)
-
 val drain : pool -> unit
-(** Retire the pool and destroy its shells and its template.  Call it
-    once no bound WFD of the pool is still running. *)
+(** Destroy the pool's shells and its template.  Later releases
+    destroy, and binds raise.  Call it once no bound WFD of the pool
+    is still running. *)
 
 val live_count : unit -> int
 (** Number of created-but-not-destroyed WFDs across the whole process —

@@ -171,6 +171,47 @@ let test_loadgen_width_check () =
   | _ -> Alcotest.fail "width > cores must fail"
   | exception Invalid_argument _ -> ()
 
+(* --- §9 multi-node split --- *)
+
+(* Four one-instance stages over one slot: s0 sends it and every stage
+   in [readers] reads it.  At two nodes, s0 and s1 run in one WFD and
+   s2 and s3 in another. *)
+let one_slot_app readers =
+  let kernel i (f : Fctx.t) =
+    if i = 0 then f.Fctx.send ~slot:"x" (Bytes.make 4096 'x')
+    else if List.mem i readers then ignore (f.Fctx.recv ~slot:"x")
+  in
+  {
+    Fctx.app_name = "OneSlot";
+    stages = List.init 4 (fun i -> (Printf.sprintf "s%d" i, 1, kernel i));
+    inputs = [];
+    validate = (fun ~read_output:_ -> Ok ());
+    modules = [ "mm" ];
+  }
+
+let on_nodes nodes = As_platform.make ~options:{ As_platform.default_options with nodes } ()
+
+let test_split_reads_a_payload_once () =
+  check_ok "one remote pull" (run (on_nodes 2) (one_slot_app [ 2 ]));
+  (* AsBuffer frees a slot when it is read, so a second read fails in
+     one WFD; a split must fail at the same function, not serve the
+     payload again from its cross-node copy. *)
+  List.iter
+    (fun (label, readers, fails_at) ->
+      List.iter
+        (fun nodes ->
+          match run (on_nodes nodes) (one_slot_app readers) with
+          | _ -> Alcotest.failf "%s at %d node(s): the second read must fail" label nodes
+          | exception Alloystack_core.Visor.Function_failed { fn; _ } ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at %d node(s)" label nodes)
+                fails_at fn)
+        [ 1; 2 ])
+    [
+      ("read in its own group, then by a later one", [ 1; 2 ], "s2");
+      ("pulled remotely twice", [ 2; 3 ], "s3");
+    ]
+
 (* --- Fig. 10 single-function cold starts --- *)
 
 let test_figure10_shape () =
@@ -213,4 +254,5 @@ let suite =
     Alcotest.test_case "loadgen saturation" `Quick test_loadgen_saturation_queues;
     Alcotest.test_case "loadgen contention" `Quick test_loadgen_contention_hurts;
     Alcotest.test_case "loadgen width check" `Quick test_loadgen_width_check;
+    Alcotest.test_case "split reads a payload once" `Quick test_split_reads_a_payload_once;
   ]

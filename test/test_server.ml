@@ -1,5 +1,5 @@
 (* Tests for Visor.Server: the warm template pool, admission cache,
-   concurrent serving over shared cores, LRU eviction and WFD
+   concurrent serving over shared cores, per-serve summaries and WFD
    hygiene. *)
 
 open Sim
@@ -20,8 +20,8 @@ let compute_bindings ms =
 
 let req ?(endpoint = "e") at_ms = { Visor.Server.endpoint; arrival = Units.ms at_ms }
 
-let serve_simple ?config ?pool_mem_cap ?warm ~requests () =
-  let server = Visor.Server.create ?config ?pool_mem_cap ?warm () in
+let serve_simple ?config ?warm ~requests () =
+  let server = Visor.Server.create ?config ?warm () in
   Visor.Server.register server ~endpoint:"e" ~workflow:(compute_wf 10)
     ~bindings:(compute_bindings 10) ();
   let r = Visor.Server.serve server requests in
@@ -86,66 +86,71 @@ let test_stages_share_cores () =
     true
     (Units.( >= ) serial (Units.add parallel (Units.ms 9)))
 
-let test_lru_eviction_under_cap () =
-  (* Cap the pool below two templates: warming a second endpoint must
-     evict the least-recently-used first one. *)
-  let probe = Visor.Server.create () in
-  Visor.Server.register probe ~endpoint:"a" ~workflow:(compute_wf 1)
-    ~bindings:(compute_bindings 1) ();
-  ignore (Visor.Server.prewarm probe ~endpoint:"a");
-  let one_template = Visor.Server.pool_rss probe in
-  Visor.Server.shutdown probe;
-  Alcotest.(check bool) "template has measurable rss" true (one_template > 0);
-  let server = Visor.Server.create ~pool_mem_cap:(one_template * 3 / 2) () in
-  List.iter
-    (fun ep ->
-      Visor.Server.register server ~endpoint:ep ~workflow:(compute_wf 1)
-        ~bindings:(compute_bindings 1) ())
-    [ "a"; "b" ];
-  ignore (Visor.Server.prewarm server ~endpoint:"a");
-  Alcotest.(check int) "one pooled" 1 (Visor.Server.pool_size server);
-  ignore (Visor.Server.prewarm server ~endpoint:"b");
-  Alcotest.(check int) "still one pooled" 1 (Visor.Server.pool_size server);
-  Alcotest.(check int) "a evicted" 1 (Visor.Server.evictions server);
-  Alcotest.(check bool) "pool stays under cap" true
-    (Visor.Server.pool_rss server <= one_template * 3 / 2);
-  (* Serving endpoint a again boots cold (its template was evicted). *)
-  let _, s = Visor.Server.serve server [ req ~endpoint:"a" 0 ] in
-  Alcotest.(check int) "evicted endpoint boots cold" 1 s.Visor.Server.sm_cold_starts;
-  (* A warm request planned against a, then b's cold boot evicting a
-     in the same window: a's pool is retired, so the warm request's
-     WFD is destroyed rather than pooled and counts no recycle. *)
-  Visor.Server.enable_telemetry server ();
+let test_templates_past_old_cap_stay_pooled () =
+  (* 30 one-function endpoints hold about 600 MiB of templates, more
+     than the 512 MiB the pool was once capped at.  Every template
+     stays until shutdown, so the second round is all warm. *)
   let live0 = Wfd.live_count () in
-  let evicted0 = Visor.Server.evictions server in
-  let _, s = Visor.Server.serve server [ req ~endpoint:"a" 0; req ~endpoint:"b" 0 ] in
-  Alcotest.(check int) "a served warm" 1 s.Visor.Server.sm_warm_starts;
-  Alcotest.(check int) "b evicted a" (evicted0 + 1) (Visor.Server.evictions server);
-  let recycled =
-    match Visor.Server.telemetry server with
-    | Some ts -> Timeseries.value ts (Timeseries.counter ts "serve.recycle_releases") 0
-    | None -> Alcotest.fail "telemetry enabled"
-  in
-  Alcotest.(check (float 0.0)) "no recycle into a retired pool" 0.0 recycled;
-  Alcotest.(check int) "only b's template replaces a's" live0 (Wfd.live_count ());
-  Visor.Server.shutdown server
+  let server = Visor.Server.create () in
+  let eps = List.init 30 (Printf.sprintf "ep%02d") in
+  List.iter
+    (fun endpoint ->
+      Visor.Server.register server ~endpoint ~workflow:(compute_wf 1)
+        ~bindings:(compute_bindings 1) ())
+    eps;
+  let round () = List.mapi (fun i endpoint -> req ~endpoint i) eps in
+  let _, first = Visor.Server.serve server (round ()) in
+  Alcotest.(check int) "first round boots cold" 30 first.Visor.Server.sm_cold_starts;
+  Alcotest.(check bool) "templates exceed 512 MiB" true
+    (first.Visor.Server.sm_machine_peak_rss > 512 * 1024 * 1024);
+  let _, second = Visor.Server.serve server (round ()) in
+  Alcotest.(check int) "second round all warm" 30 second.Visor.Server.sm_warm_starts;
+  Alcotest.(check int) "second round no cold" 0 second.Visor.Server.sm_cold_starts;
+  Alcotest.(check int) "every template live" 30 second.Visor.Server.sm_templates_live;
+  Alcotest.(check int) "never evicted" 0 second.Visor.Server.sm_evictions;
+  Visor.Server.shutdown server;
+  Alcotest.(check int) "shutdown returns to baseline" live0 (Wfd.live_count ())
 
-let test_admission_cache_across_requests () =
+(* [compute_wf 1]'s one function with an admitted image, so every
+   request goes through the admission cache. *)
+let imaged_bindings () =
   let image =
     Isa.Image.create ~name:"img" ~toolchain:Isa.Image.Rust_as_std
       [ Isa.Inst.Mov_reg; Isa.Inst.Call "as_std_open"; Isa.Inst.Ret ]
   in
-  let bindings =
-    [ ("f", Visor.bind ~image (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
-           Asstd.compute ctx (Units.ms 1))) ]
-  in
+  [ ("f", Visor.bind ~image (fun (ctx : Asstd.ctx) ~instance:_ ~total:_ ->
+         Asstd.compute ctx (Units.ms 1))) ]
+
+let test_admission_cache_across_requests () =
   let server = Visor.Server.create () in
-  Visor.Server.register server ~endpoint:"e" ~workflow:(compute_wf 1) ~bindings ();
+  Visor.Server.register server ~endpoint:"e" ~workflow:(compute_wf 1)
+    ~bindings:(imaged_bindings ()) ();
   let _, s = Visor.Server.serve server (List.init 6 (fun i -> req (i * 5))) in
   Visor.Server.shutdown server;
   Alcotest.(check int) "all served" 6 s.Visor.Server.sm_completed;
   Alcotest.(check int) "image scanned once" 1 s.Visor.Server.sm_adm_scans;
   Alcotest.(check int) "five cache hits" 5 s.Visor.Server.sm_adm_hits
+
+let test_summary_counts_one_serve () =
+  (* The same four requests served twice on one server: the second
+     summary counts the second serve only, although the server's
+     template and the admission cache outlive the first. *)
+  let server = Visor.Server.create () in
+  Visor.Server.register server ~endpoint:"e" ~workflow:(compute_wf 1)
+    ~bindings:(imaged_bindings ()) ();
+  let requests = List.init 4 (fun i -> req (i * 5)) in
+  let _, first = Visor.Server.serve server requests in
+  Alcotest.(check int) "first: warm" 3 first.Visor.Server.sm_warm_starts;
+  Alcotest.(check int) "first: cold" 1 first.Visor.Server.sm_cold_starts;
+  Alcotest.(check int) "first: admission hits" 3 first.Visor.Server.sm_adm_hits;
+  Alcotest.(check int) "first: admission scans" 1 first.Visor.Server.sm_adm_scans;
+  let _, second = Visor.Server.serve server requests in
+  Visor.Server.shutdown server;
+  Alcotest.(check int) "second: completed" 4 second.Visor.Server.sm_completed;
+  Alcotest.(check int) "second: warm" 4 second.Visor.Server.sm_warm_starts;
+  Alcotest.(check int) "second: cold" 0 second.Visor.Server.sm_cold_starts;
+  Alcotest.(check int) "second: admission hits" 4 second.Visor.Server.sm_adm_hits;
+  Alcotest.(check int) "second: admission scans" 0 second.Visor.Server.sm_adm_scans
 
 let test_admission_rejection_served () =
   (* A request whose image fails admission is answered at its arrival
@@ -556,7 +561,8 @@ let suite =
     Alcotest.test_case "first request seeds pool" `Quick test_first_request_seeds_pool;
     Alcotest.test_case "sustains 32 in flight" `Quick test_sustains_32_inflight;
     Alcotest.test_case "stages share cores" `Quick test_stages_share_cores;
-    Alcotest.test_case "LRU eviction under cap" `Quick test_lru_eviction_under_cap;
+    Alcotest.test_case "templates past the old cap stay pooled" `Quick
+      test_templates_past_old_cap_stay_pooled;
     Alcotest.test_case "admission cache across requests" `Quick
       test_admission_cache_across_requests;
     Alcotest.test_case "no wfd leak across serve" `Quick test_no_wfd_leak_across_serve;
@@ -575,4 +581,5 @@ let suite =
       test_warm_request_allocation;
     Alcotest.test_case "admission rejection on a server" `Quick
       test_admission_rejection_served;
+    Alcotest.test_case "summary counts one serve" `Quick test_summary_counts_one_serve;
   ]

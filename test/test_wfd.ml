@@ -571,23 +571,23 @@ let test_reused_shell_binds_like_new () =
     (match own.Wfd.fault with Some f -> f == plan | None -> false);
   Alcotest.(check bool) "own-plan release destroys" false (Wfd.release p own);
   Alcotest.(check bool) "own-plan shell destroyed" true own.Wfd.destroyed;
-  (* Many cycles, then a release into a retired pool: the template
-     keeps its own process entry throughout. *)
+  (* Many cycles: the template keeps its own process entry throughout.
+     Then a release after [drain] destroys the shell instead of pooling
+     it into a pool that is gone. *)
   for _ = 1 to 20 do
     let next, _, _ = bind_fresh_request p in
     Alcotest.(check bool) "cycle reuses the shell" true (next == reused);
     ignore (Wfd.release p next)
   done;
   let last, _, _ = bind_fresh_request p in
-  Wfd.retire p;
-  Alcotest.(check bool) "retired pool destroys" false (Wfd.release p last);
-  Alcotest.(check bool) "released shell destroyed" true last.Wfd.destroyed;
   Alcotest.(check int) "template keeps its process" 1
     (Hostos.Process.live_processes tpl_table);
   Alcotest.(check int) "template rss still answers" tpl_rss
     (Hostos.Process.rss tpl_table tpl.Wfd.pid);
   Wfd.destroy fresh;
   Wfd.drain p;
+  Alcotest.(check bool) "a release after drain destroys" false (Wfd.release p last);
+  Alcotest.(check bool) "released shell destroyed" true last.Wfd.destroyed;
   Alcotest.(check int) "drain leaves no WFD" live0 (Wfd.live_count ())
 
 (* A pooled shell keeps its own re-formatted disk.  A shell bound with
