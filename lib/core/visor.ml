@@ -697,6 +697,10 @@ module Server = struct
            byte-identical to every earlier release. *)
     mutable machine_peak : int;
     mutable tel : telemetry option;
+    mutable wfd_ids : int;
+        (* the last WFD id handed out: a server numbers its templates
+           and its requests' WFDs itself, so identical serves on fresh
+           servers label their trace lines identically *)
   }
 
   let create ?(config = default_config) ?(warm = true) ?(sample_every = 1)
@@ -718,6 +722,7 @@ module Server = struct
       sketch_lat = sketch_latency;
       machine_peak = 0;
       tel = None;
+      wfd_ids = 0;
     }
 
   let enable_telemetry t ?window ?retention ?(slos = []) () =
@@ -783,6 +788,13 @@ module Server = struct
   let note_rss ?(live = 0) t =
     t.machine_peak <- Stdlib.max t.machine_peak (t.pool_bytes + live)
 
+  (* Claim the next [n] WFD ids: returns [base], the ids being
+     [base+1 .. base+n]. *)
+  let reserve_wfd_ids t n =
+    let base = t.wfd_ids in
+    t.wfd_ids <- base + n;
+    base
+
   (* Build the warm template for an endpoint: full WFD boot, entry
      table, the workflow's declared modules preloaded, and the WASM
      engine / CPython booted for the languages the workflow uses.  All
@@ -796,9 +808,10 @@ module Server = struct
         ~category:"template" ~label:("template " ^ endpoint) ()
     in
     let wfd =
-      Wfd.create ~features:t.scfg.features ?fault:t.scfg.fault
-        ~proc_table:t.proc_table ~clock
-        ~workflow_name:(endpoint ^ ":template") ()
+      Wfd.with_id_namespace ~base:(reserve_wfd_ids t 1) (fun () ->
+          Wfd.create ~features:t.scfg.features ?fault:t.scfg.fault
+            ~proc_table:t.proc_table ~clock
+            ~workflow_name:(endpoint ^ ":template") ())
     in
     wfd.Wfd.span <- tpl_span;
     Clock.advance clock Cost.entry_table_init;
@@ -1163,7 +1176,7 @@ module Server = struct
     match admit_images ~cache:t.adm reg.reg_bindings with
     | (_ : Units.time) ->
         let first, retry = plan_boots t r.endpoint reg in
-        let base = Wfd.reserve_ids max_attempts in
+        let base = reserve_wfd_ids t max_attempts in
         let fault_child =
           match t.scfg.fault with Some plan -> Some (Fault.child plan ~index) | None -> None
         in
@@ -1206,7 +1219,7 @@ module Server = struct
      Each response is handed to the caller's [f] at its completion
      instant (completion order — the merged virtual timeline) and never
      stored; [serve] is the fold that collects them. *)
-  let serve_fold t ?(window = 2048) next ~init ~f =
+  let serve_fold t ?(window = 64) next ~init ~f =
     if window < 1 then invalid_arg "Visor.Server.serve_fold: window must be >= 1";
     let max_attempts = max_attempts_of t.scfg in
     (* The summary counts this serve only: admission against the

@@ -322,7 +322,14 @@ module Server : sig
 
       Requests are pipelined through planning, parallel trajectory
       execution and the merge loop in windows of [window] requests
-      (default 2048).  Each response is handed to [f] at its completion
+      (default 64).  The default is small on purpose: a served
+      request's trajectory allocates about 830 words, so a window's
+      trajectories are born and die inside the 256 k-word minor heap
+      instead of being promoted to the major heap wholesale, which is
+      where a 2048-request window spent its host time and peak heap.  A
+      small window costs little at width d > 1 because [Sim.Par.run]
+      hands each window to persistent worker domains instead of
+      spawning them.  Each response is handed to [f] at its completion
       instant (completion order on the merged virtual timeline) and
       never stored, so live host memory is O(window + in-flight) with
       {e no} term linear in the request count — combined with

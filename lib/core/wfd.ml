@@ -76,11 +76,11 @@ let rec live_decr () =
 
 (* WFD ids leak into traces ("wfd%d ..."), so parallel tasks must not
    draw them from the shared counter in completion order.  A task runs
-   under [with_id_namespace ~base] over a range pre-reserved with
-   [reserve_ids]; ids then depend only on the task's submission index,
-   never on host interleaving.  The namespace is one mutable cell per
-   domain, saved and restored around the task, so entering it
-   allocates nothing. *)
+   under [with_id_namespace ~base] over a range its submitter reserved
+   (a [Visor.Server] keeps its own counter); ids then depend only on
+   the task's submission index, never on host interleaving.  The
+   namespace is one mutable cell per domain, saved and restored around
+   the task, so entering it allocates nothing. *)
 type id_namespace = { mutable ns_on : bool; mutable ns_last : int }
 
 let id_ns_key = Domain.DLS.new_key (fun () -> { ns_on = false; ns_last = 0 })
@@ -92,8 +92,6 @@ let fresh_id () =
     ns.ns_last
   end
   else Atomic.fetch_and_add next_id 1 + 1
-
-let reserve_ids n = Atomic.fetch_and_add next_id n
 
 let with_id_namespace ~base f =
   let ns = Domain.DLS.get id_ns_key in

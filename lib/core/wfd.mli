@@ -169,14 +169,13 @@ val live_count : unit -> int
 (** {1 Deterministic id allocation}
 
     WFD ids appear in trace text (["wfd%d ..."]), so parallel tasks
-    must not draw them from the shared counter in host-completion
-    order.  A submitter reserves a contiguous range per task with
-    {!reserve_ids} and the task allocates inside it under
-    {!with_id_namespace}; ids then depend only on submission index. *)
-
-val reserve_ids : int -> int
-(** [reserve_ids n] claims [n] ids from the global counter and returns
-    [base]; the reserved ids are [base+1 .. base+n]. *)
+    must not draw them from the process-wide counter in
+    host-completion order.  A submitter reserves a contiguous range per
+    task from a counter of its own ([Visor.Server] numbers its
+    templates and requests this way) and the task allocates inside it
+    under {!with_id_namespace}; ids then depend only on submission
+    index.  Outside a namespace ({!Visor.run}) ids come from the
+    process-wide counter. *)
 
 val with_id_namespace : base:int -> (unit -> 'a) -> 'a
 (** Run [f] with WFD ids allocated locally as [base+1, base+2, ...]

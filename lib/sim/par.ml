@@ -19,11 +19,21 @@
      ran on 1 domain or N.
    - Per-task randomness/faults must be split from the seed by task
      index ([Fault.child], [Rng.split]) before submission, never drawn
-     from a stream shared across tasks. *)
+     from a stream shared across tasks.
+
+   Worker lifetime: at width d > 1 the tasks run on d - 1 worker
+   domains that live from the first parallel [run] at that width until
+   [set_domains] changes the width, which joins them; between calls
+   they park on a condition variable.  Their domain-local state (page,
+   process-table and scheduler pools, Hotspot tables) therefore
+   persists across calls, which is what makes a small serving window
+   cheap.  The join matters as much as the reuse: a parked OCaml 5
+   domain still takes part in every stop-the-world minor collection,
+   so a width-1 run after a wider one would otherwise pay for every
+   domain the wider run left parked. *)
 
 let domain_count = Atomic.make 1
 
-let set_domains n = Atomic.set domain_count (if n < 1 then 1 else n)
 let domains () = Atomic.get domain_count
 
 (* The pool width that matches the machine: the runtime's recommended
@@ -172,38 +182,123 @@ let release_shard sh =
   end;
   Mutex.unlock shard_pool_mu
 
-(* --- The pool ------------------------------------------------------ *)
+(* --- The pool ------------------------------------------------------
 
-(* Run [tasks] and return their results by submission index.  Work is
-   claimed one submission per fetch from a shared atomic cursor; the
-   submitting domain participates, so [domains () = 1] costs no spawn.
-   The first failing task *by submission index* re-raises after every
-   domain has joined — completion order never leaks, even through
-   errors. *)
+   At width d > 1, [run] hands its tasks to the d - 1 workers (see the
+   header) and claims tasks itself alongside them.  A call posts a job
+   (the claim loop over its tasks) and bumps [epoch]; every parked
+   worker wakes, runs the job until the shared cursor passes the last
+   task, and parks again.  The caller waits on [finished] until every
+   task is done, not until every worker has woken: a worker that wakes
+   late finds no task left.
+
+   [busy] is held by the [run] that owns the pool and by a width
+   change.  A [run] that finds it held — one issued from inside a task,
+   on a worker or on the caller's domain, or from a second domain of
+   the caller's — runs its tasks inline on its own domain. *)
+
+let busy = Atomic.make false
+let mu = Mutex.create ()
+let wake = Condition.create ()
+let finished = Condition.create ()
+
+(* Guarded by [mu]: the posted job, its sequence number, and the stop
+   request [set_domains] sends. *)
+let job : (unit -> unit) ref = ref ignore
+let epoch = ref 0
+let stopping = ref false
+
+(* Only the holder of [busy] reads or writes it. *)
+let workers : unit Domain.t array ref = ref [||]
+
+(* Park until a job newer than [seen] is posted or the pool stops. *)
+let rec work seen =
+  Mutex.lock mu;
+  while !epoch = seen && not !stopping do
+    Condition.wait wake mu
+  done;
+  let stop = !stopping and e = !epoch and j = !job in
+  Mutex.unlock mu;
+  if not stop then begin
+    j ();
+    work e
+  end
+
+let start_workers w =
+  let e = !epoch in
+  workers := Array.init w (fun _ -> Domain.spawn (fun () -> work e))
+
+let stop_workers () =
+  if Array.length !workers > 0 then begin
+    Mutex.protect mu (fun () ->
+        stopping := true;
+        Condition.broadcast wake);
+    Array.iter Domain.join !workers;
+    workers := [||];
+    Mutex.protect mu (fun () -> stopping := false)
+  end
+
+let set_domains n =
+  let n = if n < 1 then 1 else n in
+  if n <> Atomic.get domain_count then begin
+    if not (Atomic.compare_and_set busy false true) then
+      invalid_arg "Sim.Par.set_domains: called while a run is in flight";
+    Atomic.set domain_count n;
+    stop_workers ();
+    Atomic.set busy false
+  end
+
+(* Run [tasks] on the pool and return their results by submission
+   index.  Each fetch from the shared cursor claims one task; whoever
+   finishes the last task wakes the caller. *)
+let run_on_pool (tasks : (unit -> 'a) array) : 'a array =
+  let n = Array.length tasks in
+  if Array.length !workers = 0 then start_workers (domains () - 1);
+  let results : 'a option array = Array.make n None in
+  let errors : exn option array = Array.make n None in
+  let next = Atomic.make 0 in
+  let completed = Atomic.make 0 in
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (match tasks.(i) () with
+      | v -> results.(i) <- Some v
+      | exception e -> errors.(i) <- Some e);
+      if Atomic.fetch_and_add completed 1 = n - 1 then
+        Mutex.protect mu (fun () -> Condition.signal finished);
+      claim ()
+    end
+  in
+  Mutex.protect mu (fun () ->
+      job := claim;
+      incr epoch;
+      Condition.broadcast wake);
+  claim ();
+  Mutex.protect mu (fun () ->
+      while Atomic.get completed < n do
+        Condition.wait finished mu
+      done;
+      (* Drop the job, so the pool pins none of its tasks or results. *)
+      job := ignore);
+  (* The first failing task by submission index re-raises, after every
+     task has finished: completion order never leaks, even through
+     errors. *)
+  let first_error = ref None in
+  for i = n - 1 downto 0 do
+    match errors.(i) with Some e -> first_error := Some e | None -> ()
+  done;
+  (match !first_error with Some e -> raise e | None -> ());
+  Array.map (function Some v -> v | None -> assert false) results
+
 let run (tasks : (unit -> 'a) array) : 'a array =
   let n = Array.length tasks in
-  let d = min (domains ()) n in
-  if d <= 1 then Array.map (fun f -> f ()) tasks
-  else begin
-    let results : 'a option array = Array.make n None in
-    let errors : exn option array = Array.make n None in
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (match tasks.(i) () with
-        | v -> results.(i) <- Some v
-        | exception e -> errors.(i) <- Some e);
-        worker ()
-      end
-    in
-    let spawned = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned;
-    let first_error = ref None in
-    for i = n - 1 downto 0 do
-      match errors.(i) with Some e -> first_error := Some e | None -> ()
-    done;
-    (match !first_error with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+  if min (domains ()) n <= 1 || not (Atomic.compare_and_set busy false true) then
+    Array.map (fun f -> f ()) tasks
+  else
+    match run_on_pool tasks with
+    | results ->
+        Atomic.set busy false;
+        results
+    | exception e ->
+        Atomic.set busy false;
+        raise e

@@ -749,6 +749,122 @@ let test_counters_gauges_exact () =
   Alcotest.(check (option int)) "a never-bumped counter exports 0" (Some 0)
     (List.assoc_opt never (Metrics.snapshot ()).Metrics.snap_counters)
 
+(* --- The persistent worker pool ----------------------------------- *)
+
+(* Poll [cond] until it holds or [seconds] pass; whether it held.
+   Sleeping between polls leaves the core to domains that have not
+   been scheduled yet. *)
+let wait_until ?(seconds = 10.0) cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    cond ()
+    || Unix.gettimeofday () < deadline
+       && begin
+         Unix.sleepf 1e-4;
+         go ()
+       end
+  in
+  go ()
+
+(* [d] tasks, each of which waits until all [d] are held at once, so
+   every domain of a width-[d] pool runs exactly one; each returns its
+   index and the domain that ran it. *)
+let spread d =
+  let held = Atomic.make 0 in
+  Array.init d (fun i () ->
+      Atomic.incr held;
+      ignore (wait_until (fun () -> Atomic.get held >= d));
+      (i, (Domain.self () :> int)))
+
+let workers_of results =
+  let me = (Domain.self () :> int) in
+  Array.to_list results |> List.map snd |> List.filter (fun d -> d <> me)
+  |> List.sort_uniq compare
+
+let test_pool_reuses_workers () =
+  let first, second =
+    with_domains 2 (fun () ->
+        let a = workers_of (Par.run (spread 2)) in
+        let b = workers_of (Par.run (spread 2)) in
+        (a, b))
+  in
+  Alcotest.(check int) "one worker ran a task" 1 (List.length first);
+  Alcotest.(check (list int)) "the next run reuses it" first second;
+  let third = with_domains 2 (fun () -> workers_of (Par.run (spread 2))) in
+  Alcotest.(check int) "a worker ran a task after the width changed" 1 (List.length third);
+  Alcotest.(check bool) "the old worker was joined, a new one started" true
+    (third <> first)
+
+let test_pool_recovers_from_errors () =
+  List.iter
+    (fun d ->
+      with_domains d (fun () ->
+          for round = 1 to 20 do
+            let at = Printf.sprintf "width %d, round %d" d round in
+            (match
+               Par.run (Array.init 8 (fun i () -> if i = 3 then failwith "3" else i))
+             with
+            | _ -> Alcotest.fail (at ^ ": expected a failure")
+            | exception Failure msg -> Alcotest.(check string) (at ^ ": task 3 re-raised") "3" msg);
+            let results = Par.run (spread d) in
+            Array.iteri
+              (fun i (j, _) -> Alcotest.(check int) (at ^ ": result by index") i j)
+              results;
+            Alcotest.(check int) (at ^ ": every worker still runs tasks") (d - 1)
+              (List.length (workers_of results))
+          done))
+    [ 2; 4 ]
+
+(* Task 0 nests three slow tasks, task 1 three instant ones.  When the
+   worker takes task 1, it parks again while the caller's nested run is
+   still in flight, so a nested run that reached the pool would hand it
+   some of the caller's tasks. *)
+let test_pool_nested_run_inline () =
+  with_domains 2 (fun () ->
+      for round = 1 to 20 do
+        let results =
+          Par.run
+            (Array.init 2 (fun i () ->
+                 let outer = (Domain.self () :> int) in
+                 let inner =
+                   Par.run
+                     (Array.init 3 (fun j () ->
+                          if i = 0 then Unix.sleepf 0.002;
+                          ((10 * i) + j, (Domain.self () :> int))))
+                 in
+                 (outer, inner)))
+        in
+        Array.iteri
+          (fun i (outer, inner) ->
+            Array.iteri
+              (fun j (v, dom) ->
+                let at = Printf.sprintf "round %d, task %d, inner %d" round i j in
+                Alcotest.(check int) (at ^ ": result") ((10 * i) + j) v;
+                Alcotest.(check int) (at ^ ": inline") outer dom)
+              inner)
+          results
+      done)
+
+let test_pool_stress () =
+  List.iter
+    (fun d ->
+      with_domains d (fun () ->
+          for k = 1 to 10_000 do
+            (* A little allocating work per task, so that a worker often
+               finishes a run's last task and must wake the caller. *)
+            let r =
+              Par.run
+                (Array.init 3 (fun i () ->
+                     for _ = 1 to 200 do
+                       ignore (Sys.opaque_identity (Array.make 4 i))
+                     done;
+                     (k * 3) + i))
+            in
+            if r.(0) <> k * 3 || r.(1) <> (k * 3) + 1 || r.(2) <> (k * 3) + 2 then
+              Alcotest.failf "width %d, run %d: results out of order" d k
+          done))
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "Par.run keeps submission order" `Quick test_run_submission_order;
@@ -785,4 +901,10 @@ let suite =
       test_interning_across_domains;
     Alcotest.test_case "hotspot minor words are exact" `Quick
       test_hotspot_minor_words_exact;
+    Alcotest.test_case "pool reuses its workers until the width changes" `Quick
+      test_pool_reuses_workers;
+    Alcotest.test_case "pool recovers from a raising task" `Quick
+      test_pool_recovers_from_errors;
+    Alcotest.test_case "nested run runs inline" `Quick test_pool_nested_run_inline;
+    Alcotest.test_case "10 000 back-to-back runs" `Quick test_pool_stress;
   ]

@@ -75,7 +75,8 @@ let test_scale_50k () =
 let test_fold_matches_serve () =
   (* serve_fold over the generator, at every window size, == serve over
      the materialised list: the same responses in the same order and the
-     same summary record. *)
+     same summary record.  [serve] runs at the default window (64), so
+     2048, the default before it, is among the sizes. *)
   let requests = Test_par.requests_for ~seed ~count:300 in
   let with_server f =
     let server = Visor.Server.create () in
@@ -108,7 +109,7 @@ let test_fold_matches_serve () =
       Alcotest.(check bool)
         (Printf.sprintf "window %d summary == serve" window)
         true (summary = snd want))
-    [ 1; 17; 300; 4096 ]
+    [ 1; 17; 300; 2048; 4096 ]
 
 (* --- The failure path at every window and domain count -------------- *)
 
@@ -137,37 +138,14 @@ let chaos_endpoints =
       [ ("f", Visor.bind ~image:evil (fun _ ~instance:_ ~total:_ -> ())) ] );
   ]
 
-(* WFD ids come from a process-wide counter, so each run's "wfd<N>"
-   labels are rewritten relative to the first id it could take. *)
-let relabel_wfds ~base s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if i + 3 <= n && String.sub s i 3 = "wfd" then begin
-        let j = ref (i + 3) in
-        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-        Buffer.add_string b "wfd";
-        if !j > i + 3 then
-          Buffer.add_string b
-            (string_of_int (int_of_string (String.sub s (i + 3) (!j - i - 3)) - base));
-        go !j
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
-
 (* 160 requests on 4 cores under a seeded crash-and-hang plan with
    workflow retries, spans, trace and telemetry on; returns the
    responses, the summary and every export.  The cores fall behind at
-   150 qps, so about a hundred requests are in flight at once. *)
+   150 qps, so about a hundred requests are in flight at once.  Each run
+   is on a fresh server, which numbers its WFDs from 1, so the trace
+   exports compare byte for byte. *)
 let serve_chaos ~window =
   Test_par.reset_observability ();
-  let base = Wfd.reserve_ids 0 in
   Span.set_enabled Span.global true;
   Trace.set_enabled Trace.global true;
   let plan = Fault.create ~seed:41 () in
@@ -203,8 +181,8 @@ let serve_chaos ~window =
   in
   let exports =
     [
-      ("trace json", relabel_wfds ~base (Obs.trace_json_string ()));
-      ("trace dump", relabel_wfds ~base (Trace.dump Trace.global));
+      ("trace json", Obs.trace_json_string ());
+      ("trace dump", Trace.dump Trace.global);
       ("metrics json", Obs.metrics_json_string ());
       ("prometheus", Obs.prometheus_string ());
       ( "telemetry csv",
@@ -246,7 +224,7 @@ let test_failure_path_every_window () =
       List.iter2
         (fun (name, w) (_, g) -> Alcotest.(check string) (at ^ ": " ^ name) w g)
         want_exports got_exports)
-    [ (1, 1); (1, 17); (2, 1); (2, 17); (2, 2048) ];
+    [ (1, 1); (1, 17); (1, 64); (2, 1); (2, 17); (2, 64); (2, 2048) ];
   Alcotest.(check int) "no WFD leak" live0 (Wfd.live_count ())
 
 let suite =
