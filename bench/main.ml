@@ -136,7 +136,7 @@ let fig3 () =
         ~client_profile:Netsim.Tcp.guest_linux ~server_profile:Netsim.Tcp.guest_linux ()
     in
     Netsim.Tcp.send conn ~from_client:true payload;
-    ignore (Netsim.Tcp.recv conn ~at_client:false size);
+    Netsim.Tcp.discard conn ~at_client:false size;
     Clock.now s
   in
   let inter_proc_tcp size =
@@ -147,7 +147,7 @@ let fig3 () =
         ~client_profile:Netsim.Tcp.linux ~server_profile:Netsim.Tcp.linux ()
     in
     Netsim.Tcp.send conn ~from_client:true payload;
-    ignore (Netsim.Tcp.recv conn ~at_client:false size);
+    Netsim.Tcp.discard conn ~at_client:false size;
     Clock.now s
   in
   let shared_memory size =

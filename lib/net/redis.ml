@@ -43,32 +43,34 @@ let set client key value =
   Tcp.send client.conn ~from_client:true (Bytes.of_string header);
   Tcp.send client.conn ~from_client:true value;
   Tcp.send client.conn ~from_client:true (Bytes.of_string "\r\n");
-  ignore (Tcp.recv client.conn ~at_client:false (String.length header));
-  ignore (Tcp.recv client.conn ~at_client:false (Bytes.length value + 2));
+  (* The server stores the value bytes it received. *)
+  Tcp.discard client.conn ~at_client:false (String.length header);
+  let received = Tcp.recv client.conn ~at_client:false (Bytes.length value) in
+  Tcp.discard client.conn ~at_client:false 2;
   Clock.advance client.server.server_clock command_overhead;
-  Hashtbl.replace client.server.store key (Bytes.copy value);
+  Hashtbl.replace client.server.store key received;
   (* +OK reply *)
   Tcp.send client.conn ~from_client:false (Bytes.of_string "+OK\r\n");
-  ignore (Tcp.recv client.conn ~at_client:true 5)
+  Tcp.discard client.conn ~at_client:true 5
 
 let get client key =
   let payload = Bytes.of_string (encode_get key) in
   Tcp.send client.conn ~from_client:true payload;
-  ignore (Tcp.recv client.conn ~at_client:false (Bytes.length payload));
+  Tcp.discard client.conn ~at_client:false (Bytes.length payload);
   Clock.advance client.server.server_clock command_overhead;
   match Hashtbl.find_opt client.server.store key with
   | None ->
       Tcp.send client.conn ~from_client:false (Bytes.of_string "$-1\r\n");
-      ignore (Tcp.recv client.conn ~at_client:true 5);
+      Tcp.discard client.conn ~at_client:true 5;
       None
   | Some value ->
       let header = Printf.sprintf "$%d\r\n" (Bytes.length value) in
       Tcp.send client.conn ~from_client:false (Bytes.of_string header);
       Tcp.send client.conn ~from_client:false value;
       Tcp.send client.conn ~from_client:false (Bytes.of_string "\r\n");
-      ignore (Tcp.recv client.conn ~at_client:true (String.length header));
+      Tcp.discard client.conn ~at_client:true (String.length header);
       let body = Tcp.recv client.conn ~at_client:true (Bytes.length value) in
-      ignore (Tcp.recv client.conn ~at_client:true 2);
+      Tcp.discard client.conn ~at_client:true 2;
       Clock.advance client.clock (serialization_cost (Bytes.length value));
       Some body
 

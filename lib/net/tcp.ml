@@ -54,6 +54,12 @@ type state =
   | Close_wait
   | Time_wait
 
+(* One direction's receive side: the delivered chunks in order, with
+   the read offset into the first.  Each chunk is the sender's one copy
+   of a [send]; a read copies out once (a read of exactly the next
+   whole chunk takes the chunk itself), a discard copies nothing. *)
+type rx = { chunks : bytes Queue.t; mutable off : int; mutable len : int }
+
 type t = {
   link : Link.t;
   client_profile : profile;
@@ -62,8 +68,8 @@ type t = {
   server_clock : Clock.t;
   mutable client_state : state;
   mutable server_state : state;
-  c2s : Buffer.t;  (** Bytes delivered to the server. *)
-  s2c : Buffer.t;  (** Bytes delivered to the client. *)
+  c2s : rx;  (** Bytes delivered to the server. *)
+  s2c : rx;  (** Bytes delivered to the client. *)
   mutable segments : int;
   fault : Fault.t option;
   mutable retransmits : int;
@@ -79,8 +85,8 @@ let connect ?fault ~client ~server ~link ~client_profile ~server_profile () =
       server_clock = server;
       client_state = Closed;
       server_state = Listen;
-      c2s = Buffer.create 256;
-      s2c = Buffer.create 256;
+      c2s = { chunks = Queue.create (); off = 0; len = 0 };
+      s2c = { chunks = Queue.create (); off = 0; len = 0 };
       segments = 0;
       fault;
       retransmits = 0;
@@ -155,7 +161,8 @@ let fault_penalty t ~at ~burst_wall ~parent =
 
 let stream_histo = Metrics.histogram "net.stream_bytes"
 
-(* Move [data] from [src_clock] to [dst_clock] in window-sized bursts.
+(* Move [data] from [src_clock] to [dst_clock] in window-sized bursts,
+   then deliver it to [sink].
    Each burst's wall time is the max of wire serialisation and the
    slower endpoint's per-segment CPU; window pacing adds one RTT of ack
    wait between bursts.  The whole stream is one "network" span hung
@@ -195,9 +202,12 @@ let stream t ~tx ~rx ~src_clock ~dst_clock ~sink data =
        next burst (pipelining hides most of it for big windows). *)
     if !sent + burst < len then
       Clock.advance_to src_clock (Units.add finish t.link.Link.latency);
-    Buffer.add_subbytes sink data !sent burst;
     sent := !sent + burst
   done;
+  if len > 0 then begin
+    Queue.push (Bytes.copy data) sink.chunks;
+    sink.len <- sink.len + len
+  end;
   if sp <> Span.none then begin
     Span.set_attr g sp "bytes" (string_of_int len);
     Span.end_span g sp
@@ -213,19 +223,43 @@ let send t ~from_client data =
     stream t ~tx:t.server_profile ~rx:t.client_profile ~src_clock:t.server_clock
       ~dst_clock:t.client_clock ~sink:t.s2c data
 
-let take buf n =
-  let have = Buffer.length buf in
-  let take = Stdlib.min n have in
-  let out = Bytes.of_string (Buffer.sub buf 0 take) in
-  let rest = Buffer.sub buf take (have - take) in
-  Buffer.clear buf;
-  Buffer.add_string buf rest;
-  out
+(* Consume [n <= rx.len] bytes from the front of [rx], blitting them
+   into [out] at [pos] unless [out] is [None]. *)
+let rec consume rx n out pos =
+  if n > 0 then begin
+    let head = Queue.peek rx.chunks in
+    let k = Stdlib.min n (Bytes.length head - rx.off) in
+    (match out with Some out -> Bytes.blit head rx.off out pos k | None -> ());
+    rx.len <- rx.len - k;
+    if rx.off + k = Bytes.length head then begin
+      ignore (Queue.pop rx.chunks);
+      rx.off <- 0
+    end
+    else rx.off <- rx.off + k;
+    consume rx (n - k) out (pos + k)
+  end
 
-let recv t ~at_client n = if at_client then take t.s2c n else take t.c2s n
+let take rx n =
+  let n = Stdlib.min n rx.len in
+  if n = 0 then Bytes.empty
+  else if rx.off = 0 && n = Bytes.length (Queue.peek rx.chunks) then begin
+    rx.len <- rx.len - n;
+    Queue.pop rx.chunks
+  end
+  else begin
+    let out = Bytes.create n in
+    consume rx n (Some out) 0;
+    out
+  end
 
-let available t ~at_client =
-  Buffer.length (if at_client then t.s2c else t.c2s)
+let rx_of t ~at_client = if at_client then t.s2c else t.c2s
+let recv t ~at_client n = take (rx_of t ~at_client) n
+
+let discard t ~at_client n =
+  let rx = rx_of t ~at_client in
+  consume rx (Stdlib.min n rx.len) None 0
+
+let available t ~at_client = (rx_of t ~at_client).len
 
 let close t =
   (* FIN from client, ACK+FIN from server, final ACK. *)

@@ -69,6 +69,10 @@ val send : t -> from_client:bool -> bytes -> unit
 val recv : t -> at_client:bool -> int -> bytes
 (** Take up to [n] delivered bytes from the receive buffer. *)
 
+val discard : t -> at_client:bool -> int -> unit
+(** Drop up to [n] delivered bytes without copying them: [recv] for a
+    reader that ignores what it reads. *)
+
 val available : t -> at_client:bool -> int
 
 val close : t -> unit

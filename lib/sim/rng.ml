@@ -63,9 +63,15 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
+(* The state stays in a local for the loop and is written back once.
+   Each byte is [int t 256]: bits 2..9 of the draw, taken with a shift
+   and a mask instead of the division. *)
 let bytes t n =
   let b = Bytes.create n in
+  let s = ref (get_state t 0) in
   for i = 0 to n - 1 do
-    Bytes.unsafe_set b i (Char.chr (int t 256))
+    s := Int64.add !s golden_gamma;
+    Bytes.unsafe_set b i (Char.unsafe_chr ((Int64.to_int (mix !s) lsr 2) land 255))
   done;
+  set_state t 0 !s;
   b

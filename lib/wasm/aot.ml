@@ -59,9 +59,23 @@ let[@inline] tick inst =
   inst.fuel <- inst.fuel - 1;
   if inst.fuel < 0 then trap "out of fuel"
 
+let out_of_bounds inst addr len =
+  trap "memory access out of bounds: %Ld (+%d) of %d" addr len (Bytes.length inst.memory)
+
+(* [addr + len] would wrap for an address near [max_int]: compare with
+   the room left instead. *)
 let check_mem inst addr len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length inst.memory then
-    trap "memory access out of bounds: %d (+%d) of %d" addr len (Bytes.length inst.memory)
+  if addr < 0 || len < 0 || addr > Bytes.length inst.memory - len then
+    out_of_bounds inst (Int64.of_int addr) len
+
+(* The address a memory instruction touches: its operand plus the
+   static offset.  An operand with bit 63 set would lose it as an int
+   and alias a low address, so it is out of bounds too. *)
+let[@inline] effective_addr inst v off len =
+  let addr = Int64.to_int v + off in
+  if Int64.compare v 0L < 0 || addr < 0 || addr > Bytes.length inst.memory - len then
+    out_of_bounds inst (Int64.add v (Int64.of_int off)) len;
+  addr
 
 (* Run a compiled sequence from instruction [i] to its first non-[Fall]
    outcome. *)
@@ -92,59 +106,164 @@ let[@inline] pop_b inst fr =
   tick inst;
   pop fr
 
-(* One closure per operator, with the operation inlined into it: a
-   shared closure calling an [int64 -> int64 -> int64] would box both
-   operands and the result. *)
-let compile_binop op : code =
+(* A binary operator's value, for every operator but [Div_s] and
+   [Rem_s], which can trap.  It is inlined into each closure as a jump
+   on [op]: a shared closure calling an [int64 -> int64 -> int64] would
+   box both operands and the result. *)
+let[@inline] binop_value op a b =
   let open Int64 in
   match op with
-  | Instr.Add -> fun inst fr -> let b = pop_b inst fr in push fr (add (pop fr) b); Fall
-  | Instr.Sub -> fun inst fr -> let b = pop_b inst fr in push fr (sub (pop fr) b); Fall
-  | Instr.Mul -> fun inst fr -> let b = pop_b inst fr in push fr (mul (pop fr) b); Fall
+  | Instr.Add -> add a b
+  | Instr.Sub -> sub a b
+  | Instr.Mul -> mul a b
+  | Instr.And -> logand a b
+  | Instr.Or -> logor a b
+  | Instr.Xor -> logxor a b
+  | Instr.Shl -> shift_left a (to_int (logand b 63L))
+  | Instr.Shr_s -> shift_right a (to_int (logand b 63L))
+  | Instr.Eq -> of_bool (equal a b)
+  | Instr.Ne -> of_bool (not (equal a b))
+  | Instr.Lt_s -> of_bool (a < b)
+  | Instr.Gt_s -> of_bool (a > b)
+  | Instr.Le_s -> of_bool (a <= b)
+  | Instr.Ge_s -> of_bool (a >= b)
+  | Instr.Div_s | Instr.Rem_s -> assert false
+
+let compile_binop op : code =
+  match op with
   | Instr.Div_s ->
       fun inst fr ->
         let b = pop_b inst fr in
         let a = pop fr in
         if b = 0L then trap "integer divide by zero";
-        push fr (div a b);
+        push fr (Int64.div a b);
         Fall
   | Instr.Rem_s ->
       fun inst fr ->
         let b = pop_b inst fr in
         let a = pop fr in
         if b = 0L then trap "integer divide by zero";
-        push fr (rem a b);
+        push fr (Int64.rem a b);
         Fall
-  | Instr.And -> fun inst fr -> let b = pop_b inst fr in push fr (logand (pop fr) b); Fall
-  | Instr.Or -> fun inst fr -> let b = pop_b inst fr in push fr (logor (pop fr) b); Fall
-  | Instr.Xor -> fun inst fr -> let b = pop_b inst fr in push fr (logxor (pop fr) b); Fall
-  | Instr.Shl ->
+  | op ->
       fun inst fr ->
         let b = pop_b inst fr in
-        push fr (shift_left (pop fr) (to_int (logand b 63L)));
+        push fr (binop_value op (pop fr) b);
         Fall
-  | Instr.Shr_s ->
-      fun inst fr ->
-        let b = pop_b inst fr in
-        push fr (shift_right (pop fr) (to_int (logand b 63L)));
-        Fall
-  | Instr.Eq -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (equal (pop fr) b)); Fall
-  | Instr.Ne ->
-      fun inst fr -> let b = pop_b inst fr in push fr (of_bool (not (equal (pop fr) b))); Fall
-  | Instr.Lt_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr < b)); Fall
-  | Instr.Gt_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr > b)); Fall
-  | Instr.Le_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr <= b)); Fall
-  | Instr.Ge_s -> fun inst fr -> let b = pop_b inst fr in push fr (of_bool (pop fr >= b)); Fall
+
+(* Fused idioms.  Loops are made of a few stack idioms, and each one
+   compiles to a single closure that keeps its operands out of the
+   operand stack:
+
+   - [local.get a; (local.get b | const k); binop; local.set c];
+   - the same without the [local.set], pushing the result;
+   - [eqz; br_if n].
+
+   A fused closure covering k instructions retires them at once only
+   when [fuel >= k] (and, for [eqz; br_if], when the stack is not
+   empty), so none of them can trap.  Otherwise it runs [exact], the k
+   per-instruction closures, in turn: [executed], the out-of-fuel point
+   and every trap stay those of the unfused sequence.  [Div_s] and
+   [Rem_s], which trap on a zero divisor, are never fused. *)
+
+let fusable = function Instr.Div_s | Instr.Rem_s -> false | _ -> true
+
+let[@inline] retire inst k =
+  inst.executed <- inst.executed + k;
+  inst.fuel <- inst.fuel - k
+
+(* [local.get a; local.get b; binop; local.set c]. *)
+let fused_ll_set exact a b op c : code =
+  let a = 8 * a and b = 8 * b and c = 8 * c in
+  fun inst fr ->
+    if inst.fuel >= 4 then begin
+      retire inst 4;
+      set64 fr.locals c (binop_value op (get64 fr.locals a) (get64 fr.locals b));
+      Fall
+    end
+    else run_seq exact 0 inst fr
+
+(* [local.get a; const k; binop; local.set c]. *)
+let fused_lk_set exact a k op c : code =
+  let a = 8 * a and c = 8 * c in
+  fun inst fr ->
+    if inst.fuel >= 4 then begin
+      retire inst 4;
+      set64 fr.locals c (binop_value op (get64 fr.locals a) k);
+      Fall
+    end
+    else run_seq exact 0 inst fr
+
+(* [local.get a; local.get b; binop]. *)
+let fused_ll_push exact a b op : code =
+  let a = 8 * a and b = 8 * b in
+  fun inst fr ->
+    if inst.fuel >= 3 then begin
+      retire inst 3;
+      push fr (binop_value op (get64 fr.locals a) (get64 fr.locals b));
+      Fall
+    end
+    else run_seq exact 0 inst fr
+
+(* [local.get a; const k; binop]. *)
+let fused_lk_push exact a k op : code =
+  let a = 8 * a in
+  fun inst fr ->
+    if inst.fuel >= 3 then begin
+      retire inst 3;
+      push fr (binop_value op (get64 fr.locals a) k);
+      Fall
+    end
+    else run_seq exact 0 inst fr
+
+(* [eqz; br_if n]: branch when the popped value is zero. *)
+let fused_eqz_br_if exact out : code =
+ fun inst fr ->
+  if inst.fuel >= 2 && fr.top > 0 then begin
+    retire inst 2;
+    fr.top <- fr.top - 1;
+    if Int64.equal (get64u fr.stack (8 * fr.top)) 0L then out else Fall
+  end
+  else run_seq exact 0 inst fr
 
 let rec call_slot inst idx args =
   if idx < inst.n_imports then (Array.unsafe_get inst.import_fns idx) inst args
   else inst.funcs.(idx - inst.n_imports) args
 
 (* Compile an instruction sequence into an array of compiled
-   instructions (no list walk at run time).  [outcomes.(n)] is the one
-   [Branch n] value every branch to depth [n] returns. *)
+   instructions (no list walk at run time), each fused idiom into one.
+   [outcomes.(n)] is the one [Branch n] value every branch to depth [n]
+   returns. *)
 and compile_seq callee_arity outcomes seq : code array =
-  Array.of_list (List.map (compile_instr callee_arity outcomes) seq)
+  let one = compile_instr callee_arity outcomes in
+  let exact instrs = Array.of_list (List.map one instrs) in
+  let rec go acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | (Instr.Local_get a as i1)
+      :: (Instr.Local_get b as i2)
+      :: (Instr.Binop op as i3)
+      :: (Instr.Local_set c as i4)
+      :: rest
+      when fusable op ->
+        go (fused_ll_set (exact [ i1; i2; i3; i4 ]) a b op c :: acc) rest
+    | (Instr.Local_get a as i1)
+      :: (Instr.Const k as i2)
+      :: (Instr.Binop op as i3)
+      :: (Instr.Local_set c as i4)
+      :: rest
+      when fusable op ->
+        go (fused_lk_set (exact [ i1; i2; i3; i4 ]) a k op c :: acc) rest
+    | (Instr.Local_get a as i1) :: (Instr.Local_get b as i2) :: (Instr.Binop op as i3) :: rest
+      when fusable op ->
+        go (fused_ll_push (exact [ i1; i2; i3 ]) a b op :: acc) rest
+    | (Instr.Local_get a as i1) :: (Instr.Const k as i2) :: (Instr.Binop op as i3) :: rest
+      when fusable op ->
+        go (fused_lk_push (exact [ i1; i2; i3 ]) a k op :: acc) rest
+    | (Instr.Eqz as i1) :: (Instr.Br_if n as i2) :: rest ->
+        go (fused_eqz_br_if (exact [ i1; i2 ]) outcomes.(n) :: acc) rest
+    | i :: rest -> go (one i :: acc) rest
+  in
+  go [] seq
 
 and compile_instr callee_arity outcomes instr : code =
   match instr with
@@ -214,31 +333,27 @@ and compile_instr callee_arity outcomes instr : code =
   | Instr.Load8 off ->
       fun inst fr ->
         tick inst;
-        let addr = Int64.to_int (pop fr) + off in
-        check_mem inst addr 1;
+        let addr = effective_addr inst (pop fr) off 1 in
         push fr (Int64.of_int (Char.code (Bytes.get inst.memory addr)));
         Fall
   | Instr.Load64 off ->
       fun inst fr ->
         tick inst;
-        let addr = Int64.to_int (pop fr) + off in
-        check_mem inst addr 8;
+        let addr = effective_addr inst (pop fr) off 8 in
         push fr (Bytes.get_int64_le inst.memory addr);
         Fall
   | Instr.Store8 off ->
       fun inst fr ->
         tick inst;
         let v = pop fr in
-        let addr = Int64.to_int (pop fr) + off in
-        check_mem inst addr 1;
+        let addr = effective_addr inst (pop fr) off 1 in
         Bytes.set inst.memory addr (Char.chr (Int64.to_int (Int64.logand v 0xFFL)));
         Fall
   | Instr.Store64 off ->
       fun inst fr ->
         tick inst;
         let v = pop fr in
-        let addr = Int64.to_int (pop fr) + off in
-        check_mem inst addr 8;
+        let addr = effective_addr inst (pop fr) off 8 in
         Bytes.set_int64_le inst.memory addr v;
         Fall
   | Instr.Memory_size ->

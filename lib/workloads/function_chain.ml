@@ -35,23 +35,24 @@ let link_kernel ~index (ctx : Fctx.t) =
       Fctx.compute_bytes ctx ~ns_per_byte:touch_ns_per_byte (Bytes.length !data));
   ctx.Fctx.phase Fctx.phase_transfer (fun () -> ctx.Fctx.send ~slot:(slot index) !data)
 
-let tail_kernel ~index ~seed ~payload (ctx : Fctx.t) =
+let tail_kernel ~index ~expected (ctx : Fctx.t) =
   let data = ref Bytes.empty in
   ctx.Fctx.phase Fctx.phase_transfer (fun () -> data := ctx.Fctx.recv ~slot:(slot (index - 1)));
   let sum = checksum !data in
   ctx.Fctx.phase Fctx.phase_compute (fun () ->
       Fctx.compute_bytes ctx ~ns_per_byte:touch_ns_per_byte (Bytes.length !data));
-  let expected = checksum (Datagen.payload ~seed payload) in
-  if not (Int64.equal sum expected) then
+  if not (Int64.equal sum (Lazy.force expected)) then
     failwith "FunctionChain: payload corrupted along the chain";
   ctx.Fctx.println (Printf.sprintf "chain checksum %Lx" sum)
 
 let app ~seed ~payload ~length =
   if length < 2 then invalid_arg "Function_chain.app: length must be >= 2";
+  (* The payload's checksum, computed once for every run of the app. *)
+  let expected = lazy (checksum (Datagen.payload ~seed payload)) in
   let stage i =
     let name = Printf.sprintf "fn%d" i in
     if i = 0 then (name, 1, head_kernel ~seed ~payload)
-    else if i = length - 1 then (name, 1, tail_kernel ~index:i ~seed ~payload)
+    else if i = length - 1 then (name, 1, tail_kernel ~index:i ~expected)
     else (name, 1, link_kernel ~index:i)
   in
   {

@@ -9,27 +9,85 @@ let split_ns_per_byte = 0.15
 
 let is_sep c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
 
+(* Word hashing: FNV-1a over the word's bytes in a native int, then a
+   Fibonacci multiply whose top bits pick the index slot. *)
+let fnv_basis = 0x811c9dc5
+let[@inline] hash_byte h c = (h lxor Char.code c) * 0x100000001b3
+let[@inline] slot_of h bits = (h * 0x1E3779B97F4A7C15) lsr (63 - bits)
+
+(* An open-addressed index over the text's byte ranges.  Slot [i]
+   holds a distinct word's length (0 when the slot is empty: no word is
+   empty), the offset of its first occurrence and its hash at
+   [slots.(3 * i)], [3 * i + 1] and [3 * i + 2], and its counter in
+   [cells.(i)].  It grows at half full. *)
+type index = {
+  mutable bits : int;
+  mutable slots : int array;
+  mutable cells : int ref array;
+  mutable used : int;
+}
+
+let rec free_slot slots mask i =
+  if slots.(3 * i) = 0 then i else free_slot slots mask ((i + 1) land mask)
+
+let index_grow ix =
+  let old_slots = ix.slots and old_cells = ix.cells in
+  ix.bits <- ix.bits + 1;
+  ix.slots <- Array.make (3 lsl ix.bits) 0;
+  ix.cells <- Array.make (1 lsl ix.bits) (ref 0);
+  let mask = (1 lsl ix.bits) - 1 in
+  Array.iteri
+    (fun j cell ->
+      if old_slots.(3 * j) > 0 then begin
+        let i = free_slot ix.slots mask (slot_of old_slots.((3 * j) + 2) ix.bits) in
+        Array.blit old_slots (3 * j) ix.slots (3 * i) 3;
+        ix.cells.(i) <- cell
+      end)
+    old_cells
+
+(* One lookup per word, and none of it allocates for a word seen
+   before: the index finds the word by hash, length and bytes and bumps
+   the counter cell the returned table shares.  A new word allocates
+   its string once and is [Hashtbl.add]ed at its first occurrence, so
+   the table is the one the same adds in text order build. *)
 let count_words data =
   let counts = Hashtbl.create 1024 in
-  let n = Bytes.length data in
-  (* One lookup per word: a known word bumps its counter in place, a
-     new one is added where [Hashtbl.replace] would have put it. *)
-  let flush start stop =
-    if stop > start then begin
-      let w = Bytes.sub_string data start (stop - start) in
-      match Hashtbl.find counts w with
-      | c -> incr c
-      | exception Not_found -> Hashtbl.add counts w (ref 1)
-    end
+  let ix =
+    { bits = 11; slots = Array.make (3 lsl 11) 0; cells = Array.make (1 lsl 11) (ref 0); used = 0 }
   in
-  let start = ref 0 in
-  for i = 0 to n - 1 do
-    if is_sep (Bytes.get data i) then begin
-      flush !start i;
-      start := i + 1
+  let rec same a b len i =
+    i = len
+    || (Bytes.unsafe_get data (a + i) = Bytes.unsafe_get data (b + i) && same a b len (i + 1))
+  in
+  let rec bump start len h i =
+    let slots = ix.slots in
+    let l = slots.(3 * i) in
+    if l = 0 then begin
+      let cell = ref 1 in
+      Hashtbl.add counts (Bytes.sub_string data start len) cell;
+      slots.(3 * i) <- len;
+      slots.((3 * i) + 1) <- start;
+      slots.((3 * i) + 2) <- h;
+      ix.cells.(i) <- cell;
+      ix.used <- ix.used + 1;
+      if 2 * ix.used > Array.length ix.cells then index_grow ix
     end
+    else if l = len && slots.((3 * i) + 2) = h && same slots.((3 * i) + 1) start len 0 then
+      incr ix.cells.(i)
+    else bump start len h ((i + 1) land (Array.length ix.cells - 1))
+  in
+  let n = Bytes.length data in
+  let start = ref 0 and h = ref fnv_basis in
+  for i = 0 to n - 1 do
+    let c = Bytes.unsafe_get data i in
+    if is_sep c then begin
+      if i > !start then bump !start (i - !start) !h (slot_of !h ix.bits);
+      start := i + 1;
+      h := fnv_basis
+    end
+    else h := hash_byte !h c
   done;
-  flush !start n;
+  if n > !start then bump !start (n - !start) !h (slot_of !h ix.bits);
   counts
 
 let encode_counts pairs =

@@ -74,9 +74,14 @@ let instantiate ?(hosts = []) m =
 (* Control-flow outcome of executing a block body. *)
 type control = Fall | Branch of int | Ret
 
-let check_mem t addr len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length t.memory then
-    trap "memory access out of bounds: %d (+%d) of %d" addr len (Bytes.length t.memory)
+(* The address a memory instruction touches, trapping unless all [len]
+   bytes lie in memory.  An operand with bit 63 set is out of bounds. *)
+let effective_addr t v off len =
+  let addr = Int64.to_int v + off in
+  if Int64.compare v 0L < 0 || addr < 0 || addr > Bytes.length t.memory - len then
+    trap "memory access out of bounds: %Ld (+%d) of %d" (Int64.add v (Int64.of_int off)) len
+      (Bytes.length t.memory);
+  addr
 
 let apply_binop op a b =
   let open Int64 in
@@ -173,25 +178,21 @@ and exec_body t locals stack body =
         t.globals.(i) <- pop ();
         Fall
     | Instr.Load8 off ->
-        let addr = Int64.to_int (pop ()) + off in
-        check_mem t addr 1;
+        let addr = effective_addr t (pop ()) off 1 in
         push (Int64.of_int (Char.code (Bytes.get t.memory addr)));
         Fall
     | Instr.Load64 off ->
-        let addr = Int64.to_int (pop ()) + off in
-        check_mem t addr 8;
+        let addr = effective_addr t (pop ()) off 8 in
         push (Bytes.get_int64_le t.memory addr);
         Fall
     | Instr.Store8 off ->
         let v = pop () in
-        let addr = Int64.to_int (pop ()) + off in
-        check_mem t addr 1;
+        let addr = effective_addr t (pop ()) off 1 in
         Bytes.set t.memory addr (Char.chr (Int64.to_int (Int64.logand v 0xFFL)));
         Fall
     | Instr.Store64 off ->
         let v = pop () in
-        let addr = Int64.to_int (pop ()) + off in
-        check_mem t addr 8;
+        let addr = effective_addr t (pop ()) off 8 in
         Bytes.set_int64_le t.memory addr v;
         Fall
     | Instr.Memory_size ->

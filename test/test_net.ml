@@ -85,6 +85,60 @@ let tcp_delivery_property =
       let got = Tcp.recv conn ~at_client:false total in
       Bytes.to_string got = String.concat "" chunks)
 
+(* The receive queue against the one-buffer model it replaced: sends
+   and reads of every size, interleaved, with copy-free discards among
+   them, read the same bytes in the same order, and [available] agrees
+   throughout.  A sender reusing its buffer after [send] changes nothing
+   delivered. *)
+let test_tcp_interleaved_reads () =
+  let conn, _, _ = connect () in
+  let model = Buffer.create 16 in
+  let next = ref 0 in
+  let send n =
+    let data = Bytes.init n (fun i -> Char.chr ((!next + i) land 255)) in
+    next := !next + n;
+    Tcp.send conn ~from_client:true data;
+    Buffer.add_bytes model data;
+    Bytes.fill data 0 n '!'
+  in
+  let take n =
+    let n = Stdlib.min n (Buffer.length model) in
+    let head = Buffer.sub model 0 n in
+    let rest = Buffer.sub model n (Buffer.length model - n) in
+    Buffer.clear model;
+    Buffer.add_string model rest;
+    head
+  in
+  let step = function
+    | `Send n -> send n
+    | `Recv n ->
+        let want = take n in
+        Alcotest.(check string) (Printf.sprintf "recv %d" n) want
+          (Bytes.to_string (Tcp.recv conn ~at_client:false n))
+    | `Discard n ->
+        ignore (take n);
+        Tcp.discard conn ~at_client:false n
+  in
+  List.iter
+    (fun op ->
+      step op;
+      Alcotest.(check int) "available" (Buffer.length model) (Tcp.available conn ~at_client:false))
+    [
+      `Recv 5; `Send 1; `Send 7; `Recv 1; `Recv 3; `Send 300_000; `Recv 4; `Recv 100_000;
+      `Discard 2; `Send 0; `Send 3; `Recv 199_995; `Send 1_500_000; `Send 10; `Discard 700_001;
+      `Recv 1; `Recv 799_999; `Recv 11; `Send 2_000; `Recv 2_000; `Recv 1; `Send 64; `Discard 100;
+      `Send 5; `Recv 5;
+    ]
+
+let test_redis_stores_a_copy () =
+  let server = Redis.create () in
+  let client = Redis.connect server (Clock.create ()) in
+  let value = Bytes.of_string "intermediate data" in
+  Redis.set client "k" value;
+  Bytes.fill value 0 (Bytes.length value) '?';
+  Alcotest.(check (option bytes)) "stored bytes unchanged"
+    (Some (Bytes.of_string "intermediate data")) (Redis.get client "k")
+
 let tcp_time_monotonic_property =
   QCheck.Test.make ~name:"tcp: transfers only move clocks forward, larger takes longer"
     ~count:60
@@ -190,6 +244,8 @@ let suite =
     Alcotest.test_case "tcp Table-4 throughputs" `Quick test_tcp_throughput_estimates;
     QCheck_alcotest.to_alcotest tcp_delivery_property;
     QCheck_alcotest.to_alcotest tcp_time_monotonic_property;
+    Alcotest.test_case "tcp interleaved reads match one-buffer model" `Quick
+      test_tcp_interleaved_reads;
     Alcotest.test_case "http request roundtrip" `Quick test_http_request_roundtrip;
     Alcotest.test_case "http response roundtrip" `Quick test_http_response_roundtrip;
     Alcotest.test_case "http malformed" `Quick test_http_malformed;
@@ -197,4 +253,5 @@ let suite =
     Alcotest.test_case "redis virtual-time costs" `Quick test_redis_costs_time;
     Alcotest.test_case "redis RESP encoding" `Quick test_redis_resp_encoding;
     QCheck_alcotest.to_alcotest redis_roundtrip_property;
+    Alcotest.test_case "redis stores a copy of the value" `Quick test_redis_stores_a_copy;
   ]

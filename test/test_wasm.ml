@@ -86,6 +86,42 @@ let test_memory_bounds_trap () =
   | _ -> Alcotest.fail "oob load must trap"
   | exception Aot.Trap _ -> ()
 
+(* An address near [max_int], where [addr + len] wraps, or with bit 63
+   set, which an int cannot hold, traps in both engines instead of
+   reaching [Bytes] with an out-of-range index. *)
+let test_memory_bounds_extremes () =
+  let open Instr in
+  let ops =
+    [ ("load8", [ Load8 0 ]); ("load64", [ Load64 0 ]); ("store8", [ Const 1L; Store8 0 ]);
+      ("store64", [ Const 1L; Store64 0 ]) ]
+  in
+  let m =
+    Wmodule.create ~name:"t" ~memory_pages:1
+      ~exports:(List.mapi (fun i (name, _) -> (name, i)) ops)
+      (List.map (fun (name, op) -> Builder.func ~name ~params:1 (Local_get 0 :: op)) ops)
+  in
+  let interp = Interp.instantiate m and aot = instantiate m in
+  List.iter
+    (fun (name, _) ->
+      List.iter
+        (fun addr ->
+          let expect engine = function
+            | Ok _ -> Alcotest.failf "%s: %s at %Ld did not trap" engine name addr
+            | Error msg ->
+                let prefix = "memory access out of bounds" in
+                if not (String.starts_with ~prefix msg) then
+                  Alcotest.failf "%s: %s at %Ld: %s" engine name addr msg
+          in
+          let args = [| addr |] in
+          expect "interp"
+            (match Interp.call interp name args with
+            | v -> Ok v
+            | exception Interp.Trap s -> Error s);
+          expect "aot"
+            (match Aot.call aot name args with v -> Ok v | exception Aot.Trap s -> Error s))
+        [ Int64.of_int (max_int - 7); Int64.of_int max_int; Int64.min_int ])
+    ops
+
 let test_memory_grow () =
   let open Instr in
   let m =
@@ -189,49 +225,93 @@ let test_aot_image_is_clean () =
   | Isa.Scanner.Clean -> ()
   | v -> Alcotest.fail (Format.asprintf "AOT image not clean: %a" Isa.Scanner.pp_verdict v)
 
-(* qcheck: random straight-line programs over every binary operator,
-   [Select], locals and globals, some on short fuel, agree between
-   interpreter and AOT: the result or trap, the globals left behind,
-   and the retired-instruction count [Runtime.run] charges as virtual
-   time. *)
+(* qcheck: random programs over every binary operator, [Select],
+   locals and globals, some on short fuel, agree between interpreter and
+   AOT: the result or trap, the globals left behind, and the
+   retired-instruction count [Runtime.run] charges as virtual time.  The
+   programs also hold the idioms the AOT engine fuses, over locals 0-2,
+   and bounded counter loops, so short fuel runs out inside fused
+   runs. *)
+let all_binops =
+  Instr.[ Add; Sub; Mul; Div_s; Rem_s; And; Or; Xor; Shl; Shr_s; Eq; Ne; Lt_s; Gt_s; Le_s; Ge_s ]
+
 let random_prog_gen =
   QCheck.Gen.(
-    let binops =
-      Instr.
-        [
-          Add; Sub; Mul; Div_s; Rem_s; And; Or; Xor; Shl; Shr_s; Eq; Ne; Lt_s; Gt_s; Le_s; Ge_s;
-        ]
-    in
-    let instr =
+    let small_const = map (fun v -> Instr.Const (Int64.of_int v)) (int_range (-8) 70) in
+    let binop = map (fun op -> Instr.Binop op) (oneofl all_binops) in
+    let single =
       oneof
         [
           (* Small constants make ties, zero divisors and shifts past
              63 common. *)
-          map (fun v -> Instr.Const (Int64.of_int v)) (int_range (-8) 70);
-          map (fun op -> Instr.Binop op) (oneofl binops);
-          oneofl
-            Instr.
-              [
-                Const 0L; Eqz; Select; Local_get 0; Local_get 1; Local_tee 0; Local_set 1; Drop;
-                Global_get 0; Global_get 1; Global_set 0; Global_set 1;
-              ];
+          map (fun i -> [ i ]) small_const;
+          map (fun i -> [ i ]) binop;
+          map
+            (fun i -> [ i ])
+            (oneofl
+               Instr.
+                 [
+                   Const 0L; Eqz; Select; Local_get 0; Local_get 1; Local_get 2; Local_tee 0;
+                   Local_set 1; Drop; Global_get 0; Global_get 1; Global_set 0; Global_set 1;
+                 ]);
         ]
     in
-    list_size (int_range 1 30) instr)
+    (* [local.get a; (local.get b | const k); binop], then a
+       [local.set c] to one of [targets] or none. *)
+    let idiom targets =
+      map4
+        (fun a operand op set ->
+          let set = Option.to_list (Option.map (fun c -> Instr.Local_set c) set) in
+          (Instr.Local_get a :: operand) @ (op :: set))
+        (int_range 0 2)
+        (oneof
+           [ map (fun b -> [ Instr.Local_get b ]) (int_range 0 2); map (fun k -> [ k ]) small_const ])
+        binop
+        (opt (oneofl targets))
+    in
+    let straight targets =
+      map List.concat (list_size (int_range 0 6) (oneof [ single; idiom targets ]))
+    in
+    (* A counter in local 2 bounds the loop; the body never writes it. *)
+    let counter_loop =
+      map2
+        (fun n body ->
+          Instr.
+            [
+              Const (Int64.of_int n);
+              Local_set 2;
+              Block
+                [
+                  Loop
+                    ([ Local_get 2; Eqz; Br_if 1; Local_get 2; Const 1L; Binop Sub; Local_set 2 ]
+                    @ body @ [ Br 0 ]);
+                ];
+            ])
+        (int_range 0 4) (straight [ 0; 1 ])
+    in
+    (* [eqz; br_if 0] leaving a block early. *)
+    let early_exit =
+      map2
+        (fun a b -> [ Instr.Block (a @ [ Instr.Eqz; Instr.Br_if 0 ] @ b) ])
+        (straight [ 0; 1; 2 ]) (straight [ 0; 1; 2 ])
+    in
+    map List.concat
+      (list_size (int_range 1 12)
+         (frequency [ (6, single); (4, idiom [ 0; 1; 2 ]); (1, counter_loop); (1, early_exit) ])))
 
 let aot_equivalence_property =
   QCheck.Test.make ~name:"aot: agrees with interpreter on random programs" ~count:300
-    (QCheck.make QCheck.Gen.(pair (opt (int_range 20 80)) random_prog_gen))
+    (QCheck.make QCheck.Gen.(pair (opt (int_range 20 120)) random_prog_gen))
     (fun (fuel, prog) ->
-      (* Pad the stack so most programs never underflow, and make both
-         locals and both globals available; "g" reads the globals the
-         program left. *)
+      (* Pad the stack so most programs never underflow, and make
+         locals 0-2 and both globals available; "g" reads the globals
+         the program left. *)
       let body = List.init 40 (fun i -> Instr.Const (Int64.of_int i)) @ prog in
       let m =
         Wmodule.create ~name:"t" ~globals:[ 5L; -9L ]
           ~exports:[ ("f", 0); ("g", 1) ]
           [
-            Builder.func ~name:"f" ~params:2 body;
+            Builder.func ~name:"f" ~params:2 ~locals:1 body;
             Builder.func ~name:"g"
               Instr.[ Global_get 0; Const 31L; Binop Mul; Global_get 1; Binop Xor ];
           ]
@@ -254,6 +334,66 @@ let aot_equivalence_property =
         (f, g, Aot.executed a)
       in
       interp = aot)
+
+(* Each fused idiom, run at every fuel from 0 to its length + 1, gives
+   the interpreter's result or trap and retires the same count: a fused
+   closure retires its instructions at once only when all of them fit
+   in the fuel left. *)
+let test_aot_fused_idioms_at_every_fuel () =
+  let open Instr in
+  let shapes op =
+    [
+      [ Local_get 0; Local_get 1; Binop op; Local_set 2; Local_get 2 ];
+      [ Local_get 1; Const 3L; Binop op; Local_set 0; Local_get 0 ];
+      [ Local_get 0; Local_get 0; Binop op ];
+      [ Local_get 1; Const (-1L); Binop op ];
+    ]
+  in
+  let eqz_br_if =
+    [
+      [ Const 5L; Block [ Local_get 0; Eqz; Br_if 0; Const 7L ] ];
+      (* An empty stack: [eqz] underflows whatever the fuel. *)
+      [ Block [ Eqz; Br_if 0 ] ];
+      [
+        Const 3L;
+        Local_set 2;
+        Block
+          [
+            Loop
+              [ Local_get 2; Eqz; Br_if 1; Local_get 2; Const 1L; Binop Sub; Local_set 2; Br 0 ];
+          ];
+        Local_get 2;
+      ];
+    ]
+  in
+  let outcome call trap = match call () with v -> Ok v | exception e -> Error (trap e) in
+  let interp_trap = function Interp.Trap s -> s | e -> raise e in
+  let aot_trap = function Aot.Trap s -> s | e -> raise e in
+  let show = function Ok v -> Int64.to_string v | Error s -> "trap: " ^ s in
+  List.iter
+    (fun body ->
+      let m = simple_module [ Builder.func ~name:"f" ~params:2 ~locals:1 body ] in
+      let interp = Interp.instantiate m and aot = instantiate m in
+      List.iter
+        (fun args ->
+          (* Its length: what it retires on unbounded fuel. *)
+          let len =
+            let i = Interp.instantiate m in
+            ignore (outcome (fun () -> Interp.call i "f" args) interp_trap);
+            Interp.executed i
+          in
+          for fuel = 0 to len + 1 do
+            let i0 = Interp.executed interp and a0 = Aot.executed aot in
+            let want = outcome (fun () -> Interp.call ~fuel interp "f" args) interp_trap in
+            let got = outcome (fun () -> Aot.call ~fuel aot "f" args) aot_trap in
+            let di = Interp.executed interp - i0 and da = Aot.executed aot - a0 in
+            if want <> got || di <> da then
+              Alcotest.failf "%a (%Ld, %Ld) at fuel %d: interp %s after %d, aot %s after %d"
+                (Fmt.list ~sep:Fmt.sp Instr.pp) body args.(0) args.(1) fuel (show want) di
+                (show got) da
+          done)
+        [ [| 0L; 0L |]; [| 1L; 64L |]; [| -7L; 2L |]; [| Int64.min_int; -1L |] ])
+    (List.concat_map shapes all_binops @ eqz_br_if)
 
 (* Every binary operator on edge operands (ties, zero divisors, shift
    counts past 63, the extremes) gives the interpreter's result or
@@ -574,6 +714,7 @@ let suite =
     Alcotest.test_case "select/eqz" `Quick test_select_eqz;
     Alcotest.test_case "memory ops" `Quick test_memory_ops;
     Alcotest.test_case "memory bounds trap" `Quick test_memory_bounds_trap;
+    Alcotest.test_case "memory bounds at extreme addresses" `Quick test_memory_bounds_extremes;
     Alcotest.test_case "memory grow" `Quick test_memory_grow;
     Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
     Alcotest.test_case "unreachable traps" `Quick test_unreachable;
@@ -603,4 +744,6 @@ let suite =
     Alcotest.test_case "aot: sum_to_n at n = 1e5 allocates < 1000 minor words" `Quick
       test_aot_sum_allocation;
     Alcotest.test_case "aot: every binop agrees on edge operands" `Quick test_aot_binop_edges;
+    Alcotest.test_case "aot: fused idioms agree at every fuel" `Quick
+      test_aot_fused_idioms_at_every_fuel;
   ]

@@ -34,6 +34,39 @@ let test_count_words () =
   Alcotest.(check int) "c" 1 !(Hashtbl.find counts "c");
   Alcotest.(check int) "distinct" 3 (Hashtbl.length counts)
 
+(* count_words against the reference counter on generated text: the
+   same words, counts and [Hashtbl.fold] order, over separator runs,
+   leading and trailing separators, tabs and carriage returns, bytes
+   from 0x80 up, and vocabularies past 1 024 distinct words, so the
+   index grows. *)
+let count_words_property =
+  let text =
+    QCheck.Gen.(
+      let sep = oneofl [ ' '; '\n'; '\t'; '\r' ] in
+      let word_byte = oneof [ char_range 'a' 'e'; char_range '\x80' '\xff'; char_range '!' '~' ] in
+      let word = string_size ~gen:word_byte (int_range 1 12) in
+      let vocab = list_size (oneof [ int_range 1 20; int_range 1100 1600 ]) word in
+      vocab >>= fun vocab ->
+      let vocab = Array.of_list vocab in
+      let token =
+        map2
+          (fun i seps -> vocab.(i) ^ String.concat "" (List.map (String.make 1) seps))
+          (int_bound (Array.length vocab - 1))
+          (list_size (int_range 1 3) sep)
+      in
+      map3
+        (fun lead tokens trail ->
+          Bytes.of_string (String.make lead ' ' ^ String.concat "" tokens ^ String.make trail '\t'))
+        (int_range 0 2)
+        (list_size (int_range 0 4000) token)
+        (int_range 0 2))
+  in
+  QCheck.Test.make ~name:"count_words == reference counter" ~count:60
+    (QCheck.make ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b)) text)
+    (fun data ->
+      let fold t = Hashtbl.fold (fun w c acc -> (w, !c) :: acc) t [] in
+      fold (Wordcount.count_words data) = fold (Oracle.Wordcount_ref.count_words data))
+
 let test_counts_codec () =
   let pairs = [ ("alpha", 3); ("beta", 14) ] in
   Alcotest.(check (list (pair string int))) "roundtrip" pairs
@@ -95,13 +128,30 @@ let test_bucket_partitioning () =
   Alcotest.(check bool) "max bucket" true
     (Parallel_sorting.bucket_of (-1l) ~buckets = buckets - 1)
 
+(* sort_records gives a reference sort's bytes, on values biased to the
+   digit and sign edges (0, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF) and
+   to duplicates. *)
 let sort_property =
-  QCheck.Test.make ~name:"sort_records sorts any input" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 500) int)
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map Int32.of_int int);
+          (2, oneofl [ 0l; 0x7FFF_FFFFl; Int32.min_int; -1l; 1l; 0x7FFl; 0x800l; 0x3F_FFFFl ]);
+          (2, map Int32.of_int (int_range 0 15));
+        ])
+  in
+  QCheck.Test.make ~name:"sort_records sorts any input" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 5000) value))
     (fun xs ->
-      let b = Bytes.create (4 * List.length xs) in
-      List.iteri (fun i x -> Bytes.set_int32_le b (4 * i) (Int32.of_int x)) xs;
-      Parallel_sorting.is_sorted (Parallel_sorting.sort_records b))
+      let pack xs =
+        let b = Bytes.create (4 * List.length xs) in
+        List.iteri (fun i x -> Bytes.set_int32_le b (4 * i) x) xs;
+        b
+      in
+      let reference = List.stable_sort Int32.unsigned_compare xs in
+      let sorted = Parallel_sorting.sort_records (pack xs) in
+      Parallel_sorting.is_sorted sorted && Bytes.equal sorted (pack reference))
 
 (* --- function chain --- *)
 
@@ -184,6 +234,36 @@ let test_pipe_app_direct () = check_direct "pipe" (Pipe_app.app ~seed:7 ~size:50
 let test_image_pipeline_direct () =
   check_direct "image" (Image_meta.image_pipeline ~seed:7)
 
+(* One FunctionChain app validates on every run, and its tail still
+   checks the bytes: a run whose hop flips one byte fails. *)
+let test_chain_runs_twice_and_catches_corruption () =
+  let app = Function_chain.app ~seed:11 ~payload:5_000 ~length:4 in
+  check_direct "chain, first run" app;
+  check_direct "chain, second run" app;
+  let flip (app : Fctx.app) =
+    let hop (name, n, kernel) =
+      if name <> "fn1" then (name, n, kernel)
+      else
+        ( name,
+          n,
+          fun (ctx : Fctx.t) ->
+            kernel
+              {
+                ctx with
+                Fctx.send =
+                  (fun ~slot data ->
+                    let data = Bytes.copy data in
+                    Bytes.set data 1234 (Char.chr (Char.code (Bytes.get data 1234) lxor 1));
+                    ctx.Fctx.send ~slot data);
+              } )
+    in
+    { app with Fctx.stages = List.map hop app.Fctx.stages }
+  in
+  match run_direct (flip app) with
+  | _ -> Alcotest.fail "a flipped byte must fail the chain"
+  | exception Failure msg ->
+      Alcotest.(check string) "tail verdict" "FunctionChain: payload corrupted along the chain" msg
+
 let test_wordcount_validation_catches_corruption () =
   let app = Wordcount.app ~seed:7 ~size:10_000 ~instances:2 in
   (* Corrupt the output after the run by dropping a word. *)
@@ -242,4 +322,7 @@ let suite =
     Alcotest.test_case "online-compiling direct" `Quick test_compile_app_direct;
     Alcotest.test_case "online-compiling on AS" `Quick test_compile_app_on_alloystack;
     Alcotest.test_case "Table 1 inventory" `Quick test_table1_inventory;
+    QCheck_alcotest.to_alcotest count_words_property;
+    Alcotest.test_case "chain runs twice, catches a flipped byte" `Quick
+      test_chain_runs_twice_and_catches_corruption;
   ]
