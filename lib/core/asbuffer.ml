@@ -143,9 +143,9 @@ let from_slot_raw ctx ~slot =
 
 (* Consume a raw slot without materialising the payload: the virtual
    path is byte-for-byte the one [from_slot_raw] takes — same buffer
-   syscalls, same page traversal (access and TLB accounting included),
-   same clock charges, same free — but the host-side copy of the bytes
-   is never built.  For consumers that model work on the payload
+   syscalls, same page traversal (access accounting included), same
+   clock charges, same free — but the host-side copy of the bytes is
+   never built.  For consumers that model work on the payload
    rather than computing on its contents. *)
 let consume_slot_raw ctx ~slot =
   raw_transfer ctx ~section:"asbuffer.get" ~label:"get" ~slot (fun () ->

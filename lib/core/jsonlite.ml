@@ -39,6 +39,43 @@ let parse_literal s word value =
   end
   else fail s.pos "invalid literal"
 
+(* The four hex digits of a \uXXXX escape. *)
+let parse_hex4 s =
+  let start = s.pos in
+  if start + 4 > String.length s.input then fail start "truncated \\u escape";
+  let digit i =
+    match s.input.[start + i] with
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+    | c -> fail (start + i) "invalid hex digit '%c' in \\u escape" c
+  in
+  let v = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
+  s.pos <- start + 4;
+  v
+
+(* The code point of a \uXXXX escape whose backslash and [u] are
+   consumed: a high surrogate must be followed by an escaped low one,
+   and the pair combines; a lone surrogate is an error. *)
+let parse_code_point s =
+  let start = s.pos - 2 in
+  let hi = parse_hex4 s in
+  if hi >= 0xDC00 && hi <= 0xDFFF then fail start "lone low surrogate \\u%04X" hi
+  else if hi >= 0xD800 && hi <= 0xDBFF then begin
+    if
+      s.pos + 2 <= String.length s.input
+      && s.input.[s.pos] = '\\'
+      && s.input.[s.pos + 1] = 'u'
+    then begin
+      s.pos <- s.pos + 2;
+      let lo = parse_hex4 s in
+      if lo < 0xDC00 || lo > 0xDFFF then fail start "lone high surrogate \\u%04X" hi;
+      Uchar.of_int (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+    end
+    else fail start "lone high surrogate \\u%04X" hi
+  end
+  else Uchar.of_int hi
+
 let parse_string_body s =
   expect s '"';
   let buf = Buffer.create 16 in
@@ -54,18 +91,17 @@ let parse_string_body s =
         | None -> fail s.pos "unterminated escape"
         | Some c ->
             advance s;
-            let decoded =
-              match c with
-              | '"' -> '"'
-              | '\\' -> '\\'
-              | '/' -> '/'
-              | 'n' -> '\n'
-              | 't' -> '\t'
-              | 'r' -> '\r'
-              | 'b' -> '\b'
-              | other -> fail (s.pos - 1) "unsupported escape '\\%c'" other
-            in
-            Buffer.add_char buf decoded;
+            (match c with
+            | '"' -> Buffer.add_char buf '"'
+            | '\\' -> Buffer.add_char buf '\\'
+            | '/' -> Buffer.add_char buf '/'
+            | 'n' -> Buffer.add_char buf '\n'
+            | 't' -> Buffer.add_char buf '\t'
+            | 'r' -> Buffer.add_char buf '\r'
+            | 'b' -> Buffer.add_char buf '\b'
+            | 'f' -> Buffer.add_char buf '\012'
+            | 'u' -> Buffer.add_utf_8_uchar buf (parse_code_point s)
+            | other -> fail (s.pos - 1) "unsupported escape '\\%c'" other);
             go ()
       end
     | Some c ->
@@ -201,12 +237,33 @@ let float_to_string f =
 
 (* Render into one growable buffer rather than concatenating per-node
    strings: a deep tree allocates O(output) instead of O(output ×
-   depth).  [%S] is ["\"" ^ String.escaped s ^ "\""], spelled out here
-   so strings with no escapes append without an intermediate copy —
-   the rendered bytes are identical either way. *)
+   depth).  Strings get JSON escapes: the two-character forms where
+   JSON has one, \u00XX for every other control byte and DEL, and
+   bytes from 0x80 up pass through (UTF-8 text stays as it is).  Runs
+   that need no escape are appended in one piece. *)
+let needs_escape c = c < ' ' || c = '"' || c = '\\' || c = '\127'
+
+let add_escape buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c -> Printf.bprintf buf "\\u%04x" (Char.code c)
+
 let add_quoted buf s =
   Buffer.add_char buf '"';
-  Buffer.add_string buf (String.escaped s);
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if needs_escape s.[i] then begin
+      Buffer.add_substring buf s !from (i - !from);
+      add_escape buf s.[i];
+      from := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !from (String.length s - !from);
   Buffer.add_char buf '"'
 
 let rec add_json buf = function

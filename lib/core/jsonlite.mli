@@ -1,8 +1,9 @@
 (** Minimal JSON parser/printer for workflow configuration files.
 
-    Supports objects, arrays, strings (with the common escapes),
-    integers, floats, booleans and null — enough for the gateway's
-    workflow configs without an external dependency. *)
+    Supports objects, arrays, strings (every JSON escape, [\uXXXX]
+    decoded to UTF-8 with surrogate pairs combined), integers, floats,
+    booleans and null — enough for the gateway's workflow configs
+    without an external dependency. *)
 
 type t =
   | Null
@@ -21,6 +22,9 @@ val parse : string -> t
 val parse_result : string -> (t, string) result
 
 val to_string : t -> string
+(** Strings are written with JSON escapes and bytes from 0x80 up pass
+    through unchanged, so {!parse} reads back a string or key of any
+    bytes. *)
 
 (** {1 Accessors} — raise [Invalid_argument] on shape mismatch. *)
 

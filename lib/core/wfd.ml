@@ -245,11 +245,11 @@ let drop_added ~template tbl =
       (Hashtbl.fold (fun k _ acc -> if Hashtbl.mem template k then acc else k :: acc) tbl [])
 
 (* Reset a finished shell back to the template image without
-   re-allocating its address space, page table, TLB arena, tables,
-   buffers or disk.  Pure host work: no clock is charged and no global
-   counter is touched.  The shell leaves its request's process table,
-   so a pooled shell holds no process entry; it stays [live] (it still
-   owns its arenas) until {!drain} destroys it. *)
+   re-allocating its address space, page table, tables, buffers or
+   disk.  Pure host work: no clock is charged and no global counter is
+   touched.  The shell leaves its request's process table, so a pooled
+   shell holds no process entry; it stays [live] (it still owns its
+   arenas) until {!drain} destroys it. *)
 let recycle ~template t =
   let hs = Hotspot.enter "wfd.recycle" in
   (* The shell keeps its private disk, re-formatted in place (a

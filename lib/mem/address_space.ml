@@ -16,34 +16,6 @@ type region = {
   r_pkey : Prot.key;
 }
 
-(* Software TLB: direct-mapped, validated by the address space's
-   generation counter (bumped on map/unmap/mprotect/pkey_mprotect) and
-   by the PKRU the cached check was made under.  The allow bits fold
-   page permissions and PKRU together so a hit skips the page walk and
-   both checks; any mismatch (including a cached deny) takes the slow
-   path, which raises the precise fault. *)
-type tlb_entry = {
-  mutable e_vpn : int;  (* -1 = never filled *)
-  mutable e_gen : int;
-  mutable e_pkru : int;  (* Prot.bits of the PKRU checked at fill *)
-  mutable e_page : Page.t;
-  mutable e_data : Bytes.t;
-  mutable e_read : bool;
-  mutable e_write : bool;
-  mutable e_exec : bool;
-}
-
-let tlb_bits = 8
-let tlb_size = 1 lsl tlb_bits
-let tlb_mask = tlb_size - 1
-
-(* Page geometry as same-unit literals: the byte fast paths must
-   compile to immediate shifts and masks, and Closure-mode ocamlopt
-   does not propagate constants across modules. *)
-let page_shift = 12
-let page_mask = 4095
-let () = assert (Page.shift = page_shift && Page.size = page_mask + 1)
-
 type t = {
   pages : (int, Page.t) Hashtbl.t;  (* materialised pages only *)
   mutable regions : region list;
@@ -51,22 +23,7 @@ type t = {
   mutable fault_handler : (int -> unit) option;
   mutable demand_faults : int;
   mutable accesses : int;
-  tlb_enabled : bool;
-  tlb : tlb_entry array;
-  mutable generation : int;
-  mutable tlb_misses : int;
-  mutable tlb_flushes : int;
-  mutable tlb_hits_pushed : int;
-      (* Hits already reflected in the global "mem.tlb.hit" counter.
-         Hits are not counted per access on the fast path: they are
-         derived as [accesses - misses] (every successful access in a
-         TLB space is exactly one of the two) and pushed to the global
-         counter on flushes and reads. *)
 }
-
-let c_tlb_hit = Sim.Stats.Counter.make "mem.tlb.hit"
-let c_tlb_miss = Sim.Stats.Counter.make "mem.tlb.miss"
-let c_tlb_flush = Sim.Stats.Counter.make "mem.tlb.flush"
 
 (* --- Page pool -----------------------------------------------------
 
@@ -80,11 +37,9 @@ let c_tlb_flush = Sim.Stats.Counter.make "mem.tlb.flush"
    Per-domain (DLS, no locks) because page churn is per-request work
    that stays on the worker domain that runs the request. *)
 
-(* A stand-in page no lookup ever returns as a mapping: the page of
-   [never_hit] and of scrubbed TLB entries, the filler of free pool
-   slots, and [page_of_vpn]'s answer for an unmapped vpn. *)
+(* A stand-in page no lookup ever returns as a mapping: the filler of
+   free pool slots, and [page_of_vpn]'s answer for an unmapped vpn. *)
 let blank_page = Page.create ()
-let blank_data = Bytes.create 0
 
 (* A LIFO stack in a growable array, so parking a page allocates
    nothing once the array has grown. *)
@@ -123,32 +78,7 @@ let release_page p =
     pool.pp_len <- n + 1
   end
 
-(* Every TLB slot starts out holding [never_hit], one entry shared by
-   every address space on every domain: [e_vpn = -1] matches no
-   lookup, so it can never hit and its page is never accessed.  A
-   slot gets its own record on its first miss ([tlb_miss]), so
-   creating a space allocates the slot array only, and a space that
-   touches a handful of pages allocates a handful of entries.  Nothing
-   writes [never_hit]: [tlb_miss] replaces it before filling, and
-   [recycle] scrubs only filled entries. *)
-let never_hit =
-  {
-    e_vpn = -1;
-    e_gen = -1;
-    e_pkru = 0;
-    e_page = blank_page;
-    e_data = blank_data;
-    e_read = false;
-    e_write = false;
-    e_exec = false;
-  }
-
-let tlb_never_hit_intact () =
-  never_hit.e_vpn = -1 && never_hit.e_gen = -1 && never_hit.e_pkru = 0
-  && never_hit.e_page == blank_page && never_hit.e_data == blank_data
-  && (not never_hit.e_read) && (not never_hit.e_write) && not never_hit.e_exec
-
-let create ?(tlb = true) () =
+let create () =
   {
     pages = Hashtbl.create 64;
     regions = [];
@@ -156,23 +86,14 @@ let create ?(tlb = true) () =
     fault_handler = None;
     demand_faults = 0;
     accesses = 0;
-    tlb_enabled = tlb;
-    tlb = Array.make tlb_size never_hit;
-    generation = 0;
-    tlb_misses = 0;
-    tlb_flushes = 0;
-    tlb_hits_pushed = 0;
   }
 
 let fault addr kind = raise (Fault { addr; kind })
 
-(* Rewind to the freshly-created empty state, reusing the page table
-   and TLB arena.  Deliberately counter-silent: destroying a space and
-   creating a new one touches no global counter either, and recycled
-   WFDs must be indistinguishable from destroy + create.  Filled TLB
-   entries are kept (a recycled space refills them without allocating)
-   but scrubbed to the never-hit state, not just generation-invalidated,
-   so a pooled space does not pin the dead request's pages. *)
+(* Rewind to the freshly-created empty state, reusing the page table.
+   Deliberately counter-silent: destroying a space and creating a new
+   one touches no global counter either, and recycled WFDs must be
+   indistinguishable from destroy + create. *)
 let recycle t =
   Hashtbl.iter (fun _ p -> release_page p) t.pages;
   Hashtbl.reset t.pages;
@@ -180,42 +101,7 @@ let recycle t =
   t.total_pages <- 0;
   t.fault_handler <- None;
   t.demand_faults <- 0;
-  t.accesses <- 0;
-  t.generation <- t.generation + 1;
-  t.tlb_misses <- 0;
-  t.tlb_flushes <- 0;
-  t.tlb_hits_pushed <- 0;
-  (* Only entries that ever held a real translation ([e_vpn >= 0])
-     need scrubbing, which also skips every slot still holding
-     [never_hit]; permission bits are left stale because they are only
-     consulted after a vpn+generation match, which can't happen.  A
-     plain loop: this runs on every WFD release. *)
-  let tlb = t.tlb in
-  for i = 0 to Array.length tlb - 1 do
-    let e = tlb.(i) in
-    if e.e_vpn >= 0 then begin
-      e.e_vpn <- -1;
-      e.e_gen <- -1;
-      e.e_page <- blank_page;
-      e.e_data <- blank_data
-    end
-  done
-
-let hits t = if t.tlb_enabled then t.accesses - t.tlb_misses else 0
-
-let sync_hit_counter t =
-  let h = hits t in
-  if h > t.tlb_hits_pushed then begin
-    Sim.Stats.Counter.add c_tlb_hit (h - t.tlb_hits_pushed);
-    t.tlb_hits_pushed <- h
-  end
-
-(* A generation bump invalidates every TLB entry at once. *)
-let flush_tlb t =
-  sync_hit_counter t;
-  t.generation <- t.generation + 1;
-  t.tlb_flushes <- t.tlb_flushes + 1;
-  Sim.Stats.Counter.incr c_tlb_flush
+  t.accesses <- 0
 
 (* The region holding a vpn, or [no_region] (which holds none). *)
 let no_region = { r_first = 1; r_last = 0; r_perm = Page.rw; r_pkey = Prot.default_key }
@@ -247,8 +133,7 @@ let map t ~addr ~len ~perm ~pkey =
     invalid_arg
       (Printf.sprintf "Address_space.map: page 0x%x already mapped" (Page.addr_of_vpn vpn));
   t.regions <- { r_first = first; r_last = last; r_perm = perm; r_pkey = pkey } :: t.regions;
-  t.total_pages <- t.total_pages + count;
-  flush_tlb t
+  t.total_pages <- t.total_pages + count
 
 (* Drop [first, last] from the region list, splitting regions it
    covers part of.  The list is rebuilt only up to the last region the
@@ -300,8 +185,7 @@ let unmap t ~addr ~len =
           release_page p)
         doomed
     end;
-    t.regions <- cut_regions t ~first ~last t.regions;
-    flush_tlb t
+    t.regions <- cut_regions t ~first ~last t.regions
   end
 
 let is_mapped t addr = region_of (Page.vpn_of_addr addr) t.regions != no_region
@@ -338,11 +222,9 @@ let iter_range t ~addr ~len f =
   end
 
 let pkey_mprotect t ~addr ~len key =
-  flush_tlb t;
   iter_range t ~addr ~len (fun _ p -> p.Page.pkey <- key)
 
 let mprotect t ~addr ~len perm =
-  flush_tlb t;
   iter_range t ~addr ~len (fun _ p -> p.Page.perm <- perm)
 
 let key_of t addr = (get_page t addr).Page.pkey
@@ -368,116 +250,21 @@ let check_page addr page ~pkru access =
   if not (Prot.access_allowed pkru page.Page.pkey access) then
     fault addr (Pkey_denied (access, page.Page.pkey))
 
-(* Full page walk: lookup, permission + PKRU check, demand-zero service.
-   Only a successful access counts towards [accesses]. *)
-let slow_checked_page t ~pkru addr access =
+(* The one access path: page lookup, permission + PKRU check,
+   demand-zero service.  Only a successful access counts towards
+   [accesses]; the page is populated when it returns. *)
+let checked_page t ~pkru addr access =
   let page = get_page t addr in
   check_page addr page ~pkru access;
   serve_demand_fault t addr page;
-  page
-
-(* TLB miss: walk, then refill the direct-mapped slot, giving the slot
-   its own entry if it still holds the shared [never_hit].  The page is
-   populated by the time it enters the TLB (the walk served any demand
-   fault), so hits can never skip a pending demand-zero fill.  The walk
-   runs first, so a faulting access leaves the slot as it was. *)
-let tlb_miss t ~pkru addr access =
-  t.tlb_misses <- t.tlb_misses + 1;
-  Sim.Stats.Counter.incr c_tlb_miss;
-  let page = slow_checked_page t ~pkru addr access in
   t.accesses <- t.accesses + 1;
-  let vpn = addr lsr Page.shift in
-  let slot = vpn land tlb_mask in
-  let e =
-    let e = Array.unsafe_get t.tlb slot in
-    if e != never_hit then e
-    else begin
-      let e = { never_hit with e_vpn = -1 } in
-      Array.unsafe_set t.tlb slot e;
-      e
-    end
-  in
-  e.e_vpn <- vpn;
-  e.e_gen <- t.generation;
-  e.e_pkru <- Prot.bits pkru;
-  e.e_page <- page;
-  e.e_data <- Page.data page;
-  e.e_read <- page.Page.perm.Page.read && Prot.can_read pkru page.Page.pkey;
-  e.e_write <- page.Page.perm.Page.write && Prot.can_write pkru page.Page.pkey;
-  e.e_exec <- page.Page.perm.Page.exec;
   page
 
-let tlb_hit t = t.accesses <- t.accesses + 1
+let load_byte t ~pkru addr =
+  Bytes.get (Page.data (checked_page t ~pkru addr Prot.Read)) (Page.offset_of_addr addr)
 
-let checked_page t ~pkru addr access =
-  if t.tlb_enabled then begin
-    let vpn = addr lsr Page.shift in
-    let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-    if
-      e.e_vpn = vpn && e.e_gen = t.generation
-      && e.e_pkru = Prot.bits pkru
-      &&
-      match access with
-      | Prot.Read -> e.e_read
-      | Prot.Write -> e.e_write
-      | Prot.Execute -> e.e_exec
-    then begin
-      tlb_hit t;
-      e.e_page
-    end
-    else tlb_miss t ~pkru addr access
-  end
-  else begin
-    let page = slow_checked_page t ~pkru addr access in
-    t.accesses <- t.accesses + 1;
-    page
-  end
-
-(* Byte access slow paths, kept out of line so the [@inline] fast
-   paths below stay small enough to inline into callers. *)
-let load_byte_slow t ~pkru addr off =
-  if t.tlb_enabled then Bytes.get (Page.data (tlb_miss t ~pkru addr Prot.Read)) off
-  else begin
-    let page = slow_checked_page t ~pkru addr Prot.Read in
-    t.accesses <- t.accesses + 1;
-    Bytes.get (Page.data page) off
-  end
-
-let store_byte_slow t ~pkru addr off c =
-  if t.tlb_enabled then begin
-    let page = tlb_miss t ~pkru addr Prot.Write in
-    page.Page.populated <- true;
-    Bytes.set (Page.data page) off c
-  end
-  else begin
-    let page = slow_checked_page t ~pkru addr Prot.Write in
-    t.accesses <- t.accesses + 1;
-    page.Page.populated <- true;
-    Bytes.set (Page.data page) off c
-  end
-
-let[@inline] load_byte t ~pkru addr =
-  let vpn = addr lsr page_shift in
-  let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-  if e.e_vpn = vpn && e.e_gen = t.generation && e.e_read && e.e_pkru = Prot.bits pkru
-  then begin
-    t.accesses <- t.accesses + 1;
-    (* Offset is masked below Page.size and e_data is a full page.  A
-       disabled TLB never fills entries, so e_vpn stays -1 and every
-       access takes the slow path. *)
-    Bytes.unsafe_get e.e_data (addr land page_mask)
-  end
-  else load_byte_slow t ~pkru addr (addr land page_mask)
-
-let[@inline] store_byte t ~pkru addr c =
-  let vpn = addr lsr page_shift in
-  let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-  if e.e_vpn = vpn && e.e_gen = t.generation && e.e_write && e.e_pkru = Prot.bits pkru
-  then begin
-    t.accesses <- t.accesses + 1;
-    Bytes.unsafe_set e.e_data (addr land page_mask) c
-  end
-  else store_byte_slow t ~pkru addr (addr land page_mask) c
+let store_byte t ~pkru addr c =
+  Bytes.set (Page.data (checked_page t ~pkru addr Prot.Write)) (Page.offset_of_addr addr) c
 
 (* Walk a range page by page, calling [f page page_offset buf_offset n]
    for each contiguous chunk. *)
@@ -488,7 +275,6 @@ let walk t ~pkru ~access addr len f =
     let off = Page.offset_of_addr !pos in
     let n = Stdlib.min (Page.size - off) (len - !done_) in
     f page off !done_ n;
-    if access = Prot.Write then page.Page.populated <- true;
     pos := !pos + n;
     done_ := !done_ + n
   done
@@ -500,7 +286,7 @@ let load_bytes t ~pkru addr len =
   buf
 
 (* Traverse a readable range without materialising a copy: the page
-   walk (permission checks, access and TLB accounting) is identical to
+   walk (permission checks and access accounting) is identical to
    [load_bytes], only the destination buffer is gone.  For consumers
    that own the bytes but never look at them — draining a transfer
    slot whose payload is modelled, not computed on. *)
@@ -511,45 +297,6 @@ let store_bytes t ~pkru addr src =
   let len = Bytes.length src in
   walk t ~pkru ~access:Prot.Write addr len (fun page off boff n ->
       Bytes.blit src boff (Page.data page) off n)
-
-let load_int64 t ~pkru addr =
-  let b = load_bytes t ~pkru addr 8 in
-  Bytes.get_int64_le b 0
-
-let store_int64 t ~pkru addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  store_bytes t ~pkru addr b
-
-let blit t ~pkru ~src ~dst ~len =
-  if len > 0 then
-    if src < dst + len && dst < src + len then begin
-      (* Overlapping ranges: load fully, then store — memmove semantics. *)
-      let data = load_bytes t ~pkru src len in
-      store_bytes t ~pkru dst data
-    end
-    else begin
-      (* Disjoint ranges: copy page-chunk to page-chunk without an
-         intermediate buffer.  Chunks are bounded by whichever of the
-         two page boundaries comes first. *)
-      let pos = ref 0 in
-      while !pos < len do
-        let s = src + !pos and d = dst + !pos in
-        let spage = checked_page t ~pkru s Prot.Read in
-        let dpage = checked_page t ~pkru d Prot.Write in
-        let soff = Page.offset_of_addr s and doff = Page.offset_of_addr d in
-        let n =
-          Stdlib.min (Stdlib.min (Page.size - soff) (Page.size - doff)) (len - !pos)
-        in
-        Bytes.blit (Page.data spage) soff (Page.data dpage) doff n;
-        dpage.Page.populated <- true;
-        pos := !pos + n
-      done
-    end
-
-let fill t ~pkru ~addr ~len c =
-  walk t ~pkru ~access:Prot.Write addr len (fun page off _ n ->
-      Bytes.fill (Page.data page) off n c)
 
 let check_exec t ~pkru addr = ignore (checked_page t ~pkru addr Prot.Execute)
 
@@ -565,9 +312,3 @@ let populate_page t ~vpn data =
 let touched_fault_count t = t.demand_faults
 
 let access_count t = t.accesses
-
-let tlb_hit_count t =
-  sync_hit_counter t;
-  hits t
-let tlb_miss_count t = t.tlb_misses
-let tlb_flush_count t = t.tlb_flushes

@@ -15,30 +15,24 @@ exception Fault of { addr : int; kind : fault_kind }
 
 type t
 
-val create : ?tlb:bool -> unit -> t
+val create : unit -> t
 (** [create ()] makes an empty address space.  Mapped ranges are
     tracked as regions and page records materialise lazily on first
-    touch, so mapping a large range is O(1) in host time.  [tlb]
-    (default [true]) enables the software TLB: a direct-mapped
-    translation cache validated by a generation counter (bumped on
-    {!map}/{!unmap}/{!mprotect}/{!pkey_mprotect}) that lets repeated
-    accesses skip the page walk and permission/PKRU re-check.  The TLB
-    is a host-time optimisation only: fault behaviour, access counts
-    and demand-paging semantics are identical with it off.
+    touch, so mapping a large range is O(1) in host time.  Creating a
+    space allocates its record and an empty page table, nothing per
+    page.
 
-    Creating a space allocates its 256-slot TLB array and nothing per
-    slot: every slot starts on one never-hit entry shared by all
-    spaces, which nothing ever writes, and a slot gets its own entry on
-    its first miss. *)
+    Every access below goes through one page walk: page lookup,
+    permission and PKRU check, demand-zero service, then the access
+    count.  There is no translation cache, so a revoked right
+    ({!unmap}, {!mprotect}, {!pkey_mprotect}, or a different PKRU) is
+    enforced on the very next access. *)
 
 val recycle : t -> unit
 (** Rewind to the freshly-created empty state in place, reusing the
-    page-table and TLB storage: all mappings, materialised pages, the
-    fault handler and every per-space counter are dropped, and every
-    filled TLB entry is scrubbed so it can never hit (it is kept, so
-    the recycled space refills it without allocating).  Counter-silent
-    — global [mem.tlb.*] counters behave exactly as if the space had
-    been destroyed and a new one created — so WFD recycling stays
+    page-table storage: all mappings, materialised pages (parked on the
+    page pool), the fault handler and every per-space counter are
+    dropped.  No global counter moves, so WFD recycling stays
     indistinguishable from clone-then-destroy. *)
 
 (** {1 Mapping} *)
@@ -80,22 +74,8 @@ val store_bytes : t -> pkru:Prot.pkru -> int -> bytes -> unit
 
 val touch_bytes : t -> pkru:Prot.pkru -> int -> int -> unit
 (** [touch_bytes t ~pkru addr len] performs the same permission-checked
-    page walk as {!load_bytes} — identical access and TLB accounting —
-    without materialising a copy of the range. *)
-
-val load_int64 : t -> pkru:Prot.pkru -> int -> int64
-val store_int64 : t -> pkru:Prot.pkru -> int -> int64 -> unit
-
-val blit :
-  t -> pkru:Prot.pkru -> src:int -> dst:int -> len:int -> unit
-(** Copy within the address space, checking read rights on the source
-    range and write rights on the destination range.  Disjoint ranges
-    copy page-chunk to page-chunk with no intermediate buffer; ranges
-    that overlap fall back to a buffered copy (memmove semantics).  On
-    the direct path a fault part-way through the copy leaves earlier
-    chunks already written, as on real hardware. *)
-
-val fill : t -> pkru:Prot.pkru -> addr:int -> len:int -> char -> unit
+    page walk as {!load_bytes} — identical faults and access
+    accounting — without materialising a copy of the range. *)
 
 (** {1 Fetch} *)
 
@@ -119,26 +99,5 @@ val touched_fault_count : t -> int
 (** {1 Accounting} *)
 
 val access_count : t -> int
-(** Total load/store operations performed (for tests and traces). *)
-
-(** {1 TLB observability}
-
-    Per-address-space counters; process-wide totals are also kept in
-    the [Sim.Stats] counters ["mem.tlb.hit"], ["mem.tlb.miss"] and
-    ["mem.tlb.flush"].  To keep the hit path allocation- and
-    bookkeeping-free, hits are derived ([access_count] minus misses —
-    every successful access in a TLB-enabled space is exactly one of
-    the two) rather than counted per access; the global ["mem.tlb.hit"]
-    counter is brought up to date on every TLB flush and on every
-    {!tlb_hit_count} read. *)
-
-val tlb_hit_count : t -> int
-val tlb_miss_count : t -> int
-
-val tlb_flush_count : t -> int
-(** Number of generation bumps (whole-TLB invalidations). *)
-
-val tlb_never_hit_intact : unit -> bool
-(** The shared never-hit entry still holds its initial contents — the
-    invariant every TLB slot's first lookup relies on (checked by the
-    tests after arbitrary access streams). *)
+(** Successful page walks so far: one per byte access, per page chunk
+    of a bulk access and per {!check_exec} (for tests and traces). *)

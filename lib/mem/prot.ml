@@ -30,7 +30,6 @@ let can_read p k = p land ad_bit k = 0
 let can_write p k = p land (ad_bit k lor wd_bit k) = 0
 
 let to_int32 p = Int32.of_int p
-let[@inline] bits p = p
 
 let equal_pkru = Int.equal
 

@@ -48,10 +48,6 @@ val can_write : pkru -> key -> bool
 val to_int32 : pkru -> int32
 (** The register value: deny-all is [-1l]. *)
 
-val bits : pkru -> int
-(** The rights word as an immediate integer in [0, 2{^32}): hot paths
-    compare and store it without boxing. *)
-
 val equal_pkru : pkru -> pkru -> bool
 
 type access = Read | Write | Execute

@@ -10,6 +10,12 @@ let test_json_scalars () =
   Alcotest.(check bool) "true" true (Jsonlite.parse "true" = Jsonlite.Bool true);
   Alcotest.(check int) "int" (-42) (Jsonlite.get_int (Jsonlite.parse "-42"));
   Alcotest.(check string) "string" "a\nb" (Jsonlite.get_string (Jsonlite.parse "\"a\\nb\""));
+  let str j = Jsonlite.get_string (Jsonlite.parse j) in
+  Alcotest.(check string) "form feed" "a\012b" (str {|"a\fb"|});
+  Alcotest.(check string) "\\u to UTF-8" "caf\xc3\xa9 \x01" (str {|"caf\u00E9 \u0001"|});
+  Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" (str {|"\ud83d\ude00"|});
+  Alcotest.(check string) "JSON escapes out" "\"caf\xc3\xa9\\u0001\\\"\\\\\\b\\f\\n\\r\\t\\u007f\""
+    (Jsonlite.to_string (Jsonlite.String "caf\xc3\xa9\x01\"\\\b\012\n\r\t\x7f"));
   match Jsonlite.parse "3.5" with
   | Jsonlite.Float f -> Alcotest.(check (float 1e-9)) "float" 3.5 f
   | _ -> Alcotest.fail "expected float"
@@ -29,7 +35,12 @@ let test_json_errors () =
       match Jsonlite.parse_result s with
       | Ok _ -> Alcotest.fail (Printf.sprintf "%S must not parse" s)
       | Error _ -> ())
-    [ "{"; "[1,"; "\"unterminated"; "{\"a\" 1}"; "nulll x"; "{} trailing"; "tru" ]
+    [
+      "{"; "[1,"; "\"unterminated"; "{\"a\" 1}"; "nulll x"; "{} trailing"; "tru";
+      (* Escapes: unknown, short or non-hex \u, lone surrogates. *)
+      {|"\x"|}; {|"\u12"|}; {|"\u12g4"|}; {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
+      {|"\ude00"|};
+    ]
 
 let test_json_float_format () =
   (* Plain fixed point, never %g exponent notation, shortest form that
@@ -68,7 +79,7 @@ let json_gen =
                 map (fun b -> Jsonlite.Bool b) bool;
                 map (fun i -> Jsonlite.Int i) (int_range (-1000) 1000);
                 map (fun f -> Jsonlite.Float f) float;
-                map (fun s -> Jsonlite.String s) (string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
+                map (fun s -> Jsonlite.String s) (string_size ~gen:char (int_range 0 8));
               ]
           else
             oneof
@@ -77,7 +88,7 @@ let json_gen =
                 map
                   (fun fields -> Jsonlite.Obj fields)
                   (list_size (int_range 0 4)
-                     (pair (string_size ~gen:(char_range 'a' 'z') (int_range 1 6)) (self (n / 2))));
+                     (pair (string_size ~gen:char (int_range 1 6)) (self (n / 2))));
               ])
         (min n 4))
 

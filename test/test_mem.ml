@@ -71,13 +71,6 @@ let test_aspace_cross_page () =
   let got = Address_space.load_bytes aspace ~pkru:all (base + 100) 10_000 in
   Alcotest.(check bytes) "cross-page roundtrip" data got
 
-let test_aspace_int64 () =
-  let aspace = fresh_mapped () in
-  (* Straddling a page boundary on purpose. *)
-  Address_space.store_int64 aspace ~pkru:all (base + 4090) 0x1122334455667788L;
-  Alcotest.(check int64) "int64 roundtrip" 0x1122334455667788L
-    (Address_space.load_int64 aspace ~pkru:all (base + 4090))
-
 let test_aspace_unmapped_fault () =
   let aspace = fresh_mapped () in
   (match Address_space.load_byte aspace ~pkru:all 0x50_0000 with
@@ -139,17 +132,6 @@ let test_aspace_map_conflicts () =
   Address_space.map aspace ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
   Alcotest.(check int) "page count stable" 4 (Address_space.page_count aspace)
 
-let test_aspace_blit_fill () =
-  let aspace = fresh_mapped () in
-  let data = Bytes.init 5000 (fun i -> Char.chr (i mod 251)) in
-  Address_space.store_bytes aspace ~pkru:all base data;
-  Address_space.blit aspace ~pkru:all ~src:base ~dst:(base + 6000) ~len:5000;
-  Alcotest.(check bytes) "blit copies" data
-    (Address_space.load_bytes aspace ~pkru:all (base + 6000) 5000);
-  Address_space.fill aspace ~pkru:all ~addr:base ~len:100 'z';
-  Alcotest.(check string) "fill" (String.make 100 'z')
-    (Bytes.to_string (Address_space.load_bytes aspace ~pkru:all base 100))
-
 let test_demand_paging () =
   let aspace = fresh_mapped () in
   let backing = Bytes.make 4096 '\xAB' in
@@ -162,32 +144,25 @@ let test_demand_paging () =
   Alcotest.(check int) "no second fault for same page" 1
     (Address_space.touched_fault_count aspace)
 
-(* --- software TLB --- *)
+(* --- revocation: every access walks, so a revoked right faults on
+   the very next access --- *)
 
-(* A warmed TLB entry must not outlive an mprotect: the generation bump
-   forces a re-walk, so the revoked right faults exactly like the slow
-   path. *)
-let test_tlb_mprotect_revoke () =
-  let run tlb =
-    let a = Address_space.create ~tlb () in
-    Address_space.map a ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
-    Address_space.store_byte a ~pkru:all base 'a';
-    ignore (Address_space.load_byte a ~pkru:all base);
-    Address_space.mprotect a ~addr:base ~len:4096 Page.ro;
-    (match Address_space.store_byte a ~pkru:all base 'b' with
-    | () -> Alcotest.fail "expected write fault after mprotect"
-    | exception
-        Address_space.Fault { kind = Address_space.Perm_denied Prot.Write; _ }
-      -> ());
-    (* Reads survive, and see the pre-revoke store (fault left no
-       partial effect). *)
-    Alcotest.(check char) "readable, value intact" 'a'
-      (Address_space.load_byte a ~pkru:all base)
-  in
-  run true;
-  run false
+let test_aspace_mprotect_revoke () =
+  let a = fresh_mapped ~len:4096 () in
+  Address_space.store_byte a ~pkru:all base 'a';
+  ignore (Address_space.load_byte a ~pkru:all base);
+  Address_space.mprotect a ~addr:base ~len:4096 Page.ro;
+  (match Address_space.store_byte a ~pkru:all base 'b' with
+  | () -> Alcotest.fail "expected write fault after mprotect"
+  | exception
+      Address_space.Fault { kind = Address_space.Perm_denied Prot.Write; _ }
+    -> ());
+  (* Reads survive, and see the pre-revoke store (fault left no
+     partial effect). *)
+  Alcotest.(check char) "readable, value intact" 'a'
+    (Address_space.load_byte a ~pkru:all base)
 
-let test_tlb_pkey_revoke () =
+let test_aspace_pkey_revoke () =
   let a = fresh_mapped () in
   ignore (Address_space.load_byte a ~pkru:all base);
   ignore (Address_space.load_byte a ~pkru:all base);
@@ -199,14 +174,12 @@ let test_tlb_pkey_revoke () =
       Address_space.Fault
         { kind = Address_space.Pkey_denied (Prot.Read, key); _ } ->
       Alcotest.(check int) "faulting key" 6 (Prot.key_to_int key));
-  (* Same pkru as the warm entry still works: the flush only forces a
-     re-walk, it does not revoke anything allow-all may do. *)
+  (* The retag revokes nothing allow-all may do. *)
   ignore (Address_space.load_byte a ~pkru:all base)
 
-(* Switching PKRU alone (no flush happens) must also be enforced: the
-   entry is tagged with the fill-time PKRU, so a different rights word
-   misses and takes the fully-checked walk. *)
-let test_tlb_pkru_switch () =
+(* Switching PKRU alone (no mapping change) is enforced on the next
+   access. *)
+let test_aspace_pkru_switch () =
   let a = fresh_mapped ~pkey:(k 3) () in
   ignore (Address_space.load_byte a ~pkru:all base);
   ignore (Address_space.load_byte a ~pkru:all base);
@@ -217,7 +190,7 @@ let test_tlb_pkru_switch () =
       Address_space.Fault { kind = Address_space.Pkey_denied (Prot.Read, _); _ }
     -> ()
 
-let test_tlb_unmap_revoke () =
+let test_aspace_unmap_revoke () =
   let a = fresh_mapped () in
   ignore (Address_space.load_byte a ~pkru:all base);
   ignore (Address_space.load_byte a ~pkru:all base);
@@ -228,107 +201,128 @@ let test_tlb_unmap_revoke () =
   (* Pages past the unmapped range are unaffected. *)
   ignore (Address_space.load_byte a ~pkru:all (base + 4096))
 
-(* Demand-zero service must fire exactly once per page whether or not
-   the TLB is on: the walk populates the page before it can enter the
-   TLB, so hits can never skip a pending fill. *)
-let test_tlb_demand_zero_once () =
-  let run tlb =
-    let a = Address_space.create ~tlb () in
-    Address_space.map a ~addr:base ~len:(4096 * 2) ~perm:Page.rw ~pkey:Prot.default_key;
-    let served = ref 0 in
-    Address_space.set_fault_handler a
-      (Some
-         (fun addr ->
-           incr served;
-           Address_space.populate_page a ~vpn:(Page.vpn_of_addr addr)
-             (Bytes.make 4096 '\xCD')));
-    for _ = 1 to 5 do
-      ignore (Address_space.load_byte a ~pkru:all base)
-    done;
-    Address_space.store_byte a ~pkru:all (base + 1) 'q';
-    Alcotest.(check int) "handler ran once" 1 !served;
-    Alcotest.(check int) "one touched fault" 1
-      (Address_space.touched_fault_count a);
-    ignore (Address_space.load_byte a ~pkru:all (base + 4096));
-    Alcotest.(check int) "second page faults independently" 2 !served;
-    (Address_space.access_count a, Address_space.touched_fault_count a)
-  in
-  let with_tlb = run true and without_tlb = run false in
-  Alcotest.(check (pair int int))
-    "accounting identical with and without TLB" without_tlb with_tlb
-
-(* Exact hit/miss/flush accounting for a scripted access sequence. *)
-let test_tlb_counters () =
-  let a = Address_space.create () in
-  Address_space.map a ~addr:base ~len:(4096 * 2) ~perm:Page.rw ~pkey:Prot.default_key;
-  let f0 = Address_space.tlb_flush_count a in
-  ignore (Address_space.load_byte a ~pkru:all base);
-  (* miss *)
-  ignore (Address_space.load_byte a ~pkru:all (base + 1));
-  (* hit *)
-  Address_space.store_byte a ~pkru:all (base + 2) 'x';
-  (* hit *)
+(* Demand-zero service fires exactly once per page: the first walk
+   populates the page, later walks find it populated. *)
+let test_aspace_demand_zero_once () =
+  let a = fresh_mapped ~len:(4096 * 2) () in
+  let served = ref 0 in
+  Address_space.set_fault_handler a
+    (Some
+       (fun addr ->
+         incr served;
+         Address_space.populate_page a ~vpn:(Page.vpn_of_addr addr)
+           (Bytes.make 4096 '\xCD')));
+  for _ = 1 to 5 do
+    Alcotest.(check char) "backing data" '\xCD' (Address_space.load_byte a ~pkru:all base)
+  done;
+  Address_space.store_byte a ~pkru:all (base + 1) 'q';
+  Alcotest.(check int) "handler ran once" 1 !served;
+  Alcotest.(check int) "one touched fault" 1 (Address_space.touched_fault_count a);
   ignore (Address_space.load_byte a ~pkru:all (base + 4096));
-  (* miss *)
-  ignore (Address_space.load_byte a ~pkru:all base);
-  (* hit *)
-  Alcotest.(check int) "misses" 2 (Address_space.tlb_miss_count a);
-  Alcotest.(check int) "hits" 3 (Address_space.tlb_hit_count a);
-  Alcotest.(check int) "accesses = hits + misses"
-    (Address_space.access_count a)
-    (Address_space.tlb_hit_count a + Address_space.tlb_miss_count a);
-  Address_space.mprotect a ~addr:base ~len:4096 Page.rw;
-  Alcotest.(check int) "mprotect flushes" (f0 + 1)
-    (Address_space.tlb_flush_count a);
-  ignore (Address_space.load_byte a ~pkru:all base);
-  (* miss: generation bumped *)
-  Alcotest.(check int) "re-walk after flush" 3
-    (Address_space.tlb_miss_count a)
+  Alcotest.(check int) "second page faults independently" 2 !served;
+  Alcotest.(check (pair int int)) "accesses, touched faults" (7, 2)
+    (Address_space.access_count a, Address_space.touched_fault_count a)
 
-(* A TLB-disabled space counts no hits and the same accesses. *)
-let test_tlb_disabled_equivalence () =
-  let run tlb =
-    let a = Address_space.create ~tlb () in
-    Address_space.map a ~addr:base ~len:(4096 * 4) ~perm:Page.rw ~pkey:Prot.default_key;
-    let data = Bytes.init 6000 (fun i -> Char.chr (i mod 256)) in
-    Address_space.store_bytes a ~pkru:all base data;
-    let got = Address_space.load_bytes a ~pkru:all base 6000 in
-    Alcotest.(check bytes) "data identical" data got;
-    Address_space.access_count a
-  in
-  Alcotest.(check int) "access counts identical" (run false) (run true);
-  let a = Address_space.create ~tlb:false () in
-  Address_space.map a ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
-  ignore (Address_space.load_byte a ~pkru:all base);
-  ignore (Address_space.load_byte a ~pkru:all base);
-  Alcotest.(check int) "no hits when disabled" 0 (Address_space.tlb_hit_count a);
-  Alcotest.(check int) "no misses when disabled" 0
-    (Address_space.tlb_miss_count a)
-
-(* Global Sim.Stats counters: misses are pushed immediately, hits are
-   derived and synced on flush / tlb_hit_count reads. *)
-let test_tlb_stats_counters () =
+(* Exact access accounting: one per byte access, one per page chunk of
+   a bulk access, one per exec check; a faulting access, a failed
+   check and the mapping calls count nothing. *)
+let test_aspace_access_count () =
   let a = fresh_mapped () in
-  let miss0 = Sim.Stats.counter_value "mem.tlb.miss" in
-  let hit0 = Sim.Stats.counter_value "mem.tlb.hit" in
+  let count () = Address_space.access_count a in
   ignore (Address_space.load_byte a ~pkru:all base);
-  (* miss *)
-  ignore (Address_space.load_byte a ~pkru:all base);
-  (* hit *)
-  ignore (Address_space.load_byte a ~pkru:all base);
-  (* hit *)
-  Alcotest.(check int) "global miss counter immediate" (miss0 + 1)
-    (Sim.Stats.counter_value "mem.tlb.miss");
-  Alcotest.(check int) "hit counter deferred" hit0
-    (Sim.Stats.counter_value "mem.tlb.hit");
-  Alcotest.(check int) "local hits" 2 (Address_space.tlb_hit_count a);
-  Alcotest.(check int) "hit counter synced by read" (hit0 + 2)
-    (Sim.Stats.counter_value "mem.tlb.hit");
-  (* A flush also syncs pending hits. *)
-  ignore (Address_space.load_byte a ~pkru:all (base + 1));
-  Address_space.mprotect a ~addr:base ~len:4096 Page.rw;
-  Alcotest.(check int) "hit counter synced by flush" (hit0 + 3)
-    (Sim.Stats.counter_value "mem.tlb.hit")
+  Address_space.store_byte a ~pkru:all (base + 1) 'x';
+  Alcotest.(check int) "byte accesses" 2 (count ());
+  (* 6 000 bytes from page offset 100 touch two pages. *)
+  Address_space.store_bytes a ~pkru:all (base + 100) (Bytes.make 6000 'y');
+  Alcotest.(check int) "bulk store: one per page" 4 (count ());
+  ignore (Address_space.load_bytes a ~pkru:all (base + 100) 6000);
+  Address_space.touch_bytes a ~pkru:all (base + 100) 6000;
+  Alcotest.(check int) "touch walks like load" 8 (count ());
+  Address_space.store_bytes a ~pkru:all base Bytes.empty;
+  Alcotest.(check int) "empty range walks nothing" 8 (count ());
+  Address_space.mprotect a ~addr:(base + 4096) ~len:4096 Page.ro;
+  Address_space.pkey_mprotect a ~addr:(base + 8192) ~len:4096 (k 5);
+  Address_space.unmap a ~addr:(base + (3 * 4096)) ~len:4096;
+  Alcotest.(check int) "mapping calls count nothing" 8 (count ());
+  let faults f =
+    match f () with
+    | () -> Alcotest.fail "expected fault"
+    | exception Address_space.Fault _ -> ()
+  in
+  faults (fun () -> Address_space.store_byte a ~pkru:all (base + 4096) 'z');
+  faults (fun () ->
+      Address_space.touch_bytes a ~pkru:(Prot.pkru_deny_all_except [ k 0 ]) (base + 8192) 10);
+  faults (fun () -> Address_space.check_exec a ~pkru:all base);
+  Alcotest.(check int) "faults count nothing" 8 (count ());
+  (* A bulk access that faults on its second page counted its first. *)
+  faults (fun () -> ignore (Address_space.load_bytes a ~pkru:all (base + (3 * 4096) - 2) 4));
+  Alcotest.(check int) "chunks before the fault count" 9 (count ());
+  Alcotest.(check char) "touch copies nothing" 'y'
+    (Address_space.load_byte a ~pkru:all (base + 100))
+
+(* Instruction fetch: page permissions decide, PKRU does not (MPK
+   polices data accesses only). *)
+let test_aspace_check_exec () =
+  let a = Address_space.create () in
+  Address_space.map a ~addr:base ~len:4096 ~perm:Page.rx ~pkey:(k 9);
+  Address_space.map a ~addr:(base + 4096) ~len:4096 ~perm:Page.rw ~pkey:(k 9);
+  let no_keys = Prot.pkru_deny_all_except [] in
+  Address_space.check_exec a ~pkru:no_keys (base + 123);
+  (match Address_space.load_byte a ~pkru:no_keys base with
+  | _ -> Alcotest.fail "expected pkey fault on a data read"
+  | exception Address_space.Fault { kind = Address_space.Pkey_denied (Prot.Read, _); _ } -> ());
+  (match Address_space.check_exec a ~pkru:all (base + 4096) with
+  | () -> Alcotest.fail "expected exec fault on a data page"
+  | exception
+      Address_space.Fault { addr; kind = Address_space.Perm_denied Prot.Execute } ->
+      Alcotest.(check int) "fault address" (base + 4096) addr);
+  match Address_space.check_exec a ~pkru:all (base + 8192) with
+  | () -> Alcotest.fail "expected unmapped fault"
+  | exception Address_space.Fault { kind = Address_space.Unmapped; _ } -> ()
+
+(* [recycle] rewinds a used space to what [create] returns: no mapping,
+   no page, no handler, zeroed counters. *)
+let test_aspace_recycle_rewinds () =
+  let a = fresh_mapped () in
+  let served = ref 0 in
+  Address_space.set_fault_handler a (Some (fun _ -> incr served));
+  Address_space.store_bytes a ~pkru:all base (Bytes.make 5000 'd');
+  Alcotest.(check int) "handler served both pages" 2 !served;
+  Address_space.recycle a;
+  Alcotest.(check (list int)) "pages, bytes, accesses, touched faults" [ 0; 0; 0; 0 ]
+    [
+      Address_space.page_count a;
+      Address_space.mapped_bytes a;
+      Address_space.access_count a;
+      Address_space.touched_fault_count a;
+    ];
+  Alcotest.(check bool) "unmapped" false (Address_space.is_mapped a base);
+  (match Address_space.load_byte a ~pkru:all base with
+  | _ -> Alcotest.fail "expected unmapped fault after recycle"
+  | exception Address_space.Fault { kind = Address_space.Unmapped; _ } -> ());
+  Address_space.map a ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
+  Alcotest.(check char) "remapped page is zero" '\000' (Address_space.load_byte a ~pkru:all base);
+  Alcotest.(check int) "handler dropped" 2 !served
+
+(* Unmapped and recycled pages park on the page pool; a page taken back
+   from it reads as zero and carries its new mapping's rights. *)
+let test_aspace_pooled_pages_zero () =
+  let a = fresh_mapped ~len:(4096 * 3) () in
+  Address_space.store_bytes a ~pkru:all base (Bytes.make (4096 * 3) '\xEE');
+  Address_space.unmap a ~addr:base ~len:(4096 * 3);
+  Address_space.map a ~addr:base ~len:(4096 * 3) ~perm:Page.ro ~pkey:(k 4);
+  Alcotest.(check string) "reads zero after unmap" (String.make (4096 * 3) '\000')
+    (Bytes.to_string (Address_space.load_bytes a ~pkru:all base (4096 * 3)));
+  (match Address_space.store_byte a ~pkru:all base 'x' with
+  | () -> Alcotest.fail "expected write fault on the remapped read-only page"
+  | exception Address_space.Fault { kind = Address_space.Perm_denied Prot.Write; _ } -> ());
+  Alcotest.(check int) "new key" 4 (Prot.key_to_int (Address_space.key_of a base));
+  let b = fresh_mapped () in
+  Address_space.store_bytes b ~pkru:all base (Bytes.make 4096 '\xEE');
+  Address_space.recycle b;
+  Address_space.map b ~addr:base ~len:4096 ~perm:Page.rw ~pkey:Prot.default_key;
+  Alcotest.(check string) "reads zero after recycle" (String.make 4096 '\000')
+    (Bytes.to_string (Address_space.load_bytes b ~pkru:all base 4096))
 
 (* --- WFD layout --- *)
 
@@ -521,9 +515,9 @@ let pkru_model_property =
       in
       go (p0, r0) ops)
 
-(* --- Lazy TLB: fresh, recycled and TLB-disabled spaces agree --- *)
+(* --- Fresh and recycled spaces agree --- *)
 
-type tlb_op =
+type aspace_op =
   | Map of int * int * int * int  (* first page, pages, perm index, key *)
   | Unmap of int * int
   | Mprotect of int * int * int
@@ -546,7 +540,7 @@ let pkrus =
     Prot.pkru_deny_all_except [ k 3 ];
   |]
 
-let tlb_op_gen =
+let aspace_op_gen =
   let open QCheck.Gen in
   let page = int_bound (window_pages - 1) in
   let pages = int_range 1 4 in
@@ -563,7 +557,7 @@ let tlb_op_gen =
       (2, map3 (fun a b c -> Load_range (a, b, c)) off (int_range 1 9000) (int_bound 4));
     ]
 
-let show_tlb_op = function
+let show_aspace_op = function
   | Map (a, b, c, d) -> Printf.sprintf "map %d+%d perm%d key%d" a b c d
   | Unmap (a, b) -> Printf.sprintf "unmap %d+%d" a b
   | Mprotect (a, b, c) -> Printf.sprintf "mprotect %d+%d perm%d" a b c
@@ -572,14 +566,14 @@ let show_tlb_op = function
   | Store (a, b, c) -> Printf.sprintf "store %d pkru%d %C" a b c
   | Load_range (a, b, c) -> Printf.sprintf "load %d+%d pkru%d" a b c
 
-let tlb_stream =
+let aspace_stream =
   QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map show_tlb_op ops))
+    ~print:(fun ops -> String.concat "; " (List.map show_aspace_op ops))
     ~shrink:QCheck.Shrink.list
-    QCheck.Gen.(list_size (int_range 1 60) tlb_op_gen)
+    QCheck.Gen.(list_size (int_range 1 60) aspace_op_gen)
 
 (* Run a stream, returning what each operation answered. *)
-let run_tlb_stream a ops =
+let run_aspace_stream a ops =
   let page i = base + (i * 4096) in
   let outcome f =
     match f () with
@@ -618,55 +612,39 @@ let run_tlb_stream a ops =
                 (Digest.bytes (Address_space.load_bytes a ~pkru:pkrus.(pk) (base + off) len))))
     ops
 
-let tlb_counters () =
-  List.map Sim.Stats.counter_value [ "mem.tlb.miss"; "mem.tlb.flush"; "mem.tlb.hit" ]
+(* Outcomes, access count and demand-fault count of one stream on [a]. *)
+let observe_aspace_stream a ops =
+  let outcomes = run_aspace_stream a ops in
+  (outcomes, Address_space.access_count a, Address_space.touched_fault_count a)
 
-(* Outcomes, access count, per-space TLB counts and the global
-   [mem.tlb.*] deltas of one stream on [a]. *)
-let observe_tlb_stream a ops =
-  let before = tlb_counters () in
-  let outcomes = run_tlb_stream a ops in
-  let local =
-    ( Address_space.access_count a,
-      Address_space.tlb_hit_count a,
-      Address_space.tlb_miss_count a,
-      Address_space.tlb_flush_count a )
-  in
-  let deltas = List.map2 ( - ) (tlb_counters ()) before in
-  (outcomes, local, deltas)
-
-let lazy_tlb_differential =
-  QCheck.Test.make ~name:"tlb: fresh, recycled and untranslated spaces agree" ~count:300
-    (QCheck.pair tlb_stream tlb_stream)
+let recycled_differential =
+  QCheck.Test.make ~name:"aspace: fresh and recycled spaces agree" ~count:300
+    (QCheck.pair aspace_stream aspace_stream)
     (fun (ops, earlier) ->
-      let fresh_out, (fresh_acc, _, _, _ as fresh_local), fresh_deltas =
-        observe_tlb_stream (Address_space.create ()) ops
-      in
-      (* A recycled space first runs an unrelated stream, so its slots
-         hold filled (then scrubbed) entries. *)
+      (* A recycled space first runs an unrelated stream, so its pages
+         go back to the page pool written. *)
       let recycled = Address_space.create () in
-      ignore (run_tlb_stream recycled earlier);
+      ignore (run_aspace_stream recycled earlier);
       Address_space.recycle recycled;
-      let rec_out, rec_local, rec_deltas = observe_tlb_stream recycled ops in
-      let off_out, (off_acc, _, _, _), _ =
-        observe_tlb_stream (Address_space.create ~tlb:false ()) ops
-      in
-      fresh_out = rec_out && fresh_out = off_out && fresh_acc = off_acc
-      && fresh_local = rec_local && fresh_deltas = rec_deltas
-      && Address_space.tlb_never_hit_intact ())
+      observe_aspace_stream (Address_space.create ()) ops
+      = observe_aspace_stream recycled ops)
 
-(* Creating a space allocates its slot array and page table, not 256
-   TLB entries. *)
-let test_aspace_create_allocation () =
+(* Minor words per [Address_space.create]: its record and an empty
+   page table. *)
+let create_words () =
   ignore (Address_space.create ());
   let n = 100 in
   let w0 = Gc.minor_words () in
   for _ = 1 to n do
     ignore (Sys.opaque_identity (Address_space.create ()))
   done;
-  let per_create = (Gc.minor_words () -. w0) /. float_of_int n in
-  if per_create >= 600.0 then
-    Alcotest.failf "Address_space.create allocates %.0f minor words (bound 600)" per_create
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let create_allocates_under bound () =
+  let per_create = create_words () in
+  if per_create >= bound then
+    Alcotest.failf "Address_space.create allocates %.0f minor words (bound %.0f)" per_create
+      bound
 
 let suite =
   [
@@ -676,31 +654,29 @@ let suite =
     Alcotest.test_case "pkru deny-all word" `Quick test_pkru_deny_all_word;
     QCheck_alcotest.to_alcotest pkru_model_property;
     Alcotest.test_case "page geometry" `Quick test_page_geometry;
+    Alcotest.test_case "layout disjoint regions" `Quick test_layout_disjoint_regions;
+    Alcotest.test_case "layout partitions" `Quick test_layout_partitions;
+    Alcotest.test_case "layout slot_of_addr" `Quick test_layout_slot_of_addr;
     Alcotest.test_case "aspace roundtrip" `Quick test_aspace_roundtrip;
     Alcotest.test_case "aspace cross-page" `Quick test_aspace_cross_page;
-    Alcotest.test_case "aspace int64" `Quick test_aspace_int64;
     Alcotest.test_case "aspace unmapped fault" `Quick test_aspace_unmapped_fault;
     Alcotest.test_case "aspace permission fault" `Quick test_aspace_perm_fault;
     Alcotest.test_case "aspace pkey fault" `Quick test_aspace_pkey_fault;
     Alcotest.test_case "aspace pkey_mprotect" `Quick test_aspace_pkey_mprotect;
     Alcotest.test_case "aspace map conflicts" `Quick test_aspace_map_conflicts;
-    Alcotest.test_case "aspace blit/fill" `Quick test_aspace_blit_fill;
     Alcotest.test_case "demand paging" `Quick test_demand_paging;
-    Alcotest.test_case "tlb mprotect revoke" `Quick test_tlb_mprotect_revoke;
-    Alcotest.test_case "tlb pkey revoke" `Quick test_tlb_pkey_revoke;
-    Alcotest.test_case "tlb pkru switch" `Quick test_tlb_pkru_switch;
-    Alcotest.test_case "tlb unmap revoke" `Quick test_tlb_unmap_revoke;
-    Alcotest.test_case "tlb demand-zero once" `Quick test_tlb_demand_zero_once;
-    Alcotest.test_case "tlb counters" `Quick test_tlb_counters;
-    Alcotest.test_case "tlb disabled equivalence" `Quick
-      test_tlb_disabled_equivalence;
-    Alcotest.test_case "tlb stats counters" `Quick test_tlb_stats_counters;
-    QCheck_alcotest.to_alcotest lazy_tlb_differential;
+    Alcotest.test_case "aspace mprotect revoke" `Quick test_aspace_mprotect_revoke;
+    Alcotest.test_case "aspace pkey revoke" `Quick test_aspace_pkey_revoke;
+    Alcotest.test_case "aspace pkru switch" `Quick test_aspace_pkru_switch;
+    Alcotest.test_case "aspace unmap revoke" `Quick test_aspace_unmap_revoke;
+    Alcotest.test_case "aspace demand-zero once" `Quick test_aspace_demand_zero_once;
+    Alcotest.test_case "aspace access count" `Quick test_aspace_access_count;
+    Alcotest.test_case "aspace check_exec" `Quick test_aspace_check_exec;
+    QCheck_alcotest.to_alcotest recycled_differential;
     Alcotest.test_case "aspace create allocates < 600 minor words" `Quick
-      test_aspace_create_allocation;
-    Alcotest.test_case "layout disjoint regions" `Quick test_layout_disjoint_regions;
-    Alcotest.test_case "layout partitions" `Quick test_layout_partitions;
-    Alcotest.test_case "layout slot_of_addr" `Quick test_layout_slot_of_addr;
+      (create_allocates_under 600.0);
+    Alcotest.test_case "aspace recycle rewinds" `Quick test_aspace_recycle_rewinds;
+    Alcotest.test_case "aspace pooled pages read zero" `Quick test_aspace_pooled_pages_zero;
     Alcotest.test_case "alloc basic" `Quick test_alloc_basic;
     Alcotest.test_case "alloc alignment" `Quick test_alloc_alignment;
     Alcotest.test_case "alloc exhaustion" `Quick test_alloc_exhaustion;
@@ -709,4 +685,6 @@ let suite =
     Alcotest.test_case "alloc reset" `Quick test_alloc_reset;
     QCheck_alcotest.to_alcotest alloc_trace_property;
     QCheck_alcotest.to_alcotest full_free_coalesces_property;
+    Alcotest.test_case "aspace create allocates < 120 minor words" `Quick
+      (create_allocates_under 120.0);
   ]

@@ -291,7 +291,19 @@ let test_gateway_http () =
   let health = Gateway.handle_http g (Netsim.Http.request ~meth:"GET" ~path:"/healthz" ()) in
   Alcotest.(check int) "healthz" 200 health.Netsim.Http.status;
   let bad = Gateway.handle_http g (Netsim.Http.request ~meth:"GET" ~path:"/wf/demo" ()) in
-  Alcotest.(check int) "GET not allowed" 404 bad.Netsim.Http.status
+  Alcotest.(check int) "GET not allowed" 404 bad.Netsim.Http.status;
+  (* Stdout with UTF-8 and a control byte still makes a JSON body. *)
+  let kernel (ctx : Asstd.ctx) ~instance:_ ~total:_ = Asstd.println ctx "caf\xc3\xa9\x01" in
+  Gateway.register g ~endpoint:"utf" ~workflow:single_fn_workflow
+    ~bindings:[ ("f", Visor.bind kernel) ]
+    ();
+  let resp = Gateway.handle_http g (Netsim.Http.request ~meth:"POST" ~path:"/wf/utf" ()) in
+  Alcotest.(check int) "200 with raw stdout" 200 resp.Netsim.Http.status;
+  match Jsonlite.parse_result resp.Netsim.Http.resp_body with
+  | Ok json ->
+      Alcotest.(check string) "stdout bytes kept" "caf\xc3\xa9\x01\n"
+        (Jsonlite.member_string "stdout" json)
+  | Error e -> Alcotest.failf "body is not JSON (%s): %s" e resp.Netsim.Http.resp_body
 
 let test_gateway_register_json () =
   let g = Gateway.create () in

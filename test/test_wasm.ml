@@ -226,12 +226,12 @@ let test_aot_image_is_clean () =
   | v -> Alcotest.fail (Format.asprintf "AOT image not clean: %a" Isa.Scanner.pp_verdict v)
 
 (* qcheck: random programs over every binary operator, [Select],
-   locals and globals, some on short fuel, agree between interpreter and
-   AOT: the result or trap, the globals left behind, and the
-   retired-instruction count [Runtime.run] charges as virtual time.  The
-   programs also hold the idioms the AOT engine fuses, over locals 0-2,
-   and bounded counter loops, so short fuel runs out inside fused
-   runs. *)
+   locals and globals agree between interpreter and AOT at every fuel
+   from 0 to what the program retires on unbounded fuel, plus one: the
+   result or trap, the globals left behind, and the retired-instruction
+   count [Runtime.run] charges as virtual time.  The programs also hold
+   the idioms the AOT engine fuses, over locals 0-2, and bounded counter
+   loops, so some fuel runs out one instruction into each fused run. *)
 let all_binops =
   Instr.[ Add; Sub; Mul; Div_s; Rem_s; And; Or; Xor; Shl; Shr_s; Eq; Ne; Lt_s; Gt_s; Le_s; Ge_s ]
 
@@ -300,13 +300,13 @@ let random_prog_gen =
          (frequency [ (6, single); (4, idiom [ 0; 1; 2 ]); (1, counter_loop); (1, early_exit) ])))
 
 let aot_equivalence_property =
-  QCheck.Test.make ~name:"aot: agrees with interpreter on random programs" ~count:300
-    (QCheck.make QCheck.Gen.(pair (opt (int_range 20 120)) random_prog_gen))
-    (fun (fuel, prog) ->
+  QCheck.Test.make ~name:"aot: agrees with interpreter on random programs" ~count:150
+    (QCheck.make ~print:(Fmt.str "%a" (Fmt.list ~sep:Fmt.sp Instr.pp)) random_prog_gen)
+    (fun prog ->
       (* Pad the stack so most programs never underflow, and make
          locals 0-2 and both globals available; "g" reads the globals
          the program left. *)
-      let body = List.init 40 (fun i -> Instr.Const (Int64.of_int i)) @ prog in
+      let body = List.init 8 (fun i -> Instr.Const (Int64.of_int i)) @ prog in
       let m =
         Wmodule.create ~name:"t" ~globals:[ 5L; -9L ]
           ~exports:[ ("f", 0); ("g", 1) ]
@@ -316,24 +316,33 @@ let aot_equivalence_property =
               Instr.[ Global_get 0; Const 31L; Binop Mul; Global_get 1; Binop Xor ];
           ]
       in
+      let compiled = Aot.compile m in
       let outcome call trap_msg =
         match call () with v -> Ok v | exception e -> Error (trap_msg e)
       in
-      let interp =
+      (* One run on a fresh instance: [f]'s outcome and retired count,
+         then [g]'s answer. *)
+      let interp fuel =
         let i = Interp.instantiate m in
         let msg = function Interp.Trap s -> s | e -> raise e in
         let f = outcome (fun () -> Interp.call ?fuel i "f" [| 3L; 4L |]) msg in
-        let g = outcome (fun () -> Interp.call i "g" [||]) msg in
-        (f, g, Interp.executed i)
+        let retired = Interp.executed i in
+        (f, retired, outcome (fun () -> Interp.call i "g" [||]) msg)
       in
-      let aot =
-        let a = Aot.instantiate (Aot.compile m) in
+      let aot fuel =
+        let a = Aot.instantiate compiled in
         let msg = function Aot.Trap s -> s | e -> raise e in
         let f = outcome (fun () -> Aot.call ?fuel a "f" [| 3L; 4L |]) msg in
-        let g = outcome (fun () -> Aot.call a "g" [||]) msg in
-        (f, g, Aot.executed a)
+        let retired = Aot.executed a in
+        (f, retired, outcome (fun () -> Aot.call a "g" [||]) msg)
       in
-      interp = aot)
+      let ((_, length, _) as unbounded) = interp None in
+      if unbounded <> aot None then QCheck.Test.fail_report "differ on unbounded fuel";
+      for fuel = 0 to length + 1 do
+        if interp (Some fuel) <> aot (Some fuel) then
+          QCheck.Test.fail_reportf "differ at fuel %d of %d" fuel length
+      done;
+      true)
 
 (* Each fused idiom, run at every fuel from 0 to its length + 1, gives
    the interpreter's result or trap and retires the same count: a fused

@@ -750,57 +750,144 @@ let test_pool_bound () =
 
 (* --- The user PKRU of every function slot --- *)
 
-(* A WFD with every function slot spawned, once without and once with
-   IFI. *)
-let all_slots ifi =
-  let features = { Wfd.default_features with Wfd.ifi } in
-  let wfd, _ = fresh_wfd ~features () in
-  (wfd, Array.init Layout.function_slot_count (fun _ -> spawn wfd))
+(* A WFD with every function slot spawned and one AsBuffer page
+   allocated: the WFD, its threads by slot, and the page's address. *)
+let spawn_all_slots wfd =
+  let buffer =
+    match
+      Libos_mm.alloc_buffer wfd ~clock:(Clock.create ()) ~slot:"iso" ~size:Page.size
+        ~fingerprint:0L
+    with
+    | Ok b -> b.Libos_mm.addr
+    | Error e -> failwith (Errno.to_string e)
+  in
+  (wfd, Array.init Layout.function_slot_count (fun _ -> spawn wfd), buffer)
 
-let slot_wfds = lazy (all_slots false, all_slots true)
+let ifi_features ifi = { Wfd.default_features with Wfd.ifi }
+
+let fresh_slots ifi =
+  let wfd, _ = fresh_wfd ~features:(ifi_features ifi) () in
+  Libos.load_module wfd ~clock:(Clock.create ()) "mm";
+  spawn_all_slots wfd
+
+(* The same, on a pooled shell: a request used every slot and wrote
+   each heap and stack, released the shell to its pool, and the shell
+   was bound again. *)
+let rebound_slots ifi =
+  let proc_table = Hostos.Process.create_table () in
+  let tpl =
+    Wfd.create ~features:(ifi_features ifi) ~proc_table ~clock:(Clock.create ())
+      ~workflow_name:"tpl" ()
+  in
+  Libos.load_module tpl ~clock:(Clock.create ()) "mm";
+  let p = Wfd.pool tpl in
+  let bind () =
+    let w = Wfd.bind p ~proc_table:(Hostos.Process.create_table ()) ~clock:(Clock.create ()) in
+    Libos.attach_warm w ~clock:(Clock.create ());
+    spawn_all_slots w
+  in
+  let first, threads, _ = bind () in
+  Array.iter
+    (fun (th : Wfd.thread) ->
+      List.iter
+        (fun (r : Layout.region) ->
+          Address_space.store_byte first.Wfd.aspace ~pkru:th.Wfd.pkru r.Layout.base 'd')
+        [ Layout.function_heap th.Wfd.fn_slot; Layout.function_stack th.Wfd.fn_slot ])
+    threads;
+  if not (Wfd.release p first) then failwith "clean release must pool the shell";
+  let (again, _, _) as rebound = bind () in
+  if again != first then failwith "the pooled shell was not bound again";
+  rebound
+
+(* Fresh and rebound WFDs, without and with IFI. *)
+let slot_wfds =
+  lazy
+    (Array.map
+       (fun (rebound, ifi) -> if rebound then rebound_slots ifi else fresh_slots ifi)
+       [| (false, false); (false, true); (true, false); (true, true) |])
 
 let user_pkru_property =
   QCheck.Test.make
     ~name:"user PKRU grants exactly the slot key, the buffer key and key 0" ~count:100
-    QCheck.(pair bool (int_bound (Layout.function_slot_count - 1)))
-    (fun (ifi, other) ->
-      let wfd, threads =
-        let off, on = Lazy.force slot_wfds in
-        if ifi then on else off
-      in
+    QCheck.(
+      pair
+        (pair (int_bound 3) (int_bound (Layout.function_slot_count - 1)))
+        (triple (int_bound ((1 lsl 20) - 1)) (int_bound ((512 * 1024) - 1)) (int_bound max_int)))
+    (fun ((which, other), (heap_off, stack_off, code_off)) ->
+      let wfd, threads, buffer = (Lazy.force slot_wfds).(which) in
+      let ifi = wfd.Wfd.features.Wfd.ifi in
+      let aspace = wfd.Wfd.aspace in
       let other_key = Wfd.function_key wfd other in
-      let other_heap = (Layout.function_heap other).Layout.base in
+      (* Random addresses in another slot's heap and stack (inside the
+         arenas a spawn maps) and in the visor and libos code. *)
+      let foreign =
+        [
+          (Layout.function_heap other).Layout.base + heap_off;
+          (Layout.function_stack other).Layout.base + stack_off;
+        ]
+      in
+      let system =
+        List.map
+          (fun (r : Layout.region) -> r.Layout.base + (code_off mod r.Layout.size))
+          [ Layout.visor_code; Layout.libos_code ]
+      in
       (* Without IFI every slot runs on the shared user key; with it,
          slots rotate through keys 4..15, so slots 12 apart share one. *)
       let expected_key slot =
         if ifi then Prot.key_of_int (4 + (slot mod 12)) else Wfd.shared_user_key
       in
+      let access pkru acc addr =
+        match acc with
+        | Prot.Write -> Address_space.store_byte aspace ~pkru addr 's'
+        | Prot.Read | Prot.Execute -> ignore (Address_space.load_byte aspace ~pkru addr)
+      in
+      (* [Some false] when the access succeeds, [Some true] when it
+         faults with [Pkey_denied] on this very address for its page's
+         key, [None] on any other fault. *)
+      let denied pkru acc addr =
+        match access pkru acc addr with
+        | () -> Some false
+        | exception Address_space.Fault { addr = at; kind = Address_space.Pkey_denied (a, key) }
+          when at = addr && a = acc && key = Address_space.key_of aspace addr ->
+            Some true
+        | exception Address_space.Fault _ -> None
+      in
       Array.for_all
         (fun (th : Wfd.thread) ->
+          let pkru = th.Wfd.user_pkru in
           let own = Wfd.function_key wfd th.Wfd.fn_slot in
           let granted key = key = own || key = Wfd.buffer_key || key = Prot.default_key in
           let rights_exact =
             List.for_all
               (fun i ->
                 let key = Prot.key_of_int i in
-                Prot.can_read th.Wfd.user_pkru key = granted key
-                && Prot.can_write th.Wfd.user_pkru key = granted key)
+                Prot.can_read pkru key = granted key && Prot.can_write pkru key = granted key)
               (List.init 16 Fun.id)
           in
-          (* A load from another slot's heap faults exactly when that
-             slot's key is not this slot's. *)
-          let load_agrees =
-            match
-              Address_space.load_byte wfd.Wfd.aspace ~pkru:th.Wfd.user_pkru other_heap
-            with
-            | _ -> other_key = own
-            | exception Address_space.Fault { kind = Address_space.Pkey_denied (_, key); _ }
-              ->
-                key = other_key && other_key <> own
+          (* Another slot's memory faults exactly when its key is not
+             this slot's, for loads and stores alike. *)
+          let foreign_agrees =
+            List.for_all
+              (fun addr ->
+                List.for_all
+                  (fun acc -> denied pkru acc addr = Some (other_key <> own))
+                  [ Prot.Read; Prot.Write ])
+              foreign
+          in
+          let own_heap = (Layout.function_heap th.Wfd.fn_slot).Layout.base + heap_off in
+          let own_heap_writable =
+            let c = Char.chr (th.Wfd.fn_slot + 1) in
+            Address_space.store_byte aspace ~pkru own_heap c;
+            Address_space.load_byte aspace ~pkru own_heap = c
+          in
+          let system_denied = List.for_all (fun a -> denied pkru Prot.Read a = Some true) system in
+          let buffer_allowed =
+            denied pkru Prot.Write buffer = Some false && denied pkru Prot.Read buffer = Some false
           in
           own = expected_key th.Wfd.fn_slot
-          && Prot.equal_pkru th.Wfd.pkru th.Wfd.user_pkru
-          && rights_exact && load_agrees)
+          && Prot.equal_pkru th.Wfd.pkru pkru
+          && rights_exact && foreign_agrees && own_heap_writable && system_denied
+          && buffer_allowed)
         threads
       && Array.length threads = 64
       && Array.for_all Fun.id (Array.mapi (fun i (th : Wfd.thread) -> th.Wfd.fn_slot = i) threads))
