@@ -98,9 +98,10 @@ let make ?(options = default_options) () =
       else split_stages app.Fctx.stages ~parts:options.nodes
     in
     (* Payloads that may cross a WFD boundary, by slot: the producing
-       group and a copy of the bytes.  Only a multi-node split keeps
-       them; within one WFD a payload moves by reference.  Reading a
-       slot, locally or by a remote pull, drops its copy: AsBuffer
+       group and the sent bytes themselves, which a send shares with
+       its receiver, so a remote pull hands over the same bytes a local
+       read would.  Only a multi-node split keeps them.  Reading a
+       slot, locally or by a remote pull, drops its entry: AsBuffer
        frees a slot when it is read, so a split reads a payload at most
        once, as one WFD does. *)
     let stash : (string, int * bytes) Hashtbl.t = Hashtbl.create 8 in
@@ -127,7 +128,7 @@ let make ?(options = default_options) () =
                 write_output = (fun path data -> Asstd.write_whole_file actx path data);
                 send =
                   (fun ~slot data ->
-                    if multi then Hashtbl.replace stash slot (group, Bytes.copy data);
+                    if multi then Hashtbl.replace stash slot (group, data);
                     ignore (Asbuffer.with_slot_raw actx ~slot data));
                 recv =
                   (fun ~slot ->

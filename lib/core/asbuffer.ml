@@ -53,10 +53,17 @@ let store_encoded ctx ~slot encoded fingerprint =
      buffer key, which the user PKRU grants. *)
   Address_space.store_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru
     buffer.Libos_mm.addr encoded;
+  (* The pages hold the payload; the receiver takes these very bytes
+     (the host form of Rust's move), so nobody writes to them again. *)
+  buffer.Libos_mm.payload <- encoded;
   charge_traversal ctx (Bytes.length encoded);
   { slot; buffer = Some buffer; size = Bytes.length encoded }
 
-let load_handle ctx ~slot ~fingerprint =
+(* Acquire a slot, walk its pages as the receiver (every permission and
+   PKRU check, access count and demand fault of a read) and free the
+   buffer: ownership moved to the receiver, which gets the producer's
+   bytes instead of a copy of the pages. *)
+let take ctx ~slot ~fingerprint =
   let wfd = ctx.Asstd.wfd in
   let thread = ctx.Asstd.thread in
   let buffer =
@@ -66,12 +73,11 @@ let load_handle ctx ~slot ~fingerprint =
         | Error e -> raise (Errno.Error (e, slot)))
   in
   charge_ifi ctx buffer.Libos_mm.size;
-  let data =
-    Address_space.load_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru
-      buffer.Libos_mm.addr buffer.Libos_mm.size
-  in
+  Address_space.touch_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru
+    buffer.Libos_mm.addr buffer.Libos_mm.size;
   charge_traversal ctx buffer.Libos_mm.size;
-  ({ slot; buffer = Some buffer; size = buffer.Libos_mm.size }, data)
+  Libos_mm.free_buffer wfd buffer;
+  buffer.Libos_mm.payload
 
 let transfer_histo = Metrics.histogram "asbuffer.transfer_bytes"
 
@@ -95,19 +101,10 @@ let with_slot ctx ~slot value =
 
 let from_slot ctx ~slot ~expect =
   transfer_span ctx ~label:"get" ~slot (fun () ->
-      if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then begin
-        let handle, data =
-          load_handle ctx ~slot ~fingerprint:(Fndata.fingerprint expect)
-        in
-        let value = Fndata.decode data in
-        (* Ownership moved to the receiver, which has now consumed the
-           value; recover the heap block. *)
-        (match handle.buffer with
-        | Some b -> Libos_mm.free_buffer ctx.Asstd.wfd b
-        | None -> ());
-        value
-      end
-      else Fndata.decode (file_from_slot ctx ~slot))
+      Fndata.decode
+        (if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then
+           take ctx ~slot ~fingerprint:(Fndata.fingerprint expect)
+         else file_from_slot ctx ~slot))
 
 (* A raw transfer: its transfer span inside the named host section
    ("asbuffer.put"/"asbuffer.get"), which closes on every exit. *)
@@ -130,42 +127,11 @@ let with_slot_raw ctx ~slot data =
 
 let from_slot_raw ctx ~slot =
   raw_transfer ctx ~section:"asbuffer.get" ~label:"get" ~slot (fun () ->
-      if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then begin
-        let handle, data = load_handle ctx ~slot ~fingerprint:raw_fingerprint in
-        (* Free immediately: ownership transferred to the receiver, which
-           consumes the bytes it just traversed. *)
-        (match handle.buffer with
-        | Some b -> Libos_mm.free_buffer ctx.Asstd.wfd b
-        | None -> ());
-        data
-      end
+      if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then
+        take ctx ~slot ~fingerprint:raw_fingerprint
       else file_from_slot ctx ~slot)
 
-(* Consume a raw slot without materialising the payload: the virtual
-   path is byte-for-byte the one [from_slot_raw] takes — same buffer
-   syscalls, same page traversal (access accounting included), same
-   clock charges, same free — but the host-side copy of the bytes is
-   never built.  For consumers that model work on the payload
-   rather than computing on its contents. *)
-let consume_slot_raw ctx ~slot =
-  raw_transfer ctx ~section:"asbuffer.get" ~label:"get" ~slot (fun () ->
-      if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then begin
-        let wfd = ctx.Asstd.wfd in
-        let thread = ctx.Asstd.thread in
-        let buffer =
-          Asstd.sys ctx "acquire_buffer" (fun ~clock ->
-              match Libos_mm.acquire_buffer wfd ~clock ~slot ~fingerprint:raw_fingerprint with
-              | Ok b -> b
-              | Error e -> raise (Errno.Error (e, slot)))
-        in
-        charge_ifi ctx buffer.Libos_mm.size;
-        Address_space.touch_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru
-          buffer.Libos_mm.addr buffer.Libos_mm.size;
-        charge_traversal ctx buffer.Libos_mm.size;
-        Libos_mm.free_buffer wfd buffer;
-        buffer.Libos_mm.size
-      end
-      else Bytes.length (file_from_slot ctx ~slot))
+let consume_slot_raw ctx ~slot = Bytes.length (from_slot_raw ctx ~slot)
 
 let free ctx handle =
   match handle.buffer with

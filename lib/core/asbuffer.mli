@@ -5,7 +5,14 @@
     user context (the buffer pages carry the buffer protection key, so
     the MPK check really passes — and really fails from another WFD).
     [from_slot] resolves the slot through [acquire_buffer], verifies
-    the type fingerprint and reads the data zero-copy.
+    the type fingerprint and reads the data zero-copy: the receiver
+    walks the buffer pages under its own PKRU (every permission check,
+    access count and clock charge of a read) and then takes the bytes
+    the producer stored, not a copy of the pages.
+
+    {b Sharing rule.}  Bytes passed to {!with_slot_raw} are shared with
+    their receiver, the host form of the paper's Rust move: neither the
+    producer nor any receiver may modify them afterwards.
 
     When the WFD's [ref_passing] feature is disabled (the Fig. 14
     ablation "base"/"+on-demand" bars), both operations transparently
@@ -32,17 +39,21 @@ val from_slot : Asstd.ctx -> slot:string -> expect:Fndata.t -> Fndata.t
 
 val with_slot_raw : Asstd.ctx -> slot:string -> bytes -> handle
 (** Bulk-bytes fast path (what the C/Python string interface and the
-    benchmark data plane use). *)
+    benchmark data plane use).  The buffer keeps the bytes themselves
+    for its receiver: the caller must not modify them afterwards. *)
 
 val from_slot_raw : Asstd.ctx -> slot:string -> bytes
+(** Acquire, walk and free a raw slot, returning the very bytes its
+    producer passed to {!with_slot_raw}; the receiver must not modify
+    them.  Raises {!Errno.Error} like {!from_slot}, and
+    {!Mem.Address_space.Fault} when the receiver's PKRU denies the
+    buffer key, before any bytes are handed over.  With [ref_passing]
+    off, a copy read back from the FAT image. *)
 
 val consume_slot_raw : Asstd.ctx -> slot:string -> int
-(** Acquire, traverse and free a raw slot without materialising its
-    payload, returning the byte count drained.  Virtual behaviour
-    (syscalls, page-walk accounting, clock charges, buffer free) is
-    identical to [from_slot_raw]; only the host-side copy is skipped.
-    For consumers that model work on the payload rather than reading
-    its bytes. *)
+(** [Bytes.length (from_slot_raw ctx ~slot)]: drain a raw slot and
+    return its byte count, for consumers that model work on the payload
+    rather than reading its bytes. *)
 
 val free : Asstd.ctx -> handle -> unit
 (** Return the buffer to the heap (receiver side, after consumption). *)

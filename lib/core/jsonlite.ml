@@ -111,27 +111,41 @@ let parse_string_body s =
   in
   go ()
 
+(* RFC 8259 §6: -? (0 | [1-9][0-9]* ) (\.[0-9]+)? ([eE][+-]?[0-9]+)?.
+   A number with neither fraction nor exponent that fits in an [int] is
+   an [Int]; every other number is a [Float]. *)
 let parse_number s =
   let start = s.pos in
-  let is_num_char c =
-    (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+  let is_digit = function Some '0' .. '9' -> true | Some _ | None -> false in
+  let digits () =
+    if not (is_digit (peek s)) then fail s.pos "expected a digit in number";
+    while is_digit (peek s) do
+      advance s
+    done
   in
-  let rec go () =
-    match peek s with
-    | Some c when is_num_char c ->
-        advance s;
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
+  if peek s = Some '-' then advance s;
+  if peek s = Some '0' then begin
+    advance s;
+    if is_digit (peek s) then fail start "leading zero in number"
+  end
+  else digits ();
+  let integral = ref true in
+  if peek s = Some '.' then begin
+    advance s;
+    integral := false;
+    digits ()
+  end;
+  (match peek s with
+  | Some ('e' | 'E') ->
+      advance s;
+      integral := false;
+      (match peek s with Some ('+' | '-') -> advance s | Some _ | None -> ());
+      digits ()
+  | Some _ | None -> ());
   let text = String.sub s.input start (s.pos - start) in
-  match int_of_string_opt text with
+  match if !integral then int_of_string_opt text else None with
   | Some i -> Int i
-  | None -> begin
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail start "invalid number %S" text
-    end
+  | None -> Float (float_of_string text)
 
 let rec parse_value s =
   skip_ws s;

@@ -1,8 +1,9 @@
 (** Minimal JSON parser/printer for workflow configuration files.
 
     Supports objects, arrays, strings (every JSON escape, [\uXXXX]
-    decoded to UTF-8 with surrogate pairs combined), integers, floats,
-    booleans and null — enough for the gateway's workflow configs
+    decoded to UTF-8 with surrogate pairs combined), numbers in RFC
+    8259's grammar (an [Int] when there is no fraction or exponent and
+    the value fits, a [Float] otherwise), booleans and null — enough for the gateway's workflow configs
     without an external dependency. *)
 
 type t =

@@ -1,7 +1,7 @@
 open Sim
 open Mem
 
-type buffer = { addr : int; size : int; fingerprint : int64 }
+type buffer = { addr : int; size : int; fingerprint : int64; mutable payload : bytes }
 
 type state = {
   slots : (string, buffer) Hashtbl.t;
@@ -34,7 +34,7 @@ let alloc_buffer (wfd : Wfd.t) ~clock ~slot ~size ~fingerprint =
           ~pkey:Wfd.buffer_key;
         Hostos.Process.charge_rss wfd.Wfd.proc_table wfd.Wfd.pid rounded;
         Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Mmap);
-        let buffer = { addr; size; fingerprint } in
+        let buffer = { addr; size; fingerprint; payload = Bytes.empty } in
         Hashtbl.replace st.slots slot buffer;
         st.live_bytes <- st.live_bytes + rounded;
         Ok buffer

@@ -7,7 +7,16 @@
     {e removes} the entry so no two functions can own the same buffer
     (§7.1).  [mmap] maps anonymous memory into the caller's slot. *)
 
-type buffer = { addr : int; size : int; fingerprint : int64 }
+type buffer = {
+  addr : int;
+  size : int;
+  fingerprint : int64;
+  mutable payload : bytes;
+      (** The host bytes the producer stored into the buffer pages
+          ({!Asbuffer} records them after the store); empty until then.
+          A receiver hands them over after its own page walk instead of
+          copying the pages out. *)
+}
 
 val init : Wfd.t -> clock:Sim.Clock.t -> unit
 (** Install the slot map (called by the module loader). *)

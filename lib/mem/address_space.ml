@@ -286,10 +286,10 @@ let load_bytes t ~pkru addr len =
   buf
 
 (* Traverse a readable range without materialising a copy: the page
-   walk (permission checks and access accounting) is identical to
-   [load_bytes], only the destination buffer is gone.  For consumers
-   that own the bytes but never look at them — draining a transfer
-   slot whose payload is modelled, not computed on. *)
+   walk (permission checks, demand faults and access accounting) is
+   identical to [load_bytes], only the destination buffer is gone.  For
+   readers that already hold the bytes the range contains — an AsBuffer
+   receiver, which takes the producer's bytes after this walk. *)
 let touch_bytes t ~pkru addr len =
   walk t ~pkru ~access:Prot.Read addr len (fun _ _ _ _ -> ())
 

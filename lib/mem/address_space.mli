@@ -68,14 +68,16 @@ val load_byte : t -> pkru:Prot.pkru -> int -> char
 val store_byte : t -> pkru:Prot.pkru -> int -> char -> unit
 
 val load_bytes : t -> pkru:Prot.pkru -> int -> int -> bytes
-(** [load_bytes t ~pkru addr len]. *)
+(** [load_bytes t ~pkru addr len]: a fresh copy of the range.  No
+    program path copies pages out; the tests read through it. *)
 
 val store_bytes : t -> pkru:Prot.pkru -> int -> bytes -> unit
 
 val touch_bytes : t -> pkru:Prot.pkru -> int -> int -> unit
 (** [touch_bytes t ~pkru addr len] performs the same permission-checked
-    page walk as {!load_bytes} — identical faults and access
-    accounting — without materialising a copy of the range. *)
+    page walk as {!load_bytes} — identical faults, demand-fault service
+    and access accounting — without materialising a copy of the range:
+    the read of a caller that already holds the range's bytes. *)
 
 (** {1 Fetch} *)
 

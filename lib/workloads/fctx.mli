@@ -12,9 +12,14 @@ type t = {
       (** Read a named input file (charges the platform's storage). *)
   write_output : string -> bytes -> unit;
   send : slot:string -> bytes -> unit;
-      (** Publish intermediate data under a slot name. *)
+      (** Publish intermediate data under a slot name.  The bytes are
+          shared with their receiver (on AlloyStack they are the very
+          bytes [recv] returns, the host form of the paper's Rust
+          move): the sender must not modify them afterwards. *)
   recv : slot:string -> bytes;
-      (** Take intermediate data; raises [Not_found] for a dead slot. *)
+      (** Take intermediate data; raises [Not_found] for a dead slot.
+          The bytes may be the sender's own, so the receiver must not
+          modify them either. *)
   println : string -> unit;
   compute : Sim.Units.time -> unit;
       (** Charge pure computation measured in native time; the platform

@@ -226,6 +226,119 @@ let asbuffer_roundtrip_property =
       ignore (Asbuffer.with_slot_raw ctx_a ~slot (Bytes.of_string payload));
       Bytes.to_string (Asbuffer.from_slot_raw ctx_b ~slot) = payload)
 
+(* --- the hand-over: the receiver takes the producer's bytes --- *)
+
+let test_asbuffer_raw_hands_over () =
+  let ctx_a, _ = fresh_ctx () in
+  let ctx_b = second_fn ctx_a in
+  let payload = Bytes.make 10_000 'h' in
+  ignore (Asbuffer.with_slot_raw ctx_a ~slot:"s" payload);
+  Alcotest.(check bool) "the very bytes sent" true (Asbuffer.from_slot_raw ctx_b ~slot:"s" == payload)
+
+(* Every word the GC allocates, direct major allocations included: the
+   minor count from [Gc.minor_words], which is exact on OCaml 5.1. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_asbuffer_receive_allocation () =
+  let ctx_a, _ = fresh_ctx () in
+  let ctx_b = second_fn ctx_a in
+  ignore (Asbuffer.with_slot_raw ctx_a ~slot:"warm" (Bytes.make 1 'x'));
+  ignore (Asbuffer.from_slot_raw ctx_b ~slot:"warm");
+  let payload = Bytes.make (Units.mib 1) 'm' in
+  ignore (Asbuffer.with_slot_raw ctx_a ~slot:"s" payload);
+  let w0 = allocated_words () in
+  ignore (Sys.opaque_identity (Asbuffer.from_slot_raw ctx_b ~slot:"s"));
+  let words = allocated_words () -. w0 in
+  (* A copy of the pages alone is 131 072 words. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "1 MiB receive allocates < 1 000 words (got %.0f)" words)
+    true (words < 1_000.0)
+
+let test_asbuffer_pkey_denied_receiver () =
+  let ctx_a, _ = fresh_ctx () in
+  let ctx_b = second_fn ctx_a in
+  ignore (Asbuffer.with_slot_raw ctx_a ~slot:"s" (Bytes.make 5_000 's'));
+  let denied = Mem.Prot.deny ctx_b.Asstd.thread.Wfd.user_pkru Wfd.buffer_key in
+  let ctx_b =
+    { ctx_b with Asstd.thread = { ctx_b.Asstd.thread with Wfd.pkru = denied; user_pkru = denied } }
+  in
+  match Asbuffer.from_slot_raw ctx_b ~slot:"s" with
+  | _ -> Alcotest.fail "a receiver without the buffer key must not get the bytes"
+  | exception
+      Mem.Address_space.Fault { kind = Mem.Address_space.Pkey_denied (Mem.Prot.Read, key); _ }
+    ->
+      Alcotest.(check int) "buffer key" (Mem.Prot.key_to_int Wfd.buffer_key)
+        (Mem.Prot.key_to_int key)
+
+(* Payload lengths: empty, one byte, the first page boundary, every
+   page multiple up to 1 MiB and one byte either side, and random. *)
+let payload_length =
+  let page = Mem.Page.size in
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; 4095; 4096; 4097 ];
+        map2 (fun k d -> (k * page) + d) (int_range 1 256) (int_range (-1) 1);
+        int_range 0 (Units.mib 1);
+      ])
+
+(* What a receive leaves observable: the value it returns, the buffer
+   pages as read just before it, and the WFD and thread state after. *)
+let observe ~receive ~typed ~ifi ~len ~seed =
+  let ctx_a, wfd = fresh_ctx ~features:{ Wfd.default_features with Wfd.ifi } () in
+  let ctx_b = second_fn ctx_a in
+  let payload = Sim.Rng.bytes (Sim.Rng.create seed) len in
+  let value = Fndata.Record [ ("n", Fndata.Int (Int64.of_int len)); ("p", Fndata.Raw payload) ] in
+  ignore (Asbuffer.with_slot_raw ctx_a ~slot:"live" (Bytes.make 10 'l'));
+  let sent =
+    if typed then begin
+      ignore (Asbuffer.with_slot ctx_a ~slot:"s" value);
+      Fndata.encode value
+    end
+    else begin
+      ignore (Asbuffer.with_slot_raw ctx_a ~slot:"s" payload);
+      payload
+    end
+  in
+  let b = Option.get (Libos_mm.peek_slot wfd "s") in
+  let pages =
+    Mem.Address_space.load_bytes wfd.Wfd.aspace ~pkru:ctx_b.Asstd.thread.Wfd.pkru
+      b.Libos_mm.addr b.Libos_mm.size
+  in
+  let got = receive ctx_b ~typed ~expect:value in
+  ( Bytes.equal pages sent,
+    got = (if typed then value else Fndata.Raw payload),
+    ( got,
+      Mem.Address_space.access_count wfd.Wfd.aspace,
+      Mem.Address_space.touched_fault_count wfd.Wfd.aspace,
+      Clock.now ctx_b.Asstd.thread.Wfd.clock,
+      Hostos.Process.rss wfd.Wfd.proc_table wfd.Wfd.pid,
+      Libos_mm.live_buffer_bytes wfd,
+      Libos_mm.live_slots wfd ) )
+
+let asbuffer_copy_differential =
+  QCheck.Test.make ~name:"asbuffer: receive agrees with the copying receive" ~count:80
+    QCheck.(
+      make
+        ~print:(fun (len, typed, ifi, seed) ->
+          Printf.sprintf "len=%d typed=%b ifi=%b seed=%d" len typed ifi seed)
+        Gen.(quad payload_length bool bool (int_bound 1_000)))
+    (fun (len, typed, ifi, seed) ->
+      let receive f_raw f_typed ctx ~typed ~expect =
+        if typed then f_typed ctx ~slot:"s" ~expect else Fndata.Raw (f_raw ctx ~slot:"s")
+      in
+      let pages_ok, value_ok, fast =
+        observe ~typed ~ifi ~len ~seed
+          ~receive:(receive Asbuffer.from_slot_raw Asbuffer.from_slot)
+      in
+      let _, _, copying =
+        observe ~typed ~ifi ~len ~seed
+          ~receive:(receive Oracle.Asbuffer_copy.from_slot_raw Oracle.Asbuffer_copy.from_slot)
+      in
+      pages_ok && value_ok && fast = copying)
+
 let suite =
   [
     Alcotest.test_case "sys loads on demand" `Quick test_sys_loads_on_demand;
@@ -244,4 +357,10 @@ let suite =
     Alcotest.test_case "file fallback slower" `Quick test_asbuffer_file_fallback_slower;
     Alcotest.test_case "memory recovered" `Quick test_asbuffer_memory_recovered;
     QCheck_alcotest.to_alcotest asbuffer_roundtrip_property;
+    Alcotest.test_case "raw receive hands over the sent bytes" `Quick
+      test_asbuffer_raw_hands_over;
+    Alcotest.test_case "1 MiB receive allocates no copy" `Quick test_asbuffer_receive_allocation;
+    Alcotest.test_case "receiver denied the buffer key gets no bytes" `Quick
+      test_asbuffer_pkey_denied_receiver;
+    QCheck_alcotest.to_alcotest asbuffer_copy_differential;
   ]

@@ -16,9 +16,22 @@ let test_json_scalars () =
   Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" (str {|"\ud83d\ude00"|});
   Alcotest.(check string) "JSON escapes out" "\"caf\xc3\xa9\\u0001\\\"\\\\\\b\\f\\n\\r\\t\\u007f\""
     (Jsonlite.to_string (Jsonlite.String "caf\xc3\xa9\x01\"\\\b\012\n\r\t\x7f"));
-  match Jsonlite.parse "3.5" with
+  (match Jsonlite.parse "3.5" with
   | Jsonlite.Float f -> Alcotest.(check (float 1e-9)) "float" 3.5 f
-  | _ -> Alcotest.fail "expected float"
+  | _ -> Alcotest.fail "expected float");
+  (* RFC 8259 numbers: no fraction or exponent and in range is an Int,
+     anything else a Float. *)
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check bool) text true (Jsonlite.parse text = want))
+    [
+      ("0", Jsonlite.Int 0);
+      ("-0", Jsonlite.Int 0);
+      ("1.5e-3", Jsonlite.Float 1.5e-3);
+      ("1E+2", Jsonlite.Float 100.0);
+      ("12345678901234567890", Jsonlite.Float 12345678901234567890.0);
+      ("[0,-0.0]", Jsonlite.List [ Jsonlite.Int 0; Jsonlite.Float (-0.0) ]);
+    ]
 
 let test_json_structures () =
   let j = Jsonlite.parse {| { "a": [1, 2, 3], "b": { "c": "x" }, "d": false } |} in
@@ -40,6 +53,8 @@ let test_json_errors () =
       (* Escapes: unknown, short or non-hex \u, lone surrogates. *)
       {|"\x"|}; {|"\u12"|}; {|"\u12g4"|}; {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
       {|"\ude00"|};
+      (* Numbers outside RFC 8259's grammar. *)
+      "1."; "0123"; "-01"; "01.5"; "1.e3"; "-"; "+1"; ".5"; "1e"; "1e+"; "-.5"; "[1.]"; "[00]";
     ]
 
 let test_json_float_format () =
