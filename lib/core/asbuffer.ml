@@ -40,12 +40,11 @@ let store_encoded ctx ~slot encoded fingerprint =
   charge_ifi ctx (Bytes.length encoded);
   (* Smart-pointer construction (§8.3's constant 4.4us). *)
   Clock.advance thread.Wfd.clock Cost.smart_pointer_overhead;
+  (* The buffer keeps [encoded]: the receiver takes these very bytes
+     (the host form of Rust's move), so nobody writes to them again. *)
   let buffer =
     Asstd.sys ctx "alloc_buffer" (fun ~clock ->
-        match
-          Libos_mm.alloc_buffer wfd ~clock ~slot ~size:(Bytes.length encoded)
-            ~fingerprint
-        with
+        match Libos_mm.alloc_buffer wfd ~clock ~slot ~payload:encoded ~fingerprint with
         | Ok b -> b
         | Error e -> raise (Errno.Error (e, slot)))
   in
@@ -53,9 +52,6 @@ let store_encoded ctx ~slot encoded fingerprint =
      buffer key, which the user PKRU grants. *)
   Address_space.store_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru
     buffer.Libos_mm.addr encoded;
-  (* The pages hold the payload; the receiver takes these very bytes
-     (the host form of Rust's move), so nobody writes to them again. *)
-  buffer.Libos_mm.payload <- encoded;
   charge_traversal ctx (Bytes.length encoded);
   { slot; buffer = Some buffer; size = Bytes.length encoded }
 
@@ -72,10 +68,10 @@ let take ctx ~slot ~fingerprint =
         | Ok b -> b
         | Error e -> raise (Errno.Error (e, slot)))
   in
-  charge_ifi ctx buffer.Libos_mm.size;
-  Address_space.touch_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru
-    buffer.Libos_mm.addr buffer.Libos_mm.size;
-  charge_traversal ctx buffer.Libos_mm.size;
+  let size = Libos_mm.size buffer in
+  charge_ifi ctx size;
+  Address_space.touch_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru buffer.Libos_mm.addr size;
+  charge_traversal ctx size;
   Libos_mm.free_buffer wfd buffer;
   buffer.Libos_mm.payload
 

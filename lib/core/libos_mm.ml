@@ -1,7 +1,9 @@
 open Sim
 open Mem
 
-type buffer = { addr : int; size : int; fingerprint : int64; mutable payload : bytes }
+type buffer = { addr : int; fingerprint : int64; payload : bytes }
+
+let size buffer = Bytes.length buffer.payload
 
 type state = {
   slots : (string, buffer) Hashtbl.t;
@@ -21,12 +23,12 @@ let state wfd = Ext.get_exn wfd.Wfd.ext key
 
 let page_round n = (n + Page.size - 1) / Page.size * Page.size
 
-let alloc_buffer (wfd : Wfd.t) ~clock ~slot ~size ~fingerprint =
+let alloc_buffer (wfd : Wfd.t) ~clock ~slot ~payload ~fingerprint =
   let st = state wfd in
   Clock.advance clock Cost.slot_map_op;
   if Hashtbl.mem st.slots slot then Error Errno.Eexist
   else begin
-    let rounded = page_round (Stdlib.max 1 size) in
+    let rounded = page_round (Stdlib.max 1 (Bytes.length payload)) in
     match Alloc.alloc wfd.Wfd.buffer_alloc ~size:rounded ~align:Page.size with
     | None -> Error Errno.Enomem
     | Some addr ->
@@ -34,7 +36,7 @@ let alloc_buffer (wfd : Wfd.t) ~clock ~slot ~size ~fingerprint =
           ~pkey:Wfd.buffer_key;
         Hostos.Process.charge_rss wfd.Wfd.proc_table wfd.Wfd.pid rounded;
         Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Mmap);
-        let buffer = { addr; size; fingerprint; payload = Bytes.empty } in
+        let buffer = { addr; fingerprint; payload } in
         Hashtbl.replace st.slots slot buffer;
         st.live_bytes <- st.live_bytes + rounded;
         Ok buffer
@@ -56,7 +58,7 @@ let acquire_buffer (wfd : Wfd.t) ~clock ~slot ~fingerprint =
 
 let free_buffer (wfd : Wfd.t) buffer =
   let st = state wfd in
-  let rounded = page_round (Stdlib.max 1 buffer.size) in
+  let rounded = page_round (Stdlib.max 1 (size buffer)) in
   Address_space.unmap wfd.Wfd.aspace ~addr:buffer.addr ~len:rounded;
   Alloc.free wfd.Wfd.buffer_alloc buffer.addr;
   Hostos.Process.release_rss wfd.Wfd.proc_table wfd.Wfd.pid rounded;

@@ -9,14 +9,16 @@
 
 type buffer = {
   addr : int;
-  size : int;
   fingerprint : int64;
-  mutable payload : bytes;
-      (** The host bytes the producer stored into the buffer pages
-          ({!Asbuffer} records them after the store); empty until then.
-          A receiver hands them over after its own page walk instead of
+  payload : bytes;
+      (** The host bytes the producer stores into the buffer pages.  A
+          receiver hands them over after its own page walk instead of
           copying the pages out. *)
 }
+
+val size : buffer -> int
+(** The payload's length; the buffer maps it rounded up to whole
+    pages. *)
 
 val init : Wfd.t -> clock:Sim.Clock.t -> unit
 (** Install the slot map (called by the module loader). *)
@@ -25,10 +27,12 @@ val alloc_buffer :
   Wfd.t ->
   clock:Sim.Clock.t ->
   slot:string ->
-  size:int ->
+  payload:bytes ->
   fingerprint:int64 ->
   (buffer, Errno.t) result
-(** [Eexist] if the slot is live, [Enomem] if the heap is exhausted. *)
+(** Map pages for [payload] (the caller stores it into them) and bind
+    the slot.  [Eexist] if the slot is live, [Enomem] if the heap is
+    exhausted. *)
 
 val acquire_buffer :
   Wfd.t ->

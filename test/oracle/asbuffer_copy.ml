@@ -8,7 +8,7 @@ let take (ctx : Asstd.ctx) ~slot ~fingerprint =
         | Ok b -> b
         | Error e -> raise (Errno.Error (e, slot)))
   in
-  let len = buffer.Libos_mm.size in
+  let len = Libos_mm.size buffer in
   if wfd.Wfd.features.Wfd.ifi then
     Sim.Clock.advance thread.Wfd.clock (Cost.ifi_transfer_overhead len);
   let data =

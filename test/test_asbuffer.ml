@@ -305,7 +305,7 @@ let observe ~receive ~typed ~ifi ~len ~seed =
   let b = Option.get (Libos_mm.peek_slot wfd "s") in
   let pages =
     Mem.Address_space.load_bytes wfd.Wfd.aspace ~pkru:ctx_b.Asstd.thread.Wfd.pkru
-      b.Libos_mm.addr b.Libos_mm.size
+      b.Libos_mm.addr (Libos_mm.size b)
   in
   let got = receive ctx_b ~typed ~expect:value in
   ( Bytes.equal pages sent,

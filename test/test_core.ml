@@ -31,7 +31,11 @@ let test_json_scalars () =
       ("1E+2", Jsonlite.Float 100.0);
       ("12345678901234567890", Jsonlite.Float 12345678901234567890.0);
       ("[0,-0.0]", Jsonlite.List [ Jsonlite.Int 0; Jsonlite.Float (-0.0) ]);
-    ]
+    ];
+  (* [=] equates the two zeros, so the sign is checked on its own. *)
+  match Jsonlite.parse "-0.0" with
+  | Jsonlite.Float f -> Alcotest.(check bool) "-0.0 keeps its sign" true (Float.sign_bit f)
+  | _ -> Alcotest.fail "expected float"
 
 let test_json_structures () =
   let j = Jsonlite.parse {| { "a": [1, 2, 3], "b": { "c": "x" }, "d": false } |} in

@@ -202,7 +202,7 @@ let test_mm_alloc_acquire () =
   let wfd = mm_wfd () in
   let clock = Clock.create () in
   let buf =
-    match Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~size:10_000 ~fingerprint:42L with
+    match Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~payload:(Bytes.make 10_000 'p') ~fingerprint:42L with
     | Ok b -> b
     | Error e -> Alcotest.fail (Errno.to_string e)
   in
@@ -221,7 +221,7 @@ let test_mm_alloc_acquire () =
 let test_mm_fingerprint_mismatch () =
   let wfd = mm_wfd () in
   let clock = Clock.create () in
-  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~size:100 ~fingerprint:1L);
+  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~payload:(Bytes.make 100 'p') ~fingerprint:1L);
   (match Libos_mm.acquire_buffer wfd ~clock ~slot:"s" ~fingerprint:2L with
   | Error Errno.Einval -> ()
   | Ok _ | Error _ -> Alcotest.fail "fingerprint mismatch must be EINVAL");
@@ -233,8 +233,8 @@ let test_mm_fingerprint_mismatch () =
 let test_mm_duplicate_slot () =
   let wfd = mm_wfd () in
   let clock = Clock.create () in
-  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~size:100 ~fingerprint:1L);
-  match Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~size:100 ~fingerprint:1L with
+  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~payload:(Bytes.make 100 'p') ~fingerprint:1L);
+  match Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~payload:(Bytes.make 100 'p') ~fingerprint:1L with
   | Error Errno.Eexist -> ()
   | Ok _ | Error _ -> Alcotest.fail "duplicate slot must be EEXIST"
 
@@ -242,7 +242,7 @@ let test_mm_free_unmaps () =
   let wfd = mm_wfd () in
   let clock = Clock.create () in
   let buf =
-    Result.get_ok (Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~size:8192 ~fingerprint:1L)
+    Result.get_ok (Libos_mm.alloc_buffer wfd ~clock ~slot:"s" ~payload:(Bytes.make 8192 'p') ~fingerprint:1L)
   in
   let b = Result.get_ok (Libos_mm.acquire_buffer wfd ~clock ~slot:"s" ~fingerprint:1L) in
   Libos_mm.free_buffer wfd b;
@@ -253,8 +253,8 @@ let test_mm_free_unmaps () =
 let test_mm_slot_listing () =
   let wfd = mm_wfd () in
   let clock = Clock.create () in
-  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"a" ~size:10 ~fingerprint:1L);
-  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"b" ~size:10 ~fingerprint:1L);
+  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"a" ~payload:(Bytes.make 10 'p') ~fingerprint:1L);
+  ignore (Libos_mm.alloc_buffer wfd ~clock ~slot:"b" ~payload:(Bytes.make 10 'p') ~fingerprint:1L);
   Alcotest.(check (list string)) "live slots" [ "a"; "b" ] (Libos_mm.live_slots wfd);
   Alcotest.(check bool) "peek" true (Libos_mm.peek_slot wfd "a" <> None);
   Alcotest.(check bool) "peek missing" true (Libos_mm.peek_slot wfd "zz" = None)
@@ -755,7 +755,7 @@ let test_pool_bound () =
 let spawn_all_slots wfd =
   let buffer =
     match
-      Libos_mm.alloc_buffer wfd ~clock:(Clock.create ()) ~slot:"iso" ~size:Page.size
+      Libos_mm.alloc_buffer wfd ~clock:(Clock.create ()) ~slot:"iso" ~payload:(Bytes.make Page.size 'p')
         ~fingerprint:0L
     with
     | Ok b -> b.Libos_mm.addr
