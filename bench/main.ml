@@ -751,10 +751,11 @@ let serving () =
      so the serving benchmark exercises asbuffer.transfer_bytes the
      way a real workflow would — not through a private scratch file. *)
   (* One shared payload for every producer call: the store path blits
-     it into the buffer pages and the receive hands these same bytes to
-     the consumer, which only counts them, so re-allocating 32 KiB per
-     request was pure allocation.  Nothing writes to it: bytes passed
-     to AsBuffer are shared with their receiver. *)
+     it into the buffer pages and the buffer keeps these same bytes;
+     the consumer drains the slot and only counts them, so
+     re-allocating 32 KiB per request was pure allocation.  Nothing
+     writes to it: bytes passed to AsBuffer are shared with their
+     receiver. *)
   let thumb_payload = Bytes.make (kib 32) 'd' in
   let produce_kernel slot ms (ctx : Asstd.ctx) ~instance:_ ~total:_ =
     Asstd.compute ctx (Units.ms ms);

@@ -127,7 +127,31 @@ let from_slot_raw ctx ~slot =
         take ctx ~slot ~fingerprint:raw_fingerprint
       else file_from_slot ctx ~slot)
 
-let consume_slot_raw ctx ~slot = Bytes.length (from_slot_raw ctx ~slot)
+(* Drain a raw slot and return its byte count: [from_slot_raw]'s
+   virtual path — same buffer syscalls, page walk, clock charges and
+   free — for consumers that model work on the payload rather than
+   reading it.  It keeps its own body rather than calling
+   [from_slot_raw]: that call changes what a serving request allocates,
+   and with it when the collector runs and how far the heap grows. *)
+let consume_slot_raw ctx ~slot =
+  raw_transfer ctx ~section:"asbuffer.get" ~label:"get" ~slot (fun () ->
+      if ctx.Asstd.wfd.Wfd.features.Wfd.ref_passing then begin
+        let wfd = ctx.Asstd.wfd in
+        let thread = ctx.Asstd.thread in
+        let buffer =
+          Asstd.sys ctx "acquire_buffer" (fun ~clock ->
+              match Libos_mm.acquire_buffer wfd ~clock ~slot ~fingerprint:raw_fingerprint with
+              | Ok b -> b
+              | Error e -> raise (Errno.Error (e, slot)))
+        in
+        let size = Libos_mm.size buffer in
+        charge_ifi ctx size;
+        Address_space.touch_bytes wfd.Wfd.aspace ~pkru:thread.Wfd.pkru buffer.Libos_mm.addr size;
+        charge_traversal ctx size;
+        Libos_mm.free_buffer wfd buffer;
+        size
+      end
+      else Bytes.length (file_from_slot ctx ~slot))
 
 let free ctx handle =
   match handle.buffer with

@@ -51,9 +51,11 @@ val from_slot_raw : Asstd.ctx -> slot:string -> bytes
     off, a copy read back from the FAT image. *)
 
 val consume_slot_raw : Asstd.ctx -> slot:string -> int
-(** [Bytes.length (from_slot_raw ctx ~slot)]: drain a raw slot and
-    return its byte count, for consumers that model work on the payload
-    rather than reading its bytes. *)
+(** Drain a raw slot and return its byte count, for consumers that
+    model work on the payload rather than reading its bytes.  Virtual
+    behaviour (syscalls, page walk, clock charges, buffer free) is
+    identical to [from_slot_raw]'s, and it returns
+    [Bytes.length (from_slot_raw ctx ~slot)]. *)
 
 val free : Asstd.ctx -> handle -> unit
 (** Return the buffer to the heap (receiver side, after consumption). *)
