@@ -339,6 +339,26 @@ let asbuffer_copy_differential =
       in
       pages_ok && value_ok && fast = copying)
 
+(* [consume_slot_raw] has its own acquire: its drain must leave what
+   the raw receive leaves and count the bytes that receive returns. *)
+let asbuffer_drain_agrees =
+  QCheck.Test.make ~name:"asbuffer: drain agrees with the raw receive" ~count:40
+    QCheck.(
+      make
+        ~print:(fun (len, ifi, seed) -> Printf.sprintf "len=%d ifi=%b seed=%d" len ifi seed)
+        Gen.(triple payload_length bool (int_bound 1_000)))
+    (fun (len, ifi, seed) ->
+      let count f ctx ~typed:_ ~expect:_ = Fndata.Int (Int64.of_int (f ctx)) in
+      let _, _, drained =
+        observe ~typed:false ~ifi ~len ~seed
+          ~receive:(count (fun ctx -> Asbuffer.consume_slot_raw ctx ~slot:"s"))
+      in
+      let _, _, received =
+        observe ~typed:false ~ifi ~len ~seed
+          ~receive:(count (fun ctx -> Bytes.length (Asbuffer.from_slot_raw ctx ~slot:"s")))
+      in
+      drained = received)
+
 let suite =
   [
     Alcotest.test_case "sys loads on demand" `Quick test_sys_loads_on_demand;
@@ -363,4 +383,5 @@ let suite =
     Alcotest.test_case "receiver denied the buffer key gets no bytes" `Quick
       test_asbuffer_pkey_denied_receiver;
     QCheck_alcotest.to_alcotest asbuffer_copy_differential;
+    QCheck_alcotest.to_alcotest asbuffer_drain_agrees;
   ]
